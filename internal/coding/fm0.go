@@ -98,10 +98,13 @@ func FM0DecodeMLAppend(dst []byte, halves []float64) []byte {
 	trellis := (*tp)[:n+1]
 	trellis[0][statePos] = fm0Node{cost: 0}
 	trellis[0][stateNeg] = fm0Node{cost: 0}
+	// Reset whole nodes, not just costs: samples large enough to overflow
+	// sq() leave nodes unreachable, and the traceback then reads their
+	// prev/bit, which must not be left over from an earlier decode.
 	inf := math.Inf(1)
 	for i := 1; i <= n; i++ {
-		trellis[i][0].cost = inf
-		trellis[i][1].cost = inf
+		trellis[i][0] = fm0Node{cost: inf}
+		trellis[i][1] = fm0Node{cost: inf}
 	}
 
 	levelOf := func(s int) float64 {

@@ -42,6 +42,30 @@ func TestFM0DecodeMLAppendMatchesML(t *testing.T) {
 	}
 }
 
+// TestFM0DecodeMLAppendIgnoresPoolHistory pins that a decode does not
+// depend on what the pooled trellis last held: samples that overflow the
+// path metric leave every node unreachable, and the result must be the same
+// whichever frame was decoded before.
+func TestFM0DecodeMLAppendIgnoresPoolHistory(t *testing.T) {
+	huge := make([]float64, 64)
+	for i := range huge {
+		huge[i] = 1e200
+	}
+	var got [][]byte
+	for _, bit := range []byte{1, 0} {
+		bits := bytes.Repeat([]byte{bit}, len(huge)/2)
+		clean, err := FM0Encode(bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		FM0DecodeMLAppend(nil, clean) // leaves its trellis in the pool
+		got = append(got, FM0DecodeMLAppend(nil, huge))
+	}
+	if !bytes.Equal(got[0], got[1]) {
+		t.Fatalf("overflowing decode depends on the previous frame:\nafter ones  %v\nafter zeros %v", got[0], got[1])
+	}
+}
+
 // TestFM0DecodeMLAppendZeroAlloc pins the warm decode at zero steady-state
 // allocations when dst has spare capacity.
 func TestFM0DecodeMLAppendZeroAlloc(t *testing.T) {

@@ -173,6 +173,16 @@ func build(s *geometry.Structure, plan deploy.Plan, capsules []*node.Node, seed 
 	if len(capsules) == 0 {
 		return nil, ErrNoNodes
 	}
+	// Every per-capsule table below is keyed by handle, and the Deploy
+	// errors in the station loop read as partial coverage, so a duplicate
+	// must be caught here or it collapses silently.
+	seen := make(map[uint16]bool, len(capsules))
+	for _, n := range capsules {
+		if seen[n.Handle()] {
+			return nil, fmt.Errorf("fleet: duplicate capsule handle %#04x", n.Handle())
+		}
+		seen[n.Handle()] = true
+	}
 	f := &Fleet{
 		structure:     s,
 		nodes:         capsules,

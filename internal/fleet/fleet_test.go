@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"ecocapsule/internal/deploy"
@@ -125,6 +126,30 @@ func TestFleetValidation(t *testing.T) {
 	outside := node.New(node.Config{Handle: 2, Position: geometry.Vec3{X: 99, Y: 10, Z: 0.1}})
 	if _, err := New(wall, plan, []*node.Node{outside}, 1); err == nil {
 		t.Error("capsule outside the wall must fail fleet construction")
+	}
+}
+
+// TestFleetRejectsDuplicateHandles pins construction-time validation: two
+// capsules sharing a handle would share one amplitude row and one shard
+// slot, so the fleet would silently monitor only one of them. Both the flat
+// and the sharded constructor must refuse them, whatever their positions.
+func TestFleetRejectsDuplicateHandles(t *testing.T) {
+	wall := geometry.CommonWall()
+	near := geometry.Vec3{X: 1, Y: 10, Z: 0.1}
+	far := geometry.Vec3{X: 18, Y: 10, Z: 0.1}
+	plan, err := deploy.Cover(wall, []geometry.Vec3{near, far}, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capsules := []*node.Node{
+		node.New(node.Config{Handle: 0x80, Position: near, Seed: 1}),
+		node.New(node.Config{Handle: 0x80, Position: far, Seed: 2}),
+	}
+	if _, err := New(wall, plan, capsules, 1); err == nil || !strings.Contains(err.Error(), "duplicate") {
+		t.Errorf("flat fleet with a duplicate handle: err = %v, want a duplicate-handle error", err)
+	}
+	if _, err := NewSharded(wall, plan, capsules, 1, Options{Shards: 2}); err == nil || !strings.Contains(err.Error(), "duplicate") {
+		t.Errorf("sharded fleet with a duplicate handle: err = %v, want a duplicate-handle error", err)
 	}
 }
 

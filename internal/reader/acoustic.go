@@ -7,7 +7,6 @@ import (
 	"ecocapsule/internal/channel"
 	"ecocapsule/internal/coding"
 	"ecocapsule/internal/dsp"
-	"ecocapsule/internal/node"
 	"ecocapsule/internal/phy"
 	"ecocapsule/internal/protocol"
 	"ecocapsule/internal/sensors"
@@ -69,12 +68,9 @@ func (r *Reader) AcousticReadSensor(handle uint16, st sensors.SensorType, cfg Ac
 		HandleDownlink(protocol.Packet, sensors.Environment) (*protocol.UplinkFrame, error)
 	}
 	var env sensors.Environment
-	for _, n := range r.nodes {
-		if n.Handle() == handle {
-			target = n
-			env = r.env(n.Position())
-			break
-		}
+	if n := r.byHandle[handle]; n != nil {
+		target = n
+		env = r.env(n.Position())
 	}
 	ch := r.chans[handle]
 	r.mu.Unlock()
@@ -190,13 +186,7 @@ func (r *Reader) AcousticReadRound(handles []uint16, st sensors.SensorType, cfg 
 	r.mu.Lock()
 	for i, h := range handles {
 		out[i].Handle = h
-		var target *node.Node
-		for _, n := range r.nodes {
-			if n.Handle() == h {
-				target = n
-				break
-			}
-		}
+		target := r.byHandle[h]
 		if target == nil || r.chans[h] == nil {
 			out[i].Err = fmt.Errorf("reader: unknown node %#04x", h)
 			continue

@@ -61,8 +61,9 @@ type Reader struct {
 	mu  sync.Mutex
 	cfg Config
 
-	nodes []*node.Node
-	chans map[uint16]*channel.Channel
+	nodes    []*node.Node
+	byHandle map[uint16]*node.Node
+	chans    map[uint16]*channel.Channel
 
 	// env provides the physical ground truth for sensor sampling.
 	env func(pos geometry.Vec3) sensors.Environment
@@ -126,6 +127,7 @@ func NewWithLinkCache(cfg Config, cache *channel.Cache) (*Reader, error) {
 	}
 	return &Reader{
 		cfg:                     cfg,
+		byHandle:                make(map[uint16]*node.Node),
 		chans:                   make(map[uint16]*channel.Channel),
 		env:                     func(geometry.Vec3) sensors.Environment { return sensors.Environment{} },
 		PZTCouplingVoltsPerUnit: DefaultPZTCoupling,
@@ -149,9 +151,14 @@ func (r *Reader) SetEnvironment(f func(pos geometry.Vec3) sensors.Environment) {
 }
 
 // Deploy embeds a node into the structure, building its acoustic channel.
+// A handle is deployed at most once: a second node with the same handle
+// would be unaddressable, so it is rejected.
 func (r *Reader) Deploy(n *node.Node) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if _, dup := r.byHandle[n.Handle()]; dup {
+		return fmt.Errorf("reader: node %#04x already deployed", n.Handle())
+	}
 	if !r.cfg.Structure.Inside(n.Position()) {
 		return fmt.Errorf("reader: node %#04x position %+v outside %s",
 			n.Handle(), n.Position(), r.cfg.Structure.Name)
@@ -169,6 +176,7 @@ func (r *Reader) Deploy(n *node.Node) error {
 		return fmt.Errorf("reader: channel to node %#04x: %w", n.Handle(), err)
 	}
 	r.nodes = append(r.nodes, n)
+	r.byHandle[n.Handle()] = n
 	r.chans[n.Handle()] = ch
 	mLinkGain.With(handleLabel(n.Handle())).Set(ch.PathGain())
 	mLinkSNR.With(handleLabel(n.Handle())).Set(
@@ -437,13 +445,7 @@ func (r *Reader) endSlotSpan(outcome string) {
 func (r *Reader) ReadSensor(handle uint16, st sensors.SensorType) ([]float64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var target *node.Node
-	for _, n := range r.nodes {
-		if n.Handle() == handle {
-			target = n
-			break
-		}
-	}
+	target := r.byHandle[handle]
 	if target == nil {
 		mReads.With(readErr).Inc()
 		return nil, fmt.Errorf("reader: unknown node %#04x", handle)

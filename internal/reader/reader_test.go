@@ -61,6 +61,31 @@ func TestDeployValidation(t *testing.T) {
 	}
 }
 
+// TestDeployRejectsDuplicateHandle pins that a handle is deployed once: a
+// second node with the same handle is refused, leaving the first one
+// deployed and addressable.
+func TestDeployRejectsDuplicateHandle(t *testing.T) {
+	r, err := New(wallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := deployNode(t, r, 0x10, 1.0)
+	dup := node.New(node.Config{Handle: 0x10, Position: geometry.Vec3{X: 3, Y: 10, Z: 0.1}, Seed: 2})
+	if err := r.Deploy(dup); err == nil {
+		t.Fatal("deploying a second node with handle 0x10 must fail")
+	}
+	if nodes := r.Nodes(); len(nodes) != 1 || nodes[0] != first {
+		t.Fatalf("deployed nodes %v, want only the first 0x10", nodes)
+	}
+	// The first node's link survives: it still charges from 1 m away.
+	if up := r.Charge(0.2); up != 1 || !first.PoweredUp() {
+		t.Fatalf("first node must still power up (up=%d)", up)
+	}
+	if _, err := r.ReadSensor(0x10, sensors.TypeTempHumidity); err != nil {
+		t.Fatalf("read of the first node: %v", err)
+	}
+}
+
 func TestChargePowersNearNode(t *testing.T) {
 	r, err := New(wallConfig())
 	if err != nil {

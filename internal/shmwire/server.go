@@ -23,10 +23,12 @@ type Server struct {
 	nextSubID int
 	//ecolint:guardedby mu
 	closed bool
-	wg        sync.WaitGroup
-	logf      func(format string, args ...any)
-	// writeTimeout bounds each frame write so one wedged subscriber socket
-	// cannot pin its writer goroutine forever.
+	wg     sync.WaitGroup
+	logf   func(format string, args ...any)
+	//ecolint:guardedby mu
+	// writeTimeout bounds each drained batch write (at most fanOutDepth
+	// frames) so one wedged subscriber socket cannot pin its writer
+	// goroutine forever.
 	writeTimeout time.Duration
 	//ecolint:guardedby mu
 	// snapshot, when set, supplies the current coverage status enqueued to
@@ -35,8 +37,13 @@ type Server struct {
 	snapshot func() (Status, *TraceContext, bool)
 }
 
-// defaultWriteTimeout bounds a single subscriber frame write.
+// defaultWriteTimeout bounds one subscriber batch write.
 const defaultWriteTimeout = 5 * time.Second
+
+// fanOutDepth is the per-subscriber frame queue: a subscriber further
+// behind than this is evicted, and one writer batch drains at most this
+// many frames.
+const fanOutDepth = 256
 
 type subscriber struct {
 	id   int
@@ -76,13 +83,6 @@ func (s *Server) SetLogf(f func(string, ...any)) {
 	if f != nil {
 		s.logf = f
 	}
-}
-
-// SetWriteTimeout overrides the per-frame write deadline (zero disables).
-func (s *Server) SetWriteTimeout(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.writeTimeout = d
 }
 
 // SetSnapshot installs the current-status callback served to each new
@@ -131,7 +131,7 @@ func (s *Server) handle(conn net.Conn) {
 
 	sub := &subscriber{
 		name: string(f.Body),
-		ch:   make(chan outFrame, 256),
+		ch:   make(chan outFrame, fanOutDepth),
 		conn: conn,
 	}
 	// Resolve the snapshot before taking s.mu for registration: the
@@ -157,7 +157,7 @@ func (s *Server) handle(conn net.Conn) {
 	s.subs[sub.id] = sub
 	if snapFrame != nil {
 		// The channel is freshly made and broadcasts hold s.mu, so this
-		// enqueue into a 256-slot buffer cannot block.
+		// enqueue into a fanOutDepth-slot buffer cannot block.
 		sub.ch <- *snapFrame
 	}
 	mSubscribers.Set(float64(len(s.subs)))
@@ -171,7 +171,7 @@ func (s *Server) handle(conn net.Conn) {
 	// broadcast write notices the dead socket; a quiet server would pin the
 	// map entry and writer goroutine indefinitely. The Conn keeps separate
 	// read and write buffers, so this Recv is safe alongside the writer's
-	// SendTraced below.
+	// drain below.
 	s.wg.Add(1)
 	//ecolint:ignore leakcheck watchdog exits when the conn closes (teardown below or Close()) and is awaited via s.wg
 	go func() {
@@ -192,28 +192,57 @@ func (s *Server) handle(conn net.Conn) {
 		conn.Close()
 	}()
 
-	// Writer drains the fan-out channel onto the socket. Each write runs
-	// under a deadline: a subscriber that stops draining its socket times
-	// out and is dropped instead of wedging this goroutine.
-	for of := range sub.ch {
+	// Writer drains the fan-out channel onto the socket, one deadline per
+	// batch: a subscriber that stops draining its socket times out and is
+	// dropped instead of wedging this goroutine.
+	arm := func() {
 		s.mu.Lock()
 		wt := s.writeTimeout
 		s.mu.Unlock()
-		if wt > 0 {
-			conn.SetWriteDeadline(time.Now().Add(wt))
-		}
-		if err := c.SendTraced(of.t, of.body, of.tc); err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				mWriteDeadlineHits.Inc()
-				telemetry.RecordFlight("shmwire", "write_timeout",
-					fmt.Sprintf("subscriber %d (%s) frame write timed out", sub.id, sub.name))
-			}
-			break
+		conn.SetWriteDeadline(time.Now().Add(wt))
+	}
+	if err := drain(c, sub.ch, arm); err != nil {
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			mWriteDeadlineHits.Inc()
+			telemetry.RecordFlight("shmwire", "write_timeout",
+				fmt.Sprintf("subscriber %d (%s) batch write timed out", sub.id, sub.name))
 		}
 	}
 	s.removeSub(sub.id)
 	conn.Close()
+}
+
+// drain writes the frames queued on ch to c until ch is closed or a write
+// fails. It blocks for one frame, buffers the frames already queued behind
+// it (at most cap(ch) per batch), and flushes once the queue is momentarily
+// empty, so a burst costs one write per bufio buffer instead of one per
+// frame. arm runs before each batch. Frames queued before ch was closed
+// are still flushed.
+func drain(c *Conn, ch <-chan outFrame, arm func()) error {
+	for of := range ch {
+		arm()
+		err := WriteFrameTraced(c.w, of.t, of.body, of.tc)
+	batch:
+		for n := 1; err == nil && n < cap(ch); n++ {
+			select {
+			case next, ok := <-ch:
+				if !ok {
+					break batch
+				}
+				err = WriteFrameTraced(c.w, next.t, next.body, next.tc)
+			default:
+				break batch
+			}
+		}
+		if err == nil {
+			err = c.w.Flush()
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (s *Server) removeSub(id int) {
@@ -242,8 +271,17 @@ func (s *Server) Broadcast(t MsgType, body []byte) {
 // BroadcastTraced fans one frame out to every subscriber with an optional
 // trace context, so a receipt span on the far side can join the
 // originating trace. An eviction is an incident: the flight recorder is
-// dumped so the events leading up to the overflow survive it.
+// dumped so the events leading up to the overflow survive it. A frame that
+// could never be written (oversize body, reserved type bit) is rejected
+// here, counted and flight-recorded, instead of reaching the writers, where
+// it would cost every subscriber its connection.
 func (s *Server) BroadcastTraced(t MsgType, body []byte, tc *TraceContext) {
+	if _, err := frameLength(t, body, tc); err != nil {
+		mBroadcastRejected.Inc()
+		telemetry.RecordFlight("shmwire", "broadcast_rejected",
+			fmt.Sprintf("%v frame with a %d-byte body: %v", t, len(body), err))
+		return
+	}
 	mBroadcasts.With(t.String()).Inc()
 	s.mu.Lock()
 	var evict []int

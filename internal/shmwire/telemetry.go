@@ -16,6 +16,8 @@ var (
 		"currently connected subscribers")
 	mEvictions = telemetry.NewCounter("ecocapsule_shmwire_evictions_total",
 		"slow subscribers disconnected with a full fan-out buffer")
+	mBroadcastRejected = telemetry.NewCounter("ecocapsule_shmwire_broadcast_rejected_total",
+		"broadcast frames rejected before fan-out (oversize body or reserved type bit)")
 	mBroadcasts = telemetry.NewCounterVec("ecocapsule_shmwire_broadcasts_total",
 		"frames fanned out by type (counted once per broadcast)", "type")
 	mReconnects = telemetry.NewCounter("ecocapsule_shmwire_reconnects_total",

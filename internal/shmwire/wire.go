@@ -182,6 +182,22 @@ var (
 	ErrReservedType = errors.New("shmwire: message type collides with the traced flag bit")
 )
 
+// frameLength returns the length field of a frame carrying body (and tc,
+// when non-nil), or why such a frame cannot be written.
+func frameLength(t MsgType, body []byte, tc *TraceContext) (int, error) {
+	if byte(t)&flagTraced != 0 {
+		return 0, ErrReservedType
+	}
+	n := len(body)
+	if tc != nil {
+		n += traceContextSize
+	}
+	if n > MaxFrameSize {
+		return 0, ErrTooLarge
+	}
+	return n, nil
+}
+
 // WriteFrame writes one frame: magic(2) version(1) type(1) length(2) body.
 func WriteFrame(w io.Writer, t MsgType, body []byte) error {
 	return WriteFrameTraced(w, t, body, nil)
@@ -191,17 +207,13 @@ func WriteFrame(w io.Writer, t MsgType, body []byte) error {
 // non-nil) and setting the traced flag bit on the type byte. The trace
 // header counts against MaxFrameSize.
 func WriteFrameTraced(w io.Writer, t MsgType, body []byte, tc *TraceContext) error {
-	if byte(t)&flagTraced != 0 {
-		return ErrReservedType
+	n, err := frameLength(t, body, tc)
+	if err != nil {
+		return err
 	}
-	n := len(body)
 	typeByte := byte(t)
 	if tc != nil {
-		n += traceContextSize
 		typeByte |= flagTraced
-	}
-	if n > MaxFrameSize {
-		return ErrTooLarge
 	}
 	hdr := make([]byte, 6, 6+traceContextSize)
 	binary.BigEndian.PutUint16(hdr[0:2], Magic)

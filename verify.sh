@@ -3,9 +3,10 @@
 #
 # Runs the full correctness stack: compile, go vet, the domain-aware
 # ecolint static-analysis suite (internal/analysis) over the whole module
-# including _test.go files, the tests under the race detector, and a short
-# fuzzing smoke pass over the untrusted-input decoders. CI and pre-merge
-# checks should invoke this script; every step must pass.
+# including _test.go files, the benchmark module's own tests, the tests
+# under the race detector, and a short fuzzing smoke pass over the
+# untrusted-input decoders. CI and pre-merge checks should invoke this
+# script; every step must pass.
 #
 # ecolint runs twice against a fresh result cache: the second (warm) run
 # must come back from .ecolint-cache/ at least 3x faster than the cold
@@ -104,6 +105,13 @@ for a in dimcheck hotalloc; do
 		exit 1
 	fi
 done
+stage_done
+
+# The benchmark is its own module (pipebench/go.mod): its determinism and
+# statistics tests run with the environment pipebench/run.sh builds it
+# under, so a change that breaks what the benchmark measures fails here.
+stage "pipebench tests (go -C pipebench test ./...)"
+GOWORK=off GOPROXY=off GOFLAGS= go -C pipebench test ./...
 stage_done
 
 if [ "$SHORT" = 1 ]; then
