@@ -130,8 +130,6 @@ func selftest() error {
 	f.ApplyInjector(faultinject.MustNew(faultinject.Plan{
 		Seed:          fleet.DemoSeed,
 		FrameLossProb: 0.05,
-		FadeProb:      0.05,
-		FadeDepth:     0.5,
 	}))
 	f.Charge(0.4)
 	f.Inventory(4)

@@ -71,8 +71,7 @@ type Channel struct {
 	//
 	//ecolint:unit dimensionless
 	resGain float64
-	imp      Impairment
-	conv     *dsp.Convolver // tapped-delay line over arrivals (raw gains)
+	conv    *dsp.Convolver // tapped-delay line over arrivals (raw gains)
 
 	// Cache-backed channels share arrivals and conv with their cache
 	// entry; detach() copies-on-write before any local mutation.
@@ -80,18 +79,6 @@ type Channel struct {
 	cache  *Cache
 	key    cacheKey
 }
-
-// Impairment is the injectable acoustic-fade hook. Each Transmit draws one
-// attenuation factor in [0,1] (1 = clean channel, 0 = total blackout)
-// applied across every arrival — modelling a transient blocker like rebar
-// settling, a forklift parked on the slab, or water intrusion in a crack.
-// faultinject.Injector implements it; a nil hook costs nothing.
-type Impairment interface {
-	Attenuate() float64
-}
-
-// SetImpairment installs (or with nil removes) the fade hook.
-func (c *Channel) SetImpairment(imp Impairment) { c.imp = imp }
 
 // ErrNoPath is returned when no propagation path exists (e.g. all modes cut
 // off beyond the second critical angle).
@@ -243,20 +230,11 @@ func (c *Channel) Transmit(x []float64) []float64 {
 	if len(x) == 0 {
 		return nil
 	}
-	fade := 1.0
-	if c.imp != nil {
-		fade = c.imp.Attenuate()
-		if fade < 1 {
-			mFades.Inc()
-			mFadeDepth.Observe(fade)
-		}
-	}
 	mTransmits.Inc()
 	out := make([]float64, c.conv.OutLen(len(x)))
 	c.conv.ApplyTo(out, x)
-	s := c.resGain * fade
 	for i := range out {
-		out[i] *= s
+		out[i] *= c.resGain
 	}
 	if c.cfg.NoiseFloor > 0 {
 		c.noise.AddAWGN(out, c.cfg.NoiseFloor)

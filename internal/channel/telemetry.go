@@ -8,12 +8,7 @@ var (
 		"acoustic channels constructed")
 	mTransmits = telemetry.NewCounter("ecocapsule_channel_transmits_total",
 		"waveforms pushed through a channel")
-	mFades = telemetry.NewCounter("ecocapsule_channel_fades_total",
-		"transmits attenuated by an injected fade (factor < 1)")
 	mPathGain = telemetry.NewHistogram("ecocapsule_channel_path_gain",
 		"aggregate linear path gain of constructed channels",
 		[]float64{1e-5, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.25, 0.5, 1})
-	mFadeDepth = telemetry.NewHistogram("ecocapsule_channel_fade_depth",
-		"attenuation factor drawn per faded transmit (0 = blackout)",
-		[]float64{0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 1})
 )

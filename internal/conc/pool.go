@@ -11,8 +11,10 @@ import (
 // using a bounded worker pool with per-queue work queues and stealing. It is
 // the fan-out primitive for sharded passes: each queue is one shard's batch,
 // a worker drains its own queue first (locality — one shard's items touch
-// one shard's readers and caches), then steals whole items from the busiest
-// remaining queues so a skewed shard does not serialise the pass.
+// one shard's readers and caches), then steals from a random remaining
+// queue and stays on it, so a skewed shard does not serialise the pass.
+// Home queues are spread evenly over the queue order: neighbouring shards
+// share boundary stations, which workers would otherwise contend on.
 //
 // The determinism contract matches For: fn is called exactly once per
 // (q, item), callers write into per-item slots and merge in index order
@@ -53,9 +55,9 @@ func Queues(counts []int, seed int64, fn func(q, item int)) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		// Each worker owns a home queue (round-robin) and a private RNG for
-		// victim selection, so there is no shared scheduling state to
-		// contend on beyond the cursors themselves.
+		// Each worker owns a home queue and a private RNG for victim
+		// selection, so there is no shared scheduling state to contend on
+		// beyond the cursors themselves.
 		go func(home int, rng *rand.Rand) {
 			defer wg.Done()
 			defer func() {
@@ -77,7 +79,7 @@ func Queues(counts []int, seed int64, fn func(q, item int)) {
 				}
 				// Home queue drained: steal. Start from a random victim so
 				// workers fan out over the remaining queues instead of
-				// convoying on the lowest index.
+				// convoying on the lowest index, and adopt it as home.
 				stole := false
 				start := rng.Intn(len(counts))
 				for off := 0; off < len(counts); off++ {
@@ -87,7 +89,7 @@ func Queues(counts []int, seed int64, fn func(q, item int)) {
 					}
 					if item, ok := claim(q); ok {
 						fn(q, item)
-						stole = true
+						home, stole = q, true
 						break
 					}
 				}
@@ -95,7 +97,7 @@ func Queues(counts []int, seed int64, fn func(q, item int)) {
 					return // every queue drained
 				}
 			}
-		}(w%len(counts), rand.New(rand.NewSource(seed+int64(w))))
+		}(w*len(counts)/workers, rand.New(rand.NewSource(seed+int64(w))))
 	}
 	wg.Wait()
 	if p := firstPanic.Load(); p != nil {

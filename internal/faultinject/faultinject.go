@@ -4,20 +4,24 @@
 // dead reader stations, stuck sensors, and dropped monitoring connections —
 // and an Injector turns the plan into reproducible per-event decisions.
 //
-// The consumers (reader, fleet, shmwire, channel) each define a small
-// interface at their point of use; the Injector implements all of them, so
-// a single plan drives the whole pipeline without forking any hot path.
-// Because every draw comes from one seeded source consumed in the
-// deterministic order the simulation visits stations and capsules, the same
-// plan and seed reproduce the same failures byte for byte.
+// The consumers (reader, fleet, shmwire) each define a small interface at
+// their point of use; the Injector implements all of them, so a single plan
+// drives the whole pipeline without forking any hot path.
+//
+// Determinism is per capsule: every draw is telemetry.Key of (plan seed,
+// capsule handle, that handle's hook-call ordinal, draw kind, sub-index),
+// so the same plan reproduces the same failures byte for byte whenever each
+// capsule sees the same sequence of hook calls — in whatever order the
+// worker pool interleaves different capsules. Flight-recorder events from
+// different capsules land in arrival order, which is not part of it.
 package faultinject
 
 //ecolint:deterministic
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"ecocapsule/internal/telemetry"
 )
@@ -57,12 +61,6 @@ type Plan struct {
 	// ConnDropAfterFrames makes a wrapped monitoring connection fail after
 	// this many successful reads (0 = never) — the shmwire reconnect case.
 	ConnDropAfterFrames int
-
-	// FadeProb is the per-transmission probability of an acoustic fade (a
-	// transient blocker in the propagation path); FadeDepth is the fraction
-	// of amplitude removed when a fade hits (1 = total blackout).
-	FadeProb  float64
-	FadeDepth float64
 }
 
 // Validate checks the plan's probabilities and counts.
@@ -75,8 +73,6 @@ func (p Plan) Validate() error {
 		{"FrameCorruptProb", p.FrameCorruptProb},
 		{"BitFlipBER", p.BitFlipBER},
 		{"BrownoutProb", p.BrownoutProb},
-		{"FadeProb", p.FadeProb},
-		{"FadeDepth", p.FadeDepth},
 	} {
 		if pr.v < 0 || pr.v > 1 {
 			return fmt.Errorf("faultinject: %s = %g outside [0, 1]", pr.name, pr.v)
@@ -101,26 +97,64 @@ type Stats struct {
 	UplinkDropped     int
 	UplinkCorrupted   int
 	Brownouts         int
-	Fades             int
 }
 
 // Injector executes a Plan deterministically. All methods are safe for
-// concurrent use; determinism additionally requires the callers to consume
-// draws in a deterministic order, which the simulation's fixed
-// station/capsule iteration order provides.
+// concurrent use; see the package doc for what is reproduced.
 type Injector struct {
-	mu   sync.Mutex
-	plan Plan
-	//ecolint:guardedby mu
-	rng *rand.Rand
-	//ecolint:guardedby mu
-	dead map[int]bool
-	//ecolint:guardedby mu
+	// plan and the dead/muted/stuck sets are immutable after New.
+	plan  Plan
+	dead  map[int]bool
 	muted map[uint16]bool
-	//ecolint:guardedby mu
 	stuck map[uint16]bool
+	// calls counts each handle's hook calls, the ordinal in its draw key.
+	// Atomic per-handle counters keep concurrent capsules off any shared
+	// lock; the mutex is taken only when a fault is recorded.
+	calls [1 << 16]atomic.Uint64
+
+	mu sync.Mutex
 	//ecolint:guardedby mu
 	stats Stats
+}
+
+// Draw kinds: each decision within one hook call hashes its own kind.
+const (
+	drawLoss uint64 = iota + 1
+	drawCorrupt
+	drawFlips
+	drawFlipBit
+	drawBER
+	drawBrownout
+)
+
+// draws is the keyed random source of one hook call.
+type draws uint64
+
+// next advances the handle's hook-call ordinal and returns the call's
+// source.
+func (in *Injector) next(handle uint16) draws {
+	n := in.calls[handle].Add(1) - 1
+	return draws(telemetry.Key(uint64(in.plan.Seed), uint64(handle), n))
+}
+
+// float returns the uniform [0, 1) draw of one decision.
+func (d draws) float(kind, sub uint64) float64 {
+	return float64(telemetry.Key(uint64(d), kind, sub)>>11) / (1 << 53)
+}
+
+// intn returns the uniform [0, n) draw of one decision.
+func (d draws) intn(kind, sub uint64, n int) int {
+	return int(d.float(kind, sub) * float64(n))
+}
+
+// record counts one injected fault in Stats, on the metric and in the
+// flight recorder (whose event name is the kind).
+func (in *Injector) record(kind string, count func(*Stats), msg string) {
+	in.mu.Lock()
+	count(&in.stats)
+	in.mu.Unlock()
+	mInjected.With(kind).Inc()
+	telemetry.RecordFlight("faultinject", kind, msg)
 }
 
 // New validates the plan and builds its injector.
@@ -130,7 +164,6 @@ func New(plan Plan) (*Injector, error) {
 	}
 	in := &Injector{
 		plan:  plan,
-		rng:   rand.New(rand.NewSource(plan.Seed)),
 		dead:  make(map[int]bool, len(plan.DeadStations)),
 		muted: make(map[uint16]bool, len(plan.MutedCapsules)),
 		stuck: make(map[uint16]bool, len(plan.StuckSensors)),
@@ -157,25 +190,16 @@ func MustNew(plan Plan) *Injector {
 	return in
 }
 
-// Plan returns a copy of the injector's plan.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // Downlink implements the reader's frame-fault hook for reader→capsule
 // frames: it returns the (possibly corrupted) frame and whether it arrived
 // at all. The returned slice is a copy; the input is never mutated.
 func (in *Injector) Downlink(handle uint16, frame []byte) ([]byte, bool) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out, delivered, touched := in.frameLocked(frame)
+	out, delivered, touched := in.next(handle).frame(in.plan, frame)
 	if !delivered {
-		in.stats.DownlinkDropped++
-		mInjected.With(kindDownlinkDropped).Inc()
-		telemetry.RecordFlight("faultinject", "downlink_dropped",
+		in.record(kindDownlinkDropped, func(s *Stats) { s.DownlinkDropped++ },
 			fmt.Sprintf("frame to capsule 0x%04x lost in the concrete", handle))
 	} else if touched {
-		in.stats.DownlinkCorrupted++
-		mInjected.With(kindDownlinkCorrupted).Inc()
-		telemetry.RecordFlight("faultinject", "downlink_corrupted",
+		in.record(kindDownlinkCorrupted, func(s *Stats) { s.DownlinkCorrupted++ },
 			fmt.Sprintf("frame to capsule 0x%04x took bit flips", handle))
 	}
 	return out, delivered
@@ -184,49 +208,41 @@ func (in *Injector) Downlink(handle uint16, frame []byte) ([]byte, bool) {
 // Uplink implements the reader's frame-fault hook for capsule→reader
 // frames. A muted capsule's uplink is always dropped.
 func (in *Injector) Uplink(handle uint16, frame []byte) ([]byte, bool) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	if in.muted[handle] {
-		in.stats.UplinkDropped++
-		mInjected.With(kindUplinkDropped).Inc()
-		telemetry.RecordFlight("faultinject", "uplink_dropped",
+		in.record(kindUplinkDropped, func(s *Stats) { s.UplinkDropped++ },
 			fmt.Sprintf("capsule 0x%04x is muted", handle))
 		return nil, false
 	}
-	out, delivered, touched := in.frameLocked(frame)
+	out, delivered, touched := in.next(handle).frame(in.plan, frame)
 	if !delivered {
-		in.stats.UplinkDropped++
-		mInjected.With(kindUplinkDropped).Inc()
-		telemetry.RecordFlight("faultinject", "uplink_dropped",
+		in.record(kindUplinkDropped, func(s *Stats) { s.UplinkDropped++ },
 			fmt.Sprintf("backscatter from capsule 0x%04x never reached the RX", handle))
 	} else if touched {
-		in.stats.UplinkCorrupted++
-		mInjected.With(kindUplinkCorrupted).Inc()
-		telemetry.RecordFlight("faultinject", "uplink_corrupted",
+		in.record(kindUplinkCorrupted, func(s *Stats) { s.UplinkCorrupted++ },
 			fmt.Sprintf("backscatter from capsule 0x%04x took bit flips", handle))
 	}
 	return out, delivered
 }
 
-// frameLocked applies loss, burst corruption, and BER to one frame.
-func (in *Injector) frameLocked(frame []byte) (out []byte, delivered, touched bool) {
-	if in.plan.FrameLossProb > 0 && in.rng.Float64() < in.plan.FrameLossProb {
+// frame applies loss, burst corruption, and BER to one frame.
+func (d draws) frame(p Plan, frame []byte) (out []byte, delivered, touched bool) {
+	if p.FrameLossProb > 0 && d.float(drawLoss, 0) < p.FrameLossProb {
 		return nil, false, false
 	}
 	out = frame
-	if in.plan.FrameCorruptProb > 0 && in.rng.Float64() < in.plan.FrameCorruptProb && len(frame) > 0 {
+	if p.FrameCorruptProb > 0 && d.float(drawCorrupt, 0) < p.FrameCorruptProb && len(frame) > 0 {
 		out = append([]byte(nil), out...)
-		flips := 1 + in.rng.Intn(4)
+		flips := 1 + d.intn(drawFlips, 0, 4)
 		for i := 0; i < flips; i++ {
-			bit := in.rng.Intn(len(out) * 8)
+			bit := d.intn(drawFlipBit, uint64(i), len(out)*8)
 			out[bit/8] ^= 1 << uint(7-bit%8)
 		}
 		touched = true
 	}
-	if in.plan.BitFlipBER > 0 && len(frame) > 0 {
+	if p.BitFlipBER > 0 && len(frame) > 0 {
 		copied := touched
 		for i := 0; i < len(out)*8; i++ {
-			if in.rng.Float64() < in.plan.BitFlipBER {
+			if d.float(drawBER, uint64(i)) < p.BitFlipBER {
 				if !copied {
 					out = append([]byte(nil), out...)
 					copied = true
@@ -242,52 +258,19 @@ func (in *Injector) frameLocked(frame []byte) (out []byte, delivered, touched bo
 // Brownout implements the reader's capsule-fault hook: drawn once per
 // downlink delivery, true means the capsule loses power mid-operation.
 func (in *Injector) Brownout(handle uint16) bool {
-	if in.plan.BrownoutProb <= 0 {
+	if in.plan.BrownoutProb <= 0 || in.next(handle).float(drawBrownout, 0) >= in.plan.BrownoutProb {
 		return false
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.rng.Float64() < in.plan.BrownoutProb {
-		in.stats.Brownouts++
-		mInjected.With(kindBrownout).Inc()
-		telemetry.RecordFlight("faultinject", "brownout",
-			fmt.Sprintf("capsule 0x%04x lost its storage charge mid-operation", handle))
-		return true
-	}
-	return false
-}
-
-// Attenuate implements the channel's acoustic-fade hook: one draw per
-// transmission, returning the amplitude factor to apply (1 = clean).
-func (in *Injector) Attenuate() float64 {
-	if in.plan.FadeProb <= 0 {
-		return 1
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.rng.Float64() < in.plan.FadeProb {
-		in.stats.Fades++
-		mInjected.With(kindFade).Inc()
-		telemetry.RecordFlight("faultinject", "fade",
-			fmt.Sprintf("acoustic fade, amplitude x%.2f", 1-in.plan.FadeDepth))
-		return 1 - in.plan.FadeDepth
-	}
-	return 1
+	in.record(kindBrownout, func(s *Stats) { s.Brownouts++ },
+		fmt.Sprintf("capsule 0x%04x lost its storage charge mid-operation", handle))
+	return true
 }
 
 // StationDead implements the fleet's station-fault hook.
-func (in *Injector) StationDead(station int) bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.dead[station]
-}
+func (in *Injector) StationDead(station int) bool { return in.dead[station] }
 
 // SensorStuck reports whether a capsule's sensors are planned to freeze.
-func (in *Injector) SensorStuck(handle uint16) bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.stuck[handle]
-}
+func (in *Injector) SensorStuck(handle uint16) bool { return in.stuck[handle] }
 
 // Stats returns a snapshot of the injector's counters.
 func (in *Injector) Stats() Stats {

@@ -3,6 +3,7 @@ package faultinject
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -51,6 +52,62 @@ func TestInjectorDeterministic(t *testing.T) {
 	}
 	if a.Stats() != b.Stats() {
 		t.Errorf("stats diverged: %+v vs %+v", a.Stats(), b.Stats())
+	}
+}
+
+// TestKeyedDrawsIndependentOfInterleaving: a handle's decisions depend only
+// on its own sequence of hook calls, so interleaving two handles on one
+// goroutine and running each on its own goroutine decide identically.
+func TestKeyedDrawsIndependentOfInterleaving(t *testing.T) {
+	plan := Plan{Seed: 42, FrameLossProb: 0.2, FrameCorruptProb: 0.3, BitFlipBER: 0.01, BrownoutProb: 0.1}
+	frame := []byte{0xAA, 0x3C, 0x01, 0xFF, 0xFF, 0x00, 0x12, 0x34}
+	handles := []uint16{0x10, 0x11}
+	const calls = 300
+	// call makes one delivery's hook calls and renders their decisions.
+	call := func(in *Injector, h uint16) string {
+		down, okD := in.Downlink(h, frame)
+		up, okU := in.Uplink(h, frame)
+		return fmt.Sprintf("%v %v %x %v %x", in.Brownout(h), okD, down, okU, up)
+	}
+	interleaved := MustNew(plan)
+	want := make([][]string, len(handles))
+	for i := 0; i < calls; i++ {
+		for k, h := range handles {
+			want[k] = append(want[k], call(interleaved, h))
+		}
+	}
+	split := MustNew(plan)
+	type run struct {
+		k         int
+		decisions []string
+	}
+	done := make(chan run, len(handles))
+	for k, h := range handles {
+		go func(k int, h uint16) {
+			var out []string
+			for i := 0; i < calls; i++ {
+				out = append(out, call(split, h))
+			}
+			done <- run{k, out}
+		}(k, h)
+	}
+	got := make([][]string, len(handles))
+	for range handles {
+		r := <-done
+		got[r.k] = r.decisions
+	}
+	for k, h := range handles {
+		for i := range want[k] {
+			if got[k][i] != want[k][i] {
+				t.Fatalf("handle %#04x call %d: split %q, interleaved %q", h, i, got[k][i], want[k][i])
+			}
+		}
+	}
+	if interleaved.Stats() != split.Stats() {
+		t.Errorf("stats diverged: %+v vs %+v", interleaved.Stats(), split.Stats())
+	}
+	if s := split.Stats(); s.DownlinkDropped == 0 || s.UplinkCorrupted == 0 || s.Brownouts == 0 {
+		t.Errorf("plan exercised too few decisions: %+v", s)
 	}
 }
 

@@ -4,7 +4,7 @@ import "ecocapsule/internal/telemetry"
 
 // mInjected counts the faults an injector actually inflicted, by kind. Set
 // against the observing layers' own counters (reader corrupted replies,
-// channel fades) it shows how many injected faults the stack noticed versus
+// fleet missing rows) it shows how many injected faults the stack noticed versus
 // silently absorbed.
 var mInjected = telemetry.NewCounterVec("ecocapsule_faultinject_injected_total",
 	"faults injected by kind", "kind")
@@ -16,5 +16,4 @@ const (
 	kindUplinkDropped     = "uplink_dropped"
 	kindUplinkCorrupted   = "uplink_corrupted"
 	kindBrownout          = "brownout"
-	kindFade              = "fade"
 )

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"runtime"
 	"testing"
 
 	"ecocapsule/internal/sensors"
@@ -80,22 +81,21 @@ func TestConcurrentReadsAndInventory(t *testing.T) {
 }
 
 // TestSurveyParallelMatchesSerial pins the determinism contract of the
-// parallel survey: with no fault hook installed, the fanned-out survey
-// must produce byte-identical text to the serial schedule (which the
-// fault path still uses).
+// parallel survey: on a multi-shard fleet the pool fans the survey out at
+// GOMAXPROCS >= 2, and at GOMAXPROCS=1 it runs every item inline in queue
+// order; both schedules must produce byte-identical text.
 func TestSurveyParallelMatchesSerial(t *testing.T) {
-	run := func(forceSerial bool) string {
-		f, _ := wallFleet(t)
-		f.SetEnvironment(surveyEnv)
-		if forceSerial {
-			f.route.Lock()
-			f.faultsOn = true // serial schedule without any installed hook
-			f.route.Unlock()
+	run := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		f := shardedSurveyFleet(t, 3)
+		if f.Shards() < 2 {
+			t.Fatalf("want a multi-shard fleet, got %d shards", f.Shards())
 		}
+		f.SetEnvironment(surveyEnv)
 		return f.Survey(0.4).Text()
 	}
-	parallel := run(false)
-	serial := run(true)
+	parallel := run(4)
+	serial := run(1)
 	if parallel != serial {
 		t.Errorf("parallel survey diverged from serial:\n--- parallel\n%s--- serial\n%s",
 			parallel, serial)

@@ -13,9 +13,15 @@
 // cells — its stations, capsules, routing table and scheduling RNG stream.
 // Survey, inventory and charge run as per-shard batched passes on a
 // work-stealing pool (conc.Queues) whose partial reports merge in
-// shard-index order, byte-identical to a serial run at any shard count. The
+// shard-index order. There is one schedule, with or without a fault
+// injector or tracer: stations serve disjoint capsule groups (the paper's
+// TDMA partition), each capsule is driven by one goroutine at a time, and
+// every fault draw and span ID is a pure function of its capsule's key
+// (see faultinject and telemetry.Tracer). The same seed therefore yields a
+// byte-identical report and span tree at any shard count and GOMAXPROCS;
+// only flight-recorder event order across capsules follows arrival. The
 // classic flat constructor (New) is the 1-shard, 1-cell special case with
-// every capsule deployed into every station, preserved bit-for-bit.
+// every capsule deployed into every station.
 //
 // Stations fail in the field: a reader falls off the wall, loses mains
 // power, or its cable corrodes. The fleet therefore tracks per-station
@@ -51,8 +57,8 @@ import (
 // nodes, seed) are immutable after construction; each capsule's MCU state
 // is only ever driven through one goroutine at a time, so stations operate
 // concurrently without touching each other's capsules. Mutable state splits
-// two ways: fleet-wide liveness and execution mode live behind the route
-// lock, per-capsule routing lives behind each shard's own mutex. Lock order
+// two ways: fleet-wide liveness and the tracer live behind the route lock,
+// per-capsule routing lives behind each shard's own mutex. Lock order
 // is route before shard mu; KillStation and ReviveStation hold the route
 // write lock across all their shard rewrites, so a reader holding route
 // (read) plus the shard locks observes routing that is never torn.
@@ -82,15 +88,7 @@ type Fleet struct {
 	// alive[i] reports whether station i is operational.
 	//ecolint:guardedby route
 	alive []bool
-	// faultsOn records that a frame-fault hook is installed. Injectors
-	// consume one shared seeded RNG, so the fleet falls back to its serial
-	// TDMA schedule to keep fault draws — and golden traces —
-	// reproducible.
-	//ecolint:guardedby route
-	faultsOn bool
-	// tracer is the span tracer surveys attach to. Spans draw IDs from the
-	// tracer's seeded RNG, so a traced fleet also runs the serial schedule
-	// to keep span order reproducible.
+	// tracer is the span tracer surveys attach to.
 	//ecolint:guardedby route
 	tracer *telemetry.Tracer
 }
@@ -372,22 +370,16 @@ func (f *Fleet) StationAlive(i int) bool {
 }
 
 // SetFrameFaults installs the frame-fault hook on every station's reader.
-// While a hook is installed, the fleet runs its serial TDMA schedule: the
-// injector draws from one shared seeded RNG, and concurrent stations would
-// consume those draws in scheduling order instead of protocol order.
+// The hook is called concurrently for different capsules; a deterministic
+// hook must key its draws by capsule, as faultinject.Injector does.
 func (f *Fleet) SetFrameFaults(ff reader.FrameFaults) {
 	for _, r := range f.readers {
 		r.SetFrameFaults(ff)
 	}
-	f.route.Lock()
-	f.faultsOn = ff != nil
-	f.route.Unlock()
 }
 
 // SetTracer installs (or, with nil, removes) a span tracer on the fleet and
-// every station reader. Spans consume the tracer's seeded RNG, so a traced
-// fleet — like a faulted one — visits capsules on the serial TDMA schedule
-// to keep span order byte-reproducible.
+// every station reader.
 func (f *Fleet) SetTracer(tr *telemetry.Tracer) {
 	for _, r := range f.readers {
 		r.SetTracer(tr)
@@ -429,14 +421,6 @@ func (f *Fleet) BestStation(handle uint16) int {
 	defer sh.mu.Unlock()
 	if i, ok := sh.best[handle]; ok {
 		return i
-	}
-	return -1
-}
-
-// ShardOf returns the shard index owning a capsule (-1 if unknown).
-func (f *Fleet) ShardOf(handle uint16) int {
-	if sh, ok := f.shardByHandle[handle]; ok {
-		return sh.index
 	}
 	return -1
 }
@@ -503,61 +487,32 @@ func (f *Fleet) Charge(duration float64) int {
 }
 
 // Inventory inventories each alive station and merges the discoveries.
-// Without a fault hook, stations arbitrate concurrently as per-shard
-// batches on the work-stealing pool, each station soliciting only the
-// capsules it serves best (the fleet's TDMA partition made spatial), and
-// the merged set is sorted so the result is deterministic regardless of
-// scheduling. With frame faults installed the stations take strict turns
-// over the full population — the injector's shared RNG makes draw order
-// part of the reproducible behaviour.
+// Stations arbitrate concurrently, one pool queue each, and each solicits
+// only the capsules it serves best (the fleet's TDMA partition made
+// spatial), so every capsule's fault draws come from one goroutine. The
+// merged set is sorted, so the result does not depend on scheduling.
 func (f *Fleet) Inventory(maxRoundsPerStation int) []uint16 {
 	f.route.RLock()
-	alive := append([]bool(nil), f.alive...)
-	faultsOn := f.faultsOn
+	counts := make([]int, len(f.readers))
 	assigned := make([][]uint16, len(f.readers))
 	for _, sh := range f.shards {
 		sh.mu.Lock()
 		for _, n := range sh.nodes {
 			if idx, ok := sh.best[n.Handle()]; ok {
 				assigned[idx] = append(assigned[idx], n.Handle())
+				counts[idx] = 1
 			}
 		}
 		sh.mu.Unlock()
 	}
 	f.route.RUnlock()
-	found := make(map[uint16]bool)
-	if faultsOn {
-		for i, r := range f.readers {
-			if !alive[i] {
-				continue
-			}
-			res := r.Inventory(maxRoundsPerStation)
-			for _, h := range res.Discovered {
-				found[h] = true
-			}
-		}
-	} else {
-		results := make([][]uint16, len(f.readers))
-		counts := make([]int, len(f.shards))
-		for qi, sh := range f.shards {
-			counts[qi] = len(sh.stations)
-		}
-		conc.Queues(counts, f.seed, func(q, item int) {
-			i := f.shards[q].stations[item]
-			if !alive[i] || len(assigned[i]) == 0 {
-				return
-			}
-			results[i] = f.readers[i].InventorySubset(maxRoundsPerStation, assigned[i]).Discovered
-		})
-		for _, discovered := range results {
-			for _, h := range discovered {
-				found[h] = true
-			}
-		}
-	}
-	out := make([]uint16, 0, len(found))
-	for h := range found {
-		out = append(out, h)
+	results := make([][]uint16, len(f.readers))
+	conc.Queues(counts, f.seed, func(i, _ int) {
+		results[i] = f.readers[i].InventorySubset(maxRoundsPerStation, assigned[i]).Discovered
+	})
+	var out []uint16
+	for _, discovered := range results {
+		out = append(out, discovered...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out

@@ -2,13 +2,18 @@ package fleet
 
 import (
 	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ecocapsule/internal/deploy"
 	"ecocapsule/internal/faultinject"
 	"ecocapsule/internal/geometry"
 	"ecocapsule/internal/node"
+	"ecocapsule/internal/sensors"
+	"ecocapsule/internal/telemetry"
 )
 
 // shardedSurveyFleet builds a sharded fleet over fresh capsules (node state
@@ -39,52 +44,151 @@ func shardedSurveyFleet(t *testing.T, shards int) *Fleet {
 	return f
 }
 
-// TestShardCountInvariance is the sharding contract as a property test:
-// capsule ownership keys off the geometry-derived cell grid, never the
-// shard count, so resharding the same fleet must leave the survey report
-// byte-identical — including to the strictly serial schedule, which the
-// 1-shard fleet runs when forced onto the fault path.
+// TestShardCountInvariance is the determinism contract as a table: in the
+// plain and traced modes, at every shard count and at GOMAXPROCS 1 and
+// NumCPU, a charge → inventory → survey pass renders the report and the
+// span tree byte-identical to the 1-shard run at GOMAXPROCS=1. Capsule
+// ownership keys off the geometry-derived cell grid and span IDs key off
+// capsule handles, so neither the shard count nor the pool's schedule can
+// show in the output.
 func TestShardCountInvariance(t *testing.T) {
-	serialFleet := shardedSurveyFleet(t, 1)
-	serialFleet.SetEnvironment(surveyEnv)
-	serialFleet.route.Lock()
-	serialFleet.faultsOn = true // serial schedule without any installed hook
-	serialFleet.route.Unlock()
-	serial := serialFleet.Survey(0.4).Text()
-
-	for _, k := range []int{1, 3, 7, 1 << 10} { // over-asking clamps to the cell count
-		f := shardedSurveyFleet(t, k)
-		f.SetEnvironment(surveyEnv)
-		if k > 1 && f.Shards() < 2 {
-			t.Fatalf("shards=%d built only %d shards", k, f.Shards())
-		}
-		if got := f.Survey(0.4).Text(); got != serial {
-			t.Errorf("shards=%d diverged from 1-shard serial:\n--- shards=%d\n%s--- serial\n%s",
-				k, k, got, serial)
-		}
-	}
+	checkShardInvariance(t, []invarianceMode{
+		{"plain", false, false},
+		{"tracer", false, true},
+	})
 }
 
 // TestShardCountInvarianceUnderInjector extends the property to the fault
-// path: an installed injector draws from one shared seeded RNG, so every
-// shard count must fall back to the same global TDMA schedule and burn the
-// identical draw sequence — dead station, frame losses and all.
+// path: fault draws key off capsule handles, never the schedule, so every
+// shard count and GOMAXPROCS burns the identical draws — dead station,
+// frame losses, corruption and brownouts included — with and without a
+// tracer installed.
 func TestShardCountInvarianceUnderInjector(t *testing.T) {
-	run := func(k int) string {
-		f := shardedSurveyFleet(t, k)
+	checkShardInvariance(t, []invarianceMode{
+		{"injector", true, false},
+		{"injector+tracer", true, true},
+	})
+}
+
+type invarianceMode struct {
+	name           string
+	faults, traced bool
+}
+
+// checkShardInvariance runs each mode at every shard count and at
+// GOMAXPROCS 1 and NumCPU, and compares report and span tree with the
+// 1-shard run at GOMAXPROCS=1.
+func checkShardInvariance(t *testing.T, modes []invarianceMode) {
+	t.Helper()
+	run := func(t *testing.T, faults, traced bool, shards, procs int) (text, tree string) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		f := shardedSurveyFleet(t, shards)
+		if shards > 1 && f.Shards() < 2 {
+			t.Fatalf("shards=%d built only %d shards", shards, f.Shards())
+		}
 		f.SetEnvironment(surveyEnv)
-		f.ApplyInjector(faultinject.MustNew(faultinject.Plan{
-			Seed:          11,
-			FrameLossProb: 0.15,
-			DeadStations:  []int{1},
-		}))
-		return f.Survey(0.4).Text()
+		if faults {
+			f.ApplyInjector(faultinject.MustNew(faultinject.Plan{
+				Seed:             11,
+				FrameLossProb:    0.15,
+				FrameCorruptProb: 0.05,
+				BrownoutProb:     0.01,
+				DeadStations:     []int{1},
+			}))
+		}
+		tr := telemetry.NewTracer(5)
+		if traced {
+			f.SetTracer(tr)
+		}
+		f.Charge(0.4)
+		f.Inventory(4)
+		return f.Survey(0.4).Text(), tr.Tree()
 	}
-	serial := run(1)
-	for _, k := range []int{3, 7} {
-		if got := run(k); got != serial {
-			t.Errorf("shards=%d diverged under injector:\n--- shards=%d\n%s--- serial\n%s",
-				k, k, got, serial)
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			wantText, wantTree := run(t, m.faults, m.traced, 1, 1)
+			if m.faults && !strings.Contains(wantText, "DEGRADED") {
+				t.Fatalf("injector mode must degrade the survey:\n%s", wantText)
+			}
+			if m.traced != (wantTree != "") {
+				t.Fatalf("traced=%v but tree is %q", m.traced, wantTree)
+			}
+			for _, k := range []int{1, 3, 7, 1 << 10} { // over-asking clamps to the cell count
+				for _, procs := range []int{1, runtime.NumCPU()} {
+					text, tree := run(t, m.faults, m.traced, k, procs)
+					if text != wantText {
+						t.Errorf("shards=%d procs=%d report diverged:\n--- got\n%s--- want\n%s", k, procs, text, wantText)
+					}
+					if tree != wantTree {
+						t.Errorf("shards=%d procs=%d span tree diverged:\n--- got\n%s--- want\n%s", k, procs, tree, wantTree)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSurveyFansOutUnderInjectorAndTracer pins that faults and tracing do
+// not serialise the survey: on a multi-shard fleet at GOMAXPROCS >= 2, more
+// than one environment-sampler call (one per delivery to a capsule) is in
+// flight at once. Each call waits at a barrier for an overlapping call; the
+// first timeout releases the barrier so a serial schedule fails, not hangs.
+func TestSurveyFansOutUnderInjectorAndTracer(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	f := shardedSurveyFleet(t, 3)
+	f.ApplyInjector(faultinject.MustNew(faultinject.Plan{Seed: 11, FrameLossProb: 0.05}))
+	f.SetTracer(telemetry.NewTracer(5))
+	var inFlight atomic.Int32
+	var overlapped atomic.Bool
+	release := make(chan struct{})
+	var once sync.Once
+	f.SetEnvironment(func(pos geometry.Vec3) sensors.Environment {
+		if inFlight.Add(1) >= 2 {
+			overlapped.Store(true)
+			once.Do(func() { close(release) })
+		}
+		select {
+		case <-release:
+		case <-time.After(2 * time.Second):
+			once.Do(func() { close(release) })
+		}
+		inFlight.Add(-1)
+		return surveyEnv(pos)
+	})
+	f.Survey(0.4)
+	if !overlapped.Load() {
+		t.Error("no two environment-sampler calls overlapped: the faulted, traced survey ran serially")
+	}
+}
+
+// TestTracedInventoryDeterministic: a multi-shard inventory's stations open
+// their inventory root spans concurrently; keyed span IDs and key-ordered
+// rendering make the tree the same on every run.
+func TestTracedInventoryDeterministic(t *testing.T) {
+	var first string
+	for i := 0; i < 20; i++ {
+		f := shardedSurveyFleet(t, 3)
+		f.SetEnvironment(surveyEnv)
+		tr := telemetry.NewTracer(5)
+		f.SetTracer(tr)
+		f.Charge(0.4)
+		f.Inventory(4)
+		tree := tr.Tree()
+		if i == 0 {
+			roots := 0
+			for _, line := range strings.Split(tree, "\n") {
+				if strings.HasPrefix(line, "inventory [") {
+					roots++
+				}
+			}
+			if roots < 2 {
+				t.Fatalf("want inventory roots from several stations, got:\n%s", tree)
+			}
+			first = tree
+			continue
+		}
+		if tree != first {
+			t.Fatalf("run %d rendered a different tree:\n--- got\n%s--- first\n%s", i, tree, first)
 		}
 	}
 }

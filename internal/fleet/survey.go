@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -95,28 +94,29 @@ func (rep SHMReport) Text() string {
 // every capsule through its best station (falling back through alternates),
 // and assembles the health report. Rows come out in ascending handle order.
 //
-// Capsules are independent at this layer — each has its own MCU state and
-// seeded sensor RNG, and every reader serialises its own acoustic link —
-// so the per-capsule reads fan out over the cores and land in per-index
-// row slots, reproducing the serial report byte for byte. The exception is
-// an installed frame-fault hook: its injector draws from one shared seeded
-// RNG, so the fleet visits capsules serially to keep the draw order (and
-// the golden traces pinned on it) reproducible.
+// Capsules are independent at this layer — each has its own MCU state,
+// seeded sensor RNG, fault-draw key and span key, and every reader
+// serialises its own acoustic link — so the per-capsule reads fan out over
+// the cores and land in per-index row slots. A capsule's reads (fallback
+// stations included) all run in one goroutine, which fixes its draw and
+// span sequences; the report is byte-identical at any shard count and
+// GOMAXPROCS, faults and tracing included.
 func (f *Fleet) Survey(chargeDuration float64) SHMReport {
 	rep, _ := f.SurveyTraced(chargeDuration)
 	return rep
 }
 
 // SurveyTraced runs Survey under one root span. When a tracer is installed
-// (SetTracer), every reader's charge/inventory/read spans nest under the
-// returned "survey" span, so a single trace tree covers the whole fleet
-// pass; the caller may hang broadcast spans off it before it is rendered.
-// Without a tracer the span is nil and the survey is identical to Survey.
+// (SetTracer), the fleet's charge span and every reader's per-capsule read
+// spans (keyed by handle, so they render in ascending handle order) nest
+// under the returned "survey" span, so a single trace tree covers the whole
+// fleet pass; the caller may hang broadcast spans off it before it is
+// rendered. Without a tracer the span is nil and the survey is identical to
+// Survey.
 func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span) {
 	before := f.FaultStats()
 	reroutedBefore := f.ReroutedReads()
 	f.route.RLock()
-	serial := f.faultsOn || f.tracer != nil
 	tracer := f.tracer
 	f.route.RUnlock()
 	var sp *telemetry.Span
@@ -174,31 +174,20 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 		}
 		return row
 	}
-	var rows []SurveyRow
-	if serial {
-		// Fault injectors and tracers draw from shared seeded RNGs, so the
-		// visit order must be the global TDMA schedule — ascending handle
-		// over the whole fleet — regardless of the shard count.
-		for _, nr := range f.sortedNodes() {
-			rows = append(rows, visit(nr.handle))
-		}
-	} else {
-		// Per-shard batched passes on the work-stealing pool; each shard's
-		// partial report lands pre-sorted in its own slot and the
-		// hierarchical aggregator folds them in shard-index order.
-		shardRows := make([][]SurveyRow, len(f.shards))
-		counts := make([]int, len(f.shards))
-		for qi, sh := range f.shards {
-			shardRows[qi] = make([]SurveyRow, len(sh.nodes))
-			counts[qi] = len(sh.nodes)
-		}
-		conc.Queues(counts, f.seed, func(q, item int) {
-			shardRows[q][item] = visit(f.shards[q].nodes[item].Handle())
-		})
-		rows = mergeRows(shardRows)
+	// Per-shard batched passes on the work-stealing pool; each shard's
+	// partial report lands pre-sorted in its own slot and the hierarchical
+	// aggregator folds them in shard-index order.
+	shardRows := make([][]SurveyRow, len(f.shards))
+	counts := make([]int, len(f.shards))
+	for qi, sh := range f.shards {
+		shardRows[qi] = make([]SurveyRow, len(sh.nodes))
+		counts[qi] = len(sh.nodes)
 	}
+	conc.Queues(counts, f.seed, func(q, item int) {
+		shardRows[q][item] = visit(f.shards[q].nodes[item].Handle())
+	})
 	// Fold the merged rows into the report; Missing inherits handle order.
-	for _, row := range rows {
+	for _, row := range mergeRows(shardRows) {
 		if row.Status == "missing" {
 			rep.Missing = append(rep.Missing, row.Handle)
 		}
@@ -234,22 +223,6 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 		sp.End()
 	}
 	return rep, sp
-}
-
-// nodeRef pairs a handle with its slice position for sorted traversal.
-type nodeRef struct {
-	handle uint16
-	idx    int
-}
-
-// sortedNodes lists the fleet's capsules in ascending handle order.
-func (f *Fleet) sortedNodes() []*nodeRef {
-	out := make([]*nodeRef, len(f.nodes))
-	for i, n := range f.nodes {
-		out[i] = &nodeRef{handle: n.Handle(), idx: i}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].handle < out[b].handle })
-	return out
 }
 
 // joinInts renders ints as a comma list.

@@ -3,7 +3,6 @@ package reader
 import (
 	"time"
 
-	"ecocapsule/internal/faultinject"
 	"ecocapsule/internal/node"
 	"ecocapsule/internal/protocol"
 	"ecocapsule/internal/telemetry"
@@ -50,14 +49,6 @@ func (r *Reader) SetFrameFaults(f FrameFaults) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.faults = f
-}
-
-// SetRetryPolicy overrides the bounded-backoff policy the reader uses to
-// retry CRC-failed and silent exchanges.
-func (r *Reader) SetRetryPolicy(b faultinject.Backoff) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.retry = b
 }
 
 // FaultStats returns a snapshot of the reader's resilience counters.

@@ -217,7 +217,7 @@ func (r *Reader) nodeAmplitudeLocked(handle uint16) (float64, error) {
 func (r *Reader) Charge(duration float64) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	sp := r.startSpanLocked("charge")
+	sp := r.startSpanLocked("charge", lowestHandle(r.nodes))
 	if sp != nil {
 		sp.Attrf("duration_s", "%g", duration)
 	}
@@ -331,7 +331,7 @@ func (r *Reader) InventorySubset(maxRounds int, handles []uint16) InventoryResul
 
 func (r *Reader) inventoryLocked(maxRounds int, nodes []*node.Node) InventoryResult {
 	mInventories.Inc()
-	invSpan := r.startSpanLocked("inventory")
+	invSpan := r.startSpanLocked("inventory", lowestHandle(nodes))
 	if invSpan != nil {
 		invSpan.Attr("max_rounds", maxRounds)
 		defer func() { r.span = nil }()
@@ -450,7 +450,7 @@ func (r *Reader) ReadSensor(handle uint16, st sensors.SensorType) ([]float64, er
 		mReads.With(readErr).Inc()
 		return nil, fmt.Errorf("reader: unknown node %#04x", handle)
 	}
-	readSpan := r.startSpanLocked("read")
+	readSpan := r.startSpanLocked("read", handle)
 	if readSpan != nil {
 		readSpan.Attr("capsule", handleLabel(handle)).Attr("sensor", st.String())
 		defer func() { r.span = nil }()

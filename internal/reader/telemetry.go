@@ -3,6 +3,7 @@ package reader
 import (
 	"fmt"
 
+	"ecocapsule/internal/node"
 	"ecocapsule/internal/telemetry"
 )
 
@@ -59,13 +60,6 @@ func (r *Reader) SetTracer(tr *telemetry.Tracer) {
 	r.tracer = tr
 }
 
-// Tracer returns the installed tracer (nil when tracing is off).
-func (r *Reader) Tracer() *telemetry.Tracer {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tracer
-}
-
 // SetSpanParent nests the reader's root spans (charge, inventory, read)
 // under sp — the fleet installs its survey span here so one trace covers
 // charge → interrogation → broadcast. Nil restores independent roots.
@@ -75,15 +69,29 @@ func (r *Reader) SetSpanParent(sp *telemetry.Span) {
 	r.spanParent = sp
 }
 
-// startSpanLocked opens a top-level reader span: a child of the installed
-// span parent when one is set, else a fresh root on the tracer. Returns
-// nil when tracing is off. Callers hold r.mu.
-func (r *Reader) startSpanLocked(name string) *telemetry.Span {
+// startSpanLocked opens a top-level reader span, keyed by the capsule it
+// addresses (a read's target, the lowest handle a charge or inventory
+// drives) so the spans several stations open concurrently get
+// scheduling-independent IDs and render in handle order. It is a child of
+// the installed span parent when one is set, else a fresh root on the
+// tracer. Returns nil when tracing is off. Callers hold r.mu.
+func (r *Reader) startSpanLocked(name string, handle uint16) *telemetry.Span {
 	if r.tracer == nil {
 		return nil
 	}
 	if r.spanParent != nil {
-		return r.spanParent.Child(name)
+		return r.spanParent.ChildKeyed(name, uint64(handle))
 	}
-	return r.tracer.Start(name)
+	return r.tracer.StartKeyed(name, uint64(handle))
+}
+
+// lowestHandle returns the smallest handle among nodes (0 if none).
+func lowestHandle(nodes []*node.Node) uint16 {
+	var low uint16
+	for i, n := range nodes {
+		if i == 0 || n.Handle() < low {
+			low = n.Handle()
+		}
+	}
+	return low
 }

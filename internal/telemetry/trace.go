@@ -1,29 +1,68 @@
 package telemetry
 
 import (
+	"cmp"
 	"fmt"
-	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 )
 
-// Tracer records trees of spans with IDs drawn from a seeded RNG: the same
-// seed and the same span-creation order reproduce the same tree byte for
-// byte, which is what lets one interrogation round be pinned as a golden
-// file. Wall-clock time is deliberately absent from the rendered tree —
-// durations would make goldens flaky — so spans carry their measurements as
-// explicit attributes instead.
+// Tracer records trees of spans whose IDs are pure functions of where the
+// span sits: Key(tracer seed, trace, parent span, name, key, ordinal among
+// the siblings sharing that name and key). No ID depends on the order in
+// which goroutines create siblings with different keys, so a fleet survey
+// whose per-capsule reads (keyed by handle) run on a worker pool
+// reproduces the same tree byte for byte, provided each key's spans come
+// from one goroutine in a fixed order. Tree renders every run of
+// consecutive keyed siblings in ascending key order; unkeyed spans render
+// where they were created. Wall-clock time is deliberately absent from the
+// rendered tree — durations would make goldens flaky — so spans carry
+// their measurements as explicit attributes instead.
 type Tracer struct {
-	mu sync.Mutex
-	//ecolint:guardedby mu
-	rng *rand.Rand
+	seed uint64
+	mu   sync.Mutex
 	//ecolint:guardedby mu
 	roots []*Span
+	// rootSeq numbers the roots; it survives Reset, so IDs stay unique over
+	// the tracer's lifetime.
+	//ecolint:guardedby mu
+	rootSeq ordinals
 }
 
 // NewTracer returns a tracer whose span IDs derive from seed.
 func NewTracer(seed int64) *Tracer {
-	return &Tracer{rng: rand.New(rand.NewSource(seed))}
+	return &Tracer{seed: uint64(seed)}
+}
+
+// sibling is the class of spans under one parent whose creation order
+// numbers them: same name, same key.
+type sibling struct {
+	name  string
+	key   uint64
+	keyed bool
+}
+
+// ordinals counts the spans created so far per sibling class.
+type ordinals map[sibling]uint64
+
+// next returns the ordinal of the class's next span.
+func (o *ordinals) next(s sibling) uint64 {
+	if *o == nil {
+		*o = make(ordinals)
+	}
+	n := (*o)[s]
+	(*o)[s] = n + 1
+	return n
+}
+
+// derive hashes a span's position in the tree.
+func (t *Tracer) derive(trace uint64, parent uint32, s sibling, ord uint64) uint64 {
+	keyed := uint64(0)
+	if s.keyed {
+		keyed = 1
+	}
+	return Key(t.seed, trace, uint64(parent), hashString(s.name), s.key, keyed, ord)
 }
 
 // SpanContext identifies one span inside one trace — the part of a span
@@ -40,10 +79,13 @@ type Span struct {
 	tracer *Tracer
 	trace  uint64
 	id     uint32
-	name   string
 	attrs  []attr
 	kids   []*Span
 	ended  bool
+	// sibling is the span's class under its parent; kidSeq numbers its
+	// children.
+	sibling
+	kidSeq ordinals
 	// remote is set on roots adopted from another process's trace via
 	// StartRemote; it names the cross-boundary parent.
 	remote *SpanContext
@@ -52,33 +94,54 @@ type Span struct {
 type attr struct{ key, val string }
 
 // Start opens a root span under a fresh trace ID.
-func (t *Tracer) Start(name string) *Span {
+func (t *Tracer) Start(name string) *Span { return t.start(sibling{name: name}) }
+
+// StartKeyed is Start for a root that may be created concurrently with
+// other roots: it renders among its neighbouring keyed roots in key order.
+func (t *Tracer) StartKeyed(name string, key uint64) *Span {
+	return t.start(sibling{name: name, key: key, keyed: true})
+}
+
+func (t *Tracer) start(s sibling) *Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	sp := &Span{tracer: t, trace: t.rng.Uint64(), id: t.rng.Uint32(), name: name}
+	trace := t.derive(0, 0, s, t.rootSeq.next(s))
+	sp := &Span{tracer: t, trace: trace, id: uint32(mix(trace)), sibling: s}
 	t.roots = append(t.roots, sp)
 	return sp
 }
 
 // StartRemote opens a root span whose parent lives in another process:
-// the span joins the parent's trace instead of drawing a fresh trace ID,
+// the span joins the parent's trace instead of deriving a fresh trace ID,
 // and the rendered tree names the remote parent so the two sides can be
 // stitched together by trace and span ID.
 func (t *Tracer) StartRemote(name string, parent SpanContext) *Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	p := parent
-	sp := &Span{tracer: t, trace: parent.TraceID, id: t.rng.Uint32(), name: name, remote: &p}
+	s := sibling{name: name}
+	id := t.derive(parent.TraceID, parent.SpanID, s, t.rootSeq.next(s))
+	sp := &Span{tracer: t, trace: parent.TraceID, id: uint32(id), sibling: s, remote: &p}
 	t.roots = append(t.roots, sp)
 	return sp
 }
 
 // Child opens a sub-span inside the parent's trace.
-func (s *Span) Child(name string) *Span {
+func (s *Span) Child(name string) *Span { return s.child(sibling{name: name}) }
+
+// ChildKeyed is Child for a sub-span that may be created concurrently with
+// its siblings (the fleet keys per-capsule reads by handle): it renders
+// among its neighbouring keyed siblings in key order.
+func (s *Span) ChildKeyed(name string, key uint64) *Span {
+	return s.child(sibling{name: name, key: key, keyed: true})
+}
+
+func (s *Span) child(c sibling) *Span {
 	t := s.tracer
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	sp := &Span{tracer: t, trace: s.trace, id: t.rng.Uint32(), name: name}
+	id := t.derive(s.trace, s.id, c, s.kidSeq.next(c))
+	sp := &Span{tracer: t, trace: s.trace, id: uint32(id), sibling: c}
 	s.kids = append(s.kids, sp)
 	return sp
 }
@@ -118,8 +181,8 @@ func (s *Span) End() {
 // ID returns the span's deterministic identifier.
 func (s *Span) ID() string { return fmt.Sprintf("%08x", s.id) }
 
-// Reset drops every recorded span (the RNG keeps advancing, so IDs across a
-// Reset stay unique within the tracer's lifetime).
+// Reset drops every recorded span. Root ordinals keep counting, so IDs
+// across a Reset stay unique within the tracer's lifetime.
 func (t *Tracer) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -136,11 +199,12 @@ func (t *Tracer) Reset() {
 //	receipt [8d02c511] remote_parent=7741ab0c55e9d2f8/45b23f1a type=status
 //
 // Unfinished spans are marked so a truncated trace is visible as such.
+// Runs of keyed siblings render in key order (see Tracer).
 func (t *Tracer) Tree() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var b strings.Builder
-	for _, sp := range t.roots {
+	for _, sp := range renderOrder(t.roots) {
 		writeSpan(&b, sp, 0)
 	}
 	return b.String()
@@ -165,7 +229,52 @@ func writeSpan(b *strings.Builder, s *Span, depth int) {
 		b.WriteString(" UNFINISHED")
 	}
 	b.WriteByte('\n')
-	for _, kid := range s.kids {
+	for _, kid := range renderOrder(s.kids) {
 		writeSpan(b, kid, depth+1)
 	}
+}
+
+// renderOrder returns spans with every run of consecutive keyed siblings
+// stably sorted by key, so one key's spans keep their creation order.
+func renderOrder(spans []*Span) []*Span {
+	out := slices.Clone(spans)
+	for i := 0; i < len(out); i++ {
+		j := i
+		for j < len(out) && out[j].keyed {
+			j++
+		}
+		slices.SortStableFunc(out[i:j], func(a, b *Span) int { return cmp.Compare(a.key, b.key) })
+		i = j
+	}
+	return out
+}
+
+// mix is the SplitMix64 finaliser: a bijective avalanche of one word.
+func mix(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// Key hashes a tuple of words into one well-mixed word, the counter-based
+// draw of Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3"
+// (SC'11). Every random decision that must not depend on goroutine
+// scheduling — span IDs here, fault draws in faultinject — is the Key of
+// the tuple that names it.
+func Key(words ...uint64) uint64 {
+	var h uint64
+	for _, w := range words {
+		h = mix(h ^ w)
+	}
+	return h
+}
+
+// hashString is 64-bit FNV-1a.
+func hashString(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	return h
 }

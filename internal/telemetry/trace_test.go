@@ -120,18 +120,98 @@ func TestTracerLocalRootsCarryDistinctTraces(t *testing.T) {
 	}
 }
 
-// TestTracerReset drops recorded spans but keeps drawing fresh IDs.
+// TestTracerReset drops recorded spans but keeps deriving fresh IDs: the
+// same names and keys recorded again after a Reset get new IDs.
 func TestTracerReset(t *testing.T) {
 	tr := NewTracer(7)
-	first := tr.Start("a")
-	first.End()
-	firstID := first.ID()
+	record := func() []string {
+		root := tr.Start("a")
+		kid := root.ChildKeyed("read", 0x10)
+		kid.End()
+		keyed := tr.StartKeyed("inventory", 0x10)
+		keyed.End()
+		root.End()
+		return []string{root.ID(), kid.ID(), keyed.ID(), fmt.Sprintf("%016x", root.Context().TraceID)}
+	}
+	first := record()
 	tr.Reset()
 	if tr.Tree() != "" {
 		t.Errorf("tree after reset = %q, want empty", tr.Tree())
 	}
-	second := tr.Start("b")
-	if second.ID() == firstID {
-		t.Error("IDs must keep advancing across Reset")
+	second := record()
+	seen := map[string]bool{}
+	for _, id := range append(first, second...) {
+		if seen[id] {
+			t.Errorf("ID %s reused across Reset (before %v, after %v)", id, first, second)
+		}
+		seen[id] = true
+	}
+}
+
+// TestKeyedSpanIDsIndependentOfCreationOrder: siblings with different keys
+// get the same IDs and render in the same order whichever order (or
+// goroutines) created them; unkeyed siblings stay where they were created,
+// and one key's spans keep their creation order.
+func TestKeyedSpanIDsIndependentOfCreationOrder(t *testing.T) {
+	build := func(order []uint64, concurrent bool) string {
+		tr := NewTracer(42)
+		root := tr.Start("survey")
+		root.Child("charge").End()
+		read := func(key uint64) {
+			for _, sensor := range []string{"temp", "strain"} {
+				sp := root.ChildKeyed("read", key).Attr("key", key).Attr("sensor", sensor)
+				sp.Child("attempt").End()
+				sp.End()
+			}
+		}
+		done := make(chan struct{}, len(order))
+		for _, key := range order {
+			if !concurrent {
+				read(key)
+				continue
+			}
+			go func(key uint64) {
+				read(key)
+				done <- struct{}{}
+			}(key)
+		}
+		if concurrent {
+			for range order {
+				<-done
+			}
+		}
+		root.Child("broadcast").End()
+		root.End()
+		return tr.Tree()
+	}
+	want := build([]uint64{1, 2, 3, 4}, false)
+	for _, c := range []struct {
+		order      []uint64
+		concurrent bool
+	}{
+		{[]uint64{4, 3, 2, 1}, false},
+		{[]uint64{2, 4, 1, 3}, false},
+		{[]uint64{1, 2, 3, 4}, true},
+		{[]uint64{3, 1, 4, 2}, true},
+	} {
+		if got := build(c.order, c.concurrent); got != want {
+			t.Errorf("order %v (concurrent=%v) changed the tree:\n--- got\n%s--- want\n%s", c.order, c.concurrent, got, want)
+		}
+	}
+	// The survey's children, IDs stripped: charge, reads by key, broadcast.
+	var kids []string
+	for _, line := range strings.Split(want, "\n") {
+		if strings.HasPrefix(line, "  ") && !strings.HasPrefix(line, "    ") {
+			f := strings.Fields(line)
+			kids = append(kids, strings.Join(append(f[:1:1], f[2:]...), " "))
+		}
+	}
+	wantKids := []string{"charge"}
+	for key := 1; key <= 4; key++ {
+		wantKids = append(wantKids, fmt.Sprintf("read key=%d sensor=temp", key), fmt.Sprintf("read key=%d sensor=strain", key))
+	}
+	wantKids = append(wantKids, "broadcast")
+	if strings.Join(kids, "\n") != strings.Join(wantKids, "\n") {
+		t.Errorf("render order:\n%s\nwant:\n%s", strings.Join(kids, "\n"), strings.Join(wantKids, "\n"))
 	}
 }

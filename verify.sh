@@ -4,8 +4,8 @@
 # Runs the full correctness stack: compile, go vet, the domain-aware
 # ecolint static-analysis suite (internal/analysis) over the whole module
 # including _test.go files, the benchmark module's own tests, the tests
-# under the race detector, and a short fuzzing smoke pass over the
-# untrusted-input decoders. CI and pre-merge checks should invoke this
+# under the race detector, the determinism tests at GOMAXPROCS 1, 2 and 4,
+# and a short fuzzing smoke pass over the untrusted-input decoders. CI and pre-merge checks should invoke this
 # script; every step must pass.
 #
 # ecolint runs twice against a fresh result cache: the second (warm) run
@@ -125,6 +125,15 @@ fi
 
 stage "go test -race ./..."
 go test -race ./...
+stage_done
+
+# Determinism contract at several GOMAXPROCS values: fault draws and span
+# IDs are keyed per capsule, so the fleet's one (parallel) schedule must
+# render byte-identical reports and span trees at any shard count and
+# processor count, faults and tracing included.
+stage "keyed determinism (-race -count=2 -cpu 1,2,4)"
+go test -race -count=2 -cpu 1,2,4 -run 'Invariance|Keyed|Determinis' \
+	./internal/fleet ./internal/faultinject ./internal/telemetry
 stage_done
 
 # Cross-check: the hotalloc lint and the runtime AllocsPerRun tests must
