@@ -268,53 +268,3 @@ func cconj(z complex128) complex128 { return complex(real(z), -imag(z)) }
 // mulI multiplies by i; mulNegI by −i — cheaper than complex multiply.
 func mulI(z complex128) complex128    { return complex(-imag(z), real(z)) }
 func mulNegI(z complex128) complex128 { return complex(imag(z), -real(z)) }
-
-// fftTab is the radix-2 DIT FFT using a precomputed twiddle table
-// (tw[k] = e^{-2πik/len(x)}, len(tw) = len(x)/2). Same transform as FFT,
-// but the table kills the per-butterfly sin/cos recurrence and its
-// accumulated roundoff.
-func fftTab(x []complex128, tw []complex128) {
-	n := len(x)
-	if n <= 1 {
-		return
-	}
-	for i, j := 1, 0; i < n; i++ {
-		bit := n >> 1
-		for ; j&bit != 0; bit >>= 1 {
-			j ^= bit
-		}
-		j ^= bit
-		if i < j {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
-	for length := 2; length <= n; length <<= 1 {
-		half := length / 2
-		step := n / length
-		for i := 0; i < n; i += length {
-			for j := 0; j < half; j++ {
-				w := tw[j*step]
-				u := x[i+j]
-				v := x[i+j+half] * w
-				x[i+j] = u + v
-				x[i+j+half] = u - v
-			}
-		}
-	}
-}
-
-// ifftTab is the inverse of fftTab (normalised by 1/len(x)).
-func ifftTab(x []complex128, tw []complex128) {
-	n := len(x)
-	if n == 0 {
-		return
-	}
-	for i := range x {
-		x[i] = cconj(x[i])
-	}
-	fftTab(x, tw)
-	inv := 1 / float64(n)
-	for i := range x {
-		x[i] = complex(real(x[i])*inv, -imag(x[i])*inv)
-	}
-}

@@ -203,22 +203,6 @@ func TestFIRLowPassOddTaps(t *testing.T) {
 	}
 }
 
-func TestFIRBandPass(t *testing.T) {
-	fs := units.MHz
-	h := FIRBandPass(fs, 200e3, 260e3, 201)
-	in := Convolve(sine(4000, fs, 230e3, 1), h)
-	below := Convolve(sine(4000, fs, 50e3, 1), h)
-	above := Convolve(sine(4000, fs, 450e3, 1), h)
-	mid := in[1000:3000]
-	if RMS(mid) < 0.5 {
-		t.Errorf("in-band RMS %g too low", RMS(mid))
-	}
-	if RMS(below[1000:3000]) > 0.05 || RMS(above[1000:3000]) > 0.05 {
-		t.Errorf("out-of-band leakage: below %g above %g",
-			RMS(below[1000:3000]), RMS(above[1000:3000]))
-	}
-}
-
 func TestConvolveIdentity(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
 	y := Convolve(x, []float64{1})
@@ -262,24 +246,6 @@ func TestConvolveLinearityProperty(t *testing.T) {
 	}
 }
 
-func TestMovingAverage(t *testing.T) {
-	x := []float64{1, 1, 1, 1}
-	y := MovingAverage(x, 2)
-	want := []float64{1, 1, 1, 1}
-	for i := range want {
-		if math.Abs(y[i]-want[i]) > 1e-12 {
-			t.Errorf("MA[%d] = %g, want %g", i, y[i], want[i])
-		}
-	}
-	y2 := MovingAverage([]float64{0, 2, 4, 6}, 2)
-	if y2[1] != 1 || y2[2] != 3 || y2[3] != 5 {
-		t.Errorf("MA ramp wrong: %v", y2)
-	}
-	if got := MovingAverage(x, 0); got[0] != 1 {
-		t.Error("width<1 must behave as identity")
-	}
-}
-
 func TestEnvelopeTracksAmplitude(t *testing.T) {
 	fs := units.MHz
 	// AM: carrier at 230 kHz switching amplitude 1 → 0.2.
@@ -305,28 +271,6 @@ func TestEnvelopeTracksAmplitude(t *testing.T) {
 	}
 	if len(Envelope(nil, fs, 1e-5)) != 0 {
 		t.Error("empty envelope")
-	}
-}
-
-func TestDecimate(t *testing.T) {
-	x := []float64{0, 1, 2, 3, 4, 5, 6}
-	y := Decimate(x, 3)
-	want := []float64{0, 3, 6}
-	if len(y) != len(want) {
-		t.Fatalf("len = %d, want %d", len(y), len(want))
-	}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Errorf("decimated[%d] = %g, want %g", i, y[i], want[i])
-		}
-	}
-	id := Decimate(x, 1)
-	if len(id) != len(x) {
-		t.Error("factor 1 must copy")
-	}
-	id[0] = 99
-	if x[0] == 99 {
-		t.Error("Decimate must not alias the input")
 	}
 }
 

@@ -11,59 +11,93 @@ import (
 	"math/cmplx"
 )
 
-// FFT computes the in-place radix-2 decimation-in-time fast Fourier
-// transform of x. len(x) must be a power of two; the function panics
-// otherwise because callers control their buffer sizes.
-func FFT(x []complex128) {
+// fftTab is the in-place decimation-in-time FFT over a precomputed twiddle
+// table (tw[k] = e^{-2πik/len(x)}, len(tw) = len(x)/2); len(x) must be a
+// power of two. It computes the radix-2 schedule — stages of length 2, 4,
+// …, n, each butterfly multiplying by tw[j·n/length] — but fuses the stages
+// in pairs: one radix-4 pass over each group of four elements applies stage
+// L and stage 2L together, so the array is swept half as often. Every
+// butterfly still takes the same table entry in the same stage order (the
+// pair's −i factor stays the table's rounded entry, not an exact −i), so the
+// output is bit-identical to the one-stage-per-pass loop (guarded by
+// TestFFTTabBitIdentical). When log2 n is odd the last stage runs alone.
+func fftTab(x []complex128, tw []complex128) {
 	n := len(x)
-	if n == 0 {
+	if n <= 1 {
 		return
 	}
-	if n&(n-1) != 0 {
-		panic("dsp: FFT length must be a power of two")
-	}
-	// Bit-reversal permutation.
-	for i, j := 1, 0; i < n; i++ {
-		bit := n >> 1
-		for ; j&bit != 0; bit >>= 1 {
-			j ^= bit
-		}
-		j ^= bit
-		if i < j {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
-	// Danielson–Lanczos butterflies.
-	for length := 2; length <= n; length <<= 1 {
-		ang := -2 * math.Pi / float64(length)
-		wl := cmplx.Rect(1, ang)
-		for i := 0; i < n; i += length {
-			w := complex(1, 0)
-			half := length / 2
-			for j := 0; j < half; j++ {
-				u := x[i+j]
-				v := x[i+j+half] * w
-				x[i+j] = u + v
-				x[i+j+half] = u - v
-				w *= wl
+	bitReverse(x)
+	length := 2
+	for ; 2*length <= n; length <<= 2 {
+		// Stage `length` pairs (j, j+h) and (j+2h, j+3h) with stride s1;
+		// stage 2·length then pairs (j, j+2h) and (j+h, j+3h) with s1/2.
+		h := length / 2
+		s1 := n / length
+		s2 := s1 / 2
+		for i := 0; i < n; i += 2 * length {
+			q0 := x[i : i+h]
+			q1 := x[i+h : i+2*h][:len(q0)]
+			q2 := x[i+2*h : i+3*h][:len(q0)]
+			q3 := x[i+3*h : i+4*h][:len(q0)]
+			for j := range q0 {
+				w1 := tw[j*s1]
+				v := q1[j] * w1
+				b0, b1 := q0[j]+v, q0[j]-v
+				v = q3[j] * w1
+				b2, b3 := q2[j]+v, q2[j]-v
+				v = b2 * tw[j*s2]
+				q0[j], q2[j] = b0+v, b0-v
+				v = b3 * tw[(j+h)*s2]
+				q1[j], q3[j] = b1+v, b1-v
 			}
+		}
+	}
+	if length == n {
+		// Odd log2 n: the final stage (one block, stride 1) runs alone.
+		h := n / 2
+		lo, hi := x[:h], x[h:]
+		for j := range lo {
+			v := hi[j] * tw[j]
+			lo[j], hi[j] = lo[j]+v, lo[j]-v
 		}
 	}
 }
 
-// IFFT computes the inverse FFT in place (normalised by 1/N).
-func IFFT(x []complex128) {
+// bitReverse permutes x (power-of-two length) into bit-reversed index
+// order. Write an index as a‖b‖c with a and c three bits each: it maps to
+// rev(c)‖rev(b)‖rev(a), so the 64 indices sharing the middle bits b swap
+// with the 64 sharing rev(b). Each such tile is eight runs of eight
+// consecutive elements per side; swapping a tile pair at once fetches every
+// cache line once, instead of once per element as a plain index sweep does
+// on arrays beyond the cache.
+func bitReverse(x []complex128) {
 	n := len(x)
-	if n == 0 {
+	lg := bits.TrailingZeros(uint(n))
+	if lg < 6 {
+		shift := 64 - uint(lg)
+		for i := 1; i < n; i++ {
+			if j := int(bits.Reverse64(uint64(i)) >> shift); i < j {
+				x[i], x[j] = x[j], x[i]
+			}
+		}
 		return
 	}
-	for i := range x {
-		x[i] = cmplx.Conj(x[i])
-	}
-	FFT(x)
-	inv := complex(1/float64(n), 0)
-	for i := range x {
-		x[i] = cmplx.Conj(x[i]) * inv
+	rev3 := [8]int{0, 4, 2, 6, 1, 5, 3, 7}
+	top, mid := uint(lg-3), uint(64-(lg-6))
+	for b := 0; b < n>>6; b++ {
+		rb := int(bits.Reverse64(uint64(b)) >> mid)
+		if rb < b {
+			continue // swapped when b was rb
+		}
+		for a := 0; a < 8; a++ {
+			for c := 0; c < 8; c++ {
+				i := a<<top | b<<3 | c
+				j := rev3[c]<<top | rb<<3 | rev3[a]
+				if rb > b || i < j {
+					x[i], x[j] = x[j], x[i]
+				}
+			}
+		}
 	}
 }
 
@@ -81,8 +115,8 @@ func NextPow2(n int) int {
 // Spectrum computes the single-sided magnitude spectrum of the real signal
 // x sampled at rate fs. It zero-pads x to the next power of two and returns
 // parallel slices of frequencies (Hz) and linear magnitudes. The transform
-// runs on the packed real-input FFT (half the butterfly work of the old
-// complex-embedded path; equal within 1e-9, guarded by tests).
+// runs on the packed real-input FFT (half the butterfly work of a
+// complex-embedded transform; equal within 1e-9, guarded by tests).
 func Spectrum(x []float64, fs float64) (freqs, mags []float64) {
 	if len(x) == 0 {
 		return nil, nil

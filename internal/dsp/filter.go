@@ -39,21 +39,6 @@ func FIRLowPass(fs, fc float64, taps int) []float64 {
 	return h
 }
 
-// FIRBandPass designs a windowed-sinc band-pass filter passing [f1, f2] Hz.
-//
-//ecolint:unit fs hz
-//ecolint:unit f1 hz
-//ecolint:unit f2 hz
-func FIRBandPass(fs, f1, f2 float64, taps int) []float64 {
-	lo := FIRLowPass(fs, f2, taps)
-	hi := FIRLowPass(fs, f1, taps)
-	h := make([]float64, len(lo))
-	for i := range h {
-		h[i] = lo[i] - hi[i]
-	}
-	return h
-}
-
 // Convolve filters x with kernel h, returning a slice the same length as x
 // (the kernel is centred, edges zero-padded).
 func Convolve(x, h []float64) []float64 {
@@ -95,27 +80,6 @@ func ConvolveComplex(x []complex128, h []float64) []complex128 {
 	return y
 }
 
-// MovingAverage smooths x with a boxcar of the given width (>=1).
-func MovingAverage(x []float64, width int) []float64 {
-	if width < 1 {
-		width = 1
-	}
-	y := make([]float64, len(x))
-	var acc float64
-	for i := range x {
-		acc += x[i]
-		if i >= width {
-			acc -= x[i-width]
-		}
-		n := width
-		if i+1 < width {
-			n = i + 1
-		}
-		y[i] = acc / float64(n)
-	}
-	return y
-}
-
 // Envelope implements the node's passive envelope detector (§4.2: the
 // voltage multiplier doubles as the detector): full-wave rectification
 // followed by an RC-style low-pass with time constant tau seconds.
@@ -148,21 +112,6 @@ func Envelope(x []float64, fs, tau float64) []float64 {
 		y[i] = state
 	}
 	return y
-}
-
-// Decimate keeps every factor-th sample of x (no pre-filtering; callers
-// low-pass first when aliasing matters).
-func Decimate(x []float64, factor int) []float64 {
-	if factor <= 1 {
-		out := make([]float64, len(x))
-		copy(out, x)
-		return out
-	}
-	out := make([]float64, 0, len(x)/factor+1)
-	for i := 0; i < len(x); i += factor {
-		out = append(out, x[i])
-	}
-	return out
 }
 
 // DownConvert mixes the real pass-band signal x (sample rate fs) with a

@@ -38,7 +38,8 @@ var (
 
 // PlanRFFT returns the shared plan for real transform length n, building
 // and caching it on first use. n must be a power of two and at least 1;
-// the function panics otherwise, matching FFT's contract.
+// the function panics otherwise, because callers control their buffer
+// sizes.
 //
 //ecolint:hotpath one plan per transform length; warm lookups are a map read
 func PlanRFFT(n int) *RFFTPlan {
@@ -109,14 +110,24 @@ func (p *RFFTPlan) Transform(spec []complex128, x []float64) {
 		z[j] = complex(x[2*j], x[2*j+1])
 	}
 	fftTab(z, p.tw)
-	for k := 0; k <= m; k++ {
-		zk := z[k%m]
-		zr := cconj(z[(m-k)%m])
-		even := (zk + zr) * 0.5
-		odd := mulNegI(zk-zr) * 0.5
-		spec[k] = even + p.wN[k]*odd
+	// Bin k pairs z[k] with conj(z[m-k]), indices taken mod m: bins 0 and
+	// m both pair z[0] with itself, so they run outside the loop.
+	z0 := cconj(z[0])
+	spec[0] = untangle(z[0], z0, p.wN[0])
+	spec[m] = untangle(z[0], z0, p.wN[m])
+	for k := 1; k < m; k++ {
+		spec[k] = untangle(z[k], cconj(z[m-k]), p.wN[k])
 	}
 	p.pool.Put(zp)
+}
+
+// untangle splits the packed bins zk = Z[k] and zr = conj(Z[m-k]) into the
+// even- and odd-sample spectra and recombines them into bin k of the real
+// transform, w = e^{-2πik/n}.
+func untangle(zk, zr, w complex128) complex128 {
+	even := (zk + zr) * 0.5
+	odd := mulNegI(zk-zr) * 0.5
+	return even + w*odd
 }
 
 // Inverse reconstructs the real signal y (len(y) == N()) from the packed
@@ -138,25 +149,28 @@ func (p *RFFTPlan) Inverse(y []float64, spec []complex128) {
 	zp := p.pool.Get().(*[]complex128)
 	z := *zp
 	m := p.m
+	// The size-m inverse runs as conj(FFT(conj(·)))/m, its two conjugations
+	// and the scaling folded into the untangling and unpacking loops.
 	for k := 0; k < m; k++ {
 		yk := spec[k]
 		ykm := cconj(spec[m-k]) // spec[k+m] of the full n-point spectrum
 		even := (yk + ykm) * 0.5
 		odd := (yk - ykm) * 0.5 * cconj(p.wN[k])
-		z[k] = even + mulI(odd)
+		z[k] = cconj(even + mulI(odd))
 	}
-	ifftTab(z, p.tw)
-	for j := 0; j < m; j++ {
-		y[2*j] = real(z[j])
-		y[2*j+1] = imag(z[j])
+	fftTab(z, p.tw)
+	inv := 1 / float64(m)
+	for j, v := range z {
+		y[2*j] = real(v) * inv
+		y[2*j+1] = -imag(v) * inv
 	}
 	p.pool.Put(zp)
 }
 
 // RFFT computes the packed half-spectrum (bins 0..n/2, length n/2+1) of the
 // real signal x. len(x) must be a power of two; it panics otherwise, like
-// FFT. An empty input returns nil. The result equals FFT of the
-// complex-embedded signal truncated to its first n/2+1 bins, at half the
+// PlanRFFT. An empty input returns nil. The result equals the n-point
+// complex DFT of x truncated to its first n/2+1 bins, at half the
 // butterfly work.
 func RFFT(x []float64) []complex128 {
 	if len(x) == 0 {
@@ -169,7 +183,7 @@ func RFFT(x []float64) []complex128 {
 }
 
 // IRFFT inverts a packed half-spectrum back to the n real samples of the
-// time-domain signal (normalised by 1/n, matching IFFT). len(spec) must be
+// time-domain signal (normalised by 1/n). len(spec) must be
 // n/2+1 for a power-of-two n; it panics otherwise. An empty input returns
 // nil.
 func IRFFT(spec []complex128) []float64 {

@@ -22,9 +22,10 @@ func HannWindow(n int) []float64 {
 }
 
 // WelchPSD estimates the one-sided PSD of x sampled at fs using segments
-// of the given length with 50 % overlap. The segment length is rounded up
-// to a power of two; records shorter than one segment fall back to a
-// single padded periodogram. Returned frequencies run 0..fs/2.
+// of the given length with 50 % overlap, each transformed by the cached
+// real-input FFT plan. The segment length is rounded up to a power of two
+// (zero padding); a segment longer than the record shrinks to the record,
+// giving a single padded periodogram. Returned frequencies run 0..fs/2.
 //
 //ecolint:unit fs hz
 func WelchPSD(x []float64, fs float64, segment int) (freqs, psd []float64) {
@@ -35,7 +36,7 @@ func WelchPSD(x []float64, fs float64, segment int) (freqs, psd []float64) {
 		segment = len(x)
 	}
 	n := NextPow2(segment)
-	win := HannWindow(min(segment, len(x)))
+	win := HannWindow(segment)
 	// Window power normalisation.
 	var wp float64
 	for _, w := range win {
@@ -44,51 +45,32 @@ func WelchPSD(x []float64, fs float64, segment int) (freqs, psd []float64) {
 	if wp == 0 {
 		return nil, nil
 	}
-	half := n/2 + 1
+	p := PlanRFFT(n)
+	half := p.HalfLen()
 	acc := make([]float64, half)
 	segments := 0
 	step := segment / 2
 	if step < 1 {
 		step = segment
 	}
-	buf := make([]complex128, n)
+	// The clamp above keeps len(win) <= len(x), so at least one segment
+	// runs; buf[len(win):] stays zero as the power-of-two padding.
+	buf := make([]float64, n)
+	spec := make([]complex128, half)
 	for start := 0; start+len(win) <= len(x); start += step {
-		for i := range buf {
-			buf[i] = 0
-		}
 		for i, w := range win {
-			buf[i] = complex(x[start+i]*w, 0)
+			buf[i] = x[start+i] * w
 		}
-		FFT(buf)
-		for k := 0; k < half; k++ {
-			re, im := real(buf[k]), imag(buf[k])
-			p := (re*re + im*im) / (wp * fs)
+		p.Transform(spec, buf)
+		for k, c := range spec {
+			re, im := real(c), imag(c)
+			pk := (re*re + im*im) / (wp * fs)
 			if k != 0 && k != n/2 {
-				p *= 2
+				pk *= 2
 			}
-			acc[k] += p
+			acc[k] += pk
 		}
 		segments++
-	}
-	if segments == 0 {
-		// Record shorter than one segment: single padded periodogram.
-		for i := range buf {
-			buf[i] = 0
-		}
-		m := min(len(x), len(win))
-		for i := 0; i < m; i++ {
-			buf[i] = complex(x[i]*win[i], 0)
-		}
-		FFT(buf)
-		for k := 0; k < half; k++ {
-			re, im := real(buf[k]), imag(buf[k])
-			p := (re*re + im*im) / (wp * fs)
-			if k != 0 && k != n/2 {
-				p *= 2
-			}
-			acc[k] = p
-		}
-		segments = 1
 	}
 	freqs = make([]float64, half)
 	psd = make([]float64, half)
@@ -97,11 +79,4 @@ func WelchPSD(x []float64, fs float64, segment int) (freqs, psd []float64) {
 		psd[k] = acc[k] / float64(segments)
 	}
 	return freqs, psd
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -6,6 +6,7 @@ import (
 
 	"ecocapsule/internal/channel"
 	"ecocapsule/internal/coding"
+	"ecocapsule/internal/conc"
 	"ecocapsule/internal/dsp"
 	"ecocapsule/internal/phy"
 	"ecocapsule/internal/protocol"
@@ -166,7 +167,15 @@ type AcousticReadResult struct {
 // captures the entire round — backscatter, multipath tails, and CBW
 // leakage summed — and decodes all slots through one batched front-end
 // pass (phy.DemodulateSlots), instead of re-running carrier estimation and
-// down-conversion per node. Results are positionally aligned with handles.
+// down-conversion per node. Results are positionally aligned with handles;
+// a handle repeated within the round gets one slot, and every repeat after
+// the first an error result.
+//
+// The per-link modulate → transmit legs are independent (each link owns
+// its channel and noise source), so they fan out over conc.Queues, one
+// single-item queue per slot; their outputs are summed into the capture
+// serially in slot order, so the capture is bit-identical at any
+// GOMAXPROCS.
 func (r *Reader) AcousticReadRound(handles []uint16, st sensors.SensorType, cfg AcousticConfig) []AcousticReadResult {
 	out := make([]AcousticReadResult, len(handles))
 	if len(handles) == 0 {
@@ -177,17 +186,27 @@ func (r *Reader) AcousticReadRound(handles []uint16, st sensors.SensorType, cfg 
 	}
 
 	type slotPlan struct {
-		result  int    // index into out
-		payload []byte // framed uplink bits (no pilot)
-		bits    []byte // pilot ‖ payload
+		result  int              // index into out
+		ch      *channel.Channel // the node's uplink channel
+		payload []byte           // framed uplink bits (no pilot)
+		bits    []byte           // pilot ‖ payload
 	}
 	var plans []slotPlan
+	// The capture noise seed chains every laid-out handle in slot order.
+	seed := int64(7)
 
 	r.mu.Lock()
+	seen := make(map[uint16]bool, len(handles))
 	for i, h := range handles {
 		out[i].Handle = h
+		if seen[h] {
+			out[i].Err = fmt.Errorf("reader: node %#04x repeated in one round", h)
+			continue
+		}
+		seen[h] = true
 		target := r.byHandle[h]
-		if target == nil || r.chans[h] == nil {
+		ch := r.chans[h]
+		if target == nil || ch == nil {
 			out[i].Err = fmt.Errorf("reader: unknown node %#04x", h)
 			continue
 		}
@@ -203,12 +222,8 @@ func (r *Reader) AcousticReadRound(handles []uint16, st sensors.SensorType, cfg 
 			continue
 		}
 		payload := up.Bits()
-		plans = append(plans, slotPlan{result: i, payload: payload, bits: phy.PrependPilot(payload)})
-	}
-	chans := make(map[uint16]*channelRef, len(plans))
-	for _, p := range plans {
-		h := handles[p.result]
-		chans[h] = &channelRef{ch: r.chans[h]}
+		plans = append(plans, slotPlan{result: i, ch: ch, payload: payload, bits: phy.PrependPilot(payload)})
+		seed = seed*31 + int64(h)
 	}
 	r.mu.Unlock()
 	if len(plans) == 0 {
@@ -228,7 +243,7 @@ func (r *Reader) AcousticReadRound(handles []uint16, st sensors.SensorType, cfg 
 	for s, p := range plans {
 		frameDur := float64(len(p.bits)) / btx.Bitrate
 		tail := 0.0
-		if arr := chans[handles[p.result]].ch.Arrivals(); len(arr) > 0 {
+		if arr := p.ch.Arrivals(); len(arr) > 0 {
 			tail = arr[len(arr)-1].Delay
 		}
 		slots[s] = phy.Slot{
@@ -241,25 +256,34 @@ func (r *Reader) AcousticReadRound(handles []uint16, st sensors.SensorType, cfg 
 
 	// One incident carrier spans the round; the CBW leakage couples into
 	// the RX across the whole capture, exactly as in the single-node path.
-	incident := syn.CBW(230e3, 1.0, float64(total)/cfg.SampleRate+2e-3)
+	incident := r.roundCarrier(syn, total)
+	ys := make([][]float64, len(plans))
+	errs := make([]error, len(plans))
+	queues := make([]int, len(plans))
+	for s := range queues {
+		queues[s] = 1
+	}
+	conc.Queues(queues, seed, func(s, _ int) {
+		bs, err := btx.Modulate(plans[s].bits, incident[slots[s].Start+lead:])
+		if err != nil {
+			errs[s] = err
+			return
+		}
+		ys[s] = plans[s].ch.Transmit(bs)
+	})
 	capture := make([]float64, total)
 	if cfg.LeakageGain > 0 {
 		for i := range capture {
 			capture[i] = cfg.LeakageGain * incident[i]
 		}
 	}
-	seed := int64(7)
 	for s, p := range plans {
-		h := handles[p.result]
-		seed = seed*31 + int64(h)
-		bs, err := btx.Modulate(p.bits, incident[slots[s].Start+lead:])
-		if err != nil {
-			out[p.result].Err = fmt.Errorf("%w: %v", ErrAcousticDecode, err)
+		if errs[s] != nil {
+			out[p.result].Err = fmt.Errorf("%w: %v", ErrAcousticDecode, errs[s])
 			continue
 		}
-		y := chans[h].ch.Transmit(bs)
 		base := slots[s].Start + lead
-		for i, v := range y {
+		for i, v := range ys[s] {
 			if base+i >= len(capture) {
 				break
 			}
@@ -293,5 +317,32 @@ func (r *Reader) AcousticReadRound(handles []uint16, st sensors.SensorType, cfg 
 	return out
 }
 
-// channelRef lets the round hold channels outside the reader lock.
-type channelRef struct{ ch *channel.Channel }
+// roundCarrier returns the incident CBW of a round that captures total
+// samples at the synth's rate: 2 ms longer than the capture, so every
+// slot's frame is covered. The previous round's carrier is reused when the
+// rate and length match — a re-read round of fewer slots renders a new one,
+// and the next full round renders it again. The slice is never written
+// after it is built, so concurrent rounds may share it.
+func (r *Reader) roundCarrier(syn *waveform.Synth, total int) []float64 {
+	fs := syn.SampleRate
+	r.mu.Lock()
+	c := r.carrier
+	reuse := c.fs == fs && c.total == total
+	r.mu.Unlock()
+	if reuse {
+		return c.samples
+	}
+	c = roundCBW{fs: fs, total: total, samples: syn.CBW(230e3, 1.0, float64(total)/fs+2e-3)}
+	r.mu.Lock()
+	r.carrier = c
+	r.mu.Unlock()
+	return c.samples
+}
+
+// roundCBW is a rendered round carrier and the shape it was built for.
+type roundCBW struct {
+	//ecolint:unit hz
+	fs      float64
+	total   int
+	samples []float64
+}

@@ -1,7 +1,10 @@
 package reader
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"ecocapsule/internal/channel"
@@ -146,5 +149,162 @@ func TestReaderSharedLinkCache(t *testing.T) {
 	}
 	if r3.LinkCache() == cache {
 		t.Error("New must allocate a private cache")
+	}
+}
+
+// roundReader builds a charged reader on the common wall with one capsule
+// per (handle, x) pair, reading a position-dependent temperature.
+func roundReader(tb testing.TB, handles []uint16, xs []float64) *Reader {
+	tb.Helper()
+	r, err := New(wallConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r.SetEnvironment(func(pos geometry.Vec3) sensors.Environment {
+		return sensors.Environment{TemperatureC: 18 + 4*pos.X, RelativeHumidity: 55}
+	})
+	for i, h := range handles {
+		deployNode(tb, r, h, xs[i])
+	}
+	if up := r.Charge(0.3); up != len(handles) {
+		tb.Fatalf("%d/%d nodes powered up", up, len(handles))
+	}
+	return r
+}
+
+// roundConfig is the 2 kbps round of the acoustic_round benchmark workload.
+func roundConfig() AcousticConfig {
+	cfg := DefaultAcousticConfig()
+	cfg.UplinkBitrate = 2000
+	return cfg
+}
+
+// requireSameResults fails unless got and want carry the same handles,
+// errors and bit-identical values.
+func requireSameResults(t *testing.T, what string, got, want []AcousticReadResult) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Handle != w.Handle || fmt.Sprint(g.Err) != fmt.Sprint(w.Err) || len(g.Values) != len(w.Values) {
+			t.Fatalf("%s slot %d: %#04x %v %v, want %#04x %v %v", what, i, g.Handle, g.Err, g.Values, w.Handle, w.Err, w.Values)
+		}
+		for j := range w.Values {
+			if math.Float64bits(g.Values[j]) != math.Float64bits(w.Values[j]) {
+				t.Fatalf("%s slot %d value %d: %x, want %x", what, i, j, g.Values[j], w.Values[j])
+			}
+		}
+	}
+}
+
+// TestAcousticReadRoundRepeatedHandle: a handle listed twice gets one slot
+// and an error for the repeat, so one capsule never transmits twice (or on
+// two goroutines) in one round. The round equals the deduplicated round.
+func TestAcousticReadRoundRepeatedHandle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full acoustic pipeline integration case; run without -short to exercise it")
+	}
+	handles, xs := []uint16{0x41, 0x42}, []float64{0.6, 0.8}
+	got := roundReader(t, handles, xs).AcousticReadRound([]uint16{0x41, 0x42, 0x41}, sensors.TypeTempHumidity, roundConfig())
+	want := roundReader(t, handles, xs).AcousticReadRound(handles, sensors.TypeTempHumidity, roundConfig())
+	if len(got) != 3 || got[2].Handle != 0x41 || got[2].Err == nil || got[2].Values != nil {
+		t.Fatalf("repeat of 0x41 = %+v, want an error result", got[len(got)-1])
+	}
+	if errors.Is(got[2].Err, ErrAcousticDecode) {
+		t.Errorf("repeat error %v must not read as a decode failure (callers re-read those)", got[2].Err)
+	}
+	for i, res := range want {
+		if res.Err != nil {
+			t.Fatalf("deduplicated round slot %d: %v", i, res.Err)
+		}
+	}
+	requireSameResults(t, "round with a repeat", got[:2], want)
+}
+
+// TestAcousticReadRoundBitIdenticalAcrossGOMAXPROCS: the per-link
+// transmit fan-out sums its outputs in slot order, so the decoded values
+// are bit-identical whatever the worker count.
+func TestAcousticReadRoundBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full acoustic pipeline integration case; run without -short to exercise it")
+	}
+	handles, xs := []uint16{0x41, 0x42, 0x43}, []float64{0.6, 0.8, 1.5}
+	var want []AcousticReadResult
+	for _, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		got := roundReader(t, handles, xs).AcousticReadRound(handles, sensors.TypeTempHumidity, roundConfig())
+		runtime.GOMAXPROCS(prev)
+		if want == nil {
+			for i, res := range got {
+				if res.Err != nil {
+					t.Fatalf("GOMAXPROCS=1 slot %d: %v", i, res.Err)
+				}
+			}
+			want = got
+			continue
+		}
+		requireSameResults(t, fmt.Sprintf("GOMAXPROCS=%d", procs), got, want)
+	}
+}
+
+// TestAcousticReadRoundBitIdenticalAfterShorterRound: the reader keeps its
+// round carrier between rounds, and a full round after a shorter re-read
+// round (another carrier length) equals that round on a fresh reader. The
+// re-read reads a capsule outside the full round, so the full round's
+// capsules sample the same values on both readers.
+func TestAcousticReadRoundBitIdenticalAfterShorterRound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full acoustic pipeline integration case; run without -short to exercise it")
+	}
+	all, xs := []uint16{0x41, 0x42, 0x43, 0x44}, []float64{0.6, 0.8, 1.5, 1.0}
+	full := all[:3]
+	cfg := roundConfig()
+
+	fresh := roundReader(t, all, xs).AcousticReadRound(full, sensors.TypeTempHumidity, cfg)
+	for i, res := range fresh {
+		if res.Err != nil {
+			t.Fatalf("fresh reader slot %d: %v", i, res.Err)
+		}
+	}
+
+	carrier := func(r *Reader) []float64 {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return r.carrier.samples
+	}
+	r := roundReader(t, all, xs)
+	if short := r.AcousticReadRound(all[3:], sensors.TypeTempHumidity, cfg); short[0].Err != nil {
+		t.Fatalf("re-read round: %v", short[0].Err)
+	}
+	shortCarrier := carrier(r)
+	got := r.AcousticReadRound(full, sensors.TypeTempHumidity, cfg)
+	requireSameResults(t, "full round after a re-read round", got, fresh)
+	if n := len(carrier(r)); n <= len(shortCarrier) {
+		t.Fatalf("full round carrier has %d samples, want more than the re-read's %d", n, len(shortCarrier))
+	}
+
+	// A second round of the same shape reuses the carrier it rendered.
+	before := carrier(r)
+	r.AcousticReadRound(full, sensors.TypeTempHumidity, cfg)
+	if after := carrier(r); &after[0] != &before[0] {
+		t.Error("a round of the same shape rendered a new carrier instead of reusing it")
+	}
+}
+
+// BenchmarkAcousticReadRound is the acoustic_round workload without the
+// benchmark harness: one reader on the common wall, capsules at x = 0.6,
+// 0.8 and 1.5 m, a 2 kbps uplink, and per op a charge then one round.
+func BenchmarkAcousticReadRound(b *testing.B) {
+	handles, xs := []uint16{0x41, 0x42, 0x43}, []float64{0.6, 0.8, 1.5}
+	r := roundReader(b, handles, xs)
+	cfg := roundConfig()
+	r.AcousticReadRound(handles, sensors.TypeTempHumidity, cfg) // warm plans and carrier
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Charge(0.3)
+		r.AcousticReadRound(handles, sensors.TypeTempHumidity, cfg)
 	}
 }

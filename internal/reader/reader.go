@@ -93,6 +93,11 @@ type Reader struct {
 	// its lifetime: one cache per reader by default, shareable across
 	// readers of the same structure through NewWithLinkCache.
 	links *channel.Cache
+
+	// carrier is the last acoustic round's incident CBW, reused by the next
+	// round of the same shape (see roundCarrier).
+	//ecolint:guardedby mu
+	carrier roundCBW
 }
 
 // New validates the configuration and returns a Reader with its own link

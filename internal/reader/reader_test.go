@@ -18,7 +18,7 @@ func wallConfig() Config {
 	}
 }
 
-func deployNode(t *testing.T, r *Reader, handle uint16, x float64) *node.Node {
+func deployNode(t testing.TB, r *Reader, handle uint16, x float64) *node.Node {
 	t.Helper()
 	n := node.New(node.Config{
 		Handle:   handle,

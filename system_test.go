@@ -7,6 +7,7 @@ package ecocapsule
 // subsystem touching every other the way a production deployment would.
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -49,8 +50,14 @@ func TestSystemFullMonitoringLifecycle(t *testing.T) {
 	// ---- 2. Drive the wall's environment from the bridge simulator. ---
 	sim := bridge.NewSim(77)
 	hour := 0
+	// The fleet samples from several stations at once and requires a
+	// sampler safe for concurrent use; bridge.Sim draws from one noise
+	// source, so serialise it.
+	var simMu sync.Mutex
 	fl.SetEnvironment(func(pos geometry.Vec3) sensors.Environment {
+		simMu.Lock()
 		env := sim.CapsuleEnvironment(hour)
+		simMu.Unlock()
 		// Spatial gradient: a slow leak near x ≈ 3 m.
 		env.RelativeHumidity += 10 / (1 + (pos.X-3)*(pos.X-3))
 		return env
