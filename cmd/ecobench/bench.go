@@ -41,7 +41,7 @@ type benchRun struct {
 
 // benchReport is the BENCH_8.json document: the same suite at
 // GOMAXPROCS=1 (serial reference, stable across hosts) and at NumCPU
-// (what the conc.For fan-out actually buys).
+// (what the conc pool fan-out actually buys).
 type benchReport struct {
 	Runs []benchRun `json:"runs"`
 }

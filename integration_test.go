@@ -53,10 +53,11 @@ func TestIntegrationAcousticPipelineThroughCasting(t *testing.T) {
 	if up := rd.Charge(0.4); up != 1 {
 		t.Fatal("capsule did not power up")
 	}
-	vals, err := rd.AcousticReadSensor(0x77, TempHumidity, reader.DefaultAcousticConfig())
-	if err != nil {
-		t.Fatal(err)
+	res := rd.AcousticReadRound([]uint16{0x77}, TempHumidity, reader.DefaultAcousticConfig())[0]
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
+	vals := res.Values
 	if math.Abs(vals[0]-24.5) > 2 {
 		t.Errorf("acoustic temperature %.2f far from 24.5", vals[0])
 	}
@@ -270,10 +271,11 @@ func TestIntegrationSensorChainMatchesEnvironment(t *testing.T) {
 		t.Fatal(err)
 	}
 	rd.Charge(0.3)
-	vals, err := rd.AcousticReadSensor(0x0B, sensors.TypeStrain, reader.DefaultAcousticConfig())
-	if err != nil {
-		t.Fatal(err)
+	res := rd.AcousticReadRound([]uint16{0x0B}, sensors.TypeStrain, reader.DefaultAcousticConfig())[0]
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
+	vals := res.Values
 	if math.Abs(vals[0]-truth.StrainX) > 5e-6 || math.Abs(vals[1]-truth.StrainY) > 5e-6 {
 		t.Errorf("strains (%g, %g) far from truth (%g, %g)",
 			vals[0], vals[1], truth.StrainX, truth.StrainY)

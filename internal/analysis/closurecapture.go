@@ -11,7 +11,8 @@ import (
 )
 
 // ClosureCapture audits the bodies of asynchronously-executed closures:
-// `go func(){...}()` statements and conc.For body literals. Two classes
+// `go func(){...}()` statements and the body literals of the conc pool
+// (conc.Queues and its one-item case conc.For). Two classes
 // of finding:
 //
 //   - capture of an enclosing loop variable. Per-iteration loop
@@ -33,28 +34,32 @@ import (
 // checks that it is the *right* mutex.
 var ClosureCapture = &Analyzer{
 	Name:      "closurecapture",
-	Version:   "1",
+	Version:   "2", // v2: conc.Queues bodies are audited too
 	UsesFacts: true,
-	Doc: "flags goroutine and conc.For body closures that capture loop variables or " +
+	Doc: "flags goroutine and conc.Queues/conc.For body closures that capture loop variables or " +
 		"mutate captured shared state without synchronization",
 	Run: runClosureCapture,
 }
 
-// concForFunc reports whether a call targets conc.For. The path is
-// matched by suffix so the golden fixture can supply its own stub under
+// concPoolFunc returns the name of the conc pool function a call targets
+// ("Queues" or "For"), or "" for any other call. The path is matched by
+// suffix so the golden fixture can supply its own stub under
 // testdata/src/closurecapture/internal/conc.
-func concForFunc(pass *Pass, call *ast.CallExpr) bool {
+func concPoolFunc(pass *Pass, call *ast.CallExpr) string {
 	fn, _ := callTarget(pass, call)
-	if fn == nil || fn.Pkg() == nil {
-		return false
+	if fn == nil || fn.Pkg() == nil || !strings.HasSuffix(fn.Pkg().Path(), "internal/conc") {
+		return ""
 	}
-	return fn.Name() == "For" && strings.HasSuffix(fn.Pkg().Path(), "internal/conc")
+	if fn.Name() != "Queues" && fn.Name() != "For" {
+		return ""
+	}
+	return fn.Name()
 }
 
 // asyncClosure is one closure that will run on another goroutine.
 type asyncClosure struct {
 	lit  *ast.FuncLit
-	kind string // "goroutine" or "conc.For body"
+	kind string // "goroutine", "conc.Queues body" or "conc.For body"
 	// loopVars holds the loop variables of the loops enclosing the
 	// launch site, if any.
 	loopVars map[types.Object]bool
@@ -87,8 +92,9 @@ func loopVarsOf(pass *Pass, n ast.Node, into map[types.Object]bool) {
 }
 
 // collectAsyncClosures walks one function body tracking the enclosing
-// loop stack, and returns every go-statement literal and conc.For body
-// literal with the loop variables in scope at its launch site.
+// loop stack, and returns every go-statement literal and conc pool body
+// literal (the last argument of Queues or For) with the loop variables in
+// scope at its launch site.
 func collectAsyncClosures(pass *Pass, body *ast.BlockStmt) []asyncClosure {
 	var out []asyncClosure
 	var loopStack []map[types.Object]bool
@@ -135,10 +141,13 @@ func collectAsyncClosures(pass *Pass, body *ast.BlockStmt) []asyncClosure {
 			walk(n.Call)
 			return
 		case *ast.CallExpr:
-			if concForFunc(pass, n) && len(n.Args) == 2 {
-				if lit, ok := ast.Unparen(n.Args[1]).(*ast.FuncLit); ok {
-					out = append(out, asyncClosure{lit: lit, kind: "conc.For body", loopVars: currentLoopVars()})
-					walk(n.Args[0])
+			if name := concPoolFunc(pass, n); name != "" && len(n.Args) > 0 {
+				last := len(n.Args) - 1
+				if lit, ok := ast.Unparen(n.Args[last]).(*ast.FuncLit); ok {
+					out = append(out, asyncClosure{lit: lit, kind: "conc." + name + " body", loopVars: currentLoopVars()})
+					for _, arg := range n.Args[:last] {
+						walk(arg)
+					}
 					walk(lit.Body)
 					return
 				}
@@ -218,7 +227,7 @@ func closureWrites(pass *Pass, lit *ast.FuncLit) []capturedWrite {
 				}
 			}
 			// Slice/array slot: safe when the index is closure-local
-			// (the conc.For per-index result-slot pattern).
+			// (the conc pool's per-item result-slot pattern).
 			if !localIndex(e.Index) {
 				writes = append(writes, capturedWrite{pos: e.Pos(), expr: e.X, obj: root, kind: "variable"})
 			}

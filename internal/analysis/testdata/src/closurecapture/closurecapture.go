@@ -1,5 +1,5 @@
 // Package closurecapture is the golden fixture for the async-closure
-// auditor: goroutine and conc.For bodies must not capture loop
+// auditor: goroutine, conc.Queues and conc.For bodies must not capture loop
 // variables (pass them as arguments) and must not mutate captured
 // shared state with no lock held.
 package closurecapture
@@ -48,6 +48,16 @@ func concForLoopCapture(rows [][]float64) {
 		conc.For(len(row), func(i int) {
 			row[i] *= 2 // want `conc\.For body captures loop variable row`
 			use(r)      // want `conc\.For body captures loop variable r`
+		})
+	}
+}
+
+// queuesLoopCapture launches conc.Queues bodies from inside a loop that
+// the body peeks into.
+func queuesLoopCapture(batches [][]int) {
+	for b, counts := range batches {
+		conc.Queues(counts, func(q, item int) {
+			use(b) // want `conc\.Queues body captures loop variable b`
 		})
 	}
 }
@@ -104,6 +114,16 @@ func sharedAppend(n int) []int {
 	return out
 }
 
+// queuesSharedAppend is sharedAppend on the sharded pool: a Queues body
+// appending to a shared slice races exactly like a For body.
+func queuesSharedAppend(counts []int) []int {
+	var out []int
+	conc.Queues(counts, func(q, item int) {
+		out = append(out, q) // want `conc\.Queues body mutates captured variable out with no lock held`
+	})
+	return out
+}
+
 // capturedIndex writes through an index that is NOT closure-local, so
 // slots are not provably disjoint.
 func capturedIndex(out []int, j int) {
@@ -149,6 +169,21 @@ func slotWrites(xs []int) []int {
 	out := make([]int, len(xs))
 	conc.For(len(xs), func(i int) {
 		out[i] = xs[i] * 2 // ok: per-index slot, closure-local index
+	})
+	return out
+}
+
+// queuesSlotWrites is the sanctioned conc.Queues pattern: one slot per
+// (queue, item), both indices owned by the closure.
+func queuesSlotWrites(shards [][]int) [][]int {
+	counts := make([]int, len(shards))
+	out := make([][]int, len(shards))
+	for q := range shards {
+		counts[q] = len(shards[q])
+		out[q] = make([]int, len(shards[q]))
+	}
+	conc.Queues(counts, func(q, item int) {
+		out[q][item] = shards[q][item] * 2 // ok: per-item slot, closure-local indices
 	})
 	return out
 }

@@ -44,23 +44,11 @@ type Config struct {
 	// NoiseFloor is the RMS amplitude of the ambient acoustic noise at the
 	// receiver, in the same units as the transmitted amplitude.
 	NoiseFloor float64
-	// SelfInterferenceGain is the linear amplitude of CBW leakage coupled
-	// directly from TX to RX relative to the transmitted amplitude
-	// (surface waves + S-reflections, §3.4).
-	SelfInterferenceGain float64
 	// Seed for the deterministic noise source.
 	Seed int64
 	// MaxOrder overrides the image-source reflection order (0 = default).
 	MaxOrder int
 }
-
-// DefaultSelfInterferenceGain is the linear amplitude of the CBW carrier
-// coupling directly from the TX into the RX PZT when
-// Config.SelfInterferenceGain is left zero. §3.4/App. C measure the
-// leakage (surface waves + S-reflections) at roughly 10× the backscatter
-// power; at our unit-amplitude carrier normalisation that is ~0.4 in
-// amplitude, matching the reader's AcousticConfig.LeakageGain default.
-const DefaultSelfInterferenceGain = 0.4
 
 // Channel is a ready-to-use link simulator.
 type Channel struct {
@@ -240,39 +228,6 @@ func (c *Channel) Transmit(x []float64) []float64 {
 		c.noise.AddAWGN(out, c.cfg.NoiseFloor)
 	}
 	return out
-}
-
-// TransmitWithLeakage models the reader-side receive path during an uplink:
-// the node's backscatter travels through the channel while the raw carrier
-// couples directly into the RX at SelfInterferenceGain — the
-// self-interference that must be filtered in the spectrum (§3.4, App. C).
-// A zero SelfInterferenceGain means "unset" and falls back to
-// DefaultSelfInterferenceGain; pass a negative gain (or use
-// TransmitWithLeakageGain) to model a perfectly isolated RX.
-func (c *Channel) TransmitWithLeakage(backscatter, carrier []float64) []float64 {
-	g := c.cfg.SelfInterferenceGain
-	if g == 0 {
-		g = DefaultSelfInterferenceGain
-	}
-	return c.TransmitWithLeakageGain(backscatter, carrier, g)
-}
-
-// TransmitWithLeakageGain is TransmitWithLeakage with an explicit coupling
-// gain, overriding the channel configuration. Gains ≤ 0 disable the
-// leakage entirely.
-func (c *Channel) TransmitWithLeakageGain(backscatter, carrier []float64, g float64) []float64 {
-	y := c.Transmit(backscatter)
-	if g <= 0 {
-		return y
-	}
-	n := len(carrier)
-	if n > len(y) {
-		n = len(y)
-	}
-	for i := 0; i < n; i++ {
-		y[i] += g * carrier[i]
-	}
-	return y
 }
 
 // ToneResponse returns the steady-state amplitude gain the channel applies

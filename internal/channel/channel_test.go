@@ -132,35 +132,6 @@ func TestToneResponseResonanceShaping(t *testing.T) {
 	}
 }
 
-func TestSelfInterferenceLeakage(t *testing.T) {
-	cfg := Config{
-		Structure:            geometry.CommonWall(),
-		Source:               geometry.Vec3{X: 0.1, Y: 10, Z: 0},
-		Destination:          geometry.Vec3{X: 1.1, Y: 10, Z: 0.1},
-		PrismAngle:           units.Deg2Rad(60),
-		SelfInterferenceGain: 0.5,
-		Seed:                 2,
-	}
-	ch, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	syn := waveform.NewSynth(1e6)
-	carrier := syn.CBW(230e3, 1, 4e-3)
-	bs := syn.SquareSubcarrier(230e3, 2e3, 0.05, 4e-3)
-	rx := ch.TransmitWithLeakage(bs, carrier)
-	// The leaked CBW at the carrier should dominate the backscatter
-	// sidebands — the §3.4 problem statement.
-	pCarrier := dsp.Goertzel(rx[:4000], 1e6, 230e3)
-	pSide := dsp.Goertzel(rx[:4000], 1e6, 232e3)
-	if pCarrier < pSide {
-		t.Errorf("carrier leakage (%g) should dominate sideband (%g)", pCarrier, pSide)
-	}
-	if pSide <= 0 {
-		t.Error("backscatter sideband must still be present")
-	}
-}
-
 func TestSNRAtNoNoise(t *testing.T) {
 	ch, err := New(Config{
 		Structure:   geometry.Slab(),
@@ -297,50 +268,6 @@ func TestPathGainMonotoneInAttenuationProperty(t *testing.T) {
 			t.Fatalf("path gain must fall with attenuation: %g at %g dB/m after %g", g, att, prev)
 		}
 		prev = g
-	}
-}
-
-// TestZeroConfigLeakageNonZero is the ISSUE 5 regression for the
-// `if g == 0 { g = 0 }` no-op: a channel whose SelfInterferenceGain is left
-// at the zero value must still inject the default CBW leakage, so the
-// carrier dominates the received spectrum exactly as §3.4 demands.
-func TestZeroConfigLeakageNonZero(t *testing.T) {
-	ch, err := New(Config{
-		Structure:   geometry.CommonWall(),
-		Source:      geometry.Vec3{X: 0.1, Y: 10, Z: 0},
-		Destination: geometry.Vec3{X: 1.1, Y: 10, Z: 0.1},
-		PrismAngle:  units.Deg2Rad(60),
-		Seed:        2,
-		// SelfInterferenceGain deliberately left zero.
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := 1 * units.MHz
-	syn := waveform.NewSynth(fs)
-	carrier := syn.CBW(230*units.KHz, 1, 4*units.MS)
-	bs := syn.SquareSubcarrier(230*units.KHz, 2*units.KHz, 0.05, 4*units.MS)
-	rx := ch.TransmitWithLeakage(bs, carrier)
-	iso := ch.TransmitWithLeakageGain(bs, carrier, -1)
-	// The leaked carrier must be present: the difference against the
-	// isolated capture is exactly DefaultSelfInterferenceGain × carrier.
-	var leakEnergy float64
-	for i := range carrier {
-		d := rx[i] - iso[i]
-		leakEnergy += d * d
-		want := DefaultSelfInterferenceGain * carrier[i]
-		if math.Abs(d-want) > 1e-12 {
-			t.Fatalf("sample %d: leakage contribution %g, want %g", i, d, want)
-		}
-	}
-	if leakEnergy == 0 {
-		t.Fatal("zero-config leakage is still a no-op")
-	}
-	// And it must dominate the spectrum at the carrier bin.
-	pCarrier := dsp.Goertzel(rx[:4000], fs, 230*units.KHz)
-	pSide := dsp.Goertzel(rx[:4000], fs, 232*units.KHz)
-	if pCarrier < 10*pSide {
-		t.Errorf("default leakage should dominate: carrier %g vs sideband %g", pCarrier, pSide)
 	}
 }
 

@@ -1,10 +1,11 @@
 package dsp
 
 // Real-input FFT with a packed half-spectrum. A real n-point signal has a
-// Hermitian spectrum, so only bins 0..n/2 carry information; RFFT computes
-// exactly those (n/2+1 complex values) through one n/2-point complex FFT —
-// the standard even/odd packing — halving the butterfly work of a complex
-// transform of the padded length. IRFFT inverts the packed form.
+// Hermitian spectrum, so only bins 0..n/2 carry information; a plan's
+// Transform computes exactly those (n/2+1 complex values) through one
+// n/2-point complex FFT — the standard even/odd packing — halving the
+// butterfly work of a complex transform of the padded length. Inverse
+// inverts the packed form.
 //
 // Plans (twiddle tables, untangling roots, scratch pools) are cached per
 // transform length in a package-level table, so steady-state transforms via
@@ -165,40 +166,4 @@ func (p *RFFTPlan) Inverse(y []float64, spec []complex128) {
 		y[2*j+1] = -imag(v) * inv
 	}
 	p.pool.Put(zp)
-}
-
-// RFFT computes the packed half-spectrum (bins 0..n/2, length n/2+1) of the
-// real signal x. len(x) must be a power of two; it panics otherwise, like
-// PlanRFFT. An empty input returns nil. The result equals the n-point
-// complex DFT of x truncated to its first n/2+1 bins, at half the
-// butterfly work.
-func RFFT(x []float64) []complex128 {
-	if len(x) == 0 {
-		return nil
-	}
-	p := PlanRFFT(len(x))
-	spec := make([]complex128, p.HalfLen())
-	p.Transform(spec, x)
-	return spec
-}
-
-// IRFFT inverts a packed half-spectrum back to the n real samples of the
-// time-domain signal (normalised by 1/n). len(spec) must be
-// n/2+1 for a power-of-two n; it panics otherwise. An empty input returns
-// nil.
-func IRFFT(spec []complex128) []float64 {
-	if len(spec) == 0 {
-		return nil
-	}
-	n := (len(spec) - 1) * 2
-	if n == 0 {
-		n = 1 // the n == 1 packing has a single bin
-	}
-	p := PlanRFFT(n)
-	if p.HalfLen() != len(spec) {
-		panic("dsp: IRFFT spectrum length is not n/2+1 for a power-of-two n")
-	}
-	y := make([]float64, n)
-	p.Inverse(y, spec)
-	return y
 }

@@ -12,8 +12,9 @@ var rfftLengths = []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 8192}
 // TestRFFTMatchesFFTPropertyBattery is the seeded randomized equivalence
 // battery of the fast real-input path: over 200 cases across all supported
 // power-of-two lengths, the packed half-spectrum must match the
-// complex-embedded FFT bin for bin within 1e-9, and IRFFT must invert RFFT
-// back to the input within 1e-9 (the IFFT normalisation contract).
+// complex-embedded FFT bin for bin within 1e-9, and the plan's Inverse must
+// take Transform back to the input within 1e-9 (the IFFT normalisation
+// contract).
 func TestRFFTMatchesFFTPropertyBattery(t *testing.T) {
 	const casesPerLength = 20 // 13 lengths × 20 = 260 cases
 	cases := 0
@@ -33,10 +34,12 @@ func TestRFFTMatchesFFTPropertyBattery(t *testing.T) {
 			}
 			FFT(ref)
 
-			spec := RFFT(x)
-			if len(spec) != n/2+1 {
-				t.Fatalf("n=%d: RFFT returned %d bins, want %d", n, len(spec), n/2+1)
+			p := PlanRFFT(n)
+			if p.HalfLen() != n/2+1 {
+				t.Fatalf("n=%d: plan packs %d bins, want %d", n, p.HalfLen(), n/2+1)
 			}
+			spec := make([]complex128, p.HalfLen())
+			p.Transform(spec, x)
 			for k := range spec {
 				if d := cmplx.Abs(spec[k] - ref[k]); d > 1e-9 {
 					t.Fatalf("n=%d seed=%d bin %d: RFFT %v vs FFT %v (|Δ|=%g)",
@@ -45,13 +48,11 @@ func TestRFFTMatchesFFTPropertyBattery(t *testing.T) {
 			}
 
 			// Round trip through the packed inverse.
-			back := IRFFT(spec)
-			if len(back) != n {
-				t.Fatalf("n=%d: IRFFT returned %d samples", n, len(back))
-			}
+			back := make([]float64, n)
+			p.Inverse(back, spec)
 			for i := range back {
 				if d := back[i] - x[i]; d > 1e-9 || d < -1e-9 {
-					t.Fatalf("n=%d seed=%d sample %d: IRFFT %g vs input %g",
+					t.Fatalf("n=%d seed=%d sample %d: Inverse %g vs input %g",
 						n, seed, i, back[i], x[i])
 				}
 			}
@@ -63,7 +64,7 @@ func TestRFFTMatchesFFTPropertyBattery(t *testing.T) {
 	}
 }
 
-// TestRFFTMatchesIFFTInverse checks IRFFT against the complex IFFT on a
+// TestRFFTMatchesIFFTInverse checks the plan's Inverse against the complex IFFT on a
 // Hermitian spectrum: synthesise a random real signal's spectrum, invert
 // both ways, compare within 1e-9.
 func TestRFFTMatchesIFFTInverse(t *testing.T) {
@@ -82,47 +83,60 @@ func TestRFFTMatchesIFFTInverse(t *testing.T) {
 		copy(spec, full[:n/2+1])
 
 		IFFT(full)
-		got := IRFFT(spec)
+		got := make([]float64, n)
+		PlanRFFT(n).Inverse(got, spec)
 		for i := range got {
 			if d := cmplx.Abs(complex(got[i], 0) - full[i]); d > 1e-9 {
-				t.Fatalf("n=%d sample %d: IRFFT %g vs IFFT %v", n, i, got[i], full[i])
+				t.Fatalf("n=%d sample %d: Inverse %g vs IFFT %v", n, i, got[i], full[i])
 			}
 		}
 	}
 }
 
 func TestRFFTDegenerateLengths(t *testing.T) {
-	if got := RFFT(nil); got != nil {
-		t.Errorf("RFFT(nil) = %v, want nil", got)
-	}
-	if got := IRFFT(nil); got != nil {
-		t.Errorf("IRFFT(nil) = %v, want nil", got)
-	}
 	// n = 1: the single bin is the sample.
-	spec := RFFT([]float64{3.5})
+	p := PlanRFFT(1)
+	spec := make([]complex128, p.HalfLen())
+	p.Transform(spec, []float64{3.5})
 	if len(spec) != 1 || spec[0] != complex(3.5, 0) {
-		t.Errorf("RFFT([3.5]) = %v", spec)
+		t.Errorf("Transform([3.5]) = %v", spec)
 	}
-	if back := IRFFT(spec); len(back) != 1 || back[0] != 3.5 {
-		t.Errorf("IRFFT round trip of n=1 = %v", back)
+	back := make([]float64, 1)
+	if p.Inverse(back, spec); back[0] != 3.5 {
+		t.Errorf("n=1 round trip = %v", back)
 	}
 	// n = 2: DC and Nyquist bins.
-	spec = RFFT([]float64{1, 2})
+	p = PlanRFFT(2)
+	spec = make([]complex128, p.HalfLen())
+	p.Transform(spec, []float64{1, 2})
 	if len(spec) != 2 {
-		t.Fatalf("RFFT n=2 returned %d bins", len(spec))
+		t.Fatalf("n=2 plan packs %d bins", len(spec))
 	}
 	if cmplx.Abs(spec[0]-3) > 1e-12 || cmplx.Abs(spec[1]-(-1)) > 1e-12 {
-		t.Errorf("RFFT([1,2]) = %v, want [3, -1]", spec)
+		t.Errorf("Transform([1,2]) = %v, want [3, -1]", spec)
 	}
 }
 
+// TestRFFTPanicsOnNonPow2: a 12-sample signal has no plan, and the
+// 16-point plan rejects it rather than transforming a truncated or
+// overrun buffer.
 func TestRFFTPanicsOnNonPow2(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for non-power-of-two length")
-		}
-	}()
-	RFFT(make([]float64, 12))
+	x := make([]float64, 12)
+	spec := make([]complex128, 9)
+	for name, f := range map[string]func(){
+		"PlanRFFT(12)":       func() { PlanRFFT(12) },
+		"16-point Transform": func() { PlanRFFT(16).Transform(spec, x) },
+		"16-point Inverse":   func() { PlanRFFT(16).Inverse(x, spec) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic for a 12-sample signal", name)
+				}
+			}()
+			f()
+		}()
+	}
 }
 
 func TestPlanRFFTPanicsOnBadLength(t *testing.T) {

@@ -468,7 +468,7 @@ func (f *Fleet) Charge(duration float64) int {
 	for i := range jobs {
 		counts[i] = len(jobs[i])
 	}
-	conc.Queues(counts, f.seed, func(q, item int) {
+	conc.Queues(counts, func(q, item int) {
 		j := jobs[q][item]
 		j.n.ExciteFor(j.amp, 230*units.KHz, cs, dt, steps)
 	})
@@ -507,7 +507,7 @@ func (f *Fleet) Inventory(maxRoundsPerStation int) []uint16 {
 	}
 	f.route.RUnlock()
 	results := make([][]uint16, len(f.readers))
-	conc.Queues(counts, f.seed, func(i, _ int) {
+	conc.Queues(counts, func(i, _ int) {
 		results[i] = f.readers[i].InventorySubset(maxRoundsPerStation, assigned[i]).Discovered
 	})
 	var out []uint16

@@ -183,7 +183,7 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 		shardRows[qi] = make([]SurveyRow, len(sh.nodes))
 		counts[qi] = len(sh.nodes)
 	}
-	conc.Queues(counts, f.seed, func(q, item int) {
+	conc.Queues(counts, func(q, item int) {
 		shardRows[q][item] = visit(f.shards[q].nodes[item].Handle())
 	})
 	// Fold the merged rows into the report; Missing inherits handle order.

@@ -427,23 +427,37 @@ func (rx *ReaderRX) DemodulateFrameInto(dst []byte, signal []float64, nBits int)
 		cDemodNoSync.Inc()
 		return nil, err
 	}
-	start, err := rx.syncWindow(sc, 0, sc.n, 0)
-	if err != nil {
-		cDemodNoSync.Inc()
+	if _, err := rx.decodeWindow(sc, 0, sc.n, nBits); err != nil {
 		return nil, err
 	}
-	total := len(PilotBits) + nBits
-	sc.bits, err = rx.demodWindow(sc, sc.bits[:0], start, total, sc.n)
+	return append(dst, sc.bits[len(PilotBits):]...), nil
+}
+
+// decodeWindow decodes one pilot-prefixed frame inside the window
+// [lo, hi) of the shared front-end: pilot sync, matched-filter
+// demodulation of the pilot and nBits payload bits, and the pilot check.
+// It counts the outcome and returns the frame-start sample; the decoded
+// payload is sc.bits[len(PilotBits):]. DemodulateFrameInto is the window
+// [0, n); DemodulateSlots runs it once per slot.
+//
+//ecolint:hotpath per-window sync and demodulation on pooled scratch
+func (rx *ReaderRX) decodeWindow(sc *feScratch, lo, hi, nBits int) (int, error) {
+	start, err := rx.syncWindow(sc, lo, hi, 0)
+	if err != nil {
+		cDemodNoSync.Inc()
+		return 0, err
+	}
+	sc.bits, err = rx.demodWindow(sc, sc.bits[:0], start, len(PilotBits)+nBits, hi)
 	if err != nil {
 		cDemodError.Inc()
-		return nil, err
+		return 0, err
 	}
 	if !pilotValid(sc.bits) {
 		cDemodNoSync.Inc()
-		return nil, ErrNoSync
+		return 0, ErrNoSync
 	}
 	cDemodOK.Inc()
-	return append(dst, sc.bits[len(PilotBits):]...), nil
+	return start, nil
 }
 
 // pilotValid applies DemodulateFrame's pilot acceptance rule (tolerate up
@@ -502,25 +516,11 @@ func (rx *ReaderRX) DemodulateSlots(signal []float64, slots []Slot) []SlotBits {
 			out[i].Err = errSlotOutside
 			continue
 		}
-		start, err := rx.syncWindow(sc, lo, hi, 0)
+		start, err := rx.decodeWindow(sc, lo, hi, sl.NBits)
 		if err != nil {
-			cDemodNoSync.Inc()
 			out[i].Err = err
 			continue
 		}
-		total := len(PilotBits) + sl.NBits
-		sc.bits, err = rx.demodWindow(sc, sc.bits[:0], start, total, hi)
-		if err != nil {
-			cDemodError.Inc()
-			out[i].Err = err
-			continue
-		}
-		if !pilotValid(sc.bits) {
-			cDemodNoSync.Inc()
-			out[i].Err = ErrNoSync
-			continue
-		}
-		cDemodOK.Inc()
 		out[i] = SlotBits{
 			//ecolint:ignore hotalloc each decoded payload escapes to the caller by contract; scratch bits are pooled
 			Bits:  append([]byte(nil), sc.bits[len(PilotBits):]...),

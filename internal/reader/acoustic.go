@@ -16,7 +16,7 @@ import (
 )
 
 // The acoustic read path: unlike ReadSensor, which short-circuits the
-// waveform layer, AcousticReadSensor carries the node's reply through the
+// waveform layer, AcousticReadRound carries the nodes' replies through the
 // full physical pipeline — FM0 encoding, impedance-switch modulation of
 // the incident CBW, the multipath concrete channel with CBW leakage, and
 // the reader's synchronise → down-convert → ML-decode chain (§5.1). It is
@@ -61,76 +61,6 @@ func DefaultAcousticConfig() AcousticConfig {
 // ErrAcousticDecode wraps failures of the waveform-level pipeline.
 var ErrAcousticDecode = errors.New("reader: acoustic decode failed")
 
-// AcousticReadSensor performs a full waveform-level sensor read from an
-// addressed, powered-up node.
-func (r *Reader) AcousticReadSensor(handle uint16, st sensors.SensorType, cfg AcousticConfig) ([]float64, error) {
-	r.mu.Lock()
-	var target interface {
-		HandleDownlink(protocol.Packet, sensors.Environment) (*protocol.UplinkFrame, error)
-	}
-	var env sensors.Environment
-	if n := r.byHandle[handle]; n != nil {
-		target = n
-		env = r.env(n.Position())
-	}
-	ch := r.chans[handle]
-	r.mu.Unlock()
-	if target == nil || ch == nil {
-		return nil, fmt.Errorf("reader: unknown node %#04x", handle)
-	}
-	if cfg.SampleRate == 0 {
-		cfg = DefaultAcousticConfig()
-	}
-
-	// 1. The MCU produces the uplink frame (protocol layer).
-	up, err := target.HandleDownlink(protocol.Packet{
-		Cmd: protocol.CmdReadSensor, Target: handle, Payload: []byte{byte(st)},
-	}, env)
-	if err != nil {
-		return nil, err
-	}
-	if up == nil {
-		return nil, errors.New("reader: node stayed silent")
-	}
-	payload := up.Bits() // framed + CRC, as bits
-
-	// 2. The node backscatters pilot ‖ frame onto the incident carrier.
-	syn := waveform.NewSynth(cfg.SampleRate)
-	btx := phy.NewBackscatterTX(cfg.SampleRate)
-	btx.Bitrate = cfg.UplinkBitrate
-	bits := phy.PrependPilot(payload)
-	frameDur := float64(len(bits)) / btx.Bitrate
-	incident := syn.CBW(230e3, 1.0, frameDur+2e-3)
-	bs, err := btx.Modulate(bits, incident)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrAcousticDecode, err)
-	}
-
-	// 3. The backscatter traverses the concrete channel while the raw CBW
-	// leaks straight into the RX PZT at the configured coupling gain.
-	capture := ch.TransmitWithLeakageGain(bs, incident, cfg.LeakageGain)
-	// Normalise the capture so the decode chain sees a healthy amplitude
-	// regardless of absolute path gain (the reader's AGC).
-	if peak := dsp.MaxAbs(capture); peak > 0 {
-		scale := 1.0 / peak
-		for i := range capture {
-			capture[i] *= scale
-		}
-	}
-	if cfg.NoiseSigma > 0 {
-		dsp.NewNoiseSource(int64(handle)+7).AddAWGN(capture, cfg.NoiseSigma)
-	}
-
-	// 4. The reader chain: synchronise, down-convert, ML-decode, reframe.
-	rrx := phy.NewReaderRX(cfg.SampleRate)
-	rrx.Bitrate = cfg.UplinkBitrate
-	gotBits, err := rrx.DemodulateFrame(capture, len(payload))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrAcousticDecode, err)
-	}
-	return parseUplinkBits(gotBits, handle)
-}
-
 // parseUplinkBits reframes decoded payload bits, validates the sender, and
 // decodes the sensor values.
 func parseUplinkBits(bits []byte, handle uint16) ([]float64, error) {
@@ -151,7 +81,7 @@ func parseUplinkBits(bits []byte, handle uint16) ([]float64, error) {
 // settling headroom. The tail itself is measured per link from the channel's
 // last arrival — concrete links disperse over tens of milliseconds, and a
 // slot that clips the tail both leaks ISI into the next slot and starves
-// the receiver's window statistics of the energy the per-node path sees.
+// the receiver's window statistics of the frame's own multipath energy.
 const acousticSlotGuard = 8e-3
 
 // AcousticReadResult is one node's outcome of a batched acoustic round.
@@ -172,8 +102,8 @@ type AcousticReadResult struct {
 // the first an error result.
 //
 // The per-link modulate → transmit legs are independent (each link owns
-// its channel and noise source), so they fan out over conc.Queues, one
-// single-item queue per slot; their outputs are summed into the capture
+// its channel and noise source), so they fan out over conc.For, one item
+// per slot; their outputs are summed into the capture
 // serially in slot order, so the capture is bit-identical at any
 // GOMAXPROCS.
 func (r *Reader) AcousticReadRound(handles []uint16, st sensors.SensorType, cfg AcousticConfig) []AcousticReadResult {
@@ -255,15 +185,11 @@ func (r *Reader) AcousticReadRound(handles []uint16, st sensors.SensorType, cfg 
 	}
 
 	// One incident carrier spans the round; the CBW leakage couples into
-	// the RX across the whole capture, exactly as in the single-node path.
+	// the RX across the whole capture at the configured coupling gain.
 	incident := r.roundCarrier(syn, total)
 	ys := make([][]float64, len(plans))
 	errs := make([]error, len(plans))
-	queues := make([]int, len(plans))
-	for s := range queues {
-		queues[s] = 1
-	}
-	conc.Queues(queues, seed, func(s, _ int) {
+	conc.For(len(plans), func(s int) {
 		bs, err := btx.Modulate(plans[s].bits, incident[slots[s].Start+lead:])
 		if err != nil {
 			errs[s] = err
@@ -290,7 +216,8 @@ func (r *Reader) AcousticReadRound(handles []uint16, st sensors.SensorType, cfg 
 			capture[base+i] += v
 		}
 	}
-	// Round-wide AGC and capture noise, as in the single-node path.
+	// Round-wide AGC, so the decode chain sees a healthy amplitude
+	// regardless of absolute path gain, then the capture noise.
 	if peak := dsp.MaxAbs(capture); peak > 0 {
 		scale := 1.0 / peak
 		for i := range capture {

@@ -15,7 +15,7 @@ import (
 // the PIE-over-FSK drive waveform (§3.3), pushes it through every
 // deployed capsule's individual multipath channel, and lets each capsule's
 // envelope detector + timer-interrupt decoder recover the bits before the
-// MCU state machine consumes the packet. Together with AcousticReadSensor
+// MCU state machine consumes the packet. Together with AcousticReadRound
 // this closes the loop at waveform level in both directions.
 
 // BroadcastOutcome summarises a waveform-level command delivery.

@@ -12,12 +12,12 @@ import (
 	"ecocapsule/internal/sensors"
 )
 
-// TestAcousticReadRoundMatchesPerNodeReads: every slot of the batched TDMA
-// round must decode a CRC-valid frame from the right node — bit integrity
-// is enforced by the protocol CRC, so a corrupted slot cannot pass — and
-// the recovered values must agree with the per-node reference reads up to
-// the node's sensor measurement noise (each read is a fresh physical
-// sample, so exact equality is not expected).
+// TestAcousticReadRoundMatchesPerNodeReads: the 3-slot round matches three
+// 1-slot rounds. Every slot must decode a CRC-valid frame from the right
+// node — bit integrity is enforced by the protocol CRC, so a corrupted slot
+// cannot pass — and the recovered values must agree with the one-slot
+// reads up to the node's sensor measurement noise (each read is a fresh
+// physical sample, so exact equality is not expected).
 func TestAcousticReadRoundMatchesPerNodeReads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full acoustic pipeline integration case; run without -short to exercise it")
@@ -31,8 +31,8 @@ func TestAcousticReadRoundMatchesPerNodeReads(t *testing.T) {
 	})
 	// Positions sit on reliable links: this wall has standing-wave fades at
 	// ~0.2 m pitch (x=1.1 or 1.3 would land in one — the §3.5 fine-tuning
-	// motivation), and the round must be tested where the per-node reference
-	// itself decodes.
+	// motivation), and the round must be tested where the one-slot reads
+	// themselves decode.
 	handles := []uint16{0x41, 0x42, 0x43}
 	for i, h := range handles {
 		deployNode(t, r, h, 0.8+0.2*float64(i))
@@ -44,9 +44,9 @@ func TestAcousticReadRoundMatchesPerNodeReads(t *testing.T) {
 
 	want := make([][]float64, len(handles))
 	for i, h := range handles {
-		vals, err := r.AcousticReadSensor(h, sensors.TypeTempHumidity, cfg)
+		vals, err := acousticRead(r, h, sensors.TypeTempHumidity, cfg)
 		if err != nil {
-			t.Fatalf("per-node read %#04x: %v", h, err)
+			t.Fatalf("one-slot read %#04x: %v", h, err)
 		}
 		want[i] = vals
 	}
@@ -71,7 +71,7 @@ func TestAcousticReadRoundMatchesPerNodeReads(t *testing.T) {
 		tol := []float64{1.5, 8.5}
 		for j := range res.Values {
 			if math.Abs(res.Values[j]-want[i][j]) > tol[j] {
-				t.Errorf("slot %d value %d: batched %g vs per-node %g",
+				t.Errorf("slot %d value %d: batched %g vs one-slot %g",
 					i, j, res.Values[j], want[i][j])
 			}
 		}

@@ -10,7 +10,13 @@ import (
 	"ecocapsule/internal/sensors"
 )
 
-func TestAcousticReadSensorEndToEnd(t *testing.T) {
+// acousticRead is a waveform-level read of one node: a one-slot round.
+func acousticRead(r *Reader, h uint16, st sensors.SensorType, cfg AcousticConfig) ([]float64, error) {
+	res := r.AcousticReadRound([]uint16{h}, st, cfg)[0]
+	return res.Values, res.Err
+}
+
+func TestAcousticReadOneSlotEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full acoustic pipeline integration case; run without -short to exercise it")
 	}
@@ -28,7 +34,7 @@ func TestAcousticReadSensorEndToEnd(t *testing.T) {
 	if up := r.Charge(0.3); up != 1 {
 		t.Fatal("node failed to power up")
 	}
-	vals, err := r.AcousticReadSensor(0x31, sensors.TypeTempHumidity, DefaultAcousticConfig())
+	vals, err := acousticRead(r, 0x31, sensors.TypeTempHumidity, DefaultAcousticConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +69,7 @@ func TestAcousticReadAllSensorTypes(t *testing.T) {
 	for _, st := range []sensors.SensorType{
 		sensors.TypeTempHumidity, sensors.TypeStrain, sensors.TypeAccelerometer,
 	} {
-		vals, err := r.AcousticReadSensor(0x32, st, DefaultAcousticConfig())
+		vals, err := acousticRead(r, 0x32, st, DefaultAcousticConfig())
 		if err != nil {
 			t.Fatalf("%v: %v", st, err)
 		}
@@ -78,7 +84,7 @@ func TestAcousticReadUnknownNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.AcousticReadSensor(0x99, sensors.TypeStrain, DefaultAcousticConfig()); err == nil {
+	if _, err := acousticRead(r, 0x99, sensors.TypeStrain, DefaultAcousticConfig()); err == nil {
 		t.Error("unknown node must error")
 	}
 }
@@ -90,7 +96,7 @@ func TestAcousticReadUnpoweredNode(t *testing.T) {
 	}
 	deployNode(t, r, 0x33, 1.0)
 	// No Charge: the node is dormant, the MCU cannot answer.
-	if _, err := r.AcousticReadSensor(0x33, sensors.TypeStrain, DefaultAcousticConfig()); err == nil {
+	if _, err := acousticRead(r, 0x33, sensors.TypeStrain, DefaultAcousticConfig()); err == nil {
 		t.Error("dormant node must error")
 	}
 }
@@ -107,7 +113,7 @@ func TestAcousticReadHighNoiseFails(t *testing.T) {
 	r.Charge(0.3)
 	cfg := DefaultAcousticConfig()
 	cfg.NoiseSigma = 2.5 // drown the capture
-	_, err = r.AcousticReadSensor(0x34, sensors.TypeStrain, cfg)
+	_, err = acousticRead(r, 0x34, sensors.TypeStrain, cfg)
 	if err == nil {
 		t.Error("a drowned capture must fail to decode")
 	}
@@ -145,7 +151,7 @@ func TestAcousticReadAtHigherBitrate(t *testing.T) {
 	r.Charge(0.3)
 	acfg := DefaultAcousticConfig()
 	acfg.UplinkBitrate = 4000
-	vals, err := r.AcousticReadSensor(0x35, sensors.TypeTempHumidity, acfg)
+	vals, err := acousticRead(r, 0x35, sensors.TypeTempHumidity, acfg)
 	if err != nil {
 		t.Fatalf("4 kbps read through the block: %v", err)
 	}
@@ -163,7 +169,7 @@ func TestAcousticReadAtHigherBitrate(t *testing.T) {
 	deployNode(t, wallR, 0x36, 1.0)
 	wallR.Charge(0.3)
 	acfg.UplinkBitrate = 8000
-	if _, err := wallR.AcousticReadSensor(0x36, sensors.TypeTempHumidity, acfg); err == nil {
+	if _, err := acousticRead(wallR, 0x36, sensors.TypeTempHumidity, acfg); err == nil {
 		t.Error("8 kbps through the 20 m wall should fail: its delay spread exceeds the symbol window")
 	}
 }

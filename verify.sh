@@ -130,12 +130,14 @@ stage_done
 # Determinism contract at several GOMAXPROCS values: fault draws and span
 # IDs are keyed per capsule, so the fleet's one (parallel) schedule must
 # render byte-identical reports and span trees at any shard count and
-# processor count, faults and tracing included. The waveform round fans its
-# link transmits out over the pool and its FFT kernel fuses stages; both
-# must stay bit-identical to the serial, one-stage-per-pass results.
+# processor count, faults and tracing included. The pool itself (conc.Queues)
+# must hand every item to exactly one body on every queue shape production
+# uses. The waveform round fans its link transmits out over the pool and its
+# FFT kernel fuses stages; both must stay bit-identical to the serial,
+# one-stage-per-pass results.
 stage "keyed determinism (-race -count=2 -cpu 1,2,4)"
 go test -race -count=2 -cpu 1,2,4 -run 'Invariance|Keyed|Determinis' \
-	./internal/fleet ./internal/faultinject ./internal/telemetry
+	./internal/conc ./internal/fleet ./internal/faultinject ./internal/telemetry
 go test -race -count=2 -cpu 1,2,4 -run 'BitIdentical|Determinis' \
 	./internal/dsp ./internal/reader
 stage_done
