@@ -10,24 +10,24 @@ package channel
 // same structure, or running repeated decode rounds pays the expansion
 // once per distinct link.
 //
-// Keying & invalidation contract:
+// Keying contract:
 //
 //   - Keys are VALUE-derived snapshots: structure name, shape, dimensions,
 //     surface loss, a material fingerprint (name + density + wave speeds +
-//     attenuation + resonance), both endpoints, sample rate, carrier,
-//     prism angle, prism fingerprint, and reflection order. Mutating the
-//     geometry (resizing the structure, moving an endpoint, changing the
-//     carrier) therefore changes the key and naturally misses — a stale
-//     entry can never be returned for the new geometry.
+//     attenuation + resonance frequency and Q), both endpoints, sample
+//     rate, carrier, prism angle, prism fingerprint, and reflection order.
+//     Mutating the geometry in place (resizing the structure, editing its
+//     material, moving an endpoint, changing the carrier) therefore changes
+//     the key and misses — a stale entry can never be returned for the new
+//     geometry. The key is the only staleness guard; there is no
+//     invalidation API, and TestCacheKeyCoversEveryFloatField pins it over
+//     every exported float64 field of Structure and Material.
 //   - Entries are immutable once published. Channels built from an entry
 //     share its arrival slice and convolver; AddScatterers on such a
 //     channel copies-on-write (the sibling channels keep the clean
-//     response) and explicitly invalidates the entry, because scatterer
-//     state is channel-local and the cached clean response no longer
-//     represents this link.
-//   - Invalidate / InvalidateStructure drop entries eagerly for callers
-//     that mutate structures in place (the value key already protects
-//     correctness; eager dropping reclaims the memory).
+//     response) and drops the entry, because scatterer state is
+//     channel-local and the cached clean response no longer represents
+//     this link.
 //
 // Per-channel mutable state (the deterministic noise source, the
 // impairment hook) is never shared: every Channel gets its own.
@@ -49,6 +49,7 @@ type matKey struct {
 	density, vp, vs    float64
 	attenuation        float64
 	resonantFrequency  float64
+	resonanceQ         float64
 	compressiveStrenth float64
 }
 
@@ -63,6 +64,7 @@ func matKeyOf(m *material.Material) matKey {
 		vs:                 m.VS(),
 		attenuation:        m.AttenuationDBPerMeter,
 		resonantFrequency:  m.ResonantFrequency,
+		resonanceQ:         m.ResonanceQ,
 		compressiveStrenth: m.CompressiveStrength,
 	}
 }
@@ -202,31 +204,6 @@ func (cc *Cache) Channel(cfg Config) (*Channel, error) {
 	c.cache = cc
 	c.key = key
 	return c, nil
-}
-
-// Invalidate drops the entry for the given link config (normalised the
-// same way Channel normalises it). A no-op when the link is not cached.
-func (cc *Cache) Invalidate(cfg Config) {
-	cfg = normalize(cfg)
-	if cfg.Structure == nil {
-		return
-	}
-	cc.invalidateKey(keyOf(cfg))
-}
-
-// InvalidateStructure drops every cached link hosted by the named
-// structure — the bulk invalidation for in-place geometry edits.
-func (cc *Cache) InvalidateStructure(s *geometry.Structure) {
-	if s == nil {
-		return
-	}
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	for k := range cc.entries {
-		if k.structName == s.Name {
-			delete(cc.entries, k)
-		}
-	}
 }
 
 func (cc *Cache) invalidateKey(key cacheKey) {

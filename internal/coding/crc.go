@@ -34,21 +34,6 @@ func AppendCRC16(data []byte) []byte {
 	return append(data, byte(crc>>8), byte(crc))
 }
 
-// CRC5 implements the Gen2 CRC-5 used over Query commands: polynomial
-// x⁵+x³+1 (0x09), initial value 0b01001, computed over the bit string.
-func CRC5(bits []byte) byte {
-	reg := byte(0x09)
-	for _, b := range bits {
-		bit := b & 1
-		msb := (reg >> 4) & 1
-		reg = (reg << 1) & 0x1F
-		if msb^bit == 1 {
-			reg ^= 0x09
-		}
-	}
-	return reg & 0x1F
-}
-
 // BytesToBits expands bytes MSB-first into a slice of 0/1 bytes.
 func BytesToBits(data []byte) []byte {
 	bits := make([]byte, 0, len(data)*8)

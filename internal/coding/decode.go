@@ -8,9 +8,10 @@ import (
 
 // Validating decoder entry points. The raw decoders (FM0DecodeML,
 // MillerDecode, PIEConfig.Decode) assume well-formed sample buffers because
-// the simulation produces them; these wrappers are the boundary the rest of
-// the system — and the fuzzers — call with untrusted input. They must
-// reject garbage with an error and never panic.
+// the simulation produces them; production decodes through
+// FM0DecodeMLAppend on those buffers. These wrappers are the untrusted-input
+// boundary the fuzzers drive: they must reject garbage with an error and
+// never panic.
 
 // Errors returned by the validating decoders.
 var (

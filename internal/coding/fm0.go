@@ -163,15 +163,3 @@ func FM0DecodeMLAppend(dst []byte, halves []float64) []byte {
 }
 
 func sq(x float64) float64 { return x * x }
-
-// FM0TransitionValid checks the FM0 invariant on clean half-symbol levels:
-// the sign always inverts between the last half of one symbol and the first
-// half of the next.
-func FM0TransitionValid(halves []float64) bool {
-	for i := 2; i+1 < len(halves)+1 && i < len(halves); i += 2 {
-		if halves[i-1]*halves[i] > 0 {
-			return false
-		}
-	}
-	return true
-}

@@ -107,18 +107,6 @@ func (c PIEConfig) Decode(highDurations []float64) []byte {
 	return bits
 }
 
-// DecodeEdges extracts bits from a full edge sequence, ignoring the low
-// pulses and tolerating a leading low edge.
-func (c PIEConfig) DecodeEdges(edges []Edge) []byte {
-	var highs []float64
-	for _, e := range edges {
-		if e.High {
-			highs = append(highs, e.Duration)
-		}
-	}
-	return c.Decode(highs)
-}
-
 // Duration returns the total baseband time of the encoded bit sequence.
 func (c PIEConfig) Duration(bits []byte) float64 {
 	var d float64

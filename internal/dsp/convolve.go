@@ -97,13 +97,6 @@ func (c *Convolver) ApplyTo(out, x []float64) {
 	c.applyDirect(out, x)
 }
 
-// Apply is ApplyTo into a freshly allocated output slice.
-func (c *Convolver) Apply(x []float64) []float64 {
-	out := make([]float64, c.OutLen(len(x)))
-	c.ApplyTo(out, x)
-	return out
-}
-
 // Prime builds (if absent) the cached FFT plan and kernel spectrum an
 // n-sample input will use, without convolving anything. A caller that knows
 // its upcoming block length — a reader laying out a TDMA round, a cache
@@ -116,26 +109,6 @@ func (c *Convolver) Prime(n int) {
 	}
 	N, _ := c.blockPlan(n)
 	c.plan(N)
-}
-
-// ApplyDirect forces the sparse direct path (exported for equivalence tests
-// and the crossover guard).
-func (c *Convolver) ApplyDirect(x []float64) []float64 {
-	out := make([]float64, c.OutLen(len(x)))
-	if len(x) > 0 && len(c.offsets) > 0 {
-		c.applyDirect(out, x)
-	}
-	return out
-}
-
-// ApplyFFT forces the overlap-add path (exported for equivalence tests and
-// the crossover guard).
-func (c *Convolver) ApplyFFT(x []float64) []float64 {
-	out := make([]float64, c.OutLen(len(x)))
-	if len(x) > 0 && len(c.offsets) > 0 {
-		c.applyFFT(out, x)
-	}
-	return out
 }
 
 // fftFaster estimates both paths' cost in units of one tap multiply-add.

@@ -116,7 +116,7 @@ func TestCrossoverNeverFarFromBest(t *testing.T) {
 	} {
 		c := channelLikeKernel(tc.taps, tc.span)
 		x := convBenchSignal(tc.n)
-		c.ApplyFFT(x) // warm the plan cache
+		convolvePath(c, x, "fft") // warm the plan cache
 		direct := timePath(c, x, false)
 		fft := timePath(c, x, true)
 		chose, other := direct, fft

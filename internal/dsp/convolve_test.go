@@ -5,6 +5,24 @@ import (
 	"testing"
 )
 
+// convolvePath convolves x into a fresh OutLen(len(x)) slice: path "direct"
+// or "fft" forces that engine, anything else takes ApplyTo's cost-model pick.
+func convolvePath(c *Convolver, x []float64, path string) []float64 {
+	out := make([]float64, c.OutLen(len(x)))
+	if len(out) == 0 {
+		return out
+	}
+	switch path {
+	case "direct":
+		c.applyDirect(out, x)
+	case "fft":
+		c.applyFFT(out, x)
+	default:
+		c.ApplyTo(out, x)
+	}
+	return out
+}
+
 // naiveConvolve is the O(n·taps) reference both production paths are
 // checked against.
 func naiveConvolve(x []float64, offsets []int, gains []float64, outLen int) []float64 {
@@ -54,8 +72,8 @@ func TestConvolverEquivalenceProperty(t *testing.T) {
 			}
 		}
 		c := NewSparseConvolver(offs, gains)
-		direct := c.ApplyDirect(x)
-		fft := c.ApplyFFT(x)
+		direct := convolvePath(c, x, "direct")
+		fft := convolvePath(c, x, "fft")
 		if len(direct) != len(fft) || len(direct) != c.OutLen(n) {
 			t.Fatalf("case %d: length mismatch direct=%d fft=%d want=%d",
 				cse, len(direct), len(fft), c.OutLen(n))
@@ -91,9 +109,9 @@ func TestConvolverMatchesNaive(t *testing.T) {
 		c := NewSparseConvolver(offs, gains)
 		want := naiveConvolve(x, offs, gains, c.OutLen(tc.n))
 		for name, got := range map[string][]float64{
-			"direct": c.ApplyDirect(x),
-			"fft":    c.ApplyFFT(x),
-			"auto":   c.Apply(x),
+			"direct": convolvePath(c, x, "direct"),
+			"fft":    convolvePath(c, x, "fft"),
+			"auto":   convolvePath(c, x, "auto"),
 		} {
 			for i := range want {
 				if math.Abs(got[i]-want[i]) > 1e-9 {
@@ -126,7 +144,7 @@ func TestConvolverAccumulates(t *testing.T) {
 // TestConvolverEdgeCases covers empty inputs and degenerate kernels.
 func TestConvolverEdgeCases(t *testing.T) {
 	c := NewSparseConvolver([]int{5}, []float64{2})
-	if got := c.Apply(nil); got != nil && len(got) != 0 {
+	if got := convolvePath(c, nil, "auto"); len(got) != 0 {
 		t.Errorf("empty input produced %v", got)
 	}
 	if c.OutLen(0) != 0 {
@@ -139,7 +157,7 @@ func TestConvolverEdgeCases(t *testing.T) {
 		t.Errorf("taps=%d kernLen=%d", c.Taps(), c.KernelLen())
 	}
 	empty := NewSparseConvolver(nil, nil)
-	if got := empty.Apply([]float64{1, 2, 3}); len(got) != 0 {
+	if got := convolvePath(empty, []float64{1, 2, 3}, "auto"); len(got) != 0 {
 		t.Errorf("empty kernel produced %v", got)
 	}
 }
@@ -157,7 +175,7 @@ func TestConvolverPrime(t *testing.T) {
 	}
 
 	plain := NewSparseConvolver(offs, gains)
-	want := plain.Apply(x)
+	want := convolvePath(plain, x, "auto")
 
 	primed := NewSparseConvolver(offs, gains)
 	if !primed.fftFaster(n) {
@@ -172,7 +190,7 @@ func TestConvolverPrime(t *testing.T) {
 	plans := len(primed.plans)
 	primed.mu.Unlock()
 
-	got := primed.Apply(x)
+	got := convolvePath(primed, x, "auto")
 	if len(got) != len(want) {
 		t.Fatalf("primed output length %d, want %d", len(got), len(want))
 	}
@@ -185,7 +203,7 @@ func TestConvolverPrime(t *testing.T) {
 	after := len(primed.plans)
 	primed.mu.Unlock()
 	if after != plans {
-		t.Errorf("Apply after Prime built %d extra plans; Prime must cover the call", after-plans)
+		t.Errorf("ApplyTo after Prime built %d extra plans; Prime must cover the call", after-plans)
 	}
 
 	// Degenerate inputs: no plan may appear, no panic.

@@ -17,7 +17,6 @@ import "sync"
 
 // FIRFilter applies a fixed dense FIR kernel.
 type FIRFilter struct {
-	h    []float64
 	mid  int
 	conv *Convolver
 	// pool of *firScratch
@@ -42,16 +41,12 @@ func NewFIRFilter(h []float64) *FIRFilter {
 		offs[i] = i
 	}
 	f := &FIRFilter{
-		h:    append([]float64(nil), h...),
 		mid:  len(h) / 2,
 		conv: NewSparseConvolver(offs, h),
 	}
 	f.pool.New = func() any { return &firScratch{} }
 	return f
 }
-
-// Taps returns the kernel length.
-func (f *FIRFilter) Taps() int { return len(f.h) }
 
 // grow returns buf resized to n, reusing capacity.
 //
@@ -82,13 +77,6 @@ func (f *FIRFilter) ApplyTo(dst, x []float64) {
 	f.conv.ApplyTo(sc.full, x)
 	copy(dst[:len(x)], sc.full[f.mid:f.mid+len(x)])
 	f.pool.Put(sc)
-}
-
-// Apply is ApplyTo into a fresh slice, matching Convolve(x, h).
-func (f *FIRFilter) Apply(x []float64) []float64 {
-	out := make([]float64, len(x))
-	f.ApplyTo(out, x)
-	return out
 }
 
 // ApplyComplexTo filters the complex signal x with the real kernel into dst
@@ -123,12 +111,4 @@ func (f *FIRFilter) ApplyComplexTo(dst, x []complex128) {
 		dst[i] = complex(sc.full[f.mid+i], sc.fullIm[f.mid+i])
 	}
 	f.pool.Put(sc)
-}
-
-// ApplyComplex is ApplyComplexTo into a fresh slice, matching
-// ConvolveComplex(x, h).
-func (f *FIRFilter) ApplyComplex(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	f.ApplyComplexTo(out, x)
-	return out
 }

@@ -10,7 +10,7 @@ import (
 
 // TestFIRFilterMatchesConvolve is the equivalence guard of the fast FIR
 // path: over seeded random kernels and signal lengths spanning the direct
-// and FFT regimes, FIRFilter.Apply must match the reference Convolve within
+// and FFT regimes, FIRFilter.ApplyTo must match the reference Convolve within
 // 1e-9 sample for sample.
 func TestFIRFilterMatchesConvolve(t *testing.T) {
 	for _, taps := range []int{1, 3, 21, 101} {
@@ -25,7 +25,8 @@ func TestFIRFilterMatchesConvolve(t *testing.T) {
 				x[i] = src.Gaussian(1)
 			}
 			f := NewFIRFilter(h)
-			got := f.Apply(x)
+			got := make([]float64, n)
+			f.ApplyTo(got, x)
 			want := Convolve(x, h)
 			if len(got) != len(want) {
 				t.Fatalf("taps=%d n=%d: length %d vs %d", taps, n, len(got), len(want))
@@ -51,7 +52,8 @@ func TestFIRFilterMatchesConvolveComplex(t *testing.T) {
 			x[i] = complex(src.Gaussian(1), src.Gaussian(1))
 		}
 		f := NewFIRFilter(h)
-		got := f.ApplyComplex(x)
+		got := make([]complex128, n)
+		f.ApplyComplexTo(got, x)
 		want := ConvolveComplex(x, h)
 		for i := range got {
 			if d := cmplx.Abs(got[i] - want[i]); d > 1e-9 {
@@ -63,12 +65,9 @@ func TestFIRFilterMatchesConvolveComplex(t *testing.T) {
 
 func TestFIRFilterEmptyInput(t *testing.T) {
 	f := NewFIRFilter([]float64{1, 2, 1})
-	if out := f.Apply(nil); len(out) != 0 {
-		t.Errorf("Apply(nil) = %v", out)
-	}
-	if out := f.ApplyComplex(nil); len(out) != 0 {
-		t.Errorf("ApplyComplex(nil) = %v", out)
-	}
+	// Empty input is a no-op even with no output buffer to write.
+	f.ApplyTo(nil, nil)
+	f.ApplyComplexTo(nil, nil)
 }
 
 func TestNewFIRFilterPanicsOnEmptyKernel(t *testing.T) {
@@ -181,24 +180,24 @@ func TestConvolverDegenerateInputs(t *testing.T) {
 	if got := empty.OutLen(100); got != 0 {
 		t.Errorf("empty kernel OutLen(100) = %d, want 0", got)
 	}
-	if out := empty.Apply([]float64{1, 2, 3}); len(out) != 0 {
-		t.Errorf("empty kernel Apply = %v", out)
+	if out := convolvePath(empty, []float64{1, 2, 3}, "auto"); len(out) != 0 {
+		t.Errorf("empty kernel ApplyTo = %v", out)
 	}
 
 	single := NewSparseConvolver([]int{0}, []float64{2})
 	if got := single.OutLen(0); got != 0 {
 		t.Errorf("OutLen(0) = %d, want 0", got)
 	}
-	if out := single.Apply(nil); len(out) != 0 {
-		t.Errorf("Apply(nil) = %v", out)
+	if out := convolvePath(single, nil, "auto"); len(out) != 0 {
+		t.Errorf("ApplyTo(nil) = %v", out)
 	}
-	out := single.Apply([]float64{3})
+	out := convolvePath(single, []float64{3}, "auto")
 	if len(out) != 1 || math.Abs(out[0]-6) > 1e-12 {
-		t.Errorf("single-tap Apply([3]) = %v, want [6]", out)
+		t.Errorf("single-tap ApplyTo([3]) = %v, want [6]", out)
 	}
 	// Force both paths on the n=1 input; they must agree.
-	d := single.ApplyDirect([]float64{3})
-	f := single.ApplyFFT([]float64{3})
+	d := convolvePath(single, []float64{3}, "direct")
+	f := convolvePath(single, []float64{3}, "fft")
 	if math.Abs(d[0]-f[0]) > 1e-9 {
 		t.Errorf("n=1 direct %g vs fft %g", d[0], f[0])
 	}

@@ -1,9 +1,6 @@
 package dsp
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // NoiseSource generates deterministic Gaussian noise for the channel
 // simulator. Every experiment seeds its own source so runs are reproducible.
@@ -35,32 +32,4 @@ func (n *NoiseSource) AddAWGN(x []float64, sigma float64) []float64 {
 		x[i] += n.Gaussian(sigma)
 	}
 	return x
-}
-
-// SigmaForSNR computes the noise standard deviation that yields the target
-// SNR (dB) against a signal of the given RMS amplitude.
-func SigmaForSNR(signalRMS, snrDB float64) float64 {
-	if signalRMS <= 0 {
-		return 0
-	}
-	return signalRMS / math.Pow(10, snrDB/20)
-}
-
-// MeasureSNR estimates the SNR (dB) of signal+noise y against a clean
-// reference x of the same length: SNR = power(x) / power(y−x).
-func MeasureSNR(x, y []float64) float64 {
-	n := len(x)
-	if n == 0 || len(y) != n {
-		return math.Inf(-1)
-	}
-	var ps, pn float64
-	for i := range x {
-		ps += x[i] * x[i]
-		d := y[i] - x[i]
-		pn += d * d
-	}
-	if pn == 0 {
-		return math.Inf(1)
-	}
-	return 10 * math.Log10(ps/pn)
 }

@@ -6,9 +6,7 @@ import (
 	"sort"
 
 	"ecocapsule/internal/channel"
-	"ecocapsule/internal/dsp"
 	"ecocapsule/internal/geometry"
-	"ecocapsule/internal/link"
 	"ecocapsule/internal/material"
 	"ecocapsule/internal/units"
 )
@@ -256,9 +254,3 @@ func maxOf(xs []float64) float64 {
 	}
 	return m
 }
-
-// quiet the unused-import guard for link/dsp which later runners use.
-var (
-	_ = link.EcoCapsuleProfile
-	_ = dsp.Mean
-)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -224,34 +223,4 @@ func TestFlakyRWDropsAfterBudget(t *testing.T) {
 			t.Fatalf("healthy write: %v", err)
 		}
 	}
-}
-
-func TestFlapTicksUntilStopped(t *testing.T) {
-	stop := make(chan struct{})
-	var mu sync.Mutex
-	ticks := 0
-	Flap(stop, time.Millisecond, func(int) {
-		mu.Lock()
-		ticks++
-		mu.Unlock()
-	})
-	//ecolint:ignore determinism test-harness timeout guard; wall clock never reaches the fault plan
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		mu.Lock()
-		n := ticks
-		mu.Unlock()
-		if n >= 3 {
-			break
-		}
-		//ecolint:ignore determinism test-harness timeout guard; wall clock never reaches the fault plan
-		if time.Now().After(deadline) {
-			t.Fatal("flapper never ticked")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(stop)
-	// No-op configurations must not spin up anything.
-	Flap(stop, 0, func(int) {})
-	Flap(stop, time.Millisecond, nil)
 }

@@ -651,39 +651,6 @@ func (f *Fleet) Coverage() []int {
 	return out
 }
 
-// CoverageReport is the per-capsule view of who serves whom — the fleet's
-// answer to "what are we still monitoring" after stations fail.
-type CoverageReport struct {
-	Stations     int
-	DeadStations []int
-	// PerStation counts the capsules each station serves best.
-	PerStation []int
-	// Orphans lists capsules no alive station reaches.
-	Orphans []uint16
-}
-
-// Degraded reports whether coverage is below the designed deployment.
-func (c CoverageReport) Degraded() bool {
-	return len(c.DeadStations) > 0 || len(c.Orphans) > 0
-}
-
-// CoverageReport builds the current coverage view as one consistent
-// snapshot: the route read lock excludes kill/revive for the whole
-// assembly.
-func (f *Fleet) CoverageReport() CoverageReport {
-	snap := f.snapshotRouting()
-	rep := CoverageReport{
-		Stations:     len(f.readers),
-		DeadStations: snap.dead,
-		PerStation:   make([]int, len(f.readers)),
-		Orphans:      snap.orphans,
-	}
-	for _, idx := range snap.best {
-		rep.PerStation[idx]++
-	}
-	return rep
-}
-
 // routeSnapshot is one torn-proof copy of the fleet's routing state: every
 // field is collected under a single route read-lock acquisition (shard
 // locks taken in index order inside it), and kill/revive write the same

@@ -17,29 +17,34 @@ func surveyEnv(pos geometry.Vec3) sensors.Environment {
 	}
 }
 
+// coverageDegraded reports whether routing, read as one snapshot, has a
+// dead station or an orphaned capsule.
+func coverageDegraded(f *Fleet) bool {
+	snap := f.snapshotRouting()
+	return len(snap.dead) > 0 || len(snap.orphans) > 0
+}
+
 func TestKillStationReroutesAndRevives(t *testing.T) {
 	f, _ := wallFleet(t)
 	if f.AliveStations() != f.Stations() {
 		t.Fatalf("fresh fleet: %d/%d alive", f.AliveStations(), f.Stations())
 	}
 	victim := f.BestStation(0x80)
-	before := f.CoverageReport()
-	if before.Degraded() {
+	if coverageDegraded(f) {
 		t.Fatal("fresh fleet must not be degraded")
 	}
 	f.KillStation(victim)
 	if f.StationAlive(victim) {
 		t.Fatal("killed station still alive")
 	}
-	after := f.CoverageReport()
-	if !after.Degraded() {
+	if !coverageDegraded(f) {
 		t.Error("coverage with a dead station must be degraded")
 	}
 	if got := f.BestStation(0x80); got == victim {
 		t.Errorf("capsule 0x80 still routed to dead station %d", got)
 	}
 	f.ReviveStation(victim)
-	if !f.StationAlive(victim) || f.CoverageReport().Degraded() {
+	if !f.StationAlive(victim) || coverageDegraded(f) {
 		t.Error("revive must restore full coverage")
 	}
 	if got := f.BestStation(0x80); got != victim {

@@ -208,7 +208,7 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 			fmt.Sprintf("reporting %d/%d, dead stations %d, missing %d, orphans %d",
 				rep.Reporting, rep.Expected, len(rep.DeadStations), len(rep.Missing), len(rep.Orphans)))
 		// A degraded survey is exactly the moment an operator wants the
-		// black box: dump the recent event ring through the installed sink.
+		// black box: snapshot the recent event ring as the last dump.
 		telemetry.Flight().Dump("fleet: survey degraded")
 	} else {
 		mSurveys.With("full").Inc()

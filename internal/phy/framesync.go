@@ -2,10 +2,8 @@ package phy
 
 import (
 	"errors"
-	"math"
 
 	"ecocapsule/internal/coding"
-	"ecocapsule/internal/dsp"
 )
 
 // Frame synchronisation for the uplink. The node prefixes every FM0 frame
@@ -29,137 +27,6 @@ func pilotTemplate() []float64 {
 
 // ErrNoSync is returned when the pilot cannot be located.
 var ErrNoSync = errors.New("phy: pilot correlation found no frame start")
-
-// SynchronizeReference locates the start sample of a pilot-prefixed FM0
-// frame in a raw pass-band capture. It down-converts around the estimated
-// carrier, strips the CBW pedestal, and slides the pilot template over the
-// magnitude baseband. searchLimit bounds the candidate start (samples);
-// zero means half the capture. This is the original implementation, kept
-// as the slow reference the fast Synchronize is equivalence-tested against.
-func (rx *ReaderRX) SynchronizeReference(signal []float64, searchLimit int) (int, error) {
-	fc, err := rx.EstimateCarrier(signal)
-	if err != nil {
-		return 0, err
-	}
-	ac := rx.basebandAC(signal, fc)
-	half := rx.SampleRate / (2 * rx.Bitrate)
-	if half < 1 {
-		return 0, errors.New("phy: bitrate too high for the sample rate")
-	}
-	tmpl := pilotTemplate()
-	tmplLen := int(float64(len(tmpl)) * half)
-	if searchLimit <= 0 {
-		searchLimit = len(ac) / 2
-	}
-	if searchLimit+tmplLen > len(ac) {
-		searchLimit = len(ac) - tmplLen
-	}
-	if searchLimit <= 0 {
-		return 0, ErrNoSync
-	}
-	// Coarse-to-fine sliding correlation: integrate the capture per
-	// half-symbol at each candidate offset. Step a quarter half-symbol.
-	step := int(half / 4)
-	if step < 1 {
-		step = 1
-	}
-	best, bestScore := -1, 0.0
-	for start := 0; start <= searchLimit; start += step {
-		score := pilotScore(ac, tmpl, start, half)
-		if score > bestScore {
-			best, bestScore = start, score
-		}
-	}
-	if best < 0 {
-		return 0, ErrNoSync
-	}
-	// Fine pass around the coarse winner.
-	lo := best - step
-	if lo < 0 {
-		lo = 0
-	}
-	hi := best + step
-	if hi > searchLimit {
-		hi = searchLimit
-	}
-	for start := lo; start <= hi; start++ {
-		score := pilotScore(ac, tmpl, start, half)
-		if score > bestScore {
-			best, bestScore = start, score
-		}
-	}
-	// Accept only a genuinely pilot-shaped alignment: the normalised
-	// (cosine) correlation between the per-half integral vector and the
-	// template is ≈1 at the true offset but stays well below it for
-	// carrier-only captures, noise, or partial data-region alignments.
-	if bestScore <= 0 || pilotCosine(ac, tmpl, best, half) < 0.72 {
-		return 0, ErrNoSync
-	}
-	return best, nil
-}
-
-// pilotScore correlates the per-half integrals against the template.
-func pilotScore(ac []float64, tmpl []float64, start int, half float64) float64 {
-	var score float64
-	for h, level := range tmpl {
-		a := start + int(float64(h)*half)
-		b := start + int(float64(h+1)*half)
-		if b > len(ac) {
-			return -1
-		}
-		score += level * dsp.Mean(ac[a:b])
-	}
-	return score
-}
-
-// pilotCosine is the normalised correlation (cosine similarity) between
-// the per-half integral vector at the offset and the pilot template.
-func pilotCosine(ac []float64, tmpl []float64, start int, half float64) float64 {
-	var dot, vv float64
-	for h, level := range tmpl {
-		a := start + int(float64(h)*half)
-		b := start + int(float64(h+1)*half)
-		if b > len(ac) {
-			return 0
-		}
-		v := dsp.Mean(ac[a:b])
-		dot += level * v
-		vv += v * v
-	}
-	if vv == 0 {
-		return 0
-	}
-	// |tmpl| = √len because every template entry is ±1.
-	return dot / (math.Sqrt(vv) * math.Sqrt(float64(len(tmpl))))
-}
-
-// DemodulateFrameReference synchronises on the pilot and decodes nBits
-// payload bits that follow it, returning the payload (pilot stripped). It
-// composes the two reference stages — so the receive front-end runs twice,
-// once per stage — and is retained (without telemetry) as the slow
-// reference for the fast DemodulateFrame's equivalence battery.
-func (rx *ReaderRX) DemodulateFrameReference(signal []float64, nBits int) ([]byte, error) {
-	start, err := rx.SynchronizeReference(signal, 0)
-	if err != nil {
-		return nil, err
-	}
-	total := len(PilotBits) + nBits
-	bits, err := rx.DemodulateReference(signal, start, total)
-	if err != nil {
-		return nil, err
-	}
-	// Validate the pilot decoded correctly (tolerate one bit slip).
-	errs := 0
-	for i, b := range PilotBits {
-		if bits[i] != b {
-			errs++
-		}
-	}
-	if errs > len(PilotBits)/3 {
-		return nil, ErrNoSync
-	}
-	return bits[len(PilotBits):], nil
-}
 
 // PrependPilot returns pilot ‖ payload for transmission.
 func PrependPilot(payload []byte) []byte {

@@ -42,7 +42,7 @@ func TestSynchronizeFindsFrameStart(t *testing.T) {
 	lead := 3.0 // ms
 	rx := buildCapture(t, payload, lead, 0.01, 1)
 	rrx := NewReaderRX(fs)
-	start, err := rrx.Synchronize(rx, 0)
+	start, err := rrx.synchronize(rx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestSynchronizeRejectsCarrierOnly(t *testing.T) {
 	syn := waveform.NewSynth(fs)
 	rx := syn.CBW(230e3, 0.4, 20e-3)
 	dsp.NewNoiseSource(3).AddAWGN(rx, 0.005)
-	if _, err := NewReaderRX(fs).Synchronize(rx, 0); err == nil {
+	if _, err := NewReaderRX(fs).synchronize(rx, 0); err == nil {
 		t.Error("carrier-only capture must fail to sync")
 	}
 }
@@ -92,7 +92,7 @@ func TestSynchronizeRejectsCarrierOnly(t *testing.T) {
 func TestSynchronizeShortCapture(t *testing.T) {
 	syn := waveform.NewSynth(fs)
 	rx := syn.CBW(230e3, 1, 0.5e-3)
-	if _, err := NewReaderRX(fs).Synchronize(rx, 0); err == nil {
+	if _, err := NewReaderRX(fs).synchronize(rx, 0); err == nil {
 		t.Error("capture shorter than the pilot must fail")
 	}
 }

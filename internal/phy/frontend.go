@@ -1,10 +1,11 @@
 package phy
 
-// Fast uplink decode path. The reference chain (SynchronizeReference /
-// DemodulateReference / DemodulateFrameReference) runs the whole receive
-// front-end — carrier estimation, down-conversion, moving-baseline removal,
-// principal-axis projection — once for synchronisation and AGAIN for
-// demodulation, with a per-sample Sincos mixer and an O(n·taps) direct FIR.
+// Fast uplink decode path. The reference chain in reference_test.go
+// (synchronizeReference / demodulateReference / demodulateFrameReference)
+// runs the whole receive front-end — carrier estimation, down-conversion,
+// moving-baseline removal, principal-axis projection — once for
+// synchronisation and AGAIN for demodulation, with a per-sample Sincos
+// mixer and an O(n·taps) direct FIR.
 // This file computes that front-end exactly once per capture into pooled
 // scratch, rides the dsp fast kernels (packed real-input FFT, plan-cached
 // overlap-add FIR, chunked-recurrence mixer), and matched-filters the
@@ -14,9 +15,9 @@ package phy
 // Equivalence contract (guarded by frontend_equiv_test.go): the fast
 // baseband differs from the reference only by float reassociation in the
 // mixer and the FIR (≤1e-9 per sample); decoded symbols match the reference
-// bit for bit across the seeded battery. The public Synchronize /
-// Demodulate / DemodulateFrame entry points below ARE the fast path — the
-// reference implementations stay exported for the tests.
+// bit for bit across the seeded battery. DemodulateFrame,
+// DemodulateFrameInto and DemodulateSlots are the production entry points;
+// the reference chain lives only in the tests.
 
 import (
 	"errors"
@@ -77,7 +78,7 @@ type feScratch struct {
 	bb     []complex128 // low-passed complex baseband
 	preC   []complex128 // complex prefix sums for the moving baseline
 	mag    []float64    // |bb| for the envelope anchor
-	ac     []float64    // projected real baseband (== basebandAC within 1e-9)
+	ac     []float64    // projected real baseband (== reference basebandAC within 1e-9)
 	pre    []float64    // prefix sums of ac: pre[i] = Σ ac[:i]
 	halves []float64    // integrate-and-dump matched-filter outputs
 	bits   []byte       // decoded frame bits (pilot + payload)
@@ -104,9 +105,10 @@ func growC(b []complex128, n int) []complex128 {
 	return b[:n]
 }
 
-// estimateCarrierFast reproduces EstimateCarrier (PeakFrequency over the
-// zero-padded spectrum) bit for bit, but through the pooled scratch and the
-// cached real-input FFT plan instead of fresh spectrum slices.
+// estimateCarrierFast reproduces the reference carrier estimate
+// (PeakFrequency over the zero-padded spectrum) bit for bit, but through
+// the pooled scratch and the cached real-input FFT plan instead of fresh
+// spectrum slices.
 //
 //ecolint:hotpath runs once per capture on pooled scratch and the shared RFFT plan
 func (rx *ReaderRX) estimateCarrierFast(sc *feScratch, signal []float64) (float64, error) {
@@ -143,7 +145,7 @@ func (rx *ReaderRX) estimateCarrierFast(sc *feScratch, signal []float64) (float6
 }
 
 // frontEnd fills sc with the shared decode state for the capture: carrier
-// estimate, projected baseband ac (the basebandAC equivalent within 1e-9),
+// estimate, projected baseband ac (the reference basebandAC within 1e-9),
 // and the ac prefix sums every matched-filter window reads from.
 //
 //ecolint:hotpath the once-per-capture front-end; all buffers come from pooled scratch
@@ -235,9 +237,9 @@ func (sc *feScratch) meanWindow(a, b int) float64 {
 	return (sc.pre[b] - sc.pre[a]) / float64(b-a)
 }
 
-// pilotScoreFast mirrors pilotScore with O(1) window integrals; hi bounds
-// the last sample the correlation may touch (the window end for slots, the
-// capture end otherwise).
+// pilotScoreFast mirrors the reference pilotScore with O(1) window
+// integrals; hi bounds the last sample the correlation may touch (the
+// window end for slots, the capture end otherwise).
 func (sc *feScratch) pilotScoreFast(start int, half float64, hi int) float64 {
 	var score float64
 	for h, level := range pilotHalves {
@@ -251,7 +253,7 @@ func (sc *feScratch) pilotScoreFast(start int, half float64, hi int) float64 {
 	return score
 }
 
-// pilotCosineFast mirrors pilotCosine on the prefix sums.
+// pilotCosineFast mirrors the reference pilotCosine on the prefix sums.
 func (sc *feScratch) pilotCosineFast(start int, half float64, hi int) float64 {
 	var dot, vv float64
 	for h, level := range pilotHalves {
@@ -271,7 +273,7 @@ func (sc *feScratch) pilotCosineFast(start int, half float64, hi int) float64 {
 }
 
 // syncWindow locates the pilot inside ac[lo:hi) with the same
-// coarse-to-fine search and acceptance rule as SynchronizeReference;
+// coarse-to-fine search and acceptance rule as synchronizeReference;
 // searchLimit bounds the candidate start relative to lo (≤0 means half the
 // window).
 //
@@ -327,7 +329,7 @@ func (rx *ReaderRX) syncWindow(sc *feScratch, lo, hi, searchLimit int) (int, err
 }
 
 // demodWindow integrates the half-symbols of nBits bits starting at sample
-// start (bounded by hi), normalises, and decodes — DemodulateReference's
+// start (bounded by hi), normalises, and decodes — demodulateReference's
 // back half on the shared front-end. FM0 bits are appended to dst through
 // the pooled trellis decoder, so warm calls allocate nothing.
 //
@@ -372,44 +374,10 @@ func (rx *ReaderRX) demodWindow(sc *feScratch, dst []byte, start, nBits, hi int)
 	return coding.FM0DecodeMLAppend(dst, halves), nil
 }
 
-// Synchronize locates the start sample of a pilot-prefixed FM0 frame in a
-// raw pass-band capture, running the shared fast front-end once.
-// searchLimit bounds the candidate start (samples); zero means half the
-// capture. Equal to SynchronizeReference on every capture the equivalence
-// battery draws.
-//
-//ecolint:hotpath fast-path entry point; pooled scratch end to end
-func (rx *ReaderRX) Synchronize(signal []float64, searchLimit int) (int, error) {
-	sc := fePool.Get().(*feScratch)
-	defer fePool.Put(sc)
-	if _, err := rx.frontEnd(sc, signal); err != nil {
-		return 0, err
-	}
-	return rx.syncWindow(sc, 0, sc.n, searchLimit)
-}
-
-// Demodulate recovers the FM0 bit stream from a raw reader capture that
-// contains nBits bits starting at sample offset start. This is the fast
-// equivalent of DemodulateReference (bit-identical decoded symbols across
-// the seeded battery).
-//
-//ecolint:hotpath fast-path entry point; pooled scratch end to end
-func (rx *ReaderRX) Demodulate(signal []float64, start, nBits int) ([]byte, error) {
-	if nBits <= 0 {
-		return nil, errNBitsNotPositive
-	}
-	sc := fePool.Get().(*feScratch)
-	defer fePool.Put(sc)
-	if _, err := rx.frontEnd(sc, signal); err != nil {
-		return nil, err
-	}
-	return rx.demodWindow(sc, nil, start, nBits, sc.n)
-}
-
 // DemodulateFrame synchronises on the pilot and decodes nBits payload bits
 // that follow it, returning the payload (pilot stripped). The front-end —
-// previously run twice, once inside Synchronize and once inside
-// Demodulate — runs exactly once here.
+// which the reference chain runs twice, once to synchronise and once to
+// demodulate — runs exactly once here.
 func (rx *ReaderRX) DemodulateFrame(signal []float64, nBits int) ([]byte, error) {
 	return rx.DemodulateFrameInto(nil, signal, nBits)
 }
@@ -491,7 +459,7 @@ type SlotBits struct {
 // baseline removal, projection, prefix sums) runs once over the whole
 // capture, and each slot's pilot search and matched-filter demodulation are
 // strided reads of the shared prefix sums. Decoded payloads match the
-// per-slot reference decode (DemodulateFrameReference over each slot's
+// per-slot reference decode (demodulateFrameReference over each slot's
 // sub-capture) bit for bit on every slot both paths decode — guarded by the
 // equivalence battery.
 //

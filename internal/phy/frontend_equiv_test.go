@@ -79,14 +79,14 @@ func TestFastDecodeMatchesReferenceBattery(t *testing.T) {
 		capture := buildCaptureAt(t, 250e3, 60e3, payload, lead, sigma, int64(trial))
 		rx := equivRX()
 
-		refStart, refSyncErr := rx.SynchronizeReference(capture, 0)
-		gotStart, gotSyncErr := rx.Synchronize(capture, 0)
+		refStart, refSyncErr := rx.synchronizeReference(capture, 0)
+		gotStart, gotSyncErr := rx.synchronize(capture, 0)
 		if (refSyncErr == nil) != (gotSyncErr == nil) || gotStart != refStart {
 			t.Fatalf("trial %d: sync fast (%d, %v) != reference (%d, %v)",
 				trial, gotStart, gotSyncErr, refStart, refSyncErr)
 		}
 
-		refBits, refErr := rx.DemodulateFrameReference(capture, nBits)
+		refBits, refErr := rx.demodulateFrameReference(capture, nBits)
 		gotBits, gotErr := rx.DemodulateFrame(capture, nBits)
 		if (refErr == nil) != (gotErr == nil) {
 			t.Fatalf("trial %d: frame err fast %v != reference %v", trial, gotErr, refErr)
@@ -100,8 +100,8 @@ func TestFastDecodeMatchesReferenceBattery(t *testing.T) {
 
 		if refSyncErr == nil {
 			// Direct Demodulate at an explicit offset must agree too.
-			refRaw, e1 := rx.DemodulateReference(capture, refStart, nBits)
-			gotRaw, e2 := rx.Demodulate(capture, refStart, nBits)
+			refRaw, e1 := rx.demodulateReference(capture, refStart, nBits)
+			gotRaw, e2 := rx.demodulate(capture, refStart, nBits)
 			if (e1 == nil) != (e2 == nil) || !bytes.Equal(gotRaw, refRaw) {
 				t.Fatalf("trial %d: Demodulate fast (%v,%v) != reference (%v,%v)",
 					trial, gotRaw, e2, refRaw, e1)
@@ -120,7 +120,7 @@ func TestFastBasebandWithin1e9(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		capture := buildCaptureAt(t, 250e3, 60e3, []byte{1, 0, 1, 1, 0, 0, 1, 0}, 2e-3, 0.02, seed)
 		rx := equivRX()
-		fcRef, err := rx.EstimateCarrier(capture)
+		fcRef, err := rx.estimateCarrier(capture)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +158,7 @@ func TestFastDecodeMatchesReferenceFullRate(t *testing.T) {
 		payload := []byte{1, 0, 0, 1, 1, 0, 1, 0}
 		capture := buildCaptureAt(t, fs, 230e3, payload, 2e-3, 0.01, seed)
 		rx := NewReaderRX(fs)
-		refBits, refErr := rx.DemodulateFrameReference(capture, len(payload))
+		refBits, refErr := rx.demodulateFrameReference(capture, len(payload))
 		gotBits, gotErr := rx.DemodulateFrame(capture, len(payload))
 		if (refErr == nil) != (gotErr == nil) || !bytes.Equal(gotBits, refBits) {
 			t.Fatalf("seed %d: fast (%v,%v) != reference (%v,%v)",
@@ -172,7 +172,7 @@ func TestFastDecodeMatchesReferenceFullRate(t *testing.T) {
 
 // TestDemodulateSlotsMatchesPerSlotReference builds a multi-slot TDMA round
 // capture and checks the batched decode against the per-slot reference —
-// DemodulateFrameReference over each slot's sub-capture — bit for bit.
+// demodulateFrameReference over each slot's sub-capture — bit for bit.
 func TestDemodulateSlotsMatchesPerSlotReference(t *testing.T) {
 	const (
 		fsHz   = 250e3
@@ -221,7 +221,7 @@ func TestDemodulateSlotsMatchesPerSlotReference(t *testing.T) {
 			t.Fatalf("round %d: %d results for %d slots", round, len(got), nSlots)
 		}
 		for s, sl := range slots {
-			want, refErr := rx.DemodulateFrameReference(capture[sl.Start:sl.Start+sl.Len], nBits)
+			want, refErr := rx.demodulateFrameReference(capture[sl.Start:sl.Start+sl.Len], nBits)
 			if refErr != nil {
 				t.Fatalf("round %d slot %d: reference decode failed: %v", round, s, refErr)
 			}

@@ -128,7 +128,7 @@ func TestBackscatterModulateRoundTrip(t *testing.T) {
 	dsp.NewNoiseSource(5).AddAWGN(rxSig, 0.01)
 
 	rrx := NewReaderRX(fs)
-	got, err := rrx.Demodulate(rxSig, 0, len(bits))
+	got, err := rrx.demodulate(rxSig, 0, len(bits))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestEstimateCarrier(t *testing.T) {
 	syn := waveform.NewSynth(fs)
 	sig := syn.CBW(228e3, 1, 8e-3)
 	rx := NewReaderRX(fs)
-	f, err := rx.EstimateCarrier(sig)
+	f, err := rx.estimateCarrier(sig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestEstimateCarrierNotFound(t *testing.T) {
 	// bin is noise; with a pure out-of-band tone the in-band bins are tiny
 	// but non-zero. Use silence to force the 0 return.
 	silence := make([]float64, 4096)
-	if _, err := rx.EstimateCarrier(silence); err == nil {
+	if _, err := rx.estimateCarrier(silence); err == nil {
 		// A zero signal yields magnitude 0 everywhere; PeakFrequency
 		// returns the first bin in range, which is non-zero frequency, so
 		// this may still "succeed". Accept either but ensure Demodulate
@@ -180,17 +180,17 @@ func TestEstimateCarrierNotFound(t *testing.T) {
 
 func TestDemodulateValidation(t *testing.T) {
 	rx := NewReaderRX(fs)
-	if _, err := rx.Demodulate(make([]float64, 1000), 0, 0); err == nil {
+	if _, err := rx.demodulate(make([]float64, 1000), 0, 0); err == nil {
 		t.Error("nBits=0 must error")
 	}
 	syn := waveform.NewSynth(fs)
 	sig := syn.CBW(230e3, 1, 1e-3)
-	if _, err := rx.Demodulate(sig, 0, 100); err == nil {
+	if _, err := rx.demodulate(sig, 0, 100); err == nil {
 		t.Error("capture shorter than frame must error")
 	}
 	tooFast := NewReaderRX(fs)
 	tooFast.Bitrate = 1e9
-	if _, err := tooFast.Demodulate(sig, 0, 4); err == nil {
+	if _, err := tooFast.demodulate(sig, 0, 4); err == nil {
 		t.Error("bitrate above sample rate must error")
 	}
 }
@@ -370,7 +370,7 @@ func TestBackscatterMillerRoundTrip(t *testing.T) {
 	dsp.NewNoiseSource(12).AddAWGN(rxSig, 0.02)
 	rrx := NewReaderRX(fs)
 	rrx.Coding = CodingMiller4
-	got, err := rrx.Demodulate(rxSig, 0, len(bits))
+	got, err := rrx.demodulate(rxSig, 0, len(bits))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestBackscatterMillerSurvivesMoreNoiseThanFM0(t *testing.T) {
 		dsp.NewNoiseSource(seed).AddAWGN(rxSig, sigma)
 		rrx := NewReaderRX(fs)
 		rrx.Coding = c
-		got, err := rrx.Demodulate(rxSig, 0, len(bits))
+		got, err := rrx.demodulate(rxSig, 0, len(bits))
 		if err != nil {
 			return len(bits)
 		}

@@ -120,140 +120,6 @@ func NewReaderRX(fs float64) *ReaderRX {
 // ErrNoCarrier is returned when the carrier estimator finds nothing.
 var ErrNoCarrier = errors.New("phy: no carrier found in the search band")
 
-// EstimateCarrier runs the §5.1 carrier-frequency estimation on the raw
-// capture.
-//
-//ecolint:unit return hz
-func (rx *ReaderRX) EstimateCarrier(signal []float64) (float64, error) {
-	f := dsp.PeakFrequency(signal, rx.SampleRate,
-		rx.CarrierHint-rx.CarrierSearch, rx.CarrierHint+rx.CarrierSearch)
-	if f == 0 {
-		return 0, ErrNoCarrier
-	}
-	return f, nil
-}
-
-// basebandAC is the shared receive front-end of Synchronize and
-// Demodulate: down-convert around fc, coherently suppress the CBW
-// self-interference, and reduce the complex baseband to the real waveform
-// carrying the backscatter amplitude steps.
-//
-// The leakage folds to a complex DC term after down-conversion, so
-// subtracting the complex mean removes it regardless of its phase. The
-// residual rides along the backscatter channel's phase axis; projecting
-// onto that principal axis (2ψ = arg Σ r²) recovers the full modulation
-// depth even when the channel phase is in quadrature with the leakage —
-// the case where the old envelope detector (|bb| − mean) lost the signal.
-// The projection's sign ambiguity is anchored to the envelope detector so
-// polarity-sensitive callers see the legacy orientation.
-func (rx *ReaderRX) basebandAC(signal []float64, fc float64) []float64 {
-	bw := rx.Bitrate*2 + rx.GuardBand
-	bb := dsp.DownConvert(signal, rx.SampleRate, fc, bw)
-	if len(bb) == 0 {
-		return nil
-	}
-	// The leakage is not perfectly stationary over the capture (it stops
-	// when the interrogating carrier does, while the multipath tail rings
-	// on), so a global mean would leave a step that hijacks the principal
-	// axis. A moving baseline a few bit-periods wide tracks the leakage
-	// without following the half-symbol modulation.
-	w := int(4 * rx.SampleRate / rx.Bitrate)
-	if w < 1 {
-		w = 1
-	}
-	if w > len(bb) {
-		w = len(bb)
-	}
-	pre := make([]complex128, len(bb)+1)
-	for i, v := range bb {
-		pre[i+1] = pre[i] + v
-	}
-	res := make([]complex128, len(bb))
-	for i := range bb {
-		lo := i - w/2
-		if lo < 0 {
-			lo = 0
-		}
-		hi := lo + w
-		if hi > len(bb) {
-			hi = len(bb)
-			lo = hi - w
-		}
-		base := (pre[hi] - pre[lo]) / complex(float64(hi-lo), 0)
-		res[i] = bb[i] - base
-	}
-	var sr, si float64
-	for _, r := range res {
-		re, im := real(r), imag(r)
-		sr += re*re - im*im
-		si += 2 * re * im
-	}
-	psi := 0.5 * math.Atan2(si, sr)
-	cp, sp := math.Cos(psi), math.Sin(psi)
-	mag := dsp.Magnitude(bb)
-	magMean := dsp.Mean(mag)
-	ac := make([]float64, len(bb))
-	var anchor float64
-	for i, r := range res {
-		ac[i] = real(r)*cp + imag(r)*sp
-		anchor += ac[i] * (mag[i] - magMean)
-	}
-	if anchor < 0 {
-		for i := range ac {
-			ac[i] = -ac[i]
-		}
-	}
-	return ac
-}
-
-// DemodulateReference recovers the FM0 bit stream from a raw reader capture
-// that contains nBits bits starting at sample offset start. It is the
-// original per-call implementation — every stage recomputed from scratch,
-// per-sample Sincos mixing, direct O(n·taps) filtering — retained verbatim
-// as the slow reference the fast path (Demodulate) is equivalence-tested
-// against.
-func (rx *ReaderRX) DemodulateReference(signal []float64, start, nBits int) ([]byte, error) {
-	if nBits <= 0 {
-		return nil, errors.New("phy: nBits must be positive")
-	}
-	fc, err := rx.EstimateCarrier(signal)
-	if err != nil {
-		return nil, err
-	}
-	ac := rx.basebandAC(signal, fc)
-	// Integrate-and-dump per half-symbol (the matched filter for
-	// rectangular halves).
-	halfSamples := rx.SampleRate / (2 * rx.Bitrate)
-	if halfSamples < 1 {
-		return nil, errors.New("phy: bitrate too high for the sample rate")
-	}
-	halvesPerBit := 2
-	if rx.Coding == CodingMiller4 {
-		halvesPerBit = 8
-	}
-	nHalves := nBits * halvesPerBit
-	halves := make([]float64, nHalves)
-	for h := 0; h < nHalves; h++ {
-		a := start + int(float64(h)*halfSamples)
-		b := start + int(float64(h+1)*halfSamples)
-		if b > len(ac) {
-			return nil, errors.New("phy: capture shorter than the frame")
-		}
-		halves[h] = dsp.Mean(ac[a:b])
-	}
-	// Normalise and run the configured decoder.
-	scale := dsp.MaxAbs(halves)
-	if scale > 0 {
-		for i := range halves {
-			halves[i] /= scale
-		}
-	}
-	if rx.Coding == CodingMiller4 {
-		return coding.MillerDecode(halves, coding.Miller4)
-	}
-	return coding.FM0DecodeML(halves), nil
-}
-
 // BLFPlan assigns backscatter link frequencies to nodes: node i gets
 // Base + i·Spacing, each at least GuardBand away from the carrier.
 type BLFPlan struct {

@@ -13,7 +13,7 @@ func FuzzReadFrame(f *testing.F) {
 	// Corpus: one well-formed frame of every message type.
 	seed := func(t MsgType, body []byte) {
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, t, body); err != nil {
+		if err := WriteFrameTraced(&buf, t, body, nil); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())

@@ -153,32 +153,6 @@ func (rc *ReconnectingClient) Next() (Event, error) {
 	}
 }
 
-// Events pumps decoded events into a channel until stop closes or the
-// redial budget dies; the channel is closed on exit either way.
-func (rc *ReconnectingClient) Events(stop <-chan struct{}) <-chan Event {
-	out := make(chan Event, 16)
-	go func() {
-		defer close(out)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			ev, err := rc.Next()
-			if err != nil {
-				return
-			}
-			select {
-			case out <- ev:
-			case <-stop:
-				return
-			}
-		}
-	}()
-	return out
-}
-
 // Bounce drops the live session without closing the client, forcing the
 // next Connect/Next to redial from a fresh backoff schedule. Load tests
 // use it to exercise the reconnect path on demand.

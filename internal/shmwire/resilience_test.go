@@ -392,6 +392,9 @@ func TestReconnectingClientExhaustsBudget(t *testing.T) {
 	}
 }
 
+// TestReconnectingClientEventsStops: the event stream Next delivers stops
+// at Close — a Next blocked waiting for the next frame returns
+// ErrClientClosed instead of redialling.
 func TestReconnectingClientEventsStops(t *testing.T) {
 	s, err := NewServer("127.0.0.1:0")
 	if err != nil {
@@ -404,28 +407,22 @@ func TestReconnectingClientEventsStops(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitForSubscribers(t, s, 1)
-	stop := make(chan struct{})
-	events := rc.Events(stop)
 	s.BroadcastHealth(Health{Section: 'B', Level: 'A', Pedestrians: 2, SpeedMS: 1.2})
-	select {
-	case ev := <-events:
-		if ev.Type != MsgHealth {
-			t.Fatalf("event %+v", ev)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no event arrived")
+	if ev, err := rc.Next(); err != nil || ev.Type != MsgHealth {
+		t.Fatalf("first event %+v, %v", ev, err)
 	}
-	close(stop)
+	done := make(chan error, 1)
+	go func() {
+		_, err := rc.Next()
+		done <- err
+	}()
 	rc.Close()
 	select {
-	case _, open := <-events:
-		if open {
-			// A buffered event may still drain; the channel must close after.
-			for range events {
-				continue
-			}
+	case err := <-done:
+		if !errors.Is(err, ErrClientClosed) {
+			t.Errorf("blocked Next after Close: %v, want ErrClientClosed", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("events channel never closed")
+		t.Fatal("Next never returned after Close")
 	}
 }

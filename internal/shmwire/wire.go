@@ -198,14 +198,10 @@ func frameLength(t MsgType, body []byte, tc *TraceContext) (int, error) {
 	return n, nil
 }
 
-// WriteFrame writes one frame: magic(2) version(1) type(1) length(2) body.
-func WriteFrame(w io.Writer, t MsgType, body []byte) error {
-	return WriteFrameTraced(w, t, body, nil)
-}
-
-// WriteFrameTraced writes one frame, prefixing the body with tc (when
-// non-nil) and setting the traced flag bit on the type byte. The trace
-// header counts against MaxFrameSize.
+// WriteFrameTraced writes one frame — magic(2) version(1) type(1)
+// length(2) body — prefixing the body with tc (when non-nil) and setting
+// the traced flag bit on the type byte. The trace header counts against
+// MaxFrameSize.
 func WriteFrameTraced(w io.Writer, t MsgType, body []byte, tc *TraceContext) error {
 	n, err := frameLength(t, body, tc)
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	body := []byte{1, 2, 3, 4, 5}
-	if err := WriteFrame(&buf, MsgTelemetry, body); err != nil {
+	if err := WriteFrameTraced(&buf, MsgTelemetry, body, nil); err != nil {
 		t.Fatal(err)
 	}
 	f, err := ReadFrame(&buf)
@@ -58,7 +58,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 
 func TestWriteFrameRejectsReservedTypeBit(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, MsgType(0x85), nil); !errors.Is(err, ErrReservedType) {
+	if err := WriteFrameTraced(&buf, MsgType(0x85), nil, nil); !errors.Is(err, ErrReservedType) {
 		t.Errorf("type with traced bit set: %v, want ErrReservedType", err)
 	}
 }
@@ -106,7 +106,7 @@ func TestTracedStatusEndToEnd(t *testing.T) {
 func TestFrameValidation(t *testing.T) {
 	// Oversized body rejected at write time.
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, MsgTelemetry, make([]byte, MaxFrameSize+1)); !errors.Is(err, ErrTooLarge) {
+	if err := WriteFrameTraced(&buf, MsgTelemetry, make([]byte, MaxFrameSize+1), nil); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversized write: %v", err)
 	}
 	// Bad magic.

@@ -47,8 +47,6 @@ type FlightRecorder struct {
 	lastDumpReason string
 	//ecolint:guardedby mu
 	lastDump string
-	//ecolint:guardedby mu
-	sink func(reason, rendered string)
 }
 
 // DefaultFlightCapacity is the per-subsystem ring size used when
@@ -144,21 +142,17 @@ func (f *FlightRecorder) renderLocked() string {
 	return b.String()
 }
 
-// Dump snapshots the rendered history under the given reason, remembers it
-// as the last dump, and hands it to the sink (if one is set) outside the
-// recorder's lock. It returns the rendered snapshot.
+// Dump snapshots the rendered history under the given reason and remembers
+// it as the last dump (LastDump; the dashboard's /api/flightrecorder reports
+// its reason and count). It returns the rendered snapshot.
 func (f *FlightRecorder) Dump(reason string) string {
 	f.mu.Lock()
 	rendered := f.renderLocked()
 	f.dumps++
 	f.lastDumpReason = reason
 	f.lastDump = rendered
-	sink := f.sink
 	f.mu.Unlock()
 	mFlightDumps.Inc()
-	if sink != nil {
-		sink(reason, rendered)
-	}
 	return rendered
 }
 
@@ -168,24 +162,6 @@ func (f *FlightRecorder) LastDump() (reason, rendered string, dumps uint64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.lastDumpReason, f.lastDump, f.dumps
-}
-
-// SetSink installs a callback invoked (outside the lock) with every dump,
-// e.g. to log the black box when an incident trips it.
-func (f *FlightRecorder) SetSink(sink func(reason, rendered string)) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.sink = sink
-}
-
-// Reset drops all retained events, sequence counters and dump state.
-func (f *FlightRecorder) Reset() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.rings = make(map[string]*flightRing)
-	f.dumps = 0
-	f.lastDumpReason = ""
-	f.lastDump = ""
 }
 
 // defaultFlight is the process-wide recorder the instrumented packages

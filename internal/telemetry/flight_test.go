@@ -57,16 +57,16 @@ func TestFlightRecorderDeterministicOrder(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderDump covers the incident-dump path: snapshot content,
-// LastDump bookkeeping and the out-of-lock sink callback.
+// TestFlightRecorderDump covers the incident-dump path: snapshot content
+// and the LastDump bookkeeping the dashboard's /api/flightrecorder reports.
 func TestFlightRecorderDump(t *testing.T) {
 	fr := NewFlightRecorder(8)
-	var sunkReason, sunkDump string
-	fr.SetSink(func(reason, rendered string) {
-		sunkReason, sunkDump = reason, rendered
-		// Re-entering the recorder from the sink must not deadlock.
-		fr.Record("sink", "reentry", "")
-	})
+	if _, _, dumps := fr.LastDump(); dumps != 0 {
+		t.Errorf("fresh recorder reports %d dumps", dumps)
+	}
+	if !strings.Contains(fr.Render(), "no events") {
+		t.Errorf("empty render = %q", fr.Render())
+	}
 	fr.Record("fleet", "reroute", "station 2 -> 1")
 	got := fr.Dump("fleet: survey degraded")
 	if !strings.Contains(got, "#1 reroute station 2 -> 1") {
@@ -76,18 +76,11 @@ func TestFlightRecorderDump(t *testing.T) {
 	if reason != "fleet: survey degraded" || rendered != got || dumps != 1 {
 		t.Errorf("LastDump = (%q, %d dumps)", reason, dumps)
 	}
-	if sunkReason != reason || sunkDump != got {
-		t.Error("sink did not receive the dump")
-	}
-	fr.Reset()
-	if len(fr.Events()) != 0 {
-		t.Error("Reset must drop events")
-	}
-	if _, _, dumps := fr.LastDump(); dumps != 0 {
-		t.Error("Reset must clear dump state")
-	}
-	if !strings.Contains(fr.Render(), "no events") {
-		t.Errorf("empty render = %q", fr.Render())
+	// A later dump replaces the remembered one and counts.
+	fr.Record("fleet", "reroute", "station 1 -> 0")
+	second := fr.Dump("shmwire: subscriber evicted")
+	if reason, rendered, dumps := fr.LastDump(); reason != "shmwire: subscriber evicted" || rendered != second || dumps != 2 {
+		t.Errorf("second LastDump = (%q, %d dumps)", reason, dumps)
 	}
 }
 

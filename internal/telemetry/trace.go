@@ -181,14 +181,6 @@ func (s *Span) End() {
 // ID returns the span's deterministic identifier.
 func (s *Span) ID() string { return fmt.Sprintf("%08x", s.id) }
 
-// Reset drops every recorded span. Root ordinals keep counting, so IDs
-// across a Reset stay unique within the tracer's lifetime.
-func (t *Tracer) Reset() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.roots = nil
-}
-
 // Tree renders every root span as an indented deterministic tree. Roots
 // carry their trace ID (or, for remotely-parented roots, the cross-process
 // parent as remote_parent=<trace>/<span>):

@@ -120,34 +120,6 @@ func TestTracerLocalRootsCarryDistinctTraces(t *testing.T) {
 	}
 }
 
-// TestTracerReset drops recorded spans but keeps deriving fresh IDs: the
-// same names and keys recorded again after a Reset get new IDs.
-func TestTracerReset(t *testing.T) {
-	tr := NewTracer(7)
-	record := func() []string {
-		root := tr.Start("a")
-		kid := root.ChildKeyed("read", 0x10)
-		kid.End()
-		keyed := tr.StartKeyed("inventory", 0x10)
-		keyed.End()
-		root.End()
-		return []string{root.ID(), kid.ID(), keyed.ID(), fmt.Sprintf("%016x", root.Context().TraceID)}
-	}
-	first := record()
-	tr.Reset()
-	if tr.Tree() != "" {
-		t.Errorf("tree after reset = %q, want empty", tr.Tree())
-	}
-	second := record()
-	seen := map[string]bool{}
-	for _, id := range append(first, second...) {
-		if seen[id] {
-			t.Errorf("ID %s reused across Reset (before %v, after %v)", id, first, second)
-		}
-		seen[id] = true
-	}
-}
-
 // TestKeyedSpanIDsIndependentOfCreationOrder: siblings with different keys
 // get the same IDs and render in the same order whichever order (or
 // goroutines) created them; unkeyed siblings stay where they were created,

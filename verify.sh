@@ -161,8 +161,15 @@ stage_done
 # that must actually exercise the code they guard. Any of the three
 # dipping under 75% statement coverage fails the gate.
 stage "coverage floor (dsp, channel, reader >= 75%)"
-COV_OUT="$(go test -cover ./internal/dsp ./internal/channel ./internal/reader)"
+# Capture the status too: under set -e a bare COV_OUT="$(...)" would exit
+# on a failing test before the captured output is ever printed.
+COV_RC=0
+COV_OUT="$(go test -cover ./internal/dsp ./internal/channel ./internal/reader)" || COV_RC=$?
 echo "$COV_OUT" | sed 's/^/   /'
+if [ "$COV_RC" -ne 0 ]; then
+	echo "verify.sh: go test -cover failed (exit $COV_RC)"
+	exit "$COV_RC"
+fi
 echo "$COV_OUT" | while IFS= read -r line; do
 	pct="$(printf '%s\n' "$line" | sed -n 's/.*coverage: \([0-9]*\)\.[0-9]*% of statements.*/\1/p')"
 	if [ -z "$pct" ]; then
