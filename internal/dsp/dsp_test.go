@@ -3,6 +3,7 @@ package dsp
 import (
 	"math"
 	"math/cmplx"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -332,6 +333,27 @@ func TestNoiseSourceDeterminism(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds should diverge")
+	}
+}
+
+// noiseSink keeps the sources TestNoiseSourceIsSmall builds reachable, so
+// the compiler cannot elide their allocation.
+var noiseSink *NoiseSource
+
+// TestNoiseSourceIsSmall: every channel, sensor and capsule owns a noise
+// source, so a fresh one must stay a few words — a math/rand source is
+// ~4.9 KB of state and ~10 µs of seeding.
+func TestNoiseSourceIsSmall(t *testing.T) {
+	const n = 1000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		noiseSink = NewNoiseSource(int64(i))
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 64 {
+		t.Errorf("NewNoiseSource allocates %d B per source, want ≤ 64", per)
 	}
 }
 

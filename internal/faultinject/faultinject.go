@@ -8,7 +8,7 @@
 // their point of use; the Injector implements all of them, so a single plan
 // drives the whole pipeline without forking any hot path.
 //
-// Determinism is per capsule: every draw is telemetry.Key of (plan seed,
+// Determinism is per capsule: every draw is keyrand.Key of (plan seed,
 // capsule handle, that handle's hook-call ordinal, draw kind, sub-index),
 // so the same plan reproduces the same failures byte for byte whenever each
 // capsule sees the same sequence of hook calls — in whatever order the
@@ -23,6 +23,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"ecocapsule/internal/keyrand"
 	"ecocapsule/internal/telemetry"
 )
 
@@ -134,12 +135,12 @@ type draws uint64
 // source.
 func (in *Injector) next(handle uint16) draws {
 	n := in.calls[handle].Add(1) - 1
-	return draws(telemetry.Key(uint64(in.plan.Seed), uint64(handle), n))
+	return draws(keyrand.Key(uint64(in.plan.Seed), uint64(handle), n))
 }
 
 // float returns the uniform [0, 1) draw of one decision.
 func (d draws) float(kind, sub uint64) float64 {
-	return float64(telemetry.Key(uint64(d), kind, sub)>>11) / (1 << 53)
+	return float64(keyrand.Key(uint64(d), kind, sub)>>11) / (1 << 53)
 }
 
 // intn returns the uniform [0, n) draw of one decision.

@@ -9,35 +9,38 @@ package fleet
 // at any shard count.
 
 // mergeRows folds per-shard row slices (each ascending by handle) into one
-// handle-sorted slice, merging in shard-index order.
+// handle-sorted slice, merging in shard-index order. The fold alternates
+// between two buffers sized for the whole fleet, so a survey allocates two
+// row slices however many shards it has.
 func mergeRows(shardRows [][]SurveyRow) []SurveyRow {
-	var out []SurveyRow
+	n := 0
 	for _, rows := range shardRows {
-		out = mergeTwo(out, rows)
+		n += len(rows)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]SurveyRow, 0, n)
+	spare := make([]SurveyRow, 0, n)
+	for _, rows := range shardRows {
+		out, spare = mergeTwo(spare[:0], out, rows), out
 	}
 	return out
 }
 
-// mergeTwo is the ordered two-way merge of handle-ascending row slices.
-func mergeTwo(a, b []SurveyRow) []SurveyRow {
-	if len(a) == 0 {
-		return append([]SurveyRow(nil), b...)
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]SurveyRow, 0, len(a)+len(b))
+// mergeTwo appends the ordered two-way merge of handle-ascending row
+// slices a and b to dst.
+func mergeTwo(dst, a, b []SurveyRow) []SurveyRow {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		if a[i].Handle < b[j].Handle {
-			out = append(out, a[i])
+			dst = append(dst, a[i])
 			i++
 		} else {
-			out = append(out, b[j])
+			dst = append(dst, b[j])
 			j++
 		}
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
 }

@@ -601,29 +601,28 @@ func (f *Fleet) readOrder(handle uint16, alive []bool) []int {
 	if !ok {
 		return nil
 	}
-	type cand struct {
-		idx int
-		amp float64
-	}
-	var cands []cand
+	// A capsule hears a handful of stations: an insertion sort into one
+	// exact-size slice keeps the per-read cost to a single allocation.
+	n := 0
 	for i := range f.readers {
 		if !alive[i] || amps[i] < 0 {
 			continue
 		}
-		cands = append(cands, cand{idx: i, amp: amps[i]})
+		n++
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].amp > cands[b].amp {
-			return true
+	out := make([]int, 0, n)
+	for i := range f.readers {
+		if !alive[i] || amps[i] < 0 {
+			continue
 		}
-		if cands[a].amp < cands[b].amp {
-			return false
+		// Stronger amplitude first; ties keep ascending station index.
+		j := len(out)
+		out = append(out, i)
+		for j > 0 && amps[out[j-1]] < amps[i] {
+			out[j] = out[j-1]
+			j--
 		}
-		return cands[a].idx < cands[b].idx
-	})
-	out := make([]int, len(cands))
-	for i, c := range cands {
-		out[i] = c.idx
+		out[j] = i
 	}
 	return out
 }

@@ -186,15 +186,15 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 	conc.Queues(counts, func(q, item int) {
 		shardRows[q][item] = visit(f.shards[q].nodes[item].Handle())
 	})
-	// Fold the merged rows into the report; Missing inherits handle order.
-	for _, row := range mergeRows(shardRows) {
+	// The merged rows are the report's; Missing inherits handle order.
+	rep.Rows = mergeRows(shardRows)
+	for _, row := range rep.Rows {
 		if row.Status == "missing" {
 			rep.Missing = append(rep.Missing, row.Handle)
 		}
 		if row.Status == "ok" {
 			rep.Reporting++
 		}
-		rep.Rows = append(rep.Rows, row)
 	}
 	after := f.FaultStats()
 	rep.CorruptedReplies = after.CorruptedReplies - before.CorruptedReplies

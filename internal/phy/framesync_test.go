@@ -2,6 +2,7 @@ package phy
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"ecocapsule/internal/dsp"
@@ -116,5 +117,76 @@ func TestPrependPilot(t *testing.T) {
 	out[len(PilotBits)] = 1
 	if payload[0] == 1 {
 		t.Error("PrependPilot must copy")
+	}
+}
+
+// TestPilotSearchLeavesRoomForFrame embeds a copy of the pilot early in
+// the payload, so that a noisy capture can correlate with the copy better
+// than with the true pilot. The copy starts inside the first half of the
+// capture, but a frame starting there would run past its end: the search
+// must stop at the last start that leaves room for the frame. Without that
+// bound about one case in five failed with "capture shorter than the frame".
+func TestPilotSearchLeavesRoomForFrame(t *testing.T) {
+	payload := []byte{0, 1}
+	payload = append(payload, PilotBits...)
+	for i := 0; i < 16; i++ {
+		payload = append(payload, byte(i%3&1))
+	}
+	rx := equivRX()
+	for seed := int64(0); seed < 32; seed++ {
+		capture := buildCaptureAt(t, rx.SampleRate, rx.CarrierHint, payload, 1e-3, 0.1, seed)
+		got, err := rx.DemodulateFrame(capture, len(payload))
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Errorf("seed %d: got %v, %v; want the payload", seed, got, err)
+			continue
+		}
+		ref, err := rx.demodulateFrameReference(capture, len(payload))
+		if err != nil || !bytes.Equal(ref, payload) {
+			t.Errorf("seed %d: reference got %v, %v; want the payload", seed, ref, err)
+		}
+	}
+}
+
+// TestCarrierEstimateBetweenBins places the carrier at fractions of a bin
+// of the zero-padded capture spectrum: the refined estimate must land well
+// inside the bin, where the bin grid alone is off by up to half a bin.
+func TestCarrierEstimateBetweenBins(t *testing.T) {
+	rx := NewReaderRX(fs)
+	syn := waveform.NewSynth(fs)
+	const dur = 30e-3
+	n := dsp.NextPow2(syn.Samples(dur))
+	bin := fs / float64(n)
+	for _, frac := range []float64{0, 0.2, 0.5, 0.7} {
+		f0 := (math.Round(230e3/bin) + frac) * bin
+		capture := syn.CBW(f0, 0.4, dur)
+		got, err := rx.frontEnd(&feScratch{}, capture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := math.Abs(got - f0); d > 0.1*bin {
+			t.Errorf("carrier %.2f Hz (bin %+.1f): estimate %.2f Hz is %.2f Hz off, want ≤ %.2f",
+				f0, frac, got, d, 0.1*bin)
+		}
+		ref, err := rx.estimateCarrier(capture)
+		if err != nil || ref != got {
+			t.Errorf("carrier %.2f Hz: reference estimate %v (%v), fast %v", f0, ref, err, got)
+		}
+	}
+}
+
+func TestPeakOffset(t *testing.T) {
+	if d := peakOffset(1, 2, 1); d != 0 {
+		t.Errorf("symmetric neighbours: offset %v, want 0", d)
+	}
+	if d := peakOffset(1.5, 2, 1); d >= 0 || d < -0.5 {
+		t.Errorf("stronger left neighbour: offset %v, want in [-0.5, 0)", d)
+	}
+	if d := peakOffset(1, 2, 1.5); d <= 0 || d > 0.5 {
+		t.Errorf("stronger right neighbour: offset %v, want in (0, 0.5]", d)
+	}
+	for _, c := range [][3]float64{{0, 2, 1}, {1, 2, 0}, {3, 2, 1}, {1, 1, 1}} {
+		if d := peakOffset(c[0], c[1], c[2]); d != 0 {
+			t.Errorf("peakOffset%v = %v, want 0 (no interior maximum)", c, d)
+		}
 	}
 }

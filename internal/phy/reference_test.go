@@ -14,21 +14,33 @@ import (
 // DemodulateFrame, DemodulateFrameInto and DemodulateSlots.
 //
 // The reference stages recompute everything per call: the carrier
-// estimate through dsp.PeakFrequency, down-conversion through
+// estimate through dsp.Spectrum, down-conversion through
 // dsp.DownConvert (per-sample Sincos mixing, direct O(n·taps) FIR), and the
 // pilot correlation and matched filter through dsp.Mean over each window.
 
 // estimateCarrier runs the §5.1 carrier-frequency estimation on the raw
-// capture.
+// capture: the strongest bin of dsp.Spectrum in the search band, refined
+// between bins by peakOffset.
 //
 //ecolint:unit return hz
 func (rx *ReaderRX) estimateCarrier(signal []float64) (float64, error) {
-	f := dsp.PeakFrequency(signal, rx.SampleRate,
-		rx.CarrierHint-rx.CarrierSearch, rx.CarrierHint+rx.CarrierSearch)
-	if f == 0 {
+	freqs, mags := dsp.Spectrum(signal, rx.SampleRate)
+	best, bestMag := -1, -1.0
+	for i, f := range freqs {
+		if f < rx.CarrierHint-rx.CarrierSearch || f > rx.CarrierHint+rx.CarrierSearch {
+			continue
+		}
+		if mags[i] > bestMag {
+			best, bestMag = i, mags[i]
+		}
+	}
+	if best <= 0 {
 		return 0, ErrNoCarrier
 	}
-	return f, nil
+	if best == len(freqs)-1 {
+		return freqs[best], nil
+	}
+	return (float64(best) + peakOffset(mags[best-1], bestMag, mags[best+1])) * freqs[1], nil
 }
 
 // basebandAC is the shared receive front-end of the reference
@@ -261,7 +273,13 @@ func pilotCosine(ac []float64, tmpl []float64, start int, half float64) float64 
 // once per stage — and is retained (without telemetry) as the slow
 // reference for the fast DemodulateFrame's equivalence battery.
 func (rx *ReaderRX) demodulateFrameReference(signal []float64, nBits int) ([]byte, error) {
-	start, err := rx.synchronizeReference(signal, 0)
+	// The same bound as decodeWindow: half the capture, and room for the
+	// whole frame after the start.
+	limit := rx.frameSearchLimit(len(signal), nBits)
+	if limit <= 0 {
+		return nil, errors.New("phy: capture shorter than the frame")
+	}
+	start, err := rx.synchronizeReference(signal, limit)
 	if err != nil {
 		return nil, err
 	}
@@ -284,12 +302,16 @@ func (rx *ReaderRX) demodulateFrameReference(signal []float64, nBits int) ([]byt
 }
 
 // synchronize is the fast counterpart of synchronizeReference: the shared
-// front-end once, then syncWindow over the whole capture.
+// front-end once, then syncWindow over the whole capture. searchLimit ≤ 0
+// means half the capture, as for the reference.
 func (rx *ReaderRX) synchronize(signal []float64, searchLimit int) (int, error) {
 	sc := fePool.Get().(*feScratch)
 	defer fePool.Put(sc)
 	if _, err := rx.frontEnd(sc, signal); err != nil {
 		return 0, err
+	}
+	if searchLimit <= 0 {
+		searchLimit = sc.n / 2
 	}
 	return rx.syncWindow(sc, 0, sc.n, searchLimit)
 }

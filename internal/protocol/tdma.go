@@ -1,7 +1,9 @@
 package protocol
 
 import (
-	"math/rand"
+	"math/rand/v2"
+
+	"ecocapsule/internal/keyrand"
 )
 
 // Slotter implements the node side of the TDMA inventory (§3.4): on a
@@ -17,7 +19,7 @@ type Slotter struct {
 
 // NewSlotter returns a slotter seeded deterministically.
 func NewSlotter(seed int64) *Slotter {
-	return &Slotter{rng: rand.New(rand.NewSource(seed))}
+	return &Slotter{rng: rand.New(keyrand.New(uint64(seed)))}
 }
 
 // BeginRound draws a fresh slot for a round of 2^q slots and returns it.
@@ -28,7 +30,7 @@ func (s *Slotter) BeginRound(q int) int {
 	if q > 15 {
 		q = 15
 	}
-	s.slot = s.rng.Intn(1 << uint(q))
+	s.slot = s.rng.IntN(1 << uint(q))
 	s.inRound = true
 	return s.slot
 }

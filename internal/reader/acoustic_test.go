@@ -173,3 +173,84 @@ func TestAcousticReadAtHigherBitrate(t *testing.T) {
 		t.Error("8 kbps through the 20 m wall should fail: its delay spread exceeds the symbol window")
 	}
 }
+
+// blockSweepRead is one waveform-level temperature read through the 15 cm
+// UHPC block of TestAcousticReadAtHigherBitrate (same reader and node
+// positions, default LeakageGain and NoiseSigma) for sweep case s: the
+// reader seed, the node seed — hence the sensor noise in the payload — and
+// the handle, which also keys the capture noise, all vary with s.
+func blockSweepRead(t *testing.T, s int64, bitrate float64) error {
+	t.Helper()
+	block := &geometry.Structure{
+		Name: "block-15cm", Shape: geometry.Box, Material: material.UHPC(),
+		Length: 0.15, Height: 0.15, Thickness: 0.15, SurfaceLossDB: 0.4,
+	}
+	r, err := New(Config{
+		Structure:    block,
+		TXPosition:   geometry.Vec3{X: 0.01, Y: 0.075, Z: 0},
+		DriveVoltage: 200,
+		Seed:         s,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SetEnvironment(func(pos geometry.Vec3) sensors.Environment {
+		return sensors.Environment{TemperatureC: 22, RelativeHumidity: 55}
+	})
+	h := uint16(0x100 + s)
+	n := node.New(node.Config{Handle: h, Position: geometry.Vec3{X: 0.08, Y: 0.075, Z: 0.075}, Seed: s})
+	if err := r.Deploy(n); err != nil {
+		t.Fatal(err)
+	}
+	if r.Charge(0.3) != 1 {
+		t.Fatalf("case %d: node failed to power up", s)
+	}
+	acfg := DefaultAcousticConfig()
+	acfg.UplinkBitrate = bitrate
+	vals, err := acousticRead(r, h, sensors.TypeTempHumidity, acfg)
+	if err == nil && (vals[0] < 20 || vals[0] > 24) {
+		t.Errorf("case %d at %.0f bit/s: temperature %.2f far from 22", s, bitrate, vals[0])
+	}
+	return err
+}
+
+// sweepBlock reads seeds [0, cases) at the bitrate and fails with every
+// case that did not decode.
+func sweepBlock(t *testing.T, bitrate float64, cases int64) {
+	t.Helper()
+	failed := 0
+	for s := int64(0); s < cases; s++ {
+		if err := blockSweepRead(t, s, bitrate); err != nil {
+			failed++
+			t.Logf("case %d: %v", s, err)
+		}
+	}
+	if failed > 0 {
+		t.Errorf("%.0f bit/s through the block: %d/%d reads failed", bitrate, failed, cases)
+	}
+}
+
+// TestAcousticBlockSweepLowBitrates decodes 128 seed cases at 1 and 2 kbps
+// through the block. The pilot search used to scan the first half of the
+// slot even where no frame could fit after the candidate start, so a
+// payload stretch resembling the pilot late in the slot could win it and
+// fail with "capture shorter than the frame"; it now stops at the last
+// start that leaves room for the frame.
+func TestAcousticBlockSweepLowBitrates(t *testing.T) {
+	for _, bitrate := range []float64{1000, 2000} {
+		sweepBlock(t, bitrate, 128)
+	}
+}
+
+// TestAcousticBlockSweep4kbps decodes 64 seed cases at 4 kbps through the
+// block with the default CBW leakage. The carrier estimate used to be the
+// strongest bin of the zero-padded capture spectrum, up to 19.5 Hz off the
+// 230 kHz carrier at this capture length; the residual offset rotated the
+// baseband by half a turn over the frame and smeared the projected pilot
+// below the 0.72 acceptance cosine. Which of the two neighbouring bins won
+// depended on how the leakage tone and the backscatter summed, so the
+// failures followed the leakage and the payload. The estimate is now
+// refined between bins.
+func TestAcousticBlockSweep4kbps(t *testing.T) {
+	sweepBlock(t, 4000, 64)
+}

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"strings"
 	"sync"
+
+	"ecocapsule/internal/keyrand"
 )
 
 // Tracer records trees of spans whose IDs are pure functions of where the
@@ -62,7 +64,7 @@ func (t *Tracer) derive(trace uint64, parent uint32, s sibling, ord uint64) uint
 	if s.keyed {
 		keyed = 1
 	}
-	return Key(t.seed, trace, uint64(parent), hashString(s.name), s.key, keyed, ord)
+	return keyrand.Key(t.seed, trace, uint64(parent), hashString(s.name), s.key, keyed, ord)
 }
 
 // SpanContext identifies one span inside one trace — the part of a span
@@ -106,7 +108,7 @@ func (t *Tracer) start(s sibling) *Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	trace := t.derive(0, 0, s, t.rootSeq.next(s))
-	sp := &Span{tracer: t, trace: trace, id: uint32(mix(trace)), sibling: s}
+	sp := &Span{tracer: t, trace: trace, id: uint32(keyrand.Mix(trace)), sibling: s}
 	t.roots = append(t.roots, sp)
 	return sp
 }
@@ -239,27 +241,6 @@ func renderOrder(spans []*Span) []*Span {
 		i = j
 	}
 	return out
-}
-
-// mix is the SplitMix64 finaliser: a bijective avalanche of one word.
-func mix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// Key hashes a tuple of words into one well-mixed word, the counter-based
-// draw of Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3"
-// (SC'11). Every random decision that must not depend on goroutine
-// scheduling — span IDs here, fault draws in faultinject — is the Key of
-// the tuple that names it.
-func Key(words ...uint64) uint64 {
-	var h uint64
-	for _, w := range words {
-		h = mix(h ^ w)
-	}
-	return h
 }
 
 // hashString is 64-bit FNV-1a.

@@ -128,7 +128,9 @@ go test -race ./...
 stage_done
 
 # Determinism contract at several GOMAXPROCS values: fault draws and span
-# IDs are keyed per capsule, so the fleet's one (parallel) schedule must
+# IDs are keyed per capsule, and every seeded noise stream is a keyrand
+# counter stream that depends on its seed alone, so the fleet's one
+# (parallel) schedule must
 # render byte-identical reports and span trees at any shard count and
 # processor count, faults and tracing included. The pool itself (conc.Queues)
 # must hand every item to exactly one body on every queue shape production
@@ -137,7 +139,8 @@ stage_done
 # one-stage-per-pass results.
 stage "keyed determinism (-race -count=2 -cpu 1,2,4)"
 go test -race -count=2 -cpu 1,2,4 -run 'Invariance|Keyed|Determinis' \
-	./internal/conc ./internal/fleet ./internal/faultinject ./internal/telemetry
+	./internal/conc ./internal/fleet ./internal/faultinject ./internal/telemetry \
+	./internal/keyrand
 go test -race -count=2 -cpu 1,2,4 -run 'BitIdentical|Determinis' \
 	./internal/dsp ./internal/reader
 stage_done
