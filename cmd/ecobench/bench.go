@@ -1,15 +1,15 @@
 package main
 
-// The -json bench mode: micro-benchmarks over the stack's hot paths,
-// measured at GOMAXPROCS=1 and at NumCPU, emitted as machine-readable JSON
-// so CI can pin performance the way the golden files pin behaviour. The
-// committed BENCH_8.json at the repository root is the reference;
-// verify.sh re-runs the suite and fails the gate when the channel
-// transmit, the uplink round decode, the fleet survey or the cold/warm
-// link-cache decode pair regresses more than the tolerance against the
-// matching-GOMAXPROCS baseline run. The cold/warm pair additionally gates
-// the cache itself: a warm lookup that is not at least 2× faster than the
-// cold build means the per-link channel cache stopped doing its job.
+// The -json bench mode: micro-benchmarks over the stack's hot paths and
+// the city-fleet survey tiers, measured at GOMAXPROCS=1 and at NumCPU,
+// emitted as machine-readable JSON so CI can pin performance the way the
+// golden files pin behaviour. The committed BENCH.json at the repository
+// root is the reference; verify.sh re-runs the suite and fails the gate
+// when any entry regresses more than the tolerance against the baseline
+// run at the same GOMAXPROCS. Two intra-run floors gate design decisions
+// rather than speed: a warm link-cache decode must be at least 2× faster
+// than the cold build of the same link, and (with -full) the sharded 10k
+// survey must be at least 3× faster than the flat registry.
 
 import (
 	"encoding/json"
@@ -17,7 +17,10 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"ecocapsule/internal/channel"
 	"ecocapsule/internal/fleet"
@@ -30,7 +33,8 @@ import (
 type benchEntry struct {
 	Name    string  `json:"name"`
 	NsPerOp float64 `json:"ns_per_op"`
-	Iters   int     `json:"iters"`
+	// Iters is omitted for baseline entries whose source recorded none.
+	Iters int `json:"iters,omitempty"`
 }
 
 // benchRun is one GOMAXPROCS setting's worth of measurements.
@@ -39,7 +43,7 @@ type benchRun struct {
 	Benchmarks []benchEntry `json:"benchmarks"`
 }
 
-// benchReport is the BENCH_8.json document: the same suite at
+// benchReport is the BENCH.json document: the same suite at
 // GOMAXPROCS=1 (serial reference, stable across hosts) and at NumCPU
 // (what the conc pool fan-out actually buys).
 type benchReport struct {
@@ -53,11 +57,38 @@ const (
 	benchSurvey    = "fleet_survey"
 	benchRoundCold = "uplink_round_cold"
 	benchRoundWarm = "uplink_round_warm"
+	benchFleet10k  = "fleet_survey_10k"
+	benchFlat10k   = "fleet_survey_10k_flat"
 )
 
-// gatedBenches are compared against the committed baseline; any of them
-// regressing fails the gate, not just the transmit.
-var gatedBenches = []string{benchTransmit, benchDecode, benchSurvey, benchRoundCold, benchRoundWarm}
+// fleetTier is one city-fleet survey entry: total capsules split into equal
+// building segments (16-bit capsule handles cap one fleet at 60k), each
+// built with shards spatial shards.
+type fleetTier struct {
+	name                       string
+	capsules, segments, shards int
+}
+
+// smokeTier runs in every suite; fullTiers join the GOMAXPROCS=1 run with
+// -full (minutes: the 10k flat comparator alone is O(capsules × stations)
+// to build).
+var (
+	smokeTier = fleetTier{"fleet_survey_1k", 1000, 1, 8}
+	fullTiers = []fleetTier{
+		{benchFleet10k, 10000, 1, 16},
+		{"fleet_survey_100k", 100000, 2, 32},
+	}
+)
+
+// shardingFloor is the minimum flat-over-sharded survey time ratio at 10k
+// capsules: the spatial registry exists to turn the flat path's
+// O(population) per-read scan into O(population/coverage), and anything
+// under this floor means the partitioning stopped paying for itself.
+const shardingFloor = 3.0
+
+// fleetChargeDuration is the survey charge window (s), matching the
+// demo-fleet survey entry.
+const fleetChargeDuration = 0.4
 
 // warmSpeedup is the minimum cold/warm ratio the link-cache pair must
 // show: a warm lookup re-uses the image-source expansion and the
@@ -77,8 +108,9 @@ func runBench(result *testing.BenchmarkResult, fn func(b *testing.B)) benchEntry
 	return benchEntry{NsPerOp: float64(result.NsPerOp()), Iters: result.N}
 }
 
-// runBenchSuite measures the three hot paths at the current GOMAXPROCS.
-func runBenchSuite() (benchRun, error) {
+// runBenchSuite measures the hot paths and the 1k fleet tier at the
+// current GOMAXPROCS; full adds the 10k (sharded and flat) and 100k tiers.
+func runBenchSuite(full bool) (benchRun, error) {
 	rep := benchRun{GoMaxProcs: runtime.GOMAXPROCS(0)}
 
 	// Hot path 1: 10 ms of carrier through the multipath wall channel —
@@ -225,7 +257,100 @@ func runBenchSuite() (benchRun, error) {
 	e.Name = benchSurvey
 	rep.Benchmarks = append(rep.Benchmarks, e)
 
+	// City-fleet tiers: sharded registries surveyed end to end.
+	tiers := []fleetTier{smokeTier}
+	if full {
+		tiers = append(tiers, fullTiers...)
+	}
+	for _, tier := range tiers {
+		fleets, err := buildSegments(tier)
+		if err != nil {
+			return rep, fmt.Errorf("%s: %w", tier.name, err)
+		}
+		rep.Benchmarks = append(rep.Benchmarks, measureSurvey(tier.name, fleets))
+		if tier.name != benchFleet10k {
+			continue
+		}
+		// The flat comparator: same wall, same capsules, one cell — the
+		// pre-shard registry shape.
+		fmt.Fprintf(os.Stderr, "ecobench: building the 10k flat comparator (O(capsules × stations) channels)...\n")
+		t0 := time.Now()
+		flat, err := fleet.NewCityFleetFlat(tier.capsules, 42)
+		if err != nil {
+			return rep, fmt.Errorf("%s: %w", benchFlat10k, err)
+		}
+		if err := warmUp(flat); err != nil {
+			return rep, fmt.Errorf("%s: %w", benchFlat10k, err)
+		}
+		fmt.Fprintf(os.Stderr, "ecobench: flat comparator built+warmed in %v\n", time.Since(t0).Round(time.Millisecond))
+		rep.Benchmarks = append(rep.Benchmarks, measureSurvey(benchFlat10k, []*fleet.Fleet{flat}))
+	}
 	return rep, nil
+}
+
+// warmUp installs the city environment and runs one survey, which pays the
+// full charge ramp; steady state is what the bench pins.
+func warmUp(f *fleet.Fleet) error {
+	f.SetEnvironment(fleet.CityEnvironment)
+	if rep := f.Survey(fleetChargeDuration); rep.Reporting != rep.Expected {
+		return fmt.Errorf("warmup survey reported %d/%d capsules", rep.Reporting, rep.Expected)
+	}
+	return nil
+}
+
+// buildSegments constructs a tier's population as equal building segments,
+// each warmed up.
+func buildSegments(tier fleetTier) ([]*fleet.Fleet, error) {
+	per := tier.capsules / tier.segments
+	fleets := make([]*fleet.Fleet, 0, tier.segments)
+	for s := 0; s < tier.segments; s++ {
+		t0 := time.Now()
+		f, err := fleet.NewCityFleet(per, tier.shards, int64(42+s))
+		if err != nil {
+			return nil, fmt.Errorf("segment %d: %w", s, err)
+		}
+		if err := warmUp(f); err != nil {
+			return nil, fmt.Errorf("segment %d: %w", s, err)
+		}
+		fmt.Fprintf(os.Stderr, "ecobench: %s segment %d: %d capsules, %d stations, %d shards, built+warmed in %v\n",
+			tier.name, s, per, f.Stations(), f.Shards(), time.Since(t0).Round(time.Millisecond))
+		fleets = append(fleets, f)
+	}
+	return fleets, nil
+}
+
+// measureSurvey times one full survey pass over every segment.
+func measureSurvey(name string, fleets []*fleet.Fleet) benchEntry {
+	var r testing.BenchmarkResult
+	e := runBench(&r, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, f := range fleets {
+				if rep := f.Survey(fleetChargeDuration); rep.Reporting == 0 {
+					b.Fatal("survey reported nothing")
+				}
+			}
+		}
+	})
+	e.Name = name
+	return e
+}
+
+// capsulesIn is the capsule count a fleet-tier name carries
+// ("fleet_survey_10k_flat" → 10000), or 0 for any other entry.
+func capsulesIn(name string) int {
+	rest, ok := strings.CutPrefix(name, "fleet_survey_")
+	if !ok {
+		return 0
+	}
+	k, _, ok := strings.Cut(rest, "k")
+	if !ok {
+		return 0
+	}
+	n, err := strconv.Atoi(k)
+	if err != nil {
+		return 0
+	}
+	return n * 1000
 }
 
 // nsPerOp finds a benchmark in a run (-1 when absent).
@@ -249,8 +374,10 @@ func (rep benchReport) runAt(procs int) *benchRun {
 }
 
 // runBenchMatrix measures the suite at GOMAXPROCS=1 and, when the host
-// has more cores, again at NumCPU, restoring the caller's setting.
-func runBenchMatrix() (benchReport, error) {
+// has more cores, again at NumCPU, restoring the caller's setting. The
+// full fleet tiers run at GOMAXPROCS=1 only, the setting the baseline
+// pins.
+func runBenchMatrix(full bool) (benchReport, error) {
 	var rep benchReport
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
@@ -260,7 +387,7 @@ func runBenchMatrix() (benchReport, error) {
 	}
 	for _, procs := range procsSettings {
 		runtime.GOMAXPROCS(procs)
-		run, err := runBenchSuite()
+		run, err := runBenchSuite(full && procs == 1)
 		if err != nil {
 			return rep, err
 		}
@@ -269,10 +396,10 @@ func runBenchMatrix() (benchReport, error) {
 	return rep, nil
 }
 
-// gateAgainst compares every gated benchmark of every run against the
-// baseline run measured at the same GOMAXPROCS (runs with no matching
-// baseline — a different host core count — are reported and skipped).
-// Returns the number of regressions.
+// gateAgainst compares every entry of every run against the baseline run
+// measured at the same GOMAXPROCS (runs with no matching baseline — a
+// different host core count — are reported and skipped; an entry the
+// matching baseline run lacks fails). Returns the number of failures.
 func gateAgainst(rep, base benchReport) int {
 	failures := 0
 	for _, run := range rep.Runs {
@@ -282,22 +409,27 @@ func gateAgainst(rep, base benchReport) int {
 				run.GoMaxProcs)
 			continue
 		}
-		for _, name := range gatedBenches {
-			want, got := baseRun.nsPerOp(name), run.nsPerOp(name)
-			if want <= 0 || got <= 0 {
-				fmt.Fprintf(os.Stderr, "ecobench: baseline or run missing %s at gomaxprocs=%d\n", name, run.GoMaxProcs)
+		for _, e := range run.Benchmarks {
+			name, got := e.Name, e.NsPerOp
+			want := baseRun.nsPerOp(name)
+			if want <= 0 {
+				fmt.Fprintf(os.Stderr, "ecobench: baseline has no %s at gomaxprocs=%d\n", name, run.GoMaxProcs)
 				failures++
 				continue
+			}
+			var rate string
+			if n := capsulesIn(name); n > 0 {
+				rate = fmt.Sprintf(" (%.0f capsules/s)", float64(n)/(got/1e9))
 			}
 			if got > want*regressionTolerance {
 				fmt.Fprintf(os.Stderr,
-					"ecobench: %s (gomaxprocs=%d) regressed: %.0f ns/op vs baseline %.0f ns/op (>%.0f%% over)\n",
-					name, run.GoMaxProcs, got, want, (regressionTolerance-1)*100)
+					"ecobench: %s (gomaxprocs=%d) regressed: %.0f ns/op%s vs baseline %.0f ns/op (>%.0f%% over)\n",
+					name, run.GoMaxProcs, got, rate, want, (regressionTolerance-1)*100)
 				failures++
 				continue
 			}
-			fmt.Fprintf(os.Stderr, "ecobench: %s (gomaxprocs=%d) %.0f ns/op within %.0f%% of baseline %.0f ns/op\n",
-				name, run.GoMaxProcs, got, (regressionTolerance-1)*100, want)
+			fmt.Fprintf(os.Stderr, "ecobench: %s (gomaxprocs=%d) %.0f ns/op%s within %.0f%% of baseline %.0f ns/op\n",
+				name, run.GoMaxProcs, got, rate, (regressionTolerance-1)*100, want)
 		}
 	}
 	return failures
@@ -328,11 +460,30 @@ func gateColdWarm(rep benchReport) int {
 	return failures
 }
 
-// benchMain runs the suite matrix, writes JSON to stdout and, when
-// baselinePath names a committed report, enforces the regression gate on
-// every gated benchmark. Returns the process exit code.
-func benchMain(baselinePath string) int {
-	rep, err := runBenchMatrix()
+// gateSharding enforces the sharding floor on the run that measured the
+// -full tiers: the flat 10k survey must take at least shardingFloor× as
+// long as the sharded one. Returns the number of violations.
+func gateSharding(run benchRun) int {
+	sharded, flat := run.nsPerOp(benchFleet10k), run.nsPerOp(benchFlat10k)
+	if sharded <= 0 || flat <= 0 {
+		fmt.Fprintf(os.Stderr, "ecobench: gomaxprocs=1 run is missing the %s/%s pair\n", benchFleet10k, benchFlat10k)
+		return 1
+	}
+	if flat < sharded*shardingFloor {
+		fmt.Fprintf(os.Stderr, "ecobench: sharded 10k survey only %.2fx the flat path (floor %.1fx); the spatial registry stopped paying for itself\n",
+			flat/sharded, shardingFloor)
+		return 1
+	}
+	fmt.Fprintf(os.Stderr, "ecobench: sharded 10k survey %.2fx the flat path (floor %.1fx)\n", flat/sharded, shardingFloor)
+	return 0
+}
+
+// benchMain runs the suite matrix, writes JSON to stdout, enforces the
+// intra-run floors and, when baselinePath names a committed report, the
+// regression gate on every entry. Every gate runs and reports before the
+// exit code is decided. Returns the process exit code.
+func benchMain(baselinePath string, full bool) int {
+	rep, err := runBenchMatrix(full)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ecobench: %v\n", err)
 		return 1
@@ -343,27 +494,30 @@ func benchMain(baselinePath string) int {
 		return 1
 	}
 	fmt.Println(string(out))
-	if gateColdWarm(rep) > 0 {
-		return 1
+	failures := gateColdWarm(rep)
+	if full {
+		// Runs[0] is the GOMAXPROCS=1 run, the one that measured the full
+		// tiers.
+		failures += gateSharding(rep.Runs[0])
 	}
-	if baselinePath == "" {
-		return 0
+	if baselinePath != "" {
+		raw, err := os.ReadFile(baselinePath)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "ecobench: baseline: %v\n", err)
+			return 1
+		}
+		var base benchReport
+		if err := json.Unmarshal(raw, &base); err != nil {
+			fmt.Fprintf(os.Stderr, "ecobench: baseline %s: %v\n", baselinePath, err)
+			return 1
+		}
+		if len(base.Runs) == 0 {
+			fmt.Fprintf(os.Stderr, "ecobench: baseline %s has no runs\n", baselinePath)
+			return 1
+		}
+		failures += gateAgainst(rep, base)
 	}
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ecobench: baseline: %v\n", err)
-		return 1
-	}
-	var base benchReport
-	if err := json.Unmarshal(raw, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "ecobench: baseline %s: %v\n", baselinePath, err)
-		return 1
-	}
-	if len(base.Runs) == 0 {
-		fmt.Fprintf(os.Stderr, "ecobench: baseline %s has no runs (pre-BENCH_6 schema?)\n", baselinePath)
-		return 1
-	}
-	if gateAgainst(rep, base) > 0 {
+	if failures > 0 {
 		return 1
 	}
 	return 0

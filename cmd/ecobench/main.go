@@ -8,19 +8,16 @@
 //	ecobench -run fig12    # run one experiment by id
 //	ecobench -list         # list experiment ids
 //	ecobench -out DIR      # also write one .txt report per experiment
-//	ecobench -json         # hot-path micro-benchmarks as JSON (BENCH_8.json),
-//	                       # measured at GOMAXPROCS=1 and at NumCPU
-//	ecobench -json -baseline BENCH_8.json
-//	                       # same, and fail if the channel transmit, uplink
-//	                       # round decode or fleet survey ns/op regressed
-//	                       # >20% against the committed baseline
-//	ecobench -fleetscale smoke -baseline BENCH_10.json
-//	                       # city-scale fleet survey throughput at 1k
-//	                       # capsules, gated against the committed baseline
-//	ecobench -fleetscale full
-//	                       # regenerate BENCH_10.json: 1k, 10k (with the
-//	                       # flat-registry comparator and the >=3x sharding
-//	                       # gate) and 100k as two 50k building segments
+//	ecobench -json         # hot-path micro-benchmarks and the 1k city-fleet
+//	                       # survey as JSON (BENCH.json), measured at
+//	                       # GOMAXPROCS=1 and at NumCPU
+//	ecobench -json -baseline BENCH.json
+//	                       # same, and fail if any entry's ns/op regressed
+//	                       # >20% against the committed baseline run at the
+//	                       # same GOMAXPROCS
+//	ecobench -json -full   # also the 10k (with the flat-registry comparator
+//	                       # and the >=3x sharding gate) and 100k (two 50k
+//	                       # building segments) fleet tiers at GOMAXPROCS=1
 package main
 
 import (
@@ -38,17 +35,14 @@ func main() {
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 		outDir   = flag.String("out", "", "directory to write per-experiment .txt reports")
 		csvDir   = flag.String("csv", "", "directory to write per-experiment .csv data (tables + series)")
-		jsonOut  = flag.Bool("json", false, "run the hot-path micro-benchmarks and print BENCH JSON")
-		baseline = flag.String("baseline", "", "with -json or -fleetscale: committed BENCH json to gate regressions against")
-		scale    = flag.String("fleetscale", "", "run the city-scale fleet survey benches: smoke (1k) or full (1k/10k/100k + flat comparator)")
+		jsonOut  = flag.Bool("json", false, "run the hot-path micro-benchmarks and the 1k fleet survey and print BENCH JSON")
+		baseline = flag.String("baseline", "", "with -json: committed BENCH json to gate regressions against")
+		full     = flag.Bool("full", false, "with -json: also the 10k (sharded and flat) and 100k fleet tiers at GOMAXPROCS=1 (minutes)")
 	)
 	flag.Parse()
 
-	if *scale != "" {
-		os.Exit(scaleMain(*scale, *baseline))
-	}
 	if *jsonOut {
-		os.Exit(benchMain(*baseline))
+		os.Exit(benchMain(*baseline, *full))
 	}
 
 	runners := expt.All()

@@ -59,10 +59,7 @@ func locateCapsule(s *geometry.Structure, r *reader.Reader, handle uint16) (loca
 		return locate.Result{}, fmt.Errorf("unknown capsule %#04x", handle)
 	}
 	anchors := locateAnchors(s)
-	speed := s.Material.VS()
-	if speed == 0 {
-		speed = s.Material.VP()
-	}
+	speed := s.Material.WaveSpeed()
 	var ms []locate.Measurement
 	for _, a := range anchors {
 		// In the simulation the ranging delay comes straight from the

@@ -152,19 +152,6 @@ func run(cfg config) (Report, error) {
 	root := tracer.Start("shmload").
 		Attr("clients", cfg.clients).Attr("rounds", cfg.rounds)
 
-	// lastStatus feeds the snapshot served to every (re)connecting client.
-	var snapMu sync.Mutex
-	var lastStatus *shmwire.Status
-	var lastTC *shmwire.TraceContext
-	srv.SetSnapshot(func() (shmwire.Status, *shmwire.TraceContext, bool) {
-		snapMu.Lock()
-		defer snapMu.Unlock()
-		if lastStatus == nil {
-			return shmwire.Status{}, nil, false
-		}
-		return *lastStatus, lastTC, true
-	})
-
 	outcomes := make(chan outcome, cfg.clients)
 	resyncs := make([]int, cfg.clients)
 	rcs := make([]*shmwire.ReconnectingClient, cfg.clients)
@@ -208,9 +195,6 @@ func run(cfg config) (Report, error) {
 			Timestamp: time.Unix(0, int64(ts)).UTC(),
 			Expected:  uint16(cfg.clients), Reporting: uint16(cfg.clients),
 		}
-		snapMu.Lock()
-		lastStatus, lastTC = &st, tc
-		snapMu.Unlock()
 		srv.BroadcastStatusTraced(st, tc)
 		rep.Sent++
 		// Barrier: every client reports this round's outcome (bouncing

@@ -18,7 +18,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"ecocapsule/internal/bridge"
@@ -109,20 +108,9 @@ func serve(addr, telemetryAddr string, speedup float64, hours, statusEvery int, 
 
 	// Status broadcasts carry a trace context from a seeded tracer; the
 	// logical timestamp is the simulated hour, so subscribers can order and
-	// latency-check the feed without trusting wall clocks. The last status
-	// doubles as the snapshot replayed to late joiners.
+	// latency-check the feed without trusting wall clocks. The server replays
+	// the last status to late joiners.
 	tracer := telemetry.NewTracer(2021)
-	var snapMu sync.Mutex
-	var lastStatus *shmwire.Status
-	var lastTC *shmwire.TraceContext
-	srv.SetSnapshot(func() (shmwire.Status, *shmwire.TraceContext, bool) {
-		snapMu.Lock()
-		defer snapMu.Unlock()
-		if lastStatus == nil {
-			return shmwire.Status{}, nil, false
-		}
-		return *lastStatus, lastTC, true
-	})
 
 	sim := bridge.NewSim(2021)
 	th := shm.FootbridgeThresholds()
@@ -178,9 +166,6 @@ func serve(addr, telemetryAddr string, speedup float64, hours, statusEvery int, 
 				Degraded:     len(missing) > 0,
 				MissingNodes: missing,
 			}
-			snapMu.Lock()
-			lastStatus, lastTC = &st, tc
-			snapMu.Unlock()
 			srv.BroadcastStatusTraced(st, tc)
 			sp.End()
 			health.RecordStatusBroadcast(ts)

@@ -759,12 +759,6 @@ func (r *runner) pkgHashLocked(p *listedPackage, withTests bool) (string, error)
 	return r.pkgHash(p, withTests)
 }
 
-// ModuleCacheDir returns the conventional cache location for the
-// module rooted at dir: <dir>/.ecolint-cache.
-func ModuleCacheDir(dir string) string {
-	return filepath.Join(dir, ".ecolint-cache")
-}
-
 // FormatText renders diagnostics in the classic `file:line: analyzer:
 // message` form, one per line.
 func FormatText(w io.Writer, diags []Diagnostic) {

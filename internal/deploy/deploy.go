@@ -80,11 +80,7 @@ func Cover(s *geometry.Structure, capsules []geometry.Vec3, voltage float64) (Pl
 	// candidate→capsule channel, not by Euclidean distance: boundary
 	// proximity and confinement make the two disagree by tens of percent.
 	harv := energy.DefaultHarvester()
-	cs := s.Material.VS()
-	if cs == 0 {
-		cs = s.Material.VP()
-	}
-	hraGain := physics.PaperHRA().Gain(cs, 230*units.KHz)
+	hraGain := physics.PaperHRA().Gain(s.Material.WaveSpeed(), 230*units.KHz)
 	reaches := func(station, capsule geometry.Vec3) bool {
 		if station.Dist(capsule) > rng*1.3 {
 			return false // cheap pre-filter

@@ -80,9 +80,6 @@ func newRFFTPlan(n int) *RFFTPlan {
 	return p
 }
 
-// N returns the plan's real transform length.
-func (p *RFFTPlan) N() int { return p.n }
-
 // HalfLen returns the packed spectrum length, n/2 + 1.
 func (p *RFFTPlan) HalfLen() int { return p.m + 1 }
 

@@ -10,7 +10,7 @@
 // long axis is cut into coverage cells (geometry.CellGrid), each capsule
 // belongs to the cell under its position, stations cover the cells within
 // their range (deploy.AssignCells), and a shard owns a contiguous run of
-// cells — its stations, capsules, routing table and scheduling RNG stream.
+// cells — its stations, capsules and routing table.
 // Survey, inventory and charge run as per-shard batched passes on a
 // work-stealing pool (conc.Queues) whose partial reports merge in
 // shard-index order. There is one schedule, with or without a fault
@@ -54,7 +54,7 @@ import (
 // spatial shards.
 //
 // readers, nodes, grid, amps and the shard skeletons (cells, stations,
-// nodes, seed) are immutable after construction; each capsule's MCU state
+// nodes) are immutable after construction; each capsule's MCU state
 // is only ever driven through one goroutine at a time, so stations operate
 // concurrently without touching each other's capsules. Mutable state splits
 // two ways: fleet-wide liveness and the tracer live behind the route lock,
@@ -77,8 +77,6 @@ type Fleet struct {
 	// shards partition the capsules; shardByHandle finds a capsule's owner.
 	shards        []*shard
 	shardByHandle map[uint16]*shard
-	// seed is the fleet's base RNG seed (per-shard streams derive from it).
-	seed int64
 
 	// route guards the fleet-wide mutable state below — stations die and
 	// revive concurrently with surveys in the field. Writers (kill, revive)
@@ -188,7 +186,6 @@ func build(s *geometry.Structure, plan deploy.Plan, capsules []*node.Node, seed 
 		alive:         make([]bool, len(plan.Stations)),
 		amps:          make(map[uint16][]float64, len(capsules)),
 		shardByHandle: make(map[uint16]*shard, len(capsules)),
-		seed:          seed,
 	}
 	for _, n := range capsules {
 		a := make([]float64, len(plan.Stations))
@@ -246,7 +243,7 @@ func build(s *geometry.Structure, plan deploy.Plan, capsules []*node.Node, seed 
 		}
 	}
 	cellOf := func(n *node.Node) int { return grid.CellOf(n.Position()) }
-	f.shards = buildShards(shardsN, grid.Cells(), cellStations, cellOf, capsules, seed)
+	f.shards = buildShards(shardsN, grid.Cells(), cellStations, cellOf, capsules)
 	for _, sh := range f.shards {
 		for _, n := range sh.nodes {
 			f.shardByHandle[n.Handle()] = sh
@@ -310,9 +307,6 @@ func (f *Fleet) Stations() int { return len(f.readers) }
 
 // Shards returns the number of spatial shards.
 func (f *Fleet) Shards() int { return len(f.shards) }
-
-// Cells returns the number of coverage cells partitioning the structure.
-func (f *Fleet) Cells() int { return f.grid.Cells() }
 
 // AliveStations returns the number of operational stations.
 func (f *Fleet) AliveStations() int {
@@ -435,10 +429,7 @@ func (f *Fleet) BestStation(handle uint16) int {
 // skip is surfaced on a counter metric and the flight recorder instead of
 // vanishing.
 func (f *Fleet) Charge(duration float64) int {
-	cs := f.structure.Material.VS()
-	if cs == 0 {
-		cs = f.structure.Material.VP()
-	}
+	cs := f.structure.Material.WaveSpeed()
 	const dt = 1 * units.MS
 	steps := int(duration / dt)
 	if steps < 1 {

@@ -11,8 +11,8 @@ import (
 // cells, the stations whose range reaches those cells, and the capsules
 // embedded in them. Cell membership derives from the structure's geometry
 // (see geometry.CellGrid), never from the shard count, so resharding the
-// same fleet regroups the same cells — capsule ownership, per-cell RNG
-// streams and reachability all survive the regrouping unchanged.
+// same fleet regroups the same cells — capsule ownership and reachability
+// both survive the regrouping unchanged.
 //
 // The shard owns the mutable routing state of its capsules; fleet-level
 // liveness lives behind the fleet's route lock. Lock order is route before
@@ -29,10 +29,6 @@ type shard struct {
 	// iteration order of every per-shard pass, so partial reports come out
 	// pre-sorted for the aggregator's merge.
 	nodes []*node.Node
-	// seed is the shard's scheduling RNG stream, derived from the lowest
-	// owned cell index — not from the shard index — so the stream follows
-	// the geometry through a reshard.
-	seed int64
 
 	mu sync.Mutex
 	// best maps each owned capsule to the alive station delivering the
@@ -48,7 +44,7 @@ type shard struct {
 // cells%n shards take one extra cell) and assembles each run's stations and
 // capsules. Empty shards (no cells left, no capsules embedded) are valid —
 // passes over them are no-ops.
-func buildShards(n int, cells int, cellStations [][]int, cellOf func(*node.Node) int, nodes []*node.Node, seed int64) []*shard {
+func buildShards(n int, cells int, cellStations [][]int, cellOf func(*node.Node) int, nodes []*node.Node) []*shard {
 	if n > cells {
 		n = cells
 	}
@@ -78,9 +74,6 @@ func buildShards(n int, cells int, cellStations [][]int, cellOf func(*node.Node)
 			}
 		}
 		sort.Ints(sh.stations)
-		if len(sh.cells) > 0 {
-			sh.seed = seed + int64(sh.cells[0])
-		}
 		shards = append(shards, sh)
 	}
 	owner := make(map[int]*shard, cells)

@@ -11,8 +11,8 @@ import (
 // of cells within its acoustic range, and a shard owns a contiguous range of
 // cells. Keying the partition to the structure's geometry — rather than to
 // the shard count — keeps cell membership, and therefore every per-cell
-// derived quantity (RNG streams, reachability), stable when the fleet is
-// resharded.
+// derived quantity (station coverage, reachability), stable when the fleet
+// is resharded.
 type CellGrid struct {
 	structure *Structure
 	// axisLen is the structure's long-axis extent in metres; width is one

@@ -159,6 +159,18 @@ func (m *Material) VS() float64 {
 	return math.Sqrt(mu / m.Density)
 }
 
+// WaveSpeed returns the speed the capsules' carrier travels at in the
+// medium: the S-wave speed, or the P-wave speed where the medium carries
+// no shear.
+//
+//ecolint:unit return m/s
+func (m *Material) WaveSpeed() float64 {
+	if vs := m.VS(); vs != 0 {
+		return vs
+	}
+	return m.VP()
+}
+
 // Impedance returns the characteristic acoustic impedance in Rayl (kg/m²s):
 // the measured value when available, otherwise ρ·V_P.
 func (m *Material) Impedance() float64 {

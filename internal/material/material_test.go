@@ -107,9 +107,15 @@ func TestFluidsHaveNoShear(t *testing.T) {
 		if m.SupportsShear() {
 			t.Errorf("%s: SupportsShear must be false", m.Name)
 		}
+		if m.WaveSpeed() != m.VP() {
+			t.Errorf("%s: WaveSpeed = %g, want the P-wave fallback %g", m.Name, m.WaveSpeed(), m.VP())
+		}
 	}
 	if !NC().SupportsShear() {
 		t.Error("NC must support shear")
+	}
+	if nc := NC(); nc.WaveSpeed() != nc.VS() {
+		t.Errorf("NC: WaveSpeed = %g, want VS %g", nc.WaveSpeed(), nc.VS())
 	}
 }
 

@@ -48,9 +48,6 @@ func (s *Slotter) Advance() {
 // EndRound clears the round state (after a successful Ack or a Sleep).
 func (s *Slotter) EndRound() { s.inRound = false }
 
-// Slot exposes the current counter (for tests and tracing).
-func (s *Slotter) Slot() int { return s.slot }
-
 // RoundOutcome summarises one inventory round for Q-adaptation.
 type RoundOutcome struct {
 	Singles    int // slots with exactly one reply (successes)

@@ -76,7 +76,7 @@ func (r *Reader) deliverLocked(p protocol.Packet, n *node.Node) (up *protocol.Up
 		if cf, ok := r.faults.(CapsuleFaults); ok && cf.Brownout(h) {
 			// The capsule loses its storage charge mid-operation: one
 			// zero-amplitude excitation step drops it back to dormant.
-			n.Excite(0, r.cfg.CarrierHz, r.shearSpeedLocked(), brownoutStep)
+			n.Excite(0, r.cfg.CarrierHz, r.cfg.Structure.Material.WaveSpeed(), brownoutStep)
 			brownout = true
 		}
 		wire := p.Marshal()
@@ -149,14 +149,4 @@ func endDeliver(sp *telemetry.Span, outcome string) {
 	if sp != nil {
 		sp.Attr("outcome", outcome).End()
 	}
-}
-
-// shearSpeedLocked returns the structure's S-wave speed (P-wave fallback),
-// the medium speed the node state machine expects.
-func (r *Reader) shearSpeedLocked() float64 {
-	cs := r.cfg.Structure.Material.VS()
-	if cs == 0 {
-		cs = r.cfg.Structure.Material.VP()
-	}
-	return cs
 }

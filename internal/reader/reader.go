@@ -226,10 +226,7 @@ func (r *Reader) Charge(duration float64) int {
 	if sp != nil {
 		sp.Attrf("duration_s", "%g", duration)
 	}
-	cs := r.cfg.Structure.Material.VS()
-	if cs == 0 {
-		cs = r.cfg.Structure.Material.VP()
-	}
+	cs := r.cfg.Structure.Material.WaveSpeed()
 	const dt = 1 * units.MS
 	steps := int(duration / dt)
 	if steps < 1 {
@@ -569,11 +566,7 @@ func MaxPowerUpRange(cfg Config, voltage float64) (float64, error) {
 	s := cfg.Structure
 	harv := energy.DefaultHarvester()
 	axisMax := s.MaxRangeAxis()
-	cs := s.Material.VS()
-	if cs == 0 {
-		cs = s.Material.VP()
-	}
-	hraGain := physics.PaperHRA().Gain(cs, r.cfg.CarrierHz)
+	hraGain := physics.PaperHRA().Gain(s.Material.WaveSpeed(), r.cfg.CarrierHz)
 	// Binary search the farthest position that still activates.
 	probe := func(d float64) bool {
 		pos := probePosition(s, d)

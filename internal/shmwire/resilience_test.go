@@ -2,6 +2,7 @@ package shmwire
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -142,6 +143,98 @@ func TestServerBroadcastsStatus(t *testing.T) {
 	}
 	if ev.Status.Reporting != 3 || !ev.Status.Degraded || len(ev.Status.MissingNodes) != 1 {
 		t.Errorf("status payload %+v", ev.Status)
+	}
+}
+
+// TestLateJoinerGetsLastStatus: a subscriber that joins after the Status
+// broadcasts receives the last one first, with its trace context, and none
+// of the earlier frames.
+func TestLateJoinerGetsLastStatus(t *testing.T) {
+	s := startServer(t)
+	s.BroadcastStatusTraced(Status{Expected: 4, Reporting: 4}, &TraceContext{TraceID: 1, SpanID: 1, LogicalTS: 10})
+	last := TraceContext{TraceID: 2, SpanID: 3, LogicalTS: 20}
+	s.BroadcastStatusTraced(Status{Expected: 4, Reporting: 3, Degraded: true, MissingNodes: []uint16{0x82}}, &last)
+	s.BroadcastTelemetry(Telemetry{CapsuleID: 7})
+	cl, err := Dial(s.Addr().String(), "late")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.SetDeadline(time.Now().Add(3 * time.Second))
+	ev, err := cl.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Type != MsgStatus || ev.Status == nil || ev.Trace == nil {
+		t.Fatalf("first frame %+v, want the last traced Status", ev)
+	}
+	if *ev.Trace != last || ev.Status.Reporting != 3 || len(ev.Status.MissingNodes) != 1 {
+		t.Errorf("replayed status %+v trace %+v, want Reporting 3 under %+v", ev.Status, ev.Trace, last)
+	}
+}
+
+// TestJoinerBeforeAnyStatusGetsNone: with no Status broadcast yet, a new
+// subscriber's first frame is the next live broadcast.
+func TestJoinerBeforeAnyStatusGetsNone(t *testing.T) {
+	s := startServer(t)
+	s.BroadcastTelemetry(Telemetry{CapsuleID: 1})
+	cl, err := Dial(s.Addr().String(), "early")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	waitSubscribers(t, s, 1)
+	s.BroadcastTelemetry(Telemetry{CapsuleID: 2})
+	cl.SetDeadline(time.Now().Add(3 * time.Second))
+	ev, err := cl.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Type != MsgTelemetry || ev.Telemetry.CapsuleID != 2 {
+		t.Fatalf("first frame %+v, want the live telemetry for capsule 2", ev)
+	}
+}
+
+// TestJoinersDuringStatusStreamSeeIncreasingTS: subscribers that register
+// while Status frames stream out never see one twice or out of order — the
+// replayed Status and the live fan-out are decided under one lock.
+func TestJoinersDuringStatusStreamSeeIncreasingTS(t *testing.T) {
+	s := startServer(t)
+	// Fewer broadcasts than fanOutDepth, so no subscriber can be evicted.
+	const statuses, joinEvery = 200, 20
+	// Each joiner reports its first ordering violation (or nil) here.
+	results := make(chan error, statuses/joinEvery)
+	for ts := uint64(1); ts <= statuses; ts++ {
+		if ts%joinEvery == 0 {
+			cl, err := Dial(s.Addr().String(), "joiner")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			go func() {
+				cl.SetDeadline(time.Now().Add(10 * time.Second))
+				var prev uint64
+				for prev < statuses {
+					ev, err := cl.Next()
+					if err != nil {
+						results <- fmt.Errorf("after LogicalTS %d: %w", prev, err)
+						return
+					}
+					if ev.Trace.LogicalTS <= prev {
+						results <- fmt.Errorf("LogicalTS %d after %d", ev.Trace.LogicalTS, prev)
+						return
+					}
+					prev = ev.Trace.LogicalTS
+				}
+				results <- nil
+			}()
+		}
+		s.BroadcastStatusTraced(Status{Expected: 1, Reporting: 1}, &TraceContext{TraceID: 1, SpanID: uint32(ts), LogicalTS: ts})
+	}
+	for i := 0; i < cap(results); i++ {
+		if err := <-results; err != nil {
+			t.Error(err)
+		}
 	}
 }
 

@@ -31,10 +31,10 @@ type Server struct {
 	// goroutine forever.
 	writeTimeout time.Duration
 	//ecolint:guardedby mu
-	// snapshot, when set, supplies the current coverage status enqueued to
-	// every subscriber right after its Hello, so late joiners see the fleet
-	// state without waiting for the next broadcast.
-	snapshot func() (Status, *TraceContext, bool)
+	// lastStatus is the last Status frame broadcast (nil before the first),
+	// enqueued to every subscriber as it registers, so late joiners see the
+	// fleet state without waiting for the next broadcast.
+	lastStatus *outFrame
 }
 
 // defaultWriteTimeout bounds one subscriber batch write.
@@ -85,15 +85,6 @@ func (s *Server) SetLogf(f func(string, ...any)) {
 	}
 }
 
-// SetSnapshot installs the current-status callback served to each new
-// subscriber right after its Hello. The callback runs outside the server's
-// lock (it may take its own); returning ok=false skips the snapshot.
-func (s *Server) SetSnapshot(f func() (Status, *TraceContext, bool)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.snapshot = f
-}
-
 // Addr returns the bound address.
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
@@ -134,18 +125,6 @@ func (s *Server) handle(conn net.Conn) {
 		ch:   make(chan outFrame, fanOutDepth),
 		conn: conn,
 	}
-	// Resolve the snapshot before taking s.mu for registration: the
-	// callback may grab its own locks. The slight staleness is harmless —
-	// any broadcast racing this window supersedes the snapshot anyway.
-	s.mu.Lock()
-	snapshot := s.snapshot
-	s.mu.Unlock()
-	var snapFrame *outFrame
-	if snapshot != nil {
-		if st, tc, ok := snapshot(); ok {
-			snapFrame = &outFrame{t: MsgStatus, body: EncodeStatus(st), tc: tc}
-		}
-	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -155,10 +134,11 @@ func (s *Server) handle(conn net.Conn) {
 	s.nextSubID++
 	sub.id = s.nextSubID
 	s.subs[sub.id] = sub
-	if snapFrame != nil {
+	if s.lastStatus != nil {
 		// The channel is freshly made and broadcasts hold s.mu, so this
-		// enqueue into a fanOutDepth-slot buffer cannot block.
-		sub.ch <- *snapFrame
+		// enqueue into a fanOutDepth-slot buffer cannot block, and every
+		// later Status reaches this subscriber after it, never before.
+		sub.ch <- *s.lastStatus
 	}
 	mSubscribers.Set(float64(len(s.subs)))
 	logf := s.logf
@@ -270,11 +250,13 @@ func (s *Server) Broadcast(t MsgType, body []byte) {
 
 // BroadcastTraced fans one frame out to every subscriber with an optional
 // trace context, so a receipt span on the far side can join the
-// originating trace. An eviction is an incident: the flight recorder is
-// dumped so the events leading up to the overflow survive it. A frame that
-// could never be written (oversize body, reserved type bit) is rejected
-// here, counted and flight-recorded, instead of reaching the writers, where
-// it would cost every subscriber its connection.
+// originating trace. A Status frame is also kept, under the same lock as
+// the fan-out, as the one replayed to each subscriber that joins later. An
+// eviction is an incident: the flight recorder is dumped so the events
+// leading up to the overflow survive it. A frame that could never be
+// written (oversize body, reserved type bit) is rejected here, counted and
+// flight-recorded, instead of reaching the writers, where it would cost
+// every subscriber its connection.
 func (s *Server) BroadcastTraced(t MsgType, body []byte, tc *TraceContext) {
 	if _, err := frameLength(t, body, tc); err != nil {
 		mBroadcastRejected.Inc()
@@ -283,11 +265,15 @@ func (s *Server) BroadcastTraced(t MsgType, body []byte, tc *TraceContext) {
 		return
 	}
 	mBroadcasts.With(t.String()).Inc()
+	of := outFrame{t: t, body: body, tc: tc}
 	s.mu.Lock()
+	if t == MsgStatus {
+		s.lastStatus = &of
+	}
 	var evict []int
 	for id, sub := range s.subs {
 		select {
-		case sub.ch <- outFrame{t: t, body: body, tc: tc}:
+		case sub.ch <- of:
 		default:
 			evict = append(evict, id)
 		}

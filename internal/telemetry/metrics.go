@@ -103,9 +103,6 @@ func (g *Gauge) Set(v float64) { g.s.value.Store(v) }
 // Add shifts the gauge by delta (negative allowed).
 func (g *Gauge) Add(delta float64) { g.s.value.Add(delta) }
 
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.s.value.Load() }
-
 // Histogram is a fixed-bucket distribution handle.
 type Histogram struct {
 	s           *series

@@ -134,11 +134,6 @@ func NewGaugeVec(name, help string, labelNames ...string) *GaugeVec {
 	return defaultRegistry.GaugeVec(name, help, labelNames...)
 }
 
-// NewHistogramVec registers a labelled histogram family on the default registry.
-func NewHistogramVec(name, help string, buckets []float64, labelNames ...string) *HistogramVec {
-	return defaultRegistry.HistogramVec(name, help, buckets, labelNames...)
-}
-
 // sortedFamilies snapshots the families in name order.
 func (r *Registry) sortedFamilies() []*family {
 	r.mu.RLock()

@@ -180,9 +180,6 @@ func (s *Span) End() {
 	s.ended = true
 }
 
-// ID returns the span's deterministic identifier.
-func (s *Span) ID() string { return fmt.Sprintf("%08x", s.id) }
-
 // Tree renders every root span as an indented deterministic tree. Roots
 // carry their trace ID (or, for remotely-parented roots, the cross-process
 // parent as remote_parent=<trace>/<span>):

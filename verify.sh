@@ -281,23 +281,14 @@ go test -run='^$' -fuzz='^FuzzDecodePIE$' -fuzztime="$FUZZTIME" ./internal/codin
 go test -run='^$' -fuzz='^FuzzReadFrame$' -fuzztime="$FUZZTIME" ./internal/shmwire
 stage_done
 
-# Bench smoke: regenerate the hot-path micro-benchmark matrix and gate
-# the channel transmit, uplink round decode and fleet survey against the
-# committed BENCH_8.json baseline at matching GOMAXPROCS (>20% slower
-# fails: the convolution crossover, the decode path or the survey fan-out
-# broke).
-stage "bench smoke (ecobench -json vs BENCH_8.json)"
-go run ./cmd/ecobench -json -baseline BENCH_8.json > BENCH_8.json.new
-mv BENCH_8.json.new /tmp/ecobench_bench_last.json
-stage_done
-
-# Fleet-scale smoke: survey a 1k-capsule city segment through the sharded
-# registry and gate its capsules/s against the committed BENCH_10.json
-# (>20% slower fails: the spatial partitioning, the per-shard pool or the
-# hierarchical aggregation regressed). The 10k/100k tiers and the flat
-# comparator run in full mode only (`ecobench -fleetscale full`, minutes).
-stage "fleet-scale smoke (ecobench -fleetscale smoke vs BENCH_10.json)"
-go run ./cmd/ecobench -fleetscale smoke -baseline BENCH_10.json > /tmp/ecobench_fleetscale_last.json
+# Bench smoke: regenerate the hot-path micro-benchmark matrix and the 1k
+# city-fleet survey tier and gate every entry against the committed
+# BENCH.json baseline at matching GOMAXPROCS (>20% slower fails: the
+# convolution crossover, the decode path, the link cache, the survey
+# fan-out or the spatial partitioning regressed). The 10k/100k tiers and
+# the flat-registry comparator run with -full only (minutes).
+stage "bench smoke (ecobench -json vs BENCH.json)"
+go run ./cmd/ecobench -json -baseline BENCH.json > /tmp/ecobench_bench_last.json
 stage_done
 
 VERIFY_DONE=1
