@@ -17,8 +17,6 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -267,7 +265,7 @@ func runBenchSuite(full bool) (benchRun, error) {
 		if err != nil {
 			return rep, fmt.Errorf("%s: %w", tier.name, err)
 		}
-		rep.Benchmarks = append(rep.Benchmarks, measureSurvey(tier.name, fleets))
+		rep.Benchmarks = append(rep.Benchmarks, measureSurvey(tier.name, tier.capsules, fleets))
 		if tier.name != benchFleet10k {
 			continue
 		}
@@ -283,7 +281,7 @@ func runBenchSuite(full bool) (benchRun, error) {
 			return rep, fmt.Errorf("%s: %w", benchFlat10k, err)
 		}
 		fmt.Fprintf(os.Stderr, "ecobench: flat comparator built+warmed in %v\n", time.Since(t0).Round(time.Millisecond))
-		rep.Benchmarks = append(rep.Benchmarks, measureSurvey(benchFlat10k, []*fleet.Fleet{flat}))
+		rep.Benchmarks = append(rep.Benchmarks, measureSurvey(benchFlat10k, tier.capsules, []*fleet.Fleet{flat}))
 	}
 	return rep, nil
 }
@@ -319,8 +317,9 @@ func buildSegments(tier fleetTier) ([]*fleet.Fleet, error) {
 	return fleets, nil
 }
 
-// measureSurvey times one full survey pass over every segment.
-func measureSurvey(name string, fleets []*fleet.Fleet) benchEntry {
+// measureSurvey times one full survey pass over every segment, which
+// together hold capsules capsules, and logs the survey rate.
+func measureSurvey(name string, capsules int, fleets []*fleet.Fleet) benchEntry {
 	var r testing.BenchmarkResult
 	e := runBench(&r, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -332,25 +331,10 @@ func measureSurvey(name string, fleets []*fleet.Fleet) benchEntry {
 		}
 	})
 	e.Name = name
+	if e.NsPerOp > 0 {
+		fmt.Fprintf(os.Stderr, "ecobench: %s surveyed %.0f capsules/s\n", name, float64(capsules)/(e.NsPerOp/1e9))
+	}
 	return e
-}
-
-// capsulesIn is the capsule count a fleet-tier name carries
-// ("fleet_survey_10k_flat" → 10000), or 0 for any other entry.
-func capsulesIn(name string) int {
-	rest, ok := strings.CutPrefix(name, "fleet_survey_")
-	if !ok {
-		return 0
-	}
-	k, _, ok := strings.Cut(rest, "k")
-	if !ok {
-		return 0
-	}
-	n, err := strconv.Atoi(k)
-	if err != nil {
-		return 0
-	}
-	return n * 1000
 }
 
 // nsPerOp finds a benchmark in a run (-1 when absent).
@@ -417,19 +401,22 @@ func gateAgainst(rep, base benchReport) int {
 				failures++
 				continue
 			}
-			var rate string
-			if n := capsulesIn(name); n > 0 {
-				rate = fmt.Sprintf(" (%.0f capsules/s)", float64(n)/(got/1e9))
-			}
-			if got > want*regressionTolerance {
-				fmt.Fprintf(os.Stderr,
-					"ecobench: %s (gomaxprocs=%d) regressed: %.0f ns/op%s vs baseline %.0f ns/op (>%.0f%% over)\n",
-					name, run.GoMaxProcs, got, rate, want, (regressionTolerance-1)*100)
+			if got <= 0 {
+				// A benchmark body that called b.Fatal yields a zero result.
+				fmt.Fprintf(os.Stderr, "ecobench: %s (gomaxprocs=%d) has no valid measurement (the benchmark failed)\n",
+					name, run.GoMaxProcs)
 				failures++
 				continue
 			}
-			fmt.Fprintf(os.Stderr, "ecobench: %s (gomaxprocs=%d) %.0f ns/op%s within %.0f%% of baseline %.0f ns/op\n",
-				name, run.GoMaxProcs, got, rate, (regressionTolerance-1)*100, want)
+			if got > want*regressionTolerance {
+				fmt.Fprintf(os.Stderr,
+					"ecobench: %s (gomaxprocs=%d) regressed: %.0f ns/op vs baseline %.0f ns/op (>%.0f%% over)\n",
+					name, run.GoMaxProcs, got, want, (regressionTolerance-1)*100)
+				failures++
+				continue
+			}
+			fmt.Fprintf(os.Stderr, "ecobench: %s (gomaxprocs=%d) %.0f ns/op within %.0f%% of baseline %.0f ns/op\n",
+				name, run.GoMaxProcs, got, (regressionTolerance-1)*100, want)
 		}
 	}
 	return failures

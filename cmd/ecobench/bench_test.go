@@ -34,6 +34,9 @@ func TestGates(t *testing.T) {
 		{"entry absent from the baseline fails", func() int {
 			return gateAgainst(report(1, entry(benchTransmit, 1e6), entry(smokeTier.name, 5e6)), base)
 		}, 1},
+		{"entry with no valid measurement fails", func() int {
+			return gateAgainst(report(1, entry(benchTransmit, 0)), base)
+		}, 1},
 		{"gomaxprocs the baseline lacks is skipped", func() int {
 			return gateAgainst(report(4, entry(benchTransmit, 9e9), entry(smokeTier.name, 5e6)), base)
 		}, 0},
@@ -81,20 +84,6 @@ func TestCommittedBaselineCoversSuite(t *testing.T) {
 	for _, name := range names {
 		if run.nsPerOp(name) <= 0 {
 			t.Errorf("BENCH.json has no gomaxprocs=1 %s entry", name)
-		}
-	}
-}
-
-func TestCapsulesIn(t *testing.T) {
-	for name, want := range map[string]int{
-		"fleet_survey_1k":       1000,
-		"fleet_survey_10k_flat": 10000,
-		"fleet_survey_100k":     100000,
-		benchSurvey:             0,
-		benchTransmit:           0,
-	} {
-		if got := capsulesIn(name); got != want {
-			t.Errorf("capsulesIn(%q) = %d, want %d", name, got, want)
 		}
 	}
 }

@@ -268,7 +268,10 @@ func (s *Server) BroadcastTraced(t MsgType, body []byte, tc *TraceContext) {
 	of := outFrame{t: t, body: body, tc: tc}
 	s.mu.Lock()
 	if t == MsgStatus {
-		s.lastStatus = &of
+		// Copied inside the branch so of itself stays on the stack for
+		// every other frame type.
+		st := of
+		s.lastStatus = &st
 	}
 	var evict []int
 	for id, sub := range s.subs {
