@@ -79,9 +79,11 @@ var (
 )
 
 // shardingFloor is the minimum flat-over-sharded survey time ratio at 10k
-// capsules: the spatial registry exists to turn the flat path's
-// O(population) per-read scan into O(population/coverage), and anything
-// under this floor means the partitioning stopped paying for itself.
+// capsules. A reader finds a capsule through its handle index, so neither
+// path scans its registry per read; what the partition still saves is the
+// flat fleet's per-read ordering over every station, since there every
+// station hears every capsule. Anything under this floor means the
+// partitioning stopped paying for itself.
 const shardingFloor = 3.0
 
 // fleetChargeDuration is the survey charge window (s), matching the

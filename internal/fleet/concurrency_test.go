@@ -53,8 +53,8 @@ func TestSurveyWithConcurrentStationChurn(t *testing.T) {
 
 // TestConcurrentReadsAndInventory exercises the fleet's read path from
 // several goroutines at once (the dashboard polls while the scheduler
-// inventories). Under -race this pins the reroutedReads counter and the
-// reader's internal lock.
+// inventories). Under -race this pins the route lock and the reader's
+// internal lock.
 func TestConcurrentReadsAndInventory(t *testing.T) {
 	f, capsules := wallFleet(t)
 	f.SetEnvironment(surveyEnv)

@@ -10,18 +10,19 @@
 // long axis is cut into coverage cells (geometry.CellGrid), each capsule
 // belongs to the cell under its position, stations cover the cells within
 // their range (deploy.AssignCells), and a shard owns a contiguous run of
-// cells — its stations, capsules and routing table.
-// Survey, inventory and charge run as per-shard batched passes on a
-// work-stealing pool (conc.Queues) whose partial reports merge in
-// shard-index order. There is one schedule, with or without a fault
-// injector or tracer: stations serve disjoint capsule groups (the paper's
-// TDMA partition), each capsule is driven by one goroutine at a time, and
-// every fault draw and span ID is a pure function of its capsule's key
-// (see faultinject and telemetry.Tracer). The same seed therefore yields a
-// byte-identical report and span tree at any shard count and GOMAXPROCS;
-// only flight-recorder event order across capsules follows arrival. The
-// classic flat constructor (New) is the 1-shard, 1-cell special case with
-// every capsule deployed into every station.
+// cells and is the pool queue its capsules are driven on. Routing is one
+// capsule-indexed table behind one lock; capsules are indexed in ascending
+// handle order, so every survey row is written straight into its final
+// slot. Survey, inventory and charge run as per-shard batched passes on a
+// work-stealing pool (conc.Queues). There is one schedule, with or without
+// a fault injector or tracer: stations serve disjoint capsule groups (the
+// paper's TDMA partition), each capsule is driven by one goroutine at a
+// time, and every fault draw and span ID is a pure function of its
+// capsule's key (see faultinject and telemetry.Tracer). The same seed
+// therefore yields a byte-identical report and span tree at any shard
+// count and GOMAXPROCS; only flight-recorder event order across capsules
+// follows arrival. The classic flat constructor (New) is the 1-shard,
+// 1-cell special case with every capsule deployed into every station.
 //
 // Stations fail in the field: a reader falls off the wall, loses mains
 // power, or its cable corrodes. The fleet therefore tracks per-station
@@ -53,39 +54,41 @@ import (
 // Fleet is a set of readers attached to one structure, partitioned into
 // spatial shards.
 //
-// readers, nodes, grid, amps and the shard skeletons (cells, stations,
-// nodes) are immutable after construction; each capsule's MCU state
-// is only ever driven through one goroutine at a time, so stations operate
-// concurrently without touching each other's capsules. Mutable state splits
-// two ways: fleet-wide liveness and the tracer live behind the route lock,
-// per-capsule routing lives behind each shard's own mutex. Lock order
-// is route before shard mu; KillStation and ReviveStation hold the route
-// write lock across all their shard rewrites, so a reader holding route
-// (read) plus the shard locks observes routing that is never torn.
+// readers, nodes, index, amps and the shards are immutable after
+// construction; each capsule's MCU state is only ever driven through one
+// goroutine at a time, so stations operate concurrently without touching
+// each other's capsules. All mutable state — station liveness, the routing
+// table and the tracer — sits behind the one route lock. KillStation and
+// ReviveStation hold its write lock across the liveness flip and the
+// reroute, so a reader holding the read side observes liveness and routing
+// that always agree.
 type Fleet struct {
 	structure *geometry.Structure
 	readers   []*reader.Reader
-	nodes     []*node.Node
-	// grid partitions the structure's long axis into coverage cells; the
-	// cell under a capsule decides its shard.
-	grid *geometry.CellGrid
-	// amps[handle][station] is the delivered PZT amplitude of every built
-	// channel, -1 where the station cannot reach the capsule. Precomputed at
+	// nodes holds the capsules in ascending handle order. A capsule's
+	// position here (its index) keys amps, best, the shard queues and its
+	// survey row; index maps a handle back to it.
+	nodes []*node.Node
+	index map[uint16]int
+	// amps[c][station] is the delivered PZT amplitude of every built
+	// channel, -1 where the station cannot reach capsule c. Precomputed at
 	// construction (drive voltage and path gain never change afterwards) so
 	// rerouting and read ordering touch no reader locks.
-	amps map[uint16][]float64
-	// shards partition the capsules; shardByHandle finds a capsule's owner.
-	shards        []*shard
-	shardByHandle map[uint16]*shard
+	amps [][]float64
+	// shards partition the capsules into pool queues.
+	shards []*shard
 
-	// route guards the fleet-wide mutable state below — stations die and
-	// revive concurrently with surveys in the field. Writers (kill, revive)
-	// take the write lock for their entire operation, including every
-	// per-shard routing rewrite.
+	// route guards the mutable state below — stations die and revive
+	// concurrently with surveys in the field. Writers (kill, revive) take
+	// the write lock for their entire operation, reroute included.
 	route sync.RWMutex
 	// alive[i] reports whether station i is operational.
 	//ecolint:guardedby route
 	alive []bool
+	// best[c] is the alive station delivering the highest PZT amplitude to
+	// capsule c, -1 when no alive station reaches it (an orphan).
+	//ecolint:guardedby route
+	best []int
 	// tracer is the span tracer surveys attach to.
 	//ecolint:guardedby route
 	tracer *telemetry.Tracer
@@ -169,39 +172,41 @@ func build(s *geometry.Structure, plan deploy.Plan, capsules []*node.Node, seed 
 	if len(capsules) == 0 {
 		return nil, ErrNoNodes
 	}
-	// Every per-capsule table below is keyed by handle, and the Deploy
-	// errors in the station loop read as partial coverage, so a duplicate
-	// must be caught here or it collapses silently.
-	seen := make(map[uint16]bool, len(capsules))
-	for _, n := range capsules {
-		if seen[n.Handle()] {
-			return nil, fmt.Errorf("fleet: duplicate capsule handle %#04x", n.Handle())
+	// Every per-capsule table below is indexed by handle order, and the
+	// Deploy errors in the station loop read as partial coverage, so a
+	// duplicate must be caught here or it collapses silently.
+	nodes := append([]*node.Node(nil), capsules...)
+	sort.Slice(nodes, func(a, b int) bool { return nodes[a].Handle() < nodes[b].Handle() })
+	for c := 1; c < len(nodes); c++ {
+		if nodes[c].Handle() == nodes[c-1].Handle() {
+			return nil, fmt.Errorf("fleet: duplicate capsule handle %#04x", nodes[c].Handle())
 		}
-		seen[n.Handle()] = true
 	}
 	f := &Fleet{
-		structure:     s,
-		nodes:         capsules,
-		grid:          grid,
-		alive:         make([]bool, len(plan.Stations)),
-		amps:          make(map[uint16][]float64, len(capsules)),
-		shardByHandle: make(map[uint16]*shard, len(capsules)),
+		structure: s,
+		nodes:     nodes,
+		index:     make(map[uint16]int, len(nodes)),
+		amps:      make([][]float64, len(nodes)),
+		alive:     make([]bool, len(plan.Stations)),
+		best:      make([]int, len(nodes)),
 	}
-	for _, n := range capsules {
+	cellOf := make([]int, len(nodes))
+	for c, n := range nodes {
+		f.index[n.Handle()] = c
+		cellOf[c] = grid.CellOf(n.Position())
 		a := make([]float64, len(plan.Stations))
 		for i := range a {
 			a[i] = -1
 		}
-		f.amps[n.Handle()] = a
+		f.amps[c] = a
 	}
-	// coveredBy[station] marks the capsules inside the station's cells.
-	coveredBy := make([]map[uint16]bool, len(plan.Stations))
-	for i := range coveredBy {
-		coveredBy[i] = make(map[uint16]bool)
-	}
+	// covered[station] lists the capsules inside the station's cells, in
+	// the caller's order, which is each reader's deploy order.
+	covered := make([][]int, len(plan.Stations))
 	for _, n := range capsules {
-		for _, st := range cellStations[grid.CellOf(n.Position())] {
-			coveredBy[st][n.Handle()] = true
+		c := f.index[n.Handle()]
+		for _, st := range cellStations[cellOf[c]] {
+			covered[st] = append(covered[st], c)
 		}
 	}
 	for i, st := range plan.Stations {
@@ -215,10 +220,8 @@ func build(s *geometry.Structure, plan deploy.Plan, capsules []*node.Node, seed 
 		if err != nil {
 			return nil, fmt.Errorf("fleet: station %d: %w", i, err)
 		}
-		for _, n := range capsules {
-			if !coveredBy[i][n.Handle()] {
-				continue
-			}
+		for _, c := range covered[i] {
+			n := nodes[c]
 			if err := r.Deploy(n); err != nil {
 				// Partial coverage: this station cannot serve the capsule,
 				// but another might.
@@ -228,55 +231,59 @@ func build(s *geometry.Structure, plan deploy.Plan, capsules []*node.Node, seed 
 			if err != nil {
 				continue
 			}
-			f.amps[n.Handle()][i] = amp
+			f.amps[c][i] = amp
 		}
 		f.readers = append(f.readers, r)
 		f.alive[i] = true
 	}
 	for _, n := range capsules {
 		served := false
-		for _, amp := range f.amps[n.Handle()] {
+		for _, amp := range f.amps[f.index[n.Handle()]] {
 			served = served || amp >= 0
 		}
 		if !served {
 			return nil, fmt.Errorf("fleet: capsule %#04x unreachable from every station", n.Handle())
 		}
 	}
-	cellOf := func(n *node.Node) int { return grid.CellOf(n.Position()) }
-	f.shards = buildShards(shardsN, grid.Cells(), cellStations, cellOf, capsules)
-	for _, sh := range f.shards {
-		for _, n := range sh.nodes {
-			f.shardByHandle[n.Handle()] = sh
-		}
-	}
+	f.shards = buildShards(shardsN, grid.Cells(), cellStations, cellOf)
 	f.route.Lock()
 	f.rerouteAllLocked()
 	f.route.Unlock()
 	return f, nil
 }
 
-// rerouteAllLocked re-resolves every shard's routing. Caller holds the
-// route write lock.
+// rerouteAllLocked resolves every capsule's best alive station from the
+// precomputed amplitude table: the strongest amplitude wins, ties go to
+// the lower station index, and a capsule no alive station reaches becomes
+// an orphan (-1). A station outside the capsule's cell coverage has
+// amplitude -1, so the scan over every station picks the same winner as a
+// scan over the capsule's shard. Caller holds the route write lock.
 func (f *Fleet) rerouteAllLocked() {
-	for _, sh := range f.shards {
-		sh.mu.Lock()
-		sh.rerouteLocked(f.alive, f.amps)
-		sh.mu.Unlock()
+	for c, a := range f.amps {
+		best, bestAmp := -1, 0.0
+		for i, amp := range a {
+			if f.alive[i] && amp > bestAmp {
+				best, bestAmp = i, amp
+			}
+		}
+		f.best[c] = best
 	}
 	mReroutes.Inc()
 	f.publishGaugesLocked()
 }
 
-// orphanCountLocked counts capsules with no alive server. Caller holds the
-// route lock.
-func (f *Fleet) orphanCountLocked() int {
-	served := 0
-	for _, sh := range f.shards {
-		sh.mu.Lock()
-		served += len(sh.best)
-		sh.mu.Unlock()
+// coverageLocked counts, per station, the capsules it serves best, and the
+// orphans no alive station serves. Caller holds the route lock.
+func (f *Fleet) coverageLocked() (cover []int, orphans int) {
+	cover = make([]int, len(f.readers))
+	for _, idx := range f.best {
+		if idx < 0 {
+			orphans++
+			continue
+		}
+		cover[idx]++
 	}
-	return len(f.nodes) - served
+	return cover, orphans
 }
 
 // publishGaugesLocked refreshes the liveness/coverage gauges. Caller holds
@@ -284,21 +291,14 @@ func (f *Fleet) orphanCountLocked() int {
 func (f *Fleet) publishGaugesLocked() {
 	mStations.Set(float64(len(f.readers)))
 	mStationsAlive.Set(float64(f.aliveStationsLocked()))
-	cover := make([]int, len(f.readers))
-	served := 0
-	for _, sh := range f.shards {
-		sh.mu.Lock()
-		for _, idx := range sh.best {
-			cover[idx]++
-			served++
-		}
-		mShardCapsules.With(shardLabel(sh.index)).Set(float64(len(sh.nodes)))
-		mShardStations.With(shardLabel(sh.index)).Set(float64(len(sh.stations)))
-		sh.mu.Unlock()
-	}
-	mOrphans.Set(float64(len(f.nodes) - served))
+	cover, orphans := f.coverageLocked()
+	mOrphans.Set(float64(orphans))
 	for i, c := range cover {
 		mCoverage.With(stationLabel(i)).Set(float64(c))
+	}
+	for _, sh := range f.shards {
+		mShardCapsules.With(shardLabel(sh.index)).Set(float64(len(sh.nodes)))
+		mShardStations.With(shardLabel(sh.index)).Set(float64(sh.stations))
 	}
 }
 
@@ -326,8 +326,8 @@ func (f *Fleet) aliveStationsLocked() int {
 }
 
 // KillStation marks a station dead and re-routes its capsules to their
-// next-best alive server. The write lock spans the liveness flip and every
-// shard's routing rewrite, so no reader ever observes the two disagreeing.
+// next-best alive server. The write lock spans the liveness flip and the
+// reroute, so no reader ever observes the two disagreeing.
 // Unknown indices are ignored.
 func (f *Fleet) KillStation(i int) {
 	f.route.Lock()
@@ -338,8 +338,9 @@ func (f *Fleet) KillStation(i int) {
 	f.alive[i] = false
 	mKills.Inc()
 	f.rerouteAllLocked()
+	_, orphans := f.coverageLocked()
 	telemetry.RecordFlight("fleet", "station_killed",
-		fmt.Sprintf("station %d down, %d orphans after reroute", i, f.orphanCountLocked()))
+		fmt.Sprintf("station %d down, %d orphans after reroute", i, orphans))
 }
 
 // ReviveStation brings a dead station back and re-routes.
@@ -352,8 +353,9 @@ func (f *Fleet) ReviveStation(i int) {
 	f.alive[i] = true
 	mRevives.Inc()
 	f.rerouteAllLocked()
+	_, orphans := f.coverageLocked()
 	telemetry.RecordFlight("fleet", "station_revived",
-		fmt.Sprintf("station %d back, %d orphans after reroute", i, f.orphanCountLocked()))
+		fmt.Sprintf("station %d back, %d orphans after reroute", i, orphans))
 }
 
 // StationAlive reports one station's liveness.
@@ -407,16 +409,13 @@ func (f *Fleet) ApplyInjector(in *faultinject.Injector) {
 
 // BestStation returns the station index serving a capsule (-1 if none).
 func (f *Fleet) BestStation(handle uint16) int {
-	sh, ok := f.shardByHandle[handle]
+	c, ok := f.index[handle]
 	if !ok {
 		return -1
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if i, ok := sh.best[handle]; ok {
-		return i
-	}
-	return -1
+	f.route.RLock()
+	defer f.route.RUnlock()
+	return f.best[c]
 }
 
 // Charge drives every capsule from its best station for the given duration
@@ -443,16 +442,14 @@ func (f *Fleet) Charge(duration float64) int {
 	f.route.RLock()
 	jobs := make([][]job, len(f.shards))
 	for qi, sh := range f.shards {
-		sh.mu.Lock()
-		for _, n := range sh.nodes {
-			idx, ok := sh.best[n.Handle()]
-			if !ok {
+		for _, c := range sh.nodes {
+			idx := f.best[c]
+			if idx < 0 {
 				skipped++
 				continue
 			}
-			jobs[qi] = append(jobs[qi], job{n: n, amp: f.amps[n.Handle()][idx]})
+			jobs[qi] = append(jobs[qi], job{n: f.nodes[c], amp: f.amps[c][idx]})
 		}
-		sh.mu.Unlock()
 	}
 	f.route.RUnlock()
 	counts := make([]int, len(jobs))
@@ -487,14 +484,12 @@ func (f *Fleet) Inventory(maxRoundsPerStation int) []uint16 {
 	counts := make([]int, len(f.readers))
 	assigned := make([][]uint16, len(f.readers))
 	for _, sh := range f.shards {
-		sh.mu.Lock()
-		for _, n := range sh.nodes {
-			if idx, ok := sh.best[n.Handle()]; ok {
-				assigned[idx] = append(assigned[idx], n.Handle())
+		for _, c := range sh.nodes {
+			if idx := f.best[c]; idx >= 0 {
+				assigned[idx] = append(assigned[idx], f.nodes[c].Handle())
 				counts[idx] = 1
 			}
 		}
-		sh.mu.Unlock()
 	}
 	f.route.RUnlock()
 	results := make([][]uint16, len(f.readers))
@@ -522,29 +517,24 @@ func (f *Fleet) ReadSensor(handle uint16, st sensors.SensorType) ([]float64, err
 // served the read — which the fallback path can make different from
 // BestStation. A failed read returns station -1.
 func (f *Fleet) ReadSensorVia(handle uint16, st sensors.SensorType) ([]float64, int, error) {
-	// Snapshot the routing under the locks, then run the (slow) acoustic
-	// exchanges outside them so concurrent reads of different capsules
+	c, ok := f.index[handle]
+	if !ok {
+		return f.readVia(handle, st, nil, -1)
+	}
+	// Snapshot the routing under the lock, then run the (slow) acoustic
+	// exchanges outside it so concurrent reads of different capsules
 	// proceed in parallel; each reader serialises its own link internally.
 	f.route.RLock()
 	alive := append([]bool(nil), f.alive...)
-	best := -1
-	sh := f.shardByHandle[handle]
-	if sh != nil {
-		sh.mu.Lock()
-		if b, ok := sh.best[handle]; ok {
-			best = b
-		}
-		sh.mu.Unlock()
-	}
+	best := f.best[c]
 	f.route.RUnlock()
-	stations := f.readOrder(handle, alive)
-	return f.readVia(handle, st, stations, best, sh)
+	return f.readVia(handle, st, f.readOrder(c, alive), best)
 }
 
 // readVia walks the candidate stations in order, returning the first
-// successful read and maintaining the routing metrics and the owning
-// shard's rerouted counter.
-func (f *Fleet) readVia(handle uint16, st sensors.SensorType, stations []int, best int, sh *shard) ([]float64, int, error) {
+// successful read and the station that served it, and maintaining the
+// routing metrics.
+func (f *Fleet) readVia(handle uint16, st sensors.SensorType, stations []int, best int) ([]float64, int, error) {
 	if len(stations) == 0 {
 		mFleetReads.With(routeFailed).Inc()
 		return nil, -1, fmt.Errorf("fleet: no station serves capsule %#04x", handle)
@@ -557,11 +547,6 @@ func (f *Fleet) readVia(handle uint16, st sensors.SensorType, stations []int, be
 				mFleetReads.With(routePrimary).Inc()
 			} else {
 				mFleetReads.With(routeRerouted).Inc()
-				if sh != nil {
-					sh.mu.Lock()
-					sh.reroutedReads++
-					sh.mu.Unlock()
-				}
 			}
 			return vals, idx, nil
 		}
@@ -572,28 +557,14 @@ func (f *Fleet) readVia(handle uint16, st sensors.SensorType, stations []int, be
 		handle, len(stations), lastErr)
 }
 
-// ReroutedReads returns the number of successful reads a fallback station
-// (not the capsule's best) served over the fleet's lifetime.
-func (f *Fleet) ReroutedReads() int {
-	total := 0
-	for _, sh := range f.shards {
-		sh.mu.Lock()
-		total += sh.reroutedReads
-		sh.mu.Unlock()
-	}
-	return total
-}
-
-// readOrder lists the alive stations that can reach the capsule, best
+// readOrder lists the alive stations that can reach capsule c, best
 // amplitude first, from the immutable amplitude table and the given
-// liveness snapshot.
-func (f *Fleet) readOrder(handle uint16, alive []bool) []int {
-	amps, ok := f.amps[handle]
-	if !ok {
-		return nil
-	}
-	// A capsule hears a handful of stations: an insertion sort into one
-	// exact-size slice keeps the per-read cost to a single allocation.
+// liveness snapshot. Its head is the capsule's best station.
+func (f *Fleet) readOrder(c int, alive []bool) []int {
+	amps := f.amps[c]
+	// A sharded capsule hears a handful of stations (a flat fleet's hear
+	// them all): an insertion sort into one exact-size slice keeps the
+	// per-read cost to a single allocation.
 	n := 0
 	for i := range f.readers {
 		if !alive[i] || amps[i] < 0 {
@@ -630,70 +601,46 @@ func (f *Fleet) SetEnvironment(fn func(pos geometry.Vec3) sensors.Environment) {
 
 // Coverage reports, per station, how many capsules it serves best.
 func (f *Fleet) Coverage() []int {
-	out := make([]int, len(f.readers))
-	for _, sh := range f.shards {
-		sh.mu.Lock()
-		for _, idx := range sh.best {
-			out[idx]++
-		}
-		sh.mu.Unlock()
-	}
-	return out
+	f.route.RLock()
+	defer f.route.RUnlock()
+	cover, _ := f.coverageLocked()
+	return cover
 }
 
-// routeSnapshot is one torn-proof copy of the fleet's routing state: every
-// field is collected under a single route read-lock acquisition (shard
-// locks taken in index order inside it), and kill/revive write the same
-// lock, so the liveness, dead list, best map and orphan set always agree
-// with each other.
+// routeSnapshot is one torn-proof copy of the fleet's routing state: the
+// liveness and the capsule-indexed best table are copied under a single
+// route read-lock acquisition, and kill/revive write the same lock, so the
+// liveness, dead list, best table and orphan list always agree with each
+// other.
 type routeSnapshot struct {
 	alive      []bool
 	aliveCount int
 	dead       []int
-	best       map[uint16]int
-	orphan     map[uint16]bool
-	orphans    []uint16
-}
-
-// bestOf returns the snapshot's serving station for a capsule (-1 if none).
-func (s *routeSnapshot) bestOf(handle uint16) int {
-	if i, ok := s.best[handle]; ok {
-		return i
-	}
-	return -1
+	best       []int
+	// orphans lists the capsules with no alive server, ascending.
+	orphans []uint16
 }
 
 // snapshotRouting collects the snapshot. Safe to call concurrently with
 // reads and kill/revive; never called with route already held.
 func (f *Fleet) snapshotRouting() *routeSnapshot {
-	snap := &routeSnapshot{
-		best:   make(map[uint16]int, len(f.nodes)),
-		orphan: make(map[uint16]bool),
-	}
+	snap := &routeSnapshot{}
 	f.route.RLock()
 	snap.alive = append([]bool(nil), f.alive...)
-	for i, a := range f.alive {
+	snap.best = append([]int(nil), f.best...)
+	f.route.RUnlock()
+	for i, a := range snap.alive {
 		if a {
 			snap.aliveCount++
 		} else {
 			snap.dead = append(snap.dead, i)
 		}
 	}
-	for _, sh := range f.shards {
-		sh.mu.Lock()
-		for h, idx := range sh.best {
-			snap.best[h] = idx
-		}
-		sh.mu.Unlock()
-	}
-	f.route.RUnlock()
-	for _, n := range f.nodes {
-		if _, ok := snap.best[n.Handle()]; !ok {
-			snap.orphan[n.Handle()] = true
-			snap.orphans = append(snap.orphans, n.Handle())
+	for c, idx := range snap.best {
+		if idx < 0 {
+			snap.orphans = append(snap.orphans, f.nodes[c].Handle())
 		}
 	}
-	sort.Slice(snap.orphans, func(i, j int) bool { return snap.orphans[i] < snap.orphans[j] })
 	return snap
 }
 

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -55,6 +56,45 @@ func TestKillStationReroutesAndRevives(t *testing.T) {
 	f.KillStation(99)
 	f.ReviveStation(-1)
 	f.ReviveStation(99)
+}
+
+// TestBestStationHeadsReadOrder pins the routing rule in one place: with
+// no station dead and under each single-station kill, every capsule's best
+// station is the head of its read order (-1 when nothing alive reaches
+// it). The survey counts a read as rerouted when any other station served
+// it, so the two must agree.
+func TestBestStationHeadsReadOrder(t *testing.T) {
+	demo, _, err := NewDemoFleet(DemoSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	city, err := NewCityFleet(300, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, f *Fleet) {
+		snap := f.snapshotRouting()
+		for c, best := range snap.best {
+			want := -1
+			if order := f.readOrder(c, snap.alive); len(order) > 0 {
+				want = order[0]
+			}
+			if best != want {
+				t.Errorf("%s: capsule %#04x best %d, read order head %d", name, f.nodes[c].Handle(), best, want)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		f    *Fleet
+	}{{"demo", demo}, {"city", city}} {
+		check(tc.name, tc.f)
+		for i := 0; i < tc.f.Stations(); i++ {
+			tc.f.KillStation(i)
+			check(fmt.Sprintf("%s, station %d dead", tc.name, i), tc.f)
+			tc.f.ReviveStation(i)
+		}
+	}
 }
 
 func TestSurveyFullCoverage(t *testing.T) {

@@ -1,7 +1,8 @@
 package fleet
 
-// City-scale fleet construction for the fleet_survey benchmarks and the
-// scale smoke in verify.sh. A "building segment" is one long wall with
+// City-scale fleet construction for ecobench's fleet_survey tiers (the
+// 1k tier is gated in verify.sh's bench stage) and pipebench's survey
+// workloads. A "building segment" is one long wall with
 // capsules embedded every few centimetres and reader stations bolted on at
 // regular intervals — the paper's end state of a concrete volume that is
 // itself the sensing fabric. Handles are 16-bit on the wire, so one fleet

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"ecocapsule/internal/conc"
@@ -115,7 +116,6 @@ func (f *Fleet) Survey(chargeDuration float64) SHMReport {
 // Survey.
 func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span) {
 	before := f.FaultStats()
-	reroutedBefore := f.ReroutedReads()
 	f.route.RLock()
 	tracer := f.tracer
 	f.route.RUnlock()
@@ -152,16 +152,26 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 		Expected:      len(f.nodes),
 		Orphans:       snap.orphans,
 	}
-	visit := func(h uint16) SurveyRow {
-		row := SurveyRow{Handle: h, Station: snap.bestOf(h)}
-		if snap.orphan[h] {
+	// Per-shard batched passes on the work-stealing pool; each capsule's
+	// row lands in its own slot, which is already in handle order.
+	rep.Rows = make([]SurveyRow, len(f.nodes))
+	var rerouted atomic.Int64
+	visit := func(c int) {
+		row := &rep.Rows[c]
+		h := f.nodes[c].Handle()
+		row.Handle, row.Station = h, snap.best[c]
+		if row.Station < 0 {
 			row.Status = "orphan"
-			return row
+			return
 		}
-		stations := f.readOrder(h, snap.alive)
-		sh := f.shardByHandle[h]
-		th, servedT, errT := f.readVia(h, sensors.TypeTempHumidity, stations, row.Station, sh)
-		st, _, errS := f.readVia(h, sensors.TypeStrain, stations, row.Station, sh)
+		stations := f.readOrder(c, snap.alive)
+		th, servedT, errT := f.readVia(h, sensors.TypeTempHumidity, stations, row.Station)
+		st, servedS, errS := f.readVia(h, sensors.TypeStrain, stations, row.Station)
+		for _, served := range [...]int{servedT, servedS} {
+			if served >= 0 && served != row.Station {
+				rerouted.Add(1)
+			}
+		}
 		if errT != nil || errS != nil || len(th) < 2 || len(st) < 2 {
 			row.Status = "missing"
 		} else {
@@ -172,22 +182,15 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 			row.TemperatureC, row.RelativeHumidity = th[0], th[1]
 			row.StrainX, row.StrainY = st[0], st[1]
 		}
-		return row
 	}
-	// Per-shard batched passes on the work-stealing pool; each shard's
-	// partial report lands pre-sorted in its own slot and the hierarchical
-	// aggregator folds them in shard-index order.
-	shardRows := make([][]SurveyRow, len(f.shards))
 	counts := make([]int, len(f.shards))
 	for qi, sh := range f.shards {
-		shardRows[qi] = make([]SurveyRow, len(sh.nodes))
 		counts[qi] = len(sh.nodes)
 	}
 	conc.Queues(counts, func(q, item int) {
-		shardRows[q][item] = visit(f.shards[q].nodes[item].Handle())
+		visit(f.shards[q].nodes[item])
 	})
-	// The merged rows are the report's; Missing inherits handle order.
-	rep.Rows = mergeRows(shardRows)
+	// Missing inherits the rows' handle order.
 	for _, row := range rep.Rows {
 		if row.Status == "missing" {
 			rep.Missing = append(rep.Missing, row.Handle)
@@ -200,7 +203,7 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 	rep.CorruptedReplies = after.CorruptedReplies - before.CorruptedReplies
 	rep.Retries = after.Retries - before.Retries
 	rep.Backoff = after.Backoff - before.Backoff
-	rep.ReroutedReads = f.ReroutedReads() - reroutedBefore
+	rep.ReroutedReads = int(rerouted.Load())
 	rep.Degraded = len(rep.DeadStations) > 0 || len(rep.Missing) > 0 || len(rep.Orphans) > 0
 	if rep.Degraded {
 		mSurveys.With("degraded").Inc()

@@ -136,11 +136,13 @@ stage_done
 # must hand every item to exactly one body on every queue shape production
 # uses. The waveform round fans its link transmits out over the pool and its
 # FFT kernel fuses stages; both must stay bit-identical to the serial,
-# one-stage-per-pass results.
+# one-stage-per-pass results. The fleet's churn tests kill and revive
+# stations while surveys and reads run, against its one route lock.
 stage "keyed determinism (-race -count=2 -cpu 1,2,4)"
 go test -race -count=2 -cpu 1,2,4 -run 'Invariance|Keyed|Determinis' \
 	./internal/conc ./internal/fleet ./internal/faultinject ./internal/telemetry \
 	./internal/keyrand
+go test -race -count=2 -cpu 1,2,4 -run 'Churn|UnderKill|Concurrent' ./internal/fleet
 go test -race -count=2 -cpu 1,2,4 -run 'BitIdentical|Determinis' \
 	./internal/dsp ./internal/reader
 stage_done
