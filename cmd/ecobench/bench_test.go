@@ -12,6 +12,12 @@ func report(procs int, entries ...benchEntry) benchReport {
 
 func entry(name string, ns float64) benchEntry { return benchEntry{Name: name, NsPerOp: ns} }
 
+// built is a 10k entry carrying a build time; its survey time is fixed, so
+// only the build times can move the sharding gate.
+func built(name string, buildNs float64) benchEntry {
+	return benchEntry{Name: name, NsPerOp: 1e8, BuildNs: buildNs}
+}
+
 func TestGates(t *testing.T) {
 	base := report(1, entry(benchTransmit, 1e6), entry(benchDecode, 2e6))
 	for _, tc := range []struct {
@@ -49,11 +55,14 @@ func TestGates(t *testing.T) {
 		{"missing cold/warm pair fails", func() int {
 			return gateColdWarm(report(1, entry(benchRoundCold, 10e6)))
 		}, 1},
-		{"flat 3x the sharded 10k passes", func() int {
-			return gateSharding(report(1, entry(benchFleet10k, 1e8), entry(benchFlat10k, 3e8)).Runs[0])
+		{"flat build 3x the sharded 10k passes", func() int {
+			return gateSharding(report(1, built(benchFleet10k, 1e9), built(benchFlat10k, 3e9)).Runs[0])
 		}, 0},
-		{"flat under 3x the sharded 10k fails", func() int {
-			return gateSharding(report(1, entry(benchFleet10k, 1e8), entry(benchFlat10k, 2.9e8)).Runs[0])
+		{"flat build under 3x the sharded 10k fails", func() int {
+			return gateSharding(report(1, built(benchFleet10k, 1e9), built(benchFlat10k, 2.9e9)).Runs[0])
+		}, 1},
+		{"10k pair with no build time fails", func() int {
+			return gateSharding(report(1, entry(benchFleet10k, 1e8), built(benchFlat10k, 3e9)).Runs[0])
 		}, 1},
 	} {
 		if got := tc.failures(); got != tc.want {

@@ -16,8 +16,9 @@
 //	                       # >20% against the committed baseline run at the
 //	                       # same GOMAXPROCS
 //	ecobench -json -full   # also the 10k (with the flat-registry comparator
-//	                       # and the >=3x sharding gate) and 100k (two 50k
-//	                       # building segments) fleet tiers at GOMAXPROCS=1
+//	                       # and the >=3x build-time sharding gate) and 100k
+//	                       # (two 50k building segments) fleet tiers at
+//	                       # GOMAXPROCS=1
 package main
 
 import (

@@ -2,41 +2,45 @@
 // reader's power-up range tops out around 6 m (Fig. 12); full-structure
 // monitoring of a 20 m wall therefore runs a fleet of stations — usually
 // the output of deploy.Cover — that share the embedded capsule population.
-// The fleet charges each capsule from whichever station delivers the most
-// amplitude, merges the per-station inventories, and routes sensor reads
-// through each capsule's best station.
+// The fleet charges each capsule from whichever alive station delivers the
+// most amplitude, merges the per-station inventories, and routes sensor
+// reads through each capsule's serving station.
 //
 // At building scale the registry is spatially partitioned: the structure's
 // long axis is cut into coverage cells (geometry.CellGrid), each capsule
 // belongs to the cell under its position, stations cover the cells within
 // their range (deploy.AssignCells), and a shard owns a contiguous run of
-// cells and is the pool queue its capsules are driven on. Routing is one
-// capsule-indexed table behind one lock; capsules are indexed in ascending
-// handle order, so every survey row is written straight into its final
-// slot. Survey, inventory and charge run as per-shard batched passes on a
-// work-stealing pool (conc.Queues). There is one schedule, with or without
-// a fault injector or tracer: stations serve disjoint capsule groups (the
-// paper's TDMA partition), each capsule is driven by one goroutine at a
-// time, and every fault draw and span ID is a pure function of its
-// capsule's key (see faultinject and telemetry.Tracer). The same seed
-// therefore yields a byte-identical report and span tree at any shard
-// count and GOMAXPROCS; only flight-recorder event order across capsules
-// follows arrival. The classic flat constructor (New) is the 1-shard,
+// cells and is the pool queue its capsules are driven on. Each capsule
+// carries one immutable route list — the stations that reach it, strongest
+// first — and its serving station is the first alive entry, derived on
+// demand from station liveness, the only routing state that changes.
+// Capsules are indexed in ascending handle order, so every survey row is
+// written straight into its final slot. Survey, inventory and charge run
+// as per-shard batched passes on a work-stealing pool (conc.Queues). There
+// is one schedule, with or without a fault injector or tracer: stations
+// serve disjoint capsule groups (the paper's TDMA partition), each capsule
+// is driven by one goroutine at a time, and every fault draw and span ID
+// is a pure function of its capsule's key (see faultinject and
+// telemetry.Tracer). The same seed therefore yields a byte-identical
+// report and span tree at any shard count and GOMAXPROCS; only
+// flight-recorder event order across capsules follows arrival. The classic flat constructor (New) is the 1-shard,
 // 1-cell special case with every capsule deployed into every station.
 //
 // Stations fail in the field: a reader falls off the wall, loses mains
 // power, or its cable corrodes. The fleet therefore tracks per-station
-// liveness, re-routes capsules away from dead stations, falls back to the
-// next-best station when a read fails, and reports partial coverage as a
-// degraded survey instead of an error — node dropout is the normal
-// operating regime of an embedded SHM deployment, not an exception.
+// liveness, serves each capsule from its strongest alive station, falls
+// back to the next-strongest when a read fails, and reports partial
+// coverage as a degraded survey instead of an error — node dropout is the
+// normal operating regime of an embedded SHM deployment, not an exception.
 package fleet
 
 //ecolint:deterministic
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -54,41 +58,36 @@ import (
 // Fleet is a set of readers attached to one structure, partitioned into
 // spatial shards.
 //
-// readers, nodes, index, amps and the shards are immutable after
+// readers, nodes, index, routes and the shards are immutable after
 // construction; each capsule's MCU state is only ever driven through one
 // goroutine at a time, so stations operate concurrently without touching
-// each other's capsules. All mutable state — station liveness, the routing
-// table and the tracer — sits behind the one route lock. KillStation and
-// ReviveStation hold its write lock across the liveness flip and the
-// reroute, so a reader holding the read side observes liveness and routing
-// that always agree.
+// each other's capsules. The only mutable state — station liveness and the
+// tracer — sits behind the one route lock. Routing is never stored: a
+// capsule's serving station is derived from its route list and station
+// liveness, so routing can never disagree with liveness.
 type Fleet struct {
 	structure *geometry.Structure
 	readers   []*reader.Reader
 	// nodes holds the capsules in ascending handle order. A capsule's
-	// position here (its index) keys amps, best, the shard queues and its
+	// position here (its index) keys routes, the shard queues and its
 	// survey row; index maps a handle back to it.
 	nodes []*node.Node
 	index map[uint16]int
-	// amps[c][station] is the delivered PZT amplitude of every built
-	// channel, -1 where the station cannot reach capsule c. Precomputed at
-	// construction (drive voltage and path gain never change afterwards) so
-	// rerouting and read ordering touch no reader locks.
-	amps [][]float64
+	// routes[c] lists the stations that reach capsule c, strongest first,
+	// ties on ascending station index. Precomputed at construction (drive
+	// voltage and path gain never change afterwards) so routing touches no
+	// reader locks.
+	routes [][]route
 	// shards partition the capsules into pool queues.
 	shards []*shard
 
 	// route guards the mutable state below — stations die and revive
 	// concurrently with surveys in the field. Writers (kill, revive) take
-	// the write lock for their entire operation, reroute included.
+	// the write lock for their entire operation.
 	route sync.RWMutex
 	// alive[i] reports whether station i is operational.
 	//ecolint:guardedby route
 	alive []bool
-	// best[c] is the alive station delivering the highest PZT amplitude to
-	// capsule c, -1 when no alive station reaches it (an orphan).
-	//ecolint:guardedby route
-	best []int
 	// tracer is the span tracer surveys attach to.
 	//ecolint:guardedby route
 	tracer *telemetry.Tracer
@@ -99,6 +98,13 @@ var (
 	ErrNoStations = errors.New("fleet: no stations in the plan")
 	ErrNoNodes    = errors.New("fleet: no capsules supplied")
 )
+
+// route is one station that reaches a capsule and the PZT amplitude it
+// delivers there.
+type route struct {
+	station int
+	amp     float64
+}
 
 // Options parameterises a sharded fleet.
 type Options struct {
@@ -116,8 +122,8 @@ type Options struct {
 }
 
 // New builds a flat fleet from a deployment plan: one reader per station,
-// every capsule deployed into every station's acoustic field, and the best
-// station per capsule resolved from the channel gains. It is exactly the
+// every capsule deployed into every station's acoustic field, and each
+// capsule's stations ranked by their channel gains. It is exactly the
 // 1-shard, 1-cell case of NewSharded with range limits disabled — the
 // classic fleet, preserved bit-for-bit. A station failing to reach one
 // capsule is tolerated (the capsule rides on other stations); a capsule no
@@ -163,7 +169,7 @@ func NewSharded(s *geometry.Structure, plan deploy.Plan, capsules []*node.Node, 
 }
 
 // build is the common constructor: readers, cell-limited deployment, the
-// amplitude table, shards, and the initial route resolution.
+// per-capsule route lists, and the shards.
 func build(s *geometry.Structure, plan deploy.Plan, capsules []*node.Node, seed int64,
 	grid *geometry.CellGrid, cellStations [][]int, shardsN, maxOrder int) (*Fleet, error) {
 	if len(plan.Stations) == 0 {
@@ -186,19 +192,14 @@ func build(s *geometry.Structure, plan deploy.Plan, capsules []*node.Node, seed 
 		structure: s,
 		nodes:     nodes,
 		index:     make(map[uint16]int, len(nodes)),
-		amps:      make([][]float64, len(nodes)),
+		routes:    make([][]route, len(nodes)),
 		alive:     make([]bool, len(plan.Stations)),
-		best:      make([]int, len(nodes)),
 	}
 	cellOf := make([]int, len(nodes))
 	for c, n := range nodes {
 		f.index[n.Handle()] = c
 		cellOf[c] = grid.CellOf(n.Position())
-		a := make([]float64, len(plan.Stations))
-		for i := range a {
-			a[i] = -1
-		}
-		f.amps[c] = a
+		f.routes[c] = make([]route, 0, len(cellStations[cellOf[c]]))
 	}
 	// covered[station] lists the capsules inside the station's cells, in
 	// the caller's order, which is each reader's deploy order.
@@ -228,67 +229,60 @@ func build(s *geometry.Structure, plan deploy.Plan, capsules []*node.Node, seed 
 				continue
 			}
 			amp, err := r.NodeAmplitude(n.Handle())
-			if err != nil {
+			if err != nil || amp <= 0 {
 				continue
 			}
-			f.amps[c][i] = amp
+			f.routes[c] = append(f.routes[c], route{station: i, amp: amp})
 		}
 		f.readers = append(f.readers, r)
 		f.alive[i] = true
 	}
 	for _, n := range capsules {
-		served := false
-		for _, amp := range f.amps[f.index[n.Handle()]] {
-			served = served || amp >= 0
-		}
-		if !served {
+		rs := f.routes[f.index[n.Handle()]]
+		if len(rs) == 0 {
 			return nil, fmt.Errorf("fleet: capsule %#04x unreachable from every station", n.Handle())
 		}
+		// Stations were appended in index order, so a stable sort keeps
+		// ties on ascending station index.
+		slices.SortStableFunc(rs, func(a, b route) int { return cmp.Compare(b.amp, a.amp) })
 	}
 	f.shards = buildShards(shardsN, grid.Cells(), cellStations, cellOf)
 	f.route.Lock()
-	f.rerouteAllLocked()
+	mReroutes.Inc()
+	f.publishGaugesLocked()
 	f.route.Unlock()
 	return f, nil
 }
 
-// rerouteAllLocked resolves every capsule's best alive station from the
-// precomputed amplitude table: the strongest amplitude wins, ties go to
-// the lower station index, and a capsule no alive station reaches becomes
-// an orphan (-1). A station outside the capsule's cell coverage has
-// amplitude -1, so the scan over every station picks the same winner as a
-// scan over the capsule's shard. Caller holds the route write lock.
-func (f *Fleet) rerouteAllLocked() {
-	for c, a := range f.amps {
-		best, bestAmp := -1, 0.0
-		for i, amp := range a {
-			if f.alive[i] && amp > bestAmp {
-				best, bestAmp = i, amp
-			}
+// serving returns capsule c's serving route under the given liveness: its
+// strongest alive station. ok is false for an orphan, a capsule no alive
+// station reaches.
+func (f *Fleet) serving(c int, alive []bool) (route, bool) {
+	for _, r := range f.routes[c] {
+		if alive[r.station] {
+			return r, true
 		}
-		f.best[c] = best
 	}
-	mReroutes.Inc()
-	f.publishGaugesLocked()
+	return route{}, false
 }
 
-// coverageLocked counts, per station, the capsules it serves best, and the
+// coverageLocked counts, per station, the capsules it serves, and the
 // orphans no alive station serves. Caller holds the route lock.
 func (f *Fleet) coverageLocked() (cover []int, orphans int) {
 	cover = make([]int, len(f.readers))
-	for _, idx := range f.best {
-		if idx < 0 {
+	for c := range f.routes {
+		if r, ok := f.serving(c, f.alive); ok {
+			cover[r.station]++
+		} else {
 			orphans++
-			continue
 		}
-		cover[idx]++
 	}
 	return cover, orphans
 }
 
-// publishGaugesLocked refreshes the liveness/coverage gauges. Caller holds
-// the route lock.
-func (f *Fleet) publishGaugesLocked() {
+// publishGaugesLocked refreshes the liveness/coverage gauges and returns
+// the orphan count. Caller holds the route lock.
+func (f *Fleet) publishGaugesLocked() int {
 	mStations.Set(float64(len(f.readers)))
 	mStationsAlive.Set(float64(f.aliveStationsLocked()))
 	cover, orphans := f.coverageLocked()
@@ -300,6 +294,7 @@ func (f *Fleet) publishGaugesLocked() {
 		mShardCapsules.With(shardLabel(sh.index)).Set(float64(len(sh.nodes)))
 		mShardStations.With(shardLabel(sh.index)).Set(float64(sh.stations))
 	}
+	return orphans
 }
 
 // Stations returns the number of readers in the fleet.
@@ -325,10 +320,8 @@ func (f *Fleet) aliveStationsLocked() int {
 	return n
 }
 
-// KillStation marks a station dead and re-routes its capsules to their
-// next-best alive server. The write lock spans the liveness flip and the
-// reroute, so no reader ever observes the two disagreeing.
-// Unknown indices are ignored.
+// KillStation marks a station dead; its capsules fall to their next
+// strongest alive station. Unknown indices are ignored.
 func (f *Fleet) KillStation(i int) {
 	f.route.Lock()
 	defer f.route.Unlock()
@@ -337,13 +330,14 @@ func (f *Fleet) KillStation(i int) {
 	}
 	f.alive[i] = false
 	mKills.Inc()
-	f.rerouteAllLocked()
-	_, orphans := f.coverageLocked()
+	mReroutes.Inc()
+	orphans := f.publishGaugesLocked()
 	telemetry.RecordFlight("fleet", "station_killed",
 		fmt.Sprintf("station %d down, %d orphans after reroute", i, orphans))
 }
 
-// ReviveStation brings a dead station back and re-routes.
+// ReviveStation brings a dead station back; the capsules it reaches
+// strongest return to it.
 func (f *Fleet) ReviveStation(i int) {
 	f.route.Lock()
 	defer f.route.Unlock()
@@ -352,8 +346,8 @@ func (f *Fleet) ReviveStation(i int) {
 	}
 	f.alive[i] = true
 	mRevives.Inc()
-	f.rerouteAllLocked()
-	_, orphans := f.coverageLocked()
+	mReroutes.Inc()
+	orphans := f.publishGaugesLocked()
 	telemetry.RecordFlight("fleet", "station_revived",
 		fmt.Sprintf("station %d back, %d orphans after reroute", i, orphans))
 }
@@ -415,14 +409,17 @@ func (f *Fleet) BestStation(handle uint16) int {
 	}
 	f.route.RLock()
 	defer f.route.RUnlock()
-	return f.best[c]
+	if r, ok := f.serving(c, f.alive); ok {
+		return r.station
+	}
+	return -1
 }
 
-// Charge drives every capsule from its best station for the given duration
-// and returns the number powered up. Each capsule is excited by its
-// strongest server only (simultaneous same-carrier transmissions would
-// interfere), so the best-station assignment partitions the capsules into
-// disjoint per-shard batches that charge concurrently on the work-stealing
+// Charge drives every capsule from its serving station for the given
+// duration and returns the number powered up. Each capsule is excited by
+// its strongest server only (simultaneous same-carrier transmissions would
+// interfere), so the serving-station assignment partitions the capsules
+// into disjoint per-shard batches that charge concurrently on the work-stealing
 // pool. Capsules no alive station serves cannot be charged at all; they
 // still count toward the powered-up denominator the caller sees, so the
 // skip is surfaced on a counter metric and the flight recorder instead of
@@ -443,12 +440,12 @@ func (f *Fleet) Charge(duration float64) int {
 	jobs := make([][]job, len(f.shards))
 	for qi, sh := range f.shards {
 		for _, c := range sh.nodes {
-			idx := f.best[c]
-			if idx < 0 {
+			r, ok := f.serving(c, f.alive)
+			if !ok {
 				skipped++
 				continue
 			}
-			jobs[qi] = append(jobs[qi], job{n: f.nodes[c], amp: f.amps[c][idx]})
+			jobs[qi] = append(jobs[qi], job{n: f.nodes[c], amp: r.amp})
 		}
 	}
 	f.route.RUnlock()
@@ -476,7 +473,7 @@ func (f *Fleet) Charge(duration float64) int {
 
 // Inventory inventories each alive station and merges the discoveries.
 // Stations arbitrate concurrently, one pool queue each, and each solicits
-// only the capsules it serves best (the fleet's TDMA partition made
+// only the capsules it serves (the fleet's TDMA partition made
 // spatial), so every capsule's fault draws come from one goroutine. The
 // merged set is sorted, so the result does not depend on scheduling.
 func (f *Fleet) Inventory(maxRoundsPerStation int) []uint16 {
@@ -485,9 +482,9 @@ func (f *Fleet) Inventory(maxRoundsPerStation int) []uint16 {
 	assigned := make([][]uint16, len(f.readers))
 	for _, sh := range f.shards {
 		for _, c := range sh.nodes {
-			if idx := f.best[c]; idx >= 0 {
-				assigned[idx] = append(assigned[idx], f.nodes[c].Handle())
-				counts[idx] = 1
+			if r, ok := f.serving(c, f.alive); ok {
+				assigned[r.station] = append(assigned[r.station], f.nodes[c].Handle())
+				counts[r.station] = 1
 			}
 		}
 	}
@@ -504,7 +501,7 @@ func (f *Fleet) Inventory(maxRoundsPerStation int) []uint16 {
 	return out
 }
 
-// ReadSensor routes the request through the capsule's best station and,
+// ReadSensor routes the request through the capsule's serving station and,
 // when that exchange fails (dead station, frame loss the retry budget could
 // not beat), falls back through the remaining alive stations in descending
 // amplitude order.
@@ -519,22 +516,21 @@ func (f *Fleet) ReadSensor(handle uint16, st sensors.SensorType) ([]float64, err
 func (f *Fleet) ReadSensorVia(handle uint16, st sensors.SensorType) ([]float64, int, error) {
 	c, ok := f.index[handle]
 	if !ok {
-		return f.readVia(handle, st, nil, -1)
+		return f.readVia(handle, st, nil)
 	}
-	// Snapshot the routing under the lock, then run the (slow) acoustic
-	// exchanges outside it so concurrent reads of different capsules
-	// proceed in parallel; each reader serialises its own link internally.
+	// Copy liveness under the lock, then run the (slow) acoustic exchanges
+	// outside it so concurrent reads of different capsules proceed in
+	// parallel; each reader serialises its own link internally.
 	f.route.RLock()
 	alive := append([]bool(nil), f.alive...)
-	best := f.best[c]
 	f.route.RUnlock()
-	return f.readVia(handle, st, f.readOrder(c, alive), best)
+	return f.readVia(handle, st, f.readOrder(c, alive))
 }
 
 // readVia walks the candidate stations in order, returning the first
 // successful read and the station that served it, and maintaining the
-// routing metrics.
-func (f *Fleet) readVia(handle uint16, st sensors.SensorType, stations []int, best int) ([]float64, int, error) {
+// routing metrics: a read stations[0] serves is primary.
+func (f *Fleet) readVia(handle uint16, st sensors.SensorType, stations []int) ([]float64, int, error) {
 	if len(stations) == 0 {
 		mFleetReads.With(routeFailed).Inc()
 		return nil, -1, fmt.Errorf("fleet: no station serves capsule %#04x", handle)
@@ -543,7 +539,7 @@ func (f *Fleet) readVia(handle uint16, st sensors.SensorType, stations []int, be
 	for _, idx := range stations {
 		vals, err := f.readers[idx].ReadSensor(handle, st)
 		if err == nil {
-			if idx == best {
+			if idx == stations[0] {
 				mFleetReads.With(routePrimary).Inc()
 			} else {
 				mFleetReads.With(routeRerouted).Inc()
@@ -557,34 +553,15 @@ func (f *Fleet) readVia(handle uint16, st sensors.SensorType, stations []int, be
 		handle, len(stations), lastErr)
 }
 
-// readOrder lists the alive stations that can reach capsule c, best
-// amplitude first, from the immutable amplitude table and the given
-// liveness snapshot. Its head is the capsule's best station.
+// readOrder lists the alive stations that can reach capsule c, strongest
+// first, under the given liveness copy. Its head is the capsule's serving
+// station.
 func (f *Fleet) readOrder(c int, alive []bool) []int {
-	amps := f.amps[c]
-	// A sharded capsule hears a handful of stations (a flat fleet's hear
-	// them all): an insertion sort into one exact-size slice keeps the
-	// per-read cost to a single allocation.
-	n := 0
-	for i := range f.readers {
-		if !alive[i] || amps[i] < 0 {
-			continue
+	out := make([]int, 0, len(f.routes[c]))
+	for _, r := range f.routes[c] {
+		if alive[r.station] {
+			out = append(out, r.station)
 		}
-		n++
-	}
-	out := make([]int, 0, n)
-	for i := range f.readers {
-		if !alive[i] || amps[i] < 0 {
-			continue
-		}
-		// Stronger amplitude first; ties keep ascending station index.
-		j := len(out)
-		out = append(out, i)
-		for j > 0 && amps[out[j-1]] < amps[i] {
-			out[j] = out[j-1]
-			j--
-		}
-		out[j] = i
 	}
 	return out
 }
@@ -599,49 +576,12 @@ func (f *Fleet) SetEnvironment(fn func(pos geometry.Vec3) sensors.Environment) {
 	}
 }
 
-// Coverage reports, per station, how many capsules it serves best.
+// Coverage reports, per station, how many capsules it serves.
 func (f *Fleet) Coverage() []int {
 	f.route.RLock()
 	defer f.route.RUnlock()
 	cover, _ := f.coverageLocked()
 	return cover
-}
-
-// routeSnapshot is one torn-proof copy of the fleet's routing state: the
-// liveness and the capsule-indexed best table are copied under a single
-// route read-lock acquisition, and kill/revive write the same lock, so the
-// liveness, dead list, best table and orphan list always agree with each
-// other.
-type routeSnapshot struct {
-	alive      []bool
-	aliveCount int
-	dead       []int
-	best       []int
-	// orphans lists the capsules with no alive server, ascending.
-	orphans []uint16
-}
-
-// snapshotRouting collects the snapshot. Safe to call concurrently with
-// reads and kill/revive; never called with route already held.
-func (f *Fleet) snapshotRouting() *routeSnapshot {
-	snap := &routeSnapshot{}
-	f.route.RLock()
-	snap.alive = append([]bool(nil), f.alive...)
-	snap.best = append([]int(nil), f.best...)
-	f.route.RUnlock()
-	for i, a := range snap.alive {
-		if a {
-			snap.aliveCount++
-		} else {
-			snap.dead = append(snap.dead, i)
-		}
-	}
-	for c, idx := range snap.best {
-		if idx < 0 {
-			snap.orphans = append(snap.orphans, f.nodes[c].Handle())
-		}
-	}
-	return snap
 }
 
 // FaultStats sums the resilience counters over every station's reader.

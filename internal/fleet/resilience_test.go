@@ -2,11 +2,14 @@ package fleet
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
+	"ecocapsule/internal/deploy"
 	"ecocapsule/internal/faultinject"
 	"ecocapsule/internal/geometry"
+	"ecocapsule/internal/node"
 	"ecocapsule/internal/sensors"
 	"ecocapsule/internal/units"
 )
@@ -18,11 +21,13 @@ func surveyEnv(pos geometry.Vec3) sensors.Environment {
 	}
 }
 
-// coverageDegraded reports whether routing, read as one snapshot, has a
-// dead station or an orphaned capsule.
+// coverageDegraded reports whether the fleet, read under one route lock,
+// has a dead station or an orphaned capsule.
 func coverageDegraded(f *Fleet) bool {
-	snap := f.snapshotRouting()
-	return len(snap.dead) > 0 || len(snap.orphans) > 0
+	f.route.RLock()
+	defer f.route.RUnlock()
+	_, orphans := f.coverageLocked()
+	return f.aliveStationsLocked() < len(f.readers) || orphans > 0
 }
 
 func TestKillStationReroutesAndRevives(t *testing.T) {
@@ -58,11 +63,13 @@ func TestKillStationReroutesAndRevives(t *testing.T) {
 	f.ReviveStation(99)
 }
 
-// TestBestStationHeadsReadOrder pins the routing rule in one place: with
-// no station dead and under each single-station kill, every capsule's best
-// station is the head of its read order (-1 when nothing alive reaches
-// it). The survey counts a read as rerouted when any other station served
-// it, so the two must agree.
+// TestBestStationHeadsReadOrder pins the routing rule against an oracle
+// read straight from the station readers: under no kill, each single-station
+// kill, each adjacent-pair kill and every station dead, every capsule's read order is its alive
+// stations with a positive amplitude, strongest first, ties on ascending
+// station index, and its best station is that order's head (-1 when nothing
+// alive reaches it). The survey counts a read as rerouted when any other
+// station served it, so the two must agree.
 func TestBestStationHeadsReadOrder(t *testing.T) {
 	demo, _, err := NewDemoFleet(DemoSeed)
 	if err != nil {
@@ -72,28 +79,103 @@ func TestBestStationHeadsReadOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(name string, f *Fleet) {
-		snap := f.snapshotRouting()
-		for c, best := range snap.best {
-			want := -1
-			if order := f.readOrder(c, snap.alive); len(order) > 0 {
-				want = order[0]
+	flat, err := NewCityFleetFlat(300, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Twin readers bolted at one mounting deliver bit-identical amplitudes
+	// to every capsule, so this fleet pins the tie rule.
+	wall := geometry.CommonWall()
+	at := func(x float64) deploy.Station {
+		return deploy.Station{Position: geometry.Vec3{X: x, Y: wall.Height / 2, Z: 0}}
+	}
+	var capsules []*node.Node
+	for i := 0; i < 6; i++ {
+		capsules = append(capsules, node.New(node.Config{
+			Handle:   uint16(0x40 + i),
+			Position: geometry.Vec3{X: 6 + 1.5*float64(i), Y: wall.Height / 2, Z: 0.1},
+			Seed:     int64(i),
+		}))
+	}
+	twin, err := New(wall, deploy.Plan{Voltage: 200, Stations: []deploy.Station{at(14), at(5), at(5)}}, capsules, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orphansSeen, tiesSeen := 0, 0
+	check := func(name string, f *Fleet, amps [][]float64) {
+		alive := make([]bool, f.Stations())
+		for i := range alive {
+			alive[i] = f.StationAlive(i)
+		}
+		for c, n := range f.nodes {
+			var want []int
+			for i, amp := range amps[c] {
+				if alive[i] && amp > 0 {
+					want = append(want, i)
+				}
 			}
-			if best != want {
-				t.Errorf("%s: capsule %#04x best %d, read order head %d", name, f.nodes[c].Handle(), best, want)
+			sort.SliceStable(want, func(a, b int) bool { return amps[c][want[a]] > amps[c][want[b]] })
+			for k := 1; k < len(want); k++ {
+				if amps[c][want[k]] == amps[c][want[k-1]] {
+					tiesSeen++
+				}
+			}
+			if got := f.readOrder(c, alive); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s: capsule %#04x read order %v, want %v", name, n.Handle(), got, want)
+			}
+			head := -1
+			if len(want) > 0 {
+				head = want[0]
+			} else {
+				orphansSeen++
+			}
+			if got := f.BestStation(n.Handle()); got != head {
+				t.Errorf("%s: capsule %#04x best %d, want %d", name, n.Handle(), got, head)
 			}
 		}
 	}
 	for _, tc := range []struct {
 		name string
 		f    *Fleet
-	}{{"demo", demo}, {"city", city}} {
-		check(tc.name, tc.f)
-		for i := 0; i < tc.f.Stations(); i++ {
-			tc.f.KillStation(i)
-			check(fmt.Sprintf("%s, station %d dead", tc.name, i), tc.f)
-			tc.f.ReviveStation(i)
+	}{{"demo", demo}, {"city", city}, {"flat", flat}, {"twin", twin}} {
+		f := tc.f
+		// amps[c][i] is station i's amplitude at capsule c, 0 where the
+		// station never deployed it.
+		amps := make([][]float64, len(f.nodes))
+		for c, n := range f.nodes {
+			amps[c] = make([]float64, f.Stations())
+			for i, r := range f.readers {
+				if amp, err := r.NodeAmplitude(n.Handle()); err == nil {
+					amps[c][i] = amp
+				}
+			}
 		}
+		check(tc.name, f, amps)
+		for i := 0; i < f.Stations(); i++ {
+			f.KillStation(i)
+			check(fmt.Sprintf("%s, station %d dead", tc.name, i), f, amps)
+			if i+1 < f.Stations() {
+				f.KillStation(i + 1)
+				check(fmt.Sprintf("%s, stations %d,%d dead", tc.name, i, i+1), f, amps)
+				f.ReviveStation(i + 1)
+			}
+			f.ReviveStation(i)
+		}
+		// Every capsule here reaches at least three stations, so only a
+		// fully dead fleet orphans them.
+		for i := 0; i < f.Stations(); i++ {
+			f.KillStation(i)
+		}
+		check(tc.name+", every station dead", f, amps)
+		for i := 0; i < f.Stations(); i++ {
+			f.ReviveStation(i)
+		}
+	}
+	if orphansSeen == 0 {
+		t.Error("no liveness mask orphaned a capsule; the -1 case went unchecked")
+	}
+	if tiesSeen == 0 {
+		t.Error("no two stations tied on amplitude; the tie rule went unchecked")
 	}
 }
 

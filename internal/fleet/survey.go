@@ -50,7 +50,7 @@ type SHMReport struct {
 	Retries          int
 	Backoff          time.Duration
 	// ReroutedReads counts successful reads a fallback station (not the
-	// capsule's best) served during this survey.
+	// capsule's serving station) answered during this survey.
 	ReroutedReads int
 	Rows          []SurveyRow
 }
@@ -92,8 +92,9 @@ func (rep SHMReport) Text() string {
 }
 
 // Survey charges the fleet, then reads temperature/humidity and strain from
-// every capsule through its best station (falling back through alternates),
-// and assembles the health report. Rows come out in ascending handle order.
+// every capsule through its serving station (falling back through
+// alternates), and assembles the health report. Rows come out in ascending
+// handle order.
 //
 // Capsules are independent at this layer — each has its own MCU state,
 // seeded sensor RNG, fault-draw key and span key, and every reader
@@ -139,18 +140,21 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 	} else {
 		f.Charge(chargeDuration)
 	}
-	// One torn-proof routing snapshot feeds the whole report: the header
-	// counts, the dead list, the orphan set and every row's candidate
-	// stations all come from the same instant, so a station kill or revive
-	// racing the survey can never make the report disagree with itself —
-	// a row is only ever served by a station the same report lists alive.
-	snap := f.snapshotRouting()
-	rep := SHMReport{
-		Stations:      len(f.readers),
-		AliveStations: snap.aliveCount,
-		DeadStations:  snap.dead,
-		Expected:      len(f.nodes),
-		Orphans:       snap.orphans,
+	// One liveness copy feeds the whole report: the header counts, the dead
+	// list and every row's stations all derive from it, so a station kill
+	// or revive racing the survey can never make the report disagree with
+	// itself — a row is only ever served by a station the same report
+	// lists alive.
+	f.route.RLock()
+	alive := append([]bool(nil), f.alive...)
+	f.route.RUnlock()
+	rep := SHMReport{Stations: len(f.readers), Expected: len(f.nodes)}
+	for i, a := range alive {
+		if a {
+			rep.AliveStations++
+		} else {
+			rep.DeadStations = append(rep.DeadStations, i)
+		}
 	}
 	// Per-shard batched passes on the work-stealing pool; each capsule's
 	// row lands in its own slot, which is already in handle order.
@@ -159,14 +163,15 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 	visit := func(c int) {
 		row := &rep.Rows[c]
 		h := f.nodes[c].Handle()
-		row.Handle, row.Station = h, snap.best[c]
-		if row.Station < 0 {
+		stations := f.readOrder(c, alive)
+		row.Handle, row.Station = h, -1
+		if len(stations) == 0 {
 			row.Status = "orphan"
 			return
 		}
-		stations := f.readOrder(c, snap.alive)
-		th, servedT, errT := f.readVia(h, sensors.TypeTempHumidity, stations, row.Station)
-		st, servedS, errS := f.readVia(h, sensors.TypeStrain, stations, row.Station)
+		row.Station = stations[0]
+		th, servedT, errT := f.readVia(h, sensors.TypeTempHumidity, stations)
+		st, servedS, errS := f.readVia(h, sensors.TypeStrain, stations)
 		for _, served := range [...]int{servedT, servedS} {
 			if served >= 0 && served != row.Station {
 				rerouted.Add(1)
@@ -177,7 +182,7 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 		} else {
 			row.Status = "ok"
 			// Report the station that actually answered, which a fallback
-			// read can make different from the snapshot's best.
+			// read can make different from the serving station.
 			row.Station = servedT
 			row.TemperatureC, row.RelativeHumidity = th[0], th[1]
 			row.StrainX, row.StrainY = st[0], st[1]
@@ -190,12 +195,14 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 	conc.Queues(counts, func(q, item int) {
 		visit(f.shards[q].nodes[item])
 	})
-	// Missing inherits the rows' handle order.
+	// Missing and Orphans inherit the rows' handle order.
 	for _, row := range rep.Rows {
-		if row.Status == "missing" {
+		switch row.Status {
+		case "missing":
 			rep.Missing = append(rep.Missing, row.Handle)
-		}
-		if row.Status == "ok" {
+		case "orphan":
+			rep.Orphans = append(rep.Orphans, row.Handle)
+		case "ok":
 			rep.Reporting++
 		}
 	}

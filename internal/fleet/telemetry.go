@@ -17,7 +17,7 @@ var (
 	mRevives = telemetry.NewCounter("ecocapsule_fleet_station_revives_total",
 		"dead stations brought back")
 	mReroutes = telemetry.NewCounter("ecocapsule_fleet_reroutes_total",
-		"best-station re-resolutions (construction, kill, revive)")
+		"routing changes: construction and every station kill or revive")
 	mOrphans = telemetry.NewGauge("ecocapsule_fleet_orphans",
 		"capsules no alive station currently reaches")
 	mCoverage = telemetry.NewGaugeVec("ecocapsule_fleet_station_coverage",
@@ -36,8 +36,9 @@ var (
 		"capsules a charge pass could not drive because no alive station serves them")
 )
 
-// Read route label values: primary means the capsule's best station served
-// the read, rerouted means a fallback station did, failed means none could.
+// Read route label values: primary means the capsule's serving station
+// answered the read, rerouted means a fallback station did, failed means
+// none could.
 const (
 	routePrimary  = "primary"
 	routeRerouted = "rerouted"

@@ -212,11 +212,23 @@ func TestBatchedFanOutLoopback(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// Close waits on the server's WaitGroup, which a handle goroutine
+	// releases in a deferred Done before it has fully exited, so poll the
+	// stacks until the goroutines are gone; one that really leaks stays.
 	buf := make([]byte, 1<<20)
-	stacks := string(buf[:runtime.Stack(buf, true)])
-	for _, fn := range []string{"shmwire.drain", "shmwire.(*Server).handle"} {
-		if strings.Contains(stacks, fn) {
-			t.Errorf("%s still running after Close:\n%s", fn, stacks)
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		var running []string
+		for _, fn := range []string{"shmwire.drain", "shmwire.(*Server).handle"} {
+			if strings.Contains(stacks, fn) {
+				running = append(running, fn)
+			}
+		}
+		if len(running) == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%v still running 2s after Close:\n%s", running, stacks)
 		}
 	}
 }
