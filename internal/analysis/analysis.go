@@ -192,22 +192,6 @@ func sortDiagnostics(diags []Diagnostic) {
 	})
 }
 
-// RunAnalyzers applies every analyzer to every package in order —
-// dependencies must precede dependents for cross-package facts to
-// propagate — and returns the surviving diagnostics sorted by position.
-// Findings matched by a well-formed ignore directive are dropped;
-// ignore directives without a reason are reported as findings
-// themselves so suppressions stay auditable.
-func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	facts := NewFacts()
-	var diags []Diagnostic
-	for _, pkg := range pkgs {
-		diags = append(diags, analyzeUnit(pkg, analyzers, facts, false)...)
-	}
-	sortDiagnostics(diags)
-	return diags
-}
-
 // All returns the full EcoCapsule analyzer suite in a stable order.
 func All() []*Analyzer {
 	return []*Analyzer{

@@ -614,10 +614,10 @@ func (r *runner) parseFiles(p *listedPackage, names []string) ([]*ast.File, erro
 // check type-checks files as package path, tolerating errors only for
 // stdlib packages (compiler intrinsics don't all type-check from
 // source; their declarations — all importers need — still do).
-func (r *runner) check(path string, p *listedPackage, files []*ast.File) (*types.Package, *types.Info, error) {
+func (r *runner) check(path string, p *listedPackage, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, error) {
 	info := newInfo()
 	conf := types.Config{
-		Importer: r.importer(),
+		Importer: imp,
 		Sizes:    types.SizesFor("gc", runtime.GOARCH),
 		Error:    func(error) {},
 	}
@@ -634,7 +634,7 @@ func (r *runner) processBaseUnit(u *unit) error {
 	if err != nil {
 		return err
 	}
-	tpkg, info, err := r.check(p.ImportPath, p, files)
+	tpkg, info, err := r.check(p.ImportPath, p, files, r.importer())
 	if err != nil {
 		return err
 	}
@@ -666,17 +666,27 @@ func (r *runner) processTestUnit(u *unit) error {
 	baseFiles := r.parsed[p.ImportPath]
 	r.mu.RUnlock()
 
-	// In-package test files merge into the package, mirroring `go test`.
+	// In-package test files merge into the package, mirroring `go test`,
+	// and the external test package imports that merged package, so it
+	// sees what an export_test.go file exports.
+	xImp := r.importer()
 	if len(p.TestGoFiles) > 0 {
 		testFiles, err := r.parseFiles(p, p.TestGoFiles)
 		if err != nil {
 			return err
 		}
 		files := append(append([]*ast.File(nil), baseFiles...), testFiles...)
-		tpkg, info, err := r.check(p.ImportPath, p, files)
+		tpkg, info, err := r.check(p.ImportPath, p, files, r.importer())
 		if err != nil {
 			return err
 		}
+		base := xImp
+		xImp = importerFunc(func(path string) (*types.Package, error) {
+			if path == p.ImportPath {
+				return tpkg, nil
+			}
+			return base.Import(path)
+		})
 		pkg := &Package{Path: p.ImportPath, Dir: p.Dir, Fset: r.fset, Files: files, Types: tpkg, Info: info}
 		r.recordDiags(p.ImportPath, analyzeUnit(pkg, r.opts.Analyzers, r.facts, false))
 	} else {
@@ -702,7 +712,7 @@ func (r *runner) processTestUnit(u *unit) error {
 			return err
 		}
 		xPath := p.ImportPath + "_test"
-		tpkg, info, err := r.check(xPath, p, xFiles)
+		tpkg, info, err := r.check(xPath, p, xFiles, xImp)
 		if err != nil {
 			return err
 		}

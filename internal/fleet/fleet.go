@@ -333,7 +333,7 @@ func (f *Fleet) KillStation(i int) {
 	mReroutes.Inc()
 	orphans := f.publishGaugesLocked()
 	telemetry.RecordFlight("fleet", "station_killed",
-		fmt.Sprintf("station %d down, %d orphans after reroute", i, orphans))
+		fmt.Sprintf("station %d down, coverage recomputed: %d orphans", i, orphans))
 }
 
 // ReviveStation brings a dead station back; the capsules it reaches
@@ -349,7 +349,7 @@ func (f *Fleet) ReviveStation(i int) {
 	mReroutes.Inc()
 	orphans := f.publishGaugesLocked()
 	telemetry.RecordFlight("fleet", "station_revived",
-		fmt.Sprintf("station %d back, %d orphans after reroute", i, orphans))
+		fmt.Sprintf("station %d back, coverage recomputed: %d orphans", i, orphans))
 }
 
 // StationAlive reports one station's liveness.
@@ -514,9 +514,10 @@ func (f *Fleet) ReadSensor(handle uint16, st sensors.SensorType) ([]float64, err
 // served the read — which the fallback path can make different from
 // BestStation. A failed read returns station -1.
 func (f *Fleet) ReadSensorVia(handle uint16, st sensors.SensorType) ([]float64, int, error) {
+	var link reader.FaultStats
 	c, ok := f.index[handle]
 	if !ok {
-		return f.readVia(handle, st, nil)
+		return f.readVia(nil, &link, handle, st, nil)
 	}
 	// Copy liveness under the lock, then run the (slow) acoustic exchanges
 	// outside it so concurrent reads of different capsules proceed in
@@ -524,20 +525,25 @@ func (f *Fleet) ReadSensorVia(handle uint16, st sensors.SensorType) ([]float64, 
 	f.route.RLock()
 	alive := append([]bool(nil), f.alive...)
 	f.route.RUnlock()
-	return f.readVia(handle, st, f.readOrder(c, alive))
+	return f.readVia(nil, &link, handle, st, f.readOrder(c, alive))
 }
 
 // readVia walks the candidate stations in order, returning the first
 // successful read and the station that served it, and maintaining the
-// routing metrics: a read stations[0] serves is primary.
-func (f *Fleet) readVia(handle uint16, st sensors.SensorType, stations []int) ([]float64, int, error) {
+// routing metrics: a read stations[0] serves is primary. Each station's
+// read is a child span of parent (a root when nil) and adds its link
+// counters to link.
+func (f *Fleet) readVia(parent *telemetry.Span, link *reader.FaultStats, handle uint16, st sensors.SensorType, stations []int) ([]float64, int, error) {
 	if len(stations) == 0 {
 		mFleetReads.With(routeFailed).Inc()
 		return nil, -1, fmt.Errorf("fleet: no station serves capsule %#04x", handle)
 	}
 	var lastErr error
 	for _, idx := range stations {
-		vals, err := f.readers[idx].ReadSensor(handle, st)
+		vals, lk, err := f.readers[idx].ReadSensorUnder(parent, handle, st)
+		link.CorruptedReplies += lk.CorruptedReplies
+		link.Retries += lk.Retries
+		link.Backoff += lk.Backoff
 		if err == nil {
 			if idx == stations[0] {
 				mFleetReads.With(routePrimary).Inc()
@@ -582,16 +588,4 @@ func (f *Fleet) Coverage() []int {
 	defer f.route.RUnlock()
 	cover, _ := f.coverageLocked()
 	return cover
-}
-
-// FaultStats sums the resilience counters over every station's reader.
-func (f *Fleet) FaultStats() reader.FaultStats {
-	var total reader.FaultStats
-	for _, r := range f.readers {
-		s := r.FaultStats()
-		total.CorruptedReplies += s.CorruptedReplies
-		total.Retries += s.Retries
-		total.Backoff += s.Backoff
-	}
-	return total
 }

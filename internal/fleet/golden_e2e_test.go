@@ -92,8 +92,7 @@ func TestE2EStationLossWithCorruption(t *testing.T) {
 		t.Errorf("%d/%d stations alive", f.AliveStations(), f.Stations())
 	}
 	// Under 10 % corruption the NAK/retry machinery must have engaged.
-	stats := f.FaultStats()
-	if stats.CorruptedReplies == 0 {
+	if rep.CorruptedReplies == 0 {
 		t.Error("10% corruption produced no corrupted replies")
 	}
 

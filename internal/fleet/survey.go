@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ecocapsule/internal/conc"
+	"ecocapsule/internal/reader"
 	"ecocapsule/internal/sensors"
 	"ecocapsule/internal/telemetry"
 	"ecocapsule/internal/units"
@@ -113,24 +114,17 @@ func (f *Fleet) Survey(chargeDuration float64) SHMReport {
 // spans (keyed by handle, so they render in ascending handle order) nest
 // under the returned "survey" span, so a single trace tree covers the whole
 // fleet pass; the caller may hang broadcast spans off it before it is
-// rendered. Without a tracer the span is nil and the survey is identical to
-// Survey.
+// rendered. Every read is handed the span as its parent and returns its own
+// link counters, so reads and inventories running on the fleet outside the
+// survey neither nest under the span nor count in the report. Without a
+// tracer the span is nil and the survey is identical to Survey.
 func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span) {
-	before := f.FaultStats()
 	f.route.RLock()
 	tracer := f.tracer
 	f.route.RUnlock()
 	var sp *telemetry.Span
 	if tracer != nil {
 		sp = tracer.Start("survey")
-		for _, r := range f.readers {
-			r.SetSpanParent(sp)
-		}
-		defer func() {
-			for _, r := range f.readers {
-				r.SetSpanParent(nil)
-			}
-		}()
 	}
 	// The fleet charge drives node excitation directly (not through
 	// reader.Charge), so the survey span records the stage itself.
@@ -159,6 +153,8 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 	// Per-shard batched passes on the work-stealing pool; each capsule's
 	// row lands in its own slot, which is already in handle order.
 	rep.Rows = make([]SurveyRow, len(f.nodes))
+	// links[c] accumulates the link counters of capsule c's own reads.
+	links := make([]reader.FaultStats, len(f.nodes))
 	var rerouted atomic.Int64
 	visit := func(c int) {
 		row := &rep.Rows[c]
@@ -170,8 +166,8 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 			return
 		}
 		row.Station = stations[0]
-		th, servedT, errT := f.readVia(h, sensors.TypeTempHumidity, stations)
-		st, servedS, errS := f.readVia(h, sensors.TypeStrain, stations)
+		th, servedT, errT := f.readVia(sp, &links[c], h, sensors.TypeTempHumidity, stations)
+		st, servedS, errS := f.readVia(sp, &links[c], h, sensors.TypeStrain, stations)
 		for _, served := range [...]int{servedT, servedS} {
 			if served >= 0 && served != row.Station {
 				rerouted.Add(1)
@@ -195,8 +191,12 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 	conc.Queues(counts, func(q, item int) {
 		visit(f.shards[q].nodes[item])
 	})
-	// Missing and Orphans inherit the rows' handle order.
-	for _, row := range rep.Rows {
+	// Missing and Orphans inherit the rows' handle order; the link counters
+	// are the sum of the rows' own.
+	for c, row := range rep.Rows {
+		rep.CorruptedReplies += links[c].CorruptedReplies
+		rep.Retries += links[c].Retries
+		rep.Backoff += links[c].Backoff
 		switch row.Status {
 		case "missing":
 			rep.Missing = append(rep.Missing, row.Handle)
@@ -206,10 +206,6 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 			rep.Reporting++
 		}
 	}
-	after := f.FaultStats()
-	rep.CorruptedReplies = after.CorruptedReplies - before.CorruptedReplies
-	rep.Retries = after.Retries - before.Retries
-	rep.Backoff = after.Backoff - before.Backoff
 	rep.ReroutedReads = int(rerouted.Load())
 	rep.Degraded = len(rep.DeadStations) > 0 || len(rep.Missing) > 0 || len(rep.Orphans) > 0
 	if rep.Degraded {

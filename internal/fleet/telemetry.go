@@ -17,7 +17,7 @@ var (
 	mRevives = telemetry.NewCounter("ecocapsule_fleet_station_revives_total",
 		"dead stations brought back")
 	mReroutes = telemetry.NewCounter("ecocapsule_fleet_reroutes_total",
-		"routing changes: construction and every station kill or revive")
+		"coverage recomputations: construction and every station kill or revive flipping liveness")
 	mOrphans = telemetry.NewGauge("ecocapsule_fleet_orphans",
 		"capsules no alive station currently reaches")
 	mCoverage = telemetry.NewGaugeVec("ecocapsule_fleet_station_coverage",

@@ -58,16 +58,17 @@ func (r *Reader) FaultStats() FaultStats {
 	return r.faultStats
 }
 
-// deliverLocked transports one packet to one node through the fault layer
-// and returns the parsed reply. corrupted reports an uplink that arrived
-// but failed CRC; err carries the node-level rejection (not powered, no
-// such sensor, ...) for addressed commands. Caller holds the lock.
-func (r *Reader) deliverLocked(p protocol.Packet, n *node.Node) (up *protocol.UplinkFrame, corrupted bool, err error) {
+// deliverLocked transports one packet to one node through the fault layer,
+// as a child span of parent (nil: untraced), and returns the reply parsed
+// from its wire frame. corrupted reports an uplink that arrived but failed
+// CRC; err carries the node-level rejection (not powered, no such sensor,
+// ...) for addressed commands. Caller holds the lock.
+func (r *Reader) deliverLocked(parent *telemetry.Span, p protocol.Packet, n *node.Node) (up *protocol.UplinkFrame, corrupted bool, err error) {
 	env := r.env(n.Position())
 	h := n.Handle()
 	var sp *telemetry.Span
-	if r.span != nil {
-		sp = r.span.Child("deliver").
+	if parent != nil {
+		sp = parent.Child("deliver").
 			Attr("capsule", handleLabel(h)).Attr("cmd", p.Cmd.String())
 	}
 	pkt := p
@@ -86,12 +87,12 @@ func (r *Reader) deliverLocked(p protocol.Packet, n *node.Node) (up *protocol.Up
 				Attr("delivered", ok).Attr("brownout", brownout).End()
 		}
 		if !ok {
-			endDeliver(sp, "downlink_dropped")
+			endOutcome(sp, "downlink_dropped")
 			return nil, false, nil // lost in the concrete
 		}
 		pkt, err = protocol.Unmarshal(frame)
 		if err != nil {
-			endDeliver(sp, "downlink_corrupted")
+			endOutcome(sp, "downlink_corrupted")
 			return nil, false, nil // capsule's CRC rejects the command
 		}
 	} else if sp != nil {
@@ -101,28 +102,22 @@ func (r *Reader) deliverLocked(p protocol.Packet, n *node.Node) (up *protocol.Up
 	u, err := n.HandleDownlink(pkt, env)
 	if err != nil || u == nil {
 		if err != nil {
-			endDeliver(sp, "rejected")
+			endOutcome(sp, "rejected")
 		} else {
-			endDeliver(sp, "silent")
+			endOutcome(sp, "silent")
 		}
 		return nil, false, err
 	}
-	if r.faults == nil {
-		if sp != nil {
-			sp.Child("fm0_uplink").Attr("bytes", len(u.Marshal())).
-				Attr("delivered", true).End()
-			sp.Child("decode").Attr("result", "ok").End()
-		}
-		endDeliver(sp, "reply")
-		return u, false, nil
-	}
 	wire := u.Marshal()
-	frame, ok := r.faults.Uplink(h, wire)
+	frame, ok := wire, true
+	if r.faults != nil {
+		frame, ok = r.faults.Uplink(h, wire)
+	}
 	if sp != nil {
 		sp.Child("fm0_uplink").Attr("bytes", len(wire)).Attr("delivered", ok).End()
 	}
 	if !ok {
-		endDeliver(sp, "uplink_dropped")
+		endOutcome(sp, "uplink_dropped")
 		return nil, false, nil // backscatter never reached the RX
 	}
 	parsed, perr := protocol.UnmarshalUplink(frame)
@@ -134,19 +129,15 @@ func (r *Reader) deliverLocked(p protocol.Packet, n *node.Node) (up *protocol.Up
 		if sp != nil {
 			sp.Child("decode").Attr("result", "bad_crc").End()
 		}
-		endDeliver(sp, "uplink_corrupted")
+		endOutcome(sp, "uplink_corrupted")
 		return nil, true, nil
 	}
 	if sp != nil {
 		sp.Child("decode").Attr("result", "ok").End()
 	}
-	endDeliver(sp, "reply")
-	return &parsed, false, nil
-}
-
-// endDeliver closes a deliver span with its final outcome.
-func endDeliver(sp *telemetry.Span, outcome string) {
-	if sp != nil {
-		sp.Attr("outcome", outcome).End()
-	}
+	endOutcome(sp, "reply")
+	// u is the node's freshly allocated reply: hand it back holding what
+	// the reader parsed off the wire.
+	*u = parsed
+	return u, false, nil
 }

@@ -56,16 +56,22 @@ const MaxDriveVoltage = 250.0 //ecolint:unit v
 // amplitude at a node; calibrated against the Fig. 12 range anchors.
 const DefaultPZTCoupling = 0.091
 
-// Reader drives one structure.
+// Reader drives one structure. A read or inventory takes its trace parent
+// as an argument and reports its own link counters, so no span and no
+// per-call counter lives on the Reader between calls.
 type Reader struct {
 	mu  sync.Mutex
 	cfg Config
 
-	nodes    []*node.Node
+	//ecolint:guardedby mu
+	nodes []*node.Node
+	//ecolint:guardedby mu
 	byHandle map[uint16]*node.Node
-	chans    map[uint16]*channel.Channel
+	//ecolint:guardedby mu
+	chans map[uint16]*channel.Channel
 
 	// env provides the physical ground truth for sensor sampling.
+	//ecolint:guardedby mu
 	env func(pos geometry.Vec3) sensors.Environment
 
 	// PZTCouplingVoltsPerUnit converts channel path gain × drive voltage
@@ -74,19 +80,18 @@ type Reader struct {
 	PZTCouplingVoltsPerUnit float64
 
 	// faults, when non-nil, routes every frame through the fault layer.
+	//ecolint:guardedby mu
 	faults FrameFaults
 	// retry bounds the NAK/re-read recovery on CRC failures.
-	retry      faultinject.Backoff
+	retry faultinject.Backoff
+	// faultStats accumulates every exchange's link counters over the
+	// reader's lifetime.
+	//ecolint:guardedby mu
 	faultStats FaultStats
 
-	// tracer, when non-nil, records interrogation spans; span is the
-	// current parent for frame deliveries (only mutated under mu).
-	// spanParent, when set, nests the reader's root spans (charge,
-	// inventory, read) under an external parent — the fleet's survey span —
-	// so one trace covers the whole pipeline.
-	tracer     *telemetry.Tracer
-	span       *telemetry.Span
-	spanParent *telemetry.Span
+	// tracer, when non-nil, records interrogation spans.
+	//ecolint:guardedby mu
+	tracer *telemetry.Tracer
 
 	// links shares the expensive per-link channel state (impulse
 	// responses + convolution plans) across deployments. The reader owns
@@ -222,7 +227,7 @@ func (r *Reader) nodeAmplitudeLocked(handle uint16) (float64, error) {
 func (r *Reader) Charge(duration float64) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	sp := r.startSpanLocked("charge", lowestHandle(r.nodes))
+	sp := r.startSpanLocked(nil, "charge", lowestHandle(r.nodes))
 	if sp != nil {
 		sp.Attrf("duration_s", "%g", duration)
 	}
@@ -270,13 +275,14 @@ func (r *Reader) Charge(duration float64) int {
 }
 
 // broadcastLocked delivers a packet to the given nodes through the fault
-// layer and collects replies, plus the number of replies that arrived
-// corrupted (CRC failure). Caller holds the lock.
-func (r *Reader) broadcastLocked(p protocol.Packet, nodes []*node.Node) ([]*protocol.UplinkFrame, int) {
+// layer, each delivery a child of parent (nil: untraced), and collects
+// replies, plus the number of replies that arrived corrupted (CRC
+// failure). Caller holds the lock.
+func (r *Reader) broadcastLocked(parent *telemetry.Span, p protocol.Packet, nodes []*node.Node) ([]*protocol.UplinkFrame, int) {
 	var replies []*protocol.UplinkFrame
 	corrupted := 0
 	for _, n := range nodes {
-		up, bad, _ := r.deliverLocked(p, n)
+		up, bad, _ := r.deliverLocked(parent, p, n)
 		if bad {
 			corrupted++
 		}
@@ -304,7 +310,7 @@ type InventoryResult struct {
 func (r *Reader) Inventory(maxRounds int) InventoryResult {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.inventoryLocked(maxRounds, r.nodes)
+	return r.inventoryLocked(nil, maxRounds, r.nodes)
 }
 
 // InventorySubset runs the same slotted-ALOHA arbitration, but solicits
@@ -316,7 +322,7 @@ func (r *Reader) InventorySubset(maxRounds int, handles []uint16) InventoryResul
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if handles == nil {
-		return r.inventoryLocked(maxRounds, r.nodes)
+		return r.inventoryLocked(nil, maxRounds, r.nodes)
 	}
 	want := make(map[uint16]bool, len(handles))
 	for _, h := range handles {
@@ -328,18 +334,20 @@ func (r *Reader) InventorySubset(maxRounds int, handles []uint16) InventoryResul
 			subset = append(subset, n)
 		}
 	}
-	return r.inventoryLocked(maxRounds, subset)
+	return r.inventoryLocked(nil, maxRounds, subset)
 }
 
-func (r *Reader) inventoryLocked(maxRounds int, nodes []*node.Node) InventoryResult {
+// inventoryLocked runs the arbitration over nodes; its span is a child of
+// parent, or a root when parent is nil. Caller holds the lock.
+func (r *Reader) inventoryLocked(parent *telemetry.Span, maxRounds int, nodes []*node.Node) InventoryResult {
 	mInventories.Inc()
-	invSpan := r.startSpanLocked("inventory", lowestHandle(nodes))
+	invSpan := r.startSpanLocked(parent, "inventory", lowestHandle(nodes))
 	if invSpan != nil {
 		invSpan.Attr("max_rounds", maxRounds)
-		defer func() { r.span = nil }()
 	}
 	found := make(map[uint16]bool)
 	var res InventoryResult
+	var link FaultStats
 	q := 2
 	for round := 0; round < maxRounds; round++ {
 		res.Rounds++
@@ -358,33 +366,29 @@ func (r *Reader) inventoryLocked(maxRounds int, nodes []*node.Node) InventoryRes
 			} else {
 				p = protocol.Packet{Cmd: protocol.CmdQueryRep, Target: protocol.Broadcast}
 			}
+			// The slot span parents every delivery of the slot, the
+			// singulating Ack/Sleep after it has ended included.
+			var slotSpan *telemetry.Span
 			if roundSpan != nil {
-				r.span = roundSpan.Child("slot").Attr("n", slot).Attr("cmd", p.Cmd.String())
+				slotSpan = roundSpan.Child("slot").Attr("n", slot).Attr("cmd", p.Cmd.String())
 			}
-			replies, corrupted := r.broadcastLocked(p, nodes)
+			replies, corrupted := r.broadcastLocked(slotSpan, p, nodes)
 			// A slot that produced only CRC garbage is re-solicited with
 			// bounded exponential backoff: a NAK returns the replying
 			// capsules to arbitration, and a QueryRep draws their
 			// backscatter again through (hopefully) a cleaner channel.
 			for attempt := 0; corrupted > 0 && len(replies) == 0 && attempt < r.retry.MaxAttempts; attempt++ {
 				res.Corrupted += corrupted
-				res.Retries++
-				r.faultStats.Retries++
-				delay := r.retry.Delay(attempt)
-				r.faultStats.Backoff += delay
-				mRetries.Inc()
-				mBackoffSeconds.Add(delay.Seconds())
-				telemetry.RecordFlight("reader", "backoff",
-					fmt.Sprintf("NAK re-solicitation, simulated backoff %v", delay))
-				r.broadcastLocked(protocol.Packet{Cmd: protocol.CmdNak, Target: protocol.Broadcast}, nodes)
-				replies, corrupted = r.broadcastLocked(protocol.Packet{Cmd: protocol.CmdQueryRep, Target: protocol.Broadcast}, nodes)
+				r.backoffLocked(&link, attempt, "NAK re-solicitation")
+				r.broadcastLocked(slotSpan, protocol.Packet{Cmd: protocol.CmdNak, Target: protocol.Broadcast}, nodes)
+				replies, corrupted = r.broadcastLocked(slotSpan, protocol.Packet{Cmd: protocol.CmdQueryRep, Target: protocol.Broadcast}, nodes)
 			}
 			res.Corrupted += corrupted
 			switch len(replies) {
 			case 0:
 				outcome.Empties++
 				mSlots.With(slotEmpty).Inc()
-				r.endSlotSpan("empty")
+				endOutcome(slotSpan, "empty")
 			case 1:
 				outcome.Singles++
 				mSlots.With(slotSingle).Inc()
@@ -393,21 +397,20 @@ func (r *Reader) inventoryLocked(maxRounds int, nodes []*node.Node) InventoryRes
 					found[h] = true
 					res.Discovered = append(res.Discovered, h)
 				}
-				r.endSlotSpan("single")
+				endOutcome(slotSpan, "single")
 				// Ack singulates; the node leaves the round.
-				r.broadcastLocked(protocol.Packet{Cmd: protocol.CmdAck, Target: h}, nodes)
+				r.broadcastLocked(slotSpan, protocol.Packet{Cmd: protocol.CmdAck, Target: h}, nodes)
 			default:
 				outcome.Collisions++
 				res.Collisions++
 				mSlots.With(slotCollision).Inc()
-				r.endSlotSpan("collision")
+				endOutcome(slotSpan, "collision")
 				// Collided nodes stay replying; sleep them back to
 				// standby so the next round redraws their slots.
 				for _, reply := range replies {
-					r.broadcastLocked(protocol.Packet{Cmd: protocol.CmdSleep, Target: reply.Handle}, nodes)
+					r.broadcastLocked(slotSpan, protocol.Packet{Cmd: protocol.CmdSleep, Target: reply.Handle}, nodes)
 				}
 			}
-			r.span = nil
 		}
 		res.Empties += outcome.Empties
 		powered := 0
@@ -426,6 +429,7 @@ func (r *Reader) inventoryLocked(maxRounds int, nodes []*node.Node) InventoryRes
 		}
 		q = protocol.AdaptQ(q, outcome)
 	}
+	res.Retries = link.Retries
 	if invSpan != nil {
 		invSpan.Attr("discovered", len(res.Discovered)).Attr("rounds", res.Rounds).End()
 	}
@@ -433,29 +437,30 @@ func (r *Reader) inventoryLocked(maxRounds int, nodes []*node.Node) InventoryRes
 	return res
 }
 
-// endSlotSpan closes the active slot span with its outcome; the span stays
-// installed so the singulating Ack/Sleep deliveries still nest under it
-// until the caller clears r.span.
-func (r *Reader) endSlotSpan(outcome string) {
-	if r.span != nil {
-		r.span.Attr("outcome", outcome).End()
-	}
+// ReadSensor is ReadSensorUnder with no parent span (a traced read is a
+// root), dropping the read's link counters.
+func (r *Reader) ReadSensor(handle uint16, st sensors.SensorType) ([]float64, error) {
+	vals, _, err := r.ReadSensorUnder(nil, handle, st)
+	return vals, err
 }
 
-// ReadSensor requests one sensor reading from an addressed node and decodes
-// the reply.
-func (r *Reader) ReadSensor(handle uint16, st sensors.SensorType) ([]float64, error) {
+// ReadSensorUnder requests one sensor reading from an addressed node,
+// re-sending within the retry budget while the link loses or corrupts the
+// exchange, and decodes the reply. With a tracer installed the read span is
+// a child of parent (keyed by handle), or a root when parent is nil. It
+// returns the decoded values and this read's own link counters.
+func (r *Reader) ReadSensorUnder(parent *telemetry.Span, handle uint16, st sensors.SensorType) ([]float64, FaultStats, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	var link FaultStats
 	target := r.byHandle[handle]
 	if target == nil {
 		mReads.With(readErr).Inc()
-		return nil, fmt.Errorf("reader: unknown node %#04x", handle)
+		return nil, link, fmt.Errorf("reader: unknown node %#04x", handle)
 	}
-	readSpan := r.startSpanLocked("read", handle)
+	readSpan := r.startSpanLocked(parent, "read", handle)
 	if readSpan != nil {
 		readSpan.Attr("capsule", handleLabel(handle)).Attr("sensor", st.String())
-		defer func() { r.span = nil }()
 	}
 	p := protocol.Packet{Cmd: protocol.CmdReadSensor, Target: handle, Payload: []byte{byte(st)}}
 	attempts := 1
@@ -465,63 +470,64 @@ func (r *Reader) ReadSensor(handle uint16, st sensors.SensorType) ([]float64, er
 	lastErr := errors.New("reader: node stayed silent")
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
-			r.faultStats.Retries++
-			delay := r.retry.Delay(a - 1)
-			r.faultStats.Backoff += delay
-			mRetries.Inc()
-			mBackoffSeconds.Add(delay.Seconds())
-			telemetry.RecordFlight("reader", "backoff",
-				fmt.Sprintf("read re-send %d, simulated backoff %v", a, delay))
+			r.backoffLocked(&link, a-1, fmt.Sprintf("read re-send %d", a))
 		}
+		var attemptSpan *telemetry.Span
 		if readSpan != nil {
-			r.span = readSpan.Child("attempt").Attr("n", a)
+			attemptSpan = readSpan.Child("attempt").Attr("n", a)
 		}
-		up, bad, err := r.deliverLocked(p, target)
+		up, bad, err := r.deliverLocked(attemptSpan, p, target)
 		if err != nil {
 			// A node-level rejection (not powered, no such sensor) is not
 			// a link fault; retrying cannot change it.
-			r.endAttemptSpan("rejected")
-			r.finishRead(readSpan, readErr, a+1)
-			return nil, err
+			endOutcome(attemptSpan, "rejected")
+			finishRead(readSpan, readErr, a+1)
+			return nil, link, err
 		}
 		if up != nil {
-			// Round-trip through the wire framing, as the acoustic link
-			// would (the fault path already did this).
-			parsed := *up
-			if r.faults == nil {
-				parsed, err = protocol.UnmarshalUplink(up.Marshal())
-				if err != nil {
-					r.endAttemptSpan("corrupted")
-					r.finishRead(readSpan, readErr, a+1)
-					return nil, fmt.Errorf("reader: uplink corrupted: %w", err)
-				}
-			}
-			r.endAttemptSpan("ok")
-			r.finishRead(readSpan, readOK, a+1)
+			endOutcome(attemptSpan, "ok")
+			finishRead(readSpan, readOK, a+1)
 			mReadAttempts.Observe(float64(a + 1))
-			return sensors.Decode(sensors.SensorType(parsed.Kind), parsed.Data)
+			vals, err := sensors.Decode(sensors.SensorType(up.Kind), up.Data)
+			return vals, link, err
 		}
 		if bad {
+			link.CorruptedReplies++
 			lastErr = fmt.Errorf("reader: uplink corrupted: %w", protocol.ErrBadCRC)
-			r.endAttemptSpan("corrupted")
+			endOutcome(attemptSpan, "corrupted")
 		} else {
-			r.endAttemptSpan("silent")
+			endOutcome(attemptSpan, "silent")
 		}
 	}
-	r.finishRead(readSpan, readErr, attempts)
-	return nil, lastErr
+	finishRead(readSpan, readErr, attempts)
+	return nil, link, lastErr
 }
 
-// endAttemptSpan closes the active read-attempt span with its outcome.
-func (r *Reader) endAttemptSpan(outcome string) {
-	if r.span != nil {
-		r.span.Attr("outcome", outcome).End()
-		r.span = nil
+// backoffLocked books retry number attempt (0-based) of one exchange: the
+// simulated backoff delay lands on the exchange's own counters (link), the
+// reader's lifetime counters, the metrics and the flight recorder. Caller
+// holds the lock.
+func (r *Reader) backoffLocked(link *FaultStats, attempt int, what string) {
+	delay := r.retry.Delay(attempt)
+	link.Retries++
+	link.Backoff += delay
+	r.faultStats.Retries++
+	r.faultStats.Backoff += delay
+	mRetries.Inc()
+	mBackoffSeconds.Add(delay.Seconds())
+	telemetry.RecordFlight("reader", "backoff",
+		fmt.Sprintf("%s, simulated backoff %v", what, delay))
+}
+
+// endOutcome closes a slot, attempt or deliver span with its outcome.
+func endOutcome(sp *telemetry.Span, outcome string) {
+	if sp != nil {
+		sp.Attr("outcome", outcome).End()
 	}
 }
 
-// finishRead records the read result metric and closes the read root span.
-func (r *Reader) finishRead(sp *telemetry.Span, result string, attempts int) {
+// finishRead records the read result metric and closes the read span.
+func finishRead(sp *telemetry.Span, result string, attempts int) {
 	mReads.With(result).Inc()
 	if sp != nil {
 		sp.Attr("result", result).Attr("attempts", attempts).End()

@@ -60,27 +60,19 @@ func (r *Reader) SetTracer(tr *telemetry.Tracer) {
 	r.tracer = tr
 }
 
-// SetSpanParent nests the reader's root spans (charge, inventory, read)
-// under sp — the fleet installs its survey span here so one trace covers
-// charge → interrogation → broadcast. Nil restores independent roots.
-func (r *Reader) SetSpanParent(sp *telemetry.Span) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.spanParent = sp
-}
-
 // startSpanLocked opens a top-level reader span, keyed by the capsule it
 // addresses (a read's target, the lowest handle a charge or inventory
 // drives) so the spans several stations open concurrently get
 // scheduling-independent IDs and render in handle order. It is a child of
-// the installed span parent when one is set, else a fresh root on the
-// tracer. Returns nil when tracing is off. Callers hold r.mu.
-func (r *Reader) startSpanLocked(name string, handle uint16) *telemetry.Span {
+// parent when one is given — the fleet passes its survey span, so one
+// trace covers charge → interrogation → broadcast — else a fresh root on
+// the tracer. Returns nil when tracing is off. Callers hold r.mu.
+func (r *Reader) startSpanLocked(parent *telemetry.Span, name string, handle uint16) *telemetry.Span {
 	if r.tracer == nil {
 		return nil
 	}
-	if r.spanParent != nil {
-		return r.spanParent.ChildKeyed(name, uint64(handle))
+	if parent != nil {
+		return parent.ChildKeyed(name, uint64(handle))
 	}
 	return r.tracer.StartKeyed(name, uint64(handle))
 }
