@@ -80,6 +80,40 @@ func ConvolveComplex(x []complex128, h []float64) []complex128 {
 	return y
 }
 
+// DecimateComplex filters the complex signal x with real kernel h and keeps
+// one output per block of d samples, at the block's centre: dst[k] is
+// ConvolveComplex(x, h)[k·d + (d−1)/2] (same centring; x is zero-padded at
+// both ends, so the centre of a last, partial block may lie past len(x))
+// for k < ⌈len(x)/d⌉, and the kept outputs are all it computes. It returns
+// dst resliced to the kept length; len(dst) must be at least that, and dst
+// must not alias x. Allocation-free.
+//
+//ecolint:hotpath direct multiply-add over the kept outputs only
+func DecimateComplex(dst, x []complex128, h []float64, d int) []complex128 {
+	if d < 1 {
+		panic("dsp: DecimateComplex factor must be positive")
+	}
+	n := len(x)
+	m := (n + d - 1) / d
+	if len(dst) < m {
+		panic("dsp: DecimateComplex output buffer too short")
+	}
+	mid := len(h) / 2
+	for k := range dst[:m] {
+		// Output i sees h[t]·x[i+mid−t]; clip t to the in-range inputs.
+		i := k*d + (d-1)/2
+		tLo, tHi := max(0, i+mid-n+1), min(len(h), i+mid+1)
+		var re, im float64
+		for t := tLo; t < tHi; t++ {
+			v := x[i+mid-t]
+			re += h[t] * real(v)
+			im += h[t] * imag(v)
+		}
+		dst[k] = complex(re, im)
+	}
+	return dst[:m]
+}
+
 // Envelope implements the node's passive envelope detector (§4.2: the
 // voltage multiplier doubles as the detector): full-wave rectification
 // followed by an RC-style low-pass with time constant tau seconds.

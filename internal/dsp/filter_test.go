@@ -8,98 +8,76 @@ import (
 	"ecocapsule/internal/units"
 )
 
-// TestFIRFilterMatchesConvolve is the equivalence guard of the fast FIR
-// path: over seeded random kernels and signal lengths spanning the direct
-// and FFT regimes, FIRFilter.ApplyTo must match the reference Convolve within
-// 1e-9 sample for sample.
-func TestFIRFilterMatchesConvolve(t *testing.T) {
-	for _, taps := range []int{1, 3, 21, 101} {
-		for _, n := range []int{1, 2, 50, 513, 4000} {
-			src := NewNoiseSource(int64(taps*10000 + n))
-			h := make([]float64, taps)
-			for i := range h {
-				h[i] = src.Gaussian(1)
+// TestDecimateComplexMatchesConvolveComplex is the equivalence guard of the
+// decimating low-pass: over random complex signals, the down-conversion
+// kernel and decimation factors from 1 (every output) past the kernel
+// length, each kept output must match the reference ConvolveComplex of the
+// zero-padded signal at its block centre within 1e-9.
+func TestDecimateComplexMatchesConvolveComplex(t *testing.T) {
+	h := FIRLowPass(1e6, 4500, 101)
+	for _, n := range []int{1, 64, 777, 5000} {
+		src := NewNoiseSource(int64(n))
+		x := make([]complex128, n)
+		for i := range x {
+			x[i] = complex(src.Gaussian(1), src.Gaussian(1))
+		}
+		for _, d := range []int{1, 2, 7, 31, 46, 150} {
+			m := (n + d - 1) / d
+			// The centre of a last, partial block may lie past n: pad x.
+			want := ConvolveComplex(append(append([]complex128(nil), x...), make([]complex128, m*d-n)...), h)
+			got := DecimateComplex(make([]complex128, n), x, h, d)
+			if len(got) != m {
+				t.Fatalf("n=%d d=%d: %d kept outputs, want %d", n, d, len(got), m)
 			}
-			x := make([]float64, n)
-			for i := range x {
-				x[i] = src.Gaussian(1)
-			}
-			f := NewFIRFilter(h)
-			got := make([]float64, n)
-			f.ApplyTo(got, x)
-			want := Convolve(x, h)
-			if len(got) != len(want) {
-				t.Fatalf("taps=%d n=%d: length %d vs %d", taps, n, len(got), len(want))
-			}
-			for i := range got {
-				if d := math.Abs(got[i] - want[i]); d > 1e-9 {
-					t.Fatalf("taps=%d n=%d sample %d: %g vs %g (|Δ|=%g)",
-						taps, n, i, got[i], want[i], d)
+			for k := range got {
+				i := k*d + (d-1)/2
+				if diff := cmplx.Abs(got[k] - want[i]); diff > 1e-9 {
+					t.Fatalf("n=%d d=%d kept %d: %v vs %v (|Δ|=%g)", n, d, k, got[k], want[i], diff)
 				}
 			}
 		}
 	}
 }
 
-// TestFIRFilterMatchesConvolveComplex covers the complex path against
-// ConvolveComplex — the down-conversion low-pass the decode chain runs.
-func TestFIRFilterMatchesConvolveComplex(t *testing.T) {
-	for _, n := range []int{1, 64, 777, 5000} {
-		src := NewNoiseSource(int64(n))
-		h := FIRLowPass(1e6, 3000, 101)
-		x := make([]complex128, n)
-		for i := range x {
-			x[i] = complex(src.Gaussian(1), src.Gaussian(1))
-		}
-		f := NewFIRFilter(h)
-		got := make([]complex128, n)
-		f.ApplyComplexTo(got, x)
-		want := ConvolveComplex(x, h)
-		for i := range got {
-			if d := cmplx.Abs(got[i] - want[i]); d > 1e-9 {
-				t.Fatalf("n=%d sample %d: %v vs %v (|Δ|=%g)", n, i, got[i], want[i], d)
-			}
-		}
+func TestDecimateComplexEmptyInput(t *testing.T) {
+	// Empty input is a no-op even with no output buffer to write.
+	if got := DecimateComplex(nil, nil, []float64{1, 2, 1}, 4); len(got) != 0 {
+		t.Errorf("empty input gave %d outputs", len(got))
 	}
 }
 
-func TestFIRFilterEmptyInput(t *testing.T) {
-	f := NewFIRFilter([]float64{1, 2, 1})
-	// Empty input is a no-op even with no output buffer to write.
-	f.ApplyTo(nil, nil)
-	f.ApplyComplexTo(nil, nil)
+func TestDecimateComplexPanicsOnBadArguments(t *testing.T) {
+	x := make([]complex128, 4)
+	for name, call := range map[string]func(){
+		"zero factor":  func() { DecimateComplex(make([]complex128, 4), x, []float64{1}, 0) },
+		"short output": func() { DecimateComplex(make([]complex128, 1), x, []float64{1}, 2) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			call()
+		}()
+	}
 }
 
-func TestNewFIRFilterPanicsOnEmptyKernel(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for empty kernel")
-		}
-	}()
-	NewFIRFilter(nil)
-}
-
-// TestFIRFilterWarmZeroAlloc pins the warm complex filter pass — the
-// dominant per-capture cost of the decode front-end — at zero steady-state
-// allocations.
-func TestFIRFilterWarmZeroAlloc(t *testing.T) {
+// TestDecimateComplexZeroAlloc pins the decimating low-pass — the receive
+// front end's filter — at zero allocations.
+func TestDecimateComplexZeroAlloc(t *testing.T) {
 	const n = 8000
 	h := FIRLowPass(1e6, 3000, 101)
-	f := NewFIRFilter(h)
-	if raceEnabled {
-		t.Skip("race instrumentation defeats sync.Pool reuse; allocation counts are meaningless")
-	}
 	src := NewNoiseSource(4)
 	x := make([]complex128, n)
 	for i := range x {
 		x[i] = complex(src.Gaussian(1), src.Gaussian(1))
 	}
 	dst := make([]complex128, n)
-	f.ApplyComplexTo(dst, x) // warm plan + scratch pools
 	if allocs := testing.AllocsPerRun(20, func() {
-		f.ApplyComplexTo(dst, x)
+		DecimateComplex(dst, x, h, 31)
 	}); allocs != 0 {
-		t.Errorf("warm ApplyComplexTo allocated %.1f objects/op, want 0", allocs)
+		t.Errorf("DecimateComplex allocated %.1f objects/op, want 0", allocs)
 	}
 }
 

@@ -1,23 +1,36 @@
 package phy
 
-// Fast uplink decode path. The reference chain in reference_test.go
-// (synchronizeReference / demodulateReference / demodulateFrameReference)
-// runs the whole receive front-end — carrier estimation, down-conversion,
-// moving-baseline removal, principal-axis projection — once for
-// synchronisation and AGAIN for demodulation, with a per-sample Sincos
-// mixer and an O(n·taps) direct FIR.
-// This file computes that front-end exactly once per capture into pooled
-// scratch, rides the dsp fast kernels (packed real-input FFT, plan-cached
-// overlap-add FIR, chunked-recurrence mixer), and matched-filters the
-// half-symbols through prefix sums so every per-candidate pilot correlation
-// costs O(len(template)) instead of O(window).
+// Fast uplink decode path: the §5.1 receive chain as production runs it.
+// The capture is mixed down around the estimated carrier at the full
+// sample rate, then the 101-tap FIRLowPass kernel runs as a decimating
+// filter that computes one output per block of D capture samples, at the
+// block's centre (dsp.DecimateComplex). The low-passed baseband keeps
+// ~2·bitrate of a ~1 MS/s capture, so everything after the filter —
+// moving-baseline removal, principal-axis projection, the prefix sums, and
+// the pilot correlation and matched filter feeding the FM0 trellis — runs
+// on the n/D kept samples. The front end runs once per capture into pooled
+// scratch.
 //
-// Equivalence contract (guarded by frontend_equiv_test.go): the fast
-// baseband differs from the reference only by float reassociation in the
-// mixer and the FIR (≤1e-9 per sample); decoded symbols match the reference
-// bit for bit across the seeded battery. DemodulateFrame,
-// DemodulateFrameInto and DemodulateSlots are the production entry points;
-// the reference chain lives only in the tests.
+// D (decimation) is derived from the filter and the uplink: the kernel's
+// stopband edge must stay below fs/D − bw, so nothing it passes aliases into
+// the band, and a half-symbol must keep at least 8 kept samples (D = 46 at
+// 1 kbps and 31 at 2 kbps, 1 MS/s). Pilot sync and demodulation keep
+// working in capture samples: every half-symbol window [a, b) is an O(1)
+// difference of sum, which integrates the kept samples over whole blocks
+// and interpolates inside the block an edge falls in. So slot windows,
+// search steps and frame starts are capture samples as at the full rate,
+// and a half-symbol boundary between two kept samples costs nothing.
+//
+// Equivalence contract (frontend_equiv_test.go and the reader's
+// decode-outcome golden): the full-rate chain — the same stages at D = 1 on
+// dsp.ConvolveComplex — lives in the tests as the oracle, pinned to the
+// reference chain in reference_test.go (baseband within 1e-9 per sample,
+// identical sync offsets and decoded bits). Production differs from the
+// oracle only in D: its filter output equals ConvolveComplex at every kept
+// index within 1e-9, its bit-error rate matches the oracle's at the Fig. 15
+// SNR points within a binomial tolerance, and the reader's decode outcomes
+// are byte-identical to the full-rate chain's. DemodulateFrame,
+// DemodulateFrameInto and DemodulateSlots are the production entry points.
 
 import (
 	"errors"
@@ -38,32 +51,24 @@ var (
 	errSlotOutside      = errors.New("phy: slot window outside the capture")
 )
 
-// firMu guards the shared down-conversion low-pass plan cache.
-var firMu sync.Mutex
+// lowpassTaps is the length of the down-conversion low-pass kernel.
+const lowpassTaps = 101
 
-// firPlans caches the 101-tap windowed-sinc low-pass per (sample rate,
-// bandwidth) so concurrent readers share one FFT plan per filter shape.
-//
-//ecolint:guardedby firMu
-var firPlans = make(map[firKey]*dsp.FIRFilter)
+// minHalfSamples is the fewest kept samples a half-symbol may span after
+// decimation, so the interpolated blocks at a window's two edges stay a
+// small share of its integral.
+const minHalfSamples = 8
 
-type firKey struct{ fs, bw float64 }
-
-// lowpassFor returns the shared plan-cached equivalent of the FIR low-pass
-// DownConvert designs on every call.
-//
-//ecolint:hotpath one filter per (fs, bw) shape; warm lookups are a map read
-func lowpassFor(fs, bw float64) *dsp.FIRFilter {
-	firMu.Lock()
-	defer firMu.Unlock()
-	k := firKey{fs, bw}
-	f := firPlans[k]
-	if f == nil {
-		//ecolint:ignore hotalloc filter design runs once per shape, then the cache serves every capture
-		f = dsp.NewFIRFilter(dsp.FIRLowPass(fs, bw, 101))
-		firPlans[k] = f
-	}
-	return f
+// decimation returns the largest factor D the low-passed baseband can be
+// decimated by. The windowed-sinc kernel's stopband starts half a Hamming
+// transition width (3.3·fs/taps) above its cutoff bw; D must keep that edge
+// below fs/D − bw, where the first alias of the band begins, and leave a
+// half-symbol at least minHalfSamples kept samples.
+func (rx *ReaderRX) decimation() int {
+	bw := rx.Bitrate*2 + rx.GuardBand
+	stop := bw + 0.5*3.3*rx.SampleRate/lowpassTaps
+	d := min(int(rx.SampleRate/(stop+bw)), int(rx.SampleRate/(2*rx.Bitrate)/minHalfSamples))
+	return max(d, 1)
 }
 
 // pilotHalves is the FM0 half-symbol template of PilotBits, rendered once.
@@ -74,15 +79,20 @@ var pilotHalves = pilotTemplate()
 type feScratch struct {
 	pad    []float64    // zero-padded FFT input for carrier estimation
 	spec   []complex128 // packed half-spectrum
-	mixed  []complex128 // MixDown output; reused for the baseline residual
-	bb     []complex128 // low-passed complex baseband
+	mixed  []complex128 // full-rate MixDown output
+	taps   []float64    // low-pass kernel, designed for (tapsFS, tapsBW)
+	tapsFS float64
+	tapsBW float64
+	bb     []complex128 // low-passed complex baseband at the kept samples
 	preC   []complex128 // complex prefix sums for the moving baseline
 	mag    []float64    // |bb| for the envelope anchor
-	ac     []float64    // projected real baseband (== reference basebandAC within 1e-9)
+	ac     []float64    // projected real baseband
 	pre    []float64    // prefix sums of ac: pre[i] = Σ ac[:i]
 	halves []float64    // integrate-and-dump matched-filter outputs
 	bits   []byte       // decoded frame bits (pilot + payload)
-	n      int          // capture length
+	n      int          // capture length in samples
+	d      int          // decimation: kept sample k is capture sample k·d
+	m      int          // kept samples, ⌈n/d⌉
 }
 
 var fePool = sync.Pool{New: func() any { return &feScratch{} }}
@@ -176,8 +186,8 @@ func peakOffset(a, b, c float64) float64 {
 }
 
 // frontEnd fills sc with the shared decode state for the capture: carrier
-// estimate, projected baseband ac (the reference basebandAC within 1e-9),
-// and the ac prefix sums every matched-filter window reads from.
+// estimate, the decimated low-passed baseband, and its projection and
+// prefix sums (project).
 //
 //ecolint:hotpath the once-per-capture front-end; all buffers come from pooled scratch
 func (rx *ReaderRX) frontEnd(sc *feScratch, signal []float64) (float64, error) {
@@ -186,47 +196,63 @@ func (rx *ReaderRX) frontEnd(sc *feScratch, signal []float64) (float64, error) {
 		return 0, err
 	}
 	n := len(signal)
-	sc.n = n
 	bw := rx.Bitrate*2 + rx.GuardBand
-
-	// Down-convert: chunked-recurrence mixer + plan-cached low-pass.
+	if sc.tapsFS != rx.SampleRate || sc.tapsBW != bw {
+		//ecolint:ignore hotalloc the kernel is designed once per pooled scratch and filter shape; warm captures reuse it
+		sc.taps = dsp.FIRLowPass(rx.SampleRate, bw, lowpassTaps)
+		sc.tapsFS, sc.tapsBW = rx.SampleRate, bw
+	}
 	sc.mixed = growC(sc.mixed, n)
 	dsp.MixDown(sc.mixed, signal, rx.SampleRate, fc)
-	sc.bb = growC(sc.bb, n)
-	lowpassFor(rx.SampleRate, bw).ApplyComplexTo(sc.bb, sc.mixed)
-	bb := sc.bb[:n]
+	d := rx.decimation()
+	sc.bb = growC(sc.bb, (n+d-1)/d)
+	sc.bb = dsp.DecimateComplex(sc.bb, sc.mixed, sc.taps, d)
+	rx.project(sc, n, d)
+	return fc, nil
+}
 
-	// Moving-baseline leakage removal — identical arithmetic to the
-	// reference (it already runs on complex prefix sums).
-	w := int(4 * rx.SampleRate / rx.Bitrate)
+// project runs the rest of the front end on the low-passed baseband sc.bb
+// of an n-sample capture decimated by d: moving-baseline leakage removal,
+// principal-axis projection into sc.ac, and the prefix sums sc.pre every
+// matched-filter window reads from. The arithmetic is the reference
+// basebandAC's at the kept-sample rate SampleRate/d.
+//
+//ecolint:hotpath per-kept-sample loops on pooled scratch
+func (rx *ReaderRX) project(sc *feScratch, n, d int) {
+	bb := sc.bb
+	m := len(bb)
+	fs := rx.SampleRate / float64(d)
+	sc.n, sc.d, sc.m = n, d, m
+
+	// Moving-baseline leakage removal on complex prefix sums.
+	w := int(4 * fs / rx.Bitrate)
 	if w < 1 {
 		w = 1
 	}
-	if w > n {
-		w = n
+	if w > m {
+		w = m
 	}
-	sc.preC = growC(sc.preC, n+1)
+	sc.preC = growC(sc.preC, m+1)
 	sc.preC[0] = 0
 	for i, v := range bb {
 		sc.preC[i+1] = sc.preC[i] + v
 	}
-	res := sc.mixed[:n] // the mixing buffer is free again
+	res := sc.mixed[:m] // the mixing buffer is free again
 	for i := range bb {
 		lo := i - w/2
 		if lo < 0 {
 			lo = 0
 		}
 		hi := lo + w
-		if hi > n {
-			hi = n
+		if hi > m {
+			hi = m
 			lo = hi - w
 		}
 		base := (sc.preC[hi] - sc.preC[lo]) / complex(float64(hi-lo), 0)
 		res[i] = bb[i] - base
 	}
 
-	// Principal-axis projection with the envelope-anchored sign, exactly as
-	// the reference.
+	// Principal-axis projection with the envelope-anchored sign.
 	var sr, si float64
 	for _, r := range res {
 		re, im := real(r), imag(r)
@@ -235,12 +261,12 @@ func (rx *ReaderRX) frontEnd(sc *feScratch, signal []float64) (float64, error) {
 	}
 	psi := 0.5 * math.Atan2(si, sr)
 	cp, sp := math.Cos(psi), math.Sin(psi)
-	sc.mag = growF(sc.mag, n)
+	sc.mag = growF(sc.mag, m)
 	for i, v := range bb {
 		sc.mag[i] = math.Hypot(real(v), imag(v))
 	}
-	magMean := dsp.Mean(sc.mag[:n])
-	sc.ac = growF(sc.ac, n)
+	magMean := dsp.Mean(sc.mag)
+	sc.ac = growF(sc.ac, m)
 	var anchor float64
 	for i, r := range res {
 		a := real(r)*cp + imag(r)*sp
@@ -248,24 +274,44 @@ func (rx *ReaderRX) frontEnd(sc *feScratch, signal []float64) (float64, error) {
 		anchor += a * (sc.mag[i] - magMean)
 	}
 	if anchor < 0 {
-		for i := range sc.ac[:n] {
+		for i := range sc.ac {
 			sc.ac[i] = -sc.ac[i]
 		}
 	}
 
 	// Prefix sums of ac: every half-symbol integral and pilot correlation
 	// below becomes O(1) per window.
-	sc.pre = growF(sc.pre, n+1)
+	sc.pre = growF(sc.pre, m+1)
 	sc.pre[0] = 0
-	for i, v := range sc.ac[:n] {
+	for i, v := range sc.ac {
 		sc.pre[i+1] = sc.pre[i] + v
 	}
-	return fc, nil
 }
 
-// meanWindow is dsp.Mean(ac[a:b]) through the prefix sums.
+// meanWindow is the mean of the projected baseband over capture samples
+// [a, b) through the kept-sample prefix sums (sum).
 func (sc *feScratch) meanWindow(a, b int) float64 {
-	return (sc.pre[b] - sc.pre[a]) / float64(b-a)
+	return (sc.sum(b) - sc.sum(a)) / float64(b-a)
+}
+
+// sum is the integral of the projected baseband over capture samples
+// [0, x). Kept sample k was filtered at the centre of block [k·d, (k+1)·d),
+// so a whole block integrates to d·ac[k], and the part of the block x
+// falls in integrates the line through ac[k] with the slope of its
+// neighbours — the baseband varies smoothly across a block, since the
+// low-pass kernel spans several. At d = 1 it is pre[x].
+func (sc *feScratch) sum(x int) float64 {
+	k, r := x/sc.d, x%sc.d
+	s := float64(sc.d) * sc.pre[k]
+	if r > 0 {
+		lo, hi := max(k-1, 0), min(k+1, sc.m-1)
+		var slope float64
+		if hi > lo {
+			slope = (sc.ac[hi] - sc.ac[lo]) / float64((hi-lo)*sc.d)
+		}
+		s += float64(r) * (sc.ac[k] + slope*float64(r-sc.d)/2)
+	}
+	return s
 }
 
 // pilotScoreFast mirrors the reference pilotScore with O(1) window

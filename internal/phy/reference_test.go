@@ -8,15 +8,18 @@ import (
 	"ecocapsule/internal/dsp"
 )
 
-// The reference receive chain the fast decode path (frontend.go) is
-// equivalence-tested against, plus the two single-stage fast entry points
-// the tests compare it with. Production decodes only through
+// The reference receive chain, the full-rate oracle the decimating
+// production front end (frontend.go) is tested against, and single-stage
+// entry points on either front end. Production decodes only through
 // DemodulateFrame, DemodulateFrameInto and DemodulateSlots.
 //
 // The reference stages recompute everything per call: the carrier
 // estimate through dsp.Spectrum, down-conversion through
 // dsp.DownConvert (per-sample Sincos mixing, direct O(n·taps) FIR), and the
 // pilot correlation and matched filter through dsp.Mean over each window.
+// The oracle is the production chain without decimation: the same carrier
+// estimate and mixer, the full-rate low-pass through dsp.ConvolveComplex,
+// and project, sync and demodulation at D = 1.
 
 // estimateCarrier runs the §5.1 carrier-frequency estimation on the raw
 // capture: the strongest bin of dsp.Spectrum in the search band, refined
@@ -301,13 +304,31 @@ func (rx *ReaderRX) demodulateFrameReference(signal []float64, nBits int) ([]byt
 	return bits[len(PilotBits):], nil
 }
 
-// synchronize is the fast counterpart of synchronizeReference: the shared
-// front-end once, then syncWindow over the whole capture. searchLimit ≤ 0
-// means half the capture, as for the reference.
-func (rx *ReaderRX) synchronize(signal []float64, searchLimit int) (int, error) {
-	sc := fePool.Get().(*feScratch)
-	defer fePool.Put(sc)
-	if _, err := rx.frontEnd(sc, signal); err != nil {
+// frontEndFullRate is the oracle front end: frontEnd with the low-pass
+// evaluated at every capture sample (D = 1) by dsp.ConvolveComplex.
+func (rx *ReaderRX) frontEndFullRate(sc *feScratch, signal []float64) (float64, error) {
+	fc, err := rx.estimateCarrierFast(sc, signal)
+	if err != nil {
+		return 0, err
+	}
+	n := len(signal)
+	sc.mixed = growC(sc.mixed, n)
+	dsp.MixDown(sc.mixed, signal, rx.SampleRate, fc)
+	sc.bb = dsp.ConvolveComplex(sc.mixed, dsp.FIRLowPass(rx.SampleRate, rx.Bitrate*2+rx.GuardBand, lowpassTaps))
+	rx.project(sc, n, 1)
+	return fc, nil
+}
+
+// frontEndFunc fills fresh scratch for a capture: the production
+// (*ReaderRX).frontEnd or the oracle (*ReaderRX).frontEndFullRate.
+type frontEndFunc func(rx *ReaderRX, sc *feScratch, signal []float64) (float64, error)
+
+// synchronizeOn is the fast counterpart of synchronizeReference on the
+// given front end: the front end once, then syncWindow over the whole
+// capture. searchLimit ≤ 0 means half the capture, as for the reference.
+func (rx *ReaderRX) synchronizeOn(fe frontEndFunc, signal []float64, searchLimit int) (int, error) {
+	sc := &feScratch{}
+	if _, err := fe(rx, sc, signal); err != nil {
 		return 0, err
 	}
 	if searchLimit <= 0 {
@@ -316,13 +337,33 @@ func (rx *ReaderRX) synchronize(signal []float64, searchLimit int) (int, error) 
 	return rx.syncWindow(sc, 0, sc.n, searchLimit)
 }
 
-// demodulate is the fast counterpart of demodulateReference: the shared
-// front-end once, then demodWindow from sample start.
-func (rx *ReaderRX) demodulate(signal []float64, start, nBits int) ([]byte, error) {
-	sc := fePool.Get().(*feScratch)
-	defer fePool.Put(sc)
-	if _, err := rx.frontEnd(sc, signal); err != nil {
+// demodulateOn is the fast counterpart of demodulateReference on the given
+// front end: the front end once, then demodWindow from sample start.
+func (rx *ReaderRX) demodulateOn(fe frontEndFunc, signal []float64, start, nBits int) ([]byte, error) {
+	sc := &feScratch{}
+	if _, err := fe(rx, sc, signal); err != nil {
 		return nil, err
 	}
 	return rx.demodWindow(sc, nil, start, nBits, sc.n)
+}
+
+// demodulateFrameOn is DemodulateFrame on the given front end.
+func (rx *ReaderRX) demodulateFrameOn(fe frontEndFunc, signal []float64, nBits int) ([]byte, error) {
+	sc := &feScratch{}
+	if _, err := fe(rx, sc, signal); err != nil {
+		return nil, err
+	}
+	if _, err := rx.decodeWindow(sc, 0, sc.n, nBits); err != nil {
+		return nil, err
+	}
+	return sc.bits[len(PilotBits):], nil
+}
+
+// synchronize and demodulate run the production (decimating) front end.
+func (rx *ReaderRX) synchronize(signal []float64, searchLimit int) (int, error) {
+	return rx.synchronizeOn((*ReaderRX).frontEnd, signal, searchLimit)
+}
+
+func (rx *ReaderRX) demodulate(signal []float64, start, nBits int) ([]byte, error) {
+	return rx.demodulateOn((*ReaderRX).frontEnd, signal, start, nBits)
 }

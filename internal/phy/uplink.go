@@ -71,12 +71,14 @@ func (tx *BackscatterTX) Modulate(bits []byte, incident []float64) ([]float64, e
 		return nil, err
 	}
 	states := waveform.FM0States(halves)
-	need := tx.Synth.Samples(float64(len(states)) * tx.HalfSymbolDuration())
+	// Half-symbols on the reader's grid: ReaderRX integrates half h over
+	// [int(h·fs/(2·bitrate)), int((h+1)·fs/(2·bitrate))).
+	half := tx.Synth.SampleRate / (2 * tx.Bitrate)
+	need := int(float64(len(states)) * half)
 	if len(incident) < need {
 		return nil, errors.New("phy: incident carrier shorter than the frame")
 	}
-	out := tx.Synth.BackscatterModulate(incident[:need], states,
-		tx.HalfSymbolDuration(), tx.ReflectGain, tx.AbsorbGain)
+	out := tx.Synth.BackscatterModulate(incident[:need], states, half, tx.ReflectGain, tx.AbsorbGain)
 	return out, nil
 }
 

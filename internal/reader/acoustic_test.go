@@ -158,9 +158,12 @@ func TestAcousticReadAtHigherBitrate(t *testing.T) {
 	if vals[0] < 20 || vals[0] > 24 {
 		t.Errorf("temperature %.2f far from 22", vals[0])
 	}
-	// The reverberant 20 m wall swallows the shorter symbols. The coherent
-	// leakage-suppressing RX front-end stretches the limit to ~6 kbps, so
-	// pin the physical ceiling one octave up: 8 kbps symbols are shorter
+	// The reverberant 20 m wall swallows the shorter symbols. With the
+	// node switching on the reader's half-symbol grid, a 32-seed sweep of
+	// wallSweepRead decodes 32/32 at 6 kbps and 31/32 at 8 kbps, and 0/32
+	// at 10, 12 and 16 kbps, where the 15 cm block still decodes 30/32 or
+	// more: the wall's ceiling lies between 8 and 10 kbps. Pin it an octave
+	// above the last rate that decodes: 16 kbps symbols are far shorter
 	// than the wall's delay spread and must not decode.
 	wallR, err := New(wallConfig())
 	if err != nil {
@@ -168,9 +171,9 @@ func TestAcousticReadAtHigherBitrate(t *testing.T) {
 	}
 	deployNode(t, wallR, 0x36, 1.0)
 	wallR.Charge(0.3)
-	acfg.UplinkBitrate = 8000
+	acfg.UplinkBitrate = 16000
 	if _, err := acousticRead(wallR, 0x36, sensors.TypeTempHumidity, acfg); err == nil {
-		t.Error("8 kbps through the 20 m wall should fail: its delay spread exceeds the symbol window")
+		t.Error("16 kbps through the 20 m wall should fail: its delay spread exceeds the symbol window")
 	}
 }
 
@@ -214,18 +217,56 @@ func blockSweepRead(t *testing.T, s int64, bitrate float64) error {
 	return err
 }
 
-// sweepBlock reads seeds [0, cases) at the bitrate and fails with every
-// case that did not decode.
-func sweepBlock(t *testing.T, bitrate float64, cases int64) {
+// wallSweepRead is one waveform-level temperature read through the 20 m
+// common wall for sweep case s: reader seed s, and a node (seed s, handle
+// 0x100+s) 1 m along the wall, where TestAcousticReadAtHigherBitrate reads.
+func wallSweepRead(t *testing.T, s int64, bitrate float64) error {
+	t.Helper()
+	cfg := wallConfig()
+	cfg.Seed = s
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SetEnvironment(func(pos geometry.Vec3) sensors.Environment {
+		return sensors.Environment{TemperatureC: 22, RelativeHumidity: 55}
+	})
+	h := uint16(0x100 + s)
+	n := node.New(node.Config{Handle: h, Position: geometry.Vec3{X: 1.0, Y: 10, Z: 0.1}, Seed: s})
+	if err := r.Deploy(n); err != nil {
+		t.Fatal(err)
+	}
+	if r.Charge(0.3) != 1 {
+		t.Fatalf("case %d: node failed to power up", s)
+	}
+	acfg := DefaultAcousticConfig()
+	acfg.UplinkBitrate = bitrate
+	vals, err := acousticRead(r, h, sensors.TypeTempHumidity, acfg)
+	if err == nil && (vals[0] < 20 || vals[0] > 24) {
+		t.Errorf("case %d at %.0f bit/s: temperature %.2f far from 22", s, bitrate, vals[0])
+	}
+	return err
+}
+
+// sweepFailures reads seeds [0, cases) at the bitrate and returns how many
+// did not decode, logging each failure.
+func sweepFailures(t *testing.T, read func(*testing.T, int64, float64) error, bitrate float64, cases int64) int {
 	t.Helper()
 	failed := 0
 	for s := int64(0); s < cases; s++ {
-		if err := blockSweepRead(t, s, bitrate); err != nil {
+		if err := read(t, s, bitrate); err != nil {
 			failed++
 			t.Logf("case %d: %v", s, err)
 		}
 	}
-	if failed > 0 {
+	return failed
+}
+
+// sweepBlock reads seeds [0, cases) at the bitrate through the block and
+// fails with every case that did not decode.
+func sweepBlock(t *testing.T, bitrate float64, cases int64) {
+	t.Helper()
+	if failed := sweepFailures(t, blockSweepRead, bitrate, cases); failed > 0 {
 		t.Errorf("%.0f bit/s through the block: %d/%d reads failed", bitrate, failed, cases)
 	}
 }
@@ -253,4 +294,21 @@ func TestAcousticBlockSweepLowBitrates(t *testing.T) {
 // refined between bins.
 func TestAcousticBlockSweep4kbps(t *testing.T) {
 	sweepBlock(t, 4000, 64)
+}
+
+// TestAcousticSweep3kbps decodes 64 seed cases at 3 kbps through the block
+// and through the 20 m wall. At 1 MS/s a 3 kbps half-symbol is 166.67
+// samples. The node used to hold every half for int(166.67) = 166 samples
+// while the reader integrates half h from int(h·166.67), so the frame
+// drifted a sample every third half, 2/3 of a half-symbol by the end of a
+// 72-bit frame, and 0/64 reads decoded on either structure. The node now
+// switches on the reader's grid.
+func TestAcousticSweep3kbps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("128 waveform-level reads; run without -short to exercise them")
+	}
+	sweepBlock(t, 3000, 64)
+	if failed := sweepFailures(t, wallSweepRead, 3000, 64); failed > 0 {
+		t.Errorf("3000 bit/s through the wall: %d/64 reads failed", failed)
+	}
 }

@@ -147,24 +147,25 @@ func (s *Synth) PIEWaveformFSK(cfg coding.PIEConfig, bits []byte, fHigh, fLow, a
 // carrier: when the switch state is reflective the node re-radiates
 // reflectGain of the incident wave, when absorptive it re-radiates
 // absorbGain (≈0). states holds one boolean per half-symbol (true =
-// reflective); each lasts halfDur seconds. The returned waveform is the
+// reflective); half-symbol h spans samples [int(h·halfSamples),
+// int((h+1)·halfSamples)), the grid the reader's matched filter integrates
+// on, so a fractional halfSamples does not drift the frame against it. The
+// last state holds to the end of incident. The returned waveform is the
 // backscattered component only.
-func (s *Synth) BackscatterModulate(incident []float64, states []bool, halfDur, reflectGain, absorbGain float64) []float64 {
+func (s *Synth) BackscatterModulate(incident []float64, states []bool, halfSamples, reflectGain, absorbGain float64) []float64 {
 	out := make([]float64, len(incident))
 	if len(states) == 0 {
 		return out
 	}
-	perState := s.Samples(halfDur)
-	if perState < 1 {
-		perState = 1
-	}
+	halfSamples = max(halfSamples, 1)
+	h, end := 0, int(halfSamples)
 	for i := range incident {
-		idx := i / perState
-		if idx >= len(states) {
-			idx = len(states) - 1
+		for i >= end && h < len(states)-1 {
+			h++
+			end = int(float64(h+1) * halfSamples)
 		}
 		g := absorbGain
-		if states[idx] {
+		if states[h] {
 			g = reflectGain
 		}
 		out[i] = incident[i] * g

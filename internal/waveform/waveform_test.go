@@ -190,8 +190,8 @@ func TestBackscatterModulate(t *testing.T) {
 	carrier := s.CBW(230e3, 1, 2e-3)
 	// 2 kHz switching → 0.25 ms per half-state.
 	states := []bool{true, false, true, false, true, false, true, false}
-	bs := s.BackscatterModulate(carrier, states, 0.25e-3, 0.5, 0.02)
 	per := s.Samples(0.25e-3)
+	bs := s.BackscatterModulate(carrier, states, float64(per), 0.5, 0.02)
 	on := dsp.RMS(bs[:per])
 	off := dsp.RMS(bs[per : 2*per])
 	if on < 5*off {
@@ -201,9 +201,39 @@ func TestBackscatterModulate(t *testing.T) {
 		t.Error("modulated length must match carrier")
 	}
 	// Empty states: all zero.
-	z := s.BackscatterModulate(carrier, nil, 0.25e-3, 0.5, 0)
+	z := s.BackscatterModulate(carrier, nil, float64(per), 0.5, 0)
 	if dsp.MaxAbs(z) != 0 {
 		t.Error("no states must produce silence")
+	}
+}
+
+// TestBackscatterModulateFractionalHalves: at a fractional number of
+// samples per half-symbol (3 kbps at 1 MS/s is 166.67), state h switches at
+// int(h·halfSamples), the reader's integration grid, instead of every
+// int(halfSamples) samples, which drifts a sample every third half.
+func TestBackscatterModulateFractionalHalves(t *testing.T) {
+	s := NewSynth(fs)
+	const half = fs / 6000
+	states := make([]bool, 60)
+	for i := range states {
+		states[i] = i%2 == 0
+	}
+	incident := make([]float64, int(float64(len(states))*half))
+	for i := range incident {
+		incident[i] = 1
+	}
+	bs := s.BackscatterModulate(incident, states, half, 1, 0)
+	for h := range states {
+		a, b := int(float64(h)*half), int(float64(h+1)*half)
+		want := 0.0
+		if states[h] {
+			want = 1
+		}
+		for i := a; i < b; i++ {
+			if bs[i] != want {
+				t.Fatalf("half %d [%d, %d): sample %d is %g, want %g", h, a, b, i, bs[i], want)
+			}
+		}
 	}
 }
 

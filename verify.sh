@@ -136,7 +136,10 @@ stage_done
 # must hand every item to exactly one body on every queue shape production
 # uses. The waveform round fans its link transmits out over the pool and its
 # FFT kernel fuses stages; both must stay bit-identical to the serial,
-# one-stage-per-pass results. The fleet's churn tests kill and revive
+# one-stage-per-pass results. The decimating receive front end must decode
+# the same outcomes (the reader's golden corpus), keep its kept-index filter
+# bound and its BER parity with the full-rate oracle at every processor
+# count. The fleet's churn tests kill and revive
 # stations while surveys and reads run, against its one route lock.
 stage "keyed determinism (-race -count=2 -cpu 1,2,4)"
 go test -race -count=2 -cpu 1,2,4 -run 'Invariance|Keyed|Determinis' \
@@ -144,7 +147,9 @@ go test -race -count=2 -cpu 1,2,4 -run 'Invariance|Keyed|Determinis' \
 	./internal/keyrand
 go test -race -count=2 -cpu 1,2,4 -run 'Churn|UnderKill|Concurrent' ./internal/fleet
 go test -race -count=2 -cpu 1,2,4 -run 'BitIdentical|Determinis' \
-	./internal/dsp ./internal/reader
+	./internal/dsp ./internal/phy ./internal/reader
+go test -race -count=2 -cpu 1,2,4 -run 'DecodeOutcomes|BERParity|Decimat' \
+	./internal/phy ./internal/reader
 stage_done
 
 # Cross-check: the hotalloc lint and the runtime AllocsPerRun tests must
