@@ -65,7 +65,7 @@ func TestExitCodes(t *testing.T) {
 		"go.mod":  "module exitclean\n\ngo 1.21\n",
 		"main.go": "package main\n\nfunc main() {}\n",
 	})
-	if code, out := runIn(t, bin, clean, "-cache=false", "./..."); code != exitClean {
+	if code, out := runIn(t, bin, clean, "./..."); code != exitClean {
 		t.Errorf("clean tree: exit %d, want %d\n%s", code, exitClean, out)
 	}
 
@@ -73,7 +73,7 @@ func TestExitCodes(t *testing.T) {
 		"go.mod":               "module exitdirty\n\ngo 1.21\n",
 		"geometry/geometry.go": "package geometry\n\nfunc Eq(a, b float64) bool { return a == b }\n",
 	})
-	if code, out := runIn(t, bin, dirty, "-cache=false", "./..."); code != exitFindings {
+	if code, out := runIn(t, bin, dirty, "./..."); code != exitFindings {
 		t.Errorf("tree with findings: exit %d, want %d\n%s", code, exitFindings, out)
 	} else if !strings.Contains(out, "floatcmp") {
 		t.Errorf("finding output missing floatcmp:\n%s", out)
@@ -91,14 +91,14 @@ func TestExitCodes(t *testing.T) {
 		"bad.go":  "package bad\n\nfunc Oops() int { return undefinedIdent }\n",
 		"main.go": "package bad\n",
 	})
-	if code, out := runIn(t, bin, broken, "-cache=false", "./..."); code != exitDriver {
+	if code, out := runIn(t, bin, broken, "./..."); code != exitDriver {
 		t.Errorf("type-broken tree: exit %d, want %d\n%s", code, exitDriver, out)
 	}
 
 	nopkg := writeTree(t, map[string]string{
 		"go.mod": "module exitempty\n\ngo 1.21\n",
 	})
-	if code, out := runIn(t, bin, nopkg, "-cache=false", "./..."); code != exitDriver {
+	if code, out := runIn(t, bin, nopkg, "./..."); code != exitDriver {
 		t.Errorf("no packages matched: exit %d, want %d\n%s", code, exitDriver, out)
 	}
 }
@@ -114,7 +114,7 @@ func TestSARIFEndToEnd(t *testing.T) {
 		"go.mod":               "module sarifdirty\n\ngo 1.21\n",
 		"geometry/geometry.go": "package geometry\n\nfunc Eq(a, b float64) bool { return a == b }\n",
 	})
-	code, out := runIn(t, bin, dirty, "-cache=false", "-sarif", "./...")
+	code, out := runIn(t, bin, dirty, "-sarif", "./...")
 	if code != exitFindings {
 		t.Fatalf("exit %d, want %d\n%s", code, exitFindings, out)
 	}

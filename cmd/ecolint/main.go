@@ -9,10 +9,9 @@
 //	go run ./cmd/ecolint -include-tests -json ./...
 //	go run ./cmd/ecolint -sarif ./... > findings.sarif
 //
-// Packages are analyzed in dependency order by a parallel worker pool;
-// results are cached under .ecolint-cache/ (keyed by content hash and
-// analyzer version) so repeat runs on an unchanged tree are near-instant.
-// Disable with -cache=false or point elsewhere with -cache-dir.
+// Every run is one in-memory pass: packages are type-checked and
+// analyzed in dependency order, each dependency level fanned out over
+// the cores by the conc pool. Nothing is written to disk.
 //
 // Findings print as `file:line: analyzer: message`, as a JSON array with
 // -json, or as a SARIF 2.1.0 log with -sarif (for CI code-scanning
@@ -30,7 +29,7 @@
 //	1  findings reported
 //	2  usage error (bad flags, unknown analyzer)
 //	3  driver or load error (go list failed, a package did not parse or
-//	   type-check, the cache directory is unusable)
+//	   type-check)
 package main
 
 import (
@@ -68,11 +67,8 @@ func main() {
 	jsonFlag := flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	sarifFlag := flag.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log on stdout")
 	testsFlag := flag.Bool("include-tests", false, "also analyze _test.go files (in-package and external)")
-	cacheFlag := flag.Bool("cache", true, "consult and populate the on-disk result cache")
-	cacheDir := flag.String("cache-dir", ".ecolint-cache", "result cache location (with -cache)")
-	parFlag := flag.Int("parallel", 0, "worker pool size; 0 means GOMAXPROCS, 1 forces a sequential run")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ecolint [-list] [-only a,b] [-json|-sarif] [-include-tests] [-cache=false] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: ecolint [-list] [-only a,b] [-json|-sarif] [-include-tests] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -108,14 +104,7 @@ func main() {
 		analyzers = selected
 	}
 
-	opts := analysis.Options{
-		Analyzers:    analyzers,
-		IncludeTests: *testsFlag,
-		Parallelism:  *parFlag,
-	}
-	if *cacheFlag {
-		opts.CacheDir = *cacheDir
-	}
+	opts := analysis.Options{Analyzers: analyzers, IncludeTests: *testsFlag}
 	diags, stats, err := analysis.Run(opts, flag.Args()...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ecolint: %v\n", err)

@@ -86,7 +86,8 @@ func writeSARIF(w io.Writer, analyzers []*analysis.Analyzer, diags []analysis.Di
 	for _, d := range diags {
 		idx, ok := index[d.Analyzer]
 		if !ok {
-			// A cached entry from a differently-configured run; still report it.
+			// A finding from outside the suite, such as ecolint's own
+			// check of ignore directives; still report it.
 			idx = len(rules)
 			index[d.Analyzer] = idx
 			rules = append(rules, sarifRule{ID: d.Analyzer, ShortDescription: sarifMessage{Text: d.Analyzer}})

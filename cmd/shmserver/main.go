@@ -66,7 +66,16 @@ func main() {
 	}
 }
 
-// parseMuted reads the -mute list ("0x11,0x13" or decimal).
+// The §6 deployment: five embedded capsules answer on consecutive
+// handles from firstHandle.
+const (
+	firstHandle      = 0x10
+	deployedCapsules = 5
+)
+
+// parseMuted reads the -mute list ("0x11,0x13" or decimal "17,19"). A
+// handle outside the deployment is an error: muting it would silence
+// nothing and the drill would pass vacuously.
 func parseMuted(spec string) (map[uint16]bool, error) {
 	muted := make(map[uint16]bool)
 	for _, part := range strings.Split(spec, ",") {
@@ -74,9 +83,13 @@ func parseMuted(spec string) (map[uint16]bool, error) {
 		if part == "" {
 			continue
 		}
-		v, err := strconv.ParseUint(strings.TrimPrefix(part, "0x"), 16, 16)
+		v, err := strconv.ParseUint(part, 0, 16)
 		if err != nil {
 			return nil, fmt.Errorf("bad -mute handle %q: %w", part, err)
+		}
+		if v < firstHandle || v >= firstHandle+deployedCapsules {
+			return nil, fmt.Errorf("-mute handle %q (%#x) is not a deployed capsule (%#x-%#x)",
+				part, v, firstHandle, firstHandle+deployedCapsules-1)
 		}
 		muted[uint16(v)] = true
 	}
@@ -128,11 +141,10 @@ func serve(addr, telemetryAddr string, speedup float64, hours, statusEvery int, 
 	if tick < time.Millisecond {
 		tick = time.Millisecond
 	}
-	const deployedCapsules = 5
 	var missing []uint16
 	for i := 0; i < deployedCapsules; i++ {
-		if muted[uint16(0x10+i)] {
-			missing = append(missing, uint16(0x10+i))
+		if muted[uint16(firstHandle+i)] {
+			missing = append(missing, uint16(firstHandle+i))
 		}
 	}
 	sort.Slice(missing, func(i, j int) bool { return missing[i] < missing[j] })
@@ -141,7 +153,7 @@ func serve(addr, telemetryAddr string, speedup float64, hours, statusEvery int, 
 		env := sim.CapsuleEnvironment(h)
 		// Five embedded capsules report in turn (§6 deployment); muted ones
 		// stay silent, and the periodic status frame carries the hole.
-		capsule := uint16(0x10 + h%deployedCapsules)
+		capsule := uint16(firstHandle + h%deployedCapsules)
 		if !muted[capsule] {
 			srv.BroadcastTelemetry(shmwire.Telemetry{
 				Timestamp:    ts,

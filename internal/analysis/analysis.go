@@ -18,10 +18,6 @@ type Analyzer struct {
 	// Doc is a one-paragraph description of what the analyzer catches and
 	// why it matters for SHM data integrity.
 	Doc string
-	// Version participates in the on-disk result-cache key: bump it
-	// whenever the analyzer's behaviour changes so stale cached
-	// diagnostics are invalidated. An empty version reads as "1".
-	Version string
 	// UsesFacts marks analyzers that export or import cross-package
 	// facts; only these run in facts-only passes over dependency
 	// packages.
@@ -175,8 +171,8 @@ func analyzeUnit(pkg *Package, analyzers []*Analyzer, facts *Facts, factsOnly bo
 }
 
 // sortDiagnostics orders diagnostics by file, line, analyzer and
-// message — a total order, so sequential and parallel drivers (and
-// cached and fresh results) produce byte-identical output.
+// message — a total order, so sequential and parallel runs produce
+// byte-identical output.
 func sortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		if diags[i].Pos.Filename != diags[j].Pos.Filename {

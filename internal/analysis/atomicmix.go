@@ -18,8 +18,7 @@ import (
 // Composite-literal initialisation (S{n: 0}) is not counted as a plain
 // access: the value is unpublished while it is being built.
 var AtomicMix = &Analyzer{
-	Name:    "atomicmix",
-	Version: "1",
+	Name: "atomicmix",
 	Doc: "flags variables/fields accessed both via sync/atomic and via plain loads/stores " +
 		"(mixed access voids the memory-model guarantees of both)",
 	Run: runAtomicMix,

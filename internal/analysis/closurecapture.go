@@ -34,7 +34,6 @@ import (
 // checks that it is the *right* mutex.
 var ClosureCapture = &Analyzer{
 	Name:      "closurecapture",
-	Version:   "2", // v2: conc.Queues bodies are audited too
 	UsesFacts: true,
 	Doc: "flags goroutine and conc.Queues/conc.For body closures that capture loop variables or " +
 		"mutate captured shared state without synchronization",

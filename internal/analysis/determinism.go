@@ -50,7 +50,6 @@ func (*NondetFact) AFact() {}
 // Deliberate exceptions use //ecolint:ignore determinism <reason>.
 var Determinism = &Analyzer{
 	Name:      "determinism",
-	Version:   "1",
 	UsesFacts: true,
 	Doc: "flags calls in //ecolint:deterministic packages that transitively reach " +
 		"time.Now/Since/Until, the global math/rand source, or map-ordered output",

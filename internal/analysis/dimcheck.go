@@ -269,7 +269,6 @@ func (*UnitFact) AFact() {}
 // through object facts.
 var DimCheck = &Analyzer{
 	Name:      "dimcheck",
-	Version:   "1",
 	UsesFacts: true,
 	Doc: "propagates //ecolint:unit dimensions (hz, s, m, pa, v, j, w, db, products like m/s^2) " +
 		"through expressions and flags mixed-unit additions, comparisons, arguments, returns and stores",

@@ -2,8 +2,8 @@ package analysis
 
 // The golden-file harness (golden_test.go) loads fixture packages from
 // plain directories and runs analyzers over them in one pass, without the
-// production runner's go list scheduling and result cache. Those test-only
-// entry points live here.
+// production runner's go list scheduling. Those test-only entry points
+// live here.
 
 import (
 	"fmt"

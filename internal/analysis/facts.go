@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 	"sync"
 )
 
@@ -13,12 +12,11 @@ import (
 // package-level object (function, method, var, type) and exports for
 // passes over *dependent* packages to consume. The driver analyzes
 // packages in dependency order, so by the time a pass asks for a fact
-// on an imported object, the defining package's pass has already run
-// (or its facts were restored from the on-disk cache).
+// on an imported object, the defining package's pass has already run.
 //
-// Facts must be JSON-serialisable: they round-trip through the result
-// cache, and the fact table stores them in encoded form so that a
-// cached and a freshly-computed run are observationally identical.
+// Facts must be JSON-serialisable: the fact table stores them in
+// encoded form, so an importer always decodes a fresh copy and can
+// never alias or mutate the exporter's value.
 type Fact interface {
 	// AFact is a marker method; it has no behaviour.
 	AFact()
@@ -28,13 +26,13 @@ type Fact interface {
 // and the fact's Go type name (one object may carry facts from several
 // analyzers).
 type factKey struct {
-	pkg  string
-	obj  string
-	typ  string
+	pkg string
+	obj string
+	typ string
 }
 
 // Facts is the cross-package fact table shared by every pass of one
-// driver run. It is safe for concurrent use: the parallel driver
+// Run. It is safe for concurrent use: the level schedule
 // guarantees dependency order between writers (defining package) and
 // readers (dependent packages), and duplicate exports of the same key
 // keep the first value, so the table's observable content does not
@@ -120,45 +118,6 @@ func (t *Facts) lookup(pkg, obj string, f Fact) bool {
 		return false
 	}
 	return json.Unmarshal(data, f) == nil
-}
-
-// A SerializedFact is the cache representation of one exported fact.
-type SerializedFact struct {
-	Obj  string          `json:"obj"`
-	Type string          `json:"type"`
-	Data json.RawMessage `json:"data"`
-}
-
-// PackageFacts snapshots every fact exported by pkg, sorted for
-// byte-stable cache files.
-func (t *Facts) PackageFacts(pkg string) []SerializedFact {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var out []SerializedFact
-	for k, data := range t.m {
-		if k.pkg == pkg {
-			out = append(out, SerializedFact{Obj: k.obj, Type: k.typ, Data: data})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Obj != out[j].Obj {
-			return out[i].Obj < out[j].Obj
-		}
-		return out[i].Type < out[j].Type
-	})
-	return out
-}
-
-// AddSerialized restores cached facts for pkg into the table.
-func (t *Facts) AddSerialized(pkg string, facts []SerializedFact) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, sf := range facts {
-		k := factKey{pkg: pkg, obj: sf.Obj, typ: sf.Type}
-		if _, ok := t.m[k]; !ok {
-			t.m[k] = sf.Data
-		}
-	}
 }
 
 // ExportObjectFact publishes a fact about obj (which must be a

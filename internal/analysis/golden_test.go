@@ -176,9 +176,9 @@ func TestIgnoreMissingReason(t *testing.T) {
 	}
 }
 
-// TestRunOnRealRepo analyzes the repository itself — test files included,
-// cache disabled — and asserts the committed tree is clean: the same gate
-// verify.sh applies in CI.
+// TestRunOnRealRepo analyzes the repository itself — test files included
+// — and asserts the committed tree is clean: the same gate verify.sh
+// applies in CI.
 func TestRunOnRealRepo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checking the whole module is not short-mode work")

@@ -55,7 +55,6 @@ func (*GuardedByFact) AFact() {}
 // path the CFG can name.
 var GuardedBy = &Analyzer{
 	Name:      "guardedby",
-	Version:   "1",
 	UsesFacts: true,
 	Doc: "flags reads/writes of //ecolint:guardedby fields on paths where the named mutex " +
 		"is not held (defer-aware, RWMutex read-vs-write aware, interprocedural via lock-set facts)",

@@ -50,7 +50,6 @@ func (*HotFact) AFact() {}
 // allocates.
 var HotAlloc = &Analyzer{
 	Name:      "hotalloc",
-	Version:   "1",
 	UsesFacts: true,
 	Doc: "flags heap-allocating constructs (make/new, composite literals, fresh-slice append, " +
 		"capturing closures, interface boxing, string conversions) in //ecolint:hotpath functions " +
@@ -129,7 +128,7 @@ func runHotAlloc(pass *Pass) {
 	// Pass 3: export facts. HotFacts certify marked functions for
 	// cross-package callers; AllocFacts only matter for objects a
 	// dependent package can name, so unexported plain functions are
-	// skipped to keep cache entries lean.
+	// skipped to keep the fact table lean.
 	for _, fi := range funcs {
 		if fi.hot {
 			pass.ExportObjectFact(fi.obj, &HotFact{})

@@ -11,8 +11,7 @@ import (
 // guards nothing — two goroutines each lock their own copy and race on the
 // shared telemetry state behind it.
 var LockSafety = &Analyzer{
-	Name:    "locksafety",
-	Version: "2",
+	Name: "locksafety",
 	Doc: "detects sync.Mutex/sync.RWMutex copied by value through parameters, " +
 		"receivers, range variables or assignment, and locks still held on an " +
 		"early-return path (CFG dataflow)",

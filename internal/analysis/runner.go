@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -14,7 +12,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
+
+	"ecocapsule/internal/conc"
 )
 
 // Options configures one driver run.
@@ -29,37 +28,22 @@ type Options struct {
 	// (mirroring how `go test` compiles them) and external _test
 	// packages are checked as their own unit.
 	IncludeTests bool
-	// CacheDir enables the on-disk result cache when non-empty.
-	CacheDir string
-	// Parallelism bounds the worker pool; <= 0 means GOMAXPROCS. 1
-	// gives a fully sequential run (the reference the parallel run is
-	// tested against).
-	Parallelism int
 }
 
 // Stats reports what one run did.
 type Stats struct {
 	// Targets is the number of requested (non-dependency) packages.
 	Targets int
-	// CacheHits / CacheMisses count target packages served from /
-	// missing the result cache. Without a cache every target is a miss.
-	CacheHits   int
-	CacheMisses int
-	// UnitsChecked counts type-checked units (stdlib deps included);
-	// a fully warm run checks zero.
-	UnitsChecked int
 }
 
 // Run lists the patterns, analyzes every target package with the
-// analyzers — in dependency order, in parallel, consulting the result
-// cache — and returns the surviving diagnostics in a deterministic
-// total order. It is the engine behind cmd/ecolint and verify.sh.
+// analyzers — in dependency order, each dependency level fanned out on
+// the conc pool — and returns the surviving diagnostics in a
+// deterministic total order. It is the engine behind cmd/ecolint and
+// verify.sh.
 func Run(opts Options, patterns ...string) ([]Diagnostic, *Stats, error) {
 	if opts.Analyzers == nil {
 		opts.Analyzers = All()
-	}
-	if opts.Parallelism <= 0 {
-		opts.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -69,121 +53,64 @@ func Run(opts Options, patterns ...string) ([]Diagnostic, *Stats, error) {
 		fset:   token.NewFileSet(),
 		meta:   make(map[string]*listedPackage),
 		vendor: make(map[string]string),
-		hashes: make(map[string]string),
 		types:  make(map[string]*types.Package),
 		parsed: make(map[string][]*ast.File),
 		diags:  make(map[string][]Diagnostic),
 		facts:  NewFacts(),
-		stats:  &Stats{},
-	}
-	if opts.CacheDir != "" {
-		cache, err := newResultCache(opts.CacheDir)
-		if err != nil {
-			return nil, nil, err
-		}
-		r.cache = cache
 	}
 	diags, err := r.run(patterns)
 	if err != nil {
 		return nil, nil, err
 	}
-	return diags, r.stats, nil
+	return diags, &Stats{Targets: len(r.targets)}, nil
 }
 
 type runner struct {
 	opts  Options
 	fset  *token.FileSet
-	cache *resultCache
 	facts *Facts
-	stats *Stats
 
 	meta    map[string]*listedPackage
 	targets []string          // import paths of requested packages, listing order
 	vendor  map[string]string // source import string -> vendored import path
-	hashes  map[string]string // memoized pkgHash results (path or path+"+test")
 
 	mu     sync.RWMutex
 	types  map[string]*types.Package // completed base units
 	parsed map[string][]*ast.File    // base-unit ASTs, for test-unit reuse
-	diags  map[string][]Diagnostic   // fresh diagnostics per module package
-
-	firstErr atomic.Pointer[runError]
+	diags  map[string][]Diagnostic   // diagnostics per target package
 }
 
-type runError struct{ err error }
-
-func (r *runner) fail(err error) {
-	r.firstErr.CompareAndSwap(nil, &runError{err})
-}
-
-func (r *runner) failed() bool { return r.firstErr.Load() != nil }
-
-// run drives the five phases: list, hash, cache probe, parallel
-// check+analyze, merge.
+// run drives the three phases: list, check+analyze by dependency
+// level, merge.
 func (r *runner) run(patterns []string) ([]Diagnostic, error) {
 	if err := r.list(patterns); err != nil {
 		return nil, err
 	}
-	useFacts := false
-	for _, a := range r.opts.Analyzers {
-		if a.UsesFacts {
-			useFacts = true
-		}
-	}
-
-	// Cache probe: decide which module packages still need analysis.
-	needFull := make(map[string]bool)  // full analysis (targets)
-	needFacts := make(map[string]bool) // facts-only (module deps)
-	hits := make(map[string]*cacheEntry)
 	for _, path := range r.targets {
-		p := r.meta[path]
-		if p.Error != nil {
+		if p := r.meta[path]; p.Error != nil {
 			return nil, fmt.Errorf("analysis: %s: %s", path, p.Error.Err)
 		}
-		if e := r.probe(p, false); e != nil {
-			hits[path] = e
-			r.stats.CacheHits++
-		} else {
-			needFull[path] = true
-			r.stats.CacheMisses++
+	}
+	// Module packages outside the patterns that the targets depend on
+	// are analyzed for their facts only: a partial pattern such as
+	// ./internal/fleet still needs its dependencies' facts.
+	useFacts := false
+	for _, a := range r.opts.Analyzers {
+		useFacts = useFacts || a.UsesFacts
+	}
+	needFacts := make(map[string]bool)
+	for _, p := range r.meta {
+		if useFacts && !p.Standard && !isTarget(r.targets, p.ImportPath) && r.moduleDepOfTargets(p.ImportPath) {
+			needFacts[p.ImportPath] = true
 		}
 	}
-	if useFacts {
-		for _, p := range r.meta {
-			if p.Standard || isTarget(r.targets, p.ImportPath) {
-				continue
-			}
-			if !r.moduleDepOfTargets(p.ImportPath) {
-				continue
-			}
-			if e := r.probe(p, true); e != nil {
-				hits[p.ImportPath] = e
-			} else {
-				needFacts[p.ImportPath] = true
-			}
-		}
-	}
-	// Restore cached facts before any analysis runs.
-	for path, e := range hits {
-		r.facts.AddSerialized(path, e.Facts)
+	if err := r.checkAndAnalyze(needFacts); err != nil {
+		return nil, err
 	}
 
-	if len(needFull)+len(needFacts) > 0 {
-		if err := r.checkAndAnalyze(needFull, needFacts); err != nil {
-			return nil, err
-		}
-	}
-
-	// Merge: cached + fresh diagnostics for targets only.
 	var out []Diagnostic
 	for _, path := range r.targets {
-		if e, ok := hits[path]; ok && !e.FactsOnly {
-			out = append(out, fromCachedDiags(e.Diags)...)
-			continue
-		}
-		r.mu.RLock()
 		out = append(out, r.diags[path]...)
-		r.mu.RUnlock()
 	}
 	sortDiagnostics(out)
 	return out, nil
@@ -207,7 +134,6 @@ func (r *runner) list(patterns []string) error {
 			}
 		}
 	}
-	r.stats.Targets = len(r.targets)
 	if len(r.targets) == 0 {
 		return fmt.Errorf("analysis: patterns %v matched no packages", patterns)
 	}
@@ -331,99 +257,32 @@ func (r *runner) importsOf(p *listedPackage, withTests bool) []string {
 	return out
 }
 
-// probe checks the result cache for a usable entry for p. factsOK
-// accepts facts-only entries (dependency packages).
-func (r *runner) probe(p *listedPackage, factsOK bool) *cacheEntry {
-	if r.cache == nil {
-		return nil
-	}
-	key, err := r.pkgHash(p, r.withTests(p))
-	if err != nil {
-		return nil
-	}
-	e := r.cache.get(key, p.ImportPath)
-	if e == nil {
-		return nil
-	}
-	if e.FactsOnly && !factsOK {
-		return nil
-	}
-	return e
-}
-
 // withTests reports whether p's analysis unit includes its test files.
 func (r *runner) withTests(p *listedPackage) bool {
 	return r.opts.IncludeTests && isTarget(r.targets, p.ImportPath) &&
 		len(p.TestGoFiles)+len(p.XTestGoFiles) > 0
 }
 
-// pkgHash computes the content-addressed cache key of p: toolchain,
-// analyzer fingerprint, file contents and all dependency hashes.
-// Results are memoized; the module import graph is acyclic so the
-// recursion terminates (test imports are only followed at the top
-// level, which is what breaks the classic tests-import-a-helper-that-
-// imports-us cycle).
-func (r *runner) pkgHash(p *listedPackage, withTests bool) (string, error) {
-	memoKey := p.ImportPath
-	if withTests {
-		memoKey += "+test"
-	}
-	if h, ok := r.hashes[memoKey]; ok {
-		return h, nil
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "ecolint/%d\n%s\n%s\n", cacheSchema, toolchainFingerprint(), analyzersFingerprint(r.opts.Analyzers))
-	fmt.Fprintf(h, "pkg %s tests=%v\n", p.ImportPath, withTests)
-	files := append([]string(nil), p.GoFiles...)
-	if withTests {
-		files = append(files, p.TestGoFiles...)
-		files = append(files, p.XTestGoFiles...)
-	}
-	for _, name := range files {
-		fh, err := hashFile(filepath.Join(p.Dir, name))
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(h, "file %s %s\n", name, fh)
-	}
-	for _, imp := range r.importsOf(p, withTests) {
-		dep := r.meta[imp]
-		if dep == nil {
-			return "", fmt.Errorf("analysis: dependency %q of %s was never listed", imp, p.ImportPath)
-		}
-		if dep.Standard {
-			fmt.Fprintf(h, "dep std:%s\n", imp)
-			continue
-		}
-		dh, err := r.pkgHash(dep, false)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(h, "dep %s %s\n", imp, dh)
-	}
-	sum := hex.EncodeToString(h.Sum(nil))
-	r.hashes[memoKey] = sum
-	return sum, nil
-}
-
-// unit is one node of the parallel schedule: a package to type-check
-// (base) or a package's test variants to check and analyze (test).
+// unit is one node of the schedule: a package to type-check (base) or
+// a package's test variants to check and analyze (test).
 type unit struct {
 	p    *listedPackage
 	test bool
 
-	// analysis placement, decided at graph-build time:
+	// base-unit analysis placement, decided at graph-build time (a test
+	// unit always runs the full suite):
 	analyzeFull  bool // run the full suite (reporting) in this unit
 	analyzeFacts bool // run fact-producing analyzers quietly in this unit
-	writeEntry   bool // persist the package's cache entry after this unit
 
-	nDeps      atomic.Int32
-	dependents []*unit
+	deps  []*unit
+	level int // 1 + the deepest level among deps; 0 until computed
 }
 
-// checkAndAnalyze builds the unit graph for everything that needs
-// type-checking and pumps it through a dependency-ordered worker pool.
-func (r *runner) checkAndAnalyze(needFull, needFacts map[string]bool) error {
+// checkAndAnalyze builds the unit graph for every target, its test
+// variants and the facts-only dependencies, then runs it level by
+// level: a unit's dependencies all sit on earlier levels, so the units
+// of one level are independent and fan out on the conc pool.
+func (r *runner) checkAndAnalyze(needFacts map[string]bool) error {
 	// Close the base-unit set over imports.
 	needCheck := make(map[string]bool)
 	var addCheck func(path string)
@@ -440,7 +299,7 @@ func (r *runner) checkAndAnalyze(needFull, needFacts map[string]bool) error {
 			addCheck(imp)
 		}
 	}
-	for path := range needFull {
+	for _, path := range r.targets {
 		addCheck(path)
 		if r.withTests(r.meta[path]) {
 			for _, imp := range r.importsOf(r.meta[path], true) {
@@ -464,97 +323,79 @@ func (r *runner) checkAndAnalyze(needFull, needFacts map[string]bool) error {
 		base[path] = u
 		units = append(units, u)
 	}
-	// Analysis placement.
-	testUnits := make(map[string]*unit)
+	// Analysis placement and edges.
 	for _, path := range paths {
 		p := r.meta[path]
 		u := base[path]
+		for _, imp := range r.importsOf(p, false) {
+			if dep, ok := base[imp]; ok {
+				u.deps = append(u.deps, dep)
+			}
+		}
 		switch {
-		case needFull[path] && r.withTests(p):
+		case r.withTests(p):
 			// Diagnostics come from the test variants; the base unit
 			// still exports facts early so dependents need not wait for
 			// the (heavier) test unit.
 			u.analyzeFacts = true
-			tu := &unit{p: p, test: true, analyzeFull: true, writeEntry: true}
-			testUnits[path] = tu
+			tu := &unit{p: p, test: true, deps: []*unit{u}}
+			for _, imp := range r.importsOf(p, true) {
+				if dep, ok := base[imp]; ok && imp != path {
+					tu.deps = append(tu.deps, dep)
+				}
+			}
 			units = append(units, tu)
-		case needFull[path]:
+		case isTarget(r.targets, path):
 			u.analyzeFull = true
-			u.writeEntry = true
 		case needFacts[path]:
 			u.analyzeFacts = true
-			u.writeEntry = true
-		}
-	}
-	// Edges.
-	link := func(from, to *unit) {
-		to.dependents = append(to.dependents, from)
-		from.nDeps.Add(1)
-	}
-	for _, path := range paths {
-		u := base[path]
-		for _, imp := range r.importsOf(u.p, false) {
-			if dep, ok := base[imp]; ok {
-				link(u, dep)
-			}
-		}
-	}
-	for path, tu := range testUnits {
-		link(tu, base[path])
-		for _, imp := range r.importsOf(tu.p, true) {
-			if dep, ok := base[imp]; ok && imp != path {
-				link(tu, dep)
-			}
 		}
 	}
 
-	// Dependency-ordered worker pool.
-	ready := make(chan *unit, len(units))
-	var pending atomic.Int32
-	pending.Store(int32(len(units)))
+	var levels [][]*unit
 	for _, u := range units {
-		if u.nDeps.Load() == 0 {
-			ready <- u
+		l := u.depth()
+		for len(levels) < l {
+			levels = append(levels, nil)
 		}
+		levels[l-1] = append(levels[l-1], u)
 	}
-	if len(units) == 0 {
-		return nil
-	}
-	var wg sync.WaitGroup
-	workers := r.opts.Parallelism
-	if workers > len(units) {
-		workers = len(units)
-	}
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for u := range ready {
-				if !r.failed() {
-					if err := r.process(u); err != nil {
-						r.fail(err)
-					}
-				}
-				for _, d := range u.dependents {
-					if d.nDeps.Add(-1) == 0 {
-						ready <- d
-					}
-				}
-				if pending.Add(-1) == 0 {
-					close(ready)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if e := r.firstErr.Load(); e != nil {
-		return e.err
+	for _, level := range levels {
+		if err := r.runLevel(level); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// process runs one unit: parse, type-check, optionally analyze,
-// optionally persist the package's cache entry.
+// depth returns u's level, computing it (and its dependencies' levels)
+// on first use. The unit graph is acyclic, so the recursion ends.
+func (u *unit) depth() int {
+	if u.level == 0 {
+		for _, d := range u.deps {
+			u.level = max(u.level, d.depth())
+		}
+		u.level++
+	}
+	return u.level
+}
+
+// runLevel processes one level's units on the conc pool and returns the
+// first error in unit order.
+func (r *runner) runLevel(units []*unit) error {
+	errs := make([]error, len(units))
+	conc.For(len(units), func(i int) {
+		errs[i] = r.process(units[i])
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// process runs one unit: parse, type-check, optionally analyze.
 func (r *runner) process(u *unit) error {
 	if u.test {
 		return r.processTestUnit(u)
@@ -579,7 +420,7 @@ type importerFunc func(path string) (*types.Package, error)
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // importer resolves import strings against completed base units. The
-// scheduler guarantees every dependency finished first, so a miss is a
+// level schedule guarantees every dependency finished first, so a miss is a
 // driver bug, not a race.
 func (r *runner) importer() types.Importer {
 	return importerFunc(func(path string) (*types.Package, error) {
@@ -613,13 +454,16 @@ func (r *runner) parseFiles(p *listedPackage, names []string) ([]*ast.File, erro
 
 // check type-checks files as package path, tolerating errors only for
 // stdlib packages (compiler intrinsics don't all type-check from
-// source; their declarations — all importers need — still do).
+// source; their declarations — all importers need — still do). Stdlib
+// packages are never analyzed, only imported, so their function bodies
+// are skipped: an importer sees declarations alone.
 func (r *runner) check(path string, p *listedPackage, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, error) {
 	info := newInfo()
 	conf := types.Config{
-		Importer: imp,
-		Sizes:    types.SizesFor("gc", runtime.GOARCH),
-		Error:    func(error) {},
+		Importer:         imp,
+		Sizes:            types.SizesFor("gc", runtime.GOARCH),
+		Error:            func(error) {},
+		IgnoreFuncBodies: p.Standard,
 	}
 	tpkg, err := conf.Check(path, r.fset, files, info)
 	if err != nil && !p.Standard {
@@ -641,7 +485,6 @@ func (r *runner) processBaseUnit(u *unit) error {
 	r.mu.Lock()
 	r.types[p.ImportPath] = tpkg
 	r.parsed[p.ImportPath] = files
-	r.stats.UnitsChecked++
 	r.mu.Unlock()
 
 	if !u.analyzeFull && !u.analyzeFacts {
@@ -650,12 +493,7 @@ func (r *runner) processBaseUnit(u *unit) error {
 	pkg := &Package{Path: p.ImportPath, Dir: p.Dir, Fset: r.fset, Files: files, Types: tpkg, Info: info, Standard: p.Standard}
 	diags := analyzeUnit(pkg, r.opts.Analyzers, r.facts, !u.analyzeFull)
 	if u.analyzeFull {
-		r.mu.Lock()
-		r.diags[p.ImportPath] = append(r.diags[p.ImportPath], diags...)
-		r.mu.Unlock()
-	}
-	if u.writeEntry {
-		return r.persist(p, !u.analyzeFull)
+		r.recordDiags(p.ImportPath, diags)
 	}
 	return nil
 }
@@ -719,12 +557,6 @@ func (r *runner) processTestUnit(u *unit) error {
 		pkg := &Package{Path: xPath, Dir: p.Dir, Fset: r.fset, Files: xFiles, Types: tpkg, Info: info}
 		r.recordDiags(p.ImportPath, analyzeUnit(pkg, r.opts.Analyzers, r.facts, false))
 	}
-	r.mu.Lock()
-	r.stats.UnitsChecked++
-	r.mu.Unlock()
-	if u.writeEntry {
-		return r.persist(p, false)
-	}
 	return nil
 }
 
@@ -732,41 +564,6 @@ func (r *runner) recordDiags(path string, diags []Diagnostic) {
 	r.mu.Lock()
 	r.diags[path] = append(r.diags[path], diags...)
 	r.mu.Unlock()
-}
-
-// persist writes the package's cache entry (diagnostics + exported
-// facts) under its content hash.
-func (r *runner) persist(p *listedPackage, factsOnly bool) error {
-	if r.cache == nil {
-		return nil
-	}
-	key, err := r.pkgHashLocked(p, r.withTests(p))
-	if err != nil {
-		return err
-	}
-	r.mu.RLock()
-	diags := append([]Diagnostic(nil), r.diags[p.ImportPath]...)
-	r.mu.RUnlock()
-	sortDiagnostics(diags)
-	e := &cacheEntry{
-		Package:   p.ImportPath,
-		FactsOnly: factsOnly,
-		Diags:     toCachedDiags(diags),
-		Facts:     r.facts.PackageFacts(p.ImportPath),
-	}
-	if err := r.cache.put(key, e); err != nil {
-		return fmt.Errorf("analysis: writing cache entry for %s: %w", p.ImportPath, err)
-	}
-	return nil
-}
-
-// pkgHashLocked guards the hash memo for calls from worker goroutines.
-var hashMu sync.Mutex
-
-func (r *runner) pkgHashLocked(p *listedPackage, withTests bool) (string, error) {
-	hashMu.Lock()
-	defer hashMu.Unlock()
-	return r.pkgHash(p, withTests)
 }
 
 // FormatText renders diagnostics in the classic `file:line: analyzer:

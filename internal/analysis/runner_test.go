@@ -3,6 +3,7 @@ package analysis_test
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -16,8 +17,8 @@ import (
 //	geometry — exact float comparison, plus one more in its _test.go file
 //	           (named for the floatcmp analyzer's package scope)
 //
-// The cross-package edge (sim → clock) exercises the facts layer and its
-// cache round-trip; the _test.go file exercises test-unit loading.
+// The cross-package edge (sim → clock) exercises the facts layer; the
+// _test.go file exercises test-unit loading.
 func writeModule(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -88,118 +89,13 @@ func formatDiags(diags []analysis.Diagnostic) string {
 	return b.String()
 }
 
-func TestCacheLifecycle(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns go list and type-checks stdlib deps")
-	}
-	dir := writeModule(t)
-	opts := analysis.Options{
-		Dir:          dir,
-		Analyzers:    suite(),
-		IncludeTests: true,
-		CacheDir:     filepath.Join(dir, ".ecolint-cache"),
-	}
-
-	// Cold: every target misses and gets checked.
-	cold, stats, err := analysis.Run(opts, "./...")
-	if err != nil {
-		t.Fatalf("cold run: %v", err)
-	}
-	if stats.Targets != 3 {
-		t.Fatalf("targets = %d, want 3", stats.Targets)
-	}
-	if stats.CacheHits != 0 || stats.CacheMisses != 3 {
-		t.Errorf("cold run: hits=%d misses=%d, want 0/3", stats.CacheHits, stats.CacheMisses)
-	}
-	if stats.UnitsChecked == 0 {
-		t.Error("cold run checked no units")
-	}
-	out := formatDiags(cold)
-	if !strings.Contains(out, "determinism") || !strings.Contains(out, "clock.Stamp") {
-		t.Errorf("cold run missing the cross-package determinism finding:\n%s", out)
-	}
-	if got := strings.Count(out, "floatcmp"); got != 2 {
-		t.Errorf("cold run has %d floatcmp findings, want 2 (one in geometry.go, one in geometry_test.go):\n%s", got, out)
-	}
-
-	// Warm: all hits, nothing checked, byte-identical output.
-	warm, stats2, err := analysis.Run(opts, "./...")
-	if err != nil {
-		t.Fatalf("warm run: %v", err)
-	}
-	if stats2.CacheHits != 3 || stats2.CacheMisses != 0 {
-		t.Errorf("warm run: hits=%d misses=%d, want 3/0", stats2.CacheHits, stats2.CacheMisses)
-	}
-	if stats2.UnitsChecked != 0 {
-		t.Errorf("warm run checked %d units, want 0", stats2.UnitsChecked)
-	}
-	if w := formatDiags(warm); w != out {
-		t.Errorf("warm diagnostics differ from cold:\ncold:\n%s\nwarm:\n%s", out, w)
-	}
-
-	// Invalidation is transitive: editing clock re-analyzes clock AND sim
-	// (sim's key embeds clock's hash), while geometry still hits.
-	clockSrc := filepath.Join(dir, "clock", "clock.go")
-	src, err := os.ReadFile(clockSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	edited := strings.Replace(string(src), "time.Now().UnixNano()", "time.Time{}.UnixNano()", 1)
-	if edited == string(src) {
-		t.Fatal("edit did not apply")
-	}
-	if err := os.WriteFile(clockSrc, []byte(edited), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fixed, stats3, err := analysis.Run(opts, "./...")
-	if err != nil {
-		t.Fatalf("post-edit run: %v", err)
-	}
-	if stats3.CacheHits != 1 || stats3.CacheMisses != 2 {
-		t.Errorf("post-edit run: hits=%d misses=%d, want 1/2 (geometry hits; clock and sim re-analyze)", stats3.CacheHits, stats3.CacheMisses)
-	}
-	fixedOut := formatDiags(fixed)
-	if strings.Contains(fixedOut, "determinism") {
-		t.Errorf("determinism finding survived removing the taint source:\n%s", fixedOut)
-	}
-	if got := strings.Count(fixedOut, "floatcmp"); got != 2 {
-		t.Errorf("floatcmp findings disturbed by an unrelated edit: got %d, want 2:\n%s", got, fixedOut)
-	}
-
-	// And the edited tree warms back up.
-	_, stats4, err := analysis.Run(opts, "./...")
-	if err != nil {
-		t.Fatalf("re-warm run: %v", err)
-	}
-	if stats4.CacheHits != 3 || stats4.UnitsChecked != 0 {
-		t.Errorf("re-warm run: hits=%d units=%d, want 3 hits / 0 units", stats4.CacheHits, stats4.UnitsChecked)
-	}
-
-	// Bumping an analyzer's version invalidates every entry: the
-	// fingerprint participates in each package's key.
-	bumped := *analysis.FloatCmp
-	bumped.Version = "version-bump-test"
-	bumpedOpts := opts
-	bumpedOpts.Analyzers = []*analysis.Analyzer{analysis.Determinism, &bumped}
-	_, stats5, err := analysis.Run(bumpedOpts, "./...")
-	if err != nil {
-		t.Fatalf("version-bump run: %v", err)
-	}
-	if stats5.CacheHits != 0 || stats5.CacheMisses != 3 {
-		t.Errorf("version-bump run: hits=%d misses=%d, want 0/3 (analyzer version must invalidate)", stats5.CacheHits, stats5.CacheMisses)
-	}
-}
-
-// TestCacheAnnotationFactFlip guards the subtlest invalidation case:
-// an edit that changes NOTHING but a comment. //ecolint:unit (like
-// guardedby and hotpath) directives live in comments, and their facts
-// flow into dependent packages — so a cache keyed on anything less than
-// full file content (an AST hash, an export-data hash) would serve the
-// dependent's stale, finding-free entry forever. The key here is the
-// content hash of the file bytes plus all dependency hashes, so adding
-// one comment line to the dependency must re-analyze the dependent and
-// surface the new cross-package unit mismatch.
-func TestCacheAnnotationFactFlip(t *testing.T) {
+// TestAnnotationFactFlip guards a fact that lives in a comment: an edit
+// that changes nothing but one //ecolint:unit line in a dependency must
+// change the dependent's findings. Unit annotations (like guardedby and
+// hotpath directives) flow into dependent packages as facts, so two
+// fresh runs either side of the comment-only edit must disagree, and the
+// second must name the cross-package mismatch.
+func TestAnnotationFactFlip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns go list and type-checks stdlib deps")
 	}
@@ -237,28 +133,15 @@ func Mix() float64 { return rates.SampleRate + window }
 	opts := analysis.Options{
 		Dir:       dir,
 		Analyzers: []*analysis.Analyzer{analysis.DimCheck},
-		CacheDir:  filepath.Join(dir, ".ecolint-cache"),
 	}
 
-	// Cold: no annotation on SampleRate, so the add is dimensionally silent.
-	cold, stats, err := analysis.Run(opts, "./...")
+	// No annotation on SampleRate, so the add is dimensionally silent.
+	before, _, err := analysis.Run(opts, "./...")
 	if err != nil {
-		t.Fatalf("cold run: %v", err)
+		t.Fatalf("unannotated run: %v", err)
 	}
-	if stats.CacheMisses != 2 {
-		t.Fatalf("cold run: misses=%d, want 2", stats.CacheMisses)
-	}
-	if out := formatDiags(cold); out != "" {
+	if out := formatDiags(before); out != "" {
 		t.Fatalf("unannotated tree produced findings:\n%s", out)
-	}
-
-	// Warm sanity.
-	_, stats2, err := analysis.Run(opts, "./...")
-	if err != nil {
-		t.Fatalf("warm run: %v", err)
-	}
-	if stats2.CacheHits != 2 || stats2.UnitsChecked != 0 {
-		t.Fatalf("warm run: hits=%d units=%d, want 2 hits / 0 units", stats2.CacheHits, stats2.UnitsChecked)
 	}
 
 	// The comment-only edit: annotate SampleRate hz. No code changes.
@@ -277,111 +160,76 @@ func Mix() float64 { return rates.SampleRate + window }
 		t.Fatal(err)
 	}
 
-	// Both rates (edited) and app (dependent) must miss; the flipped
-	// UnitFact must now surface the mismatch inside app.
-	flipped, stats3, err := analysis.Run(opts, "./...")
+	// The flipped UnitFact must now surface the mismatch inside app.
+	after, _, err := analysis.Run(opts, "./...")
 	if err != nil {
-		t.Fatalf("post-flip run: %v", err)
+		t.Fatalf("annotated run: %v", err)
 	}
-	if stats3.CacheHits != 0 || stats3.CacheMisses != 2 {
-		t.Errorf("post-flip run: hits=%d misses=%d, want 0/2 (a comment-only fact flip must invalidate the dependent)",
-			stats3.CacheHits, stats3.CacheMisses)
-	}
-	out := formatDiags(flipped)
-	if !strings.Contains(out, "unit mismatch") || !strings.Contains(out, "rates.SampleRate") {
-		t.Errorf("post-flip run missing the cross-package unit mismatch in app:\n%s", out)
-	}
-
-	// The finding must survive a warm replay from cache, not just the
-	// fresh analysis.
-	rewarm, stats4, err := analysis.Run(opts, "./...")
-	if err != nil {
-		t.Fatalf("re-warm run: %v", err)
-	}
-	if stats4.CacheHits != 2 || stats4.UnitsChecked != 0 {
-		t.Errorf("re-warm run: hits=%d units=%d, want 2 hits / 0 units", stats4.CacheHits, stats4.UnitsChecked)
-	}
-	if got := formatDiags(rewarm); got != out {
-		t.Errorf("cached diagnostics differ from fresh:\nfresh:\n%s\ncached:\n%s", out, got)
-	}
-
-	// Reverting the comment restores the original content hashes, so the
-	// untouched pre-flip entries come straight back — and with them the
-	// finding-free diagnostics. Both states coexist in the cache, keyed
-	// by content.
-	if err := os.WriteFile(ratesSrc, src, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cleared, stats5, err := analysis.Run(opts, "./...")
-	if err != nil {
-		t.Fatalf("post-revert run: %v", err)
-	}
-	if stats5.CacheHits != 2 || stats5.UnitsChecked != 0 {
-		t.Errorf("post-revert run: hits=%d units=%d, want 2 hits / 0 units (original entries restored)",
-			stats5.CacheHits, stats5.UnitsChecked)
-	}
-	if got := formatDiags(cleared); got != "" {
-		t.Errorf("finding survived reverting the annotation:\n%s", got)
+	out := formatDiags(after)
+	if !strings.Contains(out, "app/app.go") || !strings.Contains(out, "unit mismatch") ||
+		!strings.Contains(out, "rates.SampleRate") {
+		t.Errorf("annotated run missing the cross-package unit mismatch in app:\n%s", out)
 	}
 }
 
-// TestParallelMatchesSequential asserts the parallel driver is
+// TestPartialPatternUsesDependencyFacts runs a pattern that names only
+// sim: clock is not a target, so it is analyzed for its facts alone, and
+// sim's cross-package determinism finding must still surface while
+// nothing is reported inside clock.
+func TestPartialPatternUsesDependencyFacts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns go list and type-checks stdlib deps")
+	}
+	dir := writeModule(t)
+	diags, stats, err := analysis.Run(analysis.Options{Dir: dir, Analyzers: suite()}, "./sim")
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if stats.Targets != 1 {
+		t.Errorf("targets = %d, want 1", stats.Targets)
+	}
+	out := formatDiags(diags)
+	if len(diags) != 1 || !strings.Contains(out, "sim.go") || !strings.Contains(out, "clock.Stamp") {
+		t.Errorf("want exactly sim's determinism finding through clock.Stamp, got:\n%s", out)
+	}
+}
+
+// TestParallelMatchesSequential asserts the level schedule is
 // observationally deterministic: whatever the worker interleaving, the
-// ordered diagnostics are byte-identical to a fully sequential run. Run
-// under -race this also exercises the shared FileSet, the completed-types
-// map and the facts table from many goroutines at once.
+// ordered diagnostics are byte-identical to a run at GOMAXPROCS=1, where
+// the conc pool runs every unit inline on one goroutine. Run under -race
+// this also exercises the shared FileSet, the completed-types map and the
+// facts table from many goroutines at once.
 func TestParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns go list and type-checks stdlib deps")
 	}
 	dir := writeModule(t)
-	base := analysis.Options{Dir: dir, Analyzers: suite(), IncludeTests: true}
-
-	seqOpts := base
-	seqOpts.Parallelism = 1
-	seq, _, err := analysis.Run(seqOpts, "./...")
-	if err != nil {
-		t.Fatalf("sequential run: %v", err)
-	}
-	want := formatDiags(seq)
-	if want == "" {
-		t.Fatal("sequential run found nothing; fixture is broken")
-	}
-
-	parOpts := base
-	parOpts.Parallelism = 8
-	for i := 0; i < 3; i++ {
-		par, _, err := analysis.Run(parOpts, "./...")
+	opts := analysis.Options{Dir: dir, Analyzers: suite(), IncludeTests: true}
+	run := func(procs int) (string, *analysis.Stats) {
+		t.Helper()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		diags, stats, err := analysis.Run(opts, "./...")
 		if err != nil {
-			t.Fatalf("parallel run %d: %v", i, err)
+			t.Fatalf("run at GOMAXPROCS=%d: %v", procs, err)
 		}
-		if got := formatDiags(par); got != want {
+		return formatDiags(diags), stats
+	}
+
+	want, stats := run(1)
+	if stats.Targets != 3 {
+		t.Fatalf("targets = %d, want 3", stats.Targets)
+	}
+	if !strings.Contains(want, "determinism") || !strings.Contains(want, "clock.Stamp") {
+		t.Errorf("sequential run missing the cross-package determinism finding:\n%s", want)
+	}
+	if got := strings.Count(want, "floatcmp"); got != 2 {
+		t.Errorf("sequential run has %d floatcmp findings, want 2 (one in geometry.go, one in geometry_test.go):\n%s", got, want)
+	}
+
+	for i := 0; i < 3; i++ {
+		if got, _ := run(8); got != want {
 			t.Errorf("parallel run %d diverged from sequential:\nsequential:\n%s\nparallel:\n%s", i, want, got)
 		}
-	}
-}
-
-// TestCacheDisabled verifies -cache=false semantics: no directory is
-// created and every run re-checks.
-func TestCacheDisabled(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns go list and type-checks stdlib deps")
-	}
-	dir := writeModule(t)
-	opts := analysis.Options{Dir: dir, Analyzers: suite(), IncludeTests: true}
-	for i := 0; i < 2; i++ {
-		_, stats, err := analysis.Run(opts, "./...")
-		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-		if stats.CacheHits != 0 || stats.CacheMisses != 3 {
-			t.Errorf("run %d: hits=%d misses=%d, want 0/3 without a cache", i, stats.CacheHits, stats.CacheMisses)
-		}
-		if stats.UnitsChecked == 0 {
-			t.Errorf("run %d checked nothing", i)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, ".ecolint-cache")); !os.IsNotExist(err) {
-		t.Error("cache directory created despite cache being disabled")
 	}
 }

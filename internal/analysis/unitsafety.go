@@ -25,8 +25,7 @@ var UnitSafety = &Analyzer{
 	Name: "unitsafety",
 	Doc: "flags bare unit-multiplier literals where an internal/units constant exists, " +
 		"and additions mixing identifiers of different physical dimensions",
-	Version: "2", // v2: voltage and energy dimension families
-	Run:     runUnitSafety,
+	Run: runUnitSafety,
 }
 
 type dimension int

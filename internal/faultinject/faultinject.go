@@ -75,7 +75,7 @@ func (p Plan) Validate() error {
 		{"BitFlipBER", p.BitFlipBER},
 		{"BrownoutProb", p.BrownoutProb},
 	} {
-		if pr.v < 0 || pr.v > 1 {
+		if !(pr.v >= 0 && pr.v <= 1) { // NaN fails both comparisons
 			return fmt.Errorf("faultinject: %s = %g outside [0, 1]", pr.name, pr.v)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -16,6 +17,7 @@ func TestPlanValidate(t *testing.T) {
 		{FrameCorruptProb: 1.5},
 		{BitFlipBER: 2},
 		{BrownoutProb: -1},
+		{FrameLossProb: math.NaN()},
 		{ConnDropAfterFrames: -3},
 		{DeadStations: []int{-1}},
 	}
