@@ -1,12 +1,15 @@
 package coding
 
-// CRC16 implements the CCITT CRC-16 used by the EPC Gen2 air protocol the
-// paper's packet structure follows (§5.1): polynomial 0x1021, initial value
-// 0xFFFF, final XOR 0xFFFF.
-func CRC16(data []byte) uint16 {
-	crc := uint16(0xFFFF)
-	for _, b := range data {
-		crc ^= uint16(b) << 8
+// crc16Table holds, for every value v of the register's top byte, the
+// CRC-16 remainder of v·x^16 modulo the polynomial 0x1021: v placed in the
+// high byte and shifted left eight times, XORing in 0x1021 after each shift
+// that carries a set bit out of bit 15. Feeding one message byte b then
+// folds eight bitwise steps into one lookup, since the register's top byte
+// XOR b is all that decides which polynomial multiples those eight shifts
+// subtract.
+var crc16Table = func() (t [256]uint16) {
+	for v := range t {
+		crc := uint16(v) << 8
 		for i := 0; i < 8; i++ {
 			if crc&0x8000 != 0 {
 				crc = crc<<1 ^ 0x1021
@@ -14,6 +17,18 @@ func CRC16(data []byte) uint16 {
 				crc <<= 1
 			}
 		}
+		t[v] = crc
+	}
+	return t
+}()
+
+// CRC16 implements the CCITT CRC-16 used by the EPC Gen2 air protocol the
+// paper's packet structure follows (§5.1): polynomial 0x1021, initial value
+// 0xFFFF, final XOR 0xFFFF, MSB first, one table lookup per byte.
+func CRC16(data []byte) uint16 {
+	crc := uint16(0xFFFF)
+	for _, b := range data {
+		crc = crc<<8 ^ crc16Table[byte(crc>>8)^b]
 	}
 	return crc ^ 0xFFFF
 }

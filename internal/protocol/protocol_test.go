@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+
+	"ecocapsule/internal/coding"
 )
 
 func TestPacketRoundTrip(t *testing.T) {
@@ -65,53 +67,10 @@ func TestUnmarshalLengthMismatch(t *testing.T) {
 	frame := p.Marshal()
 	body := frame[:len(frame)-2]
 	body[5] = 9 // wrong length
-	bad := append([]byte(nil), body...)
-	bad = appendCRC(bad)
+	bad := coding.AppendCRC16(append([]byte(nil), body...))
 	if _, err := Unmarshal(bad); !errors.Is(err, ErrBadLength) {
 		t.Errorf("length mismatch: %v", err)
 	}
-}
-
-// appendCRC mirrors coding.AppendCRC16 without the import cycle risk in
-// tests.
-func appendCRC(b []byte) []byte {
-	p := Packet{}
-	_ = p
-	// Reuse Marshal's underlying helper indirectly: easiest is to
-	// recompute via the coding package — but to keep this test local we
-	// use the exported behaviour: Marshal always ends with a valid CRC, so
-	// compute by brute force.
-	for hi := 0; hi < 256; hi++ {
-		for lo := 0; lo < 256; lo++ {
-			cand := append(append([]byte(nil), b...), byte(hi), byte(lo))
-			if crcOK(cand) {
-				return cand
-			}
-		}
-	}
-	return b
-}
-
-func crcOK(frame []byte) bool {
-	// Identical to coding.CRC16Check; duplicated to keep the brute force
-	// self-contained.
-	if len(frame) < 2 {
-		return false
-	}
-	crc := uint16(0xFFFF)
-	for _, by := range frame[:len(frame)-2] {
-		crc ^= uint16(by) << 8
-		for i := 0; i < 8; i++ {
-			if crc&0x8000 != 0 {
-				crc = crc<<1 ^ 0x1021
-			} else {
-				crc <<= 1
-			}
-		}
-	}
-	crc ^= 0xFFFF
-	want := uint16(frame[len(frame)-2])<<8 | uint16(frame[len(frame)-1])
-	return crc == want
 }
 
 func TestPayloadTruncation(t *testing.T) {

@@ -148,7 +148,7 @@ func (r *Reader) AcousticReadRound(handles []uint16, st sensors.SensorType, cfg 
 			continue
 		}
 		if up == nil {
-			out[i].Err = errors.New("reader: node stayed silent")
+			out[i].Err = errNodeSilent
 			continue
 		}
 		payload := up.Bits()

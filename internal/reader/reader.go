@@ -56,6 +56,10 @@ const MaxDriveVoltage = 250.0 //ecolint:unit v
 // amplitude at a node; calibrated against the Fig. 12 range anchors.
 const DefaultPZTCoupling = 0.091
 
+// errNodeSilent reports an addressed node that never replied: it stayed
+// dormant, or every exchange within the retry budget was lost.
+var errNodeSilent = errors.New("reader: node stayed silent")
+
 // Reader drives one structure. A read or inventory takes its trace parent
 // as an argument and reports its own link counters, so no span and no
 // per-call counter lives on the Reader between calls.
@@ -467,7 +471,7 @@ func (r *Reader) ReadSensorUnder(parent *telemetry.Span, handle uint16, st senso
 	if r.faults != nil && r.retry.MaxAttempts > 0 {
 		attempts += r.retry.MaxAttempts
 	}
-	lastErr := errors.New("reader: node stayed silent")
+	lastErr := errNodeSilent
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
 			r.backoffLocked(&link, a-1, fmt.Sprintf("read re-send %d", a))

@@ -198,6 +198,32 @@ func TestReadSensorThroughReader(t *testing.T) {
 	}
 }
 
+// readSensorAllocs is the steady-state heap object count of one fault-free,
+// untraced ReadSensor: the node's sample and reply, the reply's wire frame,
+// the parsed reply and the decoded values. The silent-node error is a
+// package sentinel, not built per read.
+const readSensorAllocs = 6
+
+func TestReadSensorAllocs(t *testing.T) {
+	r, err := New(wallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SetEnvironment(func(pos geometry.Vec3) sensors.Environment {
+		return sensors.Environment{TemperatureC: 29.5, RelativeHumidity: 71}
+	})
+	deployNode(t, r, 0x21, 1.2)
+	r.Charge(0.3)
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := r.ReadSensor(0x21, sensors.TypeTempHumidity); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > readSensorAllocs {
+		t.Errorf("fault-free ReadSensor allocated %.1f objects/op, want <= %d", allocs, readSensorAllocs)
+	}
+}
+
 func TestSetDriveVoltage(t *testing.T) {
 	r, err := New(wallConfig())
 	if err != nil {

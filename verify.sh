@@ -271,14 +271,16 @@ rm -rf "$LOAD_DIR"
 echo "   deterministic report; ${DELIVERED}/2000 delivered, p99 ${P99}s, no leaks"
 stage_done
 
-# Fuzz smoke: each decoder target fuzzes for a few seconds. Any panic or
-# property violation fails the gate; new corpus findings are kept by go
-# test under the package's testdata/fuzz directory.
+# Fuzz smoke: each decoder target, and the table-driven CRC-16 against its
+# bitwise oracle, fuzzes for a few seconds. Any panic or property violation
+# fails the gate; new corpus findings are kept by go test under the
+# package's testdata/fuzz directory.
 FUZZTIME="${FUZZTIME:-5s}"
 stage "fuzz smoke (${FUZZTIME} per target)"
 go test -run='^$' -fuzz='^FuzzDecodeFM0$' -fuzztime="$FUZZTIME" ./internal/coding
 go test -run='^$' -fuzz='^FuzzDecodeMiller$' -fuzztime="$FUZZTIME" ./internal/coding
 go test -run='^$' -fuzz='^FuzzDecodePIE$' -fuzztime="$FUZZTIME" ./internal/coding
+go test -run='^$' -fuzz='^FuzzCRC16$' -fuzztime="$FUZZTIME" ./internal/coding
 go test -run='^$' -fuzz='^FuzzReadFrame$' -fuzztime="$FUZZTIME" ./internal/shmwire
 stage_done
 
