@@ -177,6 +177,8 @@ type capturedWrite struct {
 	kind string // "variable", "map", "field"
 }
 
+func (w *capturedWrite) Pos() token.Pos { return w.pos }
+
 // closureWrites collects the writes inside lit whose target is rooted
 // outside the literal: assignments, ++/--, and delete(). Nested function
 // literals are skipped (each is audited on its own if launched).
@@ -269,64 +271,31 @@ func closureWrites(pass *Pass, lit *ast.FuncLit) []capturedWrite {
 }
 
 // heldAtPositions solves the must-held flow over the closure body and
-// returns a predicate reporting whether any lock is held at a position.
-// A closure starts with nothing held — goroutines do not inherit their
-// spawner's locks.
+// replays it with the captured writes as probes, reporting for each
+// write position whether any lock is held there. A closure starts with
+// nothing held: goroutines do not inherit their spawner's locks.
 func heldAtPositions(pass *Pass, lit *ast.FuncLit, resolver func(*types.Func) *LockFact, writes []capturedWrite) map[token.Pos]bool {
 	heldAt := make(map[token.Pos]bool, len(writes))
 	if len(writes) == 0 {
 		return heldAt
 	}
 	g := cfg.New(lit.Body)
-	res := mustHeldFlow(pass, g, make(heldKeys), resolver)
-	byPos := make(map[token.Pos][]*capturedWrite)
-	for i := range writes {
-		byPos[writes[i].pos] = append(byPos[writes[i].pos], &writes[i])
-	}
-	for _, b := range g.Reachable() {
-		in, ok := res.In[b]
-		if !ok {
-			continue
-		}
-		held := copyHeld(in)
-		for _, n := range b.Nodes {
-			events := nodeLockEvents(pass, n, resolver)
-			ei := 0
-			var visit func(x ast.Node) bool
-			visit = func(x ast.Node) bool {
-				if _, isLit := x.(*ast.FuncLit); isLit && x != ast.Node(lit) {
-					return false
-				}
-				if x != nil {
-					for ei < len(events) && events[ei].pos <= x.Pos() {
-						for _, k := range events[ei].acquire {
-							held[k] = true
-						}
-						for _, k := range events[ei].release {
-							delete(held, k)
-						}
-						ei++
-					}
-					if ws, hit := byPos[x.Pos()]; hit && len(held) > 0 {
-						for range ws {
-							heldAt[x.Pos()] = true
-						}
-					}
-				}
-				return true
-			}
-			ast.Inspect(n, visit)
-			for ei < len(events) {
-				for _, k := range events[ei].acquire {
-					held[k] = true
-				}
-				for _, k := range events[ei].release {
-					delete(held, k)
-				}
-				ei++
+	flow := lockFlow{pass: pass, resolver: resolver, must: true}
+	// A node's probes are the writes inside it, in position order.
+	probesOf := func(n ast.Node) []probe {
+		var in []probe
+		for i := range writes {
+			if w := &writes[i]; n.Pos() <= w.pos && w.pos < n.End() {
+				in = append(in, w)
 			}
 		}
+		return in
 	}
+	flow.replay(g, flow.solve(g, nil), probesOf, func(held lockSet, ev probe) {
+		if w, ok := ev.(*capturedWrite); ok && len(held) > 0 {
+			heldAt[w.pos] = true
+		}
+	})
 	return heldAt
 }
 

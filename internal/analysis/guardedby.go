@@ -267,6 +267,9 @@ type callEvent struct {
 	requires []string
 }
 
+func (ev *accessEvent) Pos() token.Pos { return ev.pos }
+func (ev *callEvent) Pos() token.Pos   { return ev.pos }
+
 // markWriteTargets records, for every assignment/inc-dec/address-of/
 // delete inside n, which selector expression is the written-to base.
 // f.best[h] = v marks f.best; *f.p = v marks f.p; &f.buf marks f.buf
@@ -310,99 +313,35 @@ func markWriteTargets(n ast.Node, writes map[ast.Expr]bool) {
 	})
 }
 
-// nodeAccessEvents collects the guarded-field accesses of one CFG node
-// in position order. Function literal bodies are skipped — each literal
-// is analyzed as its own function.
-func nodeAccessEvents(gt *guardTable, n ast.Node) []accessEvent {
+// nodeGuardProbes collects, in position order, the replay probes of one
+// CFG node: its guarded-field accesses and its calls into functions
+// carrying a RequiresHeld contract, local or imported. Function literal
+// bodies are skipped; each literal is analyzed as its own function.
+func nodeGuardProbes(gt *guardTable, n ast.Node, resolver func(*types.Func) *LockFact) []probe {
 	writes := make(map[ast.Expr]bool)
 	markWriteTargets(n, writes)
-	var events []accessEvent
+	var probes []probe
 	ast.Inspect(n, func(x ast.Node) bool {
-		if _, isLit := x.(*ast.FuncLit); isLit {
+		switch x := x.(type) {
+		case *ast.FuncLit:
 			return false
-		}
-		sel, ok := x.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if ref, base, guarded := gt.guardOf(sel); guarded {
-			events = append(events, accessEvent{pos: sel.Sel.Pos(), sel: sel, ref: ref, base: base, write: writes[sel]})
+		case *ast.SelectorExpr:
+			if ref, base, guarded := gt.guardOf(x); guarded {
+				probes = append(probes, &accessEvent{pos: x.Sel.Pos(), sel: x, ref: ref, base: base, write: writes[x]})
+			}
+		case *ast.CallExpr:
+			callee, base := callTarget(gt.pass, x)
+			if callee == nil || base == "" {
+				return true
+			}
+			if lf := resolver(callee); lf != nil && len(lf.RequiresHeld) > 0 {
+				probes = append(probes, &callEvent{pos: x.Pos(), base: base, callee: callee, requires: lf.RequiresHeld})
+			}
 		}
 		return true
 	})
-	sort.Slice(events, func(i, j int) bool { return events[i].pos < events[j].pos })
-	return events
-}
-
-// nodeCallEvents collects the calls (in one CFG node) into functions
-// carrying a RequiresHeld contract, local or imported.
-func nodeCallEvents(pass *Pass, n ast.Node, resolver func(*types.Func) *LockFact) []callEvent {
-	var events []callEvent
-	ast.Inspect(n, func(x ast.Node) bool {
-		if _, isLit := x.(*ast.FuncLit); isLit {
-			return false
-		}
-		call, ok := x.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee, base := callTarget(pass, call)
-		if callee == nil || base == "" {
-			return true
-		}
-		if lf := resolver(callee); lf != nil && len(lf.RequiresHeld) > 0 {
-			events = append(events, callEvent{pos: call.Pos(), base: base, callee: callee, requires: lf.RequiresHeld})
-		}
-		return true
-	})
-	sort.Slice(events, func(i, j int) bool { return events[i].pos < events[j].pos })
-	return events
-}
-
-// heldKeys is the must-held lattice value: the set of lock keys held on
-// every path reaching a point.
-type heldKeys map[string]bool
-
-func copyHeld(h heldKeys) heldKeys {
-	out := make(heldKeys, len(h))
-	for k := range h {
-		out[k] = true
-	}
-	return out
-}
-
-// mustHeldFlow solves the must-held (intersection-join) lock-set
-// problem over one function graph.
-func mustHeldFlow(pass *Pass, g *cfg.Graph, entry heldKeys, resolver func(*types.Func) *LockFact) cfg.Result[heldKeys] {
-	flow := cfg.Flow[heldKeys]{
-		Entry: func() heldKeys { return copyHeld(entry) },
-		Copy:  copyHeld,
-		Join: func(dst, src heldKeys) (heldKeys, bool) {
-			changed := false
-			for k := range dst {
-				if !src[k] {
-					delete(dst, k)
-					changed = true
-				}
-			}
-			return dst, changed
-		},
-		Transfer: func(b *cfg.Block, in heldKeys) heldKeys {
-			out := copyHeld(in)
-			for _, n := range b.Nodes {
-				for _, ev := range nodeLockEvents(pass, n, resolver) {
-					for _, k := range ev.acquire {
-						out[k] = true
-					}
-					for _, k := range ev.release {
-						delete(out, k)
-					}
-				}
-			}
-			return out
-		},
-	}
-	return cfg.Forward(g, flow)
+	sort.SliceStable(probes, func(i, j int) bool { return probes[i].Pos() < probes[j].Pos() })
+	return probes
 }
 
 // gbFunc carries one function's evolving lock-set summary.
@@ -437,14 +376,14 @@ func (fi *gbFunc) fact() *LockFact {
 }
 
 // entryHeld maps a candidate's requirement tokens into absolute keys.
-func (fi *gbFunc) entryHeld() heldKeys {
-	entry := make(heldKeys)
+func (fi *gbFunc) entryHeld() lockSet {
+	entry := make(lockSet)
 	if fi.recvName == "" {
 		return entry
 	}
 	for tok := range fi.requires {
 		g, read := splitToken(tok)
-		entry[heldKey(fi.recvName, g, read)] = true
+		entry[heldKey(fi.recvName, g, read)] = token.NoPos
 	}
 	return entry
 }
@@ -651,7 +590,7 @@ func checkFuncLits(pass *Pass, gt *guardTable, root ast.Node, resolver func(*typ
 		if !ok {
 			return true
 		}
-		checkFunc(pass, gt, cfg.New(lit.Body), make(heldKeys), lit.Body, resolver)
+		checkFunc(pass, gt, cfg.New(lit.Body), nil, lit.Body, resolver)
 		// Nested literals are reached through the recursive Inspect of
 		// checkFunc's own body walk — stop here to avoid double reports.
 		checkFuncLits(pass, gt, lit.Body, resolver)
@@ -660,129 +599,127 @@ func checkFuncLits(pass *Pass, gt *guardTable, root ast.Node, resolver func(*typ
 }
 
 // summarize recomputes one function's lock-set summary, reporting
-// whether anything changed.
+// whether anything changed. Every summary entry is relative to the
+// receiver, so a function without one summarizes to nothing.
 func summarize(pass *Pass, gt *guardTable, fi *gbFunc, resolver func(*types.Func) *LockFact) bool {
+	if fi.recvName == "" {
+		return false
+	}
 	// The summary flow runs with an EMPTY entry set, even for
 	// requires-held candidates: an access satisfied only by the caller's
 	// lock must stay visibly unsatisfied here, or the inferred
 	// requirement would evaporate on the next fixpoint round. (The
 	// checking pass is what runs with the requirement pre-held.)
-	res := mustHeldFlow(pass, fi.graph, make(heldKeys), resolver)
+	flow := lockFlow{pass: pass, resolver: resolver, must: true}
+	res := flow.solve(fi.graph, nil)
 
 	acquires := make(map[string]bool)
 	releases := make(map[string]bool)
 	requires := make(map[string]bool)
-
-	// Acquires: locks held on every return path, minus defer-released
-	// ones (which fire before control reaches the caller), restricted to
-	// the receiver's own locks.
-	if fi.recvName != "" {
-		deferred := deferReleasedKeys(pass, fi.decl.Body)
-		var exitHeld heldKeys
-		for _, b := range fi.graph.Reachable() {
-			exits := false
-			for _, s := range b.Succs {
-				if s == fi.graph.Exit {
-					exits = true
-				}
-			}
-			if !exits {
-				continue
-			}
-			out := res.Out[b]
-			if exitHeld == nil {
-				exitHeld = copyHeld(out)
-			} else {
-				for k := range exitHeld {
-					if !out[k] {
-						delete(exitHeld, k)
-					}
-				}
-			}
+	deferred := make(map[string]bool)
+	prefix := fi.recvName + "."
+	// recvToken maps a held-set key on the receiver's own locks to its
+	// relative token.
+	recvToken := func(k string) (string, bool) {
+		rest, ok := strings.CutPrefix(k, prefix)
+		if !ok {
+			return "", false
 		}
-		prefix := fi.recvName + "."
-		for k := range exitHeld {
-			if deferred[k] || !strings.HasPrefix(k, prefix) {
-				continue
-			}
-			rest := strings.TrimPrefix(k, prefix)
-			g, read := rest, false
-			if cut, ok := strings.CutSuffix(rest, readKeySuffix); ok {
-				g, read = cut, true
-			}
-			acquires[relToken(g, read)] = true
-		}
-
-		// Releases: unlocks of receiver locks the function did not itself
-		// hold at that point (unlock-wrapper helpers).
-		simulate(pass, gt, fi.graph, res, resolver, func(held heldKeys, ev lockEvent) {
-			for _, k := range ev.release {
-				if held[k] || !strings.HasPrefix(k, prefix) {
-					continue
-				}
-				rest := strings.TrimPrefix(k, prefix)
-				g, read := rest, false
-				if cut, ok := strings.CutSuffix(rest, readKeySuffix); ok {
-					g, read = cut, true
-				}
-				releases[relToken(g, read)] = true
-			}
-		}, nil, nil)
+		g, read := strings.CutSuffix(rest, readKeySuffix)
+		return relToken(g, read), true
 	}
 
-	// Requires: candidates accumulate the receiver guards their
-	// unguarded accesses (and their calls into fellow requires-held
-	// helpers) demand.
-	if fi.candidate {
-		if len(fi.explicit) > 0 {
-			fi.badGuards = fi.badGuards[:0]
-			for _, g := range fi.explicit {
-				if receiverHasMutexField(pass, fi.decl, g) {
-					requires[g] = true
-				} else if !contains(fi.badGuards, g) {
-					fi.badGuards = append(fi.badGuards, g)
+	// Candidates without an explicit guard list accumulate the receiver
+	// guards their unguarded accesses (and their calls into fellow
+	// requires-held helpers) demand.
+	infer := fi.candidate && len(fi.explicit) == 0
+	var probesOf func(ast.Node) []probe
+	if infer {
+		probesOf = func(n ast.Node) []probe { return nodeGuardProbes(gt, n, resolver) }
+	}
+	flow.replay(fi.graph, res, probesOf, func(held lockSet, ev probe) {
+		switch ev := ev.(type) {
+		case *lockEvent:
+			// Releases: unlocks of receiver locks the function did not
+			// itself hold at that point (unlock-wrapper helpers).
+			for _, k := range ev.release {
+				if ev.deferred {
+					deferred[k] = true
+				} else if tok, ok := recvToken(k); ok && !held.has(k) {
+					releases[tok] = true
 				}
 			}
-		} else {
-			simulate(pass, gt, fi.graph, res, resolver, nil, func(held heldKeys, ev accessEvent) {
-				if ev.base != fi.recvName {
-					return
-				}
-				if heldSatisfies(held, ev.base, ev.ref.guard, !ev.write && ev.ref.rw) {
-					return
-				}
-				if ev.write || !ev.ref.rw {
-					// A write (or any access through a plain Mutex)
-					// demands the write lock, upgrading an earlier
-					// read-only requirement.
-					delete(requires, relToken(ev.ref.guard, true))
-					requires[relToken(ev.ref.guard, false)] = true
-					return
-				}
-				if !requires[relToken(ev.ref.guard, false)] {
-					requires[relToken(ev.ref.guard, true)] = true
-				}
-			}, func(held heldKeys, ev callEvent) {
-				if ev.base != fi.recvName {
-					return
-				}
-				for _, tok := range ev.requires {
-					g, read := splitToken(tok)
-					if heldSatisfies(held, ev.base, g, read) {
-						continue
-					}
-					if read && requires[relToken(g, false)] {
-						continue
-					}
-					requires[tok] = true
-				}
-			})
-			// Keep the stronger write requirement only.
-			for tok := range requires {
-				if g, read := splitToken(tok); read && requires[relToken(g, false)] {
-					delete(requires, tok)
-				}
+		case *accessEvent:
+			if ev.base != fi.recvName {
+				return
 			}
+			if heldSatisfies(held, ev.base, ev.ref.guard, !ev.write && ev.ref.rw) {
+				return
+			}
+			if ev.write || !ev.ref.rw {
+				// A write (or any access through a plain Mutex)
+				// demands the write lock, upgrading an earlier
+				// read-only requirement.
+				delete(requires, relToken(ev.ref.guard, true))
+				requires[relToken(ev.ref.guard, false)] = true
+				return
+			}
+			if !requires[relToken(ev.ref.guard, false)] {
+				requires[relToken(ev.ref.guard, true)] = true
+			}
+		case *callEvent:
+			if ev.base != fi.recvName {
+				return
+			}
+			for _, tok := range ev.requires {
+				g, read := splitToken(tok)
+				if heldSatisfies(held, ev.base, g, read) {
+					continue
+				}
+				if read && requires[relToken(g, false)] {
+					continue
+				}
+				requires[tok] = true
+			}
+		}
+	})
+
+	// Acquires: receiver locks held on every return path, minus
+	// defer-released ones (which fire before control reaches the
+	// caller).
+	var exitHeld lockSet
+	for _, b := range exitBlocks(fi.graph) {
+		out := res.Out[b]
+		if exitHeld == nil {
+			exitHeld = out.clone()
+			continue
+		}
+		for k := range exitHeld {
+			if !out.has(k) {
+				delete(exitHeld, k)
+			}
+		}
+	}
+	for k := range exitHeld {
+		if tok, ok := recvToken(k); ok && !deferred[k] {
+			acquires[tok] = true
+		}
+	}
+
+	if fi.candidate && !infer {
+		fi.badGuards = fi.badGuards[:0]
+		for _, g := range fi.explicit {
+			if receiverHasMutexField(pass, fi.decl, g) {
+				requires[g] = true
+			} else if !contains(fi.badGuards, g) {
+				fi.badGuards = append(fi.badGuards, g)
+			}
+		}
+	}
+	// Keep the stronger write requirement only.
+	for tok := range requires {
+		if g, read := splitToken(tok); read && requires[relToken(g, false)] {
+			delete(requires, tok)
 		}
 	}
 
@@ -828,128 +765,63 @@ func receiverHasMutexField(pass *Pass, fd *ast.FuncDecl, g string) bool {
 	return false
 }
 
-// simulate replays the solved flow block by block, node by node, event
-// by event (lock ops, guarded accesses and requires-held calls merged
-// in position order), invoking the non-nil callbacks with the held set
-// as it stood immediately before each event.
-func simulate(pass *Pass, gt *guardTable, g *cfg.Graph, res cfg.Result[heldKeys],
-	resolver func(*types.Func) *LockFact,
-	onLock func(heldKeys, lockEvent),
-	onAccess func(heldKeys, accessEvent),
-	onCall func(heldKeys, callEvent)) {
-	for _, b := range g.Reachable() {
-		in, ok := res.In[b]
-		if !ok {
-			continue
-		}
-		held := copyHeld(in)
-		for _, n := range b.Nodes {
-			locks := nodeLockEvents(pass, n, resolver)
-			accesses := nodeAccessEvents(gt, n)
-			var calls []callEvent
-			if onCall != nil {
-				calls = nodeCallEvents(pass, n, resolver)
-			}
-			li, ai, ci := 0, 0, 0
-			next := func() (token.Pos, int) {
-				best, kind := token.Pos(-1), -1
-				if li < len(locks) {
-					best, kind = locks[li].pos, 0
-				}
-				if ai < len(accesses) && (kind == -1 || accesses[ai].pos < best) {
-					best, kind = accesses[ai].pos, 1
-				}
-				if ci < len(calls) && (kind == -1 || calls[ci].pos < best) {
-					best, kind = calls[ci].pos, 2
-				}
-				return best, kind
-			}
-			for {
-				_, kind := next()
-				if kind == -1 {
-					break
-				}
-				switch kind {
-				case 0:
-					ev := locks[li]
-					li++
-					if onLock != nil {
-						onLock(held, ev)
-					}
-					for _, k := range ev.acquire {
-						held[k] = true
-					}
-					for _, k := range ev.release {
-						delete(held, k)
-					}
-				case 1:
-					if onAccess != nil {
-						onAccess(held, accesses[ai])
-					}
-					ai++
-				case 2:
-					if onCall != nil {
-						onCall(held, calls[ci])
-					}
-					ci++
-				}
-			}
-		}
-	}
-}
-
 // checkFunc reports unguarded accesses and unsatisfied requires-held
 // calls in one function body.
-func checkFunc(pass *Pass, gt *guardTable, g *cfg.Graph, entry heldKeys, body *ast.BlockStmt, resolver func(*types.Func) *LockFact) {
-	res := mustHeldFlow(pass, g, entry, resolver)
+func checkFunc(pass *Pass, gt *guardTable, g *cfg.Graph, entry lockSet, body *ast.BlockStmt, resolver func(*types.Func) *LockFact) {
+	flow := lockFlow{pass: pass, resolver: resolver, must: true}
+	res := flow.solve(g, entry)
 	fresh := freshLocalObjects(pass, body)
 	reported := make(map[token.Pos]bool)
-	simulate(pass, gt, g, res, resolver, nil, func(held heldKeys, ev accessEvent) {
-		if reported[ev.pos] {
-			return
-		}
-		if obj := rootObject(pass, ev.sel.X); obj != nil && fresh[obj] {
-			return // unpublished constructor-local value
-		}
-		verb := "read"
-		if ev.write {
-			verb = "written"
-		}
-		need := heldKey(ev.base, ev.ref.guard, false)
-		if ev.write || !ev.ref.rw {
-			if !held[need] {
-				reported[ev.pos] = true
-				if ev.write && ev.ref.rw && held[heldKey(ev.base, ev.ref.guard, true)] {
-					pass.Reportf(ev.pos, "guarded field %s is written while holding only %s.RLock(); writes need %s.Lock()",
-						types.ExprString(ev.sel), need, need)
-					return
-				}
-				pass.Reportf(ev.pos, "guarded field %s is %s without holding %s (//ecolint:guardedby %s)",
-					types.ExprString(ev.sel), verb, need, ev.ref.guard)
-			}
-			return
-		}
-		// Read of an RWMutex-guarded field: either half will do.
-		if !heldSatisfies(held, ev.base, ev.ref.guard, true) {
-			reported[ev.pos] = true
-			pass.Reportf(ev.pos, "guarded field %s is read without holding %s or %s.RLock() (//ecolint:guardedby %s)",
-				types.ExprString(ev.sel), need, ev.base+"."+ev.ref.guard, ev.ref.guard)
-		}
-	}, func(held heldKeys, ev callEvent) {
-		for _, tok := range ev.requires {
-			gname, read := splitToken(tok)
-			if heldSatisfies(held, ev.base, gname, read) {
-				continue
-			}
+	probesOf := func(n ast.Node) []probe { return nodeGuardProbes(gt, n, resolver) }
+	flow.replay(g, res, probesOf, func(held lockSet, ev probe) {
+		switch ev := ev.(type) {
+		case *accessEvent:
 			if reported[ev.pos] {
-				continue
+				return
 			}
-			if root := rootObjectOfBase(pass, ev, body); root != nil && fresh[root] {
-				continue
+			if obj := rootObject(pass, ev.sel.X); obj != nil && fresh[obj] {
+				return // unpublished constructor-local value
 			}
-			reported[ev.pos] = true
-			pass.Reportf(ev.pos, "call to %s requires %s held (//ecolint:requiresheld contract)",
-				ev.callee.Name(), describeToken(ev.base, tok))
+			verb := "read"
+			if ev.write {
+				verb = "written"
+			}
+			need := heldKey(ev.base, ev.ref.guard, false)
+			if ev.write || !ev.ref.rw {
+				if !held.has(need) {
+					reported[ev.pos] = true
+					if ev.write && ev.ref.rw && held.has(heldKey(ev.base, ev.ref.guard, true)) {
+						pass.Reportf(ev.pos, "guarded field %s is written while holding only %s.RLock(); writes need %s.Lock()",
+							types.ExprString(ev.sel), need, need)
+						return
+					}
+					pass.Reportf(ev.pos, "guarded field %s is %s without holding %s (//ecolint:guardedby %s)",
+						types.ExprString(ev.sel), verb, need, ev.ref.guard)
+				}
+				return
+			}
+			// Read of an RWMutex-guarded field: either half will do.
+			if !heldSatisfies(held, ev.base, ev.ref.guard, true) {
+				reported[ev.pos] = true
+				pass.Reportf(ev.pos, "guarded field %s is read without holding %s or %s.RLock() (//ecolint:guardedby %s)",
+					types.ExprString(ev.sel), need, ev.base+"."+ev.ref.guard, ev.ref.guard)
+			}
+		case *callEvent:
+			for _, tok := range ev.requires {
+				gname, read := splitToken(tok)
+				if heldSatisfies(held, ev.base, gname, read) {
+					continue
+				}
+				if reported[ev.pos] {
+					continue
+				}
+				if root := rootObjectOfBase(pass, ev, body); root != nil && fresh[root] {
+					continue
+				}
+				reported[ev.pos] = true
+				pass.Reportf(ev.pos, "call to %s requires %s held (//ecolint:requiresheld contract)",
+					ev.callee.Name(), describeToken(ev.base, tok))
+			}
 		}
 	})
 }
@@ -957,7 +829,7 @@ func checkFunc(pass *Pass, gt *guardTable, g *cfg.Graph, entry heldKeys, body *a
 // rootObjectOfBase finds the root object of a call event's receiver
 // base by scanning the body for the call expression (the event carries
 // only the printed base, so resolve through the AST at its position).
-func rootObjectOfBase(pass *Pass, ev callEvent, body *ast.BlockStmt) types.Object {
+func rootObjectOfBase(pass *Pass, ev *callEvent, body *ast.BlockStmt) types.Object {
 	var obj types.Object
 	ast.Inspect(body, func(n ast.Node) bool {
 		if obj != nil {

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -43,7 +42,7 @@ func (*LockFact) AFact() {}
 const readTokenSuffix = ":r"
 
 // readKeySuffix marks the read half of an RWMutex in absolute held-set
-// keys ("f.mu (read)") — shared with the locksafety CFG pass.
+// keys ("f.mu (read)"); see lockset.go.
 const readKeySuffix = " (read)"
 
 // relToken builds a receiver-relative guard token.
@@ -108,11 +107,11 @@ func describeToken(base, tok string) string {
 // heldSatisfies reports whether the held-set keys satisfy a need for
 // base.guard: a write need requires the write key; a read need is
 // satisfied by either half.
-func heldSatisfies(held map[string]bool, base, guard string, read bool) bool {
-	if held[heldKey(base, guard, false)] {
+func heldSatisfies(held lockSet, base, guard string, read bool) bool {
+	if held.has(heldKey(base, guard, false)) {
 		return true
 	}
-	return read && held[heldKey(base, guard, true)]
+	return read && held.has(heldKey(base, guard, true))
 }
 
 // receiverOf returns the receiver variable and its printed name for a
@@ -180,82 +179,4 @@ func requiresHeldArgs(fn *ast.FuncDecl) ([]string, bool) {
 		return strings.Fields(rest), true
 	}
 	return nil, false
-}
-
-// lockEvent is one held-set mutation observed while simulating a CFG
-// node in source order: a direct sync.(RW)Mutex call, or the summary
-// effect of a call into a function with a LockFact.
-type lockEvent struct {
-	pos     token.Pos
-	acquire []string // absolute keys entering the held set
-	release []string // absolute keys leaving the held set
-}
-
-// nodeLockEvents collects the lock events of one CFG node in position
-// order. Function literals are skipped (they run later, if at all);
-// deferred unlocks are skipped too — unlike the leak check, the
-// guarded-access simulation must treat `defer mu.Unlock()` as holding
-// the lock until the function returns.
-func nodeLockEvents(pass *Pass, n ast.Node, facts func(fn *types.Func) *LockFact) []lockEvent {
-	var events []lockEvent
-	ast.Inspect(n, func(x ast.Node) bool {
-		switch x := x.(type) {
-		case *ast.FuncLit, *ast.DeferStmt:
-			return false
-		case *ast.CallExpr:
-			if op, pos, ok := syncLockMethod(pass, x); ok {
-				ev := lockEvent{pos: pos}
-				if op.acquire {
-					ev.acquire = []string{op.key}
-				} else {
-					ev.release = []string{op.key}
-				}
-				events = append(events, ev)
-				return true
-			}
-			callee, base := callTarget(pass, x)
-			if callee == nil || base == "" || facts == nil {
-				return true
-			}
-			if lf := facts(callee); lf != nil && (len(lf.Acquires) > 0 || len(lf.Releases) > 0) {
-				ev := lockEvent{pos: x.Pos()}
-				for _, tok := range lf.Acquires {
-					ev.acquire = append(ev.acquire, tokenToKey(base, tok))
-				}
-				for _, tok := range lf.Releases {
-					ev.release = append(ev.release, tokenToKey(base, tok))
-				}
-				events = append(events, ev)
-			}
-		}
-		return true
-	})
-	sort.Slice(events, func(i, j int) bool { return events[i].pos < events[j].pos })
-	return events
-}
-
-// deferReleasedKeys collects the absolute keys a function body releases
-// through defer statements (directly or via a deferred literal).
-func deferReleasedKeys(pass *Pass, body *ast.BlockStmt) map[string]bool {
-	out := make(map[string]bool)
-	ast.Inspect(body, func(x ast.Node) bool {
-		d, ok := x.(*ast.DeferStmt)
-		if !ok {
-			return true
-		}
-		if op, _, ok := syncLockMethod(pass, d.Call); ok && !op.acquire {
-			out[op.key] = true
-		} else if lit, isLit := ast.Unparen(d.Call.Fun).(*ast.FuncLit); isLit {
-			ast.Inspect(lit.Body, func(y ast.Node) bool {
-				if call, isCall := y.(*ast.CallExpr); isCall {
-					if op, _, ok := syncLockMethod(pass, call); ok && !op.acquire {
-						out[op.key] = true
-					}
-				}
-				return true
-			})
-		}
-		return false
-	})
-	return out
 }

@@ -1,120 +1,106 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
-	"go/types"
+	"go/token"
+	"sort"
+	"strings"
+
+	"ecocapsule/internal/analysis/cfg"
 )
 
-// LockSafety detects sync.Mutex / sync.RWMutex values (or structs that
-// embed them) copied by value: through function parameters or receivers,
-// range variables, or plain assignment from existing memory. A copied lock
-// guards nothing — two goroutines each lock their own copy and race on the
-// shared telemetry state behind it.
+// LockSafety reports locks still held when control reaches a return (the
+// classic early-return leak: `mu.Lock(); if err != nil { return err };
+// mu.Unlock()`). It runs the may-held lock-set flow (lockset.go) over
+// each function body: a deferred unlock releases at the point the defer
+// statement executes, so every exit after it is covered, and blocks that
+// end in panic or t.Fatal have no edge to the exit, so crash paths don't
+// misfire. The flow is intraprocedural: a call into a lock or unlock
+// helper does not change the held set.
+//
+// A lock copied by value is go vet's copylocks check, which verify.sh
+// runs as a hard gate.
 var LockSafety = &Analyzer{
 	Name: "locksafety",
-	Doc: "detects sync.Mutex/sync.RWMutex copied by value through parameters, " +
-		"receivers, range variables or assignment, and locks still held on an " +
-		"early-return path (CFG dataflow)",
+	Doc: "reports sync.Mutex/sync.RWMutex locks still held on an early-return path " +
+		"(CFG dataflow; lock copies are go vet's copylocks check)",
 	Run: runLockSafety,
-}
-
-// lockPath returns a human-readable description of the lock a type carries
-// ("sync.Mutex", "struct containing sync.RWMutex"), or "" if it carries
-// none. Pointers do not carry locks — only values do.
-func lockPath(t types.Type) string {
-	return lockPathRec(t, make(map[types.Type]bool))
-}
-
-func lockPathRec(t types.Type, seen map[types.Type]bool) string {
-	if t == nil || seen[t] {
-		return ""
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex":
-				return "sync." + obj.Name()
-			}
-		}
-		return lockPathRec(named.Underlying(), seen)
-	}
-	switch t := t.(type) {
-	case *types.Struct:
-		for i := 0; i < t.NumFields(); i++ {
-			if inner := lockPathRec(t.Field(i).Type(), seen); inner != "" {
-				if inner == "sync.Mutex" || inner == "sync.RWMutex" {
-					return "struct containing " + inner
-				}
-				return inner
-			}
-		}
-	case *types.Array:
-		return lockPathRec(t.Elem(), seen)
-	}
-	return ""
 }
 
 func runLockSafety(pass *Pass) {
 	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Recv != nil {
-					checkFieldList(pass, n.Recv, "receiver")
-				}
-				checkFieldList(pass, n.Type.Params, "parameter")
-				checkLockBalance(pass, n)
-			case *ast.FuncLit:
-				checkFieldList(pass, n.Type.Params, "parameter")
-			case *ast.RangeStmt:
-				if n.Value != nil {
-					if lock := lockPath(pass.TypeOf(n.Value)); lock != "" {
-						pass.Reportf(n.Value.Pos(), "range variable copies %s each iteration; range over pointers instead", lock)
-					}
-				}
-			case *ast.AssignStmt:
-				for i, rhs := range n.Rhs {
-					if i >= len(n.Lhs) {
-						break
-					}
-					// `_ = x` marks a value as used without observable
-					// copying; only real bindings are flagged.
-					if lhs, ok := n.Lhs[i].(*ast.Ident); ok && lhs.Name == "_" {
-						continue
-					}
-					if !copiesExistingValue(rhs) {
-						continue
-					}
-					if lock := lockPath(pass.TypeOf(rhs)); lock != "" {
-						pass.Reportf(rhs.Pos(), "assignment copies %s; use a pointer", lock)
-					}
-				}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				checkLockBalance(pass, fn)
 			}
-			return true
-		})
-	}
-}
-
-// copiesExistingValue reports whether evaluating e copies a value that
-// already lives elsewhere (as opposed to a fresh composite literal, call
-// result or address-of, which are safe to bind).
-func copiesExistingValue(e ast.Expr) bool {
-	switch ast.Unparen(e).(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-		return true
-	}
-	return false
-}
-
-func checkFieldList(pass *Pass, fields *ast.FieldList, kind string) {
-	if fields == nil {
-		return
-	}
-	for _, field := range fields.List {
-		if lock := lockPath(pass.TypeOf(field.Type)); lock != "" {
-			pass.Reportf(field.Type.Pos(), "%s passes %s by value; use a pointer", kind, lock)
 		}
 	}
+}
+
+// checkLockBalance runs the early-return dataflow on one function.
+func checkLockBalance(pass *Pass, fn *ast.FuncDecl) {
+	if fn.Body == nil {
+		return
+	}
+	// Cheap pre-filter: no Lock/RLock call, nothing to do.
+	hasAcquire := false
+	ast.Inspect(fn.Body, func(x ast.Node) bool {
+		if call, ok := x.(*ast.CallExpr); ok {
+			if _, acquire, ok := syncLockMethod(pass, call); ok && acquire {
+				hasAcquire = true
+			}
+		}
+		return !hasAcquire
+	})
+	if !hasAcquire {
+		return
+	}
+
+	g := cfg.New(fn.Body)
+	res := lockFlow{pass: pass}.solve(g, nil)
+
+	// Report every lock still held when an exit block hands control back.
+	reported := make(map[string]bool) // key+return line, to dedupe joins
+	for _, b := range exitBlocks(g) {
+		held := res.Out[b]
+		if len(held) == 0 {
+			continue
+		}
+		retPos := returnPosOf(b, fn)
+		keys := make([]string, 0, len(held))
+		for k := range held {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			lockLine := pass.Fset.Position(held[k]).Line
+			id := fmt.Sprintf("%s@%d", k, pass.Fset.Position(retPos).Line)
+			if reported[id] {
+				continue
+			}
+			reported[id] = true
+			pass.Reportf(retPos, "%s locked at line %d is still held on this return path (missing Unlock or defer)",
+				describeLock(k), lockLine)
+		}
+	}
+}
+
+// returnPosOf finds the position to report for an exiting block: its
+// return statement if present, else the function's closing brace
+// (fall-off-the-end exit).
+func returnPosOf(b *cfg.Block, fn *ast.FuncDecl) token.Pos {
+	for i := len(b.Nodes) - 1; i >= 0; i-- {
+		if ret, ok := b.Nodes[i].(*ast.ReturnStmt); ok {
+			return ret.Pos()
+		}
+	}
+	return fn.Body.Rbrace
+}
+
+func describeLock(key string) string {
+	if lock, read := strings.CutSuffix(key, readKeySuffix); read {
+		return lock + ".RLock()"
+	}
+	return key + ".Lock()"
 }

@@ -1,6 +1,6 @@
-// Package cfg pins the CFG half of the locksafety analyzer: locks
-// still held when control reaches a return. The value-copy half is
-// pinned by the sibling fixture files.
+// Package cfg pins the locksafety analyzer: locks still held when
+// control reaches a return. Lock copies are go vet's copylocks check,
+// pinned by TestGoVetOwnsLockCopies.
 package cfg
 
 import "sync"

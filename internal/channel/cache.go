@@ -23,11 +23,10 @@ package channel
 //     invalidation API, and TestCacheKeyCoversEveryFloatField pins it over
 //     every exported float64 field of Structure and Material.
 //   - Entries are immutable once published. Channels built from an entry
-//     share its arrival slice and convolver; AddScatterers on such a
-//     channel copies-on-write (the sibling channels keep the clean
-//     response) and drops the entry, because scatterer state is
-//     channel-local and the cached clean response no longer represents
-//     this link.
+//     share its arrival slice and convolver; AddScatterers works on its
+//     own copy of the arrivals and builds its own convolver, so the entry
+//     and its sibling channels keep the clean response, and the next
+//     lookup still hits it.
 //
 // Per-channel mutable state (the deterministic noise source, the
 // impairment hook) is never shared: every Channel gets its own.
@@ -183,9 +182,6 @@ func (cc *Cache) Channel(cfg Config) (*Channel, error) {
 			noise:   dsp.NewNoiseSource(cfg.Seed),
 			resGain: e.resGain,
 			conv:    e.conv,
-			shared:  true,
-			cache:   cc,
-			key:     key,
 		}
 		mLinks.Inc()
 		mPathGain.Observe(c.PathGain())
@@ -200,16 +196,7 @@ func (cc *Cache) Channel(cfg Config) (*Channel, error) {
 	//ecolint:ignore hotalloc one entry per distinct link, built on miss only
 	cc.entries[key] = &cacheEntry{arrivals: c.arrivals, conv: c.conv, resGain: c.resGain}
 	cc.mu.Unlock()
-	c.shared = true
-	c.cache = cc
-	c.key = key
 	return c, nil
-}
-
-func (cc *Cache) invalidateKey(key cacheKey) {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	delete(cc.entries, key)
 }
 
 // Stats returns hit/miss counters and the live entry count.
@@ -217,21 +204,4 @@ func (cc *Cache) Stats() CacheStats {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	return CacheStats{Hits: cc.hits, Misses: cc.misses, Entries: len(cc.entries)}
-}
-
-// detach severs a channel from its shared cache entry before a local
-// mutation (AddScatterers): the arrival list is copied so sibling channels
-// keep the clean cached response, and the entry is invalidated because the
-// mutation signals this link's scatterer state diverged from the clean
-// geometry the cache describes.
-func (c *Channel) detach() {
-	if !c.shared {
-		return
-	}
-	c.arrivals = append([]geometry.Arrival(nil), c.arrivals...)
-	c.shared = false
-	if c.cache != nil {
-		c.cache.invalidateKey(c.key)
-		c.cache = nil
-	}
 }

@@ -131,8 +131,8 @@ func TestCacheMissesOnGeometryChange(t *testing.T) {
 
 // TestCacheScattererInvalidation is the stale-cache test: AddScatterers on
 // a cache-backed channel must (a) leave sibling channels sharing the entry
-// byte-identical to a clean build, and (b) invalidate the entry so the
-// next lookup rebuilds. If either the copy-on-write or the invalidation
+// byte-identical to a clean build, and (b) leave the entry itself clean,
+// so the next lookup hits it and matches a clean New. If the copy-on-write
 // were dropped, this test fails.
 func TestCacheScattererInvalidation(t *testing.T) {
 	cfg := cacheCfg()
@@ -179,18 +179,39 @@ func TestCacheScattererInvalidation(t *testing.T) {
 	if len(a.Arrivals()) == len(b.Arrivals()) {
 		t.Fatal("AddScatterers added no arrivals; stale-cache test is vacuous")
 	}
-
-	// (b) The entry was invalidated: the next lookup is a miss.
-	before := cc.Stats()
-	if before.Entries != 0 {
-		t.Fatalf("entry survived AddScatterers: %+v", before)
+	// Transmit runs on the convolver, which AddScatterers replaces; the
+	// shared arrival list must stay clean too (it is sorted in place).
+	if !reflect.DeepEqual(b.Arrivals(), clean.Arrivals()) {
+		t.Fatal("sibling arrival list was reordered by AddScatterers")
 	}
-	if _, err := cc.Channel(cfg); err != nil {
+
+	// (b) The entry survives with the clean response: the next lookup is
+	// a hit and transmits exactly like a clean New.
+	before := cc.Stats()
+	if before.Entries != 1 {
+		t.Fatalf("entry did not survive AddScatterers: %+v", before)
+	}
+	d, err := cc.Channel(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
 	after := cc.Stats()
-	if after.Misses != before.Misses+1 {
-		t.Fatalf("lookup after invalidation was not a miss: %+v → %+v", before, after)
+	if after.Hits != before.Hits+1 || after.Misses != before.Misses {
+		t.Fatalf("lookup after AddScatterers was not a hit: %+v → %+v", before, after)
+	}
+	fresh, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(d.Arrivals(), fresh.Arrivals()) {
+		t.Fatal("cached arrival list was polluted by AddScatterers")
+	}
+	yd, yf := d.Transmit(x), fresh.Transmit(x)
+	for i := range yd {
+		//ecolint:ignore floatcmp the surviving entry must stay bit-exact to a clean build
+		if yd[i] != yf[i] {
+			t.Fatalf("entry was polluted by AddScatterers: sample %d %g vs clean %g", i, yd[i], yf[i])
+		}
 	}
 }
 

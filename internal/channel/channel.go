@@ -59,13 +59,10 @@ type Channel struct {
 	//
 	//ecolint:unit dimensionless
 	resGain float64
-	conv    *dsp.Convolver // tapped-delay line over arrivals (raw gains)
-
-	// Cache-backed channels share arrivals and conv with their cache
-	// entry; detach() copies-on-write before any local mutation.
-	shared bool
-	cache  *Cache
-	key    cacheKey
+	// conv is the tapped-delay line over arrivals (raw gains). A
+	// cache-backed channel shares arrivals and conv with its cache entry;
+	// AddScatterers replaces both with channel-local ones.
+	conv *dsp.Convolver
 }
 
 // ErrNoPath is returned when no propagation path exists (e.g. all modes cut

@@ -3,6 +3,7 @@ package channel
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ecocapsule/internal/dsp"
 	"ecocapsule/internal/geometry"
@@ -77,9 +78,10 @@ func (c *Channel) AddScatterers(objs []Scatterer) {
 	if len(objs) == 0 {
 		return
 	}
-	// Scatterer state is channel-local: leave any shared cache entry (and
-	// the sibling channels reading it) untouched, and invalidate it.
-	c.detach()
+	// Scatterer state is channel-local. The arrival list may be a cache
+	// entry's, shared with sibling channels, and sortArrivals sorts in
+	// place, so work on a copy; the entry keeps the clean response.
+	c.arrivals = slices.Clone(c.arrivals)
 	m := c.cfg.Structure.Material
 	speed := m.VS()
 	shear := true

@@ -535,7 +535,7 @@ func (f *Fleet) ReadSensorVia(handle uint16, st sensors.SensorType) ([]float64, 
 // counters to link.
 func (f *Fleet) readVia(parent *telemetry.Span, link *reader.FaultStats, handle uint16, st sensors.SensorType, stations []int) ([]float64, int, error) {
 	if len(stations) == 0 {
-		mFleetReads.With(routeFailed).Inc()
+		cReadsFailed.Inc()
 		return nil, -1, fmt.Errorf("fleet: no station serves capsule %#04x", handle)
 	}
 	var lastErr error
@@ -546,15 +546,15 @@ func (f *Fleet) readVia(parent *telemetry.Span, link *reader.FaultStats, handle 
 		link.Backoff += lk.Backoff
 		if err == nil {
 			if idx == stations[0] {
-				mFleetReads.With(routePrimary).Inc()
+				cReadsPrimary.Inc()
 			} else {
-				mFleetReads.With(routeRerouted).Inc()
+				cReadsRerouted.Inc()
 			}
 			return vals, idx, nil
 		}
 		lastErr = err
 	}
-	mFleetReads.With(routeFailed).Inc()
+	cReadsFailed.Inc()
 	return nil, -1, fmt.Errorf("fleet: capsule %#04x unreadable from %d station(s): %w",
 		handle, len(stations), lastErr)
 }

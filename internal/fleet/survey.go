@@ -209,7 +209,7 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 	rep.ReroutedReads = int(rerouted.Load())
 	rep.Degraded = len(rep.DeadStations) > 0 || len(rep.Missing) > 0 || len(rep.Orphans) > 0
 	if rep.Degraded {
-		mSurveys.With("degraded").Inc()
+		cSurveysDegraded.Inc()
 		telemetry.RecordFlight("fleet", "survey_degraded",
 			fmt.Sprintf("reporting %d/%d, dead stations %d, missing %d, orphans %d",
 				rep.Reporting, rep.Expected, len(rep.DeadStations), len(rep.Missing), len(rep.Orphans)))
@@ -217,7 +217,7 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 		// black box: snapshot the recent event ring as the last dump.
 		telemetry.Flight().Dump("fleet: survey degraded")
 	} else {
-		mSurveys.With("full").Inc()
+		cSurveysFull.Inc()
 	}
 	if rep.Expected > 0 {
 		mReportingRatio.Set(float64(rep.Reporting) / float64(rep.Expected))

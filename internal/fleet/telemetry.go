@@ -45,6 +45,16 @@ const (
 	routeFailed   = "failed"
 )
 
+// Constant-label children, resolved once so every read and survey skips
+// CounterVec.With's registry lookup.
+var (
+	cReadsPrimary    = mFleetReads.With(routePrimary)
+	cReadsRerouted   = mFleetReads.With(routeRerouted)
+	cReadsFailed     = mFleetReads.With(routeFailed)
+	cSurveysDegraded = mSurveys.With("degraded")
+	cSurveysFull     = mSurveys.With("full")
+)
+
 // stationLabel renders a station index the way every metric labels it.
 func stationLabel(i int) string { return strconv.Itoa(i) }
 

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"testing"
 
-	"ecocapsule/internal/channel"
 	"ecocapsule/internal/geometry"
 	"ecocapsule/internal/sensors"
 )
@@ -102,52 +101,37 @@ func TestAcousticReadRoundUnknownNode(t *testing.T) {
 	}
 }
 
-// TestReaderSharedLinkCache: deployments through a shared cache hit on
-// repeated identical links and produce identical channel behaviour.
+// TestReaderSharedLinkCache: each reader owns a private link cache that
+// its deployments fill, one miss and one entry per distinct link.
 func TestReaderSharedLinkCache(t *testing.T) {
-	cache := channel.NewCache()
-	r1, err := NewWithLinkCache(wallConfig(), cache)
+	r1, err := New(wallConfig())
 	if err != nil {
 		t.Fatal(err)
+	}
+	cache := r1.LinkCache()
+	if cache == nil {
+		t.Fatal("New must allocate a link cache")
 	}
 	deployNode(t, r1, 0x61, 1.2)
 	st := cache.Stats()
 	if st.Misses != 1 || st.Entries != 1 {
 		t.Fatalf("first deploy stats %+v, want 1 miss / 1 entry", st)
 	}
-
-	// A second reader on the same structure re-deploys the same link: hit.
-	r2, err := NewWithLinkCache(wallConfig(), cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deployNode(t, r2, 0x61, 1.2)
+	deployNode(t, r1, 0x62, 1.6)
 	st = cache.Stats()
-	if st.Hits != 1 || st.Entries != 1 {
-		t.Fatalf("re-deploy stats %+v, want 1 hit / 1 entry", st)
+	if st.Misses != 2 || st.Entries != 2 {
+		t.Fatalf("second deploy stats %+v, want 2 misses / 2 entries", st)
+	}
+	if r1.LinkCache() != cache {
+		t.Error("LinkCache accessor does not return the reader's cache")
 	}
 
-	a1, err := r1.NodeAmplitude(0x61)
+	// Another reader owns a distinct cache.
+	r2, err := New(wallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := r2.NodeAmplitude(0x61)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a1 != a2 {
-		t.Errorf("cached link amplitude %g != fresh %g", a2, a1)
-	}
-	if r1.LinkCache() != cache || r2.LinkCache() != cache {
-		t.Error("LinkCache accessor does not return the shared cache")
-	}
-
-	// A private-cache reader still works and owns a distinct cache.
-	r3, err := New(wallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r3.LinkCache() == cache {
+	if r2.LinkCache() == cache {
 		t.Error("New must allocate a private cache")
 	}
 }

@@ -97,10 +97,9 @@ type Reader struct {
 	//ecolint:guardedby mu
 	tracer *telemetry.Tracer
 
-	// links shares the expensive per-link channel state (impulse
-	// responses + convolution plans) across deployments. The reader owns
-	// its lifetime: one cache per reader by default, shareable across
-	// readers of the same structure through NewWithLinkCache.
+	// links keeps the expensive per-link channel state (impulse
+	// responses + convolution plans) across deployments. Each reader
+	// owns a private cache.
 	links *channel.Cache
 
 	// carrier is the last acoustic round's incident CBW, reused by the next
@@ -112,14 +111,6 @@ type Reader struct {
 // New validates the configuration and returns a Reader with its own link
 // cache.
 func New(cfg Config) (*Reader, error) {
-	return NewWithLinkCache(cfg, nil)
-}
-
-// NewWithLinkCache is New with an explicit channel cache, letting several
-// readers (or successive deployments) of the same structure share the
-// per-link impulse responses and convolution plans. A nil cache allocates
-// a private one.
-func NewWithLinkCache(cfg Config, cache *channel.Cache) (*Reader, error) {
 	if cfg.Structure == nil {
 		return nil, errors.New("reader: nil structure")
 	}
@@ -136,9 +127,6 @@ func NewWithLinkCache(cfg Config, cache *channel.Cache) (*Reader, error) {
 	if cfg.CarrierHz == 0 {
 		cfg.CarrierHz = 230 * units.KHz
 	}
-	if cache == nil {
-		cache = channel.NewCache()
-	}
 	return &Reader{
 		cfg:                     cfg,
 		byHandle:                make(map[uint16]*node.Node),
@@ -146,12 +134,12 @@ func NewWithLinkCache(cfg Config, cache *channel.Cache) (*Reader, error) {
 		env:                     func(geometry.Vec3) sensors.Environment { return sensors.Environment{} },
 		PZTCouplingVoltsPerUnit: DefaultPZTCoupling,
 		retry:                   faultinject.DefaultBackoff(),
-		links:                   cache,
+		links:                   channel.NewCache(),
 	}, nil
 }
 
-// LinkCache exposes the reader's channel cache (for sharing with another
-// reader, inspecting Stats, or eager invalidation after structural edits).
+// LinkCache exposes the reader's private channel cache: its Stats, and
+// channels built through it.
 func (r *Reader) LinkCache() *channel.Cache { return r.links }
 
 // SetEnvironment installs the ground-truth sampler used when capsules read
@@ -193,8 +181,6 @@ func (r *Reader) Deploy(n *node.Node) error {
 	r.byHandle[n.Handle()] = n
 	r.chans[n.Handle()] = ch
 	mLinkGain.With(handleLabel(n.Handle())).Set(ch.PathGain())
-	mLinkSNR.With(handleLabel(n.Handle())).Set(
-		ch.SNRAt(r.cfg.DriveVoltage * r.PZTCouplingVoltsPerUnit))
 	return nil
 }
 
@@ -391,11 +377,11 @@ func (r *Reader) inventoryLocked(parent *telemetry.Span, maxRounds int, nodes []
 			switch len(replies) {
 			case 0:
 				outcome.Empties++
-				mSlots.With(slotEmpty).Inc()
+				cSlotEmpty.Inc()
 				endOutcome(slotSpan, "empty")
 			case 1:
 				outcome.Singles++
-				mSlots.With(slotSingle).Inc()
+				cSlotSingle.Inc()
 				h := replies[0].Handle
 				if !found[h] {
 					found[h] = true
@@ -407,7 +393,7 @@ func (r *Reader) inventoryLocked(parent *telemetry.Span, maxRounds int, nodes []
 			default:
 				outcome.Collisions++
 				res.Collisions++
-				mSlots.With(slotCollision).Inc()
+				cSlotCollision.Inc()
 				endOutcome(slotSpan, "collision")
 				// Collided nodes stay replying; sleep them back to
 				// standby so the next round redraws their slots.
@@ -459,7 +445,7 @@ func (r *Reader) ReadSensorUnder(parent *telemetry.Span, handle uint16, st senso
 	var link FaultStats
 	target := r.byHandle[handle]
 	if target == nil {
-		mReads.With(readErr).Inc()
+		cReadErr.Inc()
 		return nil, link, fmt.Errorf("reader: unknown node %#04x", handle)
 	}
 	readSpan := r.startSpanLocked(parent, "read", handle)
@@ -532,7 +518,11 @@ func endOutcome(sp *telemetry.Span, outcome string) {
 
 // finishRead records the read result metric and closes the read span.
 func finishRead(sp *telemetry.Span, result string, attempts int) {
-	mReads.With(result).Inc()
+	if result == readOK {
+		cReadOK.Inc()
+	} else {
+		cReadErr.Inc()
+	}
 	if sp != nil {
 		sp.Attr("result", result).Attr("attempts", attempts).End()
 	}

@@ -31,8 +31,6 @@ var (
 		"fraction of deployed capsules powered up after the last charge")
 	mLinkGain = telemetry.NewGaugeVec("ecocapsule_reader_link_path_gain",
 		"acoustic path gain of each deployed capsule link", "handle")
-	mLinkSNR = telemetry.NewGaugeVec("ecocapsule_reader_link_snr_db",
-		"link SNR in dB at the current drive voltage", "handle")
 )
 
 // Slot outcome label values.
@@ -46,6 +44,16 @@ const (
 const (
 	readOK  = "ok"
 	readErr = "error"
+)
+
+// Constant-label children, resolved once so the read and arbitration hot
+// paths skip CounterVec.With's registry lookup.
+var (
+	cSlotEmpty     = mSlots.With(slotEmpty)
+	cSlotSingle    = mSlots.With(slotSingle)
+	cSlotCollision = mSlots.With(slotCollision)
+	cReadOK        = mReads.With(readOK)
+	cReadErr       = mReads.With(readErr)
 )
 
 // handleLabel renders a capsule handle the way every metric labels it.

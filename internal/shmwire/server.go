@@ -264,7 +264,7 @@ func (s *Server) BroadcastTraced(t MsgType, body []byte, tc *TraceContext) {
 			fmt.Sprintf("%v frame with a %d-byte body: %v", t, len(body), err))
 		return
 	}
-	mBroadcasts.With(t.String()).Inc()
+	mBroadcasts.inc(t)
 	of := outFrame{t: t, body: body, tc: tc}
 	s.mu.Lock()
 	if t == MsgStatus {

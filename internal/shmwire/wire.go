@@ -225,7 +225,7 @@ func WriteFrameTraced(w io.Writer, t MsgType, body []byte, tc *TraceContext) err
 	if _, err := w.Write(body); err != nil {
 		return err
 	}
-	mFramesWritten.With(t.String()).Inc()
+	mFramesWritten.inc(t)
 	if tc != nil {
 		mTracedFrames.Inc()
 	}
@@ -272,7 +272,7 @@ func ReadFrame(r io.Reader) (Frame, error) {
 		f.Trace = &tc
 		f.Body = body[traceContextSize:]
 	}
-	mFramesRead.With(f.Type.String()).Inc()
+	mFramesRead.inc(f.Type)
 	return f, nil
 }
 

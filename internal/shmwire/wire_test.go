@@ -241,3 +241,25 @@ func TestMsgTypeString(t *testing.T) {
 		t.Error("unknown type must format")
 	}
 }
+
+// TestFrameCountersByType pins the pre-resolved by-type frame counters: a
+// named type and a type no constant names both land on the series With
+// resolves for their label, one count per frame.
+func TestFrameCountersByType(t *testing.T) {
+	for _, typ := range []MsgType{MsgHealth, MsgType(9)} {
+		written := mFramesWritten.vec.With(typ.String())
+		read := mFramesRead.vec.With(typ.String())
+		w0, r0 := written.Value(), read.Value()
+		var buf bytes.Buffer
+		if err := WriteFrameTraced(&buf, typ, []byte{1, 2, 3}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadFrame(&buf); err != nil {
+			t.Fatal(err)
+		}
+		//ecolint:ignore floatcmp counters hold small integers exactly
+		if dw, dr := written.Value()-w0, read.Value()-r0; dw != 1 || dr != 1 {
+			t.Errorf("%v: written +%g, read +%g; want +1 each", typ, dw, dr)
+		}
+	}
+}

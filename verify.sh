@@ -61,6 +61,10 @@ stage "go build ./..."
 go build ./...
 stage_done
 
+# go vet is also the lock-copy gate: its copylocks pass reports every
+# sync.Mutex/sync.RWMutex copied by value (parameters, receivers, range
+# variables, assignments, returns, call arguments). ecolint does not
+# re-check it; TestGoVetOwnsLockCopies pins the cases.
 stage "go vet ./..."
 go vet ./...
 stage_done
@@ -78,11 +82,12 @@ fi
 stage_done
 
 # ecolint over everything, test files included, in one in-memory pass:
-# self-cleanliness is a hard gate. The full analyzer suite — the CFG lock
-# checks, the concurrency-safety analyzers (guardedby, closurecapture,
-# atomicmix) and the v4 dataflow analyzers (dimcheck dimensional analysis,
-# hotalloc hotpath allocation discipline) — gates the tree; any finding
-# fails the build.
+# self-cleanliness is a hard gate. The full analyzer suite — the lock
+# analyzers locksafety (early-return leaks), guardedby and closurecapture,
+# which all read lock sets from one CFG lock-set engine, plus atomicmix and
+# the v4 dataflow analyzers (dimcheck dimensional analysis, hotalloc
+# hotpath allocation discipline) — gates the tree; any finding fails the
+# build.
 stage "ecolint -include-tests ./..."
 go build -o /tmp/ecolint.verify ./cmd/ecolint
 /tmp/ecolint.verify -include-tests ./...
