@@ -409,6 +409,28 @@ func callNeverReturns(call *ast.CallExpr) bool {
 	return false
 }
 
+// Inspect walks node n of a block like ast.Inspect, but only through
+// what runs when the block does: function literal bodies are not entered
+// (they run later, if at all), and a range statement yields only its
+// header — Key, Value and X — since its body's statements sit in blocks
+// of their own.
+func Inspect(n ast.Node, f func(ast.Node) bool) {
+	if rs, ok := n.(*ast.RangeStmt); ok {
+		for _, e := range []ast.Expr{rs.Key, rs.Value, rs.X} {
+			if e != nil {
+				Inspect(e, f)
+			}
+		}
+		return
+	}
+	ast.Inspect(n, func(x ast.Node) bool {
+		if _, lit := x.(*ast.FuncLit); lit {
+			return false
+		}
+		return f(x)
+	})
+}
+
 // Reachable returns the set of blocks reachable from Entry, in a
 // deterministic preorder.
 func (g *Graph) Reachable() []*Block {

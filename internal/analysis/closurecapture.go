@@ -281,11 +281,17 @@ func heldAtPositions(pass *Pass, lit *ast.FuncLit, resolver func(*types.Func) *L
 	}
 	g := cfg.New(lit.Body)
 	flow := lockFlow{pass: pass, resolver: resolver, must: true}
-	// A node's probes are the writes inside it, in position order.
+	// A node's probes are the writes it runs, in position order. A range
+	// statement runs only its header (as in cfg.Inspect): the writes in
+	// its body are probed in the body's own blocks.
 	probesOf := func(n ast.Node) []probe {
+		end := n.End()
+		if rs, ok := n.(*ast.RangeStmt); ok {
+			end = rs.Body.Pos()
+		}
 		var in []probe
 		for i := range writes {
-			if w := &writes[i]; n.Pos() <= w.pos && w.pos < n.End() {
+			if w := &writes[i]; n.Pos() <= w.pos && w.pos < end {
 				in = append(in, w)
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -21,20 +20,21 @@ import (
 const DeterministicDirective = "//ecolint:deterministic"
 
 // NondetFact records that a function transitively reaches a
-// nondeterminism source. It is exported on package-level functions and
+// nondeterminism source. It is exported on exported functions and
 // methods so that passes over dependent packages can flag calls into
 // tainted code without re-walking it.
 type NondetFact struct {
 	// Source is the root cause, e.g. "time.Now" or "map iteration order".
 	Source string `json:"source"`
-	// Via is the qualified name of the first callee on the path from the
-	// carrier to the source, "" when the carrier calls the source
-	// directly.
+	// Via is the function that holds the source (its body makes the
+	// call or the map range), "" when the carrier holds it itself.
 	Via string `json:"via,omitempty"`
 }
 
 // AFact marks NondetFact as a fact.
 func (*NondetFact) AFact() {}
+
+func (f *NondetFact) reach() (root, via string) { return f.Source, f.Via }
 
 // Determinism flags, inside packages marked //ecolint:deterministic,
 // every call that directly or transitively reaches a wall-clock read
@@ -95,146 +95,52 @@ func directSource(pass *Pass, call *ast.CallExpr) string {
 	return ""
 }
 
-// funcInfo is the per-function summary the intra-package propagation
-// works on.
-type funcInfo struct {
-	obj     *types.Func
-	decl    *ast.FuncDecl
-	sources []sourceAt  // direct nondeterminism roots in the body
-	calls   []callAt    // resolved callees, in source order
-	fact    *NondetFact // nil until tainted
-}
-
-type sourceAt struct {
-	pos  token.Pos
-	desc string
-}
-
-type callAt struct {
-	pos    token.Pos
-	callee *types.Func
+// determinismReach is determinism's half of the reach engine: roots are
+// wall-clock reads, global-source draws and map ranges that write to an
+// output sink.
+var determinismReach = &reachSpec{
+	summarise: summariseSources,
+	newFact:   func(root, via string) reachFact { return &NondetFact{Source: root, Via: via} },
+	reportRoot: func(pass *Pass, _ *reachFunc, r reachRoot) {
+		pass.Reportf(r.pos, "nondeterministic call to %s in a deterministic package", r.desc)
+	},
+	reportCall: func(pass *Pass, _ *reachFunc, c reachCall, root, _ string) {
+		pass.Reportf(c.pos, "call to %s, which transitively reaches %s, in a deterministic package",
+			qualifiedName(pass, c.callee), root)
+	},
 }
 
 func runDeterminism(pass *Pass) {
 	// Facts are computed and exported for every package — marked or not —
 	// so that deterministic dependents can see taint through ordinary
-	// helper packages. Reporting (pass 4) happens only in marked packages.
+	// helper packages. Reporting happens only in marked packages.
 	marked := hasDirective(pass.Files, DeterministicDirective)
-
-	// Pass 1: summarise every declared function: direct sources and
-	// outgoing calls. Function literals are charged to their enclosing
-	// declaration — a closure built around time.Now makes the builder
-	// nondeterministic to callers.
-	var funcs []*funcInfo
-	byObj := make(map[*types.Func]*funcInfo)
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, _ := pass.Info.Defs[fd.Name].(*types.Func)
-			if obj == nil {
-				continue
-			}
-			fi := &funcInfo{obj: obj, decl: fd}
-			summarise(pass, fd.Body, fi)
-			funcs = append(funcs, fi)
-			byObj[obj] = fi
-		}
-	}
-
-	// Pass 2: propagate taint to a fixpoint. A function is tainted by a
-	// direct source, by calling a tainted same-package function, or by
-	// calling an imported function carrying a NondetFact.
-	for _, fi := range funcs {
-		if len(fi.sources) > 0 {
-			fi.fact = &NondetFact{Source: fi.sources[0].desc}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, fi := range funcs {
-			if fi.fact != nil {
-				continue
-			}
-			for _, c := range fi.calls {
-				if desc, via, ok := calleeTaint(pass, byObj, c.callee); ok {
-					fi.fact = &NondetFact{Source: desc, Via: via}
-					changed = true
-					break
-				}
-			}
-		}
-	}
-
-	// Pass 3: export facts so dependent packages see the taint.
-	for _, fi := range funcs {
-		if fi.fact != nil {
-			pass.ExportObjectFact(fi.obj, fi.fact)
-		}
-	}
-
-	// Pass 4: report, only inside marked packages. Each function gets
-	// one finding per offending call site: direct sources first, then
-	// calls into tainted functions.
-	if !marked || pass.FactsOnly {
-		return
-	}
-	for _, fi := range funcs {
-		for _, s := range fi.sources {
-			pass.Reportf(s.pos, "nondeterministic call to %s in a deterministic package", s.desc)
-		}
-		for _, c := range fi.calls {
-			if desc, _, ok := calleeTaint(pass, byObj, c.callee); ok {
-				pass.Reportf(c.pos, "call to %s, which transitively reaches %s, in a deterministic package",
-					qualifiedName(pass, c.callee), desc)
-			}
-		}
-	}
+	runReach(pass, determinismReach, func(*reachFunc) bool { return marked })
 }
 
-// calleeTaint reports whether calling fn introduces nondeterminism,
-// with the root source description and the via link for the message.
-func calleeTaint(pass *Pass, byObj map[*types.Func]*funcInfo, fn *types.Func) (desc, via string, ok bool) {
-	if fn == nil {
-		return "", "", false
-	}
-	if fi, same := byObj[fn]; same {
-		if fi.fact == nil {
-			return "", "", false
-		}
-		return fi.fact.Source, qualifiedName(pass, fn), true
-	}
-	var fact NondetFact
-	if pass.ImportObjectFact(fn, &fact) {
-		return fact.Source, qualifiedName(pass, fn), true
-	}
-	return "", "", false
-}
-
-// summarise walks one function body recording direct sources and
-// outgoing calls. Direct sources inside the body win over the same
-// call recorded as an outgoing edge (a call is never both).
-func summarise(pass *Pass, body *ast.BlockStmt, fi *funcInfo) {
+// summariseSources walks one function body recording direct sources and
+// outgoing calls. Function literals are charged to their enclosing
+// declaration — a closure built around time.Now makes the builder
+// nondeterministic to callers. A call that is a direct source is not
+// also recorded as an outgoing edge.
+func summariseSources(pass *Pass, body *ast.BlockStmt, fn *reachFunc) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			if desc := directSource(pass, n); desc != "" {
-				fi.sources = append(fi.sources, sourceAt{pos: n.Pos(), desc: desc})
+				fn.roots = append(fn.roots, reachRoot{pos: n.Pos(), desc: desc})
 				return true
 			}
-			if fn := calleeFunc(pass, n); fn != nil {
-				fi.calls = append(fi.calls, callAt{pos: n.Pos(), callee: fn})
+			if callee := calleeFunc(pass, n); callee != nil {
+				fn.calls = append(fn.calls, reachCall{pos: n.Pos(), callee: callee})
 			}
 		case *ast.RangeStmt:
 			if pos, ok := mapRangeWritesOutput(pass, n); ok {
-				fi.sources = append(fi.sources, sourceAt{pos: pos, desc: "map iteration order (range writes to an output sink)"})
+				fn.roots = append(fn.roots, reachRoot{pos: pos, desc: "map iteration order (range writes to an output sink)"})
 			}
 		}
 		return true
 	})
-	sort.Slice(fi.sources, func(i, j int) bool { return fi.sources[i].pos < fi.sources[j].pos })
 }
 
 // mapRangeWritesOutput detects `for k := range m { ...fmt.Fprintf(w,
@@ -284,19 +190,6 @@ func isSinkCall(pass *Pass, call *ast.CallExpr) bool {
 		return strings.HasPrefix(name, "Print") || strings.HasPrefix(name, "Fprint")
 	}
 	return false
-}
-
-// qualifiedName renders fn for messages: "pkg.F" for imported
-// functions, "F" or "T.M" for same-package ones.
-func qualifiedName(pass *Pass, fn *types.Func) string {
-	key, ok := ObjectKey(fn)
-	if !ok {
-		key = fn.Name()
-	}
-	if fn.Pkg() != nil && fn.Pkg() != pass.Pkg {
-		return fn.Pkg().Name() + "." + key
-	}
-	return key
 }
 
 // hasDirective reports whether any comment in the files is exactly the

@@ -770,19 +770,15 @@ func (ut *unitTable) dimOfCall(call *ast.CallExpr, env dimEnv) dim {
 	return dim{}
 }
 
-// applyNode updates env with the bindings one CFG node performs.
-// Function literals are analyzed separately; a RangeStmt node carries
-// its whole body in the AST but only the per-iteration binding executes
-// in its block, so the body subtree is skipped.
+// applyNode updates env with the bindings one CFG node performs
+// (cfg.Inspect: function literals are analyzed separately, and a range
+// statement binds only its per-iteration key and value here).
 func (ut *unitTable) applyNode(n ast.Node, env dimEnv) {
 	if rs, ok := n.(*ast.RangeStmt); ok {
 		ut.applyRange(rs, env)
-		return
 	}
-	ast.Inspect(n, func(x ast.Node) bool {
+	cfg.Inspect(n, func(x ast.Node) bool {
 		switch x := x.(type) {
-		case *ast.FuncLit:
-			return false
 		case *ast.AssignStmt:
 			ut.applyAssign(x, env)
 		case *ast.ValueSpec:
@@ -925,16 +921,8 @@ func (ut *unitTable) declaredTarget(lhs ast.Expr) (dim, string, bool) {
 
 // checkNode reports the unit violations one CFG node commits under env.
 func (ut *unitTable) checkNode(n ast.Node, env dimEnv, fu *funcUnits) {
-	if rs, ok := n.(*ast.RangeStmt); ok {
-		if rs.X == nil {
-			return
-		}
-		n = rs.X // body statements are checked in their own blocks
-	}
-	ast.Inspect(n, func(x ast.Node) bool {
+	cfg.Inspect(n, func(x ast.Node) bool {
 		switch x := x.(type) {
-		case *ast.FuncLit:
-			return false
 		case *ast.BinaryExpr:
 			switch x.Op {
 			case token.ADD, token.SUB, token.LSS, token.GTR, token.LEQ, token.GEQ, token.EQL, token.NEQ:

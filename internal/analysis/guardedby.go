@@ -271,9 +271,9 @@ func (ev *accessEvent) Pos() token.Pos { return ev.pos }
 func (ev *callEvent) Pos() token.Pos   { return ev.pos }
 
 // markWriteTargets records, for every assignment/inc-dec/address-of/
-// delete inside n, which selector expression is the written-to base.
-// f.best[h] = v marks f.best; *f.p = v marks f.p; &f.buf marks f.buf
-// (escaping addresses are treated as writes).
+// delete that CFG node n runs, which selector expression is the
+// written-to base. f.best[h] = v marks f.best; *f.p = v marks f.p;
+// &f.buf marks f.buf (escaping addresses are treated as writes).
 func markWriteTargets(n ast.Node, writes map[ast.Expr]bool) {
 	var markTarget func(e ast.Expr)
 	markTarget = func(e ast.Expr) {
@@ -290,10 +290,8 @@ func markWriteTargets(n ast.Node, writes map[ast.Expr]bool) {
 			writes[e] = true
 		}
 	}
-	ast.Inspect(n, func(x ast.Node) bool {
+	cfg.Inspect(n, func(x ast.Node) bool {
 		switch x := x.(type) {
-		case *ast.FuncLit:
-			return false
 		case *ast.AssignStmt:
 			for _, lhs := range x.Lhs {
 				markTarget(lhs)
@@ -316,15 +314,14 @@ func markWriteTargets(n ast.Node, writes map[ast.Expr]bool) {
 // nodeGuardProbes collects, in position order, the replay probes of one
 // CFG node: its guarded-field accesses and its calls into functions
 // carrying a RequiresHeld contract, local or imported. Function literal
-// bodies are skipped; each literal is analyzed as its own function.
+// bodies are skipped (cfg.Inspect); each literal is analyzed as its own
+// function.
 func nodeGuardProbes(gt *guardTable, n ast.Node, resolver func(*types.Func) *LockFact) []probe {
 	writes := make(map[ast.Expr]bool)
 	markWriteTargets(n, writes)
 	var probes []probe
-	ast.Inspect(n, func(x ast.Node) bool {
+	cfg.Inspect(n, func(x ast.Node) bool {
 		switch x := x.(type) {
-		case *ast.FuncLit:
-			return false
 		case *ast.SelectorExpr:
 			if ref, base, guarded := gt.guardOf(x); guarded {
 				probes = append(probes, &accessEvent{pos: x.Sel.Pos(), sel: x, ref: ref, base: base, write: writes[x]})

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // HotpathDirective marks a function whose warm-path calls must not
@@ -23,8 +22,10 @@ const HotpathDirective = "//ecolint:hotpath"
 
 // AllocFact records that a function heap-allocates, directly or
 // transitively. Construct is the root cause ("a make call", "a
-// composite literal", ...); Via is the first callee on the path, ""
-// when the function allocates directly.
+// composite literal", ...); Via is the function that holds it — the one
+// whose body has the construct or calls the deny-listed standard-library
+// entry point, as Grow in `pool.Indirect ... via Grow` — and "" when the
+// function holds it itself.
 type AllocFact struct {
 	Construct string `json:"construct"`
 	Via       string `json:"via,omitempty"`
@@ -32,6 +33,8 @@ type AllocFact struct {
 
 // AFact marks AllocFact as a fact.
 func (*AllocFact) AFact() {}
+
+func (f *AllocFact) reach() (root, via string) { return f.Construct, f.Via }
 
 // HotFact certifies a //ecolint:hotpath function: its body was checked
 // in its own package, so hot callers treat calls to it as clean.
@@ -57,143 +60,29 @@ var HotAlloc = &Analyzer{
 	Run: runHotAlloc,
 }
 
-// allocAt is one direct allocating construct in a body.
-type allocAt struct {
-	pos  token.Pos
-	desc string // "a make call", "a composite literal", ...
-	what string // rendered diagnostic detail
-}
-
-// haFunc is one declared function's allocation summary.
-type haFunc struct {
-	obj    *types.Func
-	decl   *ast.FuncDecl
-	hot    bool
-	allocs []allocAt
-	calls  []callAt // reuses determinism's resolved-call record
-	fact   *AllocFact
+// hotallocReach is hotalloc's half of the reach engine: roots are
+// heap-allocating constructs, //ecolint:hotpath certifies a function, and
+// fact-less standard-library callees are judged by a deny-list.
+var hotallocReach = &reachSpec{
+	summarise: summariseAllocs,
+	newFact:   func(root, via string) reachFact { return &AllocFact{Construct: root, Via: via} },
+	certify:   HotpathDirective,
+	fallback:  stdlibAllocDesc,
+	reportRoot: func(pass *Pass, fn *reachFunc, r reachRoot) {
+		pass.Reportf(r.pos, "%s in hotpath function %s allocates because %s", r.what, fn.obj.Name(), r.desc)
+	},
+	reportCall: func(pass *Pass, fn *reachFunc, c reachCall, root, via string) {
+		because := "it reaches " + root
+		if via != "" && via != qualifiedName(pass, c.callee) {
+			because += " via " + via
+		}
+		pass.Reportf(c.pos, "call to %s in hotpath function %s allocates because %s",
+			qualifiedName(pass, c.callee), fn.obj.Name(), because)
+	},
 }
 
 func runHotAlloc(pass *Pass) {
-	// Pass 1: summarise every declared function — hotpath mark, direct
-	// allocating constructs, outgoing calls.
-	var funcs []*haFunc
-	byObj := make(map[*types.Func]*haFunc)
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, _ := pass.Info.Defs[fd.Name].(*types.Func)
-			if obj == nil {
-				continue
-			}
-			_, hot := directiveArgs(fd.Doc, HotpathDirective)
-			fi := &haFunc{obj: obj, decl: fd, hot: hot}
-			summariseAllocs(pass, fd.Body, fi)
-			funcs = append(funcs, fi)
-			byObj[obj] = fi
-		}
-	}
-
-	// Pass 2: propagate "transitively allocates" to a fixpoint.
-	// Hotpath functions are certified, not propagated: their deliberate
-	// (suppressed) grow-path allocations must not taint callers that
-	// stay on the warm path.
-	for _, fi := range funcs {
-		if fi.hot {
-			continue
-		}
-		if len(fi.allocs) > 0 {
-			fi.fact = &AllocFact{Construct: fi.allocs[0].desc}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, fi := range funcs {
-			if fi.fact != nil || fi.hot {
-				continue
-			}
-			for _, c := range fi.calls {
-				if desc, via, ok := calleeAllocates(pass, byObj, c.callee); ok {
-					fi.fact = &AllocFact{Construct: desc, Via: via}
-					changed = true
-					break
-				}
-			}
-		}
-	}
-
-	// Pass 3: export facts. HotFacts certify marked functions for
-	// cross-package callers; AllocFacts only matter for objects a
-	// dependent package can name, so unexported plain functions are
-	// skipped to keep the fact table lean.
-	for _, fi := range funcs {
-		if fi.hot {
-			pass.ExportObjectFact(fi.obj, &HotFact{})
-			continue
-		}
-		if fi.fact != nil && fi.obj.Exported() {
-			pass.ExportObjectFact(fi.obj, fi.fact)
-		}
-	}
-
-	// Pass 4: report inside hotpath bodies.
-	if pass.FactsOnly {
-		return
-	}
-	for _, fi := range funcs {
-		if !fi.hot {
-			continue
-		}
-		for _, a := range fi.allocs {
-			pass.Reportf(a.pos, "%s in hotpath function %s allocates because %s", a.what, fi.obj.Name(), a.desc)
-		}
-		for _, c := range fi.calls {
-			if desc, via, ok := calleeAllocates(pass, byObj, c.callee); ok {
-				because := "it reaches " + desc
-				if via != "" && via != qualifiedName(pass, c.callee) {
-					because += " via " + via
-				}
-				pass.Reportf(c.pos, "call to %s in hotpath function %s allocates because %s",
-					qualifiedName(pass, c.callee), fi.obj.Name(), because)
-			}
-		}
-	}
-}
-
-// calleeAllocates reports whether calling fn can heap-allocate, with
-// the root construct and the via link for the message. Hot-certified
-// callees are clean by contract.
-func calleeAllocates(pass *Pass, byObj map[*types.Func]*haFunc, fn *types.Func) (desc, via string, ok bool) {
-	if fn == nil {
-		return "", "", false
-	}
-	if fi, same := byObj[fn]; same {
-		if fi.hot || fi.fact == nil {
-			return "", "", false
-		}
-		if fi.fact.Via != "" {
-			return fi.fact.Construct, fi.fact.Via, true
-		}
-		return fi.fact.Construct, qualifiedName(pass, fn), true
-	}
-	var hot HotFact
-	if pass.ImportObjectFact(fn, &hot) {
-		return "", "", false
-	}
-	var fact AllocFact
-	if pass.ImportObjectFact(fn, &fact) {
-		if fact.Via != "" {
-			return fact.Construct, fact.Via, true
-		}
-		return fact.Construct, qualifiedName(pass, fn), true
-	}
-	if d := stdlibAllocDesc(fn); d != "" {
-		return d, "", true
-	}
-	return "", "", false
+	runReach(pass, hotallocReach, func(fn *reachFunc) bool { return fn.certified })
 }
 
 // stdlibAllocDesc classifies standard-library callees with no facts:
@@ -238,12 +127,12 @@ func stdlibAllocDesc(fn *types.Func) string {
 // constructs and outgoing calls. Function literal bodies are skipped:
 // the literal itself is charged here (as a closure, when it captures),
 // and its body runs under whatever discipline its call site has.
-func summariseAllocs(pass *Pass, body *ast.BlockStmt, fi *haFunc) {
+func summariseAllocs(pass *Pass, body *ast.BlockStmt, fn *reachFunc) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			if capt := capturedOuterLocal(pass, n); capt != "" {
-				fi.allocs = append(fi.allocs, allocAt{
+				fn.roots = append(fn.roots, reachRoot{
 					pos:  n.Pos(),
 					desc: "a closure",
 					what: "function literal capturing " + capt,
@@ -251,15 +140,15 @@ func summariseAllocs(pass *Pass, body *ast.BlockStmt, fi *haFunc) {
 			}
 			return false
 		case *ast.CallExpr:
-			summariseCall(pass, n, fi)
+			summariseCall(pass, n, fn)
 		case *ast.CompositeLit:
 			if desc, what, ok := compositeAllocates(pass, n); ok {
-				fi.allocs = append(fi.allocs, allocAt{pos: n.Pos(), desc: desc, what: what})
+				fn.roots = append(fn.roots, reachRoot{pos: n.Pos(), desc: desc, what: what})
 			}
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
 				if lit, ok := ast.Unparen(n.X).(*ast.CompositeLit); ok {
-					fi.allocs = append(fi.allocs, allocAt{
+					fn.roots = append(fn.roots, reachRoot{
 						pos:  n.Pos(),
 						desc: "a composite literal",
 						what: "&" + typeLabel(pass, lit) + "{...}",
@@ -269,23 +158,21 @@ func summariseAllocs(pass *Pass, body *ast.BlockStmt, fi *haFunc) {
 				}
 			}
 		case *ast.AssignStmt:
-			summariseBoxingAssign(pass, n, fi)
+			summariseBoxingAssign(pass, n, fn)
 		}
 		return true
 	})
-	sort.Slice(fi.allocs, func(i, j int) bool { return fi.allocs[i].pos < fi.allocs[j].pos })
-	sort.Slice(fi.calls, func(i, j int) bool { return fi.calls[i].pos < fi.calls[j].pos })
 }
 
 // summariseCall classifies one call expression: builtin allocators,
 // string conversions, interface-boxing arguments, or a plain outgoing
 // call edge.
-func summariseCall(pass *Pass, call *ast.CallExpr, fi *haFunc) {
+func summariseCall(pass *Pass, call *ast.CallExpr, fn *reachFunc) {
 	// Conversions: string <-> []byte/[]rune copy their operand.
 	if tv, ok := pass.Info.Types[call.Fun]; ok && tv.IsType() {
 		if len(call.Args) == 1 {
 			if from, to, bad := stringConversion(tv.Type, pass.TypeOf(call.Args[0])); bad {
-				fi.allocs = append(fi.allocs, allocAt{
+				fn.roots = append(fn.roots, reachRoot{
 					pos:  call.Pos(),
 					desc: "a string conversion",
 					what: "conversion from " + from + " to " + to,
@@ -298,12 +185,12 @@ func summariseCall(pass *Pass, call *ast.CallExpr, fi *haFunc) {
 		if _, isBuiltin := pass.Info.Uses[id].(*types.Builtin); isBuiltin {
 			switch id.Name {
 			case "make":
-				fi.allocs = append(fi.allocs, allocAt{pos: call.Pos(), desc: "a make call", what: "make(" + typeLabelOf(pass, call) + ")"})
+				fn.roots = append(fn.roots, reachRoot{pos: call.Pos(), desc: "a make call", what: "make(" + typeLabelOf(pass, call) + ")"})
 			case "new":
-				fi.allocs = append(fi.allocs, allocAt{pos: call.Pos(), desc: "a new call", what: "new(...)"})
+				fn.roots = append(fn.roots, reachRoot{pos: call.Pos(), desc: "a new call", what: "new(...)"})
 			case "append":
 				if appendStartsFresh(call) {
-					fi.allocs = append(fi.allocs, allocAt{
+					fn.roots = append(fn.roots, reachRoot{
 						pos:  call.Pos(),
 						desc: "an append onto a fresh slice",
 						what: "append onto a non-reused slice",
@@ -313,12 +200,12 @@ func summariseCall(pass *Pass, call *ast.CallExpr, fi *haFunc) {
 			return
 		}
 	}
-	fn := calleeFunc(pass, call)
-	if fn == nil {
+	callee := calleeFunc(pass, call)
+	if callee == nil {
 		return // dynamic call through a func value or interface: no summary
 	}
-	fi.calls = append(fi.calls, callAt{pos: call.Pos(), callee: fn})
-	summariseBoxingArgs(pass, call, fn, fi)
+	fn.calls = append(fn.calls, reachCall{pos: call.Pos(), callee: callee})
+	summariseBoxingArgs(pass, call, callee, fn)
 }
 
 // appendStartsFresh reports whether an append call builds a new slice
@@ -348,12 +235,12 @@ func appendStartsFresh(call *ast.CallExpr) bool {
 // values convert to interface parameters (each such conversion heap-
 // allocates the boxed copy). Pointer-shaped values (pointers, maps,
 // channels, funcs) ride in the interface word for free.
-func summariseBoxingArgs(pass *Pass, call *ast.CallExpr, fn *types.Func, fi *haFunc) {
-	sig, _ := fn.Type().(*types.Signature)
+func summariseBoxingArgs(pass *Pass, call *ast.CallExpr, callee *types.Func, fn *reachFunc) {
+	sig, _ := callee.Type().(*types.Signature)
 	if sig == nil {
 		return
 	}
-	if stdlibAllocDesc(fn) != "" {
+	if stdlibAllocDesc(callee) != "" {
 		return // the call itself is already flagged; boxing is implied
 	}
 	n := sig.Params().Len()
@@ -380,7 +267,7 @@ func summariseBoxingArgs(pass *Pass, call *ast.CallExpr, fn *types.Func, fi *haF
 		if at == nil || !boxingAllocates(at) {
 			continue
 		}
-		fi.allocs = append(fi.allocs, allocAt{
+		fn.roots = append(fn.roots, reachRoot{
 			pos:  arg.Pos(),
 			desc: "an interface conversion",
 			what: "argument " + types.ExprString(arg) + " boxed into " + pt.String(),
@@ -390,7 +277,7 @@ func summariseBoxingArgs(pass *Pass, call *ast.CallExpr, fn *types.Func, fi *haF
 
 // summariseBoxingAssign flags `var x any = concrete` style stores into
 // interface-typed targets.
-func summariseBoxingAssign(pass *Pass, a *ast.AssignStmt, fi *haFunc) {
+func summariseBoxingAssign(pass *Pass, a *ast.AssignStmt, fn *reachFunc) {
 	if len(a.Lhs) != len(a.Rhs) {
 		return
 	}
@@ -409,7 +296,7 @@ func summariseBoxingAssign(pass *Pass, a *ast.AssignStmt, fi *haFunc) {
 		if rt == nil || !boxingAllocates(rt) {
 			continue
 		}
-		fi.allocs = append(fi.allocs, allocAt{
+		fn.roots = append(fn.roots, reachRoot{
 			pos:  a.Rhs[i].Pos(),
 			desc: "an interface conversion",
 			what: types.ExprString(a.Rhs[i]) + " boxed into " + lt.String(),

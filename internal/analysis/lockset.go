@@ -84,8 +84,7 @@ func syncLockMethod(pass *Pass, call *ast.CallExpr) (key string, acquire, ok boo
 }
 
 // nodeLockEvents collects the lock events of one CFG node in position
-// order. Function literals are skipped: they run later, if at all. A
-// defer contributes only its unlocks, direct or inside a deferred
+// order, walking it with cfg.Inspect. A defer contributes only its unlocks, direct or inside a deferred
 // literal, marked deferred. Calls into functions whose facts carry
 // acquires or releases count when facts is non-nil.
 func nodeLockEvents(pass *Pass, n ast.Node, facts func(fn *types.Func) *LockFact) []*lockEvent {
@@ -95,10 +94,8 @@ func nodeLockEvents(pass *Pass, n ast.Node, facts func(fn *types.Func) *LockFact
 			events = append(events, &lockEvent{pos: call.Pos(), release: []string{key}, deferred: true})
 		}
 	}
-	ast.Inspect(n, func(x ast.Node) bool {
+	cfg.Inspect(n, func(x ast.Node) bool {
 		switch x := x.(type) {
-		case *ast.FuncLit:
-			return false
 		case *ast.DeferStmt:
 			if lit, isLit := ast.Unparen(x.Call.Fun).(*ast.FuncLit); isLit {
 				ast.Inspect(lit.Body, func(y ast.Node) bool {
@@ -215,9 +212,10 @@ func (f lockFlow) solve(g *cfg.Graph, entry lockSet) cfg.Result[lockSet] {
 
 // replay walks the solved flow block by block and node by node. It
 // merges each node's lock events with the probes probesOf returns for
-// the node (sorted by position) in position order, a lock event first
-// at a tie, and calls visit with the held set as it stood just before
-// each event. visit sees every lock event, deferred ones included,
+// the node (sorted by position) in position order, and calls visit with
+// the held set as it stood just before each event. At a tie the probe
+// goes first: a call's requires-held probe is checked against the locks
+// held when the call starts, before the call's own lock events. visit sees every lock event, deferred ones included,
 // before it applies; it must not keep or mutate held.
 func (f lockFlow) replay(g *cfg.Graph, res cfg.Result[lockSet], probesOf func(ast.Node) []probe, visit func(held lockSet, ev probe)) {
 	for _, b := range g.Reachable() {
@@ -233,7 +231,7 @@ func (f lockFlow) replay(g *cfg.Graph, res cfg.Result[lockSet], probesOf func(as
 				probes = probesOf(n)
 			}
 			for len(locks) > 0 || len(probes) > 0 {
-				if len(locks) > 0 && (len(probes) == 0 || locks[0].pos <= probes[0].Pos()) {
+				if len(locks) > 0 && (len(probes) == 0 || locks[0].pos < probes[0].Pos()) {
 					visit(held, locks[0])
 					f.apply(held, locks[0], n.Pos())
 					locks = locks[1:]

@@ -146,3 +146,32 @@ func (c *counter) suppressed() int {
 	//ecolint:ignore guardedby single-writer snapshot read, torn int acceptable for display
 	return c.n // ok: suppressed with a reason
 }
+
+// --- lock sets across a range loop and a releasing helper -----------
+
+// lockInLoop locks only on an iteration that may never run: an empty xs
+// reaches the read with nothing held.
+func (c *counter) lockInLoop(xs []bool) int {
+	for _, x := range xs {
+		if x {
+			c.mu.Lock()
+			break
+		}
+	}
+	v := c.n // want `guarded field c\.n is read without holding c\.mu`
+	c.mu.Unlock()
+	return v
+}
+
+// finishLocked requires c.mu held and releases it on the way out.
+func (c *counter) finishLocked() {
+	c.n++
+	c.mu.Unlock()
+}
+
+// lockThenFinish holds c.mu when the call starts; the helper's release
+// happens after its requirement is met.
+func (c *counter) lockThenFinish() {
+	c.mu.Lock()
+	c.finishLocked() // ok: c.mu held at the call
+}

@@ -103,6 +103,10 @@ func keyOf(cfg Config) cacheKey {
 	}
 }
 
+// defaultPrism is the PLA prism shared by every link built without an
+// explicit Prism; channels only read it.
+var defaultPrism = material.PLA()
+
 // normalize applies New's defaulting rules so cache keys are canonical.
 func normalize(cfg Config) Config {
 	if cfg.SampleRate == 0 {
@@ -112,7 +116,7 @@ func normalize(cfg Config) Config {
 		cfg.CarrierFrequency = 230 * units.KHz
 	}
 	if cfg.Prism == nil {
-		cfg.Prism = material.PLA()
+		cfg.Prism = defaultPrism
 	}
 	return cfg
 }
@@ -158,7 +162,6 @@ func NewCache() *Cache {
 //
 //ecolint:hotpath warm lookups must stay O(1) in allocations
 func (cc *Cache) Channel(cfg Config) (*Channel, error) {
-	//ecolint:ignore hotalloc defaulting builds the PLA prism descriptor only when the caller left Prism nil
 	cfg = normalize(cfg)
 	if cfg.Structure == nil {
 		//ecolint:ignore hotalloc cold error path, never taken on a warm lookup

@@ -358,3 +358,53 @@ func TestCacheSeedIndependence(t *testing.T) {
 		t.Error("different seeds produced identical noise — noise source is shared")
 	}
 }
+
+// TestCacheDefaultPrismMatchesExplicitPLA pins the shared default prism: a
+// config that leaves Prism nil must key, hit and transmit exactly like one
+// that passes an explicit material.PLA(), and every such link must share
+// one default prism rather than build its own.
+func TestCacheDefaultPrismMatchesExplicitPLA(t *testing.T) {
+	implicit := cacheCfg()
+	explicit := cacheCfg()
+	explicit.Prism = material.PLA()
+	if keyOf(normalize(implicit)) != keyOf(normalize(explicit)) {
+		t.Fatal("nil-Prism config keys differently from an explicit PLA prism")
+	}
+	if normalize(implicit).Prism != normalize(cacheCfg()).Prism {
+		t.Fatal("each nil-Prism link builds its own default prism; want one shared value")
+	}
+
+	cc := NewCache()
+	viaNil, err := cc.Channel(implicit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaPLA, err := cc.Channel(explicit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cc.Stats(); st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("stats after nil then explicit prism = %+v, want 1 hit / 1 miss / 1 entry", st)
+	}
+	plainNil, err := New(implicit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plainPLA, err := New(explicit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := testBurst(20000, 9)
+	want := plainPLA.Transmit(x)
+	for name, c := range map[string]*Channel{"cached nil": viaNil, "cached PLA": viaPLA, "plain nil": plainNil} {
+		got := c.Transmit(x)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d samples, want %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: sample %d = %v, want %v", name, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -152,15 +152,14 @@ go test -race -count=2 -cpu 1,2,4 -run 'DecodeOutcomes|BERParity|Decimat' \
 stage_done
 
 # Cross-check: the hotalloc lint and the runtime AllocsPerRun tests must
-# agree that the PR-7 warm decode path is allocation-free. The lint
-# proves it for every control-flow path of every //ecolint:hotpath
-# function; the tests measure it on real inputs. A clean lint with a
-# failing test means the analyzer went blind; a clean test with lint
-# findings means an unvetted allocation crept onto a path the test
-# doesn't drive. Either way the invariant is gone and the gate fails.
-stage "hotalloc vs AllocsPerRun cross-check (warm decode path)"
-/tmp/ecolint.verify -only hotalloc \
-	./internal/phy ./internal/dsp ./internal/coding ./internal/channel
+# agree that the PR-7 warm decode path is allocation-free. The lint half
+# is the ecolint stage above: it proves every control-flow path of every
+# //ecolint:hotpath function in the tree, and the registration stage
+# proves hotalloc ran there. This stage is the measuring half: the
+# AllocsPerRun tests on real inputs. A clean lint with a failing test
+# means the analyzer went blind; either failing means the invariant is
+# gone and the gate fails.
+stage "AllocsPerRun half of the hotalloc cross-check (warm decode path)"
 go test -run 'ZeroAlloc' -count=1 ./internal/phy ./internal/dsp ./internal/coding
 stage_done
 
