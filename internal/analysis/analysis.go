@@ -90,24 +90,40 @@ type ignoreEntry struct {
 	pos       token.Position
 }
 
+// A directive is one //ecolint:<name> comment: the fields after the
+// name, and the comment's position.
+type directive struct {
+	args []string
+	pos  token.Pos
+}
+
+// directivesIn returns, in order, every comment of cg that starts with
+// prefix once surrounding space is trimmed.
+func directivesIn(cg *ast.CommentGroup, prefix string) []directive {
+	if cg == nil {
+		return nil
+	}
+	var out []directive
+	for _, c := range cg.List {
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(c.Text), prefix); ok {
+			out = append(out, directive{args: strings.Fields(rest), pos: c.Pos()})
+		}
+	}
+	return out
+}
+
 // collectIgnores scans a package's comments for ignore directives, keyed by
 // the line they apply to.
 func collectIgnores(fset *token.FileSet, files []*ast.File) map[ignoreKey][]ignoreEntry {
 	ignores := make(map[ignoreKey][]ignoreEntry)
 	for _, f := range files {
 		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimSpace(c.Text)
-				if !strings.HasPrefix(text, IgnoreDirective) {
+			for _, d := range directivesIn(cg, IgnoreDirective) {
+				if len(d.args) == 0 {
 					continue
 				}
-				rest := strings.TrimSpace(strings.TrimPrefix(text, IgnoreDirective))
-				fields := strings.Fields(rest)
-				if len(fields) == 0 {
-					continue
-				}
-				pos := fset.Position(c.Pos())
-				entry := ignoreEntry{analyzer: fields[0], hasReason: len(fields) > 1, pos: pos}
+				pos := fset.Position(d.pos)
+				entry := ignoreEntry{analyzer: d.args[0], hasReason: len(d.args) > 1, pos: pos}
 				// The directive covers its own line and the line below, so
 				// it works both inline and as a standalone comment above
 				// the finding.

@@ -334,19 +334,34 @@ func (b *builder) switchStmt(init ast.Stmt, tag ast.Expr, assign ast.Stmt, body 
 	// Pre-create case body blocks so fallthrough can target the next one.
 	clauses := make([]*ast.CaseClause, 0, len(body.List))
 	blocks := make([]*Block, 0, len(body.List))
-	hasDefault := false
 	for _, cc := range body.List {
-		clause := cc.(*ast.CaseClause)
-		if clause.List == nil {
-			hasDefault = true
-		}
-		clauses = append(clauses, clause)
+		clauses = append(clauses, cc.(*ast.CaseClause))
 		blocks = append(blocks, b.newBlock())
 	}
+	// An expression switch evaluates its case expressions clause by
+	// clause until one matches, so each clause's test is a block on the
+	// chain from head, and only the last test falls through to default.
+	// A type switch's cases are types: nothing runs, and head branches
+	// to every clause at once.
+	test, noMatch := head, done
 	for i, clause := range clauses {
-		blk := blocks[i]
-		b.connect(head, blk)
-		b.cur = blk
+		if clause.List == nil {
+			noMatch = blocks[i]
+			continue
+		}
+		if assign == nil {
+			b.cur = b.newBlock()
+			b.connect(test, b.cur)
+			for _, e := range clause.List {
+				b.add(e)
+			}
+			test = b.cur
+		}
+		b.connect(test, blocks[i])
+	}
+	b.connect(test, noMatch)
+	for i, clause := range clauses {
+		b.cur = blocks[i]
 		savedFT := b.fallthroughTo
 		if i+1 < len(blocks) {
 			b.fallthroughTo = blocks[i+1]
@@ -356,9 +371,6 @@ func (b *builder) switchStmt(init ast.Stmt, tag ast.Expr, assign ast.Stmt, body 
 		b.stmtList(clause.Body)
 		b.fallthroughTo = savedFT
 		b.jump(done)
-	}
-	if !hasDefault {
-		b.connect(head, done)
 	}
 	b.popBreak()
 	b.cur = done
@@ -497,6 +509,8 @@ func nodeLabel(n ast.Node) string {
 		return "defer"
 	case *ast.Ident:
 		return n.Name
+	case *ast.BasicLit:
+		return n.Value
 	case *ast.BinaryExpr, *ast.UnaryExpr, *ast.CallExpr:
 		return "cond"
 	case *ast.DeclStmt:

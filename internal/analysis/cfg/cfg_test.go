@@ -60,7 +60,17 @@ func TestGraphShapes(t *testing.T) {
 		{
 			name: "switch-fallthrough",
 			body: "switch x() {\ncase 1:\na()\nfallthrough\ncase 2:\nb()\ndefault:\nc()\n}\nd()",
-			want: "b0: cond -> b3 b4 b5\nb3: a() -> b4\nb4: b() -> b2\nb2: d() -> b1\nb1 -> halt\nb5: c() -> b2\n",
+			want: "b0: cond -> b6\nb6: 1 -> b3 b7\nb3: a() -> b4\nb4: b() -> b2\nb2: d() -> b1\nb1 -> halt\nb7: 2 -> b4 b5\nb5: c() -> b2\n",
+		},
+		{
+			name: "switch-default-first",
+			body: "switch {\ndefault:\na()\ncase c(), d():\nb()\n}",
+			want: "b0 -> b5\nb5: cond cond -> b4 b3\nb4: b() -> b2\nb2 -> b1\nb1 -> halt\nb3: a() -> b2\n",
+		},
+		{
+			name: "typeswitch-cases-unevaluated",
+			body: "switch v := x().(type) {\ndefault:\na(v)\ncase int:\nb()\n}",
+			want: "b0: assign -> b4 b3\nb4: b() -> b2\nb2 -> b1\nb1 -> halt\nb3: a() -> b2\n",
 		},
 		{
 			name: "panic-terminates",

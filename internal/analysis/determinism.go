@@ -25,10 +25,10 @@ const DeterministicDirective = "//ecolint:deterministic"
 // tainted code without re-walking it.
 type NondetFact struct {
 	// Source is the root cause, e.g. "time.Now" or "map iteration order".
-	Source string `json:"source"`
+	Source string
 	// Via is the function that holds the source (its body makes the
 	// call or the map range), "" when the carrier holds it itself.
-	Via string `json:"via,omitempty"`
+	Via string
 }
 
 // AFact marks NondetFact as a fact.
@@ -114,7 +114,12 @@ func runDeterminism(pass *Pass) {
 	// Facts are computed and exported for every package — marked or not —
 	// so that deterministic dependents can see taint through ordinary
 	// helper packages. Reporting happens only in marked packages.
-	marked := hasDirective(pass.Files, DeterministicDirective)
+	marked := false
+	for _, f := range pass.Files {
+		for _, cg := range f.Comments {
+			marked = marked || len(directivesIn(cg, DeterministicDirective)) > 0
+		}
+	}
 	runReach(pass, determinismReach, func(*reachFunc) bool { return marked })
 }
 
@@ -188,21 +193,6 @@ func isSinkCall(pass *Pass, call *ast.CallExpr) bool {
 	if fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
 		name := fn.Name()
 		return strings.HasPrefix(name, "Print") || strings.HasPrefix(name, "Fprint")
-	}
-	return false
-}
-
-// hasDirective reports whether any comment in the files is exactly the
-// directive (modulo trailing text).
-func hasDirective(files []*ast.File, directive string) bool {
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if strings.HasPrefix(strings.TrimSpace(c.Text), directive) {
-					return true
-				}
-			}
-		}
 	}
 	return false
 }

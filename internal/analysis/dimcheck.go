@@ -248,14 +248,14 @@ func dimSqrt(d dim) dim {
 
 // UnitFact carries the //ecolint:unit annotations of one package-level
 // object across package boundaries: Dim for vars and consts, Params and
-// Results for functions (Results aligned with the result tuple, ""
-// meaning unannotated), Fields for struct types (filed on the TypeName,
-// keyed by field name).
+// Results for functions (Results aligned with the result tuple, the
+// unknown dimension meaning unannotated), Fields for struct types (filed
+// on the TypeName, keyed by field name).
 type UnitFact struct {
-	Dim     string            `json:"dim,omitempty"`
-	Params  map[string]string `json:"params,omitempty"`
-	Results []string          `json:"results,omitempty"`
-	Fields  map[string]string `json:"fields,omitempty"`
+	Dim     dim
+	Params  map[string]dim
+	Results []dim
+	Fields  map[string]dim
 }
 
 // AFact marks UnitFact as a fact.
@@ -282,17 +282,13 @@ type funcUnits struct {
 	results   []dim
 }
 
-// unitTable holds the pass-local annotation tables plus caches of
-// imported facts.
+// unitTable holds the pass-local annotation tables; imported objects
+// resolve through their UnitFacts.
 type unitTable struct {
 	pass   *Pass
 	vars   map[types.Object]dim
 	fields map[*types.Var]dim
 	funcs  map[*types.Func]*funcUnits
-
-	importedObj   map[types.Object]dim // resolved var/const facts (dimBottom = none)
-	importedType  map[*types.TypeName]*UnitFact
-	importedFuncs map[*types.Func]*funcUnits // nil = no fact
 }
 
 // dimEnv is the dataflow lattice: the dimension of each local on every
@@ -318,29 +314,6 @@ func joinDimEnv(dst, src dimEnv) (dimEnv, bool) {
 	return dst, changed
 }
 
-// unitDirectivesIn lists every unit directive of a comment group with
-// its position.
-type unitDirective struct {
-	args []string
-	pos  token.Pos
-}
-
-func unitDirectivesIn(cg *ast.CommentGroup) []unitDirective {
-	if cg == nil {
-		return nil
-	}
-	var out []unitDirective
-	for _, c := range cg.List {
-		text := strings.TrimSpace(c.Text)
-		if !strings.HasPrefix(text, UnitDirective) {
-			continue
-		}
-		rest := strings.TrimSpace(strings.TrimPrefix(text, UnitDirective))
-		out = append(out, unitDirective{args: strings.Fields(rest), pos: c.Pos()})
-	}
-	return out
-}
-
 // parseDeclaredDim parses the dim token of a field/var directive,
 // reporting malformed grammar.
 func (ut *unitTable) parseDeclaredDim(args []string, pos token.Pos) (dim, bool) {
@@ -360,13 +333,10 @@ func (ut *unitTable) parseDeclaredDim(args []string, pos token.Pos) (dim, bool) 
 // fills the local tables and exports the corresponding facts.
 func collectUnits(pass *Pass) *unitTable {
 	ut := &unitTable{
-		pass:          pass,
-		vars:          make(map[types.Object]dim),
-		fields:        make(map[*types.Var]dim),
-		funcs:         make(map[*types.Func]*funcUnits),
-		importedObj:   make(map[types.Object]dim),
-		importedType:  make(map[*types.TypeName]*UnitFact),
-		importedFuncs: make(map[*types.Func]*funcUnits),
+		pass:   pass,
+		vars:   make(map[types.Object]dim),
+		fields: make(map[*types.Var]dim),
+		funcs:  make(map[*types.Func]*funcUnits),
 	}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
@@ -407,8 +377,7 @@ func collectUnits(pass *Pass) *unitTable {
 }
 
 func (ut *unitTable) collectValueSpec(vs *ast.ValueSpec, doc *ast.CommentGroup) {
-	dirs := unitDirectivesIn(doc)
-	dirs = append(dirs, unitDirectivesIn(vs.Comment)...)
+	dirs := append(directivesIn(doc, UnitDirective), directivesIn(vs.Comment, UnitDirective)...)
 	if len(dirs) == 0 {
 		return
 	}
@@ -422,15 +391,14 @@ func (ut *unitTable) collectValueSpec(vs *ast.ValueSpec, doc *ast.CommentGroup) 
 			continue
 		}
 		ut.vars[obj] = d
-		ut.pass.ExportObjectFact(obj, &UnitFact{Dim: d.String()})
+		ut.pass.ExportObjectFact(obj, &UnitFact{Dim: d})
 	}
 }
 
 func (ut *unitTable) collectStructUnits(ts *ast.TypeSpec, st *ast.StructType) {
-	fact := &UnitFact{Fields: make(map[string]string)}
+	fact := &UnitFact{Fields: make(map[string]dim)}
 	for _, field := range st.Fields.List {
-		dirs := unitDirectivesIn(field.Doc)
-		dirs = append(dirs, unitDirectivesIn(field.Comment)...)
+		dirs := append(directivesIn(field.Doc, UnitDirective), directivesIn(field.Comment, UnitDirective)...)
 		if len(dirs) == 0 {
 			continue
 		}
@@ -441,7 +409,7 @@ func (ut *unitTable) collectStructUnits(ts *ast.TypeSpec, st *ast.StructType) {
 		for _, name := range field.Names {
 			if v, _ := ut.pass.Info.Defs[name].(*types.Var); v != nil {
 				ut.fields[v] = d
-				fact.Fields[name.Name] = d.String()
+				fact.Fields[name.Name] = d
 			}
 		}
 	}
@@ -454,7 +422,7 @@ func (ut *unitTable) collectStructUnits(ts *ast.TypeSpec, st *ast.StructType) {
 }
 
 func (ut *unitTable) collectFuncUnits(fd *ast.FuncDecl) {
-	dirs := unitDirectivesIn(fd.Doc)
+	dirs := directivesIn(fd.Doc, UnitDirective)
 	if len(dirs) == 0 {
 		return
 	}
@@ -513,16 +481,7 @@ func (ut *unitTable) collectFuncUnits(fd *ast.FuncDecl) {
 		return
 	}
 	ut.funcs[obj] = fu
-	fact := &UnitFact{Params: make(map[string]string), Results: make([]string, len(fu.results))}
-	for name, d := range fu.params {
-		fact.Params[name] = d.String()
-	}
-	for i, d := range fu.results {
-		if d.concrete() {
-			fact.Results[i] = d.String()
-		}
-	}
-	ut.pass.ExportObjectFact(obj, fact)
+	ut.pass.ExportObjectFact(obj, &UnitFact{Params: fu.params, Results: fu.results})
 }
 
 func anyConcrete(dims []dim) bool {
@@ -537,32 +496,9 @@ func anyConcrete(dims []dim) bool {
 // importedVarDim resolves the declared dimension of an imported
 // package-level var/const through its UnitFact.
 func (ut *unitTable) importedVarDim(obj types.Object) (dim, bool) {
-	if d, ok := ut.importedObj[obj]; ok {
-		return d, d.kind != dimBottom
-	}
 	var fact UnitFact
-	d := dim{}
-	if ut.pass.ImportObjectFact(obj, &fact) && fact.Dim != "" {
-		if parsed, ok := parseDim(fact.Dim); ok {
-			d = parsed
-		}
-	}
-	ut.importedObj[obj] = d
-	return d, d.kind != dimBottom
-}
-
-// typeUnitFact fetches (caching) the UnitFact of a type name.
-func (ut *unitTable) typeUnitFact(tn *types.TypeName) *UnitFact {
-	if fact, ok := ut.importedType[tn]; ok {
-		return fact
-	}
-	var f UnitFact
-	var fact *UnitFact
-	if ut.pass.ImportObjectFact(tn, &f) {
-		fact = &f
-	}
-	ut.importedType[tn] = fact
-	return fact
+	ut.pass.ImportObjectFact(obj, &fact)
+	return fact.Dim, fact.Dim.concrete()
 }
 
 // fieldDimByName resolves the declared dimension of named's field,
@@ -582,15 +518,10 @@ func (ut *unitTable) fieldDimByName(named *types.Named, name string) (dim, bool)
 		}
 		break
 	}
-	fact := ut.typeUnitFact(named.Obj())
-	if fact == nil {
-		return dim{}, false
-	}
-	text, ok := fact.Fields[name]
-	if !ok {
-		return dim{}, false
-	}
-	return parseDim(text)
+	var fact UnitFact
+	ut.pass.ImportObjectFact(named.Obj(), &fact)
+	d, ok := fact.Fields[name]
+	return d, ok
 }
 
 // fieldDim resolves a selected field's dimension.
@@ -617,29 +548,11 @@ func (ut *unitTable) calleeUnits(fn *types.Func) *funcUnits {
 	if fn.Pkg() == ut.pass.Pkg {
 		return nil
 	}
-	if fu, ok := ut.importedFuncs[fn]; ok {
-		return fu
-	}
 	var fact UnitFact
-	var fu *funcUnits
-	if ut.pass.ImportObjectFact(fn, &fact) && (len(fact.Params) > 0 || len(fact.Results) > 0) {
-		fu = &funcUnits{params: make(map[string]dim), results: make([]dim, len(fact.Results))}
-		for name, text := range fact.Params {
-			if d, ok := parseDim(text); ok {
-				fu.params[name] = d
-			}
-		}
-		for i, text := range fact.Results {
-			if text == "" {
-				continue
-			}
-			if d, ok := parseDim(text); ok {
-				fu.results[i] = d
-			}
-		}
+	if !ut.pass.ImportObjectFact(fn, &fact) {
+		return nil
 	}
-	ut.importedFuncs[fn] = fu
-	return fu
+	return &funcUnits{params: fact.Params, results: fact.Results}
 }
 
 // mathTransparent lists math functions whose result carries their

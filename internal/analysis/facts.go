@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"encoding/json"
-	"fmt"
 	"go/types"
 	"reflect"
 	"sync"
@@ -14,21 +12,23 @@ import (
 // packages in dependency order, so by the time a pass asks for a fact
 // on an imported object, the defining package's pass has already run.
 //
-// Facts must be JSON-serialisable: the fact table stores them in
-// encoded form, so an importer always decodes a fresh copy and can
-// never alias or mutate the exporter's value.
+// A fact is a pointer to a struct, and the table keeps the value its
+// analyzer exported. ImportObjectFact copies that struct into the
+// importer's value, so scalar fields are the importer's own, but map and
+// slice fields are shared with the exporter and with every other
+// importer: once a fact is exported, neither side may write to them.
 type Fact interface {
 	// AFact is a marker method; it has no behaviour.
 	AFact()
 }
 
 // factKey names one fact: the defining package, the object within it,
-// and the fact's Go type name (one object may carry facts from several
+// and the fact's Go type (one object may carry facts from several
 // analyzers).
 type factKey struct {
 	pkg string
 	obj string
-	typ string
+	typ reflect.Type
 }
 
 // Facts is the cross-package fact table shared by every pass of one
@@ -39,20 +39,12 @@ type factKey struct {
 // depend on goroutine interleaving.
 type Facts struct {
 	mu sync.RWMutex
-	m  map[factKey]json.RawMessage
+	m  map[factKey]Fact
 }
 
 // NewFacts returns an empty fact table.
 func NewFacts() *Facts {
-	return &Facts{m: make(map[factKey]json.RawMessage)}
-}
-
-func factTypeName(f Fact) string {
-	t := reflect.TypeOf(f)
-	for t.Kind() == reflect.Pointer {
-		t = t.Elem()
-	}
-	return t.Name()
+	return &Facts{m: make(map[factKey]Fact)}
 }
 
 // ObjectKey returns the stable intra-package name for a package-level
@@ -93,31 +85,26 @@ func ObjectKey(o types.Object) (string, bool) {
 // export records a fact for (pkg, objKey). First write wins, which
 // keeps the table deterministic when the same package is analyzed
 // twice (once for facts, once with its test files merged in).
-func (t *Facts) export(pkg, obj string, f Fact) error {
-	data, err := json.Marshal(f)
-	if err != nil {
-		return fmt.Errorf("analysis: encoding fact %T for %s.%s: %w", f, pkg, obj, err)
-	}
-	k := factKey{pkg: pkg, obj: obj, typ: factTypeName(f)}
+func (t *Facts) export(pkg, obj string, f Fact) {
+	k := factKey{pkg: pkg, obj: obj, typ: reflect.TypeOf(f)}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if _, ok := t.m[k]; !ok {
-		t.m[k] = data
+		t.m[k] = f
 	}
-	return nil
 }
 
-// lookup decodes the fact for (pkg, objKey) into f, reporting whether
+// lookup copies the fact for (pkg, objKey) into f, reporting whether
 // one was present.
 func (t *Facts) lookup(pkg, obj string, f Fact) bool {
-	k := factKey{pkg: pkg, obj: obj, typ: factTypeName(f)}
+	k := factKey{pkg: pkg, obj: obj, typ: reflect.TypeOf(f)}
 	t.mu.RLock()
-	data, ok := t.m[k]
+	stored, ok := t.m[k]
 	t.mu.RUnlock()
-	if !ok {
-		return false
+	if ok {
+		reflect.ValueOf(f).Elem().Set(reflect.ValueOf(stored).Elem())
 	}
-	return json.Unmarshal(data, f) == nil
+	return ok
 }
 
 // ExportObjectFact publishes a fact about obj (which must be a
@@ -135,13 +122,12 @@ func (p *Pass) ExportObjectFact(obj types.Object, f Fact) {
 	// Facts are filed under the pass's own package path so that the
 	// test-augmented variant of a package (checked under the same import
 	// path) lands on the same keys as the plain variant.
-	if err := p.Facts.export(p.Pkg.Path(), key, f); err != nil {
-		p.report(Diagnostic{Analyzer: p.Analyzer.Name, Message: err.Error()})
-	}
+	p.Facts.export(p.Pkg.Path(), key, f)
 }
 
-// ImportObjectFact fills f with the fact of f's type previously
-// exported about obj, reporting whether one exists. It works for
+// ImportObjectFact fills f with a copy of the fact of f's type
+// previously exported about obj, reporting whether one exists; the
+// copy shares the stored fact's maps and slices (see Fact). It works for
 // objects of the current package and of its (transitive) dependencies.
 func (p *Pass) ImportObjectFact(obj types.Object, f Fact) bool {
 	if p.Facts == nil || obj == nil || obj.Pkg() == nil {

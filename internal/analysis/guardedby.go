@@ -38,10 +38,10 @@ const GuardedByDirective = "//ecolint:guardedby"
 // exported guarded fields.
 type GuardedByFact struct {
 	// Fields maps annotated field name -> guard field name.
-	Fields map[string]string `json:"fields"`
+	Fields map[string]string
 	// RWGuards marks guard fields that are sync.RWMutex (read accesses
 	// may hold either half).
-	RWGuards map[string]bool `json:"rwGuards,omitempty"`
+	RWGuards map[string]bool
 }
 
 // AFact marks GuardedByFact as a fact.
@@ -90,39 +90,18 @@ func mutexKind(t types.Type) (isMutex, isRW bool) {
 	return false, false
 }
 
-// guardTable holds the annotation tables for one pass: local fields by
-// object, plus a cache of imported per-type facts.
+// guardTable holds the local annotation table for one pass, by field
+// object; imported fields resolve through their type's GuardedByFact.
 type guardTable struct {
-	pass     *Pass
-	local    map[*types.Var]guardRef
-	imported map[*types.TypeName]*GuardedByFact // nil value = no fact
-}
-
-// directiveArgs extracts the arguments of directive from a comment
-// group, reporting whether the directive is present.
-func directiveArgs(cg *ast.CommentGroup, directive string) ([]string, bool) {
-	if cg == nil {
-		return nil, false
-	}
-	for _, c := range cg.List {
-		text := strings.TrimSpace(c.Text)
-		if strings.HasPrefix(text, directive) {
-			rest := strings.TrimSpace(strings.TrimPrefix(text, directive))
-			return strings.Fields(rest), true
-		}
-	}
-	return nil, false
+	pass  *Pass
+	local map[*types.Var]guardRef
 }
 
 // collectGuards scans the package's struct declarations for guardedby
 // annotations, validates them, fills the local table and exports one
 // GuardedByFact per annotated type.
 func collectGuards(pass *Pass) *guardTable {
-	gt := &guardTable{
-		pass:     pass,
-		local:    make(map[*types.Var]guardRef),
-		imported: make(map[*types.TypeName]*GuardedByFact),
-	}
+	gt := &guardTable{pass: pass, local: make(map[*types.Var]guardRef)}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
@@ -161,14 +140,12 @@ func (gt *guardTable) collectStruct(pass *Pass, ts *ast.TypeSpec, st *ast.Struct
 	}
 	fact := &GuardedByFact{Fields: make(map[string]string)}
 	for _, field := range st.Fields.List {
-		args, found := directiveArgs(field.Doc, GuardedByDirective)
-		if !found {
-			args, found = directiveArgs(field.Comment, GuardedByDirective)
-		}
-		if !found {
+		dirs := append(directivesIn(field.Doc, GuardedByDirective), directivesIn(field.Comment, GuardedByDirective)...)
+		if len(dirs) == 0 {
 			continue
 		}
 		pos := field.Pos()
+		args := dirs[0].args
 		if len(args) == 0 {
 			pass.Reportf(pos, "guardedby directive names no mutex field (//ecolint:guardedby <mutexField>)")
 			continue
@@ -231,16 +208,8 @@ func (gt *guardTable) guardOf(sel *ast.SelectorExpr) (ref guardRef, base string,
 	if !isNamed {
 		return guardRef{}, "", false
 	}
-	tn := named.Obj()
-	fact, cached := gt.imported[tn]
-	if !cached {
-		var f GuardedByFact
-		if gt.pass.ImportObjectFact(tn, &f) {
-			fact = &f
-		}
-		gt.imported[tn] = fact
-	}
-	if fact == nil {
+	var fact GuardedByFact
+	if !gt.pass.ImportObjectFact(named.Obj(), &fact) {
 		return guardRef{}, "", false
 	}
 	guard, annotated := fact.Fields[field.Name()]
@@ -508,10 +477,12 @@ func runGuardedBy(pass *Pass) {
 				releases: make(map[string]bool),
 				graph:    cfg.New(fd.Body),
 			}
-			args, hasDirective := requiresHeldArgs(fd)
-			if recvName != "" && (hasDirective || strings.HasSuffix(fd.Name.Name, "Locked")) {
+			dirs := directivesIn(fd.Doc, RequiresHeldDirective)
+			if recvName != "" && (len(dirs) > 0 || strings.HasSuffix(fd.Name.Name, "Locked")) {
 				fi.candidate = true
-				fi.explicit = args
+				if len(dirs) > 0 {
+					fi.explicit = dirs[0].args
+				}
 			}
 			funcs = append(funcs, fi)
 			byObj[obj] = fi

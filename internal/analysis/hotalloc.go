@@ -27,8 +27,8 @@ const HotpathDirective = "//ecolint:hotpath"
 // entry point, as Grow in `pool.Indirect ... via Grow` — and "" when the
 // function holds it itself.
 type AllocFact struct {
-	Construct string `json:"construct"`
-	Via       string `json:"via,omitempty"`
+	Construct string
+	Via       string
 }
 
 // AFact marks AllocFact as a fact.

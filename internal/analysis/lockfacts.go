@@ -24,14 +24,14 @@ import (
 type LockFact struct {
 	// Acquires lists receiver-relative locks the function holds on every
 	// return path without releasing (lock-wrapper helpers).
-	Acquires []string `json:"acquires,omitempty"`
+	Acquires []string
 	// Releases lists receiver-relative locks the function releases
 	// without having acquired them itself (unlock-wrapper helpers).
-	Releases []string `json:"releases,omitempty"`
+	Releases []string
 	// RequiresHeld lists receiver-relative locks the caller must hold
 	// around the call ("mu" demands the write lock, "mu:r" is satisfied
 	// by either half of an RWMutex).
-	RequiresHeld []string `json:"requiresHeld,omitempty"`
+	RequiresHeld []string
 }
 
 // AFact marks LockFact as a fact.
@@ -162,21 +162,3 @@ func callTarget(pass *Pass, call *ast.CallExpr) (*types.Func, string) {
 // "Locked" carry the same contract implicitly, with the required guards
 // inferred from the guarded fields they touch.
 const RequiresHeldDirective = "//ecolint:requiresheld"
-
-// requiresHeldArgs parses the directive out of a function's doc
-// comment, returning the named guards and whether a directive was
-// present at all (an argument-less directive means "infer").
-func requiresHeldArgs(fn *ast.FuncDecl) ([]string, bool) {
-	if fn.Doc == nil {
-		return nil, false
-	}
-	for _, c := range fn.Doc.List {
-		text := strings.TrimSpace(c.Text)
-		if !strings.HasPrefix(text, RequiresHeldDirective) {
-			continue
-		}
-		rest := strings.TrimSpace(strings.TrimPrefix(text, RequiresHeldDirective))
-		return strings.Fields(rest), true
-	}
-	return nil, false
-}

@@ -86,7 +86,7 @@ func runReach(pass *Pass, spec *reachSpec, inScope func(*reachFunc) bool) {
 			}
 			fn := &reachFunc{obj: obj}
 			if spec.certify != "" {
-				_, fn.certified = directiveArgs(fd.Doc, spec.certify)
+				fn.certified = len(directivesIn(fd.Doc, spec.certify)) > 0
 			}
 			spec.summarise(pass, fd.Body, fn)
 			sort.Slice(fn.roots, func(i, j int) bool { return fn.roots[i].pos < fn.roots[j].pos })

@@ -189,3 +189,12 @@ func Suppressed() float64 {
 func Scaled() float64 {
 	return carrier*2 + 1000 + badUnit*carrier
 }
+
+// CaseCompare mixes units in a case expression.
+func CaseCompare() bool {
+	switch {
+	case carrier > window: // want `unit mismatch: carrier \(hz\) > window \(s\)`
+		return true
+	}
+	return false
+}

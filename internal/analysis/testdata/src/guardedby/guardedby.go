@@ -175,3 +175,15 @@ func (c *counter) lockThenFinish() {
 	c.mu.Lock()
 	c.finishLocked() // ok: c.mu held at the call
 }
+
+// --- case expressions ------------------------------------------------
+
+// caseUnlocked reads c.n in a case expression, which runs like an if
+// condition.
+func (c *counter) caseUnlocked() bool {
+	switch {
+	case c.n > 0: // want `guarded field c\.n is read without holding c\.mu`
+		return true
+	}
+	return false
+}

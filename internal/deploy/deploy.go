@@ -10,12 +10,8 @@ import (
 	"fmt"
 	"math"
 
-	"ecocapsule/internal/channel"
-	"ecocapsule/internal/energy"
 	"ecocapsule/internal/geometry"
-	"ecocapsule/internal/physics"
 	"ecocapsule/internal/reader"
-	"ecocapsule/internal/units"
 )
 
 // Station is one planned reader attachment point.
@@ -79,23 +75,12 @@ func Cover(s *geometry.Structure, capsules []geometry.Vec3, voltage float64) (Pl
 	// Coverage is decided by the delivered PZT amplitude of the actual
 	// candidate→capsule channel, not by Euclidean distance: boundary
 	// proximity and confinement make the two disagree by tens of percent.
-	harv := energy.DefaultHarvester()
-	hraGain := physics.PaperHRA().Gain(s.Material.WaveSpeed(), 230*units.KHz)
+	powersUp := reader.PowerUpTest(s, voltage)
 	reaches := func(station, capsule geometry.Vec3) bool {
 		if station.Dist(capsule) > rng*1.3 {
 			return false // cheap pre-filter
 		}
-		ch, err := channel.New(channel.Config{
-			Structure:   s,
-			Source:      station,
-			Destination: capsule,
-			PrismAngle:  units.Deg2Rad(60),
-		})
-		if err != nil {
-			return false
-		}
-		vin := voltage * ch.PathGain() * reader.DefaultPZTCoupling * hraGain
-		return harv.CanActivate(vin)
+		return powersUp(station, capsule)
 	}
 
 	plan := Plan{Voltage: voltage}

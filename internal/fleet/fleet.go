@@ -455,7 +455,7 @@ func (f *Fleet) Charge(duration float64) int {
 	}
 	conc.Queues(counts, func(q, item int) {
 		j := jobs[q][item]
-		j.n.ExciteFor(j.amp, 230*units.KHz, cs, dt, steps)
+		j.n.ExciteFor(j.amp, reader.CarrierHz, cs, dt, steps)
 	})
 	if skipped > 0 {
 		mChargeSkipped.Add(float64(skipped))

@@ -77,7 +77,7 @@ func (r *Reader) deliverLocked(parent *telemetry.Span, p protocol.Packet, n *nod
 		if cf, ok := r.faults.(CapsuleFaults); ok && cf.Brownout(h) {
 			// The capsule loses its storage charge mid-operation: one
 			// zero-amplitude excitation step drops it back to dormant.
-			n.Excite(0, r.cfg.CarrierHz, r.cfg.Structure.Material.WaveSpeed(), brownoutStep)
+			n.Excite(0, CarrierHz, r.cfg.Structure.Material.WaveSpeed(), brownoutStep)
 			brownout = true
 		}
 		wire := p.Marshal()

@@ -34,11 +34,6 @@ type Config struct {
 	// DriveVoltage at the transmitting PZT (V); the amplifier caps at 250 V.
 	//ecolint:unit v
 	DriveVoltage float64
-	// PrismAngleDeg is the prism's incidence angle (default 60°).
-	PrismAngleDeg float64
-	// CarrierHz (default 230 kHz).
-	//ecolint:unit hz
-	CarrierHz float64
 	// Seed for deterministic behaviour.
 	Seed int64
 	// MaxOrder overrides the image-source reflection order of every channel
@@ -53,8 +48,16 @@ type Config struct {
 const MaxDriveVoltage = 250.0 //ecolint:unit v
 
 // DefaultPZTCoupling converts channel path gain × drive voltage into PZT
-// amplitude at a node; calibrated against the Fig. 12 range anchors.
+// amplitude at a node (the electro-mechanical coupling of the whole
+// chain); calibrated against the Fig. 12 range anchors.
 const DefaultPZTCoupling = 0.091
+
+// CarrierHz is the body-wave carrier every reader drives (§5.1): charging,
+// each link's channel and the acoustic round's CBW all run at it.
+const CarrierHz = 230 * units.KHz //ecolint:unit hz
+
+// prismAngleDeg is the PLA wave prism's incidence angle.
+const prismAngleDeg = 60
 
 // errNodeSilent reports an addressed node that never replied: it stayed
 // dormant, or every exchange within the retry budget was lost.
@@ -77,11 +80,6 @@ type Reader struct {
 	// env provides the physical ground truth for sensor sampling.
 	//ecolint:guardedby mu
 	env func(pos geometry.Vec3) sensors.Environment
-
-	// PZTCouplingVoltsPerUnit converts channel path gain × drive voltage
-	// into the PZT amplitude at a node (the electro-mechanical coupling
-	// of the whole chain), calibrated against the Fig. 12 anchor points.
-	PZTCouplingVoltsPerUnit float64
 
 	// faults, when non-nil, routes every frame through the fault layer.
 	//ecolint:guardedby mu
@@ -121,20 +119,13 @@ func New(cfg Config) (*Reader, error) {
 		return nil, fmt.Errorf("reader: drive voltage %.0f V exceeds the %.0f V amplifier ceiling",
 			cfg.DriveVoltage, MaxDriveVoltage)
 	}
-	if cfg.PrismAngleDeg == 0 {
-		cfg.PrismAngleDeg = 60
-	}
-	if cfg.CarrierHz == 0 {
-		cfg.CarrierHz = 230 * units.KHz
-	}
 	return &Reader{
-		cfg:                     cfg,
-		byHandle:                make(map[uint16]*node.Node),
-		chans:                   make(map[uint16]*channel.Channel),
-		env:                     func(geometry.Vec3) sensors.Environment { return sensors.Environment{} },
-		PZTCouplingVoltsPerUnit: DefaultPZTCoupling,
-		retry:                   faultinject.DefaultBackoff(),
-		links:                   channel.NewCache(),
+		cfg:      cfg,
+		byHandle: make(map[uint16]*node.Node),
+		chans:    make(map[uint16]*channel.Channel),
+		env:      func(geometry.Vec3) sensors.Environment { return sensors.Environment{} },
+		retry:    faultinject.DefaultBackoff(),
+		links:    channel.NewCache(),
 	}, nil
 }
 
@@ -169,8 +160,8 @@ func (r *Reader) Deploy(n *node.Node) error {
 		Structure:        r.cfg.Structure,
 		Source:           r.cfg.TXPosition,
 		Destination:      n.Position(),
-		CarrierFrequency: r.cfg.CarrierHz,
-		PrismAngle:       units.Deg2Rad(r.cfg.PrismAngleDeg),
+		CarrierFrequency: CarrierHz,
+		PrismAngle:       units.Deg2Rad(prismAngleDeg),
 		Seed:             r.cfg.Seed + int64(n.Handle()),
 		MaxOrder:         r.cfg.MaxOrder,
 	})
@@ -206,7 +197,7 @@ func (r *Reader) nodeAmplitudeLocked(handle uint16) (float64, error) {
 	if !ok {
 		return 0, fmt.Errorf("reader: unknown node %#04x", handle)
 	}
-	return r.cfg.DriveVoltage * ch.PathGain() * r.PZTCouplingVoltsPerUnit, nil
+	return r.cfg.DriveVoltage * ch.PathGain() * DefaultPZTCoupling, nil
 }
 
 // Charge runs the continuous body wave for the given duration, advancing
@@ -247,7 +238,7 @@ func (r *Reader) Charge(duration float64) int {
 		if amps[i] < 0 {
 			continue
 		}
-		n.ExciteFor(amps[i], r.cfg.CarrierHz, cs, dt, steps)
+		n.ExciteFor(amps[i], CarrierHz, cs, dt, steps)
 	}
 	up := 0
 	for _, n := range r.nodes {
@@ -558,33 +549,14 @@ func MaxPowerUpRange(cfg Config, voltage float64) (float64, error) {
 	if voltage <= 0 || voltage > MaxDriveVoltage {
 		return 0, fmt.Errorf("reader: voltage %g V outside (0, %g]", voltage, MaxDriveVoltage)
 	}
-	cfg.DriveVoltage = voltage
-	r, err := New(cfg)
-	if err != nil {
-		return 0, err
-	}
 	s := cfg.Structure
-	harv := energy.DefaultHarvester()
-	axisMax := s.MaxRangeAxis()
-	hraGain := physics.PaperHRA().Gain(s.Material.WaveSpeed(), r.cfg.CarrierHz)
-	// Binary search the farthest position that still activates.
-	probe := func(d float64) bool {
-		pos := probePosition(s, d)
-		ch, err := channel.New(channel.Config{
-			Structure:        s,
-			Source:           cfg.TXPosition,
-			CarrierFrequency: r.cfg.CarrierHz,
-			Destination:      pos,
-			PrismAngle:       units.Deg2Rad(r.cfg.PrismAngleDeg),
-		})
-		if err != nil {
-			return false
-		}
-		// The HRA boost applies before the threshold comparison, exactly
-		// as in the node's Excite path.
-		vin := voltage * ch.PathGain() * r.PZTCouplingVoltsPerUnit * hraGain
-		return harv.CanActivate(vin)
+	if s == nil {
+		return 0, errors.New("reader: nil structure")
 	}
+	axisMax := s.MaxRangeAxis()
+	powersUp := PowerUpTest(s, voltage)
+	// Binary search the farthest position that still activates.
+	probe := func(d float64) bool { return powersUp(cfg.TXPosition, probePosition(s, d)) }
 	if !probe(0.1) {
 		return 0, nil
 	}
@@ -601,6 +573,28 @@ func MaxPowerUpRange(cfg Config, voltage float64) (float64, error) {
 		}
 	}
 	return lo, nil
+}
+
+// PowerUpTest returns the power-up predicate of structure s at the given
+// drive voltage: whether a capsule at dst activates when a reader at tx
+// drives the carrier through the prism. The HRA boost applies before the
+// threshold comparison, exactly as in the node's Excite path.
+func PowerUpTest(s *geometry.Structure, voltage float64) func(tx, dst geometry.Vec3) bool {
+	harv := energy.DefaultHarvester()
+	hraGain := physics.PaperHRA().Gain(s.Material.WaveSpeed(), CarrierHz)
+	return func(tx, dst geometry.Vec3) bool {
+		ch, err := channel.New(channel.Config{
+			Structure:        s,
+			Source:           tx,
+			Destination:      dst,
+			CarrierFrequency: CarrierHz,
+			PrismAngle:       units.Deg2Rad(prismAngleDeg),
+		})
+		if err != nil {
+			return false
+		}
+		return harv.CanActivate(voltage * ch.PathGain() * DefaultPZTCoupling * hraGain)
+	}
 }
 
 // probePosition places the probe node d metres along the structure's long
