@@ -24,6 +24,7 @@ import (
 	"ecocapsule/internal/fleet"
 	"ecocapsule/internal/geometry"
 	"ecocapsule/internal/phy"
+	"ecocapsule/internal/physics"
 	"ecocapsule/internal/units"
 )
 
@@ -123,7 +124,7 @@ func runBenchSuite(full bool) (benchRun, error) {
 		Structure:   geometry.CommonWall(),
 		Source:      geometry.Vec3{X: 0.1, Y: 10, Z: 0},
 		Destination: geometry.Vec3{X: 2.0, Y: 10, Z: 0.1},
-		PrismAngle:  units.Deg2Rad(60),
+		PrismAngle:  units.Deg2Rad(physics.PrismAngleDeg),
 		Seed:        5,
 	})
 	if err != nil {
@@ -132,7 +133,7 @@ func runBenchSuite(full bool) (benchRun, error) {
 	const fs = units.MHz
 	x := make([]float64, int(10*units.MS*fs))
 	for i := range x {
-		x[i] = math.Sin(2 * math.Pi * 230 * units.KHz * float64(i) / fs)
+		x[i] = math.Sin(2 * math.Pi * physics.CarrierHz * float64(i) / fs)
 	}
 	var r testing.BenchmarkResult
 	e := runBench(&r, func(b *testing.B) {
@@ -152,7 +153,7 @@ func runBenchSuite(full bool) (benchRun, error) {
 	dur := float64(len(bits)*2)*btx.HalfSymbolDuration() + 2*units.MS
 	carrier := make([]float64, int(dur*fs))
 	for i := range carrier {
-		carrier[i] = math.Sin(2 * math.Pi * 230 * units.KHz * float64(i) / fs)
+		carrier[i] = math.Sin(2 * math.Pi * physics.CarrierHz * float64(i) / fs)
 	}
 	bs, err := btx.Modulate(bits, carrier)
 	if err != nil {
@@ -185,7 +186,7 @@ func runBenchSuite(full bool) (benchRun, error) {
 		Structure:   geometry.CommonWall(),
 		Source:      geometry.Vec3{X: 0.1, Y: 10, Z: 0},
 		Destination: geometry.Vec3{X: 2.0, Y: 10, Z: 0.1},
-		PrismAngle:  units.Deg2Rad(60),
+		PrismAngle:  units.Deg2Rad(physics.PrismAngleDeg),
 		Seed:        5,
 		MaxOrder:    8,
 	}

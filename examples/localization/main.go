@@ -14,6 +14,7 @@ import (
 	"ecocapsule/internal/channel"
 	"ecocapsule/internal/geometry"
 	"ecocapsule/internal/locate"
+	"ecocapsule/internal/physics"
 	"ecocapsule/internal/units"
 )
 
@@ -62,7 +63,7 @@ func main() {
 				Structure:   wall,
 				Source:      a,
 				Destination: truth,
-				PrismAngle:  units.Deg2Rad(60),
+				PrismAngle:  units.Deg2Rad(physics.PrismAngleDeg),
 			})
 			if err != nil {
 				log.Fatal(err)

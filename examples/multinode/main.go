@@ -10,7 +10,9 @@ import (
 
 	"ecocapsule"
 	"ecocapsule/internal/phy"
+	"ecocapsule/internal/physics"
 	"ecocapsule/internal/protocol"
+	"ecocapsule/internal/units"
 )
 
 func main() {
@@ -58,7 +60,7 @@ func main() {
 	// Assign each discovered capsule its own backscatter link frequency so
 	// simultaneous uplinks separate in the spectrum (Appendix C).
 	plan := phy.DefaultBLFPlan()
-	fmt.Println("BLF plan (offsets from the 230 kHz carrier):")
+	fmt.Printf("BLF plan (offsets from the %.0f kHz carrier):\n", physics.CarrierHz/units.KHz)
 	for i, h := range inv.Discovered {
 		fmt.Printf("  capsule %#04x → +%.1f kHz\n", h, plan.Offset(i)/1000)
 	}

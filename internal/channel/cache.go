@@ -37,6 +37,7 @@ import (
 	"ecocapsule/internal/dsp"
 	"ecocapsule/internal/geometry"
 	"ecocapsule/internal/material"
+	"ecocapsule/internal/physics"
 	"ecocapsule/internal/units"
 )
 
@@ -113,7 +114,7 @@ func normalize(cfg Config) Config {
 		cfg.SampleRate = 1 * units.MHz
 	}
 	if cfg.CarrierFrequency == 0 {
-		cfg.CarrierFrequency = 230 * units.KHz
+		cfg.CarrierFrequency = physics.CarrierHz
 	}
 	if cfg.Prism == nil {
 		cfg.Prism = defaultPrism

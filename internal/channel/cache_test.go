@@ -9,6 +9,7 @@ import (
 	"ecocapsule/internal/dsp"
 	"ecocapsule/internal/geometry"
 	"ecocapsule/internal/material"
+	"ecocapsule/internal/physics"
 	"ecocapsule/internal/units"
 )
 
@@ -367,36 +368,57 @@ func TestCacheDefaultPrismMatchesExplicitPLA(t *testing.T) {
 	implicit := cacheCfg()
 	explicit := cacheCfg()
 	explicit.Prism = material.PLA()
-	if keyOf(normalize(implicit)) != keyOf(normalize(explicit)) {
-		t.Fatal("nil-Prism config keys differently from an explicit PLA prism")
-	}
 	if normalize(implicit).Prism != normalize(cacheCfg()).Prism {
 		t.Fatal("each nil-Prism link builds its own default prism; want one shared value")
 	}
+	requireSameLink(t, implicit, explicit)
+}
 
+// TestCacheDefaultCarrierMatchesOperatingPoint pins New's default carrier
+// to the operating point: a link built without a CarrierFrequency and one
+// built at physics.CarrierHz are the same link.
+func TestCacheDefaultCarrierMatchesOperatingPoint(t *testing.T) {
+	implicit := cacheCfg()
+	explicit := cacheCfg()
+	explicit.CarrierFrequency = physics.CarrierHz
+	requireSameLink(t, implicit, explicit)
+}
+
+// requireSameLink requires a config that leaves a field to New's default
+// and one that sets the default explicitly to be one link: one cache key
+// (the second lookup hits the first's entry), and bit-identical path gain
+// and transmit output, cached or built plainly.
+func requireSameLink(t *testing.T, implicit, explicit Config) {
+	t.Helper()
+	if keyOf(normalize(implicit)) != keyOf(normalize(explicit)) {
+		t.Fatal("defaulted config keys differently from the explicit default")
+	}
 	cc := NewCache()
-	viaNil, err := cc.Channel(implicit)
+	viaDefault, err := cc.Channel(implicit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaPLA, err := cc.Channel(explicit)
+	viaExplicit, err := cc.Channel(explicit)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := cc.Stats(); st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
-		t.Fatalf("stats after nil then explicit prism = %+v, want 1 hit / 1 miss / 1 entry", st)
+		t.Fatalf("stats after defaulted then explicit config = %+v, want 1 hit / 1 miss / 1 entry", st)
 	}
-	plainNil, err := New(implicit)
+	plainDefault, err := New(implicit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainPLA, err := New(explicit)
+	plainExplicit, err := New(explicit)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := testBurst(20000, 9)
-	want := plainPLA.Transmit(x)
-	for name, c := range map[string]*Channel{"cached nil": viaNil, "cached PLA": viaPLA, "plain nil": plainNil} {
+	want := plainExplicit.Transmit(x)
+	for name, c := range map[string]*Channel{"cached default": viaDefault, "cached explicit": viaExplicit, "plain default": plainDefault} {
+		if math.Float64bits(c.PathGain()) != math.Float64bits(plainExplicit.PathGain()) {
+			t.Fatalf("%s: path gain %v, want %v", name, c.PathGain(), plainExplicit.PathGain())
+		}
 		got := c.Transmit(x)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d samples, want %d", name, len(got), len(want))

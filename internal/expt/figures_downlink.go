@@ -8,6 +8,9 @@ import (
 	"ecocapsule/internal/channel"
 	"ecocapsule/internal/geometry"
 	"ecocapsule/internal/material"
+	"ecocapsule/internal/phy"
+	"ecocapsule/internal/physics"
+	"ecocapsule/internal/reader"
 	"ecocapsule/internal/units"
 )
 
@@ -46,14 +49,14 @@ func Fig18() *Result {
 				Structure:   wall,
 				Source:      geometry.Vec3{X: 0.1, Y: pos.y, Z: 0},
 				Destination: geometry.Vec3{X: 0.1 + dx, Y: pos.y, Z: 0.1},
-				PrismAngle:  units.Deg2Rad(60),
+				PrismAngle:  units.Deg2Rad(physics.PrismAngleDeg),
 				NoiseFloor:  noiseFloor,
 				Seed:        int64(pi*1000 + trial),
 			})
 			if err != nil {
 				continue
 			}
-			snrs = append(snrs, ch.SNRAt(100*0.091/2))
+			snrs = append(snrs, ch.SNRAt(100*reader.DefaultPZTCoupling/2))
 		}
 		sort.Float64s(snrs)
 		med := snrs[len(snrs)/2]
@@ -118,7 +121,7 @@ func Fig19() *Result {
 		} else {
 			// The 0° case inherits the channel's beam-cone directivity
 			// model (the RX 1 m off-axis only sees scattered leakage).
-			snr = ch.SNRAt(100 * 0.091 / 2)
+			snr = ch.SNRAt(100 * reader.DefaultPZTCoupling / 2)
 			// Dual-mode arrivals corrupt the symbols: apply the §3.2
 			// interference penalty proportional to the weaker mode's share
 			// (the two copies overlap 60 % of the data).
@@ -178,7 +181,7 @@ func Fig20() *Result {
 	const base = 15.0
 	ring := 80e-6 // ring time constant (s)
 	m := material.UHPC()
-	offGain := m.FrequencyResponse(180*units.KHz) / m.FrequencyResponse(230*units.KHz)
+	offGain := phy.OffResonantGain(m, physics.CarrierHz, phy.OffResonantHz)
 
 	fskS := Series{Name: "FSK"}
 	ookS := Series{Name: "OOK"}

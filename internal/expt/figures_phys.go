@@ -4,12 +4,11 @@ import (
 	"fmt"
 	"math"
 
-	"ecocapsule/internal/coding"
 	"ecocapsule/internal/dsp"
 	"ecocapsule/internal/material"
+	"ecocapsule/internal/phy"
 	"ecocapsule/internal/physics"
 	"ecocapsule/internal/units"
-	"ecocapsule/internal/waveform"
 )
 
 // Table1 reproduces the Appendix B materials table and cross-checks the
@@ -185,21 +184,22 @@ func Fig07() *Result {
 		Header: []string{"rendering", "low-edge RMS", "high-edge RMS", "tail ratio"},
 	}
 	const fs = 1 * units.MHz
-	syn := waveform.NewSynth(fs)
-	pie := coding.DefaultPIE()
-	m := material.UHPC()
-	offGain := m.FrequencyResponse(180*units.KHz) / m.FrequencyResponse(230*units.KHz)
-
-	ook, err := syn.PIEWaveformOOK(pie, []byte{0}, 230*units.KHz, 1.0, waveform.DefaultRing())
+	// The evaluation's downlink transmitter renders both: the same PIE
+	// symbol, carrier and ring, with the low edge switched off (OOK) or
+	// moved to the off-resonant tone (FSK).
+	tx := phy.NewDownlinkTX(fs, material.UHPC())
+	tx.Modulation = phy.ModulationOOK
+	ook, err := tx.Modulate([]byte{0})
 	if err != nil {
 		panic(err)
 	}
-	fsk, err := syn.PIEWaveformFSK(pie, []byte{0}, 230*units.KHz, 180*units.KHz, 1.0, offGain)
+	tx.Modulation = phy.ModulationFSK
+	fsk, err := tx.Modulate([]byte{0})
 	if err != nil {
 		panic(err)
 	}
-	hi := syn.Samples(pie.HighZero)
-	lo := syn.Samples(pie.PW)
+	hi := tx.Synth.Samples(tx.PIE.HighZero)
+	lo := tx.Synth.Samples(tx.PIE.PW)
 	measure := func(name string, x []float64) (lowRMS float64) {
 		highRMS := dsp.RMS(x[:hi])
 		lowRMS = dsp.RMS(x[hi : hi+lo])
@@ -225,8 +225,7 @@ func Fig07() *Result {
 	}
 	r.Series = []Series{toSeries("OOK", ook), toSeries("FSK", fsk)}
 
-	ring := waveform.DefaultRing()
-	settle := ring.SettleTime(0.03)
+	settle := tx.Ring.SettleTime(0.03)
 	r.addCheck("OOK tail pollutes the low edge", ookLow > 0.1)
 	r.addCheck("FSK suppresses the tail below the OOK residual", fskLow < ookLow)
 	r.addCheck("ring settle time ≈0.3 ms (Fig. 7a)", settle > 0.2e-3 && settle < 0.4e-3)

@@ -7,6 +7,7 @@ import (
 	"ecocapsule/internal/bridge"
 	"ecocapsule/internal/dsp"
 	"ecocapsule/internal/phy"
+	"ecocapsule/internal/physics"
 	"ecocapsule/internal/shm"
 	"ecocapsule/internal/units"
 	"ecocapsule/internal/waveform"
@@ -141,9 +142,9 @@ func Fig22() *Result {
 	}
 	const fs = 1 * units.MHz
 	syn := waveform.NewSynth(fs)
-	carrier := syn.CBW(230*units.KHz, 1.0, 18e-3)
+	carrier := syn.CBW(physics.CarrierHz, 1.0, 18e-3)
 	// Backscatter starts at 4 ms: 1 kbps square (0.5 ms per edge).
-	bs := syn.SquareSubcarrier(230*units.KHz, 1*units.KHz, 0.12, 14e-3)
+	bs := syn.SquareSubcarrier(physics.CarrierHz, 1*units.KHz, 0.12, 14e-3)
 	rx := make([]float64, len(carrier))
 	copy(rx, carrier)
 	for i := range rx {
@@ -193,26 +194,26 @@ func Fig24() *Result {
 	const fs = 1 * units.MHz
 	syn := waveform.NewSynth(fs)
 	blf := 4 * units.KHz
-	carrier := syn.CBW(230*units.KHz, 1.0, 40e-3)
-	bs := syn.SquareSubcarrier(230*units.KHz, blf, 0.1, 40e-3)
+	carrier := syn.CBW(physics.CarrierHz, 1.0, 40e-3)
+	bs := syn.SquareSubcarrier(physics.CarrierHz, blf, 0.1, 40e-3)
 	rx := make([]float64, len(carrier))
 	for i := range rx {
 		rx[i] = 0.5*carrier[i] + bs[i]
 	}
 	dsp.NewNoiseSource(24).AddAWGN(rx, 0.002)
 
-	pC := dsp.Goertzel(rx, fs, 230*units.KHz)
-	pU := dsp.Goertzel(rx, fs, 230*units.KHz+blf)
-	pL := dsp.Goertzel(rx, fs, 230*units.KHz-blf)
-	pGuard := dsp.Goertzel(rx, fs, 230*units.KHz+blf/2)
+	pC := dsp.Goertzel(rx, fs, physics.CarrierHz)
+	pU := dsp.Goertzel(rx, fs, physics.CarrierHz+blf)
+	pL := dsp.Goertzel(rx, fs, physics.CarrierHz-blf)
+	pGuard := dsp.Goertzel(rx, fs, physics.CarrierHz+blf/2)
 	pFloor := dsp.Goertzel(rx, fs, 210*units.KHz)
 
 	rel := func(p float64) float64 { return units.DB(berSafe(p) / berSafe(pC)) }
 	r.Rows = append(r.Rows,
-		[]string{"CBW carrier", "230.0", "0.0"},
-		[]string{"upper sideband", fmt.Sprintf("%.1f", 230+blf/units.KHz), fmt.Sprintf("%.1f", rel(pU))},
-		[]string{"lower sideband", fmt.Sprintf("%.1f", 230-blf/units.KHz), fmt.Sprintf("%.1f", rel(pL))},
-		[]string{"guard band", fmt.Sprintf("%.1f", 230+blf/2/units.KHz), fmt.Sprintf("%.1f", rel(pGuard))},
+		[]string{"CBW carrier", fmt.Sprintf("%.1f", physics.CarrierHz/units.KHz), "0.0"},
+		[]string{"upper sideband", fmt.Sprintf("%.1f", (physics.CarrierHz+blf)/units.KHz), fmt.Sprintf("%.1f", rel(pU))},
+		[]string{"lower sideband", fmt.Sprintf("%.1f", (physics.CarrierHz-blf)/units.KHz), fmt.Sprintf("%.1f", rel(pL))},
+		[]string{"guard band", fmt.Sprintf("%.1f", (physics.CarrierHz+blf/2)/units.KHz), fmt.Sprintf("%.1f", rel(pGuard))},
 		[]string{"noise floor", "210.0", fmt.Sprintf("%.1f", rel(pFloor))},
 	)
 	freqs, mags := dsp.Spectrum(rx[:32768], fs)
@@ -228,7 +229,7 @@ func Fig24() *Result {
 
 	r.addCheck("three peaks: carrier + two sidebands", pU > 20*pFloor && pL > 20*pFloor && pC > pU)
 	r.addCheck("guard band separates the carrier from the sidebands", pGuard < pU/5)
-	snr := phy.SNREstimate(rx, fs, 230*units.KHz, blf)
+	snr := phy.SNREstimate(rx, fs, physics.CarrierHz, blf)
 	r.addCheck("sidebands decodable above the floor", snr > 10)
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("sidebands at ±%.0f kHz, %.1f dB below the carrier; guard band %.1f dB below the sidebands",

@@ -49,6 +49,7 @@ import (
 	"ecocapsule/internal/faultinject"
 	"ecocapsule/internal/geometry"
 	"ecocapsule/internal/node"
+	"ecocapsule/internal/physics"
 	"ecocapsule/internal/reader"
 	"ecocapsule/internal/sensors"
 	"ecocapsule/internal/telemetry"
@@ -455,7 +456,7 @@ func (f *Fleet) Charge(duration float64) int {
 	}
 	conc.Queues(counts, func(q, item int) {
 		j := jobs[q][item]
-		j.n.ExciteFor(j.amp, reader.CarrierHz, cs, dt, steps)
+		j.n.ExciteFor(j.amp, physics.CarrierHz, cs, dt, steps)
 	})
 	if skipped > 0 {
 		mChargeSkipped.Add(float64(skipped))

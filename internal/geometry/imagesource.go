@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 
+	"ecocapsule/internal/physics"
 	"ecocapsule/internal/units"
 )
 
@@ -41,10 +42,10 @@ type ImpulseConfig struct {
 }
 
 // DefaultImpulseConfig returns the configuration used by the experiments:
-// the 230 kHz carrier injected through the default 60° prism (S-only).
+// the operating-point carrier injected through the S-only PLA prism.
 func DefaultImpulseConfig() ImpulseConfig {
 	return ImpulseConfig{
-		Frequency: 230 * units.KHz,
+		Frequency: physics.CarrierHz,
 		MaxOrder:  3,
 		MinGain:   1e-4,
 		PFraction: 0,

@@ -14,6 +14,7 @@ import (
 	"ecocapsule/internal/conc"
 	"ecocapsule/internal/dsp"
 	"ecocapsule/internal/material"
+	"ecocapsule/internal/physics"
 	"ecocapsule/internal/units"
 )
 
@@ -43,7 +44,7 @@ type Profile struct {
 func EcoCapsuleProfile() Profile {
 	return Profile{
 		Name:              "EcoCapsule",
-		CarrierHz:         230 * units.KHz,
+		CarrierHz:         physics.CarrierHz,
 		UsableBandwidthHz: 13 * units.KHz,
 		ReferenceSNRdB:    16,
 		RingDownTime:      20e-6,

@@ -58,7 +58,7 @@ func UHPC() *Material {
 		measuredVS:            2353,
 		measuredImpedance:     9.45e6,
 		AttenuationDBPerMeter: 0.22,
-		ResonantFrequency:     230 * units.KHz,
+		ResonantFrequency:     230 * units.KHz, // measured (Fig. 5b); stays if the operating point moves
 		ResonanceQ:            4.2,
 		PeakResponse:          6.3, // volts, Fig. 5(b)
 	}

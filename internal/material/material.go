@@ -93,8 +93,8 @@ type Material struct {
 	measuredImpedance float64
 
 	// AttenuationDBPerMeter is the amplitude attenuation of the preferred
-	// body-wave mode at the 230 kHz carrier, in dB/m. Higher-strength
-	// concretes attenuate less (§3.3 finding 2).
+	// body-wave mode at 230 kHz, the frequency it was measured at, in
+	// dB/m. Higher-strength concretes attenuate less (§3.3 finding 2).
 	//
 	//ecolint:unit db/m
 	AttenuationDBPerMeter float64
@@ -244,16 +244,19 @@ func (m *Material) ResponseVolts(f float64) float64 {
 
 // AttenuationAt returns amplitude attenuation in dB/m for body waves at
 // frequency f. Attenuation in solids grows roughly with f² (Kishore 1968,
-// cited as [39]); we anchor the curve at the 230 kHz carrier value.
+// cited as [39]); we anchor the curve at the catalog's measured value.
 //
 //ecolint:unit f hz
 //ecolint:unit return db/m
 func (m *Material) AttenuationAt(f float64) float64 {
-	const carrier = 230 * units.KHz
+	// The frequency the catalog's dB/m figures were measured at. A
+	// measurement condition, not the operating point: it stays put if the
+	// link's carrier moves.
+	const measuredAt = 230 * units.KHz
 	if f <= 0 {
 		return m.AttenuationDBPerMeter
 	}
-	ratio := f / carrier
+	ratio := f / measuredAt
 	return m.AttenuationDBPerMeter * ratio * ratio
 }
 

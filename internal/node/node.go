@@ -327,12 +327,11 @@ func (n *Node) HandleDownlink(p protocol.Packet, env sensors.Environment) (*prot
 		if !ok {
 			return nil, ErrNoSensor
 		}
-		reading := s.Sample(env)
 		n.framesSent++
 		return &protocol.UplinkFrame{
 			Handle: n.cfg.Handle,
-			Kind:   byte(reading.Type),
-			Data:   reading.Raw,
+			Kind:   byte(st),
+			Data:   s.Sample(env).Raw,
 		}, nil
 	case protocol.CmdSleep:
 		n.slotter.EndRound()

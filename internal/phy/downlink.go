@@ -14,6 +14,7 @@ import (
 	"ecocapsule/internal/coding"
 	"ecocapsule/internal/dsp"
 	"ecocapsule/internal/material"
+	"ecocapsule/internal/physics"
 	"ecocapsule/internal/units"
 	"ecocapsule/internal/waveform"
 )
@@ -41,6 +42,27 @@ func (m DownlinkModulation) String() string {
 	}
 }
 
+// OffResonantHz is the FSK low tone: far enough below the carrier's
+// resonance that the concrete suppresses it (§3.3, Fig. 7).
+const OffResonantHz = 180 * units.KHz //ecolint:unit hz
+
+// OffResonantGain is the relative amplitude material m passes at the
+// off-resonant tone off versus the resonant tone on. A material without a
+// resonance model passes 0.3.
+//
+//ecolint:unit on hz
+//ecolint:unit off hz
+func OffResonantGain(m *material.Material, on, off float64) float64 {
+	if m == nil || m.ResonantFrequency == 0 {
+		return 0.3
+	}
+	resp := m.FrequencyResponse(on)
+	if resp <= 0 {
+		return 0.3
+	}
+	return m.FrequencyResponse(off) / resp
+}
+
 // DownlinkTX renders downlink frames into pass-band waveforms.
 type DownlinkTX struct {
 	Synth *waveform.Synth
@@ -60,16 +82,17 @@ type DownlinkTX struct {
 	Material *material.Material
 }
 
-// NewDownlinkTX returns the evaluation's default transmitter: 230 kHz
-// resonant carrier, 180 kHz off-resonant low tone, 1 kbps PIE.
+// NewDownlinkTX returns the evaluation's default transmitter: the
+// operating-point carrier as the resonant tone, OffResonantHz as the low
+// tone, 1 kbps PIE.
 //
 //ecolint:unit fs hz
 func NewDownlinkTX(fs float64, m *material.Material) *DownlinkTX {
 	return &DownlinkTX{
 		Synth:           waveform.NewSynth(fs),
 		PIE:             coding.DefaultPIE(),
-		ResonantFreq:    230 * units.KHz,
-		OffResonantFreq: 180 * units.KHz,
+		ResonantFreq:    physics.CarrierHz,
+		OffResonantFreq: OffResonantHz,
 		Amplitude:       1.0,
 		Modulation:      ModulationFSK,
 		Ring:            waveform.DefaultRing(),
@@ -77,27 +100,13 @@ func NewDownlinkTX(fs float64, m *material.Material) *DownlinkTX {
 	}
 }
 
-// offResonantGain is the relative amplitude the concrete passes at the FSK
-// low tone versus the resonant carrier.
-func (tx *DownlinkTX) offResonantGain() float64 {
-	m := tx.Material
-	if m == nil || m.ResonantFrequency == 0 {
-		return 0.3
-	}
-	on := m.FrequencyResponse(tx.ResonantFreq)
-	off := m.FrequencyResponse(tx.OffResonantFreq)
-	if on <= 0 {
-		return 0.3
-	}
-	return off / on
-}
-
 // Modulate renders a bit sequence into the pass-band drive waveform.
 func (tx *DownlinkTX) Modulate(bits []byte) ([]float64, error) {
 	switch tx.Modulation {
 	case ModulationFSK:
 		return tx.Synth.PIEWaveformFSK(tx.PIE, bits, tx.ResonantFreq,
-			tx.OffResonantFreq, tx.Amplitude, tx.offResonantGain())
+			tx.OffResonantFreq, tx.Amplitude,
+			OffResonantGain(tx.Material, tx.ResonantFreq, tx.OffResonantFreq))
 	case ModulationOOK:
 		return tx.Synth.PIEWaveformOOK(tx.PIE, bits, tx.ResonantFreq,
 			tx.Amplitude, tx.Ring)

@@ -6,6 +6,7 @@ import (
 
 	"ecocapsule/internal/coding"
 	"ecocapsule/internal/dsp"
+	"ecocapsule/internal/physics"
 	"ecocapsule/internal/units"
 	"ecocapsule/internal/waveform"
 )
@@ -106,13 +107,14 @@ type ReaderRX struct {
 	Coding UplinkCoding
 }
 
-// NewReaderRX returns the default reader chain for the 230 kHz carrier.
+// NewReaderRX returns the default reader chain for the operating-point
+// carrier.
 //
 //ecolint:unit fs hz
 func NewReaderRX(fs float64) *ReaderRX {
 	return &ReaderRX{
 		SampleRate:    fs,
-		CarrierHint:   230 * units.KHz,
+		CarrierHint:   physics.CarrierHz,
 		CarrierSearch: 20 * units.KHz,
 		Bitrate:       1000,
 		GuardBand:     500,

@@ -9,6 +9,7 @@ import (
 	"ecocapsule/internal/conc"
 	"ecocapsule/internal/dsp"
 	"ecocapsule/internal/phy"
+	"ecocapsule/internal/physics"
 	"ecocapsule/internal/protocol"
 	"ecocapsule/internal/sensors"
 	"ecocapsule/internal/units"
@@ -259,7 +260,7 @@ func (r *Reader) roundCarrier(syn *waveform.Synth, total int) []float64 {
 	if reuse {
 		return c.samples
 	}
-	c = roundCBW{fs: fs, total: total, samples: syn.CBW(CarrierHz, 1.0, float64(total)/fs+2e-3)}
+	c = roundCBW{fs: fs, total: total, samples: syn.CBW(physics.CarrierHz, 1.0, float64(total)/fs+2e-3)}
 	r.mu.Lock()
 	r.carrier = c
 	r.mu.Unlock()

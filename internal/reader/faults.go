@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"ecocapsule/internal/node"
+	"ecocapsule/internal/physics"
 	"ecocapsule/internal/protocol"
 	"ecocapsule/internal/telemetry"
 	"ecocapsule/internal/units"
@@ -77,7 +78,7 @@ func (r *Reader) deliverLocked(parent *telemetry.Span, p protocol.Packet, n *nod
 		if cf, ok := r.faults.(CapsuleFaults); ok && cf.Brownout(h) {
 			// The capsule loses its storage charge mid-operation: one
 			// zero-amplitude excitation step drops it back to dormant.
-			n.Excite(0, CarrierHz, r.cfg.Structure.Material.WaveSpeed(), brownoutStep)
+			n.Excite(0, physics.CarrierHz, r.cfg.Structure.Material.WaveSpeed(), brownoutStep)
 			brownout = true
 		}
 		wire := p.Marshal()

@@ -52,13 +52,6 @@ const MaxDriveVoltage = 250.0 //ecolint:unit v
 // chain); calibrated against the Fig. 12 range anchors.
 const DefaultPZTCoupling = 0.091
 
-// CarrierHz is the body-wave carrier every reader drives (§5.1): charging,
-// each link's channel and the acoustic round's CBW all run at it.
-const CarrierHz = 230 * units.KHz //ecolint:unit hz
-
-// prismAngleDeg is the PLA wave prism's incidence angle.
-const prismAngleDeg = 60
-
 // errNodeSilent reports an addressed node that never replied: it stayed
 // dormant, or every exchange within the retry budget was lost.
 var errNodeSilent = errors.New("reader: node stayed silent")
@@ -156,15 +149,8 @@ func (r *Reader) Deploy(n *node.Node) error {
 		return fmt.Errorf("reader: node %#04x position %+v outside %s",
 			n.Handle(), n.Position(), r.cfg.Structure.Name)
 	}
-	ch, err := r.links.Channel(channel.Config{
-		Structure:        r.cfg.Structure,
-		Source:           r.cfg.TXPosition,
-		Destination:      n.Position(),
-		CarrierFrequency: CarrierHz,
-		PrismAngle:       units.Deg2Rad(prismAngleDeg),
-		Seed:             r.cfg.Seed + int64(n.Handle()),
-		MaxOrder:         r.cfg.MaxOrder,
-	})
+	ch, err := r.links.Channel(linkConfig(r.cfg.Structure, r.cfg.TXPosition, n.Position(),
+		r.cfg.Seed+int64(n.Handle()), r.cfg.MaxOrder))
 	if err != nil {
 		return fmt.Errorf("reader: channel to node %#04x: %w", n.Handle(), err)
 	}
@@ -238,7 +224,7 @@ func (r *Reader) Charge(duration float64) int {
 		if amps[i] < 0 {
 			continue
 		}
-		n.ExciteFor(amps[i], CarrierHz, cs, dt, steps)
+		n.ExciteFor(amps[i], physics.CarrierHz, cs, dt, steps)
 	}
 	up := 0
 	for _, n := range r.nodes {
@@ -544,7 +530,10 @@ func (r *Reader) DriveVoltage() float64 {
 
 // MaxPowerUpRange sweeps a probe node along the structure's long axis and
 // returns the farthest distance (m) at which it can still be powered up at
-// the given drive voltage — the Fig. 12 measurement procedure.
+// the given drive voltage — the Fig. 12 measurement procedure. The probe
+// links use the channel's default reflection order whatever cfg.MaxOrder
+// says, so a fleet that builds its links at order 1 is handed a range its
+// own links cannot all power.
 func MaxPowerUpRange(cfg Config, voltage float64) (float64, error) {
 	if voltage <= 0 || voltage > MaxDriveVoltage {
 		return 0, fmt.Errorf("reader: voltage %g V outside (0, %g]", voltage, MaxDriveVoltage)
@@ -581,19 +570,28 @@ func MaxPowerUpRange(cfg Config, voltage float64) (float64, error) {
 // threshold comparison, exactly as in the node's Excite path.
 func PowerUpTest(s *geometry.Structure, voltage float64) func(tx, dst geometry.Vec3) bool {
 	harv := energy.DefaultHarvester()
-	hraGain := physics.PaperHRA().Gain(s.Material.WaveSpeed(), CarrierHz)
+	hraGain := physics.PaperHRA().Gain(s.Material.WaveSpeed(), physics.CarrierHz)
 	return func(tx, dst geometry.Vec3) bool {
-		ch, err := channel.New(channel.Config{
-			Structure:        s,
-			Source:           tx,
-			Destination:      dst,
-			CarrierFrequency: CarrierHz,
-			PrismAngle:       units.Deg2Rad(prismAngleDeg),
-		})
+		ch, err := channel.New(linkConfig(s, tx, dst, 0, 0))
 		if err != nil {
 			return false
 		}
 		return harv.CanActivate(voltage * ch.PathGain() * DefaultPZTCoupling * hraGain)
+	}
+}
+
+// linkConfig is the channel of the link from a reader at tx to a capsule at
+// dst: the operating-point carrier injected through the PLA prism. A zero
+// maxOrder keeps the channel's default reflection order.
+func linkConfig(s *geometry.Structure, tx, dst geometry.Vec3, seed int64, maxOrder int) channel.Config {
+	return channel.Config{
+		Structure:        s,
+		Source:           tx,
+		Destination:      dst,
+		CarrierFrequency: physics.CarrierHz,
+		PrismAngle:       units.Deg2Rad(physics.PrismAngleDeg),
+		Seed:             seed,
+		MaxOrder:         maxOrder,
 	}
 }
 

@@ -199,10 +199,10 @@ func TestReadSensorThroughReader(t *testing.T) {
 }
 
 // readSensorAllocs is the steady-state heap object count of one fault-free,
-// untraced ReadSensor: the node's sample and reply, the reply's wire frame,
-// the parsed reply and the decoded values. The silent-node error is a
-// package sentinel, not built per read.
-const readSensorAllocs = 6
+// untraced ReadSensor: the sample's wire bytes, the node's reply, the
+// reply's wire frame, the parsed reply's data and the decoded values. The
+// silent-node error is a package sentinel, not built per read.
+const readSensorAllocs = 5
 
 func TestReadSensorAllocs(t *testing.T) {
 	r, err := New(wallConfig())

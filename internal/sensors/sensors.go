@@ -36,12 +36,10 @@ type Environment struct {
 	StressMPa float64
 }
 
-// Reading is one framed sensor measurement.
+// Reading is one framed sensor measurement: its wire bytes. The sensor
+// type travels in the uplink frame's kind byte, and Decode recovers the
+// physical values.
 type Reading struct {
-	// Type identifies the producing sensor.
-	Type SensorType
-	// Values are the decoded physical quantities, sensor-specific order.
-	Values []float64
 	// Raw is the wire representation the node uplinks.
 	Raw []byte
 }
@@ -129,11 +127,7 @@ func (s *TempHumiditySensor) Sample(env Environment) Reading {
 	buf[2] = byte(rawH<<4) | byte(rawT>>16)
 	buf[3] = byte(rawT >> 8)
 	buf[4] = byte(rawT)
-	return Reading{
-		Type:   TypeTempHumidity,
-		Values: []float64{tMeas, hMeas},
-		Raw:    buf,
-	}
+	return Reading{Raw: buf}
 }
 
 // DecodeTempHumidity reverses the AHT10 framing.
@@ -176,11 +170,7 @@ func (s *StrainSensor) Sample(env Environment) Reading {
 	buf := make([]byte, 8)
 	binary.BigEndian.PutUint32(buf[0:4], uint32(int32(x*1e9)))
 	binary.BigEndian.PutUint32(buf[4:8], uint32(int32(y*1e9)))
-	return Reading{
-		Type:   TypeStrain,
-		Values: []float64{x, y},
-		Raw:    buf,
-	}
+	return Reading{Raw: buf}
 }
 
 // DecodeStrain reverses the strain framing, returning the two strains.
@@ -224,11 +214,7 @@ func (a *Accelerometer) Sample(env Environment) Reading {
 	buf := make([]byte, 6)
 	binary.BigEndian.PutUint32(buf[0:4], uint32(int32(acc*1e6)))
 	binary.BigEndian.PutUint16(buf[4:6], uint16(int16(stress*10)))
-	return Reading{
-		Type:   TypeAccelerometer,
-		Values: []float64{acc, stress},
-		Raw:    buf,
-	}
+	return Reading{Raw: buf}
 }
 
 // DecodeAccelerometer reverses the acceleration framing.

@@ -4,15 +4,24 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"ecocapsule/internal/dsp"
 )
+
+// sampledTempHumidity recomputes the pre-quantisation temperature and
+// humidity a TempHumiditySensor samples from env, drawing from noise, a
+// source seeded like the sensor's and advanced in step with it.
+func sampledTempHumidity(noise *dsp.NoiseSource, env Environment) (tempC, rh float64) {
+	tempC = env.TemperatureC + noise.Gaussian(0.15)
+	rh = env.RelativeHumidity + noise.Gaussian(1.0)
+	return clamp(tempC, -50, 150), clamp(rh, 0, 100)
+}
 
 func TestTempHumidityRoundTrip(t *testing.T) {
 	s := NewTempHumidity(1)
 	env := Environment{TemperatureC: 28.5, RelativeHumidity: 76.0}
 	r := s.Sample(env)
-	if r.Type != TypeTempHumidity {
-		t.Fatalf("type = %v", r.Type)
-	}
+	wantT, wantRH := sampledTempHumidity(dsp.NewNoiseSource(1), env)
 	if len(r.Raw) != 5 {
 		t.Fatalf("raw length %d, want 5", len(r.Raw))
 	}
@@ -21,11 +30,11 @@ func TestTempHumidityRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Decode matches the sampled (noisy) values within quantisation.
-	if math.Abs(tempC-r.Values[0]) > 0.01 {
-		t.Errorf("temp decode %.3f vs sampled %.3f", tempC, r.Values[0])
+	if math.Abs(tempC-wantT) > 0.01 {
+		t.Errorf("temp decode %.3f vs sampled %.3f", tempC, wantT)
 	}
-	if math.Abs(rh-r.Values[1]) > 0.01 {
-		t.Errorf("RH decode %.3f vs sampled %.3f", rh, r.Values[1])
+	if math.Abs(rh-wantRH) > 0.01 {
+		t.Errorf("RH decode %.3f vs sampled %.3f", rh, wantRH)
 	}
 	// Noisy sample stays near ground truth.
 	if math.Abs(tempC-env.TemperatureC) > 1 {
@@ -38,17 +47,19 @@ func TestTempHumidityRoundTrip(t *testing.T) {
 
 func TestTempHumidityEncodeDecodeProperty(t *testing.T) {
 	s := NewTempHumidity(7)
+	noise := dsp.NewNoiseSource(7)
 	f := func(rawT, rawH float64) bool {
 		env := Environment{
 			TemperatureC:     math.Mod(math.Abs(rawT), 80) - 10,
 			RelativeHumidity: math.Mod(math.Abs(rawH), 100),
 		}
 		r := s.Sample(env)
+		wantT, wantRH := sampledTempHumidity(noise, env)
 		tempC, rh, err := DecodeTempHumidity(r.Raw)
 		if err != nil {
 			return false
 		}
-		return math.Abs(tempC-r.Values[0]) < 0.01 && math.Abs(rh-r.Values[1]) < 0.01
+		return math.Abs(tempC-wantT) < 0.01 && math.Abs(rh-wantRH) < 0.01
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -57,13 +68,23 @@ func TestTempHumidityEncodeDecodeProperty(t *testing.T) {
 
 func TestTempHumidityClamping(t *testing.T) {
 	s := NewTempHumidity(2)
-	r := s.Sample(Environment{TemperatureC: 500, RelativeHumidity: 150})
-	if r.Values[1] > 100 || r.Values[0] > 150 {
-		t.Errorf("values must clamp: %v", r.Values)
-	}
-	r2 := s.Sample(Environment{TemperatureC: -100, RelativeHumidity: -5})
-	if r2.Values[1] < 0 || r2.Values[0] < -50 {
-		t.Errorf("values must clamp low: %v", r2.Values)
+	noise := dsp.NewNoiseSource(2)
+	for _, env := range []Environment{
+		{TemperatureC: 500, RelativeHumidity: 150},
+		{TemperatureC: -100, RelativeHumidity: -5},
+	} {
+		r := s.Sample(env)
+		wantT, wantRH := sampledTempHumidity(noise, env)
+		tempC, rh, err := DecodeTempHumidity(r.Raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rh < 0 || rh > 100 || tempC < -50 || tempC > 150 {
+			t.Errorf("%+v: decoded (%.3f °C, %.3f %%RH) must clamp to the sensor range", env, tempC, rh)
+		}
+		if math.Abs(tempC-wantT) > 0.01 || math.Abs(rh-wantRH) > 0.01 {
+			t.Errorf("%+v: decoded (%.3f, %.3f) vs sampled (%.3f, %.3f)", env, tempC, rh, wantT, wantRH)
+		}
 	}
 }
 
@@ -71,6 +92,9 @@ func TestStrainRoundTrip(t *testing.T) {
 	s := NewStrain(3)
 	env := Environment{StrainX: 120e-6, StrainY: -85e-6}
 	r := s.Sample(env)
+	noise := dsp.NewNoiseSource(3)
+	wantX := env.StrainX + noise.Gaussian(0.5e-6)
+	wantY := env.StrainY + noise.Gaussian(0.5e-6)
 	x, y, err := DecodeStrain(r.Raw)
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +103,7 @@ func TestStrainRoundTrip(t *testing.T) {
 		t.Errorf("strain decode (%g, %g) far from truth (%g, %g)",
 			x, y, env.StrainX, env.StrainY)
 	}
-	if math.Abs(x-r.Values[0]) > 2e-9 || math.Abs(y-r.Values[1]) > 2e-9 {
+	if math.Abs(x-wantX) > 2e-9 || math.Abs(y-wantY) > 2e-9 {
 		t.Error("decode must match the sampled values within quantisation")
 	}
 }

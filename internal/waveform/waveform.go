@@ -9,6 +9,7 @@ import (
 	"math"
 
 	"ecocapsule/internal/coding"
+	"ecocapsule/internal/physics"
 )
 
 // Synth renders pass-band waveforms at a fixed sample rate.
@@ -63,8 +64,9 @@ type RingEffect struct {
 	Frequency float64
 }
 
-// DefaultRing returns the Fig. 7a tail behaviour at the 230 kHz carrier.
-func DefaultRing() RingEffect { return RingEffect{Tau: 80e-6, Frequency: 230e3} }
+// DefaultRing returns the Fig. 7a tail behaviour at the operating-point
+// carrier.
+func DefaultRing() RingEffect { return RingEffect{Tau: 80e-6, Frequency: physics.CarrierHz} }
 
 // Tail renders the decaying oscillation that follows a drive segment of
 // amplitude amp ending at the given phase, for the given duration.

@@ -81,6 +81,23 @@ if [ -n "$UNFORMATTED" ]; then
 fi
 stage_done
 
+# The link's operating point is named once, as physics.CarrierHz. A
+# non-test Go file that spells the 230 kHz carrier again fails here.
+# material keeps two measured 230 kHz values (UHPC's resonance and the
+# frequency of the catalog's attenuation figures); the analyzer fixtures
+# and the benchmark module keep their own copies.
+stage "carrier named once (physics.CarrierHz)"
+CARRIER_COPIES="$(find . -name '*.go' -not -name '*_test.go' \
+	-not -path './internal/physics/*' -not -path './internal/material/*' \
+	-not -path './internal/analysis/testdata/*' -not -path './pipebench/*' \
+	-not -path './.bench_build/*' -print | xargs grep -nE '230 ?\* ?units\.KHz|230e3' || true)"
+if [ -n "$CARRIER_COPIES" ]; then
+	echo "verify.sh: the carrier is spelled outside physics.CarrierHz:"
+	echo "$CARRIER_COPIES"
+	exit 1
+fi
+stage_done
+
 # ecolint over everything, test files included, in one in-memory pass:
 # self-cleanliness is a hard gate. The full analyzer suite — the lock
 # analyzers locksafety (early-return leaks), guardedby and closurecapture,
