@@ -43,12 +43,6 @@ func CRC16Check(frame []byte) bool {
 	return CRC16(payload) == want
 }
 
-// AppendCRC16 appends the big-endian CRC-16 of data to data and returns it.
-func AppendCRC16(data []byte) []byte {
-	crc := CRC16(data)
-	return append(data, byte(crc>>8), byte(crc))
-}
-
 // BytesToBits expands bytes MSB-first into a slice of 0/1 bytes.
 func BytesToBits(data []byte) []byte {
 	bits := make([]byte, 0, len(data)*8)

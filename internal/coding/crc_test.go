@@ -54,3 +54,10 @@ func FuzzCRC16(f *testing.F) {
 		}
 	})
 }
+
+// AppendCRC16 appends the big-endian CRC-16 of data to data and returns it:
+// the framing the package's tests build their CRC-protected inputs with.
+func AppendCRC16(data []byte) []byte {
+	crc := CRC16(data)
+	return append(data, byte(crc>>8), byte(crc))
+}

@@ -192,9 +192,9 @@ func TestStuckSensorFreezes(t *testing.T) {
 	if s.PowerDraw() <= 0 {
 		t.Error("stuck sensor still draws power")
 	}
-	first := s.Sample(sensors.Environment{StrainX: 100e-6, StrainY: 50e-6})
-	second := s.Sample(sensors.Environment{StrainX: 900e-6, StrainY: 400e-6})
-	if !bytes.Equal(first.Raw, second.Raw) {
+	first := s.AppendSample(nil, sensors.Environment{StrainX: 100e-6, StrainY: 50e-6})
+	second := s.AppendSample(nil, sensors.Environment{StrainX: 900e-6, StrainY: 400e-6})
+	if !bytes.Equal(first, second) {
 		t.Error("stuck sensor must replay its first reading")
 	}
 }

@@ -16,7 +16,7 @@ type StuckSensor struct {
 	mu    sync.Mutex
 	inner sensors.Sensor
 	//ecolint:guardedby mu
-	frozen *sensors.Reading
+	frozen []byte
 }
 
 // Freeze wraps s with stuck-at-first-value behaviour.
@@ -30,14 +30,13 @@ func (s *StuckSensor) Type() sensors.SensorType { return s.inner.Type() }
 // PowerDraw implements sensors.Sensor (the hardware still draws power).
 func (s *StuckSensor) PowerDraw() float64 { return s.inner.PowerDraw() }
 
-// Sample implements sensors.Sensor: the first call samples the wrapped
-// sensor; every later call replays that reading regardless of env.
-func (s *StuckSensor) Sample(env sensors.Environment) sensors.Reading {
+// AppendSample implements sensors.Sensor: the first call samples the
+// wrapped sensor; every call appends that reading regardless of env.
+func (s *StuckSensor) AppendSample(dst []byte, env sensors.Environment) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.frozen == nil {
-		r := s.inner.Sample(env)
-		s.frozen = &r
+		s.frozen = s.inner.AppendSample(nil, env)
 	}
-	return *s.frozen
+	return append(dst, s.frozen...)
 }

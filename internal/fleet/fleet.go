@@ -516,17 +516,23 @@ func (f *Fleet) ReadSensor(handle uint16, st sensors.SensorType) ([]float64, err
 // BestStation. A failed read returns station -1.
 func (f *Fleet) ReadSensorVia(handle uint16, st sensors.SensorType) ([]float64, int, error) {
 	var link reader.FaultStats
-	c, ok := f.index[handle]
-	if !ok {
-		return f.readVia(nil, &link, handle, st, nil)
+	var buf [maxRoutes]int
+	stations := buf[:0]
+	if c, ok := f.index[handle]; ok {
+		// Copy liveness under the lock, then run the (slow) acoustic
+		// exchanges outside it so concurrent reads of different capsules
+		// proceed in parallel; each reader serialises its own link
+		// internally.
+		f.route.RLock()
+		alive := append([]bool(nil), f.alive...)
+		f.route.RUnlock()
+		stations = f.readOrder(stations, c, alive)
 	}
-	// Copy liveness under the lock, then run the (slow) acoustic exchanges
-	// outside it so concurrent reads of different capsules proceed in
-	// parallel; each reader serialises its own link internally.
-	f.route.RLock()
-	alive := append([]bool(nil), f.alive...)
-	f.route.RUnlock()
-	return f.readVia(nil, &link, handle, st, f.readOrder(c, alive))
+	vals, station, err := f.readVia(nil, &link, handle, st, stations)
+	if err != nil {
+		return nil, station, err
+	}
+	return vals[:], station, nil
 }
 
 // readVia walks the candidate stations in order, returning the first
@@ -534,10 +540,13 @@ func (f *Fleet) ReadSensorVia(handle uint16, st sensors.SensorType) ([]float64, 
 // routing metrics: a read stations[0] serves is primary. Each station's
 // read is a child span of parent (a root when nil) and adds its link
 // counters to link.
-func (f *Fleet) readVia(parent *telemetry.Span, link *reader.FaultStats, handle uint16, st sensors.SensorType, stations []int) ([]float64, int, error) {
+//
+//ecolint:hotpath the survey's per-capsule read
+func (f *Fleet) readVia(parent *telemetry.Span, link *reader.FaultStats, handle uint16, st sensors.SensorType, stations []int) ([2]float64, int, error) {
 	if len(stations) == 0 {
 		cReadsFailed.Inc()
-		return nil, -1, fmt.Errorf("fleet: no station serves capsule %#04x", handle)
+		//ecolint:ignore hotalloc an orphaned capsule is never read by a survey
+		return [2]float64{}, -1, fmt.Errorf("fleet: no station serves capsule %#04x", handle)
 	}
 	var lastErr error
 	for _, idx := range stations {
@@ -556,21 +565,28 @@ func (f *Fleet) readVia(parent *telemetry.Span, link *reader.FaultStats, handle 
 		lastErr = err
 	}
 	cReadsFailed.Inc()
-	return nil, -1, fmt.Errorf("fleet: capsule %#04x unreadable from %d station(s): %w",
+	//ecolint:ignore hotalloc a capsule no station could read is a degraded survey row
+	return [2]float64{}, -1, fmt.Errorf("fleet: capsule %#04x unreadable from %d station(s): %w",
 		handle, len(stations), lastErr)
 }
 
-// readOrder lists the alive stations that can reach capsule c, strongest
-// first, under the given liveness copy. Its head is the capsule's serving
-// station.
-func (f *Fleet) readOrder(c int, alive []bool) []int {
-	out := make([]int, 0, len(f.routes[c]))
+// maxRoutes sizes the stack buffer readOrder fills: no city capsule has
+// more stations in range. A capsule with more still reads; its list just
+// spills to the heap.
+const maxRoutes = 6
+
+// readOrder appends to dst the alive stations that can reach capsule c,
+// strongest first, under the given liveness copy. Its head is the
+// capsule's serving station.
+//
+//ecolint:hotpath fills the caller's stack buffer
+func (f *Fleet) readOrder(dst []int, c int, alive []bool) []int {
 	for _, r := range f.routes[c] {
 		if alive[r.station] {
-			out = append(out, r.station)
+			dst = append(dst, r.station)
 		}
 	}
-	return out
+	return dst
 }
 
 // SetEnvironment installs the ground-truth sampler on every station. The

@@ -120,7 +120,7 @@ func TestBestStationHeadsReadOrder(t *testing.T) {
 					tiesSeen++
 				}
 			}
-			if got := f.readOrder(c, alive); fmt.Sprint(got) != fmt.Sprint(want) {
+			if got := f.readOrder(nil, c, alive); fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Errorf("%s: capsule %#04x read order %v, want %v", name, n.Handle(), got, want)
 			}
 			head := -1

@@ -159,7 +159,8 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 	visit := func(c int) {
 		row := &rep.Rows[c]
 		h := f.nodes[c].Handle()
-		stations := f.readOrder(c, alive)
+		var buf [maxRoutes]int
+		stations := f.readOrder(buf[:0], c, alive)
 		row.Handle, row.Station = h, -1
 		if len(stations) == 0 {
 			row.Status = "orphan"
@@ -173,7 +174,7 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 				rerouted.Add(1)
 			}
 		}
-		if errT != nil || errS != nil || len(th) < 2 || len(st) < 2 {
+		if errT != nil || errS != nil {
 			row.Status = "missing"
 		} else {
 			row.Status = "ok"

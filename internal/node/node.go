@@ -280,16 +280,19 @@ var (
 
 // HandleDownlink feeds one decoded downlink packet to the MCU state
 // machine against the given environment snapshot. It returns the uplink
-// frame the node backscatters in response, or nil when the node stays
-// silent this slot.
-func (n *Node) HandleDownlink(p protocol.Packet, env sensors.Environment) (*protocol.UplinkFrame, error) {
+// frame the node backscatters in response, with ok false when the node
+// stays silent this slot. A sensor reply's Data is the reading appended to
+// buf, so the caller owns it; an arbitration reply carries no Data.
+//
+//ecolint:hotpath a sensor reply lands in the caller's buffer
+func (n *Node) HandleDownlink(p protocol.Packet, env sensors.Environment, buf []byte) (reply protocol.UplinkFrame, ok bool, err error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.state == Dormant || n.state == ColdStarting {
-		return nil, ErrNotPowered
+		return reply, false, ErrNotPowered
 	}
 	if p.Target != protocol.Broadcast && p.Target != n.cfg.Handle {
-		return nil, ErrNotForMe
+		return reply, false, ErrNotForMe
 	}
 	n.cmdsDecoded++
 	switch p.Cmd {
@@ -303,7 +306,7 @@ func (n *Node) HandleDownlink(p protocol.Packet, env sensors.Environment) (*prot
 		return n.maybeReplyLocked()
 	case protocol.CmdQueryRep:
 		if n.state != Arbitrating {
-			return nil, nil
+			return reply, false, nil
 		}
 		n.slotter.Advance()
 		return n.maybeReplyLocked()
@@ -312,55 +315,50 @@ func (n *Node) HandleDownlink(p protocol.Packet, env sensors.Environment) (*prot
 			n.slotter.EndRound()
 			n.state = Standby
 		}
-		return nil, nil
+		return reply, false, nil
 	case protocol.CmdSetBLF:
 		if len(p.Payload) >= 2 {
 			n.blfHz = float64(uint16(p.Payload[0])<<8|uint16(p.Payload[1])) * 100
 		}
-		return nil, nil
+		return reply, false, nil
 	case protocol.CmdReadSensor:
 		if len(p.Payload) < 1 {
-			return nil, ErrNoSensor
+			return reply, false, ErrNoSensor
 		}
 		st := sensors.SensorType(p.Payload[0])
-		s, ok := n.sensorsByType[st]
-		if !ok {
-			return nil, ErrNoSensor
+		s, found := n.sensorsByType[st]
+		if !found {
+			return reply, false, ErrNoSensor
 		}
 		n.framesSent++
-		return &protocol.UplinkFrame{
-			Handle: n.cfg.Handle,
-			Kind:   byte(st),
-			Data:   s.Sample(env).Raw,
-		}, nil
+		reply = protocol.UplinkFrame{Handle: n.cfg.Handle, Kind: byte(st), Data: s.AppendSample(buf, env)}
+		return reply, true, nil
 	case protocol.CmdSleep:
 		n.slotter.EndRound()
 		n.state = Standby
-		return nil, nil
+		return reply, false, nil
 	case protocol.CmdNak:
 		// The reader could not decode our reply: re-arm arbitration with
 		// the slot counter untouched, so the next QueryRep re-solicits it.
 		if n.state == Replying {
 			n.state = Arbitrating
 		}
-		return nil, nil
+		return reply, false, nil
 	default:
-		return nil, fmt.Errorf("node: unsupported command %v", p.Cmd)
+		//ecolint:ignore hotalloc an unsupported command is a protocol error, never a survey read
+		return reply, false, fmt.Errorf("node: unsupported command %v", p.Cmd)
 	}
 }
 
 // maybeReplyLocked emits the RN16-style arbitration reply when the slot
 // counter reaches zero. Caller holds the lock.
-func (n *Node) maybeReplyLocked() (*protocol.UplinkFrame, error) {
+func (n *Node) maybeReplyLocked() (protocol.UplinkFrame, bool, error) {
 	if !n.slotter.ShouldReply() {
-		return nil, nil
+		return protocol.UplinkFrame{}, false, nil
 	}
 	n.state = Replying
 	n.framesSent++
-	return &protocol.UplinkFrame{
-		Handle: n.cfg.Handle,
-		Kind:   0x00, // arbitration reply
-	}, nil
+	return protocol.UplinkFrame{Handle: n.cfg.Handle, Kind: 0x00}, true, nil // arbitration reply
 }
 
 // Stats reports the node's lifetime counters.

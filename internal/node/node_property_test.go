@@ -37,7 +37,7 @@ func TestNodeStateMachineNeverPanicsProperty(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					payload = []byte{byte(rng.Intn(8))}
 				}
-				_, _ = n.HandleDownlink(protocol.Packet{Cmd: cmd, Target: target, Payload: payload}, sensors.Environment{})
+				_, _, _ = n.HandleDownlink(protocol.Packet{Cmd: cmd, Target: target, Payload: payload}, sensors.Environment{}, nil)
 			}
 			switch n.State() {
 			case Dormant, ColdStarting, Standby, Arbitrating, Replying:
@@ -66,23 +66,23 @@ func TestNodeRepliesAtMostOncePerRoundProperty(t *testing.T) {
 			return false
 		}
 		replies := 0
-		up, err := n.HandleDownlink(protocol.Packet{
+		_, ok, err := n.HandleDownlink(protocol.Packet{
 			Cmd: protocol.CmdQuery, Target: protocol.Broadcast, Payload: []byte{3},
-		}, sensors.Environment{})
+		}, sensors.Environment{}, nil)
 		if err != nil {
 			return false
 		}
-		if up != nil {
+		if ok {
 			replies++
 		}
 		for i := 0; i < int(reps%32); i++ {
-			up, err = n.HandleDownlink(protocol.Packet{
+			_, ok, err = n.HandleDownlink(protocol.Packet{
 				Cmd: protocol.CmdQueryRep, Target: protocol.Broadcast,
-			}, sensors.Environment{})
+			}, sensors.Environment{}, nil)
 			if err != nil {
 				return false
 			}
-			if up != nil {
+			if ok {
 				replies++
 			}
 		}
@@ -109,9 +109,9 @@ func TestNodeConcurrentAccess(t *testing.T) {
 				case 0:
 					n.Excite(2.0, 230*units.KHz, cs, 1e-3)
 				case 1:
-					_, _ = n.HandleDownlink(protocol.Packet{
+					_, _, _ = n.HandleDownlink(protocol.Packet{
 						Cmd: protocol.CmdQuery, Target: protocol.Broadcast, Payload: []byte{2},
-					}, sensors.Environment{})
+					}, sensors.Environment{}, nil)
 				case 2:
 					_ = n.State()
 					_ = n.BLF()

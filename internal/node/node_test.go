@@ -84,7 +84,7 @@ func TestHRABoostsWeakExcitation(t *testing.T) {
 
 func TestDownlinkRequiresPower(t *testing.T) {
 	n := newTestNode(4)
-	_, err := n.HandleDownlink(protocol.Packet{Cmd: protocol.CmdQuery, Target: protocol.Broadcast}, sensors.Environment{})
+	_, _, err := n.HandleDownlink(protocol.Packet{Cmd: protocol.CmdQuery, Target: protocol.Broadcast}, sensors.Environment{}, nil)
 	if err != ErrNotPowered {
 		t.Errorf("dormant node must return ErrNotPowered, got %v", err)
 	}
@@ -93,8 +93,8 @@ func TestDownlinkRequiresPower(t *testing.T) {
 func TestAddressFiltering(t *testing.T) {
 	n := newTestNode(5)
 	powerUp(t, n)
-	_, err := n.HandleDownlink(protocol.Packet{Cmd: protocol.CmdReadSensor, Target: 0x9999,
-		Payload: []byte{byte(sensors.TypeStrain)}}, sensors.Environment{})
+	_, _, err := n.HandleDownlink(protocol.Packet{Cmd: protocol.CmdReadSensor, Target: 0x9999,
+		Payload: []byte{byte(sensors.TypeStrain)}}, sensors.Environment{}, nil)
 	if err != ErrNotForMe {
 		t.Errorf("foreign address must be ignored, got %v", err)
 	}
@@ -104,14 +104,14 @@ func TestReadSensorRoundTrip(t *testing.T) {
 	n := newTestNode(6)
 	powerUp(t, n)
 	env := sensors.Environment{TemperatureC: 31, RelativeHumidity: 82}
-	up, err := n.HandleDownlink(protocol.Packet{
+	up, ok, err := n.HandleDownlink(protocol.Packet{
 		Cmd: protocol.CmdReadSensor, Target: 0x0042,
 		Payload: []byte{byte(sensors.TypeTempHumidity)},
-	}, env)
+	}, env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if up == nil {
+	if !ok {
 		t.Fatal("ReadSensor must produce an uplink frame")
 	}
 	if up.Handle != 0x0042 || up.Kind != byte(sensors.TypeTempHumidity) {
@@ -121,24 +121,33 @@ func TestReadSensorRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(vals) != 2 || vals[0] < 28 || vals[0] > 34 {
+	if vals[0] < 28 || vals[0] > 34 {
 		t.Errorf("temperature decode implausible: %v", vals)
+	}
+	// The reading lands in the caller's buffer, after what it holds.
+	buf := make([]byte, 1, 16)
+	up, _, err = n.HandleDownlink(protocol.Packet{
+		Cmd: protocol.CmdReadSensor, Target: 0x0042,
+		Payload: []byte{byte(sensors.TypeStrain)},
+	}, env, buf)
+	if err != nil || len(up.Data) != 1+8 || &up.Data[0] != &buf[0] {
+		t.Errorf("strain reply must append to the caller's buffer: %v %x", err, up.Data)
 	}
 }
 
 func TestReadUnknownSensor(t *testing.T) {
 	n := newTestNode(7)
 	powerUp(t, n)
-	_, err := n.HandleDownlink(protocol.Packet{
+	_, _, err := n.HandleDownlink(protocol.Packet{
 		Cmd: protocol.CmdReadSensor, Target: protocol.Broadcast,
 		Payload: []byte{0x7E},
-	}, sensors.Environment{})
+	}, sensors.Environment{}, nil)
 	if err != ErrNoSensor {
 		t.Errorf("unknown sensor must error, got %v", err)
 	}
-	_, err = n.HandleDownlink(protocol.Packet{
+	_, _, err = n.HandleDownlink(protocol.Packet{
 		Cmd: protocol.CmdReadSensor, Target: protocol.Broadcast,
-	}, sensors.Environment{})
+	}, sensors.Environment{}, nil)
 	if err != ErrNoSensor {
 		t.Errorf("missing payload must error, got %v", err)
 	}
@@ -149,25 +158,25 @@ func TestInventoryRound(t *testing.T) {
 	powerUp(t, n)
 	env := sensors.Environment{}
 	// Query with Q=2 → slot in [0,4).
-	up, err := n.HandleDownlink(protocol.Packet{
+	up, ok, err := n.HandleDownlink(protocol.Packet{
 		Cmd: protocol.CmdQuery, Target: protocol.Broadcast, Payload: []byte{2},
-	}, env)
+	}, env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	replies := 0
-	if up != nil {
+	if ok {
 		replies++
 	}
 	// Drive QueryReps until the node replies (at most 4).
 	for i := 0; i < 4 && replies == 0; i++ {
-		up, err = n.HandleDownlink(protocol.Packet{
+		up, ok, err = n.HandleDownlink(protocol.Packet{
 			Cmd: protocol.CmdQueryRep, Target: protocol.Broadcast,
-		}, env)
+		}, env, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if up != nil {
+		if ok {
 			replies++
 		}
 	}
@@ -178,19 +187,19 @@ func TestInventoryRound(t *testing.T) {
 		t.Errorf("state after reply = %v, want Replying", n.State())
 	}
 	// Ack closes the handshake.
-	if _, err := n.HandleDownlink(protocol.Packet{
+	if _, _, err := n.HandleDownlink(protocol.Packet{
 		Cmd: protocol.CmdAck, Target: protocol.Broadcast,
-	}, env); err != nil {
+	}, env, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n.State() != Standby {
 		t.Errorf("state after Ack = %v, want Standby", n.State())
 	}
 	// Further QueryReps in the closed round stay silent.
-	up, err = n.HandleDownlink(protocol.Packet{
+	up, ok, err = n.HandleDownlink(protocol.Packet{
 		Cmd: protocol.CmdQueryRep, Target: protocol.Broadcast,
-	}, env)
-	if err != nil || up != nil {
+	}, env, nil)
+	if err != nil || ok {
 		t.Errorf("closed round must stay silent: %v %v", up, err)
 	}
 }
@@ -201,10 +210,10 @@ func TestSetBLF(t *testing.T) {
 	if n.BLF() != 2*units.KHz {
 		t.Errorf("default BLF = %g", n.BLF())
 	}
-	_, err := n.HandleDownlink(protocol.Packet{
+	_, _, err := n.HandleDownlink(protocol.Packet{
 		Cmd: protocol.CmdSetBLF, Target: 0x0042,
 		Payload: []byte{0x00, 0x28}, // 40 × 100 Hz = 4 kHz
-	}, sensors.Environment{})
+	}, sensors.Environment{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,10 +226,10 @@ func TestSleepCommand(t *testing.T) {
 	n := newTestNode(10)
 	powerUp(t, n)
 	// Enter a round then sleep.
-	if _, err := n.HandleDownlink(protocol.Packet{Cmd: protocol.CmdQuery, Target: protocol.Broadcast, Payload: []byte{3}}, sensors.Environment{}); err != nil {
+	if _, _, err := n.HandleDownlink(protocol.Packet{Cmd: protocol.CmdQuery, Target: protocol.Broadcast, Payload: []byte{3}}, sensors.Environment{}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.HandleDownlink(protocol.Packet{Cmd: protocol.CmdSleep, Target: protocol.Broadcast}, sensors.Environment{}); err != nil {
+	if _, _, err := n.HandleDownlink(protocol.Packet{Cmd: protocol.CmdSleep, Target: protocol.Broadcast}, sensors.Environment{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n.State() != Standby {
@@ -231,7 +240,7 @@ func TestSleepCommand(t *testing.T) {
 func TestUnsupportedCommand(t *testing.T) {
 	n := newTestNode(11)
 	powerUp(t, n)
-	if _, err := n.HandleDownlink(protocol.Packet{Cmd: protocol.Command(0x77), Target: protocol.Broadcast}, sensors.Environment{}); err == nil {
+	if _, _, err := n.HandleDownlink(protocol.Packet{Cmd: protocol.Command(0x77), Target: protocol.Broadcast}, sensors.Environment{}, nil); err == nil {
 		t.Error("unknown command must error")
 	}
 }
@@ -268,8 +277,8 @@ func TestPowerDrawByState(t *testing.T) {
 		t.Errorf("standby draw %g W, want ≈80 µW", standby)
 	}
 	// Force replying via a broadcast round with Q=0 (always slot 0).
-	up, err := n.HandleDownlink(protocol.Packet{Cmd: protocol.CmdQuery, Target: protocol.Broadcast, Payload: []byte{0}}, sensors.Environment{})
-	if err != nil || up == nil {
+	up, ok, err := n.HandleDownlink(protocol.Packet{Cmd: protocol.CmdQuery, Target: protocol.Broadcast, Payload: []byte{0}}, sensors.Environment{}, nil)
+	if err != nil || !ok {
 		t.Fatalf("Q=0 must reply immediately: %v %v", up, err)
 	}
 	active := n.PowerDraw(1000)
@@ -281,7 +290,7 @@ func TestPowerDrawByState(t *testing.T) {
 func TestStatsCount(t *testing.T) {
 	n := newTestNode(15)
 	powerUp(t, n)
-	if _, err := n.HandleDownlink(protocol.Packet{Cmd: protocol.CmdQuery, Target: protocol.Broadcast, Payload: []byte{0}}, sensors.Environment{}); err != nil {
+	if _, _, err := n.HandleDownlink(protocol.Packet{Cmd: protocol.CmdQuery, Target: protocol.Broadcast, Payload: []byte{0}}, sensors.Environment{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	frames, cmds := n.Stats()

@@ -74,20 +74,27 @@ const Broadcast uint16 = 0xFFFF
 // structure lets a cold node lock symbol timing.
 var Preamble = []byte{0xAA, 0x3C}
 
-// Marshal frames the packet: preamble ‖ cmd ‖ target ‖ len ‖ payload ‖ CRC16.
-func (p Packet) Marshal() []byte {
+// AppendMarshal appends the packet's frame to dst: preamble ‖ cmd ‖
+// target ‖ len ‖ payload ‖ CRC16, the CRC computed fresh over the frame
+// alone. A payload longer than 255 bytes is cut to fit the length byte.
+//
+//ecolint:hotpath appends into the caller's buffer
+func (p Packet) AppendMarshal(dst []byte) []byte {
 	if len(p.Payload) > 255 {
 		p.Payload = p.Payload[:255]
 	}
-	body := make([]byte, 0, 2+1+2+1+len(p.Payload)+2)
-	body = append(body, Preamble...)
-	body = append(body, byte(p.Cmd))
-	var tgt [2]byte
-	binary.BigEndian.PutUint16(tgt[:], p.Target)
-	body = append(body, tgt[:]...)
-	body = append(body, byte(len(p.Payload)))
-	body = append(body, p.Payload...)
-	return coding.AppendCRC16(body)
+	start := len(dst)
+	dst = append(dst, Preamble[0], Preamble[1], byte(p.Cmd))
+	dst = binary.BigEndian.AppendUint16(dst, p.Target)
+	dst = append(dst, byte(len(p.Payload)))
+	dst = append(dst, p.Payload...)
+	return appendCRC(dst, start)
+}
+
+// appendCRC appends the big-endian CRC-16 of dst[start:], the frame just
+// appended, to dst.
+func appendCRC(dst []byte, start int) []byte {
+	return binary.BigEndian.AppendUint16(dst, coding.CRC16(dst[start:]))
 }
 
 // Unmarshal errors.
@@ -98,7 +105,11 @@ var (
 	ErrBadLength   = errors.New("protocol: length field disagrees with frame size")
 )
 
-// Unmarshal parses a downlink frame, validating preamble and CRC.
+// Unmarshal parses a downlink frame, validating preamble, CRC and length.
+// The packet's Payload is a view of frame (nil when empty) that ends
+// before the CRC; it is valid as long as frame is.
+//
+//ecolint:hotpath returns a view
 func Unmarshal(frame []byte) (Packet, error) {
 	const minLen = 2 + 1 + 2 + 1 + 2
 	if len(frame) < minLen {
@@ -119,14 +130,14 @@ func Unmarshal(frame []byte) (Packet, error) {
 		Target: binary.BigEndian.Uint16(frame[3:5]),
 	}
 	if plen > 0 {
-		p.Payload = append([]byte(nil), frame[6:6+plen]...)
+		p.Payload = frame[6 : 6+plen : 6+plen]
 	}
 	return p, nil
 }
 
 // Bits returns the frame as a 0/1 bit slice ready for PIE encoding.
 func (p Packet) Bits() []byte {
-	return coding.BytesToBits(p.Marshal())
+	return coding.BytesToBits(p.AppendMarshal(nil))
 }
 
 // UplinkFrame is a node's response: handle ‖ sensor type ‖ payload ‖ CRC16.
@@ -136,18 +147,23 @@ type UplinkFrame struct {
 	Data   []byte
 }
 
-// Marshal frames the uplink response.
-func (u UplinkFrame) Marshal() []byte {
-	body := make([]byte, 0, 3+len(u.Data)+2)
-	var h [2]byte
-	binary.BigEndian.PutUint16(h[:], u.Handle)
-	body = append(body, h[:]...)
-	body = append(body, u.Kind)
-	body = append(body, u.Data...)
-	return coding.AppendCRC16(body)
+// AppendMarshal appends the uplink frame to dst, the CRC computed fresh
+// over the frame alone.
+//
+//ecolint:hotpath appends into the caller's buffer
+func (u UplinkFrame) AppendMarshal(dst []byte) []byte {
+	start := len(dst)
+	dst = binary.BigEndian.AppendUint16(dst, u.Handle)
+	dst = append(dst, u.Kind)
+	dst = append(dst, u.Data...)
+	return appendCRC(dst, start)
 }
 
-// UnmarshalUplink parses an uplink frame.
+// UnmarshalUplink parses an uplink frame, validating its CRC. The frame's
+// Data is a view of frame (nil when empty) that ends before the CRC; it is
+// valid as long as frame is.
+//
+//ecolint:hotpath returns a view
 func UnmarshalUplink(frame []byte) (UplinkFrame, error) {
 	if len(frame) < 5 {
 		return UplinkFrame{}, ErrShortFrame
@@ -159,13 +175,13 @@ func UnmarshalUplink(frame []byte) (UplinkFrame, error) {
 		Handle: binary.BigEndian.Uint16(frame[0:2]),
 		Kind:   frame[2],
 	}
-	if n := len(frame) - 5; n > 0 {
-		u.Data = append([]byte(nil), frame[3:3+n]...)
+	if end := len(frame) - 2; end > 3 {
+		u.Data = frame[3:end:end]
 	}
 	return u, nil
 }
 
 // Bits returns the uplink frame as bits ready for FM0 encoding.
 func (u UplinkFrame) Bits() []byte {
-	return coding.BytesToBits(u.Marshal())
+	return coding.BytesToBits(u.AppendMarshal(nil))
 }

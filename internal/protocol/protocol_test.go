@@ -5,13 +5,11 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
-
-	"ecocapsule/internal/coding"
 )
 
 func TestPacketRoundTrip(t *testing.T) {
 	p := Packet{Cmd: CmdReadSensor, Target: 0x1234, Payload: []byte{0x01}}
-	frame := p.Marshal()
+	frame := p.AppendMarshal(nil)
 	got, err := Unmarshal(frame)
 	if err != nil {
 		t.Fatal(err)
@@ -27,7 +25,7 @@ func TestPacketRoundTripProperty(t *testing.T) {
 			payload = payload[:200]
 		}
 		p := Packet{Cmd: Command(cmd), Target: target, Payload: payload}
-		got, err := Unmarshal(p.Marshal())
+		got, err := Unmarshal(p.AppendMarshal(nil))
 		if err != nil {
 			return false
 		}
@@ -43,7 +41,7 @@ func TestPacketRoundTripProperty(t *testing.T) {
 
 func TestUnmarshalValidation(t *testing.T) {
 	p := Packet{Cmd: CmdQuery, Target: Broadcast, Payload: []byte{4}}
-	frame := p.Marshal()
+	frame := p.AppendMarshal(nil)
 
 	if _, err := Unmarshal(frame[:4]); !errors.Is(err, ErrShortFrame) {
 		t.Errorf("short frame: %v", err)
@@ -64,10 +62,10 @@ func TestUnmarshalLengthMismatch(t *testing.T) {
 	// Craft a frame whose length byte disagrees but CRC is valid over the
 	// whole thing (re-CRC after corrupting the length field).
 	p := Packet{Cmd: CmdQuery, Target: Broadcast, Payload: []byte{4, 5}}
-	frame := p.Marshal()
+	frame := p.AppendMarshal(nil)
 	body := frame[:len(frame)-2]
 	body[5] = 9 // wrong length
-	bad := coding.AppendCRC16(append([]byte(nil), body...))
+	bad := appendCRC(append([]byte(nil), body...), 0)
 	if _, err := Unmarshal(bad); !errors.Is(err, ErrBadLength) {
 		t.Errorf("length mismatch: %v", err)
 	}
@@ -75,7 +73,7 @@ func TestUnmarshalLengthMismatch(t *testing.T) {
 
 func TestPayloadTruncation(t *testing.T) {
 	p := Packet{Cmd: CmdQuery, Target: 1, Payload: make([]byte, 300)}
-	got, err := Unmarshal(p.Marshal())
+	got, err := Unmarshal(p.AppendMarshal(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +99,8 @@ func TestCommandString(t *testing.T) {
 func TestBitsRoundTrip(t *testing.T) {
 	p := Packet{Cmd: CmdAck, Target: 0xBEEF}
 	bits := p.Bits()
-	if len(bits) != len(p.Marshal())*8 {
-		t.Errorf("bit length %d, want %d", len(bits), len(p.Marshal())*8)
+	if len(bits) != len(p.AppendMarshal(nil))*8 {
+		t.Errorf("bit length %d, want %d", len(bits), len(p.AppendMarshal(nil))*8)
 	}
 	for _, b := range bits {
 		if b > 1 {
@@ -113,7 +111,7 @@ func TestBitsRoundTrip(t *testing.T) {
 
 func TestUplinkRoundTrip(t *testing.T) {
 	u := UplinkFrame{Handle: 0x0042, Kind: 0x02, Data: []byte{1, 2, 3, 4}}
-	got, err := UnmarshalUplink(u.Marshal())
+	got, err := UnmarshalUplink(u.AppendMarshal(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +125,7 @@ func TestUplinkValidation(t *testing.T) {
 		t.Errorf("short uplink: %v", err)
 	}
 	u := UplinkFrame{Handle: 7, Kind: 1, Data: []byte{9}}
-	frame := u.Marshal()
+	frame := u.AppendMarshal(nil)
 	frame[0] ^= 0x80
 	if _, err := UnmarshalUplink(frame); !errors.Is(err, ErrBadCRC) {
 		t.Errorf("corrupted uplink: %v", err)
@@ -137,7 +135,7 @@ func TestUplinkValidation(t *testing.T) {
 func TestUplinkRoundTripProperty(t *testing.T) {
 	f := func(handle uint16, kind byte, data []byte) bool {
 		u := UplinkFrame{Handle: handle, Kind: kind, Data: data}
-		got, err := UnmarshalUplink(u.Marshal())
+		got, err := UnmarshalUplink(u.AppendMarshal(nil))
 		if err != nil {
 			return false
 		}

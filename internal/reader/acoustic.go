@@ -74,7 +74,11 @@ func parseUplinkBits(bits []byte, handle uint16) ([]float64, error) {
 		return nil, fmt.Errorf("%w: frame from %#04x, expected %#04x",
 			ErrAcousticDecode, parsed.Handle, handle)
 	}
-	return sensors.Decode(sensors.SensorType(parsed.Kind), parsed.Data)
+	vals, err := sensors.Decode(sensors.SensorType(parsed.Kind), parsed.Data)
+	if err != nil {
+		return nil, err
+	}
+	return vals[:], nil
 }
 
 // acousticSlotGuard is the inter-slot margin of a batched round beyond the
@@ -141,14 +145,14 @@ func (r *Reader) AcousticReadRound(handles []uint16, st sensors.SensorType, cfg 
 			out[i].Err = fmt.Errorf("reader: unknown node %#04x", h)
 			continue
 		}
-		up, err := target.HandleDownlink(protocol.Packet{
+		up, ok, err := target.HandleDownlink(protocol.Packet{
 			Cmd: protocol.CmdReadSensor, Target: h, Payload: []byte{byte(st)},
-		}, r.env(target.Position()))
+		}, r.env(target.Position()), nil)
 		if err != nil {
 			out[i].Err = err
 			continue
 		}
-		if up == nil {
+		if !ok {
 			out[i].Err = errNodeSilent
 			continue
 		}

@@ -26,8 +26,9 @@ type BroadcastOutcome struct {
 	Corrupted int
 	// Unpowered counts capsules whose MCU was down.
 	Unpowered int
-	// Replies collects the uplink frames the packet solicited.
-	Replies []*protocol.UplinkFrame
+	// Replies collects the uplink frames the packet solicited; each owns
+	// its Data.
+	Replies []protocol.UplinkFrame
 }
 
 // AcousticBroadcast delivers p to every deployed capsule through the
@@ -103,11 +104,11 @@ func (r *Reader) AcousticBroadcast(p protocol.Packet, cfg AcousticConfig) (Broad
 			out.Corrupted++
 			continue
 		}
-		reply, err := n.HandleDownlink(parsed, envFn(n.Position()))
+		reply, ok, err := n.HandleDownlink(parsed, envFn(n.Position()), nil)
 		switch err {
 		case nil:
 			out.Delivered++
-			if reply != nil {
+			if ok {
 				out.Replies = append(out.Replies, reply)
 			}
 		case node.ErrNotPowered:

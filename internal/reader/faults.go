@@ -61,84 +61,97 @@ func (r *Reader) FaultStats() FaultStats {
 
 // deliverLocked transports one packet to one node through the fault layer,
 // as a child span of parent (nil: untraced), and returns the reply parsed
-// from its wire frame. corrupted reports an uplink that arrived but failed
-// CRC; err carries the node-level rejection (not powered, no such sensor,
-// ...) for addressed commands. Caller holds the lock.
-func (r *Reader) deliverLocked(parent *telemetry.Span, p protocol.Packet, n *node.Node) (up *protocol.UplinkFrame, corrupted bool, err error) {
+// from its wire frame, with ok false when no reply arrived. The reply's
+// Data is a view of the reader's exchange scratch, valid until the next
+// delivery. corrupted reports an uplink that arrived but failed CRC; err
+// carries the node-level rejection (not powered, no such sensor, ...) for
+// addressed commands. Caller holds the lock.
+//
+//ecolint:hotpath an untraced, fault-free exchange reuses the reader's scratch
+func (r *Reader) deliverLocked(parent *telemetry.Span, p protocol.Packet, n *node.Node) (up protocol.UplinkFrame, ok, corrupted bool, err error) {
 	env := r.env(n.Position())
 	h := n.Handle()
-	var sp *telemetry.Span
+	var x exchangeTrace
 	if parent != nil {
-		sp = parent.Child("deliver").
-			Attr("capsule", handleLabel(h)).Attr("cmd", p.Cmd.String())
+		//ecolint:ignore hotalloc only a traced exchange renders its spans
+		defer x.record(parent, h, p)
 	}
 	pkt := p
 	if r.faults != nil {
-		brownout := false
 		if cf, ok := r.faults.(CapsuleFaults); ok && cf.Brownout(h) {
 			// The capsule loses its storage charge mid-operation: one
 			// zero-amplitude excitation step drops it back to dormant.
 			n.Excite(0, physics.CarrierHz, r.cfg.Structure.Material.WaveSpeed(), brownoutStep)
-			brownout = true
+			x.brownout = true
 		}
-		wire := p.Marshal()
-		frame, ok := r.faults.Downlink(h, wire)
-		if sp != nil {
-			sp.Child("pie_downlink").Attr("bytes", len(wire)).
-				Attr("delivered", ok).Attr("brownout", brownout).End()
+		r.downWire = p.AppendMarshal(r.downWire[:0])
+		frame, delivered := r.faults.Downlink(h, r.downWire)
+		if !delivered {
+			x.downDropped, x.outcome = true, "downlink_dropped"
+			return up, false, false, nil // lost in the concrete
 		}
-		if !ok {
-			endOutcome(sp, "downlink_dropped")
-			return nil, false, nil // lost in the concrete
+		if pkt, err = protocol.Unmarshal(frame); err != nil {
+			x.outcome = "downlink_corrupted"
+			return up, false, false, nil // capsule's CRC rejects the command
 		}
-		pkt, err = protocol.Unmarshal(frame)
-		if err != nil {
-			endOutcome(sp, "downlink_corrupted")
-			return nil, false, nil // capsule's CRC rejects the command
-		}
-	} else if sp != nil {
-		sp.Child("pie_downlink").Attr("bytes", len(p.Marshal())).
-			Attr("delivered", true).Attr("brownout", false).End()
 	}
-	u, err := n.HandleDownlink(pkt, env)
-	if err != nil || u == nil {
-		if err != nil {
-			endOutcome(sp, "rejected")
-		} else {
-			endOutcome(sp, "silent")
-		}
-		return nil, false, err
+	u, replied, err := n.HandleDownlink(pkt, env, r.sample[:0])
+	if cap(u.Data) > cap(r.sample) {
+		r.sample = u.Data[:0] // keep the grown buffer for the next reading
 	}
-	wire := u.Marshal()
-	frame, ok := wire, true
+	if err != nil {
+		x.outcome = "rejected"
+		return up, false, false, err
+	}
+	if !replied {
+		x.outcome = "silent"
+		return up, false, false, nil
+	}
+	r.upWire = u.AppendMarshal(r.upWire[:0])
+	frame, delivered := r.upWire, true
 	if r.faults != nil {
-		frame, ok = r.faults.Uplink(h, wire)
+		frame, delivered = r.faults.Uplink(h, r.upWire)
 	}
-	if sp != nil {
-		sp.Child("fm0_uplink").Attr("bytes", len(wire)).Attr("delivered", ok).End()
+	x.upBytes, x.upDelivered = len(r.upWire), delivered
+	if !delivered {
+		x.outcome = "uplink_dropped"
+		return up, false, false, nil // backscatter never reached the RX
 	}
-	if !ok {
-		endOutcome(sp, "uplink_dropped")
-		return nil, false, nil // backscatter never reached the RX
-	}
-	parsed, perr := protocol.UnmarshalUplink(frame)
-	if perr != nil {
+	if up, err = protocol.UnmarshalUplink(frame); err != nil {
 		r.faultStats.CorruptedReplies++
 		mCorrupted.Inc()
-		telemetry.RecordFlight("reader", "crc_fail",
-			"uplink frame from "+handleLabel(h)+" failed CRC")
-		if sp != nil {
-			sp.Child("decode").Attr("result", "bad_crc").End()
-		}
-		endOutcome(sp, "uplink_corrupted")
-		return nil, true, nil
+		//ecolint:ignore hotalloc a CRC failure happens only under a fault plan
+		telemetry.RecordFlight("reader", "crc_fail", "uplink frame from "+handleLabel(h)+" failed CRC")
+		x.decode, x.outcome = "bad_crc", "uplink_corrupted"
+		return up, false, true, nil
 	}
-	if sp != nil {
-		sp.Child("decode").Attr("result", "ok").End()
+	x.decode, x.outcome = "ok", "reply"
+	return up, true, false, nil
+}
+
+// exchangeTrace is what a traced delivery renders once it is over: its
+// deliver span and the pie_downlink, fm0_uplink and decode children, so
+// an untraced exchange never touches a span.
+type exchangeTrace struct {
+	downDropped, brownout bool
+	// upBytes is the reply's wire length, 0 when the capsule sent none.
+	upBytes     int
+	upDelivered bool
+	// decode is the reply's CRC verdict, "" when nothing reached the RX.
+	decode  string
+	outcome string
+}
+
+// record renders the delivery of p to capsule h as a child of parent.
+func (x *exchangeTrace) record(parent *telemetry.Span, h uint16, p protocol.Packet) {
+	sp := parent.Child("deliver").Attr("capsule", handleLabel(h)).Attr("cmd", p.Cmd.String())
+	sp.Child("pie_downlink").Attr("bytes", len(p.AppendMarshal(nil))).
+		Attr("delivered", !x.downDropped).Attr("brownout", x.brownout).End()
+	if x.upBytes > 0 {
+		sp.Child("fm0_uplink").Attr("bytes", x.upBytes).Attr("delivered", x.upDelivered).End()
 	}
-	endOutcome(sp, "reply")
-	// u is the node's freshly allocated reply: hand it back holding what
-	// the reader parsed off the wire.
-	*u = parsed
-	return u, false, nil
+	if x.decode != "" {
+		sp.Child("decode").Attr("result", x.decode).End()
+	}
+	endOutcome(sp, x.outcome)
 }

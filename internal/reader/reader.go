@@ -97,6 +97,12 @@ type Reader struct {
 	// round of the same shape (see roundCarrier).
 	//ecolint:guardedby mu
 	carrier roundCBW
+
+	// Exchange scratch, reused by every delivery: the capsule's sampled
+	// reading and the command and reply wire frames. A reply deliverLocked
+	// returns is a view of it, valid until the next delivery.
+	//ecolint:guardedby mu
+	sample, downWire, upWire []byte
 }
 
 // New validates the configuration and returns a Reader with its own link
@@ -242,22 +248,22 @@ func (r *Reader) Charge(duration float64) int {
 }
 
 // broadcastLocked delivers a packet to the given nodes through the fault
-// layer, each delivery a child of parent (nil: untraced), and collects
-// replies, plus the number of replies that arrived corrupted (CRC
-// failure). Caller holds the lock.
-func (r *Reader) broadcastLocked(parent *telemetry.Span, p protocol.Packet, nodes []*node.Node) ([]*protocol.UplinkFrame, int) {
-	var replies []*protocol.UplinkFrame
+// layer, each delivery a child of parent (nil: untraced), and collects the
+// handles that replied, plus the number of replies that arrived corrupted
+// (CRC failure). Caller holds the lock.
+func (r *Reader) broadcastLocked(parent *telemetry.Span, p protocol.Packet, nodes []*node.Node) ([]uint16, int) {
+	var replied []uint16
 	corrupted := 0
 	for _, n := range nodes {
-		up, bad, _ := r.deliverLocked(parent, p, n)
+		up, ok, bad, _ := r.deliverLocked(parent, p, n)
 		if bad {
 			corrupted++
 		}
-		if up != nil {
-			replies = append(replies, up)
+		if ok {
+			replied = append(replied, up.Handle)
 		}
 	}
-	return replies, corrupted
+	return replied, corrupted
 }
 
 // InventoryResult summarises one full inventory.
@@ -359,7 +365,7 @@ func (r *Reader) inventoryLocked(parent *telemetry.Span, maxRounds int, nodes []
 			case 1:
 				outcome.Singles++
 				cSlotSingle.Inc()
-				h := replies[0].Handle
+				h := replies[0]
 				if !found[h] {
 					found[h] = true
 					res.Discovered = append(res.Discovered, h)
@@ -374,8 +380,8 @@ func (r *Reader) inventoryLocked(parent *telemetry.Span, maxRounds int, nodes []
 				endOutcome(slotSpan, "collision")
 				// Collided nodes stay replying; sleep them back to
 				// standby so the next round redraws their slots.
-				for _, reply := range replies {
-					r.broadcastLocked(slotSpan, protocol.Packet{Cmd: protocol.CmdSleep, Target: reply.Handle}, nodes)
+				for _, h := range replies {
+					r.broadcastLocked(slotSpan, protocol.Packet{Cmd: protocol.CmdSleep, Target: h}, nodes)
 				}
 			}
 		}
@@ -408,7 +414,10 @@ func (r *Reader) inventoryLocked(parent *telemetry.Span, maxRounds int, nodes []
 // root), dropping the read's link counters.
 func (r *Reader) ReadSensor(handle uint16, st sensors.SensorType) ([]float64, error) {
 	vals, _, err := r.ReadSensorUnder(nil, handle, st)
-	return vals, err
+	if err != nil {
+		return nil, err
+	}
+	return vals[:], nil
 }
 
 // ReadSensorUnder requests one sensor reading from an addressed node,
@@ -416,20 +425,25 @@ func (r *Reader) ReadSensor(handle uint16, st sensors.SensorType) ([]float64, er
 // exchange, and decodes the reply. With a tracer installed the read span is
 // a child of parent (keyed by handle), or a root when parent is nil. It
 // returns the decoded values and this read's own link counters.
-func (r *Reader) ReadSensorUnder(parent *telemetry.Span, handle uint16, st sensors.SensorType) ([]float64, FaultStats, error) {
+//
+//ecolint:hotpath an untraced, fault-free read reuses the reader's exchange scratch
+func (r *Reader) ReadSensorUnder(parent *telemetry.Span, handle uint16, st sensors.SensorType) ([2]float64, FaultStats, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var link FaultStats
 	target := r.byHandle[handle]
 	if target == nil {
 		cReadErr.Inc()
-		return nil, link, fmt.Errorf("reader: unknown node %#04x", handle)
+		//ecolint:ignore hotalloc an unknown handle is a caller error, never a survey read
+		return [2]float64{}, link, fmt.Errorf("reader: unknown node %#04x", handle)
 	}
 	readSpan := r.startSpanLocked(parent, "read", handle)
 	if readSpan != nil {
+		//ecolint:ignore hotalloc only a traced read has a span
 		readSpan.Attr("capsule", handleLabel(handle)).Attr("sensor", st.String())
 	}
-	p := protocol.Packet{Cmd: protocol.CmdReadSensor, Target: handle, Payload: []byte{byte(st)}}
+	cmd := [1]byte{byte(st)}
+	p := protocol.Packet{Cmd: protocol.CmdReadSensor, Target: handle, Payload: cmd[:]}
 	attempts := 1
 	if r.faults != nil && r.retry.MaxAttempts > 0 {
 		attempts += r.retry.MaxAttempts
@@ -437,21 +451,23 @@ func (r *Reader) ReadSensorUnder(parent *telemetry.Span, handle uint16, st senso
 	lastErr := errNodeSilent
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
+			//ecolint:ignore hotalloc re-sends happen only under a fault plan
 			r.backoffLocked(&link, a-1, fmt.Sprintf("read re-send %d", a))
 		}
 		var attemptSpan *telemetry.Span
 		if readSpan != nil {
+			//ecolint:ignore hotalloc only a traced read has a span
 			attemptSpan = readSpan.Child("attempt").Attr("n", a)
 		}
-		up, bad, err := r.deliverLocked(attemptSpan, p, target)
+		up, ok, bad, err := r.deliverLocked(attemptSpan, p, target)
 		if err != nil {
 			// A node-level rejection (not powered, no such sensor) is not
 			// a link fault; retrying cannot change it.
 			endOutcome(attemptSpan, "rejected")
 			finishRead(readSpan, readErr, a+1)
-			return nil, link, err
+			return [2]float64{}, link, err
 		}
-		if up != nil {
+		if ok {
 			endOutcome(attemptSpan, "ok")
 			finishRead(readSpan, readOK, a+1)
 			mReadAttempts.Observe(float64(a + 1))
@@ -460,6 +476,7 @@ func (r *Reader) ReadSensorUnder(parent *telemetry.Span, handle uint16, st senso
 		}
 		if bad {
 			link.CorruptedReplies++
+			//ecolint:ignore hotalloc a corrupted reply happens only under a fault plan
 			lastErr = fmt.Errorf("reader: uplink corrupted: %w", protocol.ErrBadCRC)
 			endOutcome(attemptSpan, "corrupted")
 		} else {
@@ -467,7 +484,7 @@ func (r *Reader) ReadSensorUnder(parent *telemetry.Span, handle uint16, st senso
 		}
 	}
 	finishRead(readSpan, readErr, attempts)
-	return nil, link, lastErr
+	return [2]float64{}, link, lastErr
 }
 
 // backoffLocked books retry number attempt (0-based) of one exchange: the
@@ -487,13 +504,18 @@ func (r *Reader) backoffLocked(link *FaultStats, attempt int, what string) {
 }
 
 // endOutcome closes a slot, attempt or deliver span with its outcome.
+//
+//ecolint:hotpath a no-op without a span
 func endOutcome(sp *telemetry.Span, outcome string) {
 	if sp != nil {
+		//ecolint:ignore hotalloc only a traced exchange has a span
 		sp.Attr("outcome", outcome).End()
 	}
 }
 
 // finishRead records the read result metric and closes the read span.
+//
+//ecolint:hotpath counts the read; spans only when traced
 func finishRead(sp *telemetry.Span, result string, attempts int) {
 	if result == readOK {
 		cReadOK.Inc()
@@ -501,6 +523,7 @@ func finishRead(sp *telemetry.Span, result string, attempts int) {
 		cReadErr.Inc()
 	}
 	if sp != nil {
+		//ecolint:ignore hotalloc only a traced read has a span
 		sp.Attr("result", result).Attr("attempts", attempts).End()
 	}
 }

@@ -199,10 +199,11 @@ func TestReadSensorThroughReader(t *testing.T) {
 }
 
 // readSensorAllocs is the steady-state heap object count of one fault-free,
-// untraced ReadSensor: the sample's wire bytes, the node's reply, the
-// reply's wire frame, the parsed reply's data and the decoded values. The
-// silent-node error is a package sentinel, not built per read.
-const readSensorAllocs = 5
+// untraced ReadSensor: the []float64 its public signature returns. The
+// reading and both wire frames live in the reader's exchange scratch, the
+// decoded values in a fixed-size array, and the silent-node error is a
+// package sentinel, not built per read.
+const readSensorAllocs = 1
 
 func TestReadSensorAllocs(t *testing.T) {
 	r, err := New(wallConfig())
@@ -221,6 +222,14 @@ func TestReadSensorAllocs(t *testing.T) {
 	})
 	if allocs > readSensorAllocs {
 		t.Errorf("fault-free ReadSensor allocated %.1f objects/op, want <= %d", allocs, readSensorAllocs)
+	}
+	allocs = testing.AllocsPerRun(50, func() {
+		if _, _, err := r.ReadSensorUnder(nil, 0x21, sensors.TypeTempHumidity); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("fault-free ReadSensorUnder allocated %.1f objects/op, want 0", allocs)
 	}
 }
 

@@ -75,13 +75,17 @@ func (r *Reader) SetTracer(tr *telemetry.Tracer) {
 // parent when one is given — the fleet passes its survey span, so one
 // trace covers charge → interrogation → broadcast — else a fresh root on
 // the tracer. Returns nil when tracing is off. Callers hold r.mu.
+//
+//ecolint:hotpath nil without a tracer
 func (r *Reader) startSpanLocked(parent *telemetry.Span, name string, handle uint16) *telemetry.Span {
 	if r.tracer == nil {
 		return nil
 	}
 	if parent != nil {
+		//ecolint:ignore hotalloc only a traced reader opens spans
 		return parent.ChildKeyed(name, uint64(handle))
 	}
+	//ecolint:ignore hotalloc only a traced reader opens spans
 	return r.tracer.StartKeyed(name, uint64(handle))
 }
 

@@ -69,14 +69,14 @@ func (s SensorType) String() string {
 	}
 }
 
-// Sensor is a capsule payload: it samples the environment and produces a
-// framed reading.
+// Sensor is a capsule payload: it samples the environment and frames the
+// reading into a buffer the caller owns.
 type Sensor interface {
 	// Type returns the sensor's wire type.
 	Type() SensorType
-	// Sample measures the environment (with the sensor's own noise) and
-	// returns a framed reading.
-	Sample(env Environment) Reading
+	// AppendSample measures the environment (with the sensor's own noise)
+	// and appends the reading's wire bytes to dst.
+	AppendSample(dst []byte, env Environment) []byte
 	// PowerDraw returns the sensor's active supply power in watts.
 	PowerDraw() float64
 }
@@ -101,9 +101,16 @@ func (s *TempHumiditySensor) Type() SensorType { return TypeTempHumidity }
 //ecolint:unit return w
 func (s *TempHumiditySensor) PowerDraw() float64 { return 23 * units.UW }
 
-// Sample implements Sensor: AHT10 framing packs humidity and temperature
-// into 20-bit fields: RH = raw/2^20·100, T = raw/2^20·200 − 50.
+// Sample measures env into a freshly allocated reading.
 func (s *TempHumiditySensor) Sample(env Environment) Reading {
+	return Reading{Raw: s.AppendSample(nil, env)}
+}
+
+// AppendSample implements Sensor: AHT10 framing packs humidity and
+// temperature into 20-bit fields: RH = raw/2^20·100, T = raw/2^20·200 − 50.
+//
+//ecolint:hotpath appends into the caller's buffer
+func (s *TempHumiditySensor) AppendSample(dst []byte, env Environment) []byte {
 	tMeas := env.TemperatureC + s.noise.Gaussian(0.15)
 	hMeas := env.RelativeHumidity + s.noise.Gaussian(1.0)
 	hMeas = clamp(hMeas, 0, 100)
@@ -121,18 +128,16 @@ func (s *TempHumiditySensor) Sample(env Environment) Reading {
 		rawT = maxRaw
 	}
 	// 5-byte AHT10-style payload: HHHHH HHHHH HHHHH HHHHH TTTT TTTT ...
-	buf := make([]byte, 5)
-	buf[0] = byte(rawH >> 12)
-	buf[1] = byte(rawH >> 4)
-	buf[2] = byte(rawH<<4) | byte(rawT>>16)
-	buf[3] = byte(rawT >> 8)
-	buf[4] = byte(rawT)
-	return Reading{Raw: buf}
+	return append(dst, byte(rawH>>12), byte(rawH>>4), byte(rawH<<4)|byte(rawT>>16),
+		byte(rawT>>8), byte(rawT))
 }
 
 // DecodeTempHumidity reverses the AHT10 framing.
+//
+//ecolint:hotpath
 func DecodeTempHumidity(raw []byte) (tempC, rh float64, err error) {
 	if len(raw) != 5 {
+		//ecolint:ignore hotalloc a wrong-length payload is a malformed reply
 		return 0, 0, fmt.Errorf("sensors: temp-humidity payload must be 5 bytes, got %d", len(raw))
 	}
 	rawH := uint32(raw[0])<<12 | uint32(raw[1])<<4 | uint32(raw[2])>>4
@@ -163,19 +168,22 @@ func (s *StrainSensor) Type() SensorType { return TypeStrain }
 //ecolint:unit return w
 func (s *StrainSensor) PowerDraw() float64 { return 45 * units.UW }
 
-// Sample implements Sensor: two int24 micro-strain fields.
-func (s *StrainSensor) Sample(env Environment) Reading {
+// AppendSample implements Sensor: two int32 nano-strain fields.
+//
+//ecolint:hotpath appends into the caller's buffer
+func (s *StrainSensor) AppendSample(dst []byte, env Environment) []byte {
 	x := env.StrainX + s.noise.Gaussian(0.5*units.UE)
 	y := env.StrainY + s.noise.Gaussian(0.5*units.UE)
-	buf := make([]byte, 8)
-	binary.BigEndian.PutUint32(buf[0:4], uint32(int32(x*1e9)))
-	binary.BigEndian.PutUint32(buf[4:8], uint32(int32(y*1e9)))
-	return Reading{Raw: buf}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(x*1e9)))
+	return binary.BigEndian.AppendUint32(dst, uint32(int32(y*1e9)))
 }
 
 // DecodeStrain reverses the strain framing, returning the two strains.
+//
+//ecolint:hotpath
 func DecodeStrain(raw []byte) (x, y float64, err error) {
 	if len(raw) != 8 {
+		//ecolint:ignore hotalloc a wrong-length payload is a malformed reply
 		return 0, 0, fmt.Errorf("sensors: strain payload must be 8 bytes, got %d", len(raw))
 	}
 	x = float64(int32(binary.BigEndian.Uint32(raw[0:4]))) / 1e9
@@ -206,20 +214,23 @@ func (a *Accelerometer) Type() SensorType { return TypeAccelerometer }
 //ecolint:unit return w
 func (a *Accelerometer) PowerDraw() float64 { return 30 * units.UW }
 
-// Sample implements Sensor: int32 micro-m/s² field plus the stress channel
-// (int16 in 0.1 MPa steps) since the pilot reports both.
-func (a *Accelerometer) Sample(env Environment) Reading {
+// AppendSample implements Sensor: int32 micro-m/s² field plus the stress
+// channel (int16 in 0.1 MPa steps) since the pilot reports both.
+//
+//ecolint:hotpath appends into the caller's buffer
+func (a *Accelerometer) AppendSample(dst []byte, env Environment) []byte {
 	acc := env.AccelerationMS2 + a.noise.Gaussian(a.NoiseDensity)
 	stress := env.StressMPa + a.noise.Gaussian(0.1)
-	buf := make([]byte, 6)
-	binary.BigEndian.PutUint32(buf[0:4], uint32(int32(acc*1e6)))
-	binary.BigEndian.PutUint16(buf[4:6], uint16(int16(stress*10)))
-	return Reading{Raw: buf}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(acc*1e6)))
+	return binary.BigEndian.AppendUint16(dst, uint16(int16(stress*10)))
 }
 
 // DecodeAccelerometer reverses the acceleration framing.
+//
+//ecolint:hotpath
 func DecodeAccelerometer(raw []byte) (accel, stressMPa float64, err error) {
 	if len(raw) != 6 {
+		//ecolint:ignore hotalloc a wrong-length payload is a malformed reply
 		return 0, 0, fmt.Errorf("sensors: accelerometer payload must be 6 bytes, got %d", len(raw))
 	}
 	accel = float64(int32(binary.BigEndian.Uint32(raw[0:4]))) / 1e6
@@ -227,21 +238,25 @@ func DecodeAccelerometer(raw []byte) (accel, stressMPa float64, err error) {
 	return accel, stressMPa, nil
 }
 
-// Decode dispatches on the sensor type and returns the physical values.
-func Decode(t SensorType, raw []byte) ([]float64, error) {
+// Decode dispatches on the sensor type and returns the physical values:
+// every type decodes to two.
+//
+//ecolint:hotpath returns by value
+func Decode(t SensorType, raw []byte) ([2]float64, error) {
+	var v [2]float64
+	var err error
 	switch t {
 	case TypeTempHumidity:
-		a, b, err := DecodeTempHumidity(raw)
-		return []float64{a, b}, err
+		v[0], v[1], err = DecodeTempHumidity(raw)
 	case TypeStrain:
-		a, b, err := DecodeStrain(raw)
-		return []float64{a, b}, err
+		v[0], v[1], err = DecodeStrain(raw)
 	case TypeAccelerometer:
-		a, b, err := DecodeAccelerometer(raw)
-		return []float64{a, b}, err
+		v[0], v[1], err = DecodeAccelerometer(raw)
 	default:
-		return nil, fmt.Errorf("sensors: unknown sensor type %#02x", byte(t))
+		//ecolint:ignore hotalloc an unknown type is a malformed reply, never a survey reading
+		err = fmt.Errorf("sensors: unknown sensor type %#02x", byte(t))
 	}
+	return v, err
 }
 
 func clamp(v, lo, hi float64) float64 { return math.Min(math.Max(v, lo), hi) }

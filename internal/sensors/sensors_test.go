@@ -1,6 +1,7 @@
 package sensors
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -91,11 +92,11 @@ func TestTempHumidityClamping(t *testing.T) {
 func TestStrainRoundTrip(t *testing.T) {
 	s := NewStrain(3)
 	env := Environment{StrainX: 120e-6, StrainY: -85e-6}
-	r := s.Sample(env)
+	r := s.AppendSample(nil, env)
 	noise := dsp.NewNoiseSource(3)
 	wantX := env.StrainX + noise.Gaussian(0.5e-6)
 	wantY := env.StrainY + noise.Gaussian(0.5e-6)
-	x, y, err := DecodeStrain(r.Raw)
+	x, y, err := DecodeStrain(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,8 +111,8 @@ func TestStrainRoundTrip(t *testing.T) {
 
 func TestStrainNegativeValues(t *testing.T) {
 	s := NewStrain(4)
-	r := s.Sample(Environment{StrainX: -500e-6, StrainY: -1e-3})
-	x, y, err := DecodeStrain(r.Raw)
+	r := s.AppendSample(nil, Environment{StrainX: -500e-6, StrainY: -1e-3})
+	x, y, err := DecodeStrain(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +124,8 @@ func TestStrainNegativeValues(t *testing.T) {
 func TestAccelerometerRoundTrip(t *testing.T) {
 	a := NewAccelerometer(5)
 	env := Environment{AccelerationMS2: -0.032, StressMPa: -64.2}
-	r := a.Sample(env)
-	acc, stress, err := DecodeAccelerometer(r.Raw)
+	r := a.AppendSample(nil, env)
+	acc, stress, err := DecodeAccelerometer(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +141,38 @@ func TestDecodeDispatch(t *testing.T) {
 	s := NewTempHumidity(6)
 	r := s.Sample(Environment{TemperatureC: 25, RelativeHumidity: 60})
 	vals, err := Decode(TypeTempHumidity, r.Raw)
-	if err != nil || len(vals) != 2 {
+	tempC, rh, _ := DecodeTempHumidity(r.Raw)
+	if err != nil || vals != [2]float64{tempC, rh} {
 		t.Fatalf("dispatch temp-humidity: %v %v", vals, err)
 	}
 	if _, err := Decode(SensorType(0x7F), []byte{1}); err == nil {
 		t.Error("unknown type must error")
+	}
+}
+
+// TestAppendSampleAppends pins the append contract every sensor shares:
+// the reading lands after the caller's bytes, which it leaves untouched,
+// and a buffer with room for it is filled in place.
+func TestAppendSampleAppends(t *testing.T) {
+	env := Environment{TemperatureC: 21, RelativeHumidity: 55, StrainX: 1e-4, AccelerationMS2: 0.1}
+	for _, mk := range []func() Sensor{
+		func() Sensor { return NewTempHumidity(8) },
+		func() Sensor { return NewStrain(8) },
+		func() Sensor { return NewAccelerometer(8) },
+	} {
+		want := mk().AppendSample(nil, env)
+		prefix := []byte{0xDE, 0xAD}
+		got := mk().AppendSample(prefix, env)
+		if !bytes.Equal(got[:2], prefix) || !bytes.Equal(got[2:], want) {
+			t.Errorf("%v: appended %x, want %x after the prefix", mk().Type(), got, want)
+		}
+		buf := make([]byte, 0, len(want))
+		if out := mk().AppendSample(buf, env); &out[0] != &buf[:1][0] {
+			t.Errorf("%v: a %d-byte reading did not fill a buffer with room for it", mk().Type(), len(out))
+		}
+	}
+	if got, want := NewTempHumidity(8).Sample(env).Raw, NewTempHumidity(8).AppendSample(nil, env); !bytes.Equal(got, want) {
+		t.Errorf("Sample %x, AppendSample %x", got, want)
 	}
 }
 

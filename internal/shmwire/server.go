@@ -52,10 +52,24 @@ type subscriber struct {
 	conn net.Conn
 }
 
+// outFrame is one queued frame. A Telemetry body travels inline in tel, so
+// a telemetry broadcast allocates nothing; any other body is shared by
+// every subscriber's queue.
 type outFrame struct {
 	t    MsgType
 	body []byte
 	tc   *TraceContext
+	// inline is set when the body is tel rather than body.
+	inline bool
+	tel    [telemetrySize]byte
+}
+
+// payload returns the frame's body.
+func (of *outFrame) payload() []byte {
+	if of.inline {
+		return of.tel[:]
+	}
+	return of.body
 }
 
 // NewServer listens on addr (e.g. "127.0.0.1:0").
@@ -199,10 +213,12 @@ func (s *Server) handle(conn net.Conn) {
 // empty, so a burst costs one write per bufio buffer instead of one per
 // frame. arm runs before each batch. Frames queued before ch was closed
 // are still flushed.
+//
+//ecolint:hotpath every frame is built in the Conn's write buffer
 func drain(c *Conn, ch <-chan outFrame, arm func()) error {
 	for of := range ch {
 		arm()
-		err := WriteFrameTraced(c.w, of.t, of.body, of.tc)
+		err := writeFrame(c.w, of.t, of.payload(), of.tc)
 	batch:
 		for n := 1; err == nil && n < cap(ch); n++ {
 			select {
@@ -210,7 +226,7 @@ func drain(c *Conn, ch <-chan outFrame, arm func()) error {
 				if !ok {
 					break batch
 				}
-				err = WriteFrameTraced(c.w, next.t, next.body, next.tc)
+				err = writeFrame(c.w, next.t, next.payload(), next.tc)
 			default:
 				break batch
 			}
@@ -264,10 +280,25 @@ func (s *Server) BroadcastTraced(t MsgType, body []byte, tc *TraceContext) {
 			fmt.Sprintf("%v frame with a %d-byte body: %v", t, len(body), err))
 		return
 	}
-	mBroadcasts.inc(t)
-	of := outFrame{t: t, body: body, tc: tc}
+	s.fanOut(outFrame{t: t, body: body, tc: tc})
+}
+
+// BroadcastTelemetry fans one telemetry sample out, its body encoded
+// inline in the queued frame.
+//
+//ecolint:hotpath the body rides inline in the queued frame
+func (s *Server) BroadcastTelemetry(t Telemetry) {
+	s.fanOut(outFrame{t: MsgTelemetry, inline: true, tel: encodeTelemetry(t)})
+}
+
+// fanOut queues of on every subscriber's channel, evicting the
+// subscribers whose queue is full.
+//
+//ecolint:hotpath one frame copy per subscriber queue
+func (s *Server) fanOut(of outFrame) {
+	mBroadcasts.inc(of.t)
 	s.mu.Lock()
-	if t == MsgStatus {
+	if of.t == MsgStatus {
 		// Copied inside the branch so of itself stays on the stack for
 		// every other frame type.
 		st := of
@@ -283,7 +314,17 @@ func (s *Server) BroadcastTraced(t MsgType, body []byte, tc *TraceContext) {
 	}
 	logf := s.logf
 	s.mu.Unlock()
-	for _, id := range evict {
+	if len(evict) > 0 {
+		//ecolint:ignore hotalloc an eviction is an incident that dumps the flight recorder
+		s.evict(evict, logf)
+	}
+}
+
+// evict disconnects the subscribers that overflowed their fan-out buffer.
+// An eviction is an incident: the flight recorder is dumped so the events
+// leading up to the overflow survive it.
+func (s *Server) evict(ids []int, logf func(string, ...any)) {
+	for _, id := range ids {
 		logf("shmwire: evicting slow subscriber %d", id)
 		mEvictions.Inc()
 		telemetry.RecordFlight("shmwire", "evict",
@@ -291,11 +332,6 @@ func (s *Server) BroadcastTraced(t MsgType, body []byte, tc *TraceContext) {
 		s.removeSub(id)
 		telemetry.Flight().Dump("shmwire: subscriber evicted")
 	}
-}
-
-// BroadcastTelemetry is a convenience wrapper.
-func (s *Server) BroadcastTelemetry(t Telemetry) {
-	s.Broadcast(MsgTelemetry, EncodeTelemetry(t))
 }
 
 // BroadcastHealth is a convenience wrapper.
@@ -350,6 +386,8 @@ func (s *Server) Close() error {
 type Client struct {
 	conn net.Conn
 	c    *Conn
+	// tel holds the last Telemetry event's sample.
+	tel Telemetry
 }
 
 // Dial connects and sends the Hello.
@@ -367,7 +405,8 @@ func Dial(addr, name string) (*Client, error) {
 }
 
 // Event is one decoded server message. Trace carries the sender's trace
-// context when the frame was traced.
+// context when the frame was traced. Telemetry and Trace point at fields
+// the Client owns: they are valid until the next Next.
 type Event struct {
 	Type      MsgType
 	Telemetry *Telemetry
@@ -379,6 +418,8 @@ type Event struct {
 
 // Next blocks for the next event. io.EOF-wrapped errors mean the stream
 // ended.
+//
+//ecolint:hotpath a Telemetry event decodes into the Client's own field
 func (cl *Client) Next() (Event, error) {
 	f, err := cl.c.Recv()
 	if err != nil {
@@ -387,11 +428,10 @@ func (cl *Client) Next() (Event, error) {
 	ev := Event{Type: f.Type, Trace: f.Trace}
 	switch f.Type {
 	case MsgTelemetry:
-		t, err := DecodeTelemetry(f.Body)
-		if err != nil {
+		if cl.tel, err = DecodeTelemetry(f.Body); err != nil {
 			return Event{}, err
 		}
-		ev.Telemetry = &t
+		ev.Telemetry = &cl.tel
 	case MsgHealth:
 		h, err := DecodeHealth(f.Body)
 		if err != nil {
@@ -399,12 +439,14 @@ func (cl *Client) Next() (Event, error) {
 		}
 		ev.Health = &h
 	case MsgAlert:
+		//ecolint:ignore hotalloc an alert carries its own message
 		a, err := DecodeAlert(f.Body)
 		if err != nil {
 			return Event{}, err
 		}
 		ev.Alert = &a
 	case MsgStatus:
+		//ecolint:ignore hotalloc a Status, one per survey, owns its missing list
 		st, err := DecodeStatus(f.Body)
 		if err != nil {
 			return Event{}, err
@@ -412,6 +454,7 @@ func (cl *Client) Next() (Event, error) {
 		ev.Status = &st
 	case MsgBye:
 	default:
+		//ecolint:ignore hotalloc a frame outside the protocol ends the stream
 		return Event{}, fmt.Errorf("shmwire: unexpected frame %v", f.Type)
 	}
 	return ev, nil

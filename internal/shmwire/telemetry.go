@@ -19,11 +19,14 @@ func newTypeCounters(vec *telemetry.CounterVec) *typeCounters {
 }
 
 // inc counts one frame of type t.
+//
+//ecolint:hotpath a named type is one atomic add
 func (c *typeCounters) inc(t MsgType) {
 	if int(t) < len(c.named) && c.named[t] != nil {
 		c.named[t].Inc()
 		return
 	}
+	//ecolint:ignore hotalloc only a type outside the protocol resolves its series here
 	c.vec.With(t.String()).Inc()
 }
 

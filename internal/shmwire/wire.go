@@ -1,9 +1,16 @@
 // Package shmwire defines the binary TCP wire protocol the shmserver tool
 // streams SHM telemetry over, plus the client and server implementations.
-// The framing is deliberately simple and allocation-light: a fixed header
-// (magic, version, message type, length) followed by a fixed-layout body,
-// all big-endian — the kind of protocol a monitoring daemon would expose
-// to a building-management system.
+// The framing is deliberately simple: a fixed header (magic, version,
+// message type, length) followed by a fixed-layout body, all big-endian —
+// the kind of protocol a monitoring daemon would expose to a
+// building-management system.
+//
+// The frame path is allocation-free. A broadcast Telemetry frame carries
+// its body inline in the queued frame, each subscriber's writer builds the
+// frame in its own bufio buffer, and a Conn receives every frame into one
+// body buffer it reuses: a received Frame's Body and Trace are valid until
+// the next Recv, and a Client's Event.Telemetry and Event.Trace until the
+// next Next.
 package shmwire
 
 import (
@@ -27,6 +34,10 @@ const (
 	// MaxFrameSize bounds a frame body (sanity limit).
 	MaxFrameSize = 4096
 )
+
+// frameHeaderSize is the fixed header: magic(2) version(1) type(1)
+// length(2).
+const frameHeaderSize = 6
 
 // MsgType discriminates frame bodies.
 type MsgType byte
@@ -146,11 +157,9 @@ const flagTraced byte = 0x80
 
 // EncodeTraceContext appends the 20-byte wire form of tc to dst.
 func EncodeTraceContext(dst []byte, tc TraceContext) []byte {
-	var b [traceContextSize]byte
-	binary.BigEndian.PutUint64(b[0:8], tc.TraceID)
-	binary.BigEndian.PutUint32(b[8:12], tc.SpanID)
-	binary.BigEndian.PutUint64(b[12:20], tc.LogicalTS)
-	return append(dst, b[:]...)
+	dst = binary.BigEndian.AppendUint64(dst, tc.TraceID)
+	dst = binary.BigEndian.AppendUint32(dst, tc.SpanID)
+	return binary.BigEndian.AppendUint64(dst, tc.LogicalTS)
 }
 
 // DecodeTraceContext reverses EncodeTraceContext.
@@ -166,7 +175,8 @@ func DecodeTraceContext(b []byte) (TraceContext, error) {
 }
 
 // Frame is a decoded wire frame. Trace is non-nil when the sender attached
-// a trace context.
+// a trace context. A frame from Conn.Recv is a view of the Conn's receive
+// buffer: Body and Trace are valid until the next Recv.
 type Frame struct {
 	Type  MsgType
 	Body  []byte
@@ -198,31 +208,35 @@ func frameLength(t MsgType, body []byte, tc *TraceContext) (int, error) {
 	return n, nil
 }
 
-// WriteFrameTraced writes one frame — magic(2) version(1) type(1)
-// length(2) body — prefixing the body with tc (when non-nil) and setting
-// the traced flag bit on the type byte. The trace header counts against
-// MaxFrameSize.
-func WriteFrameTraced(w io.Writer, t MsgType, body []byte, tc *TraceContext) error {
+// writeFrame buffers one frame — magic(2) version(1) type(1) length(2)
+// body — prefixing the body with tc (when non-nil) and setting the traced
+// flag bit on the type byte. The trace header counts against MaxFrameSize.
+// The frame is built in w's own buffer, flushing first when it would not
+// fit, so w must hold frameHeaderSize+MaxFrameSize bytes (NewConn's does).
+//
+//ecolint:hotpath builds the frame in the writer's own buffer
+func writeFrame(w *bufio.Writer, t MsgType, body []byte, tc *TraceContext) error {
 	n, err := frameLength(t, body, tc)
 	if err != nil {
 		return err
+	}
+	if w.Available() < frameHeaderSize+n {
+		if err := w.Flush(); err != nil {
+			return err
+		}
 	}
 	typeByte := byte(t)
 	if tc != nil {
 		typeByte |= flagTraced
 	}
-	hdr := make([]byte, 6, 6+traceContextSize)
-	binary.BigEndian.PutUint16(hdr[0:2], Magic)
-	hdr[2] = Version
-	hdr[3] = typeByte
-	binary.BigEndian.PutUint16(hdr[4:6], uint16(n))
+	frame := binary.BigEndian.AppendUint16(w.AvailableBuffer(), Magic)
+	frame = append(frame, Version, typeByte)
+	frame = binary.BigEndian.AppendUint16(frame, uint16(n))
 	if tc != nil {
-		hdr = EncodeTraceContext(hdr, *tc)
+		frame = EncodeTraceContext(frame, *tc)
 	}
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	if _, err := w.Write(body); err != nil {
+	frame = append(frame, body...)
+	if _, err := w.Write(frame); err != nil {
 		return err
 	}
 	mFramesWritten.inc(t)
@@ -232,56 +246,15 @@ func WriteFrameTraced(w io.Writer, t MsgType, body []byte, tc *TraceContext) err
 	return nil
 }
 
-// ReadFrame reads one frame from r, peeling the trace-context prefix off
-// traced frames.
-func ReadFrame(r io.Reader) (Frame, error) {
-	hdr := make([]byte, 6)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return Frame{}, err
-	}
-	if binary.BigEndian.Uint16(hdr[0:2]) != Magic {
-		mReadErrors.Inc()
-		return Frame{}, ErrBadMagic
-	}
-	if hdr[2] != Version {
-		mReadErrors.Inc()
-		return Frame{}, ErrBadVersion
-	}
-	traced := hdr[3]&flagTraced != 0
-	n := int(binary.BigEndian.Uint16(hdr[4:6]))
-	if n > MaxFrameSize {
-		mReadErrors.Inc()
-		return Frame{}, ErrTooLarge
-	}
-	if traced && n < traceContextSize {
-		mReadErrors.Inc()
-		return Frame{}, ErrShortBody
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		mReadErrors.Inc()
-		return Frame{}, err
-	}
-	f := Frame{Type: MsgType(hdr[3] &^ flagTraced), Body: body}
-	if traced {
-		tc, err := DecodeTraceContext(body[:traceContextSize])
-		if err != nil {
-			mReadErrors.Inc()
-			return Frame{}, err
-		}
-		f.Trace = &tc
-		f.Body = body[traceContextSize:]
-	}
-	mFramesRead.inc(f.Type)
-	return f, nil
-}
-
 func putF64(b []byte, v float64) { binary.BigEndian.PutUint64(b, math.Float64bits(v)) }
 func getF64(b []byte) float64    { return math.Float64frombits(binary.BigEndian.Uint64(b)) }
 
-// EncodeTelemetry serialises a telemetry sample.
-func EncodeTelemetry(t Telemetry) []byte {
-	b := make([]byte, 8+2+8*4)
+// telemetrySize is the wire size of a Telemetry body.
+const telemetrySize = 8 + 2 + 8*4
+
+// encodeTelemetry serialises a telemetry sample into a fixed-size body
+// returned by value.
+func encodeTelemetry(t Telemetry) (b [telemetrySize]byte) {
 	binary.BigEndian.PutUint64(b[0:8], uint64(t.Timestamp.UnixNano()))
 	binary.BigEndian.PutUint16(b[8:10], t.CapsuleID)
 	putF64(b[10:18], t.Acceleration)
@@ -291,9 +264,9 @@ func EncodeTelemetry(t Telemetry) []byte {
 	return b
 }
 
-// DecodeTelemetry reverses EncodeTelemetry.
+// DecodeTelemetry reverses encodeTelemetry.
 func DecodeTelemetry(b []byte) (Telemetry, error) {
-	if len(b) < 42 {
+	if len(b) < telemetrySize {
 		return Telemetry{}, ErrShortBody
 	}
 	return Telemetry{
@@ -415,15 +388,24 @@ func DecodeStatus(b []byte) (Status, error) {
 	return s, nil
 }
 
-// Conn wraps a net.Conn (or any ReadWriter) with buffered framing.
+// Conn wraps a net.Conn (or any ReadWriter) with buffered framing. Its
+// writer holds a whole frame, and it receives every frame into one body
+// buffer it reuses.
 type Conn struct {
 	r *bufio.Reader
 	w *bufio.Writer
+	// body and tc hold the last received frame's body and trace context.
+	body []byte
+	tc   TraceContext
 }
 
 // NewConn wraps rw.
 func NewConn(rw io.ReadWriter) *Conn {
-	return &Conn{r: bufio.NewReader(rw), w: bufio.NewWriter(rw)}
+	return &Conn{
+		r:    bufio.NewReader(rw),
+		w:    bufio.NewWriterSize(rw, frameHeaderSize+MaxFrameSize),
+		body: make([]byte, MaxFrameSize),
+	}
 }
 
 // Send writes one frame and flushes.
@@ -434,14 +416,61 @@ func (c *Conn) Send(t MsgType, body []byte) error {
 // SendTraced writes one frame carrying an optional trace context and
 // flushes.
 func (c *Conn) SendTraced(t MsgType, body []byte, tc *TraceContext) error {
-	if err := WriteFrameTraced(c.w, t, body, tc); err != nil {
+	if err := writeFrame(c.w, t, body, tc); err != nil {
 		return err
 	}
 	return c.w.Flush()
 }
 
-// Recv reads one frame.
-func (c *Conn) Recv() (Frame, error) { return ReadFrame(c.r) }
+// Recv reads one frame, peeling the trace-context prefix off a traced
+// frame. The frame's Body and Trace are views of the Conn's receive
+// buffer, valid until the next Recv.
+//
+//ecolint:hotpath reads into the Conn's own buffer
+func (c *Conn) Recv() (Frame, error) {
+	hdr, err := c.r.Peek(frameHeaderSize)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return Frame{}, err
+	}
+	magic, version, typeByte := binary.BigEndian.Uint16(hdr[0:2]), hdr[2], hdr[3]
+	n := int(binary.BigEndian.Uint16(hdr[4:6]))
+	// Peek returned the whole header, so discarding it cannot come up short.
+	_, _ = c.r.Discard(frameHeaderSize)
+	if magic != Magic {
+		mReadErrors.Inc()
+		return Frame{}, ErrBadMagic
+	}
+	if version != Version {
+		mReadErrors.Inc()
+		return Frame{}, ErrBadVersion
+	}
+	traced := typeByte&flagTraced != 0
+	if n > MaxFrameSize {
+		mReadErrors.Inc()
+		return Frame{}, ErrTooLarge
+	}
+	if traced && n < traceContextSize {
+		mReadErrors.Inc()
+		return Frame{}, ErrShortBody
+	}
+	body := c.body[:n]
+	if _, err := io.ReadFull(c.r, body); err != nil {
+		mReadErrors.Inc()
+		return Frame{}, err
+	}
+	f := Frame{Type: MsgType(typeByte &^ flagTraced), Body: body}
+	if traced {
+		// Cannot fail: n >= traceContextSize was checked above.
+		c.tc, _ = DecodeTraceContext(body[:traceContextSize])
+		f.Trace = &c.tc
+		f.Body = body[traceContextSize:]
+	}
+	mFramesRead.inc(f.Type)
+	return f, nil
+}
 
 // Hello sends the session-open frame with the subscriber name.
 func (c *Conn) Hello(name string) error {

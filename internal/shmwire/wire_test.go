@@ -10,13 +10,35 @@ import (
 	"time"
 )
 
+// sendFrame writes one frame to w the way a Conn sends it.
+func sendFrame(w io.Writer, t MsgType, body []byte, tc *TraceContext) error {
+	return NewConn(struct {
+		io.Reader
+		io.Writer
+	}{nil, w}).SendTraced(t, body, tc)
+}
+
+// telemetryBytes is t's wire body as a slice.
+func telemetryBytes(t Telemetry) []byte {
+	b := encodeTelemetry(t)
+	return b[:]
+}
+
+// recvFrame reads one frame from r on a fresh Conn.
+func recvFrame(r io.Reader) (Frame, error) {
+	return NewConn(struct {
+		io.Reader
+		io.Writer
+	}{r, io.Discard}).Recv()
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	body := []byte{1, 2, 3, 4, 5}
-	if err := WriteFrameTraced(&buf, MsgTelemetry, body, nil); err != nil {
+	if err := sendFrame(&buf, MsgTelemetry, body, nil); err != nil {
 		t.Fatal(err)
 	}
-	f, err := ReadFrame(&buf)
+	f, err := recvFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,10 +58,10 @@ func TestFrameRoundTripProperty(t *testing.T) {
 			tc = &TraceContext{TraceID: trace, SpanID: span, LogicalTS: ts}
 		}
 		var buf bytes.Buffer
-		if err := WriteFrameTraced(&buf, MsgType(tp), body, tc); err != nil {
+		if err := sendFrame(&buf, MsgType(tp), body, tc); err != nil {
 			return false
 		}
-		got, err := ReadFrame(&buf)
+		got, err := recvFrame(&buf)
 		if err != nil {
 			return false
 		}
@@ -58,7 +80,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 
 func TestWriteFrameRejectsReservedTypeBit(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrameTraced(&buf, MsgType(0x85), nil, nil); !errors.Is(err, ErrReservedType) {
+	if err := sendFrame(&buf, MsgType(0x85), nil, nil); !errors.Is(err, ErrReservedType) {
 		t.Errorf("type with traced bit set: %v, want ErrReservedType", err)
 	}
 }
@@ -67,13 +89,13 @@ func TestTracedFrameValidation(t *testing.T) {
 	// A traced frame whose declared length cannot hold the trace header is
 	// rejected before the body decoder sees it.
 	short := []byte{0xEC, 0x05, Version, byte(MsgStatus) | flagTraced, 0, 5, 1, 2, 3, 4, 5}
-	if _, err := ReadFrame(bytes.NewReader(short)); !errors.Is(err, ErrShortBody) {
+	if _, err := recvFrame(bytes.NewReader(short)); !errors.Is(err, ErrShortBody) {
 		t.Errorf("traced frame shorter than the header: %v, want ErrShortBody", err)
 	}
 	// The trace header counts against MaxFrameSize.
 	var buf bytes.Buffer
 	tc := &TraceContext{TraceID: 1, SpanID: 2, LogicalTS: 3}
-	if err := WriteFrameTraced(&buf, MsgStatus, make([]byte, MaxFrameSize-traceContextSize+1), tc); !errors.Is(err, ErrTooLarge) {
+	if err := sendFrame(&buf, MsgStatus, make([]byte, MaxFrameSize-traceContextSize+1), tc); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("traced frame over MaxFrameSize: %v, want ErrTooLarge", err)
 	}
 }
@@ -84,10 +106,10 @@ func TestTracedStatusEndToEnd(t *testing.T) {
 	var buf bytes.Buffer
 	tc := TraceContext{TraceID: 0xDEADBEEF01020304, SpanID: 0xABCD1234, LogicalTS: 7_200_000_000_000}
 	st := Status{Timestamp: time.Unix(0, 0).UTC(), Expected: 5, Reporting: 4, Degraded: true, MissingNodes: []uint16{0x91}}
-	if err := WriteFrameTraced(&buf, MsgStatus, EncodeStatus(st), &tc); err != nil {
+	if err := sendFrame(&buf, MsgStatus, EncodeStatus(st), &tc); err != nil {
 		t.Fatal(err)
 	}
-	fr, err := ReadFrame(&buf)
+	fr, err := recvFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,26 +128,26 @@ func TestTracedStatusEndToEnd(t *testing.T) {
 func TestFrameValidation(t *testing.T) {
 	// Oversized body rejected at write time.
 	var buf bytes.Buffer
-	if err := WriteFrameTraced(&buf, MsgTelemetry, make([]byte, MaxFrameSize+1), nil); !errors.Is(err, ErrTooLarge) {
+	if err := sendFrame(&buf, MsgTelemetry, make([]byte, MaxFrameSize+1), nil); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversized write: %v", err)
 	}
 	// Bad magic.
 	bad := []byte{0x00, 0x00, Version, byte(MsgHello), 0, 0}
-	if _, err := ReadFrame(bytes.NewReader(bad)); !errors.Is(err, ErrBadMagic) {
+	if _, err := recvFrame(bytes.NewReader(bad)); !errors.Is(err, ErrBadMagic) {
 		t.Errorf("bad magic: %v", err)
 	}
 	// Bad version.
 	bad2 := []byte{0xEC, 0x05, 99, byte(MsgHello), 0, 0}
-	if _, err := ReadFrame(bytes.NewReader(bad2)); !errors.Is(err, ErrBadVersion) {
+	if _, err := recvFrame(bytes.NewReader(bad2)); !errors.Is(err, ErrBadVersion) {
 		t.Errorf("bad version: %v", err)
 	}
 	// Truncated stream.
-	if _, err := ReadFrame(bytes.NewReader([]byte{0xEC})); err == nil {
+	if _, err := recvFrame(bytes.NewReader([]byte{0xEC})); err == nil {
 		t.Error("truncated header must error")
 	}
 	// Declared length longer than the stream.
 	short := []byte{0xEC, 0x05, Version, byte(MsgHello), 0, 10, 1, 2}
-	if _, err := ReadFrame(bytes.NewReader(short)); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := recvFrame(bytes.NewReader(short)); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("short body: %v", err)
 	}
 }
@@ -139,7 +161,7 @@ func TestTelemetryRoundTrip(t *testing.T) {
 		TemperatureC: 29.125,
 		Humidity:     91.5,
 	}
-	out, err := DecodeTelemetry(EncodeTelemetry(in))
+	out, err := DecodeTelemetry(telemetryBytes(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +192,7 @@ func TestTelemetryRoundTripProperty(t *testing.T) {
 			Timestamp: time.Unix(0, 1626600000000000000).UTC(), CapsuleID: id,
 			Acceleration: a, StressMPa: s, TemperatureC: tc, Humidity: h,
 		}
-		out, err := DecodeTelemetry(EncodeTelemetry(in))
+		out, err := DecodeTelemetry(telemetryBytes(in))
 		return err == nil && out == in
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -251,10 +273,10 @@ func TestFrameCountersByType(t *testing.T) {
 		read := mFramesRead.vec.With(typ.String())
 		w0, r0 := written.Value(), read.Value()
 		var buf bytes.Buffer
-		if err := WriteFrameTraced(&buf, typ, []byte{1, 2, 3}, nil); err != nil {
+		if err := sendFrame(&buf, typ, []byte{1, 2, 3}, nil); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadFrame(&buf); err != nil {
+		if _, err := recvFrame(&buf); err != nil {
 			t.Fatal(err)
 		}
 		//ecolint:ignore floatcmp counters hold small integers exactly

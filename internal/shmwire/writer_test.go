@@ -20,16 +20,18 @@ func (c *countingRW) Write(p []byte) (int, error) {
 	return c.Buffer.Write(p)
 }
 
-// mixedFrames builds n frames cycling through plain Telemetry, traced
-// Telemetry and a traced Status with a missing-node list.
+// mixedFrames builds n frames cycling through plain Telemetry with its
+// body inline (as BroadcastTelemetry queues it), traced Telemetry and a
+// traced Status with a missing-node list.
 func mixedFrames(n int) []outFrame {
 	out := make([]outFrame, n)
 	for i := range out {
-		tel := EncodeTelemetry(Telemetry{Timestamp: time.Unix(int64(i), 0).UTC(), CapsuleID: uint16(i)})
+		sample := Telemetry{Timestamp: time.Unix(int64(i), 0).UTC(), CapsuleID: uint16(i)}
+		tel := telemetryBytes(sample)
 		tc := &TraceContext{TraceID: uint64(i) + 1, SpanID: uint32(i), LogicalTS: uint64(i) * 1000}
 		switch i % 3 {
 		case 0:
-			out[i] = outFrame{t: MsgTelemetry, body: tel}
+			out[i] = outFrame{t: MsgTelemetry, inline: true, tel: encodeTelemetry(sample)}
 		case 1:
 			out[i] = outFrame{t: MsgTelemetry, body: tel, tc: tc}
 		default:
@@ -43,7 +45,7 @@ func mixedFrames(n int) []outFrame {
 func telemetryFrames(n int) []outFrame {
 	out := make([]outFrame, n)
 	for i := range out {
-		out[i] = outFrame{t: MsgTelemetry, body: EncodeTelemetry(Telemetry{CapsuleID: uint16(i)})}
+		out[i] = outFrame{t: MsgTelemetry, body: telemetryBytes(Telemetry{CapsuleID: uint16(i)})}
 	}
 	return out
 }
@@ -54,7 +56,7 @@ func sequential(t *testing.T, frames []outFrame) []byte {
 	var buf bytes.Buffer
 	c := NewConn(&buf)
 	for _, of := range frames {
-		if err := c.SendTraced(of.t, of.body, of.tc); err != nil {
+		if err := c.SendTraced(of.t, of.payload(), of.tc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,7 +143,7 @@ func TestBroadcastRejectsInvalidFrame(t *testing.T) {
 
 	before := mBroadcastRejected.Value()
 	s.Broadcast(MsgTelemetry, make([]byte, MaxFrameSize+904))
-	s.Broadcast(MsgType(flagTraced|byte(MsgTelemetry)), EncodeTelemetry(Telemetry{}))
+	s.Broadcast(MsgType(flagTraced|byte(MsgTelemetry)), telemetryBytes(Telemetry{}))
 	s.BroadcastTraced(MsgTelemetry, make([]byte, MaxFrameSize), &TraceContext{TraceID: 1})
 	valid := Telemetry{Timestamp: time.Unix(7, 0).UTC(), CapsuleID: 42}
 	s.BroadcastTelemetry(valid)

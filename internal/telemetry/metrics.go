@@ -68,20 +68,32 @@ func (f *atomicFloat) Add(delta float64) {
 // and gauges, bucket counts plus sum/count for histograms.
 type series struct {
 	labelValues []string
-	value       atomicFloat
+	// value is a gauge's value, or the sum of a counter's Add deltas.
+	value atomicFloat
 	// Histogram state (nil for scalar kinds). buckets[i] counts
 	// observations ≤ the family's upperBounds[i]; count and sum aggregate
-	// every observation.
+	// every observation. A counter counts its Inc calls in count: one
+	// atomic add, which never retries under contention as a CAS on float
+	// bits does.
 	buckets []atomic.Uint64
 	count   atomic.Uint64
 	sum     atomicFloat
+}
+
+// scalar returns a counter's or gauge's value. A gauge never counts, so
+// it returns value bit for bit (a negative zero included).
+func (s *series) scalar() float64 {
+	if n := s.count.Load(); n > 0 {
+		return float64(n) + s.value.Load()
+	}
+	return s.value.Load()
 }
 
 // Counter is a monotonically increasing metric handle.
 type Counter struct{ s *series }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.s.value.Add(1) }
+func (c *Counter) Inc() { c.s.count.Add(1) }
 
 // Add increases the counter; negative deltas are ignored (counters are
 // monotone by contract).
@@ -92,7 +104,7 @@ func (c *Counter) Add(delta float64) {
 }
 
 // Value returns the current count.
-func (c *Counter) Value() float64 { return c.s.value.Load() }
+func (c *Counter) Value() float64 { return c.s.scalar() }
 
 // Gauge is a set-to-current-value metric handle.
 type Gauge struct{ s *series }

@@ -240,7 +240,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			default:
 				b.WriteString(f.name)
 				writeLabels(&b, f.labelNames, s.labelValues, "", "")
-				fmt.Fprintf(&b, " %s\n", formatValue(s.value.Load()))
+				fmt.Fprintf(&b, " %s\n", formatValue(s.scalar()))
 			}
 		}
 	}
@@ -339,7 +339,7 @@ func (r *Registry) Snapshot() []FamilySnapshot {
 				ss.Sum = s.sum.Load()
 				ss.Count = s.count.Load()
 			} else {
-				ss.Value = s.value.Load()
+				ss.Value = s.scalar()
 			}
 			fs.Series = append(fs.Series, ss)
 		}

@@ -239,6 +239,49 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 }
 
+// TestCounterIncExactUnderContention hammers one counter from many
+// goroutines (run it with -race): Inc is one atomic integer add, so the
+// count is exact, and /metrics and JSON render it byte for byte as the
+// same number of Add(1) calls on the float path would.
+func TestCounterIncExactUnderContention(t *testing.T) {
+	const workers, incs = 16, 5000
+	r := NewRegistry()
+	c := r.Counter("ecocapsule_test_incs_total", "contended counter")
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < incs; i++ {
+				c.Inc()
+			}
+		}()
+	}
+	wg.Wait()
+	if got := c.Value(); got != workers*incs {
+		t.Fatalf("counter = %g after %d×%d increments, want %d", got, workers, incs, workers*incs)
+	}
+
+	ref := NewRegistry()
+	rc := ref.Counter("ecocapsule_test_incs_total", "contended counter")
+	for i := 0; i < workers*incs; i++ {
+		rc.Add(1)
+	}
+	if got, want := render(t, r), render(t, ref); got != want {
+		t.Errorf("Inc renders\n%s\nAdd(1) renders\n%s", got, want)
+	}
+	gotJSON, _ := json.Marshal(r.Snapshot())
+	wantJSON, _ := json.Marshal(ref.Snapshot())
+	if string(gotJSON) != string(wantJSON) {
+		t.Errorf("Inc snapshot %s, Add(1) snapshot %s", gotJSON, wantJSON)
+	}
+	// Inc and Add deltas sum into one value.
+	c.Add(0.5)
+	if got := c.Value(); got != workers*incs+0.5 {
+		t.Errorf("Inc count plus Add(0.5) = %g", got)
+	}
+}
+
 // TestFamiliesCount checks the omission-aware family counter used by the
 // verify.sh smoke assertion.
 func TestFamiliesCount(t *testing.T) {

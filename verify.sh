@@ -169,15 +169,20 @@ go test -race -count=2 -cpu 1,2,4 -run 'DecodeOutcomes|BERParity|Decimat' \
 stage_done
 
 # Cross-check: the hotalloc lint and the runtime AllocsPerRun tests must
-# agree that the PR-7 warm decode path is allocation-free. The lint half
-# is the ecolint stage above: it proves every control-flow path of every
+# agree that the warm decode path and the fault-free read path (capsule
+# reply → reader parse/decode → survey row, and broadcast → subscriber
+# writer → Client.Next) are allocation-free. The lint half is the ecolint
+# stage above: it proves every control-flow path of every
 # //ecolint:hotpath function in the tree, and the registration stage
 # proves hotalloc ran there. This stage is the measuring half: the
-# AllocsPerRun tests on real inputs. A clean lint with a failing test
-# means the analyzer went blind; either failing means the invariant is
-# gone and the gate fails.
-stage "AllocsPerRun half of the hotalloc cross-check (warm decode path)"
-go test -run 'ZeroAlloc' -count=1 ./internal/phy ./internal/dsp ./internal/coding
+# AllocsPerRun tests on real inputs (TestReadSensorAllocs pins the one
+# object the public []float64 read API still costs). A clean lint with a
+# failing test means the analyzer went blind; either failing means the
+# invariant is gone and the gate fails.
+stage "AllocsPerRun half of the hotalloc cross-check (warm decode and read paths)"
+go test -run 'ZeroAlloc' -count=1 ./internal/phy ./internal/dsp ./internal/coding \
+	./internal/fleet ./internal/shmwire
+go test -run 'ZeroAlloc|ReadSensorAllocs' -count=1 ./internal/reader
 stage_done
 
 # Coverage floor over the uplink fast-path packages: the RFFT/convolver
@@ -292,10 +297,12 @@ rm -rf "$LOAD_DIR"
 echo "   deterministic report; ${DELIVERED}/2000 delivered, p99 ${P99}s, no leaks"
 stage_done
 
-# Fuzz smoke: each decoder target, and the table-driven CRC-16 against its
-# bitwise oracle, fuzzes for a few seconds. Any panic or property violation
-# fails the gate; new corpus findings are kept by go test under the
-# package's testdata/fuzz directory.
+# Fuzz smoke: each decoder target — the line codes, the shmwire frame
+# reader over back-to-back frames, the capsule-side uplink and downlink
+# parsers — and the table-driven CRC-16 against its bitwise oracle, fuzzes
+# for a few seconds. Any panic or property violation fails the gate; new
+# corpus findings are kept by go test under the package's testdata/fuzz
+# directory.
 FUZZTIME="${FUZZTIME:-5s}"
 stage "fuzz smoke (${FUZZTIME} per target)"
 go test -run='^$' -fuzz='^FuzzDecodeFM0$' -fuzztime="$FUZZTIME" ./internal/coding
@@ -303,6 +310,8 @@ go test -run='^$' -fuzz='^FuzzDecodeMiller$' -fuzztime="$FUZZTIME" ./internal/co
 go test -run='^$' -fuzz='^FuzzDecodePIE$' -fuzztime="$FUZZTIME" ./internal/coding
 go test -run='^$' -fuzz='^FuzzCRC16$' -fuzztime="$FUZZTIME" ./internal/coding
 go test -run='^$' -fuzz='^FuzzReadFrame$' -fuzztime="$FUZZTIME" ./internal/shmwire
+go test -run='^$' -fuzz='^FuzzUnmarshalUplink$' -fuzztime="$FUZZTIME" ./internal/protocol
+go test -run='^$' -fuzz='^FuzzUnmarshal$' -fuzztime="$FUZZTIME" ./internal/protocol
 stage_done
 
 # Bench smoke: regenerate the hot-path micro-benchmark matrix and the 1k
