@@ -79,6 +79,28 @@ func TestExitCodes(t *testing.T) {
 		t.Errorf("finding output missing floatcmp:\n%s", out)
 	}
 
+	// Exact float equality in a test is the assertion, not a bug: a tree
+	// whose only float == sits in geometry_test.go is clean.
+	testsOnly := writeTree(t, map[string]string{
+		"go.mod":                    "module exittests\n\ngo 1.21\n",
+		"geometry/geometry.go":      "package geometry\n\nfunc Half(a float64) float64 { return a / 2 }\n",
+		"geometry/geometry_test.go": "package geometry\n\nimport \"testing\"\n\nfunc TestHalf(t *testing.T) {\n\tif Half(3) != 1.5 {\n\t\tt.Fatal(\"half\")\n\t}\n}\n",
+	})
+	if code, out := runIn(t, bin, testsOnly, "-include-tests", "./..."); code != exitClean {
+		t.Errorf("float == in a test file only: exit %d, want %d\n%s", code, exitClean, out)
+	}
+
+	// A bare unit multiplier in an annotated slot is a dimcheck finding.
+	units := writeTree(t, map[string]string{
+		"go.mod":  "module exitunits\n\ngo 1.21\n",
+		"tick.go": "package tick\n\n// Tick is one scope tick.\nconst Tick = 1e-3 //ecolint:unit s\n",
+	})
+	if code, out := runIn(t, bin, units, "./..."); code != exitFindings {
+		t.Errorf("bare multiplier in an s slot: exit %d, want %d\n%s", code, exitFindings, out)
+	} else if !strings.Contains(out, "dimcheck") || !strings.Contains(out, "units.MS") {
+		t.Errorf("finding output missing the dimcheck units.MS suggestion:\n%s", out)
+	}
+
 	if code, out := runIn(t, bin, clean, "-only", "nosuchanalyzer", "./..."); code != exitUsage {
 		t.Errorf("unknown analyzer: exit %d, want %d\n%s", code, exitUsage, out)
 	}

@@ -5,7 +5,7 @@
 //
 //	go run ./cmd/ecolint ./...
 //	go run ./cmd/ecolint -list
-//	go run ./cmd/ecolint -only unitsafety,floatcmp ./internal/physics
+//	go run ./cmd/ecolint -only dimcheck,floatcmp ./internal/physics
 //	go run ./cmd/ecolint -include-tests -json ./...
 //	go run ./cmd/ecolint -sarif ./... > findings.sarif
 //
@@ -36,6 +36,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -80,9 +81,7 @@ func main() {
 
 	analyzers := analysis.All()
 	if *listFlag {
-		for _, a := range analyzers {
-			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
-		}
+		writeList(os.Stdout, analyzers)
 		return
 	}
 	if *onlyFlag != "" {
@@ -135,5 +134,12 @@ func main() {
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "ecolint: %d finding(s) in %d package(s)\n", len(diags), stats.Targets)
 		os.Exit(exitFindings)
+	}
+}
+
+// writeList prints the -list roster: one analyzer per line, name first.
+func writeList(w io.Writer, analyzers []*analysis.Analyzer) {
+	for _, a := range analyzers {
+		fmt.Fprintf(w, "%-14s %s\n", a.Name, a.Doc)
 	}
 }

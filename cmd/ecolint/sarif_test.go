@@ -50,7 +50,7 @@ func TestWriteSARIFShape(t *testing.T) {
 	for i, r := range run.Tool.Driver.Rules {
 		ruleIDs[r.ID] = i
 	}
-	for _, name := range []string{"dimcheck", "hotalloc", "unitsafety", "guardedby"} {
+	for _, name := range []string{"dimcheck", "hotalloc", "floatcmp", "guardedby"} {
 		if _, ok := ruleIDs[name]; !ok {
 			t.Errorf("rule table is missing analyzer %q", name)
 		}

@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"ecocapsule"
+	"ecocapsule/internal/units"
 )
 
 // degradation models slow water penetration: internal humidity and strain
@@ -24,8 +25,8 @@ func degradation(month int, pos ecocapsule.Vec3) ecocapsule.Environment {
 	return ecocapsule.Environment{
 		TemperatureC:     22 + 6*math.Sin(2*math.Pi*float64(month)/12),
 		RelativeHumidity: 62 + 33*damage,
-		StrainX:          (40 + 700*damage) * 1e-6,
-		StrainY:          (25 + 450*damage) * 1e-6,
+		StrainX:          (40 + 700*damage) * units.UE,
+		StrainY:          (25 + 450*damage) * units.UE,
 		StressMPa:        -45 - 20*damage,
 	}
 }

@@ -207,7 +207,7 @@ func TestIntegrationBrownOutDuringInventory(t *testing.T) {
 	}
 	// Brown-out: the CBW collapses (someone unplugged the amplifier).
 	cs := geometry.CommonWall().Material.VS()
-	n.Excite(0.001, 230*units.KHz, cs, 1e-3)
+	n.Excite(units.MV, 230*units.KHz, cs, units.MS)
 	res := rd.Inventory(4)
 	if len(res.Discovered) != 0 {
 		t.Errorf("a browned-out node must vanish from the inventory: %+v", res)

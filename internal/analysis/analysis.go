@@ -76,7 +76,9 @@ func (d Diagnostic) String() string {
 //	//ecolint:ignore <analyzer> <reason>
 //
 // placed on the offending line or on the line immediately above it. The
-// reason is mandatory — undocumented suppressions are themselves findings.
+// reason is mandatory — undocumented suppressions are themselves findings,
+// and so are directives whose <analyzer> is neither a suite analyzer nor
+// "all": they suppress nothing.
 const IgnoreDirective = "//ecolint:ignore"
 
 type ignoreKey struct {
@@ -146,17 +148,21 @@ func analyzeUnit(pkg *Package, analyzers []*Analyzer, facts *Facts, factsOnly bo
 	var diags []Diagnostic
 	ignores := collectIgnores(pkg.Fset, pkg.Files)
 	if !factsOnly {
-		seenBadDirective := make(map[token.Position]bool)
 		for k, entries := range ignores {
 			for _, e := range entries {
-				if !e.hasReason && !seenBadDirective[e.pos] && k.line == e.pos.Line {
-					seenBadDirective[e.pos] = true
-					diags = append(diags, Diagnostic{
-						Pos:      e.pos,
-						Analyzer: "ecolint",
-						Message:  fmt.Sprintf("ignore directive for %q is missing a reason (//ecolint:ignore <analyzer> <reason>)", e.analyzer),
-					})
+				if k.line != e.pos.Line {
+					continue // each directive is filed under two lines; report it once
 				}
+				var msg string
+				switch {
+				case !e.hasReason:
+					msg = fmt.Sprintf("ignore directive for %q is missing a reason (//ecolint:ignore <analyzer> <reason>)", e.analyzer)
+				case !isAnalyzerName(e.analyzer):
+					msg = fmt.Sprintf("ignore directive names %q, which is not an analyzer (see ecolint -list)", e.analyzer)
+				default:
+					continue
+				}
+				diags = append(diags, Diagnostic{Pos: e.pos, Analyzer: "ecolint", Message: msg})
 			}
 		}
 	}
@@ -204,10 +210,25 @@ func sortDiagnostics(diags []Diagnostic) {
 	})
 }
 
+// isAnalyzerName reports whether an ignore directive's analyzer field
+// can match a finding: the name of a suite analyzer, or "all". It checks
+// the full suite, not a -only subset, so a run of a few analyzers does
+// not flag directives meant for the others.
+func isAnalyzerName(name string) bool {
+	if name == "all" {
+		return true
+	}
+	for _, a := range All() {
+		if a.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
 // All returns the full EcoCapsule analyzer suite in a stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		UnitSafety,
 		LockSafety,
 		LeakCheck,
 		ErrCheckLite,

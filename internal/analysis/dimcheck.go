@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 	"strconv"
@@ -246,6 +247,32 @@ func dimSqrt(d dim) dim {
 	return out
 }
 
+// unitConsts names, per dimension, the internal/units constant for each
+// bare multiplier literal a value of that dimension may carry.
+var unitConsts = map[dim]map[float64]string{
+	unitDim("hz"):            {1e3: "units.KHz", 1e6: "units.MHz"},
+	unitDim("s"):             {1e-3: "units.MS", 1e-6: "units.US"},
+	unitDim("m"):             {1e-3: "units.MM", 1e-2: "units.CM"},
+	unitDim("pa"):            {1e3: "units.KPa", 1e6: "units.MPa", 1e9: "units.GPa"},
+	unitDim("w"):             {1e-6: "units.UW", 1e-3: "units.MW"},
+	unitDim("v"):             {1e-3: "units.MV", 1e-6: "units.UV"},
+	unitDim("j"):             {1e-3: "units.MJ", 1e-6: "units.UJ"},
+	unitDim("dimensionless"): {1e-6: "units.UE"},
+}
+
+func unitDim(name string) dim {
+	b, _ := baseDim(name)
+	return dim{kind: dimVec, exp: b}
+}
+
+func isNumeric(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsNumeric != 0
+}
+
 // UnitFact carries the //ecolint:unit annotations of one package-level
 // object across package boundaries: Dim for vars and consts, Params and
 // Results for functions (Results aligned with the result tuple, the
@@ -266,12 +293,16 @@ func (*UnitFact) AFact() {}
 // every downstream health grade; with the physics surface annotated,
 // mul/div compose exponent vectors, add/sub/compare demand equal
 // dimensions, and annotated signatures type-check call sites repo-wide
-// through object facts.
+// through object facts. A wrong ×10³ is as silent as a wrong unit, so a
+// bare multiplier literal (1e-3, 1e6, ...) that lands in a value of known
+// dimension is reported with the internal/units constant to write
+// instead.
 var DimCheck = &Analyzer{
 	Name:      "dimcheck",
 	UsesFacts: true,
 	Doc: "propagates //ecolint:unit dimensions (hz, s, m, pa, v, j, w, db, products like m/s^2) " +
-		"through expressions and flags mixed-unit additions, comparisons, arguments, returns and stores",
+		"through expressions and flags mixed-unit additions, comparisons, arguments, returns and stores, " +
+		"and bare unit-multiplier literals where an internal/units constant exists",
 	Run: runDimCheck,
 }
 
@@ -385,7 +416,10 @@ func (ut *unitTable) collectValueSpec(vs *ast.ValueSpec, doc *ast.CommentGroup) 
 	if !ok {
 		return
 	}
-	for _, name := range vs.Names {
+	for i, name := range vs.Names {
+		if i < len(vs.Values) {
+			ut.checkMultiplier(vs.Values[i], d)
+		}
 		obj := ut.pass.Info.Defs[name]
 		if obj == nil {
 			continue
@@ -844,6 +878,8 @@ func (ut *unitTable) checkNode(n ast.Node, env dimEnv, fu *funcUnits) {
 					ut.pass.Reportf(x.OpPos, "unit mismatch: %s (%s) %s %s (%s)",
 						types.ExprString(x.X), dx, x.Op, types.ExprString(x.Y), dy)
 				}
+				ut.checkMultiplier(x.X, dy)
+				ut.checkMultiplier(x.Y, dx)
 			}
 		case *ast.AssignStmt:
 			ut.checkAssign(x, env)
@@ -867,6 +903,7 @@ func (ut *unitTable) checkAssign(a *ast.AssignStmt, env dimEnv) {
 				ut.pass.Reportf(a.TokPos, "unit mismatch: %s (%s) %s %s (%s)",
 					types.ExprString(a.Lhs[0]), dx, a.Tok, types.ExprString(a.Rhs[0]), dy)
 			}
+			ut.checkMultiplier(a.Rhs[0], dx)
 		}
 	case token.ASSIGN:
 		if len(a.Lhs) != len(a.Rhs) {
@@ -881,6 +918,7 @@ func (ut *unitTable) checkAssign(a *ast.AssignStmt, env dimEnv) {
 			if got.concrete() && got.exp != want.exp {
 				ut.pass.Reportf(a.Rhs[i].Pos(), "cannot store %s value in %s (declared unit %s)", got, name, want)
 			}
+			ut.checkMultiplier(a.Rhs[i], want)
 		}
 	}
 }
@@ -911,6 +949,7 @@ func (ut *unitTable) checkCall(call *ast.CallExpr, env dimEnv) {
 			ut.pass.Reportf(call.Args[i].Pos(), "argument %s to %s has unit %s, want %s",
 				types.ExprString(call.Args[i]), qualifiedName(ut.pass, fn), got, want)
 		}
+		ut.checkMultiplier(call.Args[i], want)
 	}
 }
 
@@ -927,6 +966,7 @@ func (ut *unitTable) checkReturn(ret *ast.ReturnStmt, env dimEnv, fu *funcUnits)
 		if got.concrete() && got.exp != want.exp {
 			ut.pass.Reportf(res.Pos(), "return value has unit %s, want %s", got, want)
 		}
+		ut.checkMultiplier(res, want)
 	}
 }
 
@@ -962,6 +1002,37 @@ func (ut *unitTable) checkCompositeLit(lit *ast.CompositeLit, env dimEnv) {
 		if got.concrete() && got.exp != want.exp {
 			ut.pass.Reportf(kv.Value.Pos(), "cannot store %s value in field %s.%s (declared unit %s)",
 				got, named.Obj().Name(), key.Name, want)
+		}
+		ut.checkMultiplier(kv.Value, want)
+	}
+}
+
+// checkMultiplier reports a bare literal equal to a unit multiplier
+// (1e-3, 1e6, ...) that is value itself or a factor of it, when value
+// has dimension want and internal/units names that scale of want.
+// internal/units, which defines the constants, may spell them.
+func (ut *unitTable) checkMultiplier(value ast.Expr, want dim) {
+	if !want.concrete() || strings.HasSuffix(ut.pass.Pkg.Path(), "internal/units") {
+		return
+	}
+	switch e := ast.Unparen(value).(type) {
+	case *ast.BinaryExpr:
+		if e.Op == token.MUL || e.Op == token.QUO {
+			ut.checkMultiplier(e.X, want)
+			ut.checkMultiplier(e.Y, want)
+		}
+	case *ast.UnaryExpr:
+		if e.Op == token.ADD || e.Op == token.SUB {
+			ut.checkMultiplier(e.X, want)
+		}
+	case *ast.BasicLit:
+		tv := ut.pass.Info.Types[e]
+		if tv.Value == nil || (e.Kind != token.INT && e.Kind != token.FLOAT) {
+			return
+		}
+		v, _ := constant.Float64Val(constant.ToFloat(tv.Value))
+		if c, ok := unitConsts[want][v]; ok {
+			ut.pass.Reportf(e.Pos(), "bare unit multiplier %s in a %s value; use %s", e.Value, want, c)
 		}
 	}
 }

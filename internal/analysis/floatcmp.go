@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"path"
+	"strings"
 )
 
 // floatCmpPackages are the numerical-physics packages where exact float
@@ -21,10 +22,13 @@ var floatCmpPackages = map[string]bool{
 // FloatCmp flags == and != between floating-point operands in the physics,
 // channel, and geometry packages. Comparisons against the literal zero are
 // exempt: `cfg.SampleRate == 0` is the established "field not set" sentinel
-// idiom and involves no accumulated rounding.
+// idiom and involves no accumulated rounding. _test.go files are exempt
+// too: there exact equality is the assertion (a cached result against a
+// fresh one, a catalog value against its literal, the determinism
+// contract), not a latent bug.
 var FloatCmp = &Analyzer{
 	Name: "floatcmp",
-	Doc: "flags ==/!= on floating-point operands in physics, channel and geometry " +
+	Doc: "flags ==/!= on floating-point operands in non-test physics, channel and geometry code " +
 		"(zero-sentinel comparisons exempt); compare with a tolerance instead",
 	Run: runFloatCmp,
 }
@@ -34,6 +38,9 @@ func runFloatCmp(pass *Pass) {
 		return
 	}
 	for _, f := range pass.Files {
+		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
+			continue
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			cmp, ok := n.(*ast.BinaryExpr)
 			if !ok || (cmp.Op != token.EQL && cmp.Op != token.NEQ) {

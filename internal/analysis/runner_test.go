@@ -14,8 +14,11 @@ import (
 //
 //	clock    — helper package reading the wall clock (taint source)
 //	sim      — //ecolint:deterministic, calls clock.Stamp through an import
-//	geometry — exact float comparison, plus one more in its _test.go file
-//	           (named for the floatcmp analyzer's package scope)
+//	geometry — exact float comparison (named for the floatcmp analyzer's
+//	           package scope); its _test.go file compares floats exactly
+//	           too, which floatcmp exempts, and spells a bare unit
+//	           multiplier into an annotated constant, which dimcheck
+//	           reports
 //
 // The cross-package edge (sim → clock) exercises the facts layer; the
 // _test.go file exercises test-unit loading.
@@ -56,6 +59,8 @@ func Eq(a, b float64) bool { return a == b }
 
 import "testing"
 
+const tick = 1e-3 //ecolint:unit s
+
 func TestEq(t *testing.T) {
 	x, y := 0.1+0.2, 0.3
 	if x == y {
@@ -77,10 +82,11 @@ func TestEq(t *testing.T) {
 	return dir
 }
 
-// suite is the analyzer subset the driver tests run: one facts-using
-// analyzer (cross-package taint) and one purely local analyzer.
+// suite is the analyzer subset the driver tests run: two facts-using
+// analyzers (cross-package taint, unit annotations) and one purely local
+// analyzer.
 func suite() []*analysis.Analyzer {
-	return []*analysis.Analyzer{analysis.Determinism, analysis.FloatCmp}
+	return []*analysis.Analyzer{analysis.Determinism, analysis.FloatCmp, analysis.DimCheck}
 }
 
 func formatDiags(diags []analysis.Diagnostic) string {
@@ -223,8 +229,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if !strings.Contains(want, "determinism") || !strings.Contains(want, "clock.Stamp") {
 		t.Errorf("sequential run missing the cross-package determinism finding:\n%s", want)
 	}
-	if got := strings.Count(want, "floatcmp"); got != 2 {
-		t.Errorf("sequential run has %d floatcmp findings, want 2 (one in geometry.go, one in geometry_test.go):\n%s", got, want)
+	if got := strings.Count(want, "floatcmp"); got != 1 || !strings.Contains(want, "geometry.go:4: floatcmp") {
+		t.Errorf("sequential run has %d floatcmp findings, want 1 (in geometry.go; geometry_test.go is exempt):\n%s", got, want)
+	}
+	if got := strings.Count(want, "dimcheck"); got != 1 || !strings.Contains(want, "geometry_test.go:5: dimcheck") {
+		t.Errorf("sequential run has %d dimcheck findings, want 1 (the multiplier in geometry_test.go):\n%s", got, want)
 	}
 
 	for i := 0; i < 3; i++ {

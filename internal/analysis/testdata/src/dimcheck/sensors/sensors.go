@@ -8,7 +8,7 @@ package sensors
 // SampleRate is the ADC sample rate.
 //
 //ecolint:unit hz
-var SampleRate = 1e6
+var SampleRate = 2e6
 
 // Reading is one strain-gauge sample.
 type Reading struct {

@@ -1,16 +1,20 @@
-// Fixture for //ecolint:ignore directive handling, exercised through the
-// unitsafety analyzer.
+// Fixture for //ecolint:ignore directive handling, exercised through
+// dimcheck's bare unit-multiplier rule.
 package suppress
 
-//ecolint:ignore unitsafety calibration constant matches the scope's raw tick
-const dt = 1e-3 // ok: suppressed by the directive on the line above
+//ecolint:ignore dimcheck calibration constant matches the scope's raw tick
+const dt = 1e-3 //ecolint:unit s
 
-const dtInline = 1e-3 //ecolint:ignore unitsafety raw value intentional here
+//ecolint:unit s
+const dtInline = 1e-3 //ecolint:ignore dimcheck raw value intentional here
 
 //ecolint:ignore all sweeping suppression with a reason also applies
-const dtAll = 1e-3 // ok: suppressed by the "all" directive
+const dtAll = 1e-3 //ecolint:unit s
 
 //ecolint:ignore floatcmp directive names a different analyzer, so it does not apply
-const dtWrong = 1e-3 // want `magic literal 1e-3 in time expression .dtWrong.`
+const dtWrong = 1e-3 //ecolint:unit s // want `bare unit multiplier 1e-3 in a s value; use units\.MS`
 
-const dtPlain = 1e-3 // want `magic literal 1e-3 in time expression .dtPlain.`
+//ecolint:ignore unitsafety names no analyzer, so it is reported and suppresses nothing // want `ignore directive names "unitsafety", which is not an analyzer`
+const dtUnknown = 1e-3 //ecolint:unit s // want `bare unit multiplier 1e-3 in a s value; use units\.MS`
+
+const dtPlain = 1e-3 //ecolint:unit s // want `bare unit multiplier 1e-3 in a s value; use units\.MS`

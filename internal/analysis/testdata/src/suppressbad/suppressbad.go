@@ -2,5 +2,5 @@
 // directive suppresses nothing and is itself reported.
 package suppressbad
 
-//ecolint:ignore unitsafety
-const dt = 1e-3
+//ecolint:ignore dimcheck
+const dt = 1e-3 //ecolint:unit s

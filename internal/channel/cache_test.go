@@ -66,13 +66,11 @@ func TestCacheWarmMatchesColdByteIdentical(t *testing.T) {
 			len(yPlain), len(yCold), len(yWarm))
 	}
 	for i := range yWarm {
-		//ecolint:ignore floatcmp byte-identical replay is the cache contract under test
 		if yWarm[i] != yCold[i] || yWarm[i] != yPlain[i] {
 			t.Fatalf("sample %d: plain %g cold %g warm %g — not byte-identical",
 				i, yPlain[i], yCold[i], yWarm[i])
 		}
 	}
-	//ecolint:ignore floatcmp shared-entry gains must replay exactly, not approximately
 	if warm.PathGain() != plain.PathGain() || warm.ResonanceGain() != plain.ResonanceGain() {
 		t.Error("warm channel derived gains differ from plain build")
 	}
@@ -98,7 +96,6 @@ func TestCacheMissesOnGeometryChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	//ecolint:ignore floatcmp a cache miss rebuilds the same arrivals, so the gain is exact
 	if chMoved.PathGain() != want.PathGain() {
 		t.Errorf("moved-destination channel path gain %g, want fresh build's %g",
 			chMoved.PathGain(), want.PathGain())
@@ -124,7 +121,6 @@ func TestCacheMissesOnGeometryChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	//ecolint:ignore floatcmp a cache miss rebuilds the same arrivals, so the gain is exact
 	if chThick.PathGain() != fresh.PathGain() {
 		t.Error("mutated-geometry channel does not match a fresh build")
 	}
@@ -163,7 +159,6 @@ func TestCacheScattererInvalidation(t *testing.T) {
 	// (a) The mutated channel behaves like a fresh build with scatterers...
 	ya, yw := a.Transmit(x), withScatter.Transmit(x)
 	for i := range ya {
-		//ecolint:ignore floatcmp copy-on-write must reproduce the fresh build exactly
 		if ya[i] != yw[i] {
 			t.Fatalf("scattered channel sample %d: %g vs fresh %g", i, ya[i], yw[i])
 		}
@@ -171,7 +166,6 @@ func TestCacheScattererInvalidation(t *testing.T) {
 	// ...while the sibling still matches the clean response exactly.
 	yb, yc := b.Transmit(x), clean.Transmit(x)
 	for i := range yb {
-		//ecolint:ignore floatcmp the sibling must stay bit-exact to the clean response
 		if yb[i] != yc[i] {
 			t.Fatalf("sibling was polluted by AddScatterers: sample %d %g vs clean %g",
 				i, yb[i], yc[i])
@@ -209,7 +203,6 @@ func TestCacheScattererInvalidation(t *testing.T) {
 	}
 	yd, yf := d.Transmit(x), fresh.Transmit(x)
 	for i := range yd {
-		//ecolint:ignore floatcmp the surviving entry must stay bit-exact to a clean build
 		if yd[i] != yf[i] {
 			t.Fatalf("entry was polluted by AddScatterers: sample %d %g vs clean %g", i, yd[i], yf[i])
 		}
@@ -263,12 +256,10 @@ func TestCacheKeyCoversEveryFloatField(t *testing.T) {
 			if wantErr != nil {
 				continue
 			}
-			//ecolint:ignore floatcmp a key hit must reproduce the fresh build exactly
 			if got.PathGain() != want.PathGain() || len(got.Arrivals()) != len(want.Arrivals()) {
 				t.Errorf("%s edited in place: cache serves gain %g with %d arrivals, fresh New gives %g with %d",
 					name, got.PathGain(), len(got.Arrivals()), want.PathGain(), len(want.Arrivals()))
 			}
-			//ecolint:ignore floatcmp counts edits the channel responds to at all
 			if want.PathGain() != before.PathGain() {
 				moved++
 			}
@@ -306,7 +297,6 @@ func TestCacheConcurrentRounds(t *testing.T) {
 				}
 				got := ch.Transmit(x)
 				for i := range got {
-					//ecolint:ignore floatcmp concurrent replays must be bit-exact
 					if got[i] != want[i] {
 						errs <- "cached transmit diverged from clean build"
 						return

@@ -3,6 +3,8 @@ package dsp
 import (
 	"math"
 	"testing"
+
+	"ecocapsule/internal/units"
 )
 
 // Performance benchmarks for the DSP hot paths the channel simulator and
@@ -57,7 +59,7 @@ func BenchmarkEnvelope(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Envelope(x, 1e6, 25e-6)
+		Envelope(x, units.MHz, 25e-6)
 	}
 }
 
@@ -66,7 +68,7 @@ func BenchmarkDownConvert(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DownConvert(x, 1e6, 230e3, 4e3)
+		DownConvert(x, units.MHz, 230e3, 4e3)
 	}
 }
 
@@ -75,6 +77,6 @@ func BenchmarkWelchPSD(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		WelchPSD(x, 1e6, 1024)
+		WelchPSD(x, units.MHz, 1024)
 	}
 }

@@ -93,7 +93,6 @@ func TestFFTParseval(t *testing.T) {
 		freqE += real(v)*real(v) + imag(v)*imag(v)
 	}
 	freqE /= float64(n)
-	//ecolint:ignore unitsafety timeE and freqE are both energies (Parseval); the time/freq prefixes name domains, not dimensions
 	if math.Abs(timeE-freqE)/timeE > 1e-9 {
 		t.Errorf("Parseval violated: time %g freq %g", timeE, freqE)
 	}
@@ -196,10 +195,10 @@ func TestFIRLowPassResponse(t *testing.T) {
 }
 
 func TestFIRLowPassOddTaps(t *testing.T) {
-	if len(FIRLowPass(1e6, 1e4, 10)) != 11 {
+	if len(FIRLowPass(units.MHz, 1e4, 10)) != 11 {
 		t.Error("even tap count must be promoted to odd")
 	}
-	if len(FIRLowPass(1e6, 1e4, 1)) != 3 {
+	if len(FIRLowPass(units.MHz, 1e4, 1)) != 3 {
 		t.Error("minimum 3 taps")
 	}
 }
@@ -221,7 +220,7 @@ func TestConvolveIdentity(t *testing.T) {
 }
 
 func TestConvolveLinearityProperty(t *testing.T) {
-	h := FIRLowPass(1e6, 1e5, 21)
+	h := FIRLowPass(units.MHz, 1e5, 21)
 	f := func(seed int64) bool {
 		src := NewNoiseSource(seed)
 		a := make([]float64, 64)

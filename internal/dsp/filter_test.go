@@ -14,7 +14,7 @@ import (
 // length, each kept output must match the reference ConvolveComplex of the
 // zero-padded signal at its block centre within 1e-9.
 func TestDecimateComplexMatchesConvolveComplex(t *testing.T) {
-	h := FIRLowPass(1e6, 4500, 101)
+	h := FIRLowPass(units.MHz, 4500, 101)
 	for _, n := range []int{1, 64, 777, 5000} {
 		src := NewNoiseSource(int64(n))
 		x := make([]complex128, n)
@@ -67,7 +67,7 @@ func TestDecimateComplexPanicsOnBadArguments(t *testing.T) {
 // front end's filter — at zero allocations.
 func TestDecimateComplexZeroAlloc(t *testing.T) {
 	const n = 8000
-	h := FIRLowPass(1e6, 3000, 101)
+	h := FIRLowPass(units.MHz, 3000, 101)
 	src := NewNoiseSource(4)
 	x := make([]complex128, n)
 	for i := range x {

@@ -61,7 +61,7 @@ type ReportCost struct {
 func DefaultReportCost() ReportCost {
 	return ReportCost{
 		FrameBits:   15 * 8,
-		Bitrate:     1000,
+		Bitrate:     1 * units.KHz,
 		SampleTime:  8 * units.MS,
 		SamplePower: 120 * units.UW,
 	}

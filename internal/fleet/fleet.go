@@ -22,9 +22,11 @@
 // is driven by one goroutine at a time, and every fault draw and span ID
 // is a pure function of its capsule's key (see faultinject and
 // telemetry.Tracer). The same seed therefore yields a byte-identical
-// report and span tree at any shard count and GOMAXPROCS; only
-// flight-recorder event order across capsules follows arrival. The classic flat constructor (New) is the 1-shard,
-// 1-cell special case with every capsule deployed into every station.
+// report and span tree at any shard count and GOMAXPROCS. Only the order
+// of flight-recorder events across capsules follows arrival.
+//
+// The classic flat constructor (New) is the 1-shard, 1-cell special case,
+// with every capsule deployed into every station.
 //
 // Stations fail in the field: a reader falls off the wall, loses mains
 // power, or its cable corrodes. The fleet therefore tracks per-station

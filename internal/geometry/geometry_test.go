@@ -32,19 +32,15 @@ func TestStructureCatalogDimensions(t *testing.T) {
 	// §5.1: S1 = 150×50×15 cm slab, S2 = 250 cm column ⌀70 cm,
 	// S3 = 2000×2000×20 cm, S4 = 2000×2000×50 cm.
 	s1, s2, s3, s4 := Slab(), Column(), CommonWall(), ProtectiveWall()
-	//ecolint:ignore floatcmp catalog dimensions are literal-assigned, never computed; exact equality is the spec
 	if s1.Length != 1.5 || s1.Height != 0.5 || s1.Thickness != 0.15 {
 		t.Errorf("S1 dimensions wrong: %+v", s1)
 	}
-	//ecolint:ignore floatcmp catalog dimensions are literal-assigned, never computed; exact equality is the spec
 	if s2.Height != 2.5 || s2.Diameter != 0.7 || s2.Shape != Cylinder {
 		t.Errorf("S2 dimensions wrong: %+v", s2)
 	}
-	//ecolint:ignore floatcmp catalog dimensions are literal-assigned, never computed; exact equality is the spec
 	if s3.Length != 20 || s3.Thickness != 0.20 {
 		t.Errorf("S3 dimensions wrong: %+v", s3)
 	}
-	//ecolint:ignore floatcmp catalog dimensions are literal-assigned, never computed; exact equality is the spec
 	if s4.Thickness != 0.50 {
 		t.Errorf("S4 dimensions wrong: %+v", s4)
 	}
@@ -92,11 +88,9 @@ func TestShapeString(t *testing.T) {
 }
 
 func TestMinTransverseDimension(t *testing.T) {
-	//ecolint:ignore floatcmp MinTransverseDimension returns a stored literal field unchanged
 	if CommonWall().MinTransverseDimension() != 0.20 {
 		t.Error("wall confinement = thickness")
 	}
-	//ecolint:ignore floatcmp MinTransverseDimension returns a stored literal field unchanged
 	if Column().MinTransverseDimension() != 0.70 {
 		t.Error("column confinement = diameter")
 	}
@@ -126,7 +120,6 @@ func TestConfinementGainOrdering(t *testing.T) {
 	if !(g3 > g4 && g4 > g2) {
 		t.Errorf("confinement ordering wrong: S3=%.2f S4=%.2f S2=%.2f", g3, g4, g2)
 	}
-	//ecolint:ignore floatcmp gain of exactly 1 is the documented no-confinement sentinel
 	if CommonWall().ConfinementGain(0.1) != 1 {
 		t.Error("no confinement gain below one transverse width")
 	}
@@ -175,7 +168,7 @@ func TestImpulseResponseBasics(t *testing.T) {
 	}
 	direct := arr[0]
 	wantDelay := src.Dist(dst) / s.Material.VS()
-	if math.Abs(direct.Delay-wantDelay) > 1e-6 {
+	if math.Abs(direct.Delay-wantDelay) > units.US {
 		t.Errorf("first arrival delay %.6g, want %.6g", direct.Delay, wantDelay)
 	}
 	if direct.Bounces != 0 || !direct.Shear {
@@ -272,7 +265,7 @@ func TestDelaySpread(t *testing.T) {
 		t.Error("single arrival has zero spread")
 	}
 	two := []Arrival{{Delay: 0, Gain: 1}, {Delay: 2e-3, Gain: 1}}
-	if math.Abs(DelaySpread(two)-1e-3) > 1e-9 {
+	if math.Abs(DelaySpread(two)-units.MS) > 1e-9 {
 		t.Errorf("two equal arrivals 2 ms apart → 1 ms RMS, got %g", DelaySpread(two))
 	}
 	// Narrow structure at long range ⇒ larger delay spread than short range.
@@ -286,7 +279,6 @@ func TestDelaySpread(t *testing.T) {
 
 func TestTotalEnergy(t *testing.T) {
 	arr := []Arrival{{Gain: 3}, {Gain: 4}}
-	//ecolint:ignore floatcmp 3-4-5 energies are exact in binary floating point
 	if TotalEnergy(arr) != 25 {
 		t.Errorf("TotalEnergy = %g, want 25", TotalEnergy(arr))
 	}
@@ -297,11 +289,9 @@ func TestTotalEnergy(t *testing.T) {
 
 func TestMirrorFunction(t *testing.T) {
 	// Even order: translation; odd order: reflection.
-	//ecolint:ignore floatcmp order 0 mirror is the identity; returns its input bit-for-bit
 	if mirror(0.3, 0, 1.0) != 0.3 {
 		t.Error("order 0 must be identity")
 	}
-	//ecolint:ignore floatcmp even-order mirror adds an exact integer multiple of L=1
 	if mirror(0.3, 2, 1.0) != 2.3 {
 		t.Error("order 2 must translate by 2L")
 	}
@@ -314,16 +304,13 @@ func TestMirrorFunction(t *testing.T) {
 }
 
 func TestMaxRangeAxis(t *testing.T) {
-	//ecolint:ignore floatcmp MaxRangeAxis returns a stored literal field unchanged
 	if got := CommonWall().MaxRangeAxis(); got != 20 {
 		t.Errorf("wall axis %g, want 20", got)
 	}
-	//ecolint:ignore floatcmp MaxRangeAxis returns a stored literal field unchanged
 	if got := Column().MaxRangeAxis(); got != 2.5 {
 		t.Errorf("column axis %g, want 2.5 (height)", got)
 	}
 	tall := &Structure{Shape: Box, Length: 1, Height: 5, Thickness: 0.2}
-	//ecolint:ignore floatcmp MaxRangeAxis returns a stored literal field unchanged
 	if got := tall.MaxRangeAxis(); got != 5 {
 		t.Errorf("tall box axis %g, want 5", got)
 	}

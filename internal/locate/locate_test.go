@@ -40,7 +40,7 @@ func TestSolveExactMeasurements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := res.Position.Dist(truth); d > 0.01 {
+	if d := res.Position.Dist(truth); d > units.CM {
 		t.Errorf("position error %.3f m with exact ranges (got %+v)", d, res.Position)
 	}
 	if res.RMSResidual > 0.01 {

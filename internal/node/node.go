@@ -11,7 +11,6 @@ package node
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"ecocapsule/internal/energy"
@@ -86,7 +85,9 @@ type Node struct {
 	//ecolint:unit hz
 	blfHz float64
 
-	sensorsByType map[sensors.SensorType]sensors.Sensor
+	// byType holds the attached payloads indexed by type byte; slot 0
+	// and unattached types are nil.
+	byType [sensors.MaxType + 1]sensors.Sensor
 
 	// vin is the current PZT amplitude delivered by the channel (volts),
 	// including the HRA gain.
@@ -120,12 +121,11 @@ func New(cfg Config) *Node {
 		cfg.MCU = energy.DefaultMCUPower()
 	}
 	n := &Node{
-		cfg:           cfg,
-		state:         Dormant,
-		slotter:       protocol.NewSlotter(cfg.Seed),
-		budget:        energy.Budget{Harvester: cfg.Harvester, MCU: cfg.MCU},
-		blfHz:         2 * units.KHz,
-		sensorsByType: make(map[sensors.SensorType]sensors.Sensor),
+		cfg:     cfg,
+		state:   Dormant,
+		slotter: protocol.NewSlotter(cfg.Seed),
+		budget:  energy.Budget{Harvester: cfg.Harvester, MCU: cfg.MCU},
+		blfHz:   2 * units.KHz,
 	}
 	n.AttachSensor(sensors.NewTempHumidity(cfg.Seed + 1))
 	n.AttachSensor(sensors.NewStrain(cfg.Seed + 2))
@@ -155,23 +155,29 @@ func (n *Node) BLF() float64 {
 	return n.blfHz
 }
 
-// AttachSensor registers (or replaces) a sensor payload.
+// AttachSensor registers (or replaces) a sensor payload. It panics on a
+// type outside the sensors type list.
 func (n *Node) AttachSensor(s sensors.Sensor) {
+	t := s.Type()
+	if t == 0 || t > sensors.MaxType {
+		panic(fmt.Sprintf("node: cannot attach a sensor of unknown type %v", t))
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.sensorsByType[s.Type()] = s
+	n.byType[t] = s
 }
 
-// Sensors returns the attached payloads sorted by type — the hook the
+// Sensors returns the attached payloads in type order — the hook the
 // fault layer uses to wrap them (e.g. with a stuck-at fault).
 func (n *Node) Sensors() []sensors.Sensor {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make([]sensors.Sensor, 0, len(n.sensorsByType))
-	for _, s := range n.sensorsByType {
-		out = append(out, s)
+	out := make([]sensors.Sensor, 0, len(n.byType))
+	for _, s := range n.byType {
+		if s != nil {
+			out = append(out, s)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Type() < out[j].Type() })
 	return out
 }
 
@@ -326,10 +332,10 @@ func (n *Node) HandleDownlink(p protocol.Packet, env sensors.Environment, buf []
 			return reply, false, ErrNoSensor
 		}
 		st := sensors.SensorType(p.Payload[0])
-		s, found := n.sensorsByType[st]
-		if !found {
+		if st > sensors.MaxType || n.byType[st] == nil {
 			return reply, false, ErrNoSensor
 		}
+		s := n.byType[st]
 		n.framesSent++
 		reply = protocol.UplinkFrame{Handle: n.cfg.Handle, Kind: byte(st), Data: s.AppendSample(buf, env)}
 		return reply, true, nil

@@ -24,9 +24,9 @@ func TestNodeStateMachineNeverPanicsProperty(t *testing.T) {
 		for _, op := range script {
 			switch op % 5 {
 			case 0: // strong excitation
-				n.Excite(0.5+2*rng.Float64(), 230*units.KHz, cs, 1e-3)
+				n.Excite(0.5+2*rng.Float64(), 230*units.KHz, cs, units.MS)
 			case 1: // brown-out
-				n.Excite(0.01*rng.Float64(), 230*units.KHz, cs, 1e-3)
+				n.Excite(0.01*rng.Float64(), 230*units.KHz, cs, units.MS)
 			default: // a random command with random addressing/payload
 				cmd := protocol.Command(1 + rng.Intn(8)) // includes one invalid opcode
 				target := protocol.Broadcast
@@ -60,7 +60,7 @@ func TestNodeRepliesAtMostOncePerRoundProperty(t *testing.T) {
 	f := func(seed int64, reps uint8) bool {
 		n := New(Config{Handle: 0x05, Position: geometry.Vec3{X: 1, Y: 1, Z: 0.1}, Seed: seed})
 		for i := 0; i < 1000 && !n.PoweredUp(); i++ {
-			n.Excite(2.0, 230*units.KHz, cs, 1e-3)
+			n.Excite(2.0, 230*units.KHz, cs, units.MS)
 		}
 		if !n.PoweredUp() {
 			return false
@@ -107,7 +107,7 @@ func TestNodeConcurrentAccess(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				switch (i + id) % 4 {
 				case 0:
-					n.Excite(2.0, 230*units.KHz, cs, 1e-3)
+					n.Excite(2.0, 230*units.KHz, cs, units.MS)
 				case 1:
 					_, _, _ = n.HandleDownlink(protocol.Packet{
 						Cmd: protocol.CmdQuery, Target: protocol.Broadcast, Payload: []byte{2},

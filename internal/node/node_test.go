@@ -23,7 +23,7 @@ func powerUp(t *testing.T, n *Node) {
 	t.Helper()
 	cs := material.UHPC().VS()
 	for i := 0; i < 1000 && !n.PoweredUp(); i++ {
-		n.Excite(2.0, 230*units.KHz, cs, 1e-3)
+		n.Excite(2.0, 230*units.KHz, cs, units.MS)
 	}
 	if !n.PoweredUp() {
 		t.Fatal("node failed to power up under strong excitation")
@@ -37,17 +37,17 @@ func TestColdStartSequence(t *testing.T) {
 	}
 	cs := material.UHPC().VS()
 	// Weak excitation: stays dormant.
-	n.Excite(0.05, 230*units.KHz, cs, 1e-3)
+	n.Excite(0.05, 230*units.KHz, cs, units.MS)
 	if n.State() != Dormant {
 		t.Errorf("0.05 V should not start boot, state %v", n.State())
 	}
 	// Strong excitation: cold-start then standby.
-	n.Excite(2.0, 230*units.KHz, cs, 1e-3)
+	n.Excite(2.0, 230*units.KHz, cs, units.MS)
 	if n.State() != ColdStarting {
 		t.Errorf("2 V should begin cold start, state %v", n.State())
 	}
 	for i := 0; i < 100 && n.State() == ColdStarting; i++ {
-		n.Excite(2.0, 230*units.KHz, cs, 1e-3)
+		n.Excite(2.0, 230*units.KHz, cs, units.MS)
 	}
 	if n.State() != Standby {
 		t.Errorf("cold start should complete in a few ms at 2 V, state %v", n.State())
@@ -57,11 +57,11 @@ func TestColdStartSequence(t *testing.T) {
 func TestColdStartAbortOnPowerLoss(t *testing.T) {
 	n := newTestNode(2)
 	cs := material.UHPC().VS()
-	n.Excite(2.0, 230*units.KHz, cs, 1e-3)
+	n.Excite(2.0, 230*units.KHz, cs, units.MS)
 	if n.State() != ColdStarting {
 		t.Fatal("expected cold start")
 	}
-	n.Excite(0.01, 230*units.KHz, cs, 1e-3)
+	n.Excite(0.01, 230*units.KHz, cs, units.MS)
 	if n.State() != Dormant {
 		t.Errorf("losing excitation must abort the boot, state %v", n.State())
 	}
@@ -73,7 +73,7 @@ func TestHRABoostsWeakExcitation(t *testing.T) {
 	n := newTestNode(3)
 	cs := material.UHPC().VS()
 	raw := 0.35 // below the 0.5 V activation threshold
-	n.Excite(raw, n.cfg.HRA.Cell.ResonantFrequency(cs), cs, 1e-3)
+	n.Excite(raw, n.cfg.HRA.Cell.ResonantFrequency(cs), cs, units.MS)
 	if n.Vin() <= raw {
 		t.Errorf("HRA must amplify the incident wave: vin %g", n.Vin())
 	}
@@ -138,14 +138,18 @@ func TestReadSensorRoundTrip(t *testing.T) {
 func TestReadUnknownSensor(t *testing.T) {
 	n := newTestNode(7)
 	powerUp(t, n)
-	_, _, err := n.HandleDownlink(protocol.Packet{
-		Cmd: protocol.CmdReadSensor, Target: protocol.Broadcast,
-		Payload: []byte{0x7E},
-	}, sensors.Environment{}, nil)
-	if err != ErrNoSensor {
-		t.Errorf("unknown sensor must error, got %v", err)
+	// 0x00 sits below the type list, 0x04 just past it, 0x7E and 0xFF far
+	// past it.
+	for _, b := range []byte{0x00, 0x04, 0x7E, 0xFF} {
+		_, _, err := n.HandleDownlink(protocol.Packet{
+			Cmd: protocol.CmdReadSensor, Target: protocol.Broadcast,
+			Payload: []byte{b},
+		}, sensors.Environment{}, nil)
+		if err != ErrNoSensor {
+			t.Errorf("unknown sensor %#02x must error, got %v", b, err)
+		}
 	}
-	_, _, err = n.HandleDownlink(protocol.Packet{
+	_, _, err := n.HandleDownlink(protocol.Packet{
 		Cmd: protocol.CmdReadSensor, Target: protocol.Broadcast,
 	}, sensors.Environment{}, nil)
 	if err != ErrNoSensor {
@@ -249,7 +253,7 @@ func TestPowerLossDropsToDormant(t *testing.T) {
 	n := newTestNode(12)
 	powerUp(t, n)
 	cs := material.UHPC().VS()
-	n.Excite(0.01, 230*units.KHz, cs, 1e-3)
+	n.Excite(0.01, 230*units.KHz, cs, units.MS)
 	if n.State() != Dormant {
 		t.Errorf("power loss must drop to dormant, state %v", n.State())
 	}
@@ -268,7 +272,7 @@ func TestEmbedCheck(t *testing.T) {
 func TestPowerDrawByState(t *testing.T) {
 	n := newTestNode(14)
 	sleep := n.PowerDraw(1000)
-	if sleep > 1e-6 {
+	if sleep > units.UW {
 		t.Errorf("dormant draw %g W too high", sleep)
 	}
 	powerUp(t, n)

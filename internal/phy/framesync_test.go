@@ -20,7 +20,7 @@ func buildCapture(t *testing.T, payload []byte, leadMS float64, noiseSigma float
 	frameDur := float64(len(bits)) / btx.Bitrate
 	total := leadMS*units.MS + frameDur + 2e-3
 	carrier := syn.CBW(230e3, 1.0, total)
-	bs, err := btx.Modulate(bits, syn.CBW(230e3, 1.0, frameDur+1e-3))
+	bs, err := btx.Modulate(bits, syn.CBW(230e3, 1.0, frameDur+units.MS))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ecocapsule/internal/dsp"
+	"ecocapsule/internal/units"
 	"ecocapsule/internal/waveform"
 )
 
@@ -32,7 +33,7 @@ func equivRX() *ReaderRX {
 		SampleRate:    250e3,
 		CarrierHint:   60e3,
 		CarrierSearch: 10e3,
-		Bitrate:       1000,
+		Bitrate:       1 * units.KHz,
 		GuardBand:     500,
 	}
 }
@@ -54,7 +55,7 @@ func buildCaptureAtRate(t *testing.T, fsHz, fcHz, bitrate float64, payload []byt
 	frameDur := float64(len(bits)) / btx.Bitrate
 	total := leadS + frameDur + 2e-3
 	carrier := syn.CBW(fcHz, 1.0, total)
-	bs, err := btx.Modulate(bits, syn.CBW(fcHz, 1.0, frameDur+1e-3))
+	bs, err := btx.Modulate(bits, syn.CBW(fcHz, 1.0, frameDur+units.MS))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestDemodulateSlotsMatchesPerSlotReference(t *testing.T) {
 					payloads[s][i] = 1
 				}
 			}
-			bs, err := btx.Modulate(PrependPilot(payloads[s]), syn.CBW(fcHz, 1.0, frameDur+1e-3))
+			bs, err := btx.Modulate(PrependPilot(payloads[s]), syn.CBW(fcHz, 1.0, frameDur+units.MS))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -164,7 +164,7 @@ func TestEstimateCarrier(t *testing.T) {
 func TestEstimateCarrierNotFound(t *testing.T) {
 	rx := NewReaderRX(fs)
 	rx.CarrierHint = 230e3
-	rx.CarrierSearch = 1e3
+	rx.CarrierSearch = units.KHz
 	// Signal at 100 kHz: far outside the search band → strongest in-band
 	// bin is noise; with a pure out-of-band tone the in-band bins are tiny
 	// but non-zero. Use silence to force the 0 return.
@@ -212,8 +212,8 @@ func TestBLFPlan(t *testing.T) {
 		}
 		prev = off
 	}
-	tight := BLFPlan{Base: 0.2e3, Spacing: 1e3, Guard: 1e3}
-	if tight.Offset(0) != 1e3 {
+	tight := BLFPlan{Base: 0.2e3, Spacing: units.KHz, Guard: units.KHz}
+	if tight.Offset(0) != units.KHz {
 		t.Error("offsets below the guard must clamp up")
 	}
 }

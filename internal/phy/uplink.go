@@ -42,7 +42,7 @@ type BackscatterTX struct {
 func NewBackscatterTX(fs float64) *BackscatterTX {
 	return &BackscatterTX{
 		Synth:       waveform.NewSynth(fs),
-		Bitrate:     1000,
+		Bitrate:     1 * units.KHz,
 		ReflectGain: 0.45,
 		AbsorbGain:  0.03,
 	}
@@ -116,7 +116,7 @@ func NewReaderRX(fs float64) *ReaderRX {
 		SampleRate:    fs,
 		CarrierHint:   physics.CarrierHz,
 		CarrierSearch: 20 * units.KHz,
-		Bitrate:       1000,
+		Bitrate:       1 * units.KHz,
 		GuardBand:     500,
 	}
 }

@@ -109,14 +109,12 @@ func TestCriticalAnglesMatchPaper(t *testing.T) {
 		t.Errorf("second critical angle = %.1f°, want ≈73°", ca2)
 	}
 	lo, hi := b.SWaveWindow()
-	//ecolint:ignore floatcmp SWaveWindow returns the same CriticalAngle results compared against
 	if deg(lo) != ca1 || deg(hi) != ca2 {
 		t.Error("SWaveWindow must return the two critical angles")
 	}
 }
 
 func TestCriticalAngleNoFasterMedium(t *testing.T) {
-	//ecolint:ignore floatcmp pi/2 is the documented no-critical-angle sentinel, returned verbatim
 	if got := CriticalAngle(4000, 2000); got != math.Pi/2 {
 		t.Errorf("no critical angle into a slower medium, got %v", got)
 	}
@@ -208,19 +206,16 @@ func TestTransducerBeam(t *testing.T) {
 }
 
 func TestTransducerBeamDegenerate(t *testing.T) {
-	//ecolint:ignore floatcmp pi/2 is the documented omnidirectional sentinel, returned verbatim
 	if TransducerHalfBeamAngle(3000, 0, 0.04) != math.Pi/2 {
 		t.Error("zero frequency should be omnidirectional")
 	}
-	//ecolint:ignore floatcmp pi/2 is the documented omnidirectional sentinel, returned verbatim
-	if TransducerHalfBeamAngle(3000, 1000, 0.001) != math.Pi/2 {
+	if TransducerHalfBeamAngle(3000, units.KHz, units.MM) != math.Pi/2 {
 		t.Error("tiny disc at low f should be omnidirectional")
 	}
 }
 
 func TestWaveModeVelocityAndString(t *testing.T) {
 	nc := material.NC()
-	//ecolint:ignore floatcmp Velocity dispatch returns nc.VP()/nc.VS() bit-for-bit
 	if Velocity(nc, PWave) != nc.VP() || Velocity(nc, SWave) != nc.VS() {
 		t.Error("Velocity dispatch broken")
 	}
@@ -324,7 +319,6 @@ func TestHelmholtzGainPeaksAtResonance(t *testing.T) {
 	if gOff < 1 {
 		t.Errorf("off-resonance gain %.2f must not attenuate below 1", gOff)
 	}
-	//ecolint:ignore floatcmp gain of exactly 1 is the documented zero-frequency sentinel
 	if cell.Gain(cs, 0) != 1 {
 		t.Error("zero frequency gain must be 1")
 	}
@@ -343,7 +337,6 @@ func TestHRAGainScaling(t *testing.T) {
 		t.Error("more cells must not reduce gain")
 	}
 	none := HRA{Cell: arr.Cell, Cells: 0}
-	//ecolint:ignore floatcmp gain of exactly 1 is the documented zero-cells sentinel
 	if none.Gain(cs, fr) != 1 {
 		t.Error("zero cells must be unity gain")
 	}

@@ -54,6 +54,9 @@ const (
 	TypeStrain SensorType = 0x02
 	// TypeAccelerometer is the acceleration payload.
 	TypeAccelerometer SensorType = 0x03
+	// MaxType is the highest type byte: a table indexed by type has
+	// MaxType+1 slots.
+	MaxType = TypeAccelerometer
 )
 
 func (s SensorType) String() string {

@@ -279,7 +279,6 @@ func TestFrameCountersByType(t *testing.T) {
 		if _, err := recvFrame(&buf); err != nil {
 			t.Fatal(err)
 		}
-		//ecolint:ignore floatcmp counters hold small integers exactly
 		if dw, dr := written.Value()-w0, read.Value()-r0; dw != 1 || dr != 1 {
 			t.Errorf("%v: written +%g, read +%g; want +1 each", typ, dw, dr)
 		}

@@ -99,28 +99,16 @@ fi
 stage_done
 
 # ecolint over everything, test files included, in one in-memory pass:
-# self-cleanliness is a hard gate. The full analyzer suite — the lock
-# analyzers locksafety (early-return leaks), guardedby and closurecapture,
-# which all read lock sets from one CFG lock-set engine, plus atomicmix and
-# the v4 dataflow analyzers (dimcheck dimensional analysis, hotalloc
-# hotpath allocation discipline) — gates the tree; any finding fails the
-# build.
+# self-cleanliness is a hard gate. The full suite of 11 analyzers — the
+# lock analyzers locksafety (early-return leaks), guardedby and
+# closurecapture on one CFG lock-set engine, atomicmix, dimcheck
+# (dimensional analysis and bare unit multipliers) and hotalloc (hotpath
+# allocation discipline) among them — gates the tree; any finding fails
+# the build. cmd/ecolint's TestListRoster, run by the race stage below,
+# pins which analyzers the suite holds.
 stage "ecolint -include-tests ./..."
 go build -o /tmp/ecolint.verify ./cmd/ecolint
 /tmp/ecolint.verify -include-tests ./...
-stage_done
-
-# The ecolint stage above gates the whole tree clean under dimcheck and
-# hotalloc because both are in the default suite — assert they actually
-# are, so a registration regression cannot silently drop the gate.
-stage "dimcheck + hotalloc registered in the default suite"
-LIST_OUT="$(/tmp/ecolint.verify -list)"
-for a in dimcheck hotalloc; do
-	if ! printf '%s\n' "$LIST_OUT" | grep -q "^$a "; then
-		echo "verify.sh: analyzer $a is missing from the default ecolint suite"
-		exit 1
-	fi
-done
 stage_done
 
 # The benchmark is its own module (pipebench/go.mod): its determinism and
@@ -173,8 +161,8 @@ stage_done
 # reply → reader parse/decode → survey row, and broadcast → subscriber
 # writer → Client.Next) are allocation-free. The lint half is the ecolint
 # stage above: it proves every control-flow path of every
-# //ecolint:hotpath function in the tree, and the registration stage
-# proves hotalloc ran there. This stage is the measuring half: the
+# //ecolint:hotpath function in the tree, and TestListRoster proves
+# hotalloc ran there. This stage is the measuring half: the
 # AllocsPerRun tests on real inputs (TestReadSensorAllocs pins the one
 # object the public []float64 read API still costs). A clean lint with a
 # failing test means the analyzer went blind; either failing means the
