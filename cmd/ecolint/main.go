@@ -20,7 +20,9 @@
 //
 //	//ecolint:ignore <analyzer> <reason>
 //
-// The reason is mandatory; directives without one are reported themselves.
+// The reason is mandatory; directives without one are reported themselves,
+// and so are directives for an analyzer that ran and found nothing on
+// their line or the next.
 //
 // Exit codes are distinct so CI can tell "the tree is dirty" from "the
 // driver could not even look at the tree":

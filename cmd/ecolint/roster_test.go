@@ -14,7 +14,6 @@ import (
 func TestListRoster(t *testing.T) {
 	want := []string{
 		"locksafety",
-		"leakcheck",
 		"errchecklite",
 		"floatcmp",
 		"metricname",

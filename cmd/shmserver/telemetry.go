@@ -113,7 +113,7 @@ func startTelemetry(addr string, health *healthState) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("telemetry listen: %w", err)
 	}
-	//ecolint:ignore leakcheck HTTP server lives for the process; the listener dies with it
+	// The HTTP server lives for the process; the listener dies with it.
 	go http.Serve(ln, mux)
 	return ln.Addr().String(), nil
 }

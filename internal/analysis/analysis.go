@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -78,7 +79,8 @@ func (d Diagnostic) String() string {
 // placed on the offending line or on the line immediately above it. The
 // reason is mandatory — undocumented suppressions are themselves findings,
 // and so are directives whose <analyzer> is neither a suite analyzer nor
-// "all": they suppress nothing.
+// "all", and directives for an analyzer that ran and found nothing on
+// either line: they suppress nothing.
 const IgnoreDirective = "//ecolint:ignore"
 
 type ignoreKey struct {
@@ -143,29 +145,13 @@ func collectIgnores(fset *token.FileSet, files []*ast.File) map[ignoreKey][]igno
 // package, a package merged with its in-package test files, or an
 // external _test package), applying ignore directives, and returns the
 // surviving diagnostics unsorted. When factsOnly is set, only
-// fact-producing analyzers run and nothing is reported.
+// fact-producing analyzers run and nothing is reported, directives
+// included: a package with test files is judged once, in its
+// test-merged unit.
 func analyzeUnit(pkg *Package, analyzers []*Analyzer, facts *Facts, factsOnly bool) []Diagnostic {
 	var diags []Diagnostic
 	ignores := collectIgnores(pkg.Fset, pkg.Files)
-	if !factsOnly {
-		for k, entries := range ignores {
-			for _, e := range entries {
-				if k.line != e.pos.Line {
-					continue // each directive is filed under two lines; report it once
-				}
-				var msg string
-				switch {
-				case !e.hasReason:
-					msg = fmt.Sprintf("ignore directive for %q is missing a reason (//ecolint:ignore <analyzer> <reason>)", e.analyzer)
-				case !isAnalyzerName(e.analyzer):
-					msg = fmt.Sprintf("ignore directive names %q, which is not an analyzer (see ecolint -list)", e.analyzer)
-				default:
-					continue
-				}
-				diags = append(diags, Diagnostic{Pos: e.pos, Analyzer: "ecolint", Message: msg})
-			}
-		}
-	}
+	used := make(map[token.Position]bool) // directives that suppressed a finding
 	for _, a := range analyzers {
 		if factsOnly && !a.UsesFacts {
 			continue
@@ -182,6 +168,7 @@ func analyzeUnit(pkg *Package, analyzers []*Analyzer, facts *Facts, factsOnly bo
 		pass.report = func(d Diagnostic) {
 			for _, e := range ignores[ignoreKey{file: d.Pos.Filename, line: d.Pos.Line}] {
 				if e.hasReason && (e.analyzer == d.Analyzer || e.analyzer == "all") {
+					used[e.pos] = true
 					return
 				}
 			}
@@ -189,7 +176,40 @@ func analyzeUnit(pkg *Package, analyzers []*Analyzer, facts *Facts, factsOnly bo
 		}
 		a.Run(pass)
 	}
+	if factsOnly {
+		return diags
+	}
+	for k, entries := range ignores {
+		for _, e := range entries {
+			if k.line != e.pos.Line {
+				continue // each directive is filed under two lines; report it once
+			}
+			var msg string
+			switch {
+			case !e.hasReason:
+				msg = fmt.Sprintf("ignore directive for %q is missing a reason (//ecolint:ignore <analyzer> <reason>)", e.analyzer)
+			case !isAnalyzerName(e.analyzer):
+				msg = fmt.Sprintf("ignore directive names %q, which is not an analyzer (see ecolint -list)", e.analyzer)
+			case !used[e.pos] && ran(analyzers, e.analyzer):
+				msg = fmt.Sprintf("ignore directive for %q suppresses nothing: no finding on its line or the next", e.analyzer)
+			default:
+				continue
+			}
+			diags = append(diags, Diagnostic{Pos: e.pos, Analyzer: "ecolint", Message: msg})
+		}
+	}
 	return diags
+}
+
+// ran reports whether a directive for name can be judged against this
+// run's findings: its analyzer ran, or, for "all", the whole suite did
+// (analyzers is always a subset of All()). A directive for an analyzer
+// left out by -only is not judged.
+func ran(analyzers []*Analyzer, name string) bool {
+	if name == "all" {
+		return len(analyzers) == len(All())
+	}
+	return slices.ContainsFunc(analyzers, func(a *Analyzer) bool { return a.Name == name })
 }
 
 // sortDiagnostics orders diagnostics by file, line, analyzer and
@@ -230,7 +250,6 @@ func isAnalyzerName(name string) bool {
 func All() []*Analyzer {
 	return []*Analyzer{
 		LockSafety,
-		LeakCheck,
 		ErrCheckLite,
 		FloatCmp,
 		MetricName,

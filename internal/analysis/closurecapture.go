@@ -12,22 +12,11 @@ import (
 
 // ClosureCapture audits the bodies of asynchronously-executed closures:
 // `go func(){...}()` statements and the body literals of the conc pool
-// (conc.Queues and its one-item case conc.For). Two classes
-// of finding:
-//
-//   - capture of an enclosing loop variable. Per-iteration loop
-//     variables make this memory-safe on modern toolchains, but the
-//     fork-join code in this repository owes callers a determinism
-//     contract (see internal/conc): a body closure must depend only on
-//     its index argument, never on loop state threaded in by capture,
-//     or a future refactor of the loop silently changes what the
-//     workers observe. Pass the value as an argument instead.
-//
-//   - mutation of captured shared state with no lock held at the write.
-//     The per-index result-slot pattern (out[i] = ... where i is the
-//     closure's own parameter or local) is recognised and allowed; map
-//     writes never are — concurrent map writes fault the runtime even
-//     on disjoint keys.
+// (conc.Queues and its one-item case conc.For). It flags mutation of
+// captured shared state with no lock held at the write. The per-index
+// result-slot pattern (out[i] = ... where i is the closure's own
+// parameter or local) is recognised and allowed; map writes never are —
+// concurrent map writes fault the runtime even on disjoint keys.
 //
 // Writes that happen while any mutex is held (directly or through a
 // helper carrying a LockFact) are considered synchronised; guardedby
@@ -35,7 +24,7 @@ import (
 var ClosureCapture = &Analyzer{
 	Name:      "closurecapture",
 	UsesFacts: true,
-	Doc: "flags goroutine and conc.Queues/conc.For body closures that capture loop variables or " +
+	Doc: "flags goroutine and conc.Queues/conc.For body closures that " +
 		"mutate captured shared state without synchronization",
 	Run: runClosureCapture,
 }
@@ -59,112 +48,28 @@ func concPoolFunc(pass *Pass, call *ast.CallExpr) string {
 type asyncClosure struct {
 	lit  *ast.FuncLit
 	kind string // "goroutine", "conc.Queues body" or "conc.For body"
-	// loopVars holds the loop variables of the loops enclosing the
-	// launch site, if any.
-	loopVars map[types.Object]bool
 }
 
-// loopVarsOf extracts the iteration variables a loop statement defines.
-func loopVarsOf(pass *Pass, n ast.Node, into map[types.Object]bool) {
-	addIdent := func(e ast.Expr) {
-		if id, ok := e.(*ast.Ident); ok {
-			if obj := pass.Info.Defs[id]; obj != nil {
-				into[obj] = true
-			}
-		}
-	}
-	switch n := n.(type) {
-	case *ast.RangeStmt:
-		if n.Tok == token.DEFINE {
-			addIdent(n.Key)
-			if n.Value != nil {
-				addIdent(n.Value)
-			}
-		}
-	case *ast.ForStmt:
-		if init, ok := n.Init.(*ast.AssignStmt); ok && init.Tok == token.DEFINE {
-			for _, lhs := range init.Lhs {
-				addIdent(lhs)
-			}
-		}
-	}
-}
-
-// collectAsyncClosures walks one function body tracking the enclosing
-// loop stack, and returns every go-statement literal and conc pool body
-// literal (the last argument of Queues or For) with the loop variables in
-// scope at its launch site.
+// collectAsyncClosures returns every go-statement literal and conc pool
+// body literal (the last argument of Queues or For) in one function
+// body, nested launches included.
 func collectAsyncClosures(pass *Pass, body *ast.BlockStmt) []asyncClosure {
 	var out []asyncClosure
-	var loopStack []map[types.Object]bool
-
-	currentLoopVars := func() map[types.Object]bool {
-		vars := make(map[types.Object]bool)
-		for _, frame := range loopStack {
-			for obj := range frame {
-				vars[obj] = true
-			}
-		}
-		return vars
-	}
-
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		if n == nil {
-			return
-		}
+	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.RangeStmt, *ast.ForStmt:
-			frame := make(map[types.Object]bool)
-			loopVarsOf(pass, n, frame)
-			loopStack = append(loopStack, frame)
-			ast.Inspect(n, func(x ast.Node) bool {
-				if x == n {
-					return true
-				}
-				switch x.(type) {
-				case *ast.RangeStmt, *ast.ForStmt, *ast.GoStmt, *ast.CallExpr:
-					walk(x)
-					return false
-				}
-				return true
-			})
-			loopStack = loopStack[:len(loopStack)-1]
-			return
 		case *ast.GoStmt:
 			if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
-				out = append(out, asyncClosure{lit: lit, kind: "goroutine", loopVars: currentLoopVars()})
-				walk(lit.Body) // nested launches inside the closure
-				return
+				out = append(out, asyncClosure{lit: lit, kind: "goroutine"})
 			}
-			walk(n.Call)
-			return
 		case *ast.CallExpr:
 			if name := concPoolFunc(pass, n); name != "" && len(n.Args) > 0 {
-				last := len(n.Args) - 1
-				if lit, ok := ast.Unparen(n.Args[last]).(*ast.FuncLit); ok {
-					out = append(out, asyncClosure{lit: lit, kind: "conc." + name + " body", loopVars: currentLoopVars()})
-					for _, arg := range n.Args[:last] {
-						walk(arg)
-					}
-					walk(lit.Body)
-					return
+				if lit, ok := ast.Unparen(n.Args[len(n.Args)-1]).(*ast.FuncLit); ok {
+					out = append(out, asyncClosure{lit: lit, kind: "conc." + name + " body"})
 				}
 			}
 		}
-		ast.Inspect(n, func(x ast.Node) bool {
-			if x == n {
-				return true
-			}
-			switch x.(type) {
-			case *ast.RangeStmt, *ast.ForStmt, *ast.GoStmt, *ast.CallExpr:
-				walk(x)
-				return false
-			}
-			return true
-		})
-	}
-	walk(body)
+		return true
+	})
 	return out
 }
 
@@ -313,49 +218,6 @@ func runClosureCapture(pass *Pass) {
 		}
 		return nil
 	}
-	checkClosure := func(cl asyncClosure) {
-		// Loop-variable capture: any use of an enclosing loop's
-		// iteration variable inside the closure.
-		reportedVar := make(map[types.Object]bool)
-		ast.Inspect(cl.lit.Body, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			obj := pass.Info.Uses[id]
-			if obj == nil || !cl.loopVars[obj] || reportedVar[obj] {
-				return true
-			}
-			reportedVar[obj] = true
-			pass.Reportf(id.Pos(), "%s captures loop variable %s; pass it as an argument so the closure depends only on its inputs",
-				cl.kind, obj.Name())
-			return true
-		})
-
-		// Unsynchronised mutation of captured state.
-		writes := closureWrites(pass, cl.lit)
-		heldAt := heldAtPositions(pass, cl.lit, resolver, writes)
-		reported := make(map[token.Pos]bool)
-		for _, w := range writes {
-			if reported[w.pos] || heldAt[w.pos] {
-				continue
-			}
-			reported[w.pos] = true
-			switch w.kind {
-			case "map":
-				pass.Reportf(w.pos, "%s writes captured map %s without synchronization; concurrent map writes fault at runtime",
-					cl.kind, types.ExprString(w.expr))
-			case "field":
-				pass.Reportf(w.pos, "%s writes field %s of captured %s with no lock held",
-					cl.kind, types.ExprString(w.expr), w.obj.Name())
-			default:
-				pass.Reportf(w.pos, "%s mutates captured variable %s with no lock held",
-					cl.kind, w.obj.Name())
-			}
-		}
-	}
-
-	seen := make(map[*ast.FuncLit]bool)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -363,11 +225,26 @@ func runClosureCapture(pass *Pass) {
 				continue
 			}
 			for _, cl := range collectAsyncClosures(pass, fd.Body) {
-				if seen[cl.lit] {
-					continue
+				writes := closureWrites(pass, cl.lit)
+				heldAt := heldAtPositions(pass, cl.lit, resolver, writes)
+				reported := make(map[token.Pos]bool)
+				for _, w := range writes {
+					if reported[w.pos] || heldAt[w.pos] {
+						continue
+					}
+					reported[w.pos] = true
+					switch w.kind {
+					case "map":
+						pass.Reportf(w.pos, "%s writes captured map %s without synchronization; concurrent map writes fault at runtime",
+							cl.kind, types.ExprString(w.expr))
+					case "field":
+						pass.Reportf(w.pos, "%s writes field %s of captured %s with no lock held",
+							cl.kind, types.ExprString(w.expr), w.obj.Name())
+					default:
+						pass.Reportf(w.pos, "%s mutates captured variable %s with no lock held",
+							cl.kind, w.obj.Name())
+					}
 				}
-				seen[cl.lit] = true
-				checkClosure(cl)
 			}
 		}
 	}

@@ -1,8 +1,8 @@
 // Package analysis is a small, stdlib-only static-analysis framework for
 // the EcoCapsule repository, plus a set of domain-aware analyzers tuned to
 // the bug classes that silently corrupt structural-health-monitoring data:
-// unit mix-ups in physics math, lock misuse in long-lived servers, leaked
-// goroutines, discarded wire-format errors, and exact float comparison.
+// unit mix-ups in physics math, lock misuse in long-lived servers,
+// discarded wire-format errors, and exact float comparison.
 //
 // The framework deliberately avoids golang.org/x/tools: packages are
 // enumerated with `go list -deps -json`, parsed with go/parser, and

@@ -139,7 +139,6 @@ func TestGolden(t *testing.T) {
 		analyzer *analysis.Analyzer
 	}{
 		{"locksafety", analysis.LockSafety},
-		{"leakcheck", analysis.LeakCheck},
 		{"errchecklite", analysis.ErrCheckLite},
 		{"floatcmp", analysis.FloatCmp},
 		{"metricname", analysis.MetricName},

@@ -18,7 +18,9 @@ import (
 //	           package scope); its _test.go file compares floats exactly
 //	           too, which floatcmp exempts, and spells a bare unit
 //	           multiplier into an annotated constant, which dimcheck
-//	           reports
+//	           reports; two ignore directives match no finding: one for
+//	           determinism, which runs, and one for hotalloc, which does
+//	           not
 //
 // The cross-package edge (sim → clock) exercises the facts layer; the
 // _test.go file exercises test-unit loading.
@@ -54,6 +56,12 @@ func Clean() int64 { return clock.Pure(41) }
 
 // Eq compares floats exactly.
 func Eq(a, b float64) bool { return a == b }
+
+//ecolint:ignore determinism stale: nothing here reads the clock
+var half = 0.5
+
+//ecolint:ignore hotalloc not judged: hotalloc is not in this run
+var third = 1.0 / 3
 `,
 		"geometry/geometry_test.go": `package geometry
 
@@ -234,6 +242,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 	if got := strings.Count(want, "dimcheck"); got != 1 || !strings.Contains(want, "geometry_test.go:5: dimcheck") {
 		t.Errorf("sequential run has %d dimcheck findings, want 1 (the multiplier in geometry_test.go):\n%s", got, want)
+	}
+	// geometry.go is in both the plain unit and the test-merged unit; its
+	// stale directive is reported once.
+	if got := strings.Count(want, ": ecolint: "); got != 1 || !strings.Contains(want, "geometry.go:6: ecolint: ignore directive for \"determinism\" suppresses nothing") {
+		t.Errorf("sequential run has %d directive findings, want 1 (the stale determinism directive in geometry.go):\n%s", got, want)
 	}
 
 	for i := 0; i < 3; i++ {

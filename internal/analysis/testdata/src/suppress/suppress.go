@@ -1,5 +1,6 @@
 // Fixture for //ecolint:ignore directive handling, exercised through
-// dimcheck's bare unit-multiplier rule.
+// dimcheck's bare unit-multiplier rule. Only dimcheck runs on it, so a
+// directive for another analyzer is not judged for suppressing nothing.
 package suppress
 
 //ecolint:ignore dimcheck calibration constant matches the scope's raw tick
@@ -18,3 +19,6 @@ const dtWrong = 1e-3 //ecolint:unit s // want `bare unit multiplier 1e-3 in a s 
 const dtUnknown = 1e-3 //ecolint:unit s // want `bare unit multiplier 1e-3 in a s value; use units\.MS`
 
 const dtPlain = 1e-3 //ecolint:unit s // want `bare unit multiplier 1e-3 in a s value; use units\.MS`
+
+//ecolint:ignore dimcheck stale: 2e-3 is not a unit multiplier, so nothing fires // want `ignore directive for "dimcheck" suppresses nothing: no finding on its line or the next`
+const dtStale = 2e-3 //ecolint:unit s

@@ -26,9 +26,8 @@
 // For is the one-item-per-queue case and carries the same contract.
 //
 // The closurecapture analyzer (internal/analysis) enforces the slot
-// discipline statically on Queues and For bodies: bodies that capture
-// loop variables or mutate captured shared state without a lock are
-// build failures.
+// discipline statically on Queues and For bodies: bodies that mutate
+// captured shared state without a lock are build failures.
 //
 // A panic inside a body is re-raised on the caller's goroutine after the
 // remaining workers drain, so a fan-out never deadlocks on a dead worker

@@ -101,7 +101,6 @@ func TestNodeConcurrentAccess(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
-		//ecolint:ignore leakcheck bounded 200-iteration worker joined by wg.Wait below; no stop signal needed
 		go func(id int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {

@@ -23,8 +23,13 @@ type Server struct {
 	nextSubID int
 	//ecolint:guardedby mu
 	closed bool
-	wg     sync.WaitGroup
-	logf   func(format string, args ...any)
+	//ecolint:guardedby mu
+	// conns holds every accepted connection until its handler returns,
+	// including those still waiting for their Hello, so Close can end
+	// them all.
+	conns map[net.Conn]struct{}
+	wg    sync.WaitGroup
+	logf  func(format string, args ...any)
 	//ecolint:guardedby mu
 	// writeTimeout bounds each drained batch write (at most fanOutDepth
 	// frames) so one wedged subscriber socket cannot pin its writer
@@ -49,7 +54,6 @@ type subscriber struct {
 	id   int
 	name string
 	ch   chan outFrame
-	conn net.Conn
 }
 
 // outFrame is one queued frame. A Telemetry body travels inline in tel, so
@@ -81,11 +85,12 @@ func NewServer(addr string) (*Server, error) {
 	s := &Server{
 		ln:           ln,
 		subs:         make(map[int]*subscriber),
+		conns:        make(map[net.Conn]struct{}),
 		logf:         log.Printf,
 		writeTimeout: defaultWriteTimeout,
 	}
 	s.wg.Add(1)
-	//ecolint:ignore leakcheck acceptLoop exits when Close() shuts the listener and is awaited via s.wg
+	// acceptLoop exits when Close shuts the listener; Close waits for it.
 	go s.acceptLoop()
 	return s, nil
 }
@@ -109,6 +114,14 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			return
+		}
+		s.conns[conn] = struct{}{}
+		s.mu.Unlock()
 		s.wg.Add(1)
 		go s.handle(conn)
 	}
@@ -116,6 +129,11 @@ func (s *Server) acceptLoop() {
 
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
+	defer func() {
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+	}()
 	c := NewConn(conn)
 	// The session must open with a Hello. A deadline that cannot be armed
 	// means the socket is already unusable — bail instead of risking an
@@ -137,7 +155,6 @@ func (s *Server) handle(conn net.Conn) {
 	sub := &subscriber{
 		name: string(f.Body),
 		ch:   make(chan outFrame, fanOutDepth),
-		conn: conn,
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -167,7 +184,6 @@ func (s *Server) handle(conn net.Conn) {
 	// read and write buffers, so this Recv is safe alongside the writer's
 	// drain below.
 	s.wg.Add(1)
-	//ecolint:ignore leakcheck watchdog exits when the conn closes (teardown below or Close()) and is awaited via s.wg
 	go func() {
 		defer s.wg.Done()
 		for {
@@ -354,8 +370,9 @@ func (s *Server) BroadcastStatusTraced(st Status, tc *TraceContext) {
 	s.BroadcastTraced(MsgStatus, EncodeStatus(st), tc)
 }
 
-// Close shuts the listener and every subscriber down and waits for the
-// handler goroutines to exit.
+// Close shuts the listener and every connection down, subscribers and
+// peers still in the handshake alike, and waits for the handler
+// goroutines to exit.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -364,18 +381,15 @@ func (s *Server) Close() error {
 	}
 	s.closed = true
 	err := s.ln.Close()
+	for conn := range s.conns {
+		conn.Close()
+	}
 	ids := make([]int, 0, len(s.subs))
 	for id := range s.subs {
 		ids = append(ids, id)
 	}
 	s.mu.Unlock()
 	for _, id := range ids {
-		s.mu.Lock()
-		sub, ok := s.subs[id]
-		s.mu.Unlock()
-		if ok {
-			sub.conn.Close()
-		}
 		s.removeSub(id)
 	}
 	s.wg.Wait()
@@ -446,7 +460,6 @@ func (cl *Client) Next() (Event, error) {
 		}
 		ev.Alert = &a
 	case MsgStatus:
-		//ecolint:ignore hotalloc a Status, one per survey, owns its missing list
 		st, err := DecodeStatus(f.Body)
 		if err != nil {
 			return Event{}, err

@@ -1,6 +1,8 @@
 package shmwire
 
 import (
+	"net"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -136,24 +138,62 @@ func TestServerRejectsSilentClients(t *testing.T) {
 	}
 }
 
+// TestServerCloseDisconnectsClients closes a server with a subscriber, a
+// peer that said Bye and a silent peer still owing its Hello: Close must
+// end all three promptly, and every goroutine the server started must
+// exit.
 func TestServerCloseDisconnectsClients(t *testing.T) {
+	baseline := runtime.NumGoroutine()
 	s := startServer(t)
+	// The silent peer dials first: the server accepts in order, so its
+	// handler is running by the time the subscriber below registers.
+	silentPeer, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silentPeer.Close()
 	cl, err := Dial(s.Addr().String(), "x")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 	waitSubscribers(t, s, 1)
+	bye, err := Dial(s.Addr().String(), "bye")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bye.Close()
+	waitSubscribers(t, s, 2)
+	if err := bye.c.Send(MsgBye, nil); err != nil {
+		t.Fatal(err)
+	}
+	waitSubscribers(t, s, 1)
+
+	start := time.Now()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if d := time.Since(start); d >= time.Second {
+		t.Errorf("Close took %v with a peer in the handshake, want < 1s", d)
 	}
 	cl.SetDeadline(time.Now().Add(3 * time.Second))
 	if _, err := cl.Next(); err == nil {
 		t.Error("closed server must end the stream")
 	}
+	silentPeer.SetReadDeadline(time.Now().Add(3 * time.Second))
+	if _, err := silentPeer.Read(make([]byte, 1)); err == nil {
+		t.Error("closed server must drop the peer in the handshake")
+	}
 	// Close is idempotent.
 	if err := s.Close(); err != nil {
 		t.Errorf("second close: %v", err)
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Errorf("%d goroutines after Close, want the pre-server %d", n, baseline)
 	}
 }
 
