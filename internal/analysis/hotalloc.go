@@ -234,9 +234,12 @@ func appendStartsFresh(call *ast.CallExpr) bool {
 // summariseBoxingArgs flags arguments whose concrete non-pointer-shaped
 // values convert to interface parameters (each such conversion heap-
 // allocates the boxed copy). Pointer-shaped values (pointers, maps,
-// channels, funcs) ride in the interface word for free.
+// channels, funcs) ride in the interface word for free. A generic callee
+// is checked against its instantiated signature: an argument bound to a
+// type parameter is passed as its type argument, never boxed into the
+// constraint.
 func summariseBoxingArgs(pass *Pass, call *ast.CallExpr, callee *types.Func, fn *reachFunc) {
-	sig, _ := callee.Type().(*types.Signature)
+	sig, _ := pass.TypeOf(call.Fun).(*types.Signature)
 	if sig == nil {
 		return
 	}

@@ -29,6 +29,15 @@ func sink2(v interface{}) bool {
 	return v == nil
 }
 
+// first returns xs[0], or dflt when xs is empty. Its arguments are
+// passed as their type arguments, never boxed into the any constraint.
+func first[E any](xs []E, dflt E) E {
+	if len(xs) == 0 {
+		return dflt
+	}
+	return xs[0]
+}
+
 // helper allocates directly.
 func helper(n int) []float64 {
 	return make([]float64, n)
@@ -99,6 +108,7 @@ func Accumulate(dst, src []float64) []float64 {
 	sum := pool.Sum(dst)  // allocation-free callee: no fact, no finding
 	scale(dst, sum)       // clean local callee
 	g := func(a, b float64) float64 { return a + b } // capture-free literal: static func value
+	total += first(src, total)                       // generic call: instantiated, no box
 	var p *record
 	if sink2(p) || sink2(nil) { // pointer and nil ride the interface word: no box
 		return dst

@@ -25,9 +25,10 @@
 // function of the cursors and never touches a caller's seeded streams.
 // For is the one-item-per-queue case and carries the same contract.
 //
-// The closurecapture analyzer (internal/analysis) enforces the slot
-// discipline statically on Queues and For bodies: bodies that mutate
-// captured shared state without a lock are build failures.
+// The closurecapture analyzer (internal/analysis) checks the slot
+// discipline statically on Queues and For bodies: a body that mutates
+// captured shared state without a lock is an ecolint finding, which
+// verify.sh's ecolint stage fails on.
 //
 // A panic inside a body is re-raised on the caller's goroutine after the
 // remaining workers drain, so a fan-out never deadlocks on a dead worker
@@ -39,6 +40,14 @@ import (
 	"sync"
 	"sync/atomic"
 )
+
+// cursor is one queue's claim cursor, padded to a cache line of its own:
+// every claim is an atomic add, and workers draining neighbouring queues
+// would otherwise contend on one shared line.
+type cursor struct {
+	atomic.Int64
+	_ [56]byte
+}
 
 // bodyPanic wraps a panic value recovered on a worker so the re-raise
 // distinguishes "fn panicked" from an unrelated runtime fault.
@@ -80,7 +89,7 @@ func Queues(counts []int, fn func(q, item int)) {
 	}
 	// One atomic cursor per queue; Add(1)-1 claims the next item. A cursor
 	// past the queue's count means the queue is drained.
-	cursors := make([]atomic.Int64, len(counts))
+	cursors := make([]cursor, len(counts))
 	var firstPanic atomic.Pointer[bodyPanic]
 	var wg sync.WaitGroup
 	wg.Add(workers)

@@ -515,7 +515,8 @@ func (f *Fleet) ReadSensor(handle uint16, st sensors.SensorType) ([]float64, err
 
 // ReadSensorVia is ReadSensor plus the index of the station that actually
 // served the read — which the fallback path can make different from
-// BestStation. A failed read returns station -1.
+// BestStation. A failed read returns station -1. The read is counted in
+// the read metrics before it returns.
 func (f *Fleet) ReadSensorVia(handle uint16, st sensors.SensorType) ([]float64, int, error) {
 	var link reader.FaultStats
 	var buf [maxRoutes]int
@@ -531,22 +532,39 @@ func (f *Fleet) ReadSensorVia(handle uint16, st sensors.SensorType) ([]float64, 
 		stations = f.readOrder(stations, c, alive)
 	}
 	vals, station, err := f.readVia(nil, &link, handle, st, stations)
-	if err != nil {
+	// Publish the stations the read tried: up to the one that served it,
+	// or every one when none could.
+	tried := stations
+	if err == nil {
+		tried = stations[:slices.Index(stations, station)+1]
+	}
+	for _, i := range tried {
+		f.readers[i].PublishReads()
+	}
+	switch {
+	case err != nil:
+		cReadsFailed.Inc()
 		return nil, station, err
+	case station == stations[0]:
+		cReadsPrimary.Inc()
+	default:
+		cReadsRerouted.Inc()
 	}
 	return vals[:], station, nil
 }
 
 // readVia walks the candidate stations in order, returning the first
-// successful read and the station that served it, and maintaining the
-// routing metrics: a read stations[0] serves is primary. Each station's
-// read is a child span of parent (a root when nil) and adds its link
-// counters to link.
+// successful read and the station that served it. Each station's read is a
+// child span of parent (a root when nil) and adds its link counters to
+// link. readVia publishes no metric: each station counts its reads in its
+// own tally, and the caller publishes the tallies and counts the route the
+// read took (primary when stations[0] served it, rerouted when a fallback
+// did, failed when none could) once per operation, so a survey's
+// thousands of reads touch no shared counter.
 //
 //ecolint:hotpath the survey's per-capsule read
 func (f *Fleet) readVia(parent *telemetry.Span, link *reader.FaultStats, handle uint16, st sensors.SensorType, stations []int) ([2]float64, int, error) {
 	if len(stations) == 0 {
-		cReadsFailed.Inc()
 		//ecolint:ignore hotalloc an orphaned capsule is never read by a survey
 		return [2]float64{}, -1, fmt.Errorf("fleet: no station serves capsule %#04x", handle)
 	}
@@ -557,16 +575,10 @@ func (f *Fleet) readVia(parent *telemetry.Span, link *reader.FaultStats, handle 
 		link.Retries += lk.Retries
 		link.Backoff += lk.Backoff
 		if err == nil {
-			if idx == stations[0] {
-				cReadsPrimary.Inc()
-			} else {
-				cReadsRerouted.Inc()
-			}
 			return vals, idx, nil
 		}
 		lastErr = err
 	}
-	cReadsFailed.Inc()
 	//ecolint:ignore hotalloc a capsule no station could read is a degraded survey row
 	return [2]float64{}, -1, fmt.Errorf("fleet: capsule %#04x unreadable from %d station(s): %w",
 		handle, len(stations), lastErr)

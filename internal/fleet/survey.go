@@ -155,7 +155,10 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 	rep.Rows = make([]SurveyRow, len(f.nodes))
 	// links[c] accumulates the link counters of capsule c's own reads.
 	links := make([]reader.FaultStats, len(f.nodes))
-	var rerouted atomic.Int64
+	// rerouted and failed count the reads a fallback station served and
+	// the reads no station could serve; both are rare, so their atomics
+	// stay off the common path.
+	var rerouted, failed atomic.Int64
 	visit := func(c int) {
 		row := &rep.Rows[c]
 		h := f.nodes[c].Handle()
@@ -167,10 +170,15 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 			return
 		}
 		row.Station = stations[0]
+		// The primary-read count after the pass assumes exactly these
+		// readsPerCapsule reads.
 		th, servedT, errT := f.readVia(sp, &links[c], h, sensors.TypeTempHumidity, stations)
 		st, servedS, errS := f.readVia(sp, &links[c], h, sensors.TypeStrain, stations)
 		for _, served := range [...]int{servedT, servedS} {
-			if served >= 0 && served != row.Station {
+			switch {
+			case served < 0:
+				failed.Add(1)
+			case served != row.Station:
 				rerouted.Add(1)
 			}
 		}
@@ -192,6 +200,13 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 	conc.Queues(counts, func(q, item int) {
 		visit(f.shards[q].nodes[item])
 	})
+	// Every read above sits in its station's read tally; publish each
+	// station once, before the report is returned.
+	for i, a := range alive {
+		if a {
+			f.readers[i].PublishReads()
+		}
+	}
 	// Missing and Orphans inherit the rows' handle order; the link counters
 	// are the sum of the rows' own.
 	for c, row := range rep.Rows {
@@ -208,6 +223,12 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 		}
 	}
 	rep.ReroutedReads = int(rerouted.Load())
+	// Every capsule with a station was read once per sensor above: the
+	// reads neither rerouted nor failed went to the serving station.
+	reads := readsPerCapsule * (rep.Expected - len(rep.Orphans))
+	cReadsPrimary.Add(float64(reads - rep.ReroutedReads - int(failed.Load())))
+	cReadsRerouted.Add(float64(rep.ReroutedReads))
+	cReadsFailed.Add(float64(failed.Load()))
 	rep.Degraded = len(rep.DeadStations) > 0 || len(rep.Missing) > 0 || len(rep.Orphans) > 0
 	if rep.Degraded {
 		cSurveysDegraded.Inc()
@@ -231,6 +252,10 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 	}
 	return rep, sp
 }
+
+// readsPerCapsule is the number of sensor reads a survey makes of every
+// capsule a station serves: temperature/humidity and strain.
+const readsPerCapsule = 2
 
 // joinInts renders ints as a comma list.
 func joinInts(xs []int) string {

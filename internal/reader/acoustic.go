@@ -139,15 +139,14 @@ func (r *Reader) AcousticReadRound(handles []uint16, st sensors.SensorType, cfg 
 			continue
 		}
 		seen[h] = true
-		target := r.byHandle[h]
-		ch := r.chans[h]
-		if target == nil || ch == nil {
+		target, known := r.byHandle.find(h)
+		if !known {
 			out[i].Err = fmt.Errorf("reader: unknown node %#04x", h)
 			continue
 		}
-		up, ok, err := target.HandleDownlink(protocol.Packet{
+		up, ok, err := target.n.HandleDownlink(protocol.Packet{
 			Cmd: protocol.CmdReadSensor, Target: h, Payload: []byte{byte(st)},
-		}, r.env(target.Position()), nil)
+		}, r.env(target.n.Position()), nil)
 		if err != nil {
 			out[i].Err = err
 			continue
@@ -157,7 +156,7 @@ func (r *Reader) AcousticReadRound(handles []uint16, st sensors.SensorType, cfg 
 			continue
 		}
 		payload := up.Bits()
-		plans = append(plans, slotPlan{result: i, ch: ch, payload: payload, bits: phy.PrependPilot(payload)})
+		plans = append(plans, slotPlan{result: i, ch: target.ch, payload: payload, bits: phy.PrependPilot(payload)})
 		seed = seed*31 + int64(h)
 	}
 	r.mu.Unlock()

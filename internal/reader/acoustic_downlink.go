@@ -3,7 +3,6 @@ package reader
 import (
 	"fmt"
 
-	"ecocapsule/internal/channel"
 	"ecocapsule/internal/coding"
 	"ecocapsule/internal/dsp"
 	"ecocapsule/internal/node"
@@ -38,12 +37,12 @@ func (r *Reader) AcousticBroadcast(p protocol.Packet, cfg AcousticConfig) (Broad
 		cfg = DefaultAcousticConfig()
 	}
 	r.mu.Lock()
-	nodes := make([]*node.Node, len(r.nodes))
-	copy(nodes, r.nodes)
-	chans := make(map[uint16]*channel.Channel, len(r.chans))
-	for h, ch := range r.chans {
-		chans[h] = ch
+	// The capsules in deploy order, each with its channel.
+	capsules := make([]deployed, len(r.nodes))
+	for i, n := range r.nodes {
+		capsules[i], _ = r.byHandle.find(n.Handle())
 	}
+	target, _ := r.byHandle.find(p.Target)
 	envFn := r.env
 	mat := r.cfg.Structure.Material
 	r.mu.Unlock()
@@ -59,8 +58,8 @@ func (r *Reader) AcousticBroadcast(p protocol.Packet, cfg AcousticConfig) (Broad
 		// §3.5(2): fine-tune the carrier to the addressed node's channel
 		// so the high edges land outside its multipath fades. The FSK low
 		// tone keeps its relative offset.
-		if ch := chans[p.Target]; ch != nil {
-			tuned, _ := ch.TuneCarrier(10e3, 500)
+		if target.ch != nil {
+			tuned, _ := target.ch.TuneCarrier(10e3, 500)
 			tx.OffResonantFreq = tuned * tx.OffResonantFreq / tx.ResonantFreq
 			tx.ResonantFreq = tuned
 		}
@@ -72,12 +71,9 @@ func (r *Reader) AcousticBroadcast(p protocol.Packet, cfg AcousticConfig) (Broad
 	}
 
 	var out BroadcastOutcome
-	for _, n := range nodes {
-		ch := chans[n.Handle()]
-		if ch == nil {
-			continue
-		}
-		rxWave := ch.Transmit(wave)
+	for _, d := range capsules {
+		n := d.n
+		rxWave := d.ch.Transmit(wave)
 		// AGC: normalise the per-node capture.
 		if peak := dsp.MaxAbs(rxWave); peak > 0 {
 			scale := 1.0 / peak

@@ -10,6 +10,7 @@ package reader
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -63,12 +64,12 @@ type Reader struct {
 	mu  sync.Mutex
 	cfg Config
 
+	// nodes holds the deployed capsules in deploy order; byHandle finds
+	// each one, and the channel to it, by handle.
 	//ecolint:guardedby mu
 	nodes []*node.Node
 	//ecolint:guardedby mu
-	byHandle map[uint16]*node.Node
-	//ecolint:guardedby mu
-	chans map[uint16]*channel.Channel
+	byHandle capsuleIndex
 
 	// env provides the physical ground truth for sensor sampling.
 	//ecolint:guardedby mu
@@ -83,6 +84,10 @@ type Reader struct {
 	// reader's lifetime.
 	//ecolint:guardedby mu
 	faultStats FaultStats
+	// reads counts the addressed reads not yet published to the read
+	// metrics (see PublishReads).
+	//ecolint:guardedby mu
+	reads readTally
 
 	// tracer, when non-nil, records interrogation spans.
 	//ecolint:guardedby mu
@@ -119,13 +124,51 @@ func New(cfg Config) (*Reader, error) {
 			cfg.DriveVoltage, MaxDriveVoltage)
 	}
 	return &Reader{
-		cfg:      cfg,
-		byHandle: make(map[uint16]*node.Node),
-		chans:    make(map[uint16]*channel.Channel),
-		env:      func(geometry.Vec3) sensors.Environment { return sensors.Environment{} },
-		retry:    faultinject.DefaultBackoff(),
-		links:    channel.NewCache(),
+		cfg:   cfg,
+		env:   func(geometry.Vec3) sensors.Environment { return sensors.Environment{} },
+		retry: faultinject.DefaultBackoff(),
+		links: channel.NewCache(),
 	}, nil
+}
+
+// capsuleIndex finds a deployed capsule, and the channel to it, by handle:
+// handles in ascending order, and at the same position in capsules the
+// capsule each one names. A binary search over the 2-byte keys beats a
+// map[uint16] lookup, which Go hashes with no fast path for 16-bit keys.
+type capsuleIndex struct {
+	handles  []uint16
+	capsules []deployed
+}
+
+// deployed is one deployed capsule and the channel the reader drives it
+// over.
+type deployed struct {
+	n  *node.Node
+	ch *channel.Channel
+}
+
+// find returns the capsule with handle h.
+//
+//ecolint:hotpath every addressed exchange looks its capsule up here
+func (x *capsuleIndex) find(h uint16) (deployed, bool) {
+	i, ok := slices.BinarySearch(x.handles, h)
+	if !ok {
+		return deployed{}, false
+	}
+	return x.capsules[i], true
+}
+
+// insert adds d under handle h, keeping the handles sorted; it reports
+// false, and adds nothing, when h is already taken. Capsules deployed in
+// ascending handle order (every fleet deploys them so) append.
+func (x *capsuleIndex) insert(h uint16, d deployed) bool {
+	i, dup := slices.BinarySearch(x.handles, h)
+	if dup {
+		return false
+	}
+	x.handles = slices.Insert(x.handles, i, h)
+	x.capsules = slices.Insert(x.capsules, i, d)
+	return true
 }
 
 // LinkCache exposes the reader's private channel cache: its Stats, and
@@ -148,7 +191,7 @@ func (r *Reader) SetEnvironment(f func(pos geometry.Vec3) sensors.Environment) {
 func (r *Reader) Deploy(n *node.Node) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.byHandle[n.Handle()]; dup {
+	if _, dup := r.byHandle.find(n.Handle()); dup {
 		return fmt.Errorf("reader: node %#04x already deployed", n.Handle())
 	}
 	if !r.cfg.Structure.Inside(n.Position()) {
@@ -161,8 +204,7 @@ func (r *Reader) Deploy(n *node.Node) error {
 		return fmt.Errorf("reader: channel to node %#04x: %w", n.Handle(), err)
 	}
 	r.nodes = append(r.nodes, n)
-	r.byHandle[n.Handle()] = n
-	r.chans[n.Handle()] = ch
+	r.byHandle.insert(n.Handle(), deployed{n: n, ch: ch})
 	mLinkGain.With(handleLabel(n.Handle())).Set(ch.PathGain())
 	return nil
 }
@@ -185,11 +227,11 @@ func (r *Reader) NodeAmplitude(handle uint16) (float64, error) {
 }
 
 func (r *Reader) nodeAmplitudeLocked(handle uint16) (float64, error) {
-	ch, ok := r.chans[handle]
+	d, ok := r.byHandle.find(handle)
 	if !ok {
 		return 0, fmt.Errorf("reader: unknown node %#04x", handle)
 	}
-	return r.cfg.DriveVoltage * ch.PathGain() * DefaultPZTCoupling, nil
+	return r.cfg.DriveVoltage * d.ch.PathGain() * DefaultPZTCoupling, nil
 }
 
 // Charge runs the continuous body wave for the given duration, advancing
@@ -411,9 +453,11 @@ func (r *Reader) inventoryLocked(parent *telemetry.Span, maxRounds int, nodes []
 }
 
 // ReadSensor is ReadSensorUnder with no parent span (a traced read is a
-// root), dropping the read's link counters.
+// root), dropping the read's link counters. The read is published to the
+// read metrics before it returns.
 func (r *Reader) ReadSensor(handle uint16, st sensors.SensorType) ([]float64, error) {
 	vals, _, err := r.ReadSensorUnder(nil, handle, st)
+	r.PublishReads()
 	if err != nil {
 		return nil, err
 	}
@@ -426,13 +470,18 @@ func (r *Reader) ReadSensor(handle uint16, st sensors.SensorType) ([]float64, er
 // a child of parent (keyed by handle), or a root when parent is nil. It
 // returns the decoded values and this read's own link counters.
 //
+// The read is counted in the reader's read tally, not in the shared read
+// metrics: the caller publishes the tally with PublishReads once per
+// operation (a survey, one fleet read), before its result is visible. A
+// read of an unknown handle is the exception, counted at once.
+//
 //ecolint:hotpath an untraced, fault-free read reuses the reader's exchange scratch
 func (r *Reader) ReadSensorUnder(parent *telemetry.Span, handle uint16, st sensors.SensorType) ([2]float64, FaultStats, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var link FaultStats
-	target := r.byHandle[handle]
-	if target == nil {
+	target, known := r.byHandle.find(handle)
+	if !known {
 		cReadErr.Inc()
 		//ecolint:ignore hotalloc an unknown handle is a caller error, never a survey read
 		return [2]float64{}, link, fmt.Errorf("reader: unknown node %#04x", handle)
@@ -459,18 +508,17 @@ func (r *Reader) ReadSensorUnder(parent *telemetry.Span, handle uint16, st senso
 			//ecolint:ignore hotalloc only a traced read has a span
 			attemptSpan = readSpan.Child("attempt").Attr("n", a)
 		}
-		up, ok, bad, err := r.deliverLocked(attemptSpan, p, target)
+		up, ok, bad, err := r.deliverLocked(attemptSpan, p, target.n)
 		if err != nil {
 			// A node-level rejection (not powered, no such sensor) is not
 			// a link fault; retrying cannot change it.
 			endOutcome(attemptSpan, "rejected")
-			finishRead(readSpan, readErr, a+1)
+			r.finishReadLocked(readSpan, readErr, a+1)
 			return [2]float64{}, link, err
 		}
 		if ok {
 			endOutcome(attemptSpan, "ok")
-			finishRead(readSpan, readOK, a+1)
-			mReadAttempts.Observe(float64(a + 1))
+			r.finishReadLocked(readSpan, readOK, a+1)
 			vals, err := sensors.Decode(sensors.SensorType(up.Kind), up.Data)
 			return vals, link, err
 		}
@@ -483,7 +531,7 @@ func (r *Reader) ReadSensorUnder(parent *telemetry.Span, handle uint16, st senso
 			endOutcome(attemptSpan, "silent")
 		}
 	}
-	finishRead(readSpan, readErr, attempts)
+	r.finishReadLocked(readSpan, readErr, attempts)
 	return [2]float64{}, link, lastErr
 }
 
@@ -513,15 +561,12 @@ func endOutcome(sp *telemetry.Span, outcome string) {
 	}
 }
 
-// finishRead records the read result metric and closes the read span.
+// finishReadLocked counts the read in the reader's tally and closes the
+// read span. Caller holds the lock.
 //
-//ecolint:hotpath counts the read; spans only when traced
-func finishRead(sp *telemetry.Span, result string, attempts int) {
-	if result == readOK {
-		cReadOK.Inc()
-	} else {
-		cReadErr.Inc()
-	}
+//ecolint:hotpath counts the read in a plain field; spans only when traced
+func (r *Reader) finishReadLocked(sp *telemetry.Span, result string, attempts int) {
+	r.reads.count(result == readOK, attempts)
 	if sp != nil {
 		//ecolint:ignore hotalloc only a traced read has a span
 		sp.Attr("result", result).Attr("attempts", attempts).End()

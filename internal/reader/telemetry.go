@@ -8,7 +8,7 @@ import (
 )
 
 // Metric handles are resolved once at init so the interrogation hot path
-// pays one atomic op per event, no registry lookups.
+// makes no registry lookups.
 var (
 	mInventories = telemetry.NewCounter("ecocapsule_reader_inventories_total",
 		"inventory runs started")
@@ -55,6 +55,53 @@ var (
 	cReadOK        = mReads.With(readOK)
 	cReadErr       = mReads.With(readErr)
 )
+
+// readTally counts addressed reads between publishes: the reads' share of
+// ecocapsule_reader_reads_total and ecocapsule_reader_read_attempts. A
+// survey makes thousands of reads on every core; counting them in a plain
+// field under the reader's lock, which each read already holds, and
+// publishing once per operation keeps the shared metric cache lines out of
+// the per-read path.
+type readTally struct {
+	ok, failed uint64
+	// byAttempts[a] counts the successful reads that took a delivery
+	// attempts. A read needing more attempts than it holds is observed at
+	// once.
+	byAttempts [9]uint64
+}
+
+// count tallies one read that succeeded (ok) or failed after attempts
+// delivery attempts.
+//
+//ecolint:hotpath plain integer adds
+func (t *readTally) count(ok bool, attempts int) {
+	if !ok {
+		t.failed++
+		return
+	}
+	t.ok++
+	if attempts < len(t.byAttempts) {
+		t.byAttempts[attempts]++
+	} else {
+		mReadAttempts.Observe(float64(attempts))
+	}
+}
+
+// PublishReads adds the reads counted since the last publish to the read
+// metrics and zeroes the tally. ReadSensor publishes its own read, and the
+// fleet publishes each station once per survey and once per fleet read,
+// so the metrics hold every read whose result a caller has seen.
+func (r *Reader) PublishReads() {
+	r.mu.Lock()
+	t := r.reads
+	r.reads = readTally{}
+	r.mu.Unlock()
+	cReadOK.Add(float64(t.ok))
+	cReadErr.Add(float64(t.failed))
+	for a, n := range t.byAttempts {
+		mReadAttempts.ObserveN(float64(a), n)
+	}
+}
 
 // handleLabel renders a capsule handle the way every metric labels it.
 func handleLabel(h uint16) string { return fmt.Sprintf("0x%04x", h) }

@@ -119,6 +119,11 @@ func waitForSubscribers(t *testing.T, s *Server, n int) {
 	}
 }
 
+// TestServerBroadcastsStatus streams a 300-frame Telemetry burst and then a
+// Status to one subscriber. The subscriber's writer counts
+// frames_written_total per flush rather than per frame, publishing before
+// the bytes go out, so once Next returns the Status the counter has moved
+// by exactly the 300 Telemetry frames and the one Status.
 func TestServerBroadcastsStatus(t *testing.T) {
 	s, err := NewServer("127.0.0.1:0")
 	if err != nil {
@@ -132,8 +137,28 @@ func TestServerBroadcastsStatus(t *testing.T) {
 	}
 	defer cl.Close()
 	waitForSubscribers(t, s, 1)
+	tel, st := mFramesWritten.named[MsgTelemetry], mFramesWritten.named[MsgStatus]
+	tel0, st0 := tel.Value(), st.Value()
+	const burst = 300
+	for i := 0; i < burst; i++ {
+		if i == fanOutDepth/2 {
+			// The burst outgrows one fan-out queue: let the writer empty
+			// it, so the subscriber is not evicted as a slow consumer.
+			waitQueueEmpty(t, s)
+		}
+		s.BroadcastTelemetry(Telemetry{CapsuleID: uint16(i)})
+	}
 	s.BroadcastStatus(Status{Expected: 4, Reporting: 3, Degraded: true, MissingNodes: []uint16{0x82}})
 	cl.SetDeadline(time.Now().Add(2 * time.Second))
+	for i := 0; i < burst; i++ {
+		ev, err := cl.Next()
+		if err != nil {
+			t.Fatalf("telemetry frame %d: %v", i, err)
+		}
+		if ev.Telemetry == nil || ev.Telemetry.CapsuleID != uint16(i) {
+			t.Fatalf("frame %d: got %+v, want telemetry for capsule %d", i, ev, i)
+		}
+	}
 	ev, err := cl.Next()
 	if err != nil {
 		t.Fatal(err)
@@ -143,6 +168,32 @@ func TestServerBroadcastsStatus(t *testing.T) {
 	}
 	if ev.Status.Reporting != 3 || !ev.Status.Degraded || len(ev.Status.MissingNodes) != 1 {
 		t.Errorf("status payload %+v", ev.Status)
+	}
+	if d := tel.Value() - tel0; d != burst {
+		t.Errorf("telemetry frames_written_total moved by %v once the Status arrived, want %d", d, burst)
+	}
+	if d := st.Value() - st0; d != 1 {
+		t.Errorf("status frames_written_total moved by %v once the Status arrived, want 1", d)
+	}
+}
+
+// waitQueueEmpty waits until every subscriber's writer has taken all of
+// its queued frames.
+func waitQueueEmpty(t *testing.T, s *Server) {
+	t.Helper()
+	for deadline := time.Now().Add(3 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.mu.Lock()
+		queued := 0
+		for _, sub := range s.subs {
+			queued += len(sub.ch)
+		}
+		s.mu.Unlock()
+		if queued == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d frames still queued after 3s", queued)
+		}
 	}
 }
 

@@ -228,13 +228,18 @@ func (s *Server) handle(conn net.Conn) {
 // it (at most cap(ch) per batch), and flushes once the queue is momentarily
 // empty, so a burst costs one write per bufio buffer instead of one per
 // frame. arm runs before each batch. Frames queued before ch was closed
-// are still flushed.
+// are still flushed. The frames are counted in a local tally that each
+// flush publishes first, so the metric moves once per type per flush
+// rather than once per frame; frames buffered when a write fails are
+// published on return, counted as written to the buffer.
 //
 //ecolint:hotpath every frame is built in the Conn's write buffer
 func drain(c *Conn, ch <-chan outFrame, arm func()) error {
+	var tally frameTally
+	defer tally.publish()
 	for of := range ch {
 		arm()
-		err := writeFrame(c.w, of.t, of.payload(), of.tc)
+		err := writeFrame(c.w, &tally, of.t, of.payload(), of.tc)
 	batch:
 		for n := 1; err == nil && n < cap(ch); n++ {
 			select {
@@ -242,13 +247,13 @@ func drain(c *Conn, ch <-chan outFrame, arm func()) error {
 				if !ok {
 					break batch
 				}
-				err = writeFrame(c.w, next.t, next.payload(), next.tc)
+				err = writeFrame(c.w, &tally, next.t, next.payload(), next.tc)
 			default:
 				break batch
 			}
 		}
 		if err == nil {
-			err = c.w.Flush()
+			err = flushFrames(c.w, &tally)
 		}
 		if err != nil {
 			return err

@@ -30,6 +30,37 @@ func (c *typeCounters) inc(t MsgType) {
 	c.vec.With(t.String()).Inc()
 }
 
+// frameTally counts a writer's frames by type until they are published to
+// frames_written_total. A writer counts each frame it buffers and
+// publishes the tally before the buffer reaches the socket (flushFrames,
+// and writeFrame's flush when a frame would not fit), so a peer that has
+// received a frame always finds it counted, and a batch of frames costs
+// one counter update per frame type instead of one per frame.
+type frameTally [MsgStatus + 1]uint64
+
+// count tallies one frame of type t; a type outside the protocol is
+// counted at once.
+//
+//ecolint:hotpath a plain integer add
+func (ft *frameTally) count(t MsgType) {
+	if t >= MsgHello && t <= MsgStatus {
+		ft[t]++
+		return
+	}
+	mFramesWritten.inc(t)
+}
+
+// publish adds the tallied frames to frames_written_total and zeroes the
+// tally.
+func (ft *frameTally) publish() {
+	for t := MsgHello; t <= MsgStatus; t++ {
+		if n := ft[t]; n > 0 {
+			mFramesWritten.named[t].Add(float64(n))
+			ft[t] = 0
+		}
+	}
+}
+
 // Metric handles, resolved once at init.
 var (
 	mFramesWritten = newTypeCounters(telemetry.NewCounterVec("ecocapsule_shmwire_frames_written_total",

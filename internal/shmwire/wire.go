@@ -213,15 +213,16 @@ func frameLength(t MsgType, body []byte, tc *TraceContext) (int, error) {
 // flag bit on the type byte. The trace header counts against MaxFrameSize.
 // The frame is built in w's own buffer, flushing first when it would not
 // fit, so w must hold frameHeaderSize+MaxFrameSize bytes (NewConn's does).
+// The frame is counted in tally, which every flush publishes first.
 //
 //ecolint:hotpath builds the frame in the writer's own buffer
-func writeFrame(w *bufio.Writer, t MsgType, body []byte, tc *TraceContext) error {
+func writeFrame(w *bufio.Writer, tally *frameTally, t MsgType, body []byte, tc *TraceContext) error {
 	n, err := frameLength(t, body, tc)
 	if err != nil {
 		return err
 	}
 	if w.Available() < frameHeaderSize+n {
-		if err := w.Flush(); err != nil {
+		if err := flushFrames(w, tally); err != nil {
 			return err
 		}
 	}
@@ -239,11 +240,18 @@ func writeFrame(w *bufio.Writer, t MsgType, body []byte, tc *TraceContext) error
 	if _, err := w.Write(frame); err != nil {
 		return err
 	}
-	mFramesWritten.inc(t)
+	tally.count(t)
 	if tc != nil {
 		mTracedFrames.Inc()
 	}
 	return nil
+}
+
+// flushFrames publishes tally, then flushes w: the frames the flush sends
+// are counted before the peer can receive them.
+func flushFrames(w *bufio.Writer, tally *frameTally) error {
+	tally.publish()
+	return w.Flush()
 }
 
 func putF64(b []byte, v float64) { binary.BigEndian.PutUint64(b, math.Float64bits(v)) }
@@ -416,10 +424,11 @@ func (c *Conn) Send(t MsgType, body []byte) error {
 // SendTraced writes one frame carrying an optional trace context and
 // flushes.
 func (c *Conn) SendTraced(t MsgType, body []byte, tc *TraceContext) error {
-	if err := writeFrame(c.w, t, body, tc); err != nil {
+	var tally frameTally
+	if err := writeFrame(c.w, &tally, t, body, tc); err != nil {
 		return err
 	}
-	return c.w.Flush()
+	return flushFrames(c.w, &tally)
 }
 
 // Recv reads one frame, peeling the trace-context prefix off a traced

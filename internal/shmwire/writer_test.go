@@ -2,6 +2,7 @@ package shmwire
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -13,11 +14,48 @@ import (
 type countingRW struct {
 	bytes.Buffer
 	writes int
+	// onWrite, when set, runs after each Write with every byte written so
+	// far: what a peer could have received at that moment.
+	onWrite func(wire []byte)
 }
 
 func (c *countingRW) Write(p []byte) (int, error) {
 	c.writes++
-	return c.Buffer.Write(p)
+	n, err := c.Buffer.Write(p)
+	if c.onWrite != nil {
+		c.onWrite(c.Bytes())
+	}
+	return n, err
+}
+
+// frameCounts is a frame count per protocol message type.
+type frameCounts [MsgStatus + 1]float64
+
+// writtenCounts reads frames_written_total for every protocol type.
+func writtenCounts() (out frameCounts) {
+	for typ := MsgHello; typ <= MsgStatus; typ++ {
+		out[typ] = mFramesWritten.named[typ].Value()
+	}
+	return out
+}
+
+// wireCounts parses wire and counts its frames by type.
+func wireCounts(t *testing.T, wire []byte) (out frameCounts) {
+	t.Helper()
+	c := NewConn(struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(wire), io.Discard})
+	for {
+		f, err := c.Recv()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatalf("parsing the written bytes: %v", err)
+		}
+		out[f.Type]++
+	}
 }
 
 // mixedFrames builds n frames cycling through plain Telemetry with its
@@ -76,7 +114,10 @@ func queued(frames []outFrame) chan outFrame {
 // TestDrainCoalescesWrites pins the batched writer: a full queue of frames
 // reaches the socket in about one Write per bufio buffer — ⌈N·48/4096⌉+1
 // for 48-byte Telemetry frames — with bytes identical to N sequential
-// SendTraced calls.
+// SendTraced calls. The writer counts frames_written_total once per flush,
+// not per frame, and publishes before the bytes go out: at every Write,
+// each type's counter already covers the frames written so far, and at
+// the end it has moved by exactly the frames written.
 func TestDrainCoalescesWrites(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -88,10 +129,28 @@ func TestDrainCoalescesWrites(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := sequential(t, tc.frames)
-			rw := &countingRW{}
+			before := writtenCounts()
+			counted := func() (out frameCounts) {
+				now := writtenCounts()
+				for typ := range now {
+					out[typ] = now[typ] - before[typ]
+				}
+				return out
+			}
+			rw := &countingRW{onWrite: func(wire []byte) {
+				counted, sent := counted(), wireCounts(t, wire)
+				for typ := MsgHello; typ <= MsgStatus; typ++ {
+					if counted[typ] < sent[typ] {
+						t.Errorf("%v frames: %v on the wire but only %v counted", typ, sent[typ], counted[typ])
+					}
+				}
+			}}
 			arms := 0
 			if err := drain(NewConn(rw), queued(tc.frames), func() { arms++ }); err != nil {
 				t.Fatal(err)
+			}
+			if got, sent := counted(), wireCounts(t, rw.Bytes()); got != sent {
+				t.Errorf("frames_written_total moved by %v, want the %v frames written", got, sent)
 			}
 			if !bytes.Equal(rw.Bytes(), want) {
 				t.Fatalf("batched wire image differs from sequential SendTraced (%d vs %d bytes)",

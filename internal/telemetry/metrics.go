@@ -5,9 +5,14 @@
 // seeded RNG so traces stay byte-reproducible in golden tests.
 //
 // Metric names follow the `ecocapsule_<pkg>_<name>` convention (enforced by
-// the ecolint `metricname` analyzer). Handles are cheap: a counter update is
-// one atomic add, and instrumented hot paths hold pre-resolved handles in
-// package-level vars rather than looking families up per event.
+// the ecolint `metricname` analyzer). Instrumented hot paths hold
+// pre-resolved handles in package-level vars rather than looking families
+// up per event. An update is an atomic read-modify-write on a cache line
+// every core shares, so a path that handles thousands of events per
+// operation counts them in state it owns (a field under a lock it already
+// holds, or a local) and publishes once per operation with Counter.Add and
+// Histogram.ObserveN, before the operation's result is visible to anyone
+// who could read the metrics.
 package telemetry
 
 //ecolint:deterministic
@@ -122,15 +127,22 @@ type Histogram struct {
 }
 
 // Observe records one sample.
-func (h *Histogram) Observe(v float64) {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records n samples of value v at the cost of one: the batch
+// form of Observe.
+func (h *Histogram) ObserveN(v float64, n uint64) {
+	if n == 0 {
+		return
+	}
 	for i, ub := range h.upperBounds {
 		if v <= ub {
-			h.s.buckets[i].Add(1)
+			h.s.buckets[i].Add(n)
 			break
 		}
 	}
-	h.s.count.Add(1)
-	h.s.sum.Add(v)
+	h.s.count.Add(n)
+	h.s.sum.Add(v * float64(n))
 }
 
 // Count returns the number of observations.

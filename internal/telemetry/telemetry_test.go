@@ -177,6 +177,26 @@ func TestHistogramBucketInvariant(t *testing.T) {
 	}
 }
 
+// TestObserveNMatchesRepeatedObserve pins the batch form: ObserveN(v, n)
+// renders exactly as n calls of Observe(v), and n = 0 records nothing.
+func TestObserveNMatchesRepeatedObserve(t *testing.T) {
+	batched, single := NewRegistry(), NewRegistry()
+	hb := batched.Histogram("ecocapsule_test_attempts", "attempts", []float64{1, 2, 4})
+	hs := single.Histogram("ecocapsule_test_attempts", "attempts", []float64{1, 2, 4})
+	for _, obs := range []struct {
+		v float64
+		n uint64
+	}{{1, 3}, {3, 2}, {9, 4}, {2, 0}} {
+		hb.ObserveN(obs.v, obs.n)
+		for i := uint64(0); i < obs.n; i++ {
+			hs.Observe(obs.v)
+		}
+	}
+	if got, want := render(t, batched), render(t, single); got != want {
+		t.Errorf("ObserveN rendering\n%s\nwant\n%s", got, want)
+	}
+}
+
 // TestSchemaMismatchPanics pins the registration contract.
 func TestSchemaMismatchPanics(t *testing.T) {
 	r := NewRegistry()
