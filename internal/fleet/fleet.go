@@ -15,8 +15,10 @@
 // first — and its serving station is the first alive entry, derived on
 // demand from station liveness, the only routing state that changes.
 // Capsules are indexed in ascending handle order, so every survey row is
-// written straight into its final slot. Survey, inventory and charge run
-// as per-shard batched passes on a work-stealing pool (conc.Queues). There
+// written straight into its final slot. Survey and charge are passes over
+// the shard queues on a work-stealing pool (conc.Queues) that build no
+// per-shard batch, and a survey charges and reads under one copy of
+// station liveness; inventory runs one pool queue per station. There
 // is one schedule, with or without a fault injector or tracer: stations
 // serve disjoint capsule groups (the paper's TDMA partition), each capsule
 // is driven by one goroutine at a time, and every fault draw and span ID
@@ -45,17 +47,16 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"ecocapsule/internal/conc"
 	"ecocapsule/internal/deploy"
 	"ecocapsule/internal/faultinject"
 	"ecocapsule/internal/geometry"
 	"ecocapsule/internal/node"
-	"ecocapsule/internal/physics"
 	"ecocapsule/internal/reader"
 	"ecocapsule/internal/sensors"
 	"ecocapsule/internal/telemetry"
-	"ecocapsule/internal/units"
 )
 
 // Fleet is a set of readers attached to one structure, partitioned into
@@ -418,52 +419,37 @@ func (f *Fleet) BestStation(handle uint16) int {
 	return -1
 }
 
-// Charge drives every capsule from its serving station for the given
-// duration and returns the number powered up. Each capsule is excited by
-// its strongest server only (simultaneous same-carrier transmissions would
-// interfere), so the serving-station assignment partitions the capsules
-// into disjoint per-shard batches that charge concurrently on the work-stealing
-// pool. Capsules no alive station serves cannot be charged at all; they
-// still count toward the powered-up denominator the caller sees, so the
-// skip is surfaced on a counter metric and the flight recorder instead of
-// vanishing.
+// Charge copies station liveness and runs the survey's charge step under
+// it: it drives every capsule from its serving station for the given
+// duration and returns the number powered up.
 func (f *Fleet) Charge(duration float64) int {
-	cs := f.structure.Material.WaveSpeed()
-	const dt = 1 * units.MS
-	steps := int(duration / dt)
-	if steps < 1 {
-		steps = 1
-	}
-	type job struct {
-		n   *node.Node
-		amp float64
-	}
-	skipped := 0
 	f.route.RLock()
-	jobs := make([][]job, len(f.shards))
-	for qi, sh := range f.shards {
-		for _, c := range sh.nodes {
-			r, ok := f.serving(c, f.alive)
-			if !ok {
-				skipped++
-				continue
-			}
-			jobs[qi] = append(jobs[qi], job{n: f.nodes[c], amp: r.amp})
-		}
-	}
+	alive := append([]bool(nil), f.alive...)
 	f.route.RUnlock()
-	counts := make([]int, len(jobs))
-	for i := range jobs {
-		counts[i] = len(jobs[i])
-	}
-	conc.Queues(counts, func(q, item int) {
-		j := jobs[q][item]
-		j.n.ExciteFor(j.amp, physics.CarrierHz, cs, dt, steps)
+	return f.charge(duration, alive)
+}
+
+// charge is Charge under the given liveness copy. Each capsule is excited
+// by its strongest server only (simultaneous same-carrier transmissions
+// would interfere), so capsules charge independently. Capsules no alive
+// station serves (rare) cannot be charged at all; they still count toward
+// the powered-up denominator the caller sees, so the skip is surfaced on a
+// counter metric and the flight recorder instead of vanishing.
+func (f *Fleet) charge(duration float64, alive []bool) int {
+	cs := f.structure.Material.WaveSpeed()
+	var skipped atomic.Int64
+	f.eachCapsule(func(c int) {
+		r, ok := f.serving(c, alive)
+		if !ok {
+			skipped.Add(1)
+			return
+		}
+		f.nodes[c].ChargeFor(r.amp, cs, duration)
 	})
-	if skipped > 0 {
-		mChargeSkipped.Add(float64(skipped))
+	if n := skipped.Load(); n > 0 {
+		mChargeSkipped.Add(float64(n))
 		telemetry.RecordFlight("fleet", "charge_skipped",
-			fmt.Sprintf("%d of %d capsules had no alive server and were not charged", skipped, len(f.nodes)))
+			fmt.Sprintf("%d of %d capsules had no alive server and were not charged", n, len(f.nodes)))
 	}
 	up := 0
 	for _, n := range f.nodes {
@@ -472,6 +458,18 @@ func (f *Fleet) Charge(duration float64) int {
 		}
 	}
 	return up
+}
+
+// eachCapsule runs visit once for every capsule index, on the
+// work-stealing pool with one queue per shard.
+func (f *Fleet) eachCapsule(visit func(c int)) {
+	counts := make([]int, len(f.shards))
+	for qi, sh := range f.shards {
+		counts[qi] = len(sh.nodes)
+	}
+	conc.Queues(counts, func(q, item int) {
+		visit(f.shards[q].nodes[item])
+	})
 }
 
 // Inventory inventories each alive station and merges the discoveries.

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ecocapsule/internal/conc"
 	"ecocapsule/internal/reader"
 	"ecocapsule/internal/sensors"
 	"ecocapsule/internal/telemetry"
@@ -117,31 +116,29 @@ func (f *Fleet) Survey(chargeDuration float64) SHMReport {
 // rendered. Every read is handed the span as its parent and returns its own
 // link counters, so reads and inventories running on the fleet outside the
 // survey neither nest under the span nor count in the report. Without a
-// tracer the span is nil and the survey is identical to Survey.
+// tracer the span is nil and the survey is identical to Survey. Beyond
+// its report rows, a survey allocates nothing that grows with the capsule
+// count: no per-shard batch, no per-capsule scratch.
 func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span) {
+	// One liveness copy feeds the whole survey: the charge, the header
+	// counts, the dead list and every row's stations all derive from it,
+	// so a station kill or revive racing the survey can never make the
+	// report disagree with itself — a row is only ever served by a station
+	// the same report lists alive, and charged by it.
 	f.route.RLock()
 	tracer := f.tracer
+	alive := append([]bool(nil), f.alive...)
 	f.route.RUnlock()
 	var sp *telemetry.Span
 	if tracer != nil {
 		sp = tracer.Start("survey")
 	}
+	powered := f.charge(chargeDuration, alive)
 	// The fleet charge drives node excitation directly (not through
 	// reader.Charge), so the survey span records the stage itself.
 	if sp != nil {
-		csp := sp.Child("charge").Attrf("duration_s", "%g", chargeDuration)
-		csp.Attr("powered", f.Charge(chargeDuration)).End()
-	} else {
-		f.Charge(chargeDuration)
+		sp.Child("charge").Attrf("duration_s", "%g", chargeDuration).Attr("powered", powered).End()
 	}
-	// One liveness copy feeds the whole report: the header counts, the dead
-	// list and every row's stations all derive from it, so a station kill
-	// or revive racing the survey can never make the report disagree with
-	// itself — a row is only ever served by a station the same report
-	// lists alive.
-	f.route.RLock()
-	alive := append([]bool(nil), f.alive...)
-	f.route.RUnlock()
 	rep := SHMReport{Stations: len(f.readers), Expected: len(f.nodes)}
 	for i, a := range alive {
 		if a {
@@ -150,16 +147,15 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 			rep.DeadStations = append(rep.DeadStations, i)
 		}
 	}
-	// Per-shard batched passes on the work-stealing pool; each capsule's
-	// row lands in its own slot, which is already in handle order.
+	// Each capsule's row lands in its own slot, which is already in handle
+	// order.
 	rep.Rows = make([]SurveyRow, len(f.nodes))
-	// links[c] accumulates the link counters of capsule c's own reads.
-	links := make([]reader.FaultStats, len(f.nodes))
 	// rerouted and failed count the reads a fallback station served and
-	// the reads no station could serve; both are rare, so their atomics
-	// stay off the common path.
-	var rerouted, failed atomic.Int64
-	visit := func(c int) {
+	// the reads no station could serve; corrupted, retries and backoff sum
+	// the capsules' link counters. All are rare, so their atomics stay off
+	// the common path, and their sums do not depend on visit order.
+	var rerouted, failed, corrupted, retries, backoff atomic.Int64
+	f.eachCapsule(func(c int) {
 		row := &rep.Rows[c]
 		h := f.nodes[c].Handle()
 		var buf [maxRoutes]int
@@ -172,8 +168,9 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 		row.Station = stations[0]
 		// The primary-read count after the pass assumes exactly these
 		// readsPerCapsule reads.
-		th, servedT, errT := f.readVia(sp, &links[c], h, sensors.TypeTempHumidity, stations)
-		st, servedS, errS := f.readVia(sp, &links[c], h, sensors.TypeStrain, stations)
+		var link reader.FaultStats
+		th, servedT, errT := f.readVia(sp, &link, h, sensors.TypeTempHumidity, stations)
+		st, servedS, errS := f.readVia(sp, &link, h, sensors.TypeStrain, stations)
 		for _, served := range [...]int{servedT, servedS} {
 			switch {
 			case served < 0:
@@ -181,6 +178,11 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 			case served != row.Station:
 				rerouted.Add(1)
 			}
+		}
+		if link != (reader.FaultStats{}) {
+			corrupted.Add(int64(link.CorruptedReplies))
+			retries.Add(int64(link.Retries))
+			backoff.Add(int64(link.Backoff))
 		}
 		if errT != nil || errS != nil {
 			row.Status = "missing"
@@ -192,13 +194,6 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 			row.TemperatureC, row.RelativeHumidity = th[0], th[1]
 			row.StrainX, row.StrainY = st[0], st[1]
 		}
-	}
-	counts := make([]int, len(f.shards))
-	for qi, sh := range f.shards {
-		counts[qi] = len(sh.nodes)
-	}
-	conc.Queues(counts, func(q, item int) {
-		visit(f.shards[q].nodes[item])
 	})
 	// Every read above sits in its station's read tally; publish each
 	// station once, before the report is returned.
@@ -207,12 +202,8 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 			f.readers[i].PublishReads()
 		}
 	}
-	// Missing and Orphans inherit the rows' handle order; the link counters
-	// are the sum of the rows' own.
-	for c, row := range rep.Rows {
-		rep.CorruptedReplies += links[c].CorruptedReplies
-		rep.Retries += links[c].Retries
-		rep.Backoff += links[c].Backoff
+	// Missing and Orphans inherit the rows' handle order.
+	for _, row := range rep.Rows {
 		switch row.Status {
 		case "missing":
 			rep.Missing = append(rep.Missing, row.Handle)
@@ -222,6 +213,9 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 			rep.Reporting++
 		}
 	}
+	rep.CorruptedReplies = int(corrupted.Load())
+	rep.Retries = int(retries.Load())
+	rep.Backoff = time.Duration(backoff.Load())
 	rep.ReroutedReads = int(rerouted.Load())
 	// Every capsule with a station was read once per sensor above: the
 	// reads neither rerouted nor failed went to the serving station.

@@ -203,24 +203,26 @@ func (n *Node) Excite(vIncident, f, cs, dt float64) {
 	n.exciteLocked(vIncident, f, cs, dt)
 }
 
-// ExciteFor advances the state machine by steps ticks of dt seconds under a
-// constant incident amplitude — exactly equivalent to calling Excite steps
-// times with the same arguments, but under one lock acquisition and with an
-// early exit once a tick changes neither state nor charge progress: with
-// constant inputs the machine is then at a fixpoint and the remaining ticks
-// are no-ops. Fleet-scale charging leans on this — a powered-or-hopeless
-// capsule costs O(1) instead of O(steps).
+// ChargeFor holds the node under the reader's continuous body wave — a
+// constant incident amplitude at the operating carrier (physics.CarrierHz)
+// — for duration seconds, in 1 ms ticks (at least one). It is exactly
+// equivalent to calling Excite once per tick, but under one lock
+// acquisition and with an early exit once a tick changes neither state nor
+// charge progress: with constant inputs the machine is then at a fixpoint
+// and the remaining ticks are no-ops. Fleet-scale charging leans on this —
+// a powered-or-hopeless capsule costs O(1) instead of O(ticks).
 //
 //ecolint:unit vIncident v
-//ecolint:unit f hz
 //ecolint:unit cs m/s
-//ecolint:unit dt s
-func (n *Node) ExciteFor(vIncident, f, cs, dt float64, steps int) {
+//ecolint:unit duration s
+func (n *Node) ChargeFor(vIncident, cs, duration float64) {
+	const dt = 1 * units.MS
+	steps := max(int(duration/dt), 1)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for i := 0; i < steps; i++ {
 		prevState, prevProgress := n.state, n.chargeProgress
-		n.exciteLocked(vIncident, f, cs, dt)
+		n.exciteLocked(vIncident, physics.CarrierHz, cs, dt)
 		if n.state == prevState && n.chargeProgress == prevProgress {
 			return
 		}

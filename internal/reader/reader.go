@@ -205,7 +205,6 @@ func (r *Reader) Deploy(n *node.Node) error {
 	}
 	r.nodes = append(r.nodes, n)
 	r.byHandle.insert(n.Handle(), deployed{n: n, ch: ch})
-	mLinkGain.With(handleLabel(n.Handle())).Set(ch.PathGain())
 	return nil
 }
 
@@ -235,8 +234,8 @@ func (r *Reader) nodeAmplitudeLocked(handle uint16) (float64, error) {
 }
 
 // Charge runs the continuous body wave for the given duration, advancing
-// every node's power state machine in millisecond steps. It returns the
-// number of nodes powered up at the end.
+// every node's power state machine (node.ChargeFor). It returns the number
+// of nodes powered up at the end.
 //
 //ecolint:unit duration s
 func (r *Reader) Charge(duration float64) int {
@@ -247,32 +246,14 @@ func (r *Reader) Charge(duration float64) int {
 		sp.Attrf("duration_s", "%g", duration)
 	}
 	cs := r.cfg.Structure.Material.WaveSpeed()
-	const dt = 1 * units.MS
-	steps := int(duration / dt)
-	if steps < 1 {
-		steps = 1
-	}
-	// The delivered amplitude is a property of the channel, not of the
-	// step: hoist it out of the step loop (the per-step lookup dominated
-	// the charge cost in profiles).
-	amps := make([]float64, len(r.nodes))
-	for i, n := range r.nodes {
+	// Each node evolves independently under its channel's constant
+	// amplitude, in one batched pass that exits at its fixpoint.
+	for _, n := range r.nodes {
 		vin, err := r.nodeAmplitudeLocked(n.Handle())
 		if err != nil {
-			amps[i] = -1
 			continue
 		}
-		amps[i] = vin
-	}
-	// Per-node evolution under a constant amplitude is independent of the
-	// other nodes, so the steps×nodes interleaved loop collapses to one
-	// batched pass per node — ExciteFor exits early once the state machine
-	// reaches its fixpoint.
-	for i, n := range r.nodes {
-		if amps[i] < 0 {
-			continue
-		}
-		n.ExciteFor(amps[i], physics.CarrierHz, cs, dt, steps)
+		n.ChargeFor(vin, cs, duration)
 	}
 	up := 0
 	for _, n := range r.nodes {

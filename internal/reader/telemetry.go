@@ -29,8 +29,6 @@ var (
 		[]float64{1, 2, 3, 4, 6, 8})
 	mChargeRatio = telemetry.NewGauge("ecocapsule_reader_charge_powered_ratio",
 		"fraction of deployed capsules powered up after the last charge")
-	mLinkGain = telemetry.NewGaugeVec("ecocapsule_reader_link_path_gain",
-		"acoustic path gain of each deployed capsule link", "handle")
 )
 
 // Slot outcome label values.

@@ -235,7 +235,7 @@ func (s *Server) handle(conn net.Conn) {
 //
 //ecolint:hotpath every frame is built in the Conn's write buffer
 func drain(c *Conn, ch <-chan outFrame, arm func()) error {
-	var tally frameTally
+	tally := frameTally{to: mFramesWritten}
 	defer tally.publish()
 	for of := range ch {
 		arm()
@@ -481,9 +481,10 @@ func (cl *Client) Next() (Event, error) {
 // SetDeadline bounds the next Recv.
 func (cl *Client) SetDeadline(t time.Time) error { return cl.conn.SetReadDeadline(t) }
 
-// Close terminates the subscription.
+// Close terminates the subscription and publishes its read tally.
 func (cl *Client) Close() error {
 	err := cl.conn.Close()
+	cl.c.reads.publish()
 	if err != nil && !errors.Is(err, net.ErrClosed) {
 		return err
 	}

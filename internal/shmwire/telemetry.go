@@ -1,6 +1,10 @@
 package shmwire
 
-import "ecocapsule/internal/telemetry"
+import (
+	"sync/atomic"
+
+	"ecocapsule/internal/telemetry"
+)
 
 // typeCounters is a by-type CounterVec with the children of the named
 // MsgTypes resolved once, so the per-frame path skips CounterVec.With's
@@ -30,33 +34,36 @@ func (c *typeCounters) inc(t MsgType) {
 	c.vec.With(t.String()).Inc()
 }
 
-// frameTally counts a writer's frames by type until they are published to
-// frames_written_total. A writer counts each frame it buffers and
-// publishes the tally before the buffer reaches the socket (flushFrames,
-// and writeFrame's flush when a frame would not fit), so a peer that has
-// received a frame always finds it counted, and a batch of frames costs
-// one counter update per frame type instead of one per frame.
-type frameTally [MsgStatus + 1]uint64
+// frameTally counts frames by type until they are published to its family,
+// so a batch of frames costs one counter update per type, not per frame. A
+// writer publishes before the buffer reaches the socket (flushFrames, and
+// writeFrame's flush when a frame would not fit), so a peer that has
+// received a frame always finds it counted; a Conn's read tally is
+// published by Recv and Client.Close. Close may publish while Recv runs on
+// another goroutine, so the counts are atomic, but only one goroutine adds.
+type frameTally struct {
+	to *typeCounters
+	n  [MsgStatus + 1]atomic.Uint64
+}
 
 // count tallies one frame of type t; a type outside the protocol is
 // counted at once.
 //
-//ecolint:hotpath a plain integer add
+//ecolint:hotpath an uncontended atomic add
 func (ft *frameTally) count(t MsgType) {
 	if t >= MsgHello && t <= MsgStatus {
-		ft[t]++
+		ft.n[t].Add(1)
 		return
 	}
-	mFramesWritten.inc(t)
+	ft.to.inc(t)
 }
 
-// publish adds the tallied frames to frames_written_total and zeroes the
+// publish adds the tallied frames to the tally's family and zeroes the
 // tally.
 func (ft *frameTally) publish() {
 	for t := MsgHello; t <= MsgStatus; t++ {
-		if n := ft[t]; n > 0 {
-			mFramesWritten.named[t].Add(float64(n))
-			ft[t] = 0
+		if ft.n[t].Load() > 0 {
+			ft.to.named[t].Add(float64(ft.n[t].Swap(0)))
 		}
 	}
 }

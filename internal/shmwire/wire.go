@@ -405,14 +405,18 @@ type Conn struct {
 	// body and tc hold the last received frame's body and trace context.
 	body []byte
 	tc   TraceContext
+	// reads counts the frames Recv accepted until they are published to
+	// frames_read_total.
+	reads frameTally
 }
 
 // NewConn wraps rw.
 func NewConn(rw io.ReadWriter) *Conn {
 	return &Conn{
-		r:    bufio.NewReader(rw),
-		w:    bufio.NewWriterSize(rw, frameHeaderSize+MaxFrameSize),
-		body: make([]byte, MaxFrameSize),
+		r:     bufio.NewReader(rw),
+		w:     bufio.NewWriterSize(rw, frameHeaderSize+MaxFrameSize),
+		body:  make([]byte, MaxFrameSize),
+		reads: frameTally{to: mFramesRead},
 	}
 }
 
@@ -424,7 +428,7 @@ func (c *Conn) Send(t MsgType, body []byte) error {
 // SendTraced writes one frame carrying an optional trace context and
 // flushes.
 func (c *Conn) SendTraced(t MsgType, body []byte, tc *TraceContext) error {
-	var tally frameTally
+	tally := frameTally{to: mFramesWritten}
 	if err := writeFrame(c.w, &tally, t, body, tc); err != nil {
 		return err
 	}
@@ -433,10 +437,22 @@ func (c *Conn) SendTraced(t MsgType, body []byte, tc *TraceContext) error {
 
 // Recv reads one frame, peeling the trace-context prefix off a traced
 // frame. The frame's Body and Trace are views of the Conn's receive
-// buffer, valid until the next Recv.
+// buffer, valid until the next Recv. Accepted frames are counted in the
+// Conn's tally, published when Recv fails or drains the read buffer.
+//
+//ecolint:hotpath counts into the Conn's own tally
+func (c *Conn) Recv() (Frame, error) {
+	f, err := c.recv()
+	if err != nil || c.r.Buffered() == 0 {
+		c.reads.publish()
+	}
+	return f, err
+}
+
+// recv is Recv before the tally is published.
 //
 //ecolint:hotpath reads into the Conn's own buffer
-func (c *Conn) Recv() (Frame, error) {
+func (c *Conn) recv() (Frame, error) {
 	hdr, err := c.r.Peek(frameHeaderSize)
 	if err != nil {
 		if err == io.EOF && len(hdr) > 0 {
@@ -477,7 +493,7 @@ func (c *Conn) Recv() (Frame, error) {
 		f.Trace = &c.tc
 		f.Body = body[traceContextSize:]
 	}
-	mFramesRead.inc(f.Type)
+	c.reads.count(f.Type)
 	return f, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"net"
 	"testing"
 	"testing/quick"
 	"time"
@@ -282,5 +283,95 @@ func TestFrameCountersByType(t *testing.T) {
 		if dw, dr := written.Value()-w0, read.Value()-r0; dw != 1 || dr != 1 {
 			t.Errorf("%v: written +%g, read +%g; want +1 each", typ, dw, dr)
 		}
+	}
+
+	// A burst: n frames arrive in one write, so one buffer fill holds them
+	// all. A reader counts them once it has drained the burst, and a
+	// reader that closes after k of them counts k.
+	const n, k = 8, 3
+	var burst bytes.Buffer
+	for i := 0; i < n; i++ {
+		if err := sendFrame(&burst, MsgHealth, []byte{byte(i)}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := mFramesRead.named[MsgHealth]
+	r0 := read.Value()
+	c := NewConn(struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(burst.Bytes()), io.Discard})
+	for i := 0; i < n; i++ {
+		if _, err := c.Recv(); err != nil {
+			t.Fatal(err)
+		}
+		if i < n-1 && read.Value() != r0 {
+			t.Fatalf("burst counted before it was drained, after %d of %d frames", i+1, n)
+		}
+	}
+	if d := read.Value() - r0; d != n {
+		t.Errorf("drained burst: read +%g, want +%d", d, n)
+	}
+
+	a, b := net.Pipe()
+	defer b.Close()
+	go func() { b.Write(burst.Bytes()) }()
+	cl := &Client{conn: a, c: NewConn(a)}
+	r0 = read.Value()
+	for i := 0; i < k; i++ {
+		if _, err := cl.c.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := read.Value() - r0; d != k {
+		t.Errorf("closed after %d of %d frames: read +%g, want +%d", k, n, d, k)
+	}
+}
+
+// TestReadTallyConcurrentClose closes a Client while another goroutine
+// reads from it: whichever side publishes, every frame Recv returned is
+// counted exactly once.
+func TestReadTallyConcurrentClose(t *testing.T) {
+	var burst bytes.Buffer
+	for i := 0; i < 64; i++ {
+		if err := sendFrame(&burst, MsgHealth, []byte{byte(i)}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := net.Pipe()
+	defer b.Close()
+	go func() {
+		for {
+			if _, err := b.Write(burst.Bytes()); err != nil {
+				return
+			}
+		}
+	}()
+	cl := &Client{conn: a, c: NewConn(a)}
+	read := mFramesRead.named[MsgHealth]
+	r0 := read.Value()
+	if _, err := cl.c.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan int)
+	go func() {
+		n := 1
+		for {
+			if _, err := cl.c.Recv(); err != nil {
+				got <- n
+				return
+			}
+			n++
+		}
+	}()
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n := <-got
+	if d := read.Value() - r0; d != float64(n) {
+		t.Errorf("Recv returned %d frames, read +%g", n, d)
 	}
 }

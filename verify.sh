@@ -132,29 +132,27 @@ stage "go test -race ./..."
 go test -race ./...
 stage_done
 
-# Determinism contract at several GOMAXPROCS values: fault draws and span
-# IDs are keyed per capsule, and every seeded noise stream is a keyrand
-# counter stream that depends on its seed alone, so the fleet's one
-# (parallel) schedule must
-# render byte-identical reports and span trees at any shard count and
-# processor count, faults and tracing included. The pool itself (conc.Queues)
-# must hand every item to exactly one body on every queue shape production
-# uses. The waveform round fans its link transmits out over the pool and its
-# FFT kernel fuses stages; both must stay bit-identical to the serial,
-# one-stage-per-pass results. The decimating receive front end must decode
-# the same outcomes (the reader's golden corpus), keep its kept-index filter
-# bound and its BER parity with the full-rate oracle at every processor
-# count. The fleet's churn tests kill and revive
-# stations while surveys and reads run, against its one route lock.
+# Determinism contract at several GOMAXPROCS values, in one pass over the
+# module: every test whose name matches the regex runs, wherever it lives.
+# Fault draws and span IDs are keyed per capsule, and every seeded noise
+# stream is a keyrand counter stream that depends on its seed alone, so the
+# fleet's one (parallel) schedule must render byte-identical reports and
+# span trees at any shard count and processor count, faults and tracing
+# included — from survey through broadcast to subscriber receipt. The pool
+# itself (conc.Queues) must hand every item to exactly one body on every
+# queue shape production uses. The waveform round fans its link transmits
+# out over the pool and its FFT kernel fuses stages; both must stay
+# bit-identical to the serial, one-stage-per-pass results. The decimating
+# receive front end must decode the same outcomes (the reader's golden
+# corpus), keep its kept-index filter bound and its BER parity with the
+# full-rate oracle at every processor count. The fleet's churn tests kill
+# and revive stations while surveys and reads run, against its one route
+# lock, and the concurrency tests share nodes, caches, decoders and the
+# flight recorder across goroutines.
 stage "keyed determinism (-race -count=2 -cpu 1,2,4)"
-go test -race -count=2 -cpu 1,2,4 -run 'Invariance|Keyed|Determinis' \
-	./internal/conc ./internal/fleet ./internal/faultinject ./internal/telemetry \
-	./internal/keyrand
-go test -race -count=2 -cpu 1,2,4 -run 'Churn|UnderKill|Concurrent' ./internal/fleet
-go test -race -count=2 -cpu 1,2,4 -run 'BitIdentical|Determinis' \
-	./internal/dsp ./internal/phy ./internal/reader
-go test -race -count=2 -cpu 1,2,4 -run 'DecodeOutcomes|BERParity|Decimat' \
-	./internal/phy ./internal/reader
+go test -race -count=2 -cpu 1,2,4 \
+	-run 'Invariance|Keyed|Determinis|Churn|UnderKill|Concurrent|BitIdentical|DecodeOutcomes|BERParity|Decimat' \
+	./...
 stage_done
 
 # Cross-check: the hotalloc lint and the runtime AllocsPerRun tests must
@@ -167,9 +165,12 @@ stage_done
 # AllocsPerRun tests on real inputs (TestReadSensorAllocs pins the one
 # object the public []float64 read API still costs). A clean lint with a
 # failing test means the analyzer went blind; either failing means the
-# invariant is gone and the gate fails.
+# invariant is gone and the gate fails. The fleet's survey-wide test
+# (TestSurveyAllocsDoNotScaleWithCapsules: a warm survey allocates its
+# report rows and otherwise the same few objects at 300 and 3000
+# capsules) runs here too, since the race build above leaves it out.
 stage "AllocsPerRun half of the hotalloc cross-check (warm decode and read paths)"
-go test -run 'ZeroAlloc' -count=1 ./internal/phy ./internal/dsp ./internal/coding \
+go test -run 'ZeroAlloc|SurveyAllocs' -count=1 ./internal/phy ./internal/dsp ./internal/coding \
 	./internal/fleet ./internal/shmwire
 go test -run 'ZeroAlloc|ReadSensorAllocs' -count=1 ./internal/reader
 stage_done
