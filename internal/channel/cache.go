@@ -187,8 +187,6 @@ func (cc *Cache) Channel(cfg Config) (*Channel, error) {
 			resGain: e.resGain,
 			conv:    e.conv,
 		}
-		mLinks.Inc()
-		mPathGain.Observe(c.PathGain())
 		return c, nil
 	}
 	//ecolint:ignore hotalloc cache miss: the one-time image-source expansion this cache exists to amortise

@@ -69,16 +69,56 @@ type Channel struct {
 // off beyond the second critical angle).
 var ErrNoPath = errors.New("channel: no propagating body-wave path")
 
+var errNilStructure = errors.New("channel: nil structure")
+
 // New constructs a channel. It computes the mode split at the prism
 // boundary from the incidence angle (Fig. 4), expands the image-source
 // response, and folds in the prism transmission loss.
 func New(cfg Config) (*Channel, error) {
 	if cfg.Structure == nil {
-		return nil, errors.New("channel: nil structure")
+		return nil, errNilStructure
 	}
 	cfg = normalize(cfg)
-	prism := cfg.Prism
+	arr, res, err := response(cfg)
+	if err != nil {
+		return nil, err
+	}
+	c := &Channel{
+		cfg:      cfg,
+		arrivals: arr,
+		noise:    dsp.NewNoiseSource(cfg.Seed),
+		resGain:  res,
+	}
+	c.rebuildConvolver()
+	return c, nil
+}
 
+// LinkGain returns the path gain New(cfg).PathGain() reports, bit for bit,
+// without building the channel: no convolver, no noise source, and the
+// arrival list is dropped once summed. It counts the link on
+// ecocapsule_channel_links_total and ecocapsule_channel_path_gain, so a
+// reader calls it once per link it deploys.
+//
+//ecolint:unit return dimensionless
+func LinkGain(cfg Config) (float64, error) {
+	if cfg.Structure == nil {
+		return 0, errNilStructure
+	}
+	arr, res, err := response(normalize(cfg))
+	if err != nil {
+		return 0, err
+	}
+	g := pathGain(arr, res)
+	mLinks.Inc()
+	mPathGain.Observe(g)
+	return g, nil
+}
+
+// response is the clean multipath response of a normalised config: the
+// image-source arrivals, sorted by delay, and the material resonance gain
+// at the carrier. New and LinkGain share it, so both see the same floats.
+func response(cfg Config) ([]geometry.Arrival, float64, error) {
+	prism := cfg.Prism
 	var pFrac, sFrac, couple float64
 	if cfg.PrismAngle == 0 {
 		// Direct adhesion: pure P injection, strong coupling (no prism
@@ -92,7 +132,7 @@ func New(cfg Config) (*Channel, error) {
 		b := physics.Boundary{From: prism, To: cfg.Structure.Material}
 		pFrac, sFrac = b.ModeAmplitudes(cfg.PrismAngle)
 		if pFrac == 0 && sFrac == 0 {
-			return nil, fmt.Errorf("%w: incidence %.1f° beyond second critical angle",
+			return nil, 0, fmt.Errorf("%w: incidence %.1f° beyond second critical angle",
 				ErrNoPath, units.Rad2Deg(cfg.PrismAngle))
 		}
 		// Prism → structure energy coupling (eq. 1 with the PLA impedance).
@@ -111,7 +151,7 @@ func New(cfg Config) (*Channel, error) {
 	}
 	arr := cfg.Structure.ImpulseResponse(cfg.Source, cfg.Destination, icfg)
 	if len(arr) == 0 {
-		return nil, ErrNoPath
+		return nil, 0, ErrNoPath
 	}
 	m := cfg.Structure.Material
 	res := 1.0
@@ -121,16 +161,7 @@ func New(cfg Config) (*Channel, error) {
 			res = m.FrequencyResponse(cfg.CarrierFrequency) / peak
 		}
 	}
-	c := &Channel{
-		cfg:      cfg,
-		arrivals: arr,
-		noise:    dsp.NewNoiseSource(cfg.Seed),
-		resGain:  res,
-	}
-	c.rebuildConvolver()
-	mLinks.Inc()
-	mPathGain.Observe(c.PathGain())
-	return c, nil
+	return arr, res, nil
 }
 
 // beamConeWeight models the directivity of a PZT glued straight onto the
@@ -175,8 +206,13 @@ func (c *Channel) ResonanceGain() float64 { return c.resGain }
 // This is the scalar the energy-harvesting model consumes.
 //
 //ecolint:unit return dimensionless
-func (c *Channel) PathGain() float64 {
-	return math.Sqrt(geometry.TotalEnergy(c.arrivals)) * c.resGain
+func (c *Channel) PathGain() float64 { return pathGain(c.arrivals, c.resGain) }
+
+// pathGain is the coherent-power sum of arrivals times the resonance gain.
+//
+//ecolint:unit return dimensionless
+func pathGain(arrivals []geometry.Arrival, resGain float64) float64 {
+	return math.Sqrt(geometry.TotalEnergy(arrivals)) * resGain
 }
 
 // DelaySpread returns the RMS delay spread of the response in seconds.

@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 
 	"ecocapsule/internal/keyrand"
+	"ecocapsule/internal/protocol"
 	"ecocapsule/internal/telemetry"
 )
 
@@ -149,13 +150,15 @@ func (d draws) intn(kind, sub uint64, n int) int {
 }
 
 // record counts one injected fault in Stats, on the metric and in the
-// flight recorder (whose event name is the kind).
-func (in *Injector) record(kind string, count func(*Stats), msg string) {
+// flight recorder, whose event name is the kind and whose detail is
+// before, the handle as 0x%04x, then after.
+func (in *Injector) record(kind string, count func(*Stats), handle uint16, before, after string) {
 	in.mu.Lock()
 	count(&in.stats)
 	in.mu.Unlock()
 	mInjected.With(kind).Inc()
-	telemetry.RecordFlight("faultinject", kind, msg)
+	var label [6]byte
+	telemetry.RecordFlight("faultinject", kind, before+string(protocol.AppendHandle(label[:0], handle))+after)
 }
 
 // New validates the plan and builds its injector.
@@ -198,10 +201,10 @@ func (in *Injector) Downlink(handle uint16, frame []byte) ([]byte, bool) {
 	out, delivered, touched := in.next(handle).frame(in.plan, frame)
 	if !delivered {
 		in.record(kindDownlinkDropped, func(s *Stats) { s.DownlinkDropped++ },
-			fmt.Sprintf("frame to capsule 0x%04x lost in the concrete", handle))
+			handle, "frame to capsule ", " lost in the concrete")
 	} else if touched {
 		in.record(kindDownlinkCorrupted, func(s *Stats) { s.DownlinkCorrupted++ },
-			fmt.Sprintf("frame to capsule 0x%04x took bit flips", handle))
+			handle, "frame to capsule ", " took bit flips")
 	}
 	return out, delivered
 }
@@ -211,16 +214,16 @@ func (in *Injector) Downlink(handle uint16, frame []byte) ([]byte, bool) {
 func (in *Injector) Uplink(handle uint16, frame []byte) ([]byte, bool) {
 	if in.muted[handle] {
 		in.record(kindUplinkDropped, func(s *Stats) { s.UplinkDropped++ },
-			fmt.Sprintf("capsule 0x%04x is muted", handle))
+			handle, "capsule ", " is muted")
 		return nil, false
 	}
 	out, delivered, touched := in.next(handle).frame(in.plan, frame)
 	if !delivered {
 		in.record(kindUplinkDropped, func(s *Stats) { s.UplinkDropped++ },
-			fmt.Sprintf("backscatter from capsule 0x%04x never reached the RX", handle))
+			handle, "backscatter from capsule ", " never reached the RX")
 	} else if touched {
 		in.record(kindUplinkCorrupted, func(s *Stats) { s.UplinkCorrupted++ },
-			fmt.Sprintf("backscatter from capsule 0x%04x took bit flips", handle))
+			handle, "backscatter from capsule ", " took bit flips")
 	}
 	return out, delivered
 }
@@ -263,7 +266,7 @@ func (in *Injector) Brownout(handle uint16) bool {
 		return false
 	}
 	in.record(kindBrownout, func(s *Stats) { s.Brownouts++ },
-		fmt.Sprintf("capsule 0x%04x lost its storage charge mid-operation", handle))
+		handle, "capsule ", " lost its storage charge mid-operation")
 	return true
 }
 

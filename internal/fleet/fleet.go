@@ -540,9 +540,13 @@ func (f *Fleet) ReadSensorVia(handle uint16, st sensors.SensorType) ([]float64, 
 		f.readers[i].PublishReads()
 	}
 	switch {
+	case len(stations) == 0:
+		cReadsFailed.Inc()
+		return nil, station, fmt.Errorf("fleet: no station serves capsule %#04x", handle)
 	case err != nil:
 		cReadsFailed.Inc()
-		return nil, station, err
+		return nil, station, fmt.Errorf("fleet: capsule %#04x unreadable from %d station(s): %w",
+			handle, len(stations), err)
 	case station == stations[0]:
 		cReadsPrimary.Inc()
 	default:
@@ -552,9 +556,11 @@ func (f *Fleet) ReadSensorVia(handle uint16, st sensors.SensorType) ([]float64, 
 }
 
 // readVia walks the candidate stations in order, returning the first
-// successful read and the station that served it. Each station's read is a
-// child span of parent (a root when nil) and adds its link counters to
-// link. readVia publishes no metric: each station counts its reads in its
+// successful read and the station that served it, or station -1 and the
+// last station's error as it is (errNoStation when there is none): a
+// survey only tells a failed read from a served one. Each station's read
+// is a child span of parent (a root when nil) and adds its link counters
+// to link. readVia publishes no metric: each station counts its reads in its
 // own tally, and the caller publishes the tallies and counts the route the
 // read took (primary when stations[0] served it, rerouted when a fallback
 // did, failed when none could) once per operation, so a survey's
@@ -562,11 +568,7 @@ func (f *Fleet) ReadSensorVia(handle uint16, st sensors.SensorType) ([]float64, 
 //
 //ecolint:hotpath the survey's per-capsule read
 func (f *Fleet) readVia(parent *telemetry.Span, link *reader.FaultStats, handle uint16, st sensors.SensorType, stations []int) ([2]float64, int, error) {
-	if len(stations) == 0 {
-		//ecolint:ignore hotalloc an orphaned capsule is never read by a survey
-		return [2]float64{}, -1, fmt.Errorf("fleet: no station serves capsule %#04x", handle)
-	}
-	var lastErr error
+	lastErr := errNoStation
 	for _, idx := range stations {
 		vals, lk, err := f.readers[idx].ReadSensorUnder(parent, handle, st)
 		link.CorruptedReplies += lk.CorruptedReplies
@@ -577,10 +579,12 @@ func (f *Fleet) readVia(parent *telemetry.Span, link *reader.FaultStats, handle 
 		}
 		lastErr = err
 	}
-	//ecolint:ignore hotalloc a capsule no station could read is a degraded survey row
-	return [2]float64{}, -1, fmt.Errorf("fleet: capsule %#04x unreadable from %d station(s): %w",
-		handle, len(stations), lastErr)
+	return [2]float64{}, -1, lastErr
 }
+
+// errNoStation is readVia's error for a capsule no station serves;
+// ReadSensorVia names the capsule in the error it returns.
+var errNoStation = errors.New("fleet: no station serves the capsule")
 
 // maxRoutes sizes the stack buffer readOrder fills: no city capsule has
 // more stations in range. A capsule with more still reads; its list just

@@ -64,3 +64,37 @@ func TestSurveyAllocsDoNotScaleWithCapsules(t *testing.T) {
 		}
 	}
 }
+
+// TestCityFleetLiveHeap bounds what a warm city fleet keeps on the heap.
+// A reader keeps one small link record per capsule it serves (the node,
+// the link's path gain, a channel pointer left nil), and builds no
+// waveform channel, arrival list or convolver until an acoustic round or
+// broadcast needs one; a frame-level survey never does. A fleet that
+// built a full channel per link held about 36 MB here.
+func TestCityFleetLiveHeap(t *testing.T) {
+	const (
+		capsules = 3000
+		// heapBound is the live heap the warm fleet may hold.
+		heapBound = 8 << 20
+	)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f, err := NewCityFleet(capsules, 8, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.SetEnvironment(CityEnvironment)
+	if rep := f.Survey(0.4); rep.Degraded {
+		t.Fatalf("warm survey degraded:\n%s", rep.Text())
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(f)
+	live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("warm %d-capsule city fleet: %.1f MB live heap", capsules, float64(live)/(1<<20))
+	if live > heapBound {
+		t.Errorf("warm %d-capsule city fleet holds %.1f MB of live heap, want <= %.0f MB",
+			capsules, float64(live)/(1<<20), float64(heapBound)/(1<<20))
+	}
+}

@@ -70,6 +70,13 @@ type Packet struct {
 // Broadcast is the all-nodes target.
 const Broadcast uint16 = 0xFFFF
 
+// AppendHandle appends h to dst as fmt's "0x%04x", the spelling spans and
+// flight-recorder events name a capsule by, without fmt's allocations.
+func AppendHandle(dst []byte, h uint16) []byte {
+	const digits = "0123456789abcdef"
+	return append(dst, '0', 'x', digits[h>>12], digits[h>>8&0xf], digits[h>>4&0xf], digits[h&0xf])
+}
+
 // Preamble marks the start of every downlink frame; its alternating
 // structure lets a cold node lock symbol timing.
 var Preamble = []byte{0xAA, 0x3C}

@@ -3,9 +3,20 @@ package protocol
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
+
+// TestAppendHandle: AppendHandle spells every handle as fmt's "0x%04x".
+func TestAppendHandle(t *testing.T) {
+	for h := 0; h <= 0xffff; h++ {
+		got := string(AppendHandle([]byte("at "), uint16(h)))
+		if want := fmt.Sprintf("at 0x%04x", h); got != want {
+			t.Fatalf("AppendHandle(%d) = %q, want %q", h, got, want)
+		}
+	}
+}
 
 func TestPacketRoundTrip(t *testing.T) {
 	p := Packet{Cmd: CmdReadSensor, Target: 0x1234, Payload: []byte{0x01}}

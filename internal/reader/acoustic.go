@@ -139,8 +139,8 @@ func (r *Reader) AcousticReadRound(handles []uint16, st sensors.SensorType, cfg 
 			continue
 		}
 		seen[h] = true
-		target, known := r.byHandle.find(h)
-		if !known {
+		target := r.byHandle.find(h)
+		if target == nil {
 			out[i].Err = fmt.Errorf("reader: unknown node %#04x", h)
 			continue
 		}
@@ -155,8 +155,13 @@ func (r *Reader) AcousticReadRound(handles []uint16, st sensors.SensorType, cfg 
 			out[i].Err = errNodeSilent
 			continue
 		}
+		ch, err := r.channelLocked(target)
+		if err != nil {
+			out[i].Err = err
+			continue
+		}
 		payload := up.Bits()
-		plans = append(plans, slotPlan{result: i, ch: target.ch, payload: payload, bits: phy.PrependPilot(payload)})
+		plans = append(plans, slotPlan{result: i, ch: ch, payload: payload, bits: phy.PrependPilot(payload)})
 		seed = seed*31 + int64(h)
 	}
 	r.mu.Unlock()

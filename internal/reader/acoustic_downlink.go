@@ -3,6 +3,7 @@ package reader
 import (
 	"fmt"
 
+	"ecocapsule/internal/channel"
 	"ecocapsule/internal/coding"
 	"ecocapsule/internal/dsp"
 	"ecocapsule/internal/node"
@@ -38,11 +39,19 @@ func (r *Reader) AcousticBroadcast(p protocol.Packet, cfg AcousticConfig) (Broad
 	}
 	r.mu.Lock()
 	// The capsules in deploy order, each with its channel.
-	capsules := make([]deployed, len(r.nodes))
+	capsules := make([]link, len(r.nodes))
 	for i, n := range r.nodes {
-		capsules[i], _ = r.byHandle.find(n.Handle())
+		l := r.byHandle.find(n.Handle())
+		if _, err := r.channelLocked(l); err != nil {
+			r.mu.Unlock()
+			return BroadcastOutcome{}, err
+		}
+		capsules[i] = *l
 	}
-	target, _ := r.byHandle.find(p.Target)
+	var tuneCh *channel.Channel
+	if target := r.byHandle.find(p.Target); target != nil {
+		tuneCh = target.ch
+	}
 	envFn := r.env
 	mat := r.cfg.Structure.Material
 	r.mu.Unlock()
@@ -58,8 +67,8 @@ func (r *Reader) AcousticBroadcast(p protocol.Packet, cfg AcousticConfig) (Broad
 		// §3.5(2): fine-tune the carrier to the addressed node's channel
 		// so the high edges land outside its multipath fades. The FSK low
 		// tone keeps its relative offset.
-		if target.ch != nil {
-			tuned, _ := target.ch.TuneCarrier(10e3, 500)
+		if tuneCh != nil {
+			tuned, _ := tuneCh.TuneCarrier(10e3, 500)
 			tx.OffResonantFreq = tuned * tx.OffResonantFreq / tx.ResonantFreq
 			tx.ResonantFreq = tuned
 		}

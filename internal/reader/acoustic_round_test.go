@@ -7,7 +7,9 @@ import (
 	"runtime"
 	"testing"
 
+	"ecocapsule/internal/channel"
 	"ecocapsule/internal/geometry"
+	"ecocapsule/internal/protocol"
 	"ecocapsule/internal/sensors"
 )
 
@@ -102,7 +104,8 @@ func TestAcousticReadRoundUnknownNode(t *testing.T) {
 }
 
 // TestReaderSharedLinkCache: each reader owns a private link cache that
-// its deployments fill, one miss and one entry per distinct link.
+// its links' first waveform use fills, one miss and one entry per distinct
+// link; Deploy evaluates only the link gain and leaves the cache alone.
 func TestReaderSharedLinkCache(t *testing.T) {
 	r1, err := New(wallConfig())
 	if err != nil {
@@ -113,14 +116,25 @@ func TestReaderSharedLinkCache(t *testing.T) {
 		t.Fatal("New must allocate a link cache")
 	}
 	deployNode(t, r1, 0x61, 1.2)
-	st := cache.Stats()
-	if st.Misses != 1 || st.Entries != 1 {
-		t.Fatalf("first deploy stats %+v, want 1 miss / 1 entry", st)
-	}
 	deployNode(t, r1, 0x62, 1.6)
-	st = cache.Stats()
+	if st := cache.Stats(); st != (channel.CacheStats{}) {
+		t.Fatalf("deploy stats %+v, want an untouched cache", st)
+	}
+	query := protocol.Packet{Cmd: protocol.CmdQuery, Target: protocol.Broadcast, Payload: []byte{0}}
+	if _, err := r1.AcousticBroadcast(query, DefaultAcousticConfig()); err != nil {
+		t.Fatal(err)
+	}
+	st := cache.Stats()
 	if st.Misses != 2 || st.Entries != 2 {
-		t.Fatalf("second deploy stats %+v, want 2 misses / 2 entries", st)
+		t.Fatalf("first broadcast stats %+v, want 2 misses / 2 entries", st)
+	}
+	// The reader keeps each link's channel: later waveform use does not
+	// look it up again.
+	if _, err := r1.AcousticBroadcast(query, DefaultAcousticConfig()); err != nil {
+		t.Fatal(err)
+	}
+	if again := cache.Stats(); again != st {
+		t.Fatalf("second broadcast stats %+v, want %+v", again, st)
 	}
 	if r1.LinkCache() != cache {
 		t.Error("LinkCache accessor does not return the reader's cache")

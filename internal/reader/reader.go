@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 
 	"ecocapsule/internal/channel"
@@ -57,6 +58,9 @@ const DefaultPZTCoupling = 0.091
 // dormant, or every exchange within the retry budget was lost.
 var errNodeSilent = errors.New("reader: node stayed silent")
 
+// errUplinkCorrupted reports a read whose last reply failed CRC.
+var errUplinkCorrupted = fmt.Errorf("reader: uplink corrupted: %w", protocol.ErrBadCRC)
+
 // Reader drives one structure. A read or inventory takes its trace parent
 // as an argument and reports its own link counters, so no span and no
 // per-call counter lives on the Reader between calls.
@@ -65,7 +69,7 @@ type Reader struct {
 	cfg Config
 
 	// nodes holds the deployed capsules in deploy order; byHandle finds
-	// each one, and the channel to it, by handle.
+	// each one's link by handle.
 	//ecolint:guardedby mu
 	nodes []*node.Node
 	//ecolint:guardedby mu
@@ -94,8 +98,8 @@ type Reader struct {
 	tracer *telemetry.Tracer
 
 	// links keeps the expensive per-link channel state (impulse
-	// responses + convolution plans) across deployments. Each reader
-	// owns a private cache.
+	// responses + convolution plans) of the waveform channels the
+	// acoustic paths build. Each reader owns a private cache.
 	links *channel.Cache
 
 	// carrier is the last acoustic round's incident CBW, reused by the next
@@ -131,48 +135,54 @@ func New(cfg Config) (*Reader, error) {
 	}, nil
 }
 
-// capsuleIndex finds a deployed capsule, and the channel to it, by handle:
-// handles in ascending order, and at the same position in capsules the
+// capsuleIndex finds a deployed capsule's link by handle: handles in
+// ascending order, and at the same position in links the link to the
 // capsule each one names. A binary search over the 2-byte keys beats a
 // map[uint16] lookup, which Go hashes with no fast path for 16-bit keys.
 type capsuleIndex struct {
-	handles  []uint16
-	capsules []deployed
+	handles []uint16
+	links   []link
 }
 
-// deployed is one deployed capsule and the channel the reader drives it
-// over.
-type deployed struct {
-	n  *node.Node
-	ch *channel.Channel
+// link is one deployed capsule as the reader sees it: the node, the path
+// gain every frame-level exchange reads, and the waveform channel, which
+// stays nil until an acoustic round or broadcast first needs it (see
+// channelLocked).
+type link struct {
+	n *node.Node
+	//ecolint:unit dimensionless
+	gain float64
+	ch   *channel.Channel
 }
 
-// find returns the capsule with handle h.
+// find returns the link to the capsule with handle h, nil when none is
+// deployed. The pointer is valid while the caller holds the reader's lock.
 //
 //ecolint:hotpath every addressed exchange looks its capsule up here
-func (x *capsuleIndex) find(h uint16) (deployed, bool) {
+func (x *capsuleIndex) find(h uint16) *link {
 	i, ok := slices.BinarySearch(x.handles, h)
 	if !ok {
-		return deployed{}, false
+		return nil
 	}
-	return x.capsules[i], true
+	return &x.links[i]
 }
 
-// insert adds d under handle h, keeping the handles sorted; it reports
+// insert adds l under handle h, keeping the handles sorted; it reports
 // false, and adds nothing, when h is already taken. Capsules deployed in
 // ascending handle order (every fleet deploys them so) append.
-func (x *capsuleIndex) insert(h uint16, d deployed) bool {
+func (x *capsuleIndex) insert(h uint16, l link) bool {
 	i, dup := slices.BinarySearch(x.handles, h)
 	if dup {
 		return false
 	}
 	x.handles = slices.Insert(x.handles, i, h)
-	x.capsules = slices.Insert(x.capsules, i, d)
+	x.links = slices.Insert(x.links, i, l)
 	return true
 }
 
 // LinkCache exposes the reader's private channel cache: its Stats, and
-// channels built through it.
+// channels built through it. The acoustic paths fill it on a link's first
+// waveform use; Deploy does not touch it.
 func (r *Reader) LinkCache() *channel.Cache { return r.links }
 
 // SetEnvironment installs the ground-truth sampler used when capsules read
@@ -185,27 +195,51 @@ func (r *Reader) SetEnvironment(f func(pos geometry.Vec3) sensors.Environment) {
 	}
 }
 
-// Deploy embeds a node into the structure, building its acoustic channel.
-// A handle is deployed at most once: a second node with the same handle
-// would be unaddressable, so it is rejected.
+// Deploy embeds a node into the structure and evaluates the path gain of
+// its link; a link with no propagating path (channel.ErrNoPath) is
+// rejected. The link's waveform channel is not built here (see
+// channelLocked). A handle is deployed at most once: a second node with
+// the same handle would be unaddressable, so it is rejected.
 func (r *Reader) Deploy(n *node.Node) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.byHandle.find(n.Handle()); dup {
+	if r.byHandle.find(n.Handle()) != nil {
 		return fmt.Errorf("reader: node %#04x already deployed", n.Handle())
 	}
 	if !r.cfg.Structure.Inside(n.Position()) {
 		return fmt.Errorf("reader: node %#04x position %+v outside %s",
 			n.Handle(), n.Position(), r.cfg.Structure.Name)
 	}
-	ch, err := r.links.Channel(linkConfig(r.cfg.Structure, r.cfg.TXPosition, n.Position(),
-		r.cfg.Seed+int64(n.Handle()), r.cfg.MaxOrder))
+	gain, err := channel.LinkGain(r.linkConfigOf(n))
 	if err != nil {
 		return fmt.Errorf("reader: channel to node %#04x: %w", n.Handle(), err)
 	}
 	r.nodes = append(r.nodes, n)
-	r.byHandle.insert(n.Handle(), deployed{n: n, ch: ch})
+	r.byHandle.insert(n.Handle(), link{n: n, gain: gain})
 	return nil
+}
+
+// channelLocked returns the waveform channel of l, building it through the
+// reader's link cache on first use. It is built from the config and seed
+// Deploy evaluated the gain from, and nothing has transmitted over the
+// link before, so it is bit-identical to a channel built at Deploy.
+// Caller holds the lock.
+func (r *Reader) channelLocked(l *link) (*channel.Channel, error) {
+	if l.ch == nil {
+		ch, err := r.links.Channel(r.linkConfigOf(l.n))
+		if err != nil {
+			return nil, fmt.Errorf("reader: channel to node %#04x: %w", l.n.Handle(), err)
+		}
+		l.ch = ch
+	}
+	return l.ch, nil
+}
+
+// linkConfigOf is the channel config of the link to n: the reader's
+// structure, TX position and reflection order, seeded by the handle.
+func (r *Reader) linkConfigOf(n *node.Node) channel.Config {
+	return linkConfig(r.cfg.Structure, r.cfg.TXPosition, n.Position(),
+		r.cfg.Seed+int64(n.Handle()), r.cfg.MaxOrder)
 }
 
 // Nodes returns the deployed nodes.
@@ -226,11 +260,11 @@ func (r *Reader) NodeAmplitude(handle uint16) (float64, error) {
 }
 
 func (r *Reader) nodeAmplitudeLocked(handle uint16) (float64, error) {
-	d, ok := r.byHandle.find(handle)
-	if !ok {
+	l := r.byHandle.find(handle)
+	if l == nil {
 		return 0, fmt.Errorf("reader: unknown node %#04x", handle)
 	}
-	return r.cfg.DriveVoltage * d.ch.PathGain() * DefaultPZTCoupling, nil
+	return r.cfg.DriveVoltage * l.gain * DefaultPZTCoupling, nil
 }
 
 // Charge runs the continuous body wave for the given duration, advancing
@@ -375,7 +409,7 @@ func (r *Reader) inventoryLocked(parent *telemetry.Span, maxRounds int, nodes []
 			// backscatter again through (hopefully) a cleaner channel.
 			for attempt := 0; corrupted > 0 && len(replies) == 0 && attempt < r.retry.MaxAttempts; attempt++ {
 				res.Corrupted += corrupted
-				r.backoffLocked(&link, attempt, "NAK re-solicitation")
+				r.backoffLocked(&link, attempt, false)
 				r.broadcastLocked(slotSpan, protocol.Packet{Cmd: protocol.CmdNak, Target: protocol.Broadcast}, nodes)
 				replies, corrupted = r.broadcastLocked(slotSpan, protocol.Packet{Cmd: protocol.CmdQueryRep, Target: protocol.Broadcast}, nodes)
 			}
@@ -461,8 +495,8 @@ func (r *Reader) ReadSensorUnder(parent *telemetry.Span, handle uint16, st senso
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var link FaultStats
-	target, known := r.byHandle.find(handle)
-	if !known {
+	target := r.byHandle.find(handle)
+	if target == nil {
 		cReadErr.Inc()
 		//ecolint:ignore hotalloc an unknown handle is a caller error, never a survey read
 		return [2]float64{}, link, fmt.Errorf("reader: unknown node %#04x", handle)
@@ -482,7 +516,7 @@ func (r *Reader) ReadSensorUnder(parent *telemetry.Span, handle uint16, st senso
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
 			//ecolint:ignore hotalloc re-sends happen only under a fault plan
-			r.backoffLocked(&link, a-1, fmt.Sprintf("read re-send %d", a))
+			r.backoffLocked(&link, a-1, true)
 		}
 		var attemptSpan *telemetry.Span
 		if readSpan != nil {
@@ -505,8 +539,7 @@ func (r *Reader) ReadSensorUnder(parent *telemetry.Span, handle uint16, st senso
 		}
 		if bad {
 			link.CorruptedReplies++
-			//ecolint:ignore hotalloc a corrupted reply happens only under a fault plan
-			lastErr = fmt.Errorf("reader: uplink corrupted: %w", protocol.ErrBadCRC)
+			lastErr = errUplinkCorrupted
 			endOutcome(attemptSpan, "corrupted")
 		} else {
 			endOutcome(attemptSpan, "silent")
@@ -518,9 +551,10 @@ func (r *Reader) ReadSensorUnder(parent *telemetry.Span, handle uint16, st senso
 
 // backoffLocked books retry number attempt (0-based) of one exchange: the
 // simulated backoff delay lands on the exchange's own counters (link), the
-// reader's lifetime counters, the metrics and the flight recorder. Caller
-// holds the lock.
-func (r *Reader) backoffLocked(link *FaultStats, attempt int, what string) {
+// reader's lifetime counters, the metrics and the flight recorder, which
+// names it a read re-send (numbered attempt+1) when resend is set and a
+// NAK re-solicitation otherwise. Caller holds the lock.
+func (r *Reader) backoffLocked(link *FaultStats, attempt int, resend bool) {
 	delay := r.retry.Delay(attempt)
 	link.Retries++
 	link.Backoff += delay
@@ -528,8 +562,12 @@ func (r *Reader) backoffLocked(link *FaultStats, attempt int, what string) {
 	r.faultStats.Backoff += delay
 	mRetries.Inc()
 	mBackoffSeconds.Add(delay.Seconds())
-	telemetry.RecordFlight("reader", "backoff",
-		fmt.Sprintf("%s, simulated backoff %v", what, delay))
+	note := ", simulated backoff " + delay.String()
+	if resend {
+		telemetry.RecordFlight("reader", "backoff", "read re-send "+strconv.Itoa(attempt+1)+note)
+	} else {
+		telemetry.RecordFlight("reader", "backoff", "NAK re-solicitation"+note)
+	}
 }
 
 // endOutcome closes a slot, attempt or deliver span with its outcome.

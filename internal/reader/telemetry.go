@@ -1,9 +1,8 @@
 package reader
 
 import (
-	"fmt"
-
 	"ecocapsule/internal/node"
+	"ecocapsule/internal/protocol"
 	"ecocapsule/internal/telemetry"
 )
 
@@ -102,7 +101,10 @@ func (r *Reader) PublishReads() {
 }
 
 // handleLabel renders a capsule handle the way every metric labels it.
-func handleLabel(h uint16) string { return fmt.Sprintf("0x%04x", h) }
+func handleLabel(h uint16) string {
+	var b [6]byte
+	return string(protocol.AppendHandle(b[:0], h))
+}
 
 // SetTracer installs (or with nil removes) a span tracer on the reader.
 // Tracing is off by default and costs nothing when disabled; with a seeded

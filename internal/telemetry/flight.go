@@ -2,7 +2,7 @@ package telemetry
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -23,10 +23,32 @@ type FlightEvent struct {
 
 // flightRing is one subsystem's bounded history.
 type flightRing struct {
+	subsystem string
 	// next counts every event ever recorded; the ring keeps the last
-	// len(buf) of them.
+	// len(buf) of them, oldest at buf[head].
 	next uint64
+	head int
 	buf  []FlightEvent
+}
+
+// add records ev, overwriting the oldest retained event once the ring
+// holds capacity of them.
+func (r *flightRing) add(ev FlightEvent, capacity int) {
+	if len(r.buf) < capacity {
+		r.buf = append(r.buf, ev)
+		return
+	}
+	r.buf[r.head] = ev
+	r.head++
+	if r.head == len(r.buf) {
+		r.head = 0
+	}
+}
+
+// appendEvents appends the retained events to dst, oldest first.
+func (r *flightRing) appendEvents(dst []FlightEvent) []FlightEvent {
+	dst = append(dst, r.buf[r.head:]...)
+	return append(dst, r.buf[:r.head]...)
 }
 
 // FlightRecorder is a black box: a bounded ring of recent structured events
@@ -37,16 +59,20 @@ type flightRing struct {
 // incident survive it.
 type FlightRecorder struct {
 	mu sync.Mutex
+	// rings holds one ring per subsystem, sorted by subsystem name.
 	//ecolint:guardedby mu
-	rings map[string]*flightRing
+	rings []flightRing
 	//ecolint:guardedby mu
 	capacity int
 	//ecolint:guardedby mu
 	dumps uint64
 	//ecolint:guardedby mu
 	lastDumpReason string
+	// lastDump is the copy of the rings the last Dump took, each with its
+	// events oldest first; its buffers are reused by the next Dump, and
+	// LastDump renders it.
 	//ecolint:guardedby mu
-	lastDump string
+	lastDump []flightRing
 }
 
 // DefaultFlightCapacity is the per-subsystem ring size used when
@@ -59,26 +85,22 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = DefaultFlightCapacity
 	}
-	return &FlightRecorder{rings: make(map[string]*flightRing), capacity: capacity}
+	return &FlightRecorder{capacity: capacity}
 }
 
 // Record appends one event to the subsystem's ring, evicting the oldest
 // retained event once the ring is full.
 func (f *FlightRecorder) Record(subsystem, kind, detail string) {
 	f.mu.Lock()
-	r := f.rings[subsystem]
-	if r == nil {
-		r = &flightRing{}
-		f.rings[subsystem] = r
+	i, ok := slices.BinarySearchFunc(f.rings, subsystem, func(r flightRing, s string) int {
+		return strings.Compare(r.subsystem, s)
+	})
+	if !ok {
+		f.rings = slices.Insert(f.rings, i, flightRing{subsystem: subsystem})
 	}
+	r := &f.rings[i]
 	r.next++
-	ev := FlightEvent{Seq: r.next, Subsystem: subsystem, Kind: kind, Detail: detail}
-	if len(r.buf) < f.capacity {
-		r.buf = append(r.buf, ev)
-	} else {
-		copy(r.buf, r.buf[1:])
-		r.buf[len(r.buf)-1] = ev
-	}
+	r.add(FlightEvent{Seq: r.next, Subsystem: subsystem, Kind: kind, Detail: detail}, f.capacity)
 	f.mu.Unlock()
 	mFlightEvents.With(subsystem).Inc()
 }
@@ -88,18 +110,9 @@ func (f *FlightRecorder) Record(subsystem, kind, detail string) {
 func (f *FlightRecorder) Events() []FlightEvent {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.eventsLocked()
-}
-
-func (f *FlightRecorder) eventsLocked() []FlightEvent {
-	subs := make([]string, 0, len(f.rings))
-	for s := range f.rings {
-		subs = append(subs, s)
-	}
-	sort.Strings(subs)
 	var out []FlightEvent
-	for _, s := range subs {
-		out = append(out, f.rings[s].buf...)
+	for i := range f.rings {
+		out = f.rings[i].appendEvents(out)
 	}
 	return out
 }
@@ -113,25 +126,20 @@ func (f *FlightRecorder) eventsLocked() []FlightEvent {
 func (f *FlightRecorder) Render() string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.renderLocked()
+	return renderFlight(f.rings)
 }
 
-func (f *FlightRecorder) renderLocked() string {
-	subs := make([]string, 0, len(f.rings))
-	for s := range f.rings {
-		subs = append(subs, s)
-	}
-	sort.Strings(subs)
+// renderFlight formats rings as Render's text.
+func renderFlight(rings []flightRing) string {
 	var b strings.Builder
-	if len(subs) == 0 {
+	if len(rings) == 0 {
 		b.WriteString("flight recorder: no events\n")
-		return b.String()
 	}
-	for _, s := range subs {
-		r := f.rings[s]
+	for i := range rings {
+		r := &rings[i]
 		overwritten := r.next - uint64(len(r.buf))
-		fmt.Fprintf(&b, "subsystem %s (%d recorded, %d overwritten):\n", s, r.next, overwritten)
-		for _, ev := range r.buf {
+		fmt.Fprintf(&b, "subsystem %s (%d recorded, %d overwritten):\n", r.subsystem, r.next, overwritten)
+		for _, ev := range r.appendEvents(nil) {
 			fmt.Fprintf(&b, "  #%d %s", ev.Seq, ev.Kind)
 			if ev.Detail != "" {
 				fmt.Fprintf(&b, " %s", ev.Detail)
@@ -142,26 +150,38 @@ func (f *FlightRecorder) renderLocked() string {
 	return b.String()
 }
 
-// Dump snapshots the rendered history under the given reason and remembers
-// it as the last dump (LastDump; the dashboard's /api/flightrecorder reports
-// its reason and count). It returns the rendered snapshot.
-func (f *FlightRecorder) Dump(reason string) string {
+// Dump snapshots the retained history under the given reason as the last
+// dump (LastDump; the dashboard's /api/flightrecorder reports its reason
+// and count). The snapshot is a copy of the rings into buffers the
+// previous dump left, so a dump renders nothing and, once those buffers
+// have grown to the rings' size, allocates nothing.
+func (f *FlightRecorder) Dump(reason string) {
 	f.mu.Lock()
-	rendered := f.renderLocked()
+	// Rings are never removed, so the last snapshot is never longer.
+	if n := len(f.rings) - len(f.lastDump); n > 0 {
+		f.lastDump = append(f.lastDump, make([]flightRing, n)...)
+	}
+	for i := range f.rings {
+		r, c := &f.rings[i], &f.lastDump[i]
+		c.subsystem, c.next, c.head = r.subsystem, r.next, 0
+		c.buf = r.appendEvents(c.buf[:0])
+	}
 	f.dumps++
 	f.lastDumpReason = reason
-	f.lastDump = rendered
 	f.mu.Unlock()
 	mFlightDumps.Inc()
-	return rendered
 }
 
-// LastDump reports the most recent dump: its reason, the rendered snapshot
-// and how many dumps have happened in total.
+// LastDump reports the most recent dump: its reason, its snapshot rendered
+// as Render rendered the history at the moment of the dump ("" before the
+// first dump) and how many dumps have happened in total.
 func (f *FlightRecorder) LastDump() (reason, rendered string, dumps uint64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.lastDumpReason, f.lastDump, f.dumps
+	if f.dumps == 0 {
+		return "", "", 0
+	}
+	return f.lastDumpReason, renderFlight(f.lastDump), f.dumps
 }
 
 // defaultFlight is the process-wide recorder the instrumented packages

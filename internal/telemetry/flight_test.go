@@ -67,20 +67,63 @@ func TestFlightRecorderDump(t *testing.T) {
 	if !strings.Contains(fr.Render(), "no events") {
 		t.Errorf("empty render = %q", fr.Render())
 	}
-	fr.Record("fleet", "reroute", "station 2 -> 1")
-	got := fr.Dump("fleet: survey degraded")
-	if !strings.Contains(got, "#1 reroute station 2 -> 1") {
-		t.Errorf("dump missing event:\n%s", got)
+	if _, rendered, _ := fr.LastDump(); rendered != "" {
+		t.Errorf("LastDump before any dump rendered %q", rendered)
 	}
-	reason, rendered, dumps := fr.LastDump()
-	if reason != "fleet: survey degraded" || rendered != got || dumps != 1 {
+	fr.Record("fleet", "reroute", "station 2 -> 1")
+	fr.Dump("fleet: survey degraded")
+	// Events after the dump stay out of its snapshot.
+	fr.Record("fleet", "reroute", "station 1 -> 0")
+	reason, got, dumps := fr.LastDump()
+	if !strings.Contains(got, "#1 reroute station 2 -> 1") || strings.Contains(got, "#2") {
+		t.Errorf("dump does not hold exactly the first event:\n%s", got)
+	}
+	if reason != "fleet: survey degraded" || dumps != 1 {
 		t.Errorf("LastDump = (%q, %d dumps)", reason, dumps)
 	}
 	// A later dump replaces the remembered one and counts.
-	fr.Record("fleet", "reroute", "station 1 -> 0")
-	second := fr.Dump("shmwire: subscriber evicted")
-	if reason, rendered, dumps := fr.LastDump(); reason != "shmwire: subscriber evicted" || rendered != second || dumps != 2 {
-		t.Errorf("second LastDump = (%q, %d dumps)", reason, dumps)
+	fr.Dump("shmwire: subscriber evicted")
+	if reason, rendered, dumps := fr.LastDump(); reason != "shmwire: subscriber evicted" || rendered != fr.Render() || dumps != 2 {
+		t.Errorf("second LastDump = (%q, %d dumps):\n%s", reason, dumps, rendered)
+	}
+}
+
+// TestFlightRecorderDumpMatchesRender pins that a dump's snapshot renders
+// byte-identically to Render of the same history, through ring wrap-around
+// and its overwritten counts, and that a dump of a recorder whose rings
+// are full allocates nothing once the snapshot buffers have grown.
+func TestFlightRecorderDumpMatchesRender(t *testing.T) {
+	fr := NewFlightRecorder(3)
+	fr.Dump("empty")
+	if _, got, _ := fr.LastDump(); got != fr.Render() || got != "flight recorder: no events\n" {
+		t.Errorf("empty dump rendered %q", got)
+	}
+	for i := 1; i <= 11; i++ {
+		fr.Record("reader", "backoff", fmt.Sprintf("read re-send %d", i))
+		if i%4 == 0 {
+			fr.Record("fleet", "survey_degraded", "")
+		}
+		want := fr.Render()
+		fr.Dump("step")
+		if _, got, _ := fr.LastDump(); got != want {
+			t.Fatalf("after %d events the dump renders\n%s\nwant\n%s", i, got, want)
+		}
+	}
+	want := "subsystem fleet (2 recorded, 0 overwritten):\n" +
+		"  #1 survey_degraded\n" +
+		"  #2 survey_degraded\n" +
+		"subsystem reader (11 recorded, 8 overwritten):\n" +
+		"  #9 backoff read re-send 9\n" +
+		"  #10 backoff read re-send 10\n" +
+		"  #11 backoff read re-send 11\n"
+	if got := fr.Render(); got != want {
+		t.Errorf("Render =\n%s\nwant\n%s", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		fr.Record("reader", "backoff", "x")
+		fr.Dump("step")
+	}); allocs != 0 {
+		t.Errorf("Record + Dump of full rings allocates %.1f objects, want 0", allocs)
 	}
 }
 

@@ -168,9 +168,12 @@ stage_done
 # invariant is gone and the gate fails. The fleet's survey-wide test
 # (TestSurveyAllocsDoNotScaleWithCapsules: a warm survey allocates its
 # report rows and otherwise the same few objects at 300 and 3000
-# capsules) runs here too, since the race build above leaves it out.
+# capsules) and its heap bound (TestCityFleetLiveHeap: a warm
+# 3000-capsule city fleet holds at most 8 MB of live heap, because its
+# links keep a gain and build no waveform channel) run here too, since
+# the race build above leaves them out.
 stage "AllocsPerRun half of the hotalloc cross-check (warm decode and read paths)"
-go test -run 'ZeroAlloc|SurveyAllocs' -count=1 ./internal/phy ./internal/dsp ./internal/coding \
+go test -run 'ZeroAlloc|SurveyAllocs|CityFleetLiveHeap' -count=1 ./internal/phy ./internal/dsp ./internal/coding \
 	./internal/fleet ./internal/shmwire
 go test -run 'ZeroAlloc|ReadSensorAllocs' -count=1 ./internal/reader
 stage_done
