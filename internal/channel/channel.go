@@ -247,12 +247,22 @@ func (c *Channel) rebuildConvolver() {
 // extended by the channel's maximum delay (rounded to the nearest sample),
 // so the final arrival is never truncated. Long inputs go through the
 // overlap-add FFT engine; short bursts stay on the direct sparse path.
-func (c *Channel) Transmit(x []float64) []float64 {
+func (c *Channel) Transmit(x []float64) []float64 { return c.TransmitInto(nil, x) }
+
+// TransmitInto is Transmit writing the received waveform into dst's storage
+// when its capacity holds it (a new slice otherwise). dst must not overlap
+// x.
+func (c *Channel) TransmitInto(dst, x []float64) []float64 {
 	if len(x) == 0 {
-		return nil
+		return dst[:0]
 	}
 	mTransmits.Inc()
-	out := make([]float64, c.conv.OutLen(len(x)))
+	n := c.conv.OutLen(len(x))
+	if cap(dst) < n {
+		dst = make([]float64, n)
+	}
+	out := dst[:n]
+	clear(out)
 	c.conv.ApplyTo(out, x)
 	for i := range out {
 		out[i] *= c.resGain

@@ -3,7 +3,8 @@ package coding
 import (
 	"errors"
 	"math"
-	"sync"
+
+	"ecocapsule/internal/conc"
 )
 
 // FM0 (bi-phase space) coding for the uplink (§3.4): the level always
@@ -70,16 +71,17 @@ type fm0Node struct {
 	bit  byte
 }
 
-// fm0TrellisPool recycles the Viterbi trellis between decodes so the warm
-// decode path allocates nothing.
-var fm0TrellisPool = sync.Pool{New: func() any { return new([][2]fm0Node) }}
+// fm0Trellises recycles the Viterbi trellis between decodes so the warm
+// decode path allocates nothing; it holds one trellis per decode that ever
+// ran concurrently.
+var fm0Trellises = conc.FreeList[*[][2]fm0Node]{New: func() *[][2]fm0Node { return new([][2]fm0Node) }}
 
 // FM0DecodeMLAppend is FM0DecodeML appending into dst: the trellis comes
-// from a pool, so when dst has spare capacity for the decoded bits the call
-// performs zero steady-state allocations. The decoded bits are byte-for-byte
-// identical to FM0DecodeML's.
+// from a free list, so when dst has spare capacity for the decoded bits the
+// call performs zero steady-state allocations. The decoded bits are
+// byte-for-byte identical to FM0DecodeML's.
 //
-//ecolint:hotpath pooled trellis; warm decodes into a caller buffer allocate nothing
+//ecolint:hotpath recycled trellis; warm decodes into a caller buffer allocate nothing
 func FM0DecodeMLAppend(dst []byte, halves []float64) []byte {
 	n := len(halves) / 2
 	if n == 0 {
@@ -89,9 +91,9 @@ func FM0DecodeMLAppend(dst []byte, halves []float64) []byte {
 		statePos = 0 // next symbol starts at +1
 		stateNeg = 1 // next symbol starts at −1
 	)
-	tp := fm0TrellisPool.Get().(*[][2]fm0Node)
+	tp := fm0Trellises.Get()
 	if cap(*tp) < n+1 {
-		//ecolint:ignore hotalloc trellis grows only until the pool converges on the largest frame
+		//ecolint:ignore hotalloc trellis grows only until the free list converges on the largest frame
 		*tp = make([][2]fm0Node, n+1)
 	}
 	// trellis[i][s] is the best path ending before symbol i in state s.
@@ -158,7 +160,7 @@ func FM0DecodeMLAppend(dst []byte, halves []float64) []byte {
 		dst[base+i-1] = trellis[i][s].bit
 		s = int(trellis[i][s].prev)
 	}
-	fm0TrellisPool.Put(tp)
+	fm0Trellises.Put(tp)
 	return dst
 }
 

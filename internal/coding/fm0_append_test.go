@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// TestFM0DecodeMLAppendMatchesML checks the pooled append decoder against
-// FM0DecodeML byte for byte over seeded noisy inputs, including appending
-// after existing content.
+// TestFM0DecodeMLAppendMatchesML checks the recycled-trellis append
+// decoder against FM0DecodeML byte for byte over seeded noisy inputs,
+// including appending after existing content.
 func TestFM0DecodeMLAppendMatchesML(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
@@ -43,7 +43,7 @@ func TestFM0DecodeMLAppendMatchesML(t *testing.T) {
 }
 
 // TestFM0DecodeMLAppendIgnoresPoolHistory pins that a decode does not
-// depend on what the pooled trellis last held: samples that overflow the
+// depend on what the recycled trellis last held: samples that overflow the
 // path metric leave every node unreachable, and the result must be the same
 // whichever frame was decoded before.
 func TestFM0DecodeMLAppendIgnoresPoolHistory(t *testing.T) {
@@ -58,7 +58,7 @@ func TestFM0DecodeMLAppendIgnoresPoolHistory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		FM0DecodeMLAppend(nil, clean) // leaves its trellis in the pool
+		FM0DecodeMLAppend(nil, clean) // leaves its trellis on the free list
 		got = append(got, FM0DecodeMLAppend(nil, huge))
 	}
 	if !bytes.Equal(got[0], got[1]) {
@@ -69,9 +69,6 @@ func TestFM0DecodeMLAppendIgnoresPoolHistory(t *testing.T) {
 // TestFM0DecodeMLAppendZeroAlloc pins the warm decode at zero steady-state
 // allocations when dst has spare capacity.
 func TestFM0DecodeMLAppendZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation defeats sync.Pool reuse; allocation counts are meaningless")
-	}
 	bits := make([]byte, 28)
 	for i := range bits {
 		bits[i] = byte(i % 2)
@@ -81,7 +78,7 @@ func TestFM0DecodeMLAppendZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := make([]byte, 0, len(bits))
-	dst = FM0DecodeMLAppend(dst, halves) // warm the trellis pool
+	dst = FM0DecodeMLAppend(dst, halves) // warm the trellis free list
 	if allocs := testing.AllocsPerRun(50, func() {
 		dst = FM0DecodeMLAppend(dst[:0], halves)
 	}); allocs != 0 {

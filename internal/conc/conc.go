@@ -1,6 +1,7 @@
 // Package conc provides the bounded work-stealing pool the fleet, link
 // and reader layers use to spread independent work items over the
-// available cores.
+// available cores, and FreeList, through which the waveform path's large
+// scratch buffers are recycled.
 //
 // # Determinism contract
 //

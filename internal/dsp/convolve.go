@@ -11,14 +11,18 @@ package dsp
 //     wins once the tap count outgrows the FFT's log factor.
 //
 // The Convolver owns both, picks per call with a calibrated cost model, and
-// reuses scratch buffers through a sync.Pool so steady-state Transmit calls
-// stay allocation-light. Real signals ride a half-size complex FFT (the
-// standard even/odd packing), halving the transform cost relative to a
-// naive complex FFT of the padded length.
+// takes its block scratch from a free list per padded length that every
+// convolver shares, so steady-state Transmit calls stay allocation-light
+// and the scratch held is bounded by how many transforms run at once. Real
+// signals ride a half-size complex FFT (the standard even/odd packing),
+// halving the transform cost relative to a naive complex FFT of the padded
+// length.
 
 import (
 	"math"
 	"sync"
+
+	"ecocapsule/internal/conc"
 )
 
 // fftCostWeight calibrates the cost model that picks between the direct and
@@ -154,18 +158,44 @@ func (c *Convolver) applyDirect(out, x []float64) {
 }
 
 // fftPlan caches everything one padded length needs: the shared real-FFT
-// plan (twiddles + untangling roots, from the package-level RFFT cache),
-// the kernel spectrum, and a pool of scratch buffers.
+// plan (from the package-level RFFT cache), the kernel spectrum, and the
+// shared free list of block scratch for that length.
 type fftPlan struct {
-	rp *RFFTPlan    // shared transform plan for padded length N
-	h  []complex128 // kernel spectrum, bins 0..N/2
-	// pool of *convScratch
-	pool sync.Pool
+	rp      *RFFTPlan    // shared transform plan for padded length N
+	h       []complex128 // kernel spectrum, bins 0..N/2
+	scratch *conc.FreeList[*convScratch]
 }
 
+// convScratch is the working storage of one N-point overlap-add block.
 type convScratch struct {
 	xs    []complex128 // N/2+1 spectrum bins
 	block []float64    // N-sample time-domain block
+}
+
+// The block scratch depends only on the padded length N, so convolvers
+// share it: one free list per N, holding at most as many scratches as
+// blocks of that length were ever in flight at once.
+var (
+	scratchMu sync.Mutex
+	//ecolint:guardedby scratchMu
+	scratchLists = make(map[int]*conc.FreeList[*convScratch])
+)
+
+// scratchList returns the shared free list of N-point block scratch.
+func scratchList(N int) *conc.FreeList[*convScratch] {
+	scratchMu.Lock()
+	defer scratchMu.Unlock()
+	l, ok := scratchLists[N]
+	if !ok {
+		l = &conc.FreeList[*convScratch]{New: func() *convScratch {
+			return &convScratch{
+				xs:    make([]complex128, N/2+1),
+				block: make([]float64, N),
+			}
+		}}
+		scratchLists[N] = l
+	}
+	return l
 }
 
 // plan returns (building if needed) the cached plan for padded length N.
@@ -176,20 +206,15 @@ func (c *Convolver) plan(N int) *fftPlan {
 		return p
 	}
 	rp := PlanRFFT(N)
-	p := &fftPlan{rp: rp}
-	p.pool.New = func() any {
-		return &convScratch{
-			xs:    make([]complex128, rp.HalfLen()),
-			block: make([]float64, N),
-		}
-	}
-	// Kernel spectrum: dense kernel, real-packed forward transform.
-	dense := make([]float64, N)
+	p := &fftPlan{rp: rp, scratch: scratchList(N)}
+	// Kernel spectrum: dense kernel, zero-extended real-packed forward
+	// transform.
+	dense := make([]float64, c.kernLen)
 	for t, off := range c.offsets {
 		dense[off] += c.gains[t]
 	}
 	p.h = make([]complex128, rp.HalfLen())
-	rp.Transform(p.h, dense)
+	rp.TransformPadded(p.h, dense)
 	c.plans[N] = p
 	return p
 }
@@ -197,15 +222,15 @@ func (c *Convolver) plan(N int) *fftPlan {
 // applyFFT is the overlap-add path: split x into B-sample blocks, convolve
 // each against the cached kernel spectrum, and add the N-long block results
 // (clipped to the true output support) into out. Warm calls (plan built,
-// pool populated) allocate nothing.
+// a scratch free) allocate nothing.
 //
 //ecolint:hotpath warm calls run on cached plan state
 func (c *Convolver) applyFFT(out, x []float64) {
 	N, B := c.blockPlan(len(x))
 	//ecolint:ignore hotalloc plan builds FFT state on the first (cold) call only; warm calls hit the plans map
 	p := c.plan(N)
-	sc := p.pool.Get().(*convScratch)
-	defer p.pool.Put(sc)
+	sc := p.scratch.Get()
+	defer p.scratch.Put(sc)
 	block := sc.block
 	m := N / 2
 	outLen := c.OutLen(len(x))
@@ -214,11 +239,8 @@ func (c *Convolver) applyFFT(out, x []float64) {
 		if end > len(x) {
 			end = len(x)
 		}
-		nb := copy(block, x[start:end])
-		for i := nb; i < N; i++ {
-			block[i] = 0
-		}
-		p.rp.Transform(sc.xs, block)
+		nb := end - start
+		p.rp.TransformPadded(sc.xs, x[start:end])
 		for k := 0; k <= m; k++ {
 			sc.xs[k] *= p.h[k]
 		}

@@ -2,7 +2,10 @@ package dsp
 
 import (
 	"math"
+	"runtime"
 	"testing"
+
+	"ecocapsule/internal/conc"
 )
 
 // convolvePath convolves x into a fresh OutLen(len(x)) slice: path "direct"
@@ -237,4 +240,58 @@ func TestConvolverPanicsOnBadKernel(t *testing.T) {
 		c := NewSparseConvolver([]int{3}, []float64{1})
 		c.ApplyTo(make([]float64, 2), []float64{1, 2})
 	})
+}
+
+// TestConvolverScratchSharedConcurrent: convolvers of one padded length
+// share its block scratch. Three links convolved one after another make
+// one scratch for that length; convolved concurrently on a fan-out of two
+// workers they give the serial outputs bit for bit and leave at most two,
+// not one per convolver.
+func TestConvolverScratchSharedConcurrent(t *testing.T) {
+	src := NewNoiseSource(0x5c)
+	const n = 6000
+	convs := make([]*Convolver, 3)
+	xs := make([][]float64, len(convs))
+	want := make([][]float64, len(convs))
+	for i := range convs {
+		offs, gains := randomKernel(src, 400, 2500)
+		offs[0] = 2499 // every kernel spans 2500 samples: one padded length
+		convs[i] = NewSparseConvolver(offs, gains)
+		xs[i] = make([]float64, n)
+		for j := range xs[i] {
+			xs[i][j] = src.Gaussian(1)
+		}
+		if !convs[i].fftFaster(n) {
+			t.Fatalf("link %d must route to the FFT path", i)
+		}
+	}
+	N, _ := convs[0].blockPlan(n)
+	before := scratchList(N).Len()
+	for i, c := range convs {
+		if got, _ := c.blockPlan(n); got != N {
+			t.Fatalf("link %d pads to %d, link 0 to %d", i, got, N)
+		}
+		want[i] = make([]float64, c.OutLen(n))
+		c.ApplyTo(want[i], xs[i])
+	}
+	if serial := scratchList(N).Len(); serial != max(before, 1) {
+		t.Fatalf("%d scratches of length %d after three links in turn (%d before), want %d", serial, N, before, max(before, 1))
+	}
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	got := make([][]float64, len(convs))
+	conc.For(len(convs), func(i int) {
+		got[i] = make([]float64, convs[i].OutLen(n))
+		convs[i].ApplyTo(got[i], xs[i])
+	})
+	for i := range want {
+		for j := range want[i] {
+			if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+				t.Fatalf("link %d sample %d: concurrent %x, serial %x", i, j, got[i][j], want[i][j])
+			}
+		}
+	}
+	if after := scratchList(N).Len(); after > max(before, 2) {
+		t.Errorf("%d scratches of length %d after three links on two workers (%d before), want at most 2", after, N, before)
+	}
 }

@@ -19,20 +19,20 @@ func benchSignal(n int) []float64 {
 }
 
 // BenchmarkFFT4096 times the production complex kernel (fftTab) on the
-// twiddle table of an 8192-point RFFT plan, whose packed transform is this
+// root table of an 8192-point RFFT plan, whose packed transform is this
 // 4096-point complex FFT.
 func BenchmarkFFT4096(b *testing.B) {
 	x := make([]complex128, 4096)
 	for i := range x {
 		x[i] = complex(math.Sin(float64(i)), 0)
 	}
-	tw := newRFFTPlan(2 * len(x)).tw
+	w := newRFFTPlan(2 * len(x)).wN
 	buf := make([]complex128, len(x))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(buf, x)
-		fftTab(buf, tw)
+		fftTab(buf, w)
 	}
 }
 

@@ -11,17 +11,20 @@ import (
 	"math/cmplx"
 )
 
-// fftTab is the in-place decimation-in-time FFT over a precomputed twiddle
-// table (tw[k] = e^{-2πik/len(x)}, len(tw) = len(x)/2); len(x) must be a
-// power of two. It computes the radix-2 schedule — stages of length 2, 4,
-// …, n, each butterfly multiplying by tw[j·n/length] — but fuses the stages
-// in pairs: one radix-4 pass over each group of four elements applies stage
-// L and stage 2L together, so the array is swept half as often. Every
-// butterfly still takes the same table entry in the same stage order (the
-// pair's −i factor stays the table's rounded entry, not an exact −i), so the
-// output is bit-identical to the one-stage-per-pass loop (guarded by
-// TestFFTTabBitIdentical). When log2 n is odd the last stage runs alone.
-func fftTab(x []complex128, tw []complex128) {
+// fftTab is the in-place decimation-in-time FFT over a precomputed table of
+// roots at twice its size (w[k] = e^{-2πik/(2·len(x))}, len(w) >= len(x)):
+// the twiddle e^{-2πik/len(x)} is w[2k], the same float64, so an RFFT plan's
+// untangling roots serve as its twiddles and no second table is kept.
+// len(x) must be a power of two. It computes the radix-2 schedule — stages
+// of length 2, 4, …, n, each butterfly multiplying by twiddle j·n/length —
+// but fuses the stages in pairs: one radix-4 pass over each group of four
+// elements applies stage L and stage 2L together, so the array is swept
+// half as often. Every butterfly still takes the same table entry in the
+// same stage order (the pair's −i factor stays the table's rounded entry,
+// not an exact −i), so the output is bit-identical to the
+// one-stage-per-pass loop (guarded by TestFFTTabBitIdentical). When log2 n
+// is odd the last stage runs alone.
+func fftTab(x []complex128, w []complex128) {
 	n := len(x)
 	if n <= 1 {
 		return
@@ -29,10 +32,11 @@ func fftTab(x []complex128, tw []complex128) {
 	bitReverse(x)
 	length := 2
 	for ; 2*length <= n; length <<= 2 {
-		// Stage `length` pairs (j, j+h) and (j+2h, j+3h) with stride s1;
-		// stage 2·length then pairs (j, j+2h) and (j+h, j+3h) with s1/2.
+		// Stage `length` pairs (j, j+h) and (j+2h, j+3h) with twiddle
+		// stride n/length; stage 2·length then pairs (j, j+2h) and
+		// (j+h, j+3h) with half that stride. Strides into w are doubled.
 		h := length / 2
-		s1 := n / length
+		s1 := 2 * n / length
 		s2 := s1 / 2
 		for i := 0; i < n; i += 2 * length {
 			q0 := x[i : i+h]
@@ -40,14 +44,14 @@ func fftTab(x []complex128, tw []complex128) {
 			q2 := x[i+2*h : i+3*h][:len(q0)]
 			q3 := x[i+3*h : i+4*h][:len(q0)]
 			for j := range q0 {
-				w1 := tw[j*s1]
+				w1 := w[j*s1]
 				v := q1[j] * w1
 				b0, b1 := q0[j]+v, q0[j]-v
 				v = q3[j] * w1
 				b2, b3 := q2[j]+v, q2[j]-v
-				v = b2 * tw[j*s2]
+				v = b2 * w[j*s2]
 				q0[j], q2[j] = b0+v, b0-v
-				v = b3 * tw[(j+h)*s2]
+				v = b3 * w[(j+h)*s2]
 				q1[j], q3[j] = b1+v, b1-v
 			}
 		}
@@ -57,7 +61,7 @@ func fftTab(x []complex128, tw []complex128) {
 		h := n / 2
 		lo, hi := x[:h], x[h:]
 		for j := range lo {
-			v := hi[j] * tw[j]
+			v := hi[j] * w[2*j]
 			lo[j], hi[j] = lo[j]+v, lo[j]-v
 		}
 	}
@@ -123,10 +127,8 @@ func Spectrum(x []float64, fs float64) (freqs, mags []float64) {
 	}
 	n := NextPow2(len(x))
 	p := PlanRFFT(n)
-	buf := make([]float64, n)
-	copy(buf, x)
 	spec := make([]complex128, p.HalfLen())
-	p.Transform(spec, buf)
+	p.TransformPadded(spec, x)
 	half := n/2 + 1
 	freqs = make([]float64, half)
 	mags = make([]float64, half)

@@ -64,6 +64,18 @@ func IFFT(x []complex128) {
 	}
 }
 
+// complexTwiddles is the size-n complex FFT's own twiddle table,
+// tw[k] = e^{-2πik/n} for k < n/2, computed at that size: the table fftTab
+// reads at stride 2 from an RFFT plan's roots must equal it bit for bit.
+func complexTwiddles(n int) []complex128 {
+	tw := make([]complex128, n/2)
+	for k := range tw {
+		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
+		tw[k] = complex(c, s)
+	}
+	return tw
+}
+
 // fftTabRadix2 is the table-driven radix-2 DIT FFT with one pass per stage
 // and an incremental bit-reversal: the schedule fftTab fuses.
 func fftTabRadix2(x []complex128, tw []complex128) {
@@ -108,7 +120,7 @@ func rfftModulo(p *RFFTPlan, spec []complex128, x []float64) {
 	for j := range z {
 		z[j] = complex(x[2*j], x[2*j+1])
 	}
-	fftTabRadix2(z, p.tw)
+	fftTabRadix2(z, complexTwiddles(m))
 	for k := 0; k <= m; k++ {
 		zk := z[k%m]
 		zr := cconj(z[(m-k)%m])
@@ -136,7 +148,7 @@ func irfftRadix2(p *RFFTPlan, y []float64, spec []complex128) {
 	for i := range z {
 		z[i] = cconj(z[i])
 	}
-	fftTabRadix2(z, p.tw)
+	fftTabRadix2(z, complexTwiddles(m))
 	inv := 1 / float64(m)
 	for i := range z {
 		z[i] = complex(real(z[i])*inv, -imag(z[i])*inv)
@@ -154,13 +166,16 @@ func sameBits(a, b complex128) bool {
 		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
 }
 
-// TestFFTTabBitIdentical: the fused-pass kernel reproduces the radix-2
-// schedule bit for bit at every length 2¹…2¹⁸, odd and even log2 alike,
-// on noise and on inputs with exact zeros and signed zeros.
+// TestFFTTabBitIdentical: the fused-pass kernel, reading its twiddles at
+// stride 2 from the roots of the RFFT plan it serves, reproduces the
+// radix-2 schedule on the size-n complex table bit for bit at every length
+// 2¹…2¹⁸, odd and even log2 alike, on noise and on inputs with exact zeros
+// and signed zeros.
 func TestFFTTabBitIdentical(t *testing.T) {
 	for lg := 1; lg <= 18; lg++ {
 		n := 1 << lg
-		tw := newRFFTPlan(2 * n).tw // the size-n complex table
+		w := newRFFTPlan(2 * n).wN // the plan whose packed transform is size n
+		tw := complexTwiddles(n)
 		src := NewNoiseSource(int64(lg))
 		inputs := map[string][]complex128{
 			"noise":  make([]complex128, n),
@@ -175,7 +190,7 @@ func TestFFTTabBitIdentical(t *testing.T) {
 		for name, in := range inputs {
 			got := append([]complex128(nil), in...)
 			want := append([]complex128(nil), in...)
-			fftTab(got, tw)
+			fftTab(got, w)
 			fftTabRadix2(want, tw)
 			for k := range got {
 				if !sameBits(got[k], want[k]) {
@@ -186,8 +201,10 @@ func TestFFTTabBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRFFTPlanBitIdentical: Transform (bins 0 and m untangled outside the
-// loop) and Inverse equal the modulo-untangling radix-2 versions exactly.
+// TestRFFTPlanBitIdentical: Transform (packed, transformed and untangled in
+// place, bins k and m-k together) and Inverse equal the modulo-untangling
+// radix-2 versions exactly. Inverse overwrites the spectrum it reads, so it
+// gets a copy.
 func TestRFFTPlanBitIdentical(t *testing.T) {
 	for lg := 0; lg <= 16; lg++ {
 		n := 1 << lg
@@ -208,7 +225,7 @@ func TestRFFTPlanBitIdentical(t *testing.T) {
 		}
 		y := make([]float64, n)
 		yWant := make([]float64, n)
-		p.Inverse(y, got)
+		p.Inverse(y, append([]complex128(nil), got...))
 		irfftRadix2(p, yWant, got)
 		for i := range y {
 			if math.Float64bits(y[i]) != math.Float64bits(yWant[i]) {
@@ -222,7 +239,8 @@ func TestRFFTPlanBitIdentical(t *testing.T) {
 // the 2^18-point complex size of a round-length RFFT.
 func BenchmarkFFTTab(b *testing.B) {
 	const n = 1 << 18
-	tw := newRFFTPlan(2 * n).tw
+	w := newRFFTPlan(2 * n).wN
+	tw := complexTwiddles(n)
 	src := NewNoiseSource(5)
 	x := make([]complex128, n)
 	for i := range x {
@@ -230,13 +248,14 @@ func BenchmarkFFTTab(b *testing.B) {
 	}
 	buf := make([]complex128, n)
 	for _, k := range []struct {
-		name string
-		fft  func([]complex128, []complex128)
-	}{{"fused", fftTab}, {"radix2", fftTabRadix2}} {
+		name  string
+		fft   func([]complex128, []complex128)
+		table []complex128
+	}{{"fused", fftTab, w}, {"radix2", fftTabRadix2, tw}} {
 		b.Run(k.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(buf, x)
-				k.fft(buf, tw)
+				k.fft(buf, k.table)
 			}
 		})
 	}

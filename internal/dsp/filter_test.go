@@ -85,9 +85,6 @@ func TestDecimateComplexZeroAlloc(t *testing.T) {
 // zero steady-state allocations (the block buffer used to be allocated per
 // call).
 func TestConvolverWarmZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation defeats sync.Pool reuse; allocation counts are meaningless")
-	}
 	src := NewNoiseSource(11)
 	offs := make([]int, 200)
 	gains := make([]float64, 200)

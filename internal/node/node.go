@@ -106,10 +106,16 @@ type Node struct {
 	lastSlotDraw int
 }
 
+// defaultShell is the resin prototype shell of every node configured
+// without one. Its Material is shared by all of them: a Material holds only
+// values and nothing writes through Shell.Material, so one resin serves a
+// whole fleet instead of one copy per capsule.
+var defaultShell = physics.ResinShell()
+
 // New constructs a node with defaults filled in.
 func New(cfg Config) *Node {
 	if cfg.Shell == (physics.Shell{}) {
-		cfg.Shell = physics.ResinShell()
+		cfg.Shell = defaultShell
 	}
 	if cfg.HRA.Cells == 0 {
 		cfg.HRA = physics.PaperHRA()

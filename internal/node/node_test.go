@@ -5,6 +5,7 @@ import (
 
 	"ecocapsule/internal/geometry"
 	"ecocapsule/internal/material"
+	"ecocapsule/internal/physics"
 	"ecocapsule/internal/protocol"
 	"ecocapsule/internal/sensors"
 	"ecocapsule/internal/units"
@@ -266,6 +267,27 @@ func TestEmbedCheck(t *testing.T) {
 	}
 	if err := n.EmbedCheck(2300, 500); err == nil {
 		t.Error("500 m embedment must fail the resin shell")
+	}
+}
+
+// TestDefaultShellSharesOneResin: nodes configured without a shell share
+// one resin Material, equal to the published prototype's, instead of
+// holding a copy each; a configured shell is kept as given.
+func TestDefaultShellSharesOneResin(t *testing.T) {
+	a, b := newTestNode(15), newTestNode(16)
+	if a.cfg.Shell.Material != b.cfg.Shell.Material {
+		t.Fatal("two default nodes hold distinct resin materials, want one shared")
+	}
+	want := physics.ResinShell()
+	got := a.cfg.Shell
+	if *got.Material != *want.Material || got.OuterDiameter != want.OuterDiameter ||
+		got.WallThickness != want.WallThickness || got.MaxPressureDelta != want.MaxPressureDelta {
+		t.Errorf("default shell %+v (material %+v), want the resin prototype %+v (material %+v)",
+			got, *got.Material, want, *want.Material)
+	}
+	steel := physics.SteelShell()
+	if n := New(Config{Handle: 0x0017, Shell: steel}); n.cfg.Shell != steel {
+		t.Error("a configured shell was replaced")
 	}
 }
 

@@ -8,8 +8,9 @@ package phy
 // ~2·bitrate of a ~1 MS/s capture, so everything after the filter —
 // moving-baseline removal, principal-axis projection, the prefix sums, and
 // the pilot correlation and matched filter feeding the FM0 trellis — runs
-// on the n/D kept samples. The front end runs once per capture into pooled
-// scratch.
+// on the n/D kept samples. The front end runs once per capture into
+// recycled scratch (a conc.FreeList, holding one scratch per decode that
+// ever ran concurrently).
 //
 // D (decimation) is derived from the filter and the uplink: the kernel's
 // stopband edge must stay below fs/D − bw, so nothing it passes aliases into
@@ -36,9 +37,9 @@ import (
 	"errors"
 	"math"
 	"math/cmplx"
-	"sync"
 
 	"ecocapsule/internal/coding"
+	"ecocapsule/internal/conc"
 	"ecocapsule/internal/dsp"
 )
 
@@ -75,12 +76,13 @@ func (rx *ReaderRX) decimation() int {
 var pilotHalves = pilotTemplate()
 
 // feScratch holds every buffer of one capture's decode front-end; instances
-// recycle through fePool so the warm decode path allocates nothing.
+// recycle through feScratches so the warm decode path allocates nothing.
 type feScratch struct {
-	pad    []float64    // zero-padded FFT input for carrier estimation
-	spec   []complex128 // packed half-spectrum
-	mixed  []complex128 // full-rate MixDown output
-	taps   []float64    // low-pass kernel, designed for (tapsFS, tapsBW)
+	// mixed holds the packed carrier spectrum (n/2+1 bins of the capture's
+	// NextPow2 length n, never more than the capture), then the full-rate
+	// MixDown output, then the baseline-removed baseband.
+	mixed  []complex128
+	taps   []float64 // low-pass kernel, designed for (tapsFS, tapsBW)
 	tapsFS float64
 	tapsBW float64
 	bb     []complex128 // low-passed complex baseband at the kept samples
@@ -95,9 +97,9 @@ type feScratch struct {
 	m      int          // kept samples, ⌈n/d⌉
 }
 
-var fePool = sync.Pool{New: func() any { return &feScratch{} }}
+var feScratches = conc.FreeList[*feScratch]{New: func() *feScratch { return &feScratch{} }}
 
-//ecolint:hotpath grows only until the pooled scratch reaches the largest capture; steady state reslices
+//ecolint:hotpath grows only until the recycled scratch reaches the largest capture; steady state reslices
 func growF(b []float64, n int) []float64 {
 	if cap(b) < n {
 		//ecolint:ignore hotalloc cold-path capacity growth; warm calls take the reslice branch
@@ -106,7 +108,7 @@ func growF(b []float64, n int) []float64 {
 	return b[:n]
 }
 
-//ecolint:hotpath grows only until the pooled scratch reaches the largest capture; steady state reslices
+//ecolint:hotpath grows only until the recycled scratch reaches the largest capture; steady state reslices
 func growC(b []complex128, n int) []complex128 {
 	if cap(b) < n {
 		//ecolint:ignore hotalloc cold-path capacity growth; warm calls take the reslice branch
@@ -117,21 +119,20 @@ func growC(b []complex128, n int) []complex128 {
 
 // estimateCarrierFast reproduces the reference carrier estimate (the
 // strongest bin of the zero-padded spectrum, refined by peakOffset) bit for
-// bit, but through the pooled scratch and the cached real-input FFT plan
-// instead of fresh spectrum slices.
+// bit, but through the cached real-input FFT plan's zero-extending
+// transform into the scratch's mixing buffer, which MixDown overwrites once
+// the carrier is known.
 //
-//ecolint:hotpath runs once per capture on pooled scratch and the shared RFFT plan
+//ecolint:hotpath runs once per capture on recycled scratch and the shared RFFT plan
 func (rx *ReaderRX) estimateCarrierFast(sc *feScratch, signal []float64) (float64, error) {
 	if len(signal) == 0 {
 		return 0, ErrNoCarrier
 	}
 	n := dsp.NextPow2(len(signal))
 	p := dsp.PlanRFFT(n)
-	sc.pad = growF(sc.pad, n)
-	copy(sc.pad, signal)
-	clear(sc.pad[len(signal):])
-	sc.spec = growC(sc.spec, p.HalfLen())
-	p.Transform(sc.spec, sc.pad)
+	sc.mixed = growC(sc.mixed, len(signal))
+	spec := sc.mixed[:p.HalfLen()] // n/2+1 <= len(signal), since n < 2·len(signal)
+	p.TransformPadded(spec, signal)
 	fLo := rx.CarrierHint - rx.CarrierSearch
 	fHi := rx.CarrierHint + rx.CarrierSearch
 	best, bestMag := -1, -1.0
@@ -140,7 +141,7 @@ func (rx *ReaderRX) estimateCarrierFast(sc *feScratch, signal []float64) (float6
 		if f < fLo || f > fHi {
 			continue
 		}
-		if m := sc.binMag(i, len(signal)); m > bestMag {
+		if m := binMag(spec, i, len(signal)); m > bestMag {
 			best, bestMag = i, m
 		}
 	}
@@ -151,15 +152,15 @@ func (rx *ReaderRX) estimateCarrierFast(sc *feScratch, signal []float64) (float6
 	if best == n/2 {
 		return float64(best) * bin, nil
 	}
-	a, c := sc.binMag(best-1, len(signal)), sc.binMag(best+1, len(signal))
+	a, c := binMag(spec, best-1, len(signal)), binMag(spec, best+1, len(signal))
 	return (float64(best) + peakOffset(a, bestMag, c)) * bin, nil
 }
 
-// binMag is the folded single-sided magnitude of bin i of the spectrum of
-// an l-sample capture, as dsp.Spectrum computes it.
-func (sc *feScratch) binMag(i, l int) float64 {
-	m := cmplx.Abs(sc.spec[i]) / float64(l)
-	if i != 0 && i != len(sc.spec)-1 {
+// binMag is the folded single-sided magnitude of bin i of the packed
+// spectrum spec of an l-sample capture, as dsp.Spectrum computes it.
+func binMag(spec []complex128, i, l int) float64 {
+	m := cmplx.Abs(spec[i]) / float64(l)
+	if i != 0 && i != len(spec)-1 {
 		m *= 2
 	}
 	return m
@@ -189,7 +190,7 @@ func peakOffset(a, b, c float64) float64 {
 // estimate, the decimated low-passed baseband, and its projection and
 // prefix sums (project).
 //
-//ecolint:hotpath the once-per-capture front-end; all buffers come from pooled scratch
+//ecolint:hotpath the once-per-capture front-end; all buffers come from recycled scratch
 func (rx *ReaderRX) frontEnd(sc *feScratch, signal []float64) (float64, error) {
 	fc, err := rx.estimateCarrierFast(sc, signal)
 	if err != nil {
@@ -198,7 +199,7 @@ func (rx *ReaderRX) frontEnd(sc *feScratch, signal []float64) (float64, error) {
 	n := len(signal)
 	bw := rx.Bitrate*2 + rx.GuardBand
 	if sc.tapsFS != rx.SampleRate || sc.tapsBW != bw {
-		//ecolint:ignore hotalloc the kernel is designed once per pooled scratch and filter shape; warm captures reuse it
+		//ecolint:ignore hotalloc the kernel is designed once per scratch and filter shape; warm captures reuse it
 		sc.taps = dsp.FIRLowPass(rx.SampleRate, bw, lowpassTaps)
 		sc.tapsFS, sc.tapsBW = rx.SampleRate, bw
 	}
@@ -217,7 +218,7 @@ func (rx *ReaderRX) frontEnd(sc *feScratch, signal []float64) (float64, error) {
 // matched-filter window reads from. The arithmetic is the reference
 // basebandAC's at the kept-sample rate SampleRate/d.
 //
-//ecolint:hotpath per-kept-sample loops on pooled scratch
+//ecolint:hotpath per-kept-sample loops on recycled scratch
 func (rx *ReaderRX) project(sc *feScratch, n, d int) {
 	bb := sc.bb
 	m := len(bb)
@@ -404,9 +405,9 @@ func (rx *ReaderRX) syncWindow(sc *feScratch, lo, hi, searchLimit int) (int, err
 // demodWindow integrates the half-symbols of nBits bits starting at sample
 // start (bounded by hi), normalises, and decodes — demodulateReference's
 // back half on the shared front-end. FM0 bits are appended to dst through
-// the pooled trellis decoder, so warm calls allocate nothing.
+// the recycled-trellis decoder, so warm calls allocate nothing.
 //
-//ecolint:hotpath matched filter + trellis decode on pooled buffers
+//ecolint:hotpath matched filter + trellis decode on recycled buffers
 func (rx *ReaderRX) demodWindow(sc *feScratch, dst []byte, start, nBits, hi int) ([]byte, error) {
 	if nBits <= 0 {
 		return nil, errNBitsNotPositive
@@ -452,14 +453,14 @@ func (rx *ReaderRX) DemodulateFrame(signal []float64, nBits int) ([]byte, error)
 }
 
 // DemodulateFrameInto is DemodulateFrame appending the payload bits to dst.
-// When dst has capacity for nBits and the front-end pools are warm, the
+// When dst has capacity for nBits and a front-end scratch is free, the
 // whole decode performs zero steady-state allocations (FM0 coding; the
 // Miller decoder still allocates its symbol buffer).
 //
 //ecolint:hotpath zero-alloc invariant guarded by TestDemodulateFrameIntoZeroAlloc
 func (rx *ReaderRX) DemodulateFrameInto(dst []byte, signal []float64, nBits int) ([]byte, error) {
-	sc := fePool.Get().(*feScratch)
-	defer fePool.Put(sc)
+	sc := feScratches.Get()
+	defer feScratches.Put(sc)
 	if _, err := rx.frontEnd(sc, signal); err != nil {
 		cDemodNoSync.Inc()
 		return nil, err
@@ -477,7 +478,7 @@ func (rx *ReaderRX) DemodulateFrameInto(dst []byte, signal []float64, nBits int)
 // payload is sc.bits[len(PilotBits):]. DemodulateFrameInto is the window
 // [0, n); DemodulateSlots runs it once per slot.
 //
-//ecolint:hotpath per-window sync and demodulation on pooled scratch
+//ecolint:hotpath per-window sync and demodulation on recycled scratch
 func (rx *ReaderRX) decodeWindow(sc *feScratch, lo, hi, nBits int) (int, error) {
 	limit := rx.frameSearchLimit(hi-lo, nBits)
 	if limit <= 0 {
@@ -565,8 +566,8 @@ func (rx *ReaderRX) DemodulateSlots(signal []float64, slots []Slot) []SlotBits {
 	if len(slots) == 0 {
 		return out
 	}
-	sc := fePool.Get().(*feScratch)
-	defer fePool.Put(sc)
+	sc := feScratches.Get()
+	defer feScratches.Put(sc)
 	if _, err := rx.frontEnd(sc, signal); err != nil {
 		for i := range out {
 			out[i].Err = err
@@ -585,7 +586,7 @@ func (rx *ReaderRX) DemodulateSlots(signal []float64, slots []Slot) []SlotBits {
 			continue
 		}
 		out[i] = SlotBits{
-			//ecolint:ignore hotalloc each decoded payload escapes to the caller by contract; scratch bits are pooled
+			//ecolint:ignore hotalloc each decoded payload escapes to the caller by contract; scratch bits are recycled
 			Bits:  append([]byte(nil), sc.bits[len(PilotBits):]...),
 			Start: start,
 		}

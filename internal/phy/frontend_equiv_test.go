@@ -293,15 +293,12 @@ func TestDemodulateSlotsRejectsBadWindows(t *testing.T) {
 // bench-gated uplink_round_decode hot path — at zero steady-state
 // allocations when the caller supplies payload capacity.
 func TestDemodulateFrameIntoZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation defeats sync.Pool reuse; allocation counts are meaningless")
-	}
 	payload := []byte{1, 0, 0, 1, 1, 0, 1, 0}
 	capture := buildCaptureAt(t, 250e3, 60e3, payload, 2e-3, 0.01, 3)
 	rx := equivRX()
 	dst := make([]byte, 0, len(payload))
 	var err error
-	dst, err = rx.DemodulateFrameInto(dst[:0], capture, len(payload)) // warm pools
+	dst, err = rx.DemodulateFrameInto(dst[:0], capture, len(payload)) // warm the scratch free list
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +315,7 @@ func TestDemodulateFrameIntoZeroAlloc(t *testing.T) {
 }
 
 // TestConcurrentDecodeSharedReader exercises the shared plan caches and
-// scratch pools from concurrent goroutines (meaningful under -race): every
+// scratch free lists from concurrent goroutines (meaningful under -race): every
 // goroutine must reproduce the single-threaded decode exactly.
 func TestConcurrentDecodeSharedReader(t *testing.T) {
 	payload := []byte{1, 1, 0, 1, 0, 0, 1, 0}

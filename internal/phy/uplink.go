@@ -67,6 +67,12 @@ func (tx *BackscatterTX) encode(bits []byte) ([]float64, error) {
 // the incident carrier samples. The incident slice must cover the full
 // frame duration; the result has the same length.
 func (tx *BackscatterTX) Modulate(bits []byte, incident []float64) ([]float64, error) {
+	return tx.ModulateInto(nil, bits, incident)
+}
+
+// ModulateInto is Modulate writing the waveform into dst's storage when its
+// capacity holds the frame (a new slice otherwise).
+func (tx *BackscatterTX) ModulateInto(dst []float64, bits []byte, incident []float64) ([]float64, error) {
 	halves, err := tx.encode(bits)
 	if err != nil {
 		return nil, err
@@ -79,8 +85,7 @@ func (tx *BackscatterTX) Modulate(bits []byte, incident []float64) ([]float64, e
 	if len(incident) < need {
 		return nil, errors.New("phy: incident carrier shorter than the frame")
 	}
-	out := tx.Synth.BackscatterModulate(incident[:need], states, half, tx.ReflectGain, tx.AbsorbGain)
-	return out, nil
+	return tx.Synth.BackscatterModulateInto(dst, incident[:need], states, half, tx.ReflectGain, tx.AbsorbGain), nil
 }
 
 // ReaderRX is the reader's uplink receive chain (§5.1): estimate the

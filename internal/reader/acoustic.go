@@ -110,7 +110,9 @@ type AcousticReadResult struct {
 // its channel and noise source), so they fan out over conc.For, one item
 // per slot; their outputs are summed into the capture
 // serially in slot order, so the capture is bit-identical at any
-// GOMAXPROCS.
+// GOMAXPROCS. The capture and each slot's waveforms live in round buffers
+// taken from a free list shared by every reader and returned once the
+// round is decoded, so a warm round allocates none of them.
 func (r *Reader) AcousticReadRound(handles []uint16, st sensors.SensorType, cfg AcousticConfig) []AcousticReadResult {
 	out := make([]AcousticReadResult, len(handles))
 	if len(handles) == 0 {
@@ -196,21 +198,26 @@ func (r *Reader) AcousticReadRound(handles []uint16, st sensors.SensorType, cfg 
 	// One incident carrier spans the round; the CBW leakage couples into
 	// the RX across the whole capture at the configured coupling gain.
 	incident := r.roundCarrier(syn, total)
-	ys := make([][]float64, len(plans))
+	bufs := roundBuffers.Get()
+	defer roundBuffers.Put(bufs)
+	bufs.fit(len(plans), total)
 	errs := make([]error, len(plans))
 	conc.For(len(plans), func(s int) {
-		bs, err := btx.Modulate(plans[s].bits, incident[slots[s].Start+lead:])
+		bs, err := btx.ModulateInto(bufs.mod[s], plans[s].bits, incident[slots[s].Start+lead:])
 		if err != nil {
 			errs[s] = err
 			return
 		}
-		ys[s] = plans[s].ch.Transmit(bs)
+		bufs.mod[s] = bs
+		bufs.rx[s] = plans[s].ch.TransmitInto(bufs.rx[s], bs)
 	})
-	capture := make([]float64, total)
+	capture := bufs.capture
 	if cfg.LeakageGain > 0 {
 		for i := range capture {
 			capture[i] = cfg.LeakageGain * incident[i]
 		}
+	} else {
+		clear(capture)
 	}
 	for s, p := range plans {
 		if errs[s] != nil {
@@ -218,7 +225,7 @@ func (r *Reader) AcousticReadRound(handles []uint16, st sensors.SensorType, cfg 
 			continue
 		}
 		base := slots[s].Start + lead
-		for i, v := range ys[s] {
+		for i, v := range bufs.rx[s] {
 			if base+i >= len(capture) {
 				break
 			}
@@ -253,32 +260,62 @@ func (r *Reader) AcousticReadRound(handles []uint16, st sensors.SensorType, cfg 
 	return out
 }
 
+// roundBufs is the large working storage of one acoustic round: the
+// capture and each slot's modulated and received waveforms.
+type roundBufs struct {
+	capture []float64
+	mod, rx [][]float64 // per slot
+}
+
+// roundBuffers recycles round buffers across rounds and readers: it holds
+// one set per round that ever ran concurrently, however many readers
+// share it.
+var roundBuffers = conc.FreeList[*roundBufs]{New: func() *roundBufs { return new(roundBufs) }}
+
+// fit sizes b for a round of the given slots and capture length. The
+// per-slot waveforms keep whatever storage they had; ModulateInto and
+// TransmitInto size them.
+func (b *roundBufs) fit(slots, total int) {
+	if cap(b.capture) < total {
+		b.capture = make([]float64, total)
+	}
+	b.capture = b.capture[:total]
+	for len(b.mod) < slots {
+		b.mod = append(b.mod, nil)
+		b.rx = append(b.rx, nil)
+	}
+}
+
 // roundCarrier returns the incident CBW of a round that captures total
 // samples at the synth's rate: 2 ms longer than the capture, so every
-// slot's frame is covered. The previous round's carrier is reused when the
-// rate and length match — a re-read round of fewer slots renders a new one,
-// and the next full round renders it again. The slice is never written
-// after it is built, so concurrent rounds may share it.
+// slot's frame is covered. Synth.Tone accumulates the phase sample by
+// sample, so the first k samples of a longer render are those of a
+// k-sample render bit for bit: a round no longer than the longest carrier
+// the reader has rendered at this rate takes its prefix, and only a longer
+// round renders (and keeps) a new one. The slice is never written after it
+// is built, so concurrent rounds may share it.
 func (r *Reader) roundCarrier(syn *waveform.Synth, total int) []float64 {
 	fs := syn.SampleRate
+	dur := float64(total)/fs + 2e-3
+	n := syn.Samples(dur)
 	r.mu.Lock()
 	c := r.carrier
-	reuse := c.fs == fs && c.total == total
 	r.mu.Unlock()
-	if reuse {
-		return c.samples
+	if c.fs == fs && len(c.samples) >= n {
+		return c.samples[:n:n]
 	}
-	c = roundCBW{fs: fs, total: total, samples: syn.CBW(physics.CarrierHz, 1.0, float64(total)/fs+2e-3)}
+	c = roundCBW{fs: fs, samples: syn.CBW(physics.CarrierHz, 1.0, dur)}
 	r.mu.Lock()
-	r.carrier = c
+	if r.carrier.fs != fs || len(r.carrier.samples) < len(c.samples) {
+		r.carrier = c
+	}
 	r.mu.Unlock()
 	return c.samples
 }
 
-// roundCBW is a rendered round carrier and the shape it was built for.
+// roundCBW is a rendered round carrier and the rate it was rendered at.
 type roundCBW struct {
 	//ecolint:unit hz
 	fs      float64
-	total   int
 	samples []float64
 }

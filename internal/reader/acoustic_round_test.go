@@ -9,8 +9,10 @@ import (
 
 	"ecocapsule/internal/channel"
 	"ecocapsule/internal/geometry"
+	"ecocapsule/internal/physics"
 	"ecocapsule/internal/protocol"
 	"ecocapsule/internal/sensors"
+	"ecocapsule/internal/waveform"
 )
 
 // TestAcousticReadRoundMatchesPerNodeReads: the 3-slot round matches three
@@ -288,6 +290,157 @@ func TestAcousticReadRoundBitIdenticalAfterShorterRound(t *testing.T) {
 	r.AcousticReadRound(full, sensors.TypeTempHumidity, cfg)
 	if after := carrier(r); &after[0] != &before[0] {
 		t.Error("a round of the same shape rendered a new carrier instead of reusing it")
+	}
+}
+
+// TestRoundCarrierPrefixBitIdentical: a full → single → full round
+// sequence renders the carrier once. The single round reads a prefix of the
+// full round's carrier, equal on IEEE bits to a fresh render of its own
+// length, so it decodes exactly what the same round decodes on a fresh
+// reader.
+func TestRoundCarrierPrefixBitIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full acoustic pipeline integration case; run without -short to exercise it")
+	}
+	all, xs := []uint16{0x41, 0x42, 0x43, 0x44}, []float64{0.6, 0.8, 1.5, 1.0}
+	full, single := all[:3], all[3:]
+	cfg := roundConfig()
+	carrier := func(r *Reader) []float64 {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return r.carrier.samples
+	}
+
+	r := roundReader(t, all, xs)
+	r.AcousticReadRound(full, sensors.TypeTempHumidity, cfg)
+	rendered := carrier(r)
+	got := r.AcousticReadRound(single, sensors.TypeTempHumidity, cfg)
+	r.AcousticReadRound(full, sensors.TypeTempHumidity, cfg)
+	if after := carrier(r); &after[0] != &rendered[0] || len(after) != len(rendered) {
+		t.Fatal("the single round or the second full round rendered a new carrier")
+	}
+	syn := waveform.NewSynth(cfg.SampleRate)
+	short := len(rendered) / 2
+	if p := r.roundCarrier(syn, short); &p[0] != &rendered[0] || len(p) != syn.Samples(float64(short)/cfg.SampleRate+2e-3) {
+		t.Fatal("a shorter round's carrier is not a prefix of the rendered one")
+	}
+
+	fresh := roundReader(t, all, xs)
+	want := fresh.AcousticReadRound(single, sensors.TypeTempHumidity, cfg)
+	if want[0].Err != nil {
+		t.Fatalf("single round on a fresh reader: %v", want[0].Err)
+	}
+	requireSameResults(t, "single round on a prefix carrier", got, want)
+	own := carrier(fresh)
+	if len(own) >= len(rendered) {
+		t.Fatalf("single round carrier has %d samples, want fewer than the full round's %d", len(own), len(rendered))
+	}
+	render := syn.CBW(physics.CarrierHz, 1.0, (float64(len(own))+0.5)/cfg.SampleRate)
+	if len(render) != len(own) {
+		t.Fatalf("fresh render has %d samples, want %d", len(render), len(own))
+	}
+	for i, v := range render {
+		if math.Float64bits(v) != math.Float64bits(rendered[i]) || math.Float64bits(v) != math.Float64bits(own[i]) {
+			t.Fatalf("sample %d: prefix %x, fresh render %x (single round's own %x)", i, rendered[i], v, own[i])
+		}
+	}
+}
+
+// TestAcousticReadRoundConcurrentMatchesSerial: rounds that run at once
+// take distinct round buffers, decoder scratches and convolver scratches
+// from the shared free lists and decode the serial results bit for bit —
+// two rounds over disjoint capsules on one reader, and one round each on
+// two readers. The round buffer list then holds at most one set per round
+// that ran at once.
+func TestAcousticReadRoundConcurrentMatchesSerial(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full acoustic pipeline integration case; run without -short to exercise it")
+	}
+	all, xs := []uint16{0x41, 0x42, 0x43, 0x44}, []float64{0.6, 0.8, 1.5, 1.0}
+	groups := [][]uint16{all[:2], all[2:]}
+	cfg := roundConfig()
+	before := roundBuffers.Len()
+	// rounds runs round i on reader readers[i] for each i, at once when
+	// concurrent is set.
+	rounds := func(readers []*Reader, concurrent bool) [][]AcousticReadResult {
+		out := make([][]AcousticReadResult, len(groups))
+		if !concurrent {
+			for i, g := range groups {
+				out[i] = readers[i].AcousticReadRound(g, sensors.TypeTempHumidity, cfg)
+			}
+			return out
+		}
+		type done struct {
+			i   int
+			res []AcousticReadResult
+		}
+		ch := make(chan done)
+		for i, g := range groups {
+			go func() { ch <- done{i, readers[i].AcousticReadRound(g, sensors.TypeTempHumidity, cfg)} }()
+		}
+		for range groups {
+			d := <-ch
+			out[d.i] = d.res
+		}
+		return out
+	}
+	oneReader := func() []*Reader {
+		r := roundReader(t, all, xs)
+		return []*Reader{r, r}
+	}
+	twoReaders := func() []*Reader {
+		return []*Reader{roundReader(t, all, xs), roundReader(t, all, xs)}
+	}
+	for _, c := range []struct {
+		name    string
+		readers func() []*Reader
+	}{{"one reader", oneReader}, {"two readers", twoReaders}} {
+		want := rounds(c.readers(), false)
+		got := rounds(c.readers(), true)
+		for i := range want {
+			for j, res := range want[i] {
+				if res.Err != nil {
+					t.Fatalf("%s: serial round %d slot %d: %v", c.name, i, j, res.Err)
+				}
+			}
+			requireSameResults(t, fmt.Sprintf("%s: concurrent round %d", c.name, i), got[i], want[i])
+		}
+	}
+	if after := roundBuffers.Len(); after > max(before, len(groups)) {
+		t.Errorf("%d round buffer sets after rounds two at a time (%d before), want at most %d", after, before, len(groups))
+	}
+}
+
+// roundAllocBudget bounds what a warm 3-slot round allocates, in bytes:
+// its results, slot plans, the fan-out's bookkeeping and each slot's
+// decoded bits and values (~8 KB). The capture, each slot's modulated and
+// received waveforms, the decoder's front end, the convolver's block
+// scratch and the carrier come from recycled storage; any one of them
+// allocated per round (0.37–5 MB) breaks the bound.
+const roundAllocBudget = 64 << 10
+
+// TestAcousticRoundAllocs: a warm round of the acoustic_round workload's
+// shape allocates at most roundAllocBudget bytes, averaged over rounds.
+func TestAcousticRoundAllocs(t *testing.T) {
+	handles, xs := []uint16{0x41, 0x42, 0x43}, []float64{0.6, 0.8, 1.5}
+	r := roundReader(t, handles, xs)
+	cfg := roundConfig()
+	for i, res := range r.AcousticReadRound(handles, sensors.TypeTempHumidity, cfg) { // warm plans, carrier and buffers
+		if res.Err != nil {
+			t.Fatalf("warm-up slot %d: %v", i, res.Err)
+		}
+	}
+	const rounds = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		r.AcousticReadRound(handles, sensors.TypeTempHumidity, cfg)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / rounds; per > roundAllocBudget {
+		t.Errorf("a warm 3-slot round allocated %d B, want <= %d", per, roundAllocBudget)
+	} else {
+		t.Logf("a warm 3-slot round allocated %d B in %d objects", per, (after.Mallocs-before.Mallocs)/rounds)
 	}
 }
 

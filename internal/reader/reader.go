@@ -102,8 +102,8 @@ type Reader struct {
 	// acoustic paths build. Each reader owns a private cache.
 	links *channel.Cache
 
-	// carrier is the last acoustic round's incident CBW, reused by the next
-	// round of the same shape (see roundCarrier).
+	// carrier is the longest incident CBW an acoustic round has rendered;
+	// every round no longer than it takes a prefix (see roundCarrier).
 	//ecolint:guardedby mu
 	carrier roundCBW
 

@@ -155,8 +155,19 @@ func (s *Synth) PIEWaveformFSK(cfg coding.PIEConfig, bits []byte, fHigh, fLow, a
 // last state holds to the end of incident. The returned waveform is the
 // backscattered component only.
 func (s *Synth) BackscatterModulate(incident []float64, states []bool, halfSamples, reflectGain, absorbGain float64) []float64 {
-	out := make([]float64, len(incident))
+	return s.BackscatterModulateInto(nil, incident, states, halfSamples, reflectGain, absorbGain)
+}
+
+// BackscatterModulateInto is BackscatterModulate writing into dst's
+// storage when its capacity holds len(incident) samples (a new slice
+// otherwise); it returns the len(incident) result.
+func (s *Synth) BackscatterModulateInto(dst, incident []float64, states []bool, halfSamples, reflectGain, absorbGain float64) []float64 {
+	if cap(dst) < len(incident) {
+		dst = make([]float64, len(incident))
+	}
+	out := dst[:len(incident)]
 	if len(states) == 0 {
+		clear(out)
 		return out
 	}
 	halfSamples = max(halfSamples, 1)

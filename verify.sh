@@ -147,8 +147,8 @@ stage_done
 # corpus), keep its kept-index filter bound and its BER parity with the
 # full-rate oracle at every processor count. The fleet's churn tests kill
 # and revive stations while surveys and reads run, against its one route
-# lock, and the concurrency tests share nodes, caches, decoders and the
-# flight recorder across goroutines.
+# lock, and the concurrency tests share nodes, caches, decoders, the
+# scratch free lists and the flight recorder across goroutines.
 stage "keyed determinism (-race -count=2 -cpu 1,2,4)"
 go test -race -count=2 -cpu 1,2,4 \
 	-run 'Invariance|Keyed|Determinis|Churn|UnderKill|Concurrent|BitIdentical|DecodeOutcomes|BERParity|Decimat' \
@@ -171,11 +171,14 @@ stage_done
 # capsules) and its heap bound (TestCityFleetLiveHeap: a warm
 # 3000-capsule city fleet holds at most 8 MB of live heap, because its
 # links keep a gain and build no waveform channel) run here too, since
-# the race build above leaves them out.
+# the race build above leaves them out. The reader's waveform round
+# (TestAcousticRoundAllocs: a warm 3-slot round on the common wall at
+# 2 kbps allocates at most 64 KB, its capture, slot waveforms and decoder
+# and convolver scratch all recycled) runs here too.
 stage "AllocsPerRun half of the hotalloc cross-check (warm decode and read paths)"
 go test -run 'ZeroAlloc|SurveyAllocs|CityFleetLiveHeap' -count=1 ./internal/phy ./internal/dsp ./internal/coding \
 	./internal/fleet ./internal/shmwire
-go test -run 'ZeroAlloc|ReadSensorAllocs' -count=1 ./internal/reader
+go test -run 'ZeroAlloc|ReadSensorAllocs|AcousticRoundAllocs' -count=1 ./internal/reader
 stage_done
 
 # Coverage floor over the uplink fast-path packages: the RFFT/convolver
