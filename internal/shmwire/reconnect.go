@@ -69,7 +69,9 @@ func NewReconnectingClient(cfg ReconnectConfig) *ReconnectingClient {
 	return &ReconnectingClient{cfg: cfg}
 }
 
-// Reconnects counts completed re-dials (the first dial is not counted).
+// Reconnects counts dropped sessions: each Bounce and each broken or
+// stalled stream adds one as the session is dropped, before any redial,
+// so a Bounce followed by Close counts 1.
 func (rc *ReconnectingClient) Reconnects() int {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
@@ -78,18 +80,14 @@ func (rc *ReconnectingClient) Reconnects() int {
 
 // Connect ensures a live session, dialing with backoff if needed.
 func (rc *ReconnectingClient) Connect() error {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.connectLocked()
+	_, err := rc.connect()
+	return err
 }
 
-func (rc *ReconnectingClient) connectLocked() error {
-	if rc.closed {
-		return ErrClientClosed
-	}
-	if rc.cl != nil {
-		return nil
-	}
+// connect returns the live session, dialing with backoff if there is
+// none. rc.mu is never held across a backoff sleep or a dial, so Close
+// and Bounce do not wait behind an outage.
+func (rc *ReconnectingClient) connect() (*Client, error) {
 	var lastErr error
 	for attempt := 0; attempt < rc.cfg.Backoff.MaxAttempts; attempt++ {
 		if attempt > 0 {
@@ -97,16 +95,53 @@ func (rc *ReconnectingClient) connectLocked() error {
 				fmt.Sprintf("%s redial attempt %d/%d", rc.cfg.Name, attempt+1, rc.cfg.Backoff.MaxAttempts))
 			rc.cfg.Sleep(rc.cfg.Backoff.Delay(attempt - 1))
 		}
+		if cl, err := rc.session(); cl != nil || err != nil {
+			return cl, err
+		}
 		cl, err := rc.cfg.Dial(rc.cfg.Addr, rc.cfg.Name)
 		if err == nil {
-			rc.cl = cl
-			return nil
+			return rc.install(cl)
 		}
 		lastErr = err
 		rc.cfg.Logf("shmwire: dial %s attempt %d/%d: %v",
 			rc.cfg.Addr, attempt+1, rc.cfg.Backoff.MaxAttempts, err)
 	}
-	return fmt.Errorf("shmwire: reconnect budget exhausted: %w", lastErr)
+	if cl, err := rc.session(); cl != nil || err != nil {
+		return cl, err
+	}
+	return nil, fmt.Errorf("shmwire: reconnect budget exhausted: %w", lastErr)
+}
+
+// session returns the live session (nil if there is none), or
+// ErrClientClosed.
+func (rc *ReconnectingClient) session() (*Client, error) {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	if rc.closed {
+		return nil, ErrClientClosed
+	}
+	return rc.cl, nil
+}
+
+// install makes the freshly dialled cl the live session. A cl that lost
+// the race, to Close or to a session another caller installed while it
+// was dialling, is closed.
+func (rc *ReconnectingClient) install(cl *Client) (*Client, error) {
+	rc.mu.Lock()
+	closed, live := rc.closed, rc.cl
+	if !closed && live == nil {
+		rc.cl = cl
+	}
+	rc.mu.Unlock()
+	switch {
+	case closed:
+		cl.Close()
+		return nil, ErrClientClosed
+	case live != nil:
+		cl.Close()
+		return live, nil
+	}
+	return cl, nil
 }
 
 // Next returns the next event. A broken or stalled stream is redialed
@@ -114,13 +149,10 @@ func (rc *ReconnectingClient) connectLocked() error {
 // budget is exhausted or the client is closed.
 func (rc *ReconnectingClient) Next() (Event, error) {
 	for {
-		rc.mu.Lock()
-		if err := rc.connectLocked(); err != nil {
-			rc.mu.Unlock()
+		cl, err := rc.connect()
+		if err != nil {
 			return Event{}, err
 		}
-		cl := rc.cl
-		rc.mu.Unlock()
 
 		if rc.cfg.ReadTimeout > 0 {
 			cl.SetDeadline(time.Now().Add(rc.cfg.ReadTimeout))
@@ -154,8 +186,8 @@ func (rc *ReconnectingClient) Next() (Event, error) {
 }
 
 // Bounce drops the live session without closing the client, forcing the
-// next Connect/Next to redial from a fresh backoff schedule. Load tests
-// use it to exercise the reconnect path on demand.
+// next Connect/Next to redial from a fresh backoff schedule. It counts in
+// Reconnects; tests use it to exercise the reconnect path on demand.
 func (rc *ReconnectingClient) Bounce() {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()

@@ -87,7 +87,7 @@ var (
 	mBroadcasts = newTypeCounters(telemetry.NewCounterVec("ecocapsule_shmwire_broadcasts_total",
 		"frames fanned out by type (counted once per broadcast)", "type"))
 	mReconnects = telemetry.NewCounter("ecocapsule_shmwire_reconnects_total",
-		"client reconnect attempts by the resilient subscriber")
+		"sessions the resilient subscriber dropped (bounces and broken streams), counted before any redial")
 	mTracedFrames = telemetry.NewCounter("ecocapsule_shmwire_traced_frames_total",
 		"frames written with a trace-context header")
 	mStatusTruncated = telemetry.NewCounter("ecocapsule_shmwire_status_truncated_total",

@@ -151,69 +151,6 @@ func (h *Histogram) Count() uint64 { return h.s.count.Load() }
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() float64 { return h.s.sum.Load() }
 
-// Quantile estimates the q-quantile (q in [0, 1]; values outside are
-// clamped) by linear interpolation inside the fixed buckets, the same
-// estimate a Prometheus histogram_quantile would produce. The lower edge
-// of the first bucket is 0. Observations beyond the last upper bound live
-// in an unbounded overflow region, so a quantile landing there clamps to
-// the last upper bound — callers wanting tail fidelity should size their
-// top bucket past the worst expected sample. An empty histogram returns
-// NaN.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.s.count.Load()
-	if total == 0 {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum float64
-	lower := 0.0
-	for i, ub := range h.upperBounds {
-		c := float64(h.s.buckets[i].Load())
-		if c > 0 && cum+c >= rank {
-			return lower + (ub-lower)*(rank-cum)/c
-		}
-		cum += c
-		lower = ub
-	}
-	// The quantile falls in the overflow region above the last bound.
-	return h.upperBounds[len(h.upperBounds)-1]
-}
-
-// Summary is a point-in-time digest of a histogram, shaped for JSON
-// reports (shmload emits one per latency family).
-type Summary struct {
-	Count uint64  `json:"count"`
-	Sum   float64 `json:"sum"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
-}
-
-// Summary digests the histogram. An empty histogram yields the zero
-// Summary (not NaNs) so the result always JSON-marshals cleanly.
-func (h *Histogram) Summary() Summary {
-	count := h.s.count.Load()
-	if count == 0 {
-		return Summary{}
-	}
-	sum := h.s.sum.Load()
-	return Summary{
-		Count: count,
-		Sum:   sum,
-		Mean:  sum / float64(count),
-		P50:   h.Quantile(0.50),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
-	}
-}
-
 // family is one named metric with a fixed label schema.
 type family struct {
 	name        string

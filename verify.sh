@@ -148,7 +148,11 @@ stage_done
 # full-rate oracle at every processor count. The fleet's churn tests kill
 # and revive stations while surveys and reads run, against its one route
 # lock, and the concurrency tests share nodes, caches, decoders, the
-# scratch free lists and the flight recorder across goroutines.
+# scratch free lists and the flight recorder across goroutines. The
+# reconnecting-subscriber session test (50 clients, scheduled session
+# bounces, one snapshot resync per bounce) must count its closed-form
+# reconnects and resyncs and leave no goroutine behind at every
+# processor count.
 stage "keyed determinism (-race -count=2 -cpu 1,2,4)"
 go test -race -count=2 -cpu 1,2,4 \
 	-run 'Invariance|Keyed|Determinis|Churn|UnderKill|Concurrent|BitIdentical|DecodeOutcomes|BERParity|Decimat' \
@@ -258,39 +262,6 @@ if ! curl -sf "$TELEMETRY_URL/debug/flightrecorder" | grep -q '^subsystem '; the
 fi
 cleanup_smoke
 echo "   $FAMILIES metric families exposed; /healthz healthy; flight recorder live"
-stage_done
-
-# Load-harness smoke: shmload drives 50 reconnecting subscribers through 40
-# lock-step broadcast rounds with 5% injected loss. The gate requires the
-# JSON report to be byte-reproducible for a fixed seed, a parsed nonzero
-# p99 latency, and zero leaked goroutines after teardown.
-stage "shmload smoke (50 clients, 5% loss, seeded determinism)"
-LOAD_DIR="$(mktemp -d)"
-go build -o "$LOAD_DIR/shmload" ./cmd/shmload
-"$LOAD_DIR/shmload" -clients 50 -rounds 40 -loss 0.05 -seed 7 -json >"$LOAD_DIR/run1.json"
-"$LOAD_DIR/shmload" -clients 50 -rounds 40 -loss 0.05 -seed 7 -json >"$LOAD_DIR/run2.json"
-if ! cmp -s "$LOAD_DIR/run1.json" "$LOAD_DIR/run2.json"; then
-	echo "verify.sh: shmload report is not deterministic for a fixed seed:"
-	diff "$LOAD_DIR/run1.json" "$LOAD_DIR/run2.json" || true
-	rm -rf "$LOAD_DIR"
-	exit 1
-fi
-P99="$(sed -n 's/^ *"p99": \([0-9.e+-]*\).*/\1/p' "$LOAD_DIR/run1.json")"
-if [ -z "$P99" ] || [ "$P99" = "0" ]; then
-	echo "verify.sh: shmload report carries no nonzero p99 latency:"
-	cat "$LOAD_DIR/run1.json"
-	rm -rf "$LOAD_DIR"
-	exit 1
-fi
-if ! grep -q '"leaked_goroutines": 0' "$LOAD_DIR/run1.json"; then
-	echo "verify.sh: shmload leaked goroutines:"
-	cat "$LOAD_DIR/run1.json"
-	rm -rf "$LOAD_DIR"
-	exit 1
-fi
-DELIVERED="$(sed -n 's/^ *"delivered": \([0-9]*\).*/\1/p' "$LOAD_DIR/run1.json")"
-rm -rf "$LOAD_DIR"
-echo "   deterministic report; ${DELIVERED}/2000 delivered, p99 ${P99}s, no leaks"
 stage_done
 
 # Fuzz smoke: each decoder target — the line codes, the shmwire frame
