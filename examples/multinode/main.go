@@ -1,7 +1,5 @@
 // Multinode: a dense deployment of capsules in one wall, exercising the
-// TDMA inventory (slotted ALOHA with adaptive Q) and the per-node BLF plan
-// that keeps the uplinks separable in the spectrum — the §3.4 scaling
-// story.
+// TDMA inventory (slotted ALOHA with adaptive Q) — the §3.4 scaling story.
 package main
 
 import (
@@ -9,10 +7,7 @@ import (
 	"log"
 
 	"ecocapsule"
-	"ecocapsule/internal/phy"
-	"ecocapsule/internal/physics"
 	"ecocapsule/internal/protocol"
-	"ecocapsule/internal/units"
 )
 
 func main() {
@@ -55,14 +50,6 @@ func main() {
 		len(inv.Discovered), inv.Rounds, inv.Collisions, inv.Empties)
 	for _, h := range inv.Discovered {
 		fmt.Printf("  capsule %#04x\n", h)
-	}
-
-	// Assign each discovered capsule its own backscatter link frequency so
-	// simultaneous uplinks separate in the spectrum (Appendix C).
-	plan := phy.DefaultBLFPlan()
-	fmt.Printf("BLF plan (offsets from the %.0f kHz carrier):\n", physics.CarrierHz/units.KHz)
-	for i, h := range inv.Discovered {
-		fmt.Printf("  capsule %#04x → +%.1f kHz\n", h, plan.Offset(i)/1000)
 	}
 
 	// Theoretical slotted-ALOHA efficiency at the matched Q.

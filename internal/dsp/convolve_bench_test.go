@@ -68,33 +68,34 @@ func BenchmarkConvolverAuto100k(b *testing.B) {
 	benchPath(b, c, 100000, c.ApplyTo)
 }
 
-// timePath measures one forced path with a few repetitions, returning the
-// fastest observed run (robust to scheduler noise).
-func timePath(c *Convolver, x []float64, fft bool) time.Duration {
+// timePaths measures both forced paths three times each, alternating
+// direct and FFT, and returns each path's fastest run. Alternating puts a
+// burst of scheduler or neighbour noise on both paths, not on one.
+func timePaths(c *Convolver, x []float64) (direct, fft time.Duration) {
 	out := make([]float64, c.OutLen(len(x)))
-	best := time.Duration(1<<62 - 1)
+	direct, fft = time.Duration(1<<62-1), time.Duration(1<<62-1)
 	for rep := 0; rep < 3; rep++ {
-		for j := range out {
-			out[j] = 0
-		}
-		t0 := time.Now()
-		if fft {
-			c.applyFFT(out, x)
-		} else {
-			c.applyDirect(out, x)
-		}
-		if d := time.Since(t0); d < best {
-			best = d
+		for _, useFFT := range []bool{false, true} {
+			clear(out)
+			t0 := time.Now()
+			if useFFT {
+				c.applyFFT(out, x)
+				fft = min(fft, time.Since(t0))
+			} else {
+				c.applyDirect(out, x)
+				direct = min(direct, time.Since(t0))
+			}
 		}
 	}
-	return best
+	return direct, fft
 }
 
-// TestCrossoverNeverFarFromBest is the ISSUE 5 benchmark guard: across the
-// regime map the cost model operates in (thin and thick kernels, short and
-// long inputs), the path the model picks must never be more than 2× slower
-// than the alternative. The guard is about the heuristic's shape, not the
-// machine's absolute speed, so it tolerates noise by taking best-of-3.
+// TestCrossoverNeverFarFromBest is the convolver's benchmark guard: across
+// the regime map the cost model operates in (thin and thick kernels, short
+// and long inputs), the path the model picks must never be more than 2×
+// slower than the alternative. The guard is about the heuristic's shape,
+// not the machine's absolute speed, so it tolerates noise by taking
+// best-of-3 per path over interleaved runs.
 func TestCrossoverNeverFarFromBest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-based guard skipped in -short mode")
@@ -117,8 +118,7 @@ func TestCrossoverNeverFarFromBest(t *testing.T) {
 		c := channelLikeKernel(tc.taps, tc.span)
 		x := convBenchSignal(tc.n)
 		convolvePath(c, x, "fft") // warm the plan cache
-		direct := timePath(c, x, false)
-		fft := timePath(c, x, true)
+		direct, fft := timePaths(c, x)
 		chose, other := direct, fft
 		if c.fftFaster(tc.n) {
 			chose, other = fft, direct

@@ -80,10 +80,6 @@ type Node struct {
 	state   State
 	slotter *protocol.Slotter
 	budget  energy.Budget
-	// blfHz is the backscatter link frequency offset.
-	//
-	//ecolint:unit hz
-	blfHz float64
 
 	// byType holds the attached payloads indexed by type byte; slot 0
 	// and unattached types are nil.
@@ -131,7 +127,6 @@ func New(cfg Config) *Node {
 		state:   Dormant,
 		slotter: protocol.NewSlotter(cfg.Seed),
 		budget:  energy.Budget{Harvester: cfg.Harvester, MCU: cfg.MCU},
-		blfHz:   2 * units.KHz,
 	}
 	n.AttachSensor(sensors.NewTempHumidity(cfg.Seed + 1))
 	n.AttachSensor(sensors.NewStrain(cfg.Seed + 2))
@@ -150,15 +145,6 @@ func (n *Node) State() State {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.state
-}
-
-// BLF returns the node's backscatter link frequency offset in Hz.
-//
-//ecolint:unit return hz
-func (n *Node) BLF() float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.blfHz
 }
 
 // AttachSensor registers (or replaces) a sensor payload. It panics on a
@@ -328,11 +314,6 @@ func (n *Node) HandleDownlink(p protocol.Packet, env sensors.Environment, buf []
 		if n.state == Replying {
 			n.slotter.EndRound()
 			n.state = Standby
-		}
-		return reply, false, nil
-	case protocol.CmdSetBLF:
-		if len(p.Payload) >= 2 {
-			n.blfHz = float64(uint16(p.Payload[0])<<8|uint16(p.Payload[1])) * 100
 		}
 		return reply, false, nil
 	case protocol.CmdReadSensor:

@@ -113,7 +113,6 @@ func TestNodeConcurrentAccess(t *testing.T) {
 					}, sensors.Environment{}, nil)
 				case 2:
 					_ = n.State()
-					_ = n.BLF()
 				case 3:
 					_, _ = n.Stats()
 					_ = n.PowerDraw(1000)

@@ -209,24 +209,6 @@ func TestInventoryRound(t *testing.T) {
 	}
 }
 
-func TestSetBLF(t *testing.T) {
-	n := newTestNode(9)
-	powerUp(t, n)
-	if n.BLF() != 2*units.KHz {
-		t.Errorf("default BLF = %g", n.BLF())
-	}
-	_, _, err := n.HandleDownlink(protocol.Packet{
-		Cmd: protocol.CmdSetBLF, Target: 0x0042,
-		Payload: []byte{0x00, 0x28}, // 40 × 100 Hz = 4 kHz
-	}, sensors.Environment{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.BLF() != 4*units.KHz {
-		t.Errorf("BLF after SetBLF = %g, want 4 kHz", n.BLF())
-	}
-}
-
 func TestSleepCommand(t *testing.T) {
 	n := newTestNode(10)
 	powerUp(t, n)
@@ -245,8 +227,14 @@ func TestSleepCommand(t *testing.T) {
 func TestUnsupportedCommand(t *testing.T) {
 	n := newTestNode(11)
 	powerUp(t, n)
-	if _, _, err := n.HandleDownlink(protocol.Packet{Cmd: protocol.Command(0x77), Target: protocol.Broadcast}, sensors.Environment{}, nil); err == nil {
-		t.Error("unknown command must error")
+	// 0x04 is the retired SetBLF opcode.
+	for _, p := range []protocol.Packet{
+		{Cmd: protocol.Command(0x77), Target: protocol.Broadcast},
+		{Cmd: protocol.Command(0x04), Target: 0x0042, Payload: []byte{0x00, 0x28}},
+	} {
+		if _, _, err := n.HandleDownlink(p, sensors.Environment{}, nil); err == nil {
+			t.Errorf("command %v must error", p.Cmd)
+		}
 	}
 }
 

@@ -195,29 +195,6 @@ func TestDemodulateValidation(t *testing.T) {
 	}
 }
 
-func TestBLFPlan(t *testing.T) {
-	p := DefaultBLFPlan()
-	if p.Offset(0) != 2*units.KHz {
-		t.Errorf("node 0 BLF = %g", p.Offset(0))
-	}
-	if p.Offset(3) != 5*units.KHz {
-		t.Errorf("node 3 BLF = %g", p.Offset(3))
-	}
-	// Monotone spacing, all above the guard band.
-	prev := 0.0
-	for i := 0; i < 8; i++ {
-		off := p.Offset(i)
-		if off <= prev || off < p.Guard {
-			t.Fatalf("BLF plan violates spacing/guard at node %d: %g", i, off)
-		}
-		prev = off
-	}
-	tight := BLFPlan{Base: 0.2e3, Spacing: units.KHz, Guard: units.KHz}
-	if tight.Offset(0) != units.KHz {
-		t.Error("offsets below the guard must clamp up")
-	}
-}
-
 func TestSNREstimateSeparatesGoodAndBad(t *testing.T) {
 	syn := waveform.NewSynth(fs)
 	clean := syn.SquareSubcarrier(230e3, 2e3, 1, 20e-3)

@@ -129,30 +129,6 @@ func NewReaderRX(fs float64) *ReaderRX {
 // ErrNoCarrier is returned when the carrier estimator finds nothing.
 var ErrNoCarrier = errors.New("phy: no carrier found in the search band")
 
-// BLFPlan assigns backscatter link frequencies to nodes: node i gets
-// Base + i·Spacing, each at least GuardBand away from the carrier.
-type BLFPlan struct {
-	Base    float64 //ecolint:unit hz first BLF offset from the carrier
-	Spacing float64 //ecolint:unit hz spacing between adjacent nodes
-	Guard   float64 //ecolint:unit hz minimum offset from the carrier
-}
-
-// DefaultBLFPlan reserves a few kHz as the §3.4 guard band.
-func DefaultBLFPlan() BLFPlan {
-	return BLFPlan{Base: 2 * units.KHz, Spacing: 1 * units.KHz, Guard: 1 * units.KHz}
-}
-
-// Offset returns the BLF offset for node index i (i ≥ 0).
-//
-//ecolint:unit return hz
-func (p BLFPlan) Offset(i int) float64 {
-	off := p.Base + float64(i)*p.Spacing
-	if off < p.Guard {
-		off = p.Guard
-	}
-	return off
-}
-
 // SNREstimate measures the uplink SNR (dB) of a capture: the power in the
 // two backscatter sidebands (carrier ± blf) against the noise floor
 // measured away from carrier and sidebands.

@@ -27,7 +27,7 @@ var goldenDownlinks = []struct {
 	{Packet{Cmd: CmdReadSensor, Target: 0x0010, Payload: []byte{0x01}}, "aa3c05001001015f3b"},
 	{Packet{Cmd: CmdQuery, Target: Broadcast, Payload: []byte{0x02}}, "aa3c01ffff010221fd"},
 	{Packet{Cmd: CmdQueryRep, Target: Broadcast}, "aa3c02ffff0030f4"},
-	{Packet{Cmd: CmdSetBLF, Target: 0x0a51, Payload: []byte{0x00, 0x14}}, "aa3c040a51020014ade7"},
+	{Packet{Cmd: Command(0x04), Target: 0x0a51, Payload: []byte{0x00, 0x14}}, "aa3c040a51020014ade7"}, // retired opcode, two-byte payload
 }
 
 func mustHex(tb testing.TB, s string) []byte {

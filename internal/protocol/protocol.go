@@ -23,8 +23,6 @@ const (
 	CmdQueryRep Command = 0x02
 	// CmdAck acknowledges a node's RN16, soliciting its ID.
 	CmdAck Command = 0x03
-	// CmdSetBLF assigns a node its backscatter link frequency offset.
-	CmdSetBLF Command = 0x04
 	// CmdReadSensor requests a sensor reading from an addressed node.
 	CmdReadSensor Command = 0x05
 	// CmdSleep puts an addressed node back into harvest-only standby.
@@ -43,8 +41,6 @@ func (c Command) String() string {
 		return "QueryRep"
 	case CmdAck:
 		return "Ack"
-	case CmdSetBLF:
-		return "SetBLF"
 	case CmdReadSensor:
 		return "ReadSensor"
 	case CmdSleep:
@@ -62,8 +58,8 @@ type Packet struct {
 	// Target addresses a specific node (its 16-bit handle); 0xFFFF is
 	// broadcast.
 	Target uint16
-	// Payload is command-specific: Q for Query, the BLF index for SetBLF,
-	// the sensor type for ReadSensor.
+	// Payload is command-specific: Q for Query, the sensor type for
+	// ReadSensor.
 	Payload []byte
 }
 

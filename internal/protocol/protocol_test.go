@@ -94,7 +94,7 @@ func TestPayloadTruncation(t *testing.T) {
 }
 
 func TestCommandString(t *testing.T) {
-	for _, c := range []Command{CmdQuery, CmdQueryRep, CmdAck, CmdSetBLF, CmdReadSensor, CmdSleep} {
+	for _, c := range []Command{CmdQuery, CmdQueryRep, CmdAck, CmdReadSensor, CmdSleep} {
 		if c.String() == "" || c.String()[0] == 'C' && c.String() != "Command" && false {
 			t.Error("unreachable")
 		}

@@ -1,6 +1,7 @@
 package shmwire
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -22,8 +23,10 @@ type ReconnectConfig struct {
 	// (and triggers a reconnect) instead of blocking forever. Zero disables.
 	ReadTimeout time.Duration
 	// Dial overrides the connection factory (tests inject failures here).
+	// The default dial is cancelled by Close; an override is not.
 	Dial func(addr, name string) (*Client, error)
-	// Sleep overrides the backoff sleep (tests run instantly).
+	// Sleep overrides the backoff sleep (tests run instantly). The default
+	// sleep ends early on Close; an override does not.
 	Sleep func(time.Duration)
 	// Logf receives reconnect diagnostics (default: silent).
 	Logf func(format string, args ...any)
@@ -41,6 +44,9 @@ var ErrClientClosed = errors.New("shmwire: reconnecting client closed")
 // subscription should ride out a daemon restart, not die with it.
 type ReconnectingClient struct {
 	cfg ReconnectConfig
+	// cancel is called by Close; it ends the default backoff sleep and
+	// dial of a pending Next.
+	cancel context.CancelFunc
 
 	mu sync.Mutex
 	//ecolint:guardedby mu
@@ -54,19 +60,27 @@ type ReconnectingClient struct {
 // NewReconnectingClient builds the client without dialing; the first Next
 // (or Connect) establishes the session.
 func NewReconnectingClient(cfg ReconnectConfig) *ReconnectingClient {
+	ctx, cancel := context.WithCancel(context.Background())
 	if cfg.Backoff == (faultinject.Backoff{}) {
 		cfg.Backoff = faultinject.ReconnectBackoff()
 	}
 	if cfg.Dial == nil {
-		cfg.Dial = Dial
+		cfg.Dial = func(addr, name string) (*Client, error) { return dialContext(ctx, addr, name) }
 	}
 	if cfg.Sleep == nil {
-		cfg.Sleep = time.Sleep
+		cfg.Sleep = func(d time.Duration) {
+			t := time.NewTimer(d)
+			defer t.Stop()
+			select {
+			case <-t.C:
+			case <-ctx.Done():
+			}
+		}
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	return &ReconnectingClient{cfg: cfg}
+	return &ReconnectingClient{cfg: cfg, cancel: cancel}
 }
 
 // Reconnects counts dropped sessions: each Bounce and each broken or
@@ -202,7 +216,8 @@ func (rc *ReconnectingClient) Bounce() {
 		fmt.Sprintf("%s session bounced", rc.cfg.Name))
 }
 
-// Close tears the session down; subsequent Next calls fail fast.
+// Close tears the session down; subsequent Next calls fail fast, and a
+// pending Next in the default backoff sleep or dial returns at once.
 func (rc *ReconnectingClient) Close() error {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
@@ -210,6 +225,7 @@ func (rc *ReconnectingClient) Close() error {
 		return nil
 	}
 	rc.closed = true
+	rc.cancel()
 	if rc.cl != nil {
 		err := rc.cl.Close()
 		rc.cl = nil

@@ -193,17 +193,17 @@ func nextStatusTS(rc *ReconnectingClient) (uint64, error) {
 }
 
 // TestReconnectingClientCloseDuringOutage pins that Close does not wait
-// behind the redial budget: with every dial failing and each backoff sleep
-// really sleeping, Close right after the first failed dial returns at once
-// and the pending Next reports ErrClientClosed, not an exhausted budget.
+// behind the redial budget and ends a pending Next's backoff: with every
+// dial failing at once and 2 s default backoff sleeps, Close right after
+// the first failed dial returns at once, and the pending Next reports
+// ErrClientClosed within 100 ms, not an exhausted budget after the sleeps.
 func TestReconnectingClientCloseDuringOutage(t *testing.T) {
 	// One slot per dial attempt, so a failing Dial never blocks.
-	dialed := make(chan struct{}, 6)
+	dialed := make(chan struct{}, 3)
 	rc := NewReconnectingClient(ReconnectConfig{
 		Addr:    "black-hole",
 		Name:    "outage",
-		Backoff: faultinject.Backoff{Base: time.Millisecond, Max: time.Millisecond, Factor: 1, MaxAttempts: 6},
-		Sleep:   func(time.Duration) { time.Sleep(200 * time.Millisecond) },
+		Backoff: faultinject.Backoff{Base: 2 * time.Second, Max: 2 * time.Second, Factor: 1, MaxAttempts: 3},
 		Dial: func(_, _ string) (*Client, error) {
 			dialed <- struct{}{}
 			return nil, errors.New("synthetic dial failure")
@@ -227,13 +227,15 @@ func TestReconnectingClientCloseDuringOutage(t *testing.T) {
 	if d := time.Since(start); d > 100*time.Millisecond {
 		t.Errorf("Close took %v behind the redial budget, want < 100ms", d)
 	}
+	var err error
 	select {
-	case err := <-next:
-		if !errors.Is(err, ErrClientClosed) {
-			t.Errorf("pending Next after Close: %v, want ErrClientClosed", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("pending Next never returned after Close")
+	case err = <-next:
+	case <-time.After(100 * time.Millisecond):
+		t.Error("pending Next still backing off 100ms after Close")
+		err = <-next
+	}
+	if !errors.Is(err, ErrClientClosed) {
+		t.Errorf("pending Next after Close: %v, want ErrClientClosed", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package shmwire
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -411,7 +412,12 @@ type Client struct {
 
 // Dial connects and sends the Hello.
 func Dial(addr, name string) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	return dialContext(context.Background(), addr, name)
+}
+
+// dialContext is Dial with a dial that ctx can cancel.
+func dialContext(ctx context.Context, addr, name string) (*Client, error) {
+	conn, err := (&net.Dialer{Timeout: 5 * time.Second}).DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("shmwire: dial: %w", err)
 	}

@@ -159,6 +159,9 @@ go test -race -count=2 -cpu 1,2,4 \
 	./...
 stage_done
 
+# One non-race stage for what the race build above cannot measure: the
+# allocation bounds and the coverage floor.
+#
 # Cross-check: the hotalloc lint and the runtime AllocsPerRun tests must
 # agree that the warm decode path and the fault-free read path (capsule
 # reply → reader parse/decode → survey row, and broadcast → subscriber
@@ -174,27 +177,27 @@ stage_done
 # report rows and otherwise the same few objects at 300 and 3000
 # capsules) and its heap bound (TestCityFleetLiveHeap: a warm
 # 3000-capsule city fleet holds at most 8 MB of live heap, because its
-# links keep a gain and build no waveform channel) run here too, since
-# the race build above leaves them out. The reader's waveform round
+# links keep a gain and build no waveform channel) run here, since the
+# race build leaves them out. The reader's waveform round
 # (TestAcousticRoundAllocs: a warm 3-slot round on the common wall at
 # 2 kbps allocates at most 64 KB, its capture, slot waveforms and decoder
 # and convolver scratch all recycled) runs here too.
-stage "AllocsPerRun half of the hotalloc cross-check (warm decode and read paths)"
-go test -run 'ZeroAlloc|SurveyAllocs|CityFleetLiveHeap' -count=1 ./internal/phy ./internal/dsp ./internal/coding \
-	./internal/fleet ./internal/shmwire
-go test -run 'ZeroAlloc|ReadSensorAllocs|AcousticRoundAllocs' -count=1 ./internal/reader
-stage_done
-
+#
 # Coverage floor over the uplink fast-path packages: the RFFT/convolver
 # cache (internal/dsp), the per-link channel cache (internal/channel) and
 # the batched round reader (internal/reader) carry equivalence batteries
 # that must actually exercise the code they guard. Any of the three
-# dipping under 75% statement coverage fails the gate.
-stage "coverage floor (dsp, channel, reader >= 75%)"
+# dipping under 75% statement coverage fails the gate. Their whole suites
+# run here, alloc tests included, so dsp and reader need no -run of their
+# own; the other packages run only their alloc tests. -count=1 keeps the
+# alloc tests from being answered by the test cache.
+stage "allocation bounds and coverage floor (dsp, channel, reader >= 75%)"
+go test -count=1 -run 'ZeroAlloc|SurveyAllocs|CityFleetLiveHeap' ./internal/phy ./internal/coding \
+	./internal/fleet ./internal/shmwire
 # Capture the status too: under set -e a bare COV_OUT="$(...)" would exit
 # on a failing test before the captured output is ever printed.
 COV_RC=0
-COV_OUT="$(go test -cover ./internal/dsp ./internal/channel ./internal/reader)" || COV_RC=$?
+COV_OUT="$(go test -count=1 -cover ./internal/dsp ./internal/channel ./internal/reader)" || COV_RC=$?
 echo "$COV_OUT" | sed 's/^/   /'
 if [ "$COV_RC" -ne 0 ]; then
 	echo "verify.sh: go test -cover failed (exit $COV_RC)"
