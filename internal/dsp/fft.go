@@ -142,6 +142,95 @@ func Spectrum(x []float64, fs float64) (freqs, mags []float64) {
 	return freqs, mags
 }
 
+// BandDFT is a zoom transform: it evaluates the n-point spectrum of x
+// (zero-padded to n) in the M = n/d bins around bin kc, through one
+// M-point FFT instead of an n-point one. x is mixed down by kc with exact
+// n-th roots of unity — a d-entry table e^{-2πi·kc·r/n} inside each block
+// of d samples (built in tab, len(tab) >= d), times one M-th-root phasor
+// per block — and each block is summed; dst[:M] receives the M-point FFT
+// of the block sums, run on the roots of PlanRFFT(2M). So
+//
+//	dst[j mod M] = Σ_t x[t]·e^{-2πi·kc·t/n}·e^{-2πi·j·⌊t/d⌋/M},
+//
+// which is bin kc+j of the n-point DFT X up to the in-block phase
+// e^{-2πi·j·(t mod d)/n}. For a tone at bin kc+j0 that is a common gain
+// Σ_r e^{2πi·j0·r/n}, the same within ~1e-8 for every bin within a few
+// of j0; it falls to 2/π at |j0| = M/2. Content at bin kc+j+q·M aliases
+// onto j, attenuated by the block sum's null at every multiple of M: a
+// caller that scans the bins |j| < M/4 sees an out-of-band tone at most
+// ~1/3 as strong as an in-band one. At d = 1 it is the exact n-point DFT
+// rotated by kc: dst[j] = X[(kc+j) mod n].
+//
+// n and d must be powers of two with d <= n, len(x) <= n, 0 <= kc < n
+// and len(dst) >= M. Allocation-free once the plan is cached.
+//
+//ecolint:hotpath runs once per capture on the caller's buffers and a cached plan
+func BandDFT(dst, tab []complex128, x []float64, n, kc, d int) {
+	if n < 1 || n&(n-1) != 0 || d < 1 || d&(d-1) != 0 || d > n {
+		panic("dsp: BandDFT lengths must be powers of two with d <= n")
+	}
+	m := n / d
+	if len(x) > n || len(dst) < m || len(tab) < d || kc < 0 || kc >= n {
+		panic("dsp: BandDFT buffer or bin out of range")
+	}
+	w := PlanRFFT(2 * m).wN // e^{-2πik/(2M)}, k = 0..M
+	for r := range tab[:d] {
+		s, c := math.Sincos(-2 * math.Pi * float64(kc*r%n) / float64(n))
+		tab[r] = complex(c, s)
+	}
+	z := dst[:m]
+	step, q := kc%m, 0 // block b's phasor is e^{-2πi·q/M}, q = kc·b mod M
+	blocks := 0
+	for base := 0; base < len(x); base += d {
+		var re, im float64
+		for r, v := range x[base:min(base+d, len(x))] {
+			re += v * real(tab[r])
+			im += v * imag(tab[r])
+		}
+		// e^{-2πi·q/M} is w[2q]; past half a turn, −w[2q−M].
+		var ph complex128
+		if 2*q <= m {
+			ph = w[2*q]
+		} else {
+			ph = -w[2*q-m]
+		}
+		z[blocks] = complex(re, im) * ph
+		blocks++
+		if q += step; q >= m {
+			q -= m
+		}
+	}
+	clear(z[blocks:])
+	fftTab(z, w)
+}
+
+// BinMags3 returns the magnitudes |X[k−1]|, |X[k]| and |X[k+1]| of the
+// n-point DFT X of x zero-padded to n (len(x) <= n): three Goertzel
+// recurrences interleaved in one pass over x, so the three cost about what
+// one does. Each is exact up to rounding (~1e-10 relative over a few
+// hundred thousand samples), where BandDFT's bins away from its centre
+// carry aliased content. Allocation-free.
+//
+//ecolint:hotpath a single pass of scalar recurrences
+func BinMags3(x []float64, n, k int) (below, at, above float64) {
+	c0 := 2 * math.Cos(2*math.Pi*float64(k-1)/float64(n))
+	c1 := 2 * math.Cos(2*math.Pi*float64(k)/float64(n))
+	c2 := 2 * math.Cos(2*math.Pi*float64(k+1)/float64(n))
+	var a1, a2, b1, b2, d1, d2 float64
+	for _, v := range x {
+		a1, a2 = v-a2+c0*a1, a1
+		b1, b2 = v-b2+c1*b1, b1
+		d1, d2 = v-d2+c2*d1, d1
+	}
+	return goertzelMag(a1, a2, c0), goertzelMag(b1, b2, c1), goertzelMag(d1, d2, c2)
+}
+
+// goertzelMag is the DFT magnitude left in a Goertzel recurrence's last two
+// states s1, s2 with coefficient c = 2·cos ω.
+func goertzelMag(s1, s2, c float64) float64 {
+	return math.Sqrt(max(0, s1*s1+s2*s2-c*s1*s2))
+}
+
 // Goertzel evaluates the power of the real signal x at a single frequency f
 // (Hz) for sample rate fs — the cheap single-bin DFT an envelope-detector
 // MCU could afford. It returns the squared magnitude normalised by the

@@ -260,3 +260,127 @@ func BenchmarkFFTTab(b *testing.B) {
 		})
 	}
 }
+
+// bandDFTOracle evaluates BandDFT's defining sum term by term with
+// per-sample Sincos: dst[j] = Σ_t x[t]·e^{-2πi·kc·t/n}·e^{-2πi·j·⌊t/d⌋/M}.
+// At d = 1 it is bin (kc+j) mod n of the zero-padded n-point DFT.
+func bandDFTOracle(x []float64, n, kc, d int) []complex128 {
+	m := n / d
+	out := make([]complex128, m)
+	for j := range out {
+		var acc complex128
+		for t, v := range x {
+			ph := -2 * math.Pi * (float64(kc*t%n)/float64(n) + float64(j*(t/d)%m)/float64(m))
+			acc += complex(v, 0) * cmplx.Exp(complex(0, ph))
+		}
+		out[j] = acc
+	}
+	return out
+}
+
+// TestBandDFTMatchesDefinition holds the zoom transform to its defining
+// sum within 1e-9 of the capture's energy scale: every block factor from
+// d = 1 (the full DFT rotated by kc) to d = n (one block, M = 1), centre
+// bins at 0, inside and at the top of the grid, and captures shorter than
+// n that end inside a block.
+func TestBandDFTMatchesDefinition(t *testing.T) {
+	src := NewNoiseSource(17)
+	for _, n := range []int{1, 2, 64, 512} {
+		for _, l := range []int{n, n/2 + 1, 3} {
+			if l > n {
+				continue
+			}
+			x := make([]float64, l)
+			scale := 0.0
+			for i := range x {
+				x[i] = src.Gaussian(1)
+				scale += math.Abs(x[i])
+			}
+			for d := 1; d <= n; d *= 2 {
+				for _, kc := range []int{0, n / 3, n - 1} {
+					want := bandDFTOracle(x, n, kc, d)
+					got := make([]complex128, n/d)
+					BandDFT(got, make([]complex128, d), x, n, kc, d)
+					for j := range want {
+						if diff := cmplx.Abs(got[j] - want[j]); diff > 1e-9*max(scale, 1) {
+							t.Fatalf("n=%d len=%d d=%d kc=%d bin %d: %v vs %v (|Δ|=%g)", n, l, d, kc, j, got[j], want[j], diff)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBandDFTBuildsNoFullPlan: the zoom transform of a short capture on a
+// 2²² grid builds only its M-point FFT's plan, never one of the grid
+// length, and a warm call allocates nothing.
+func TestBandDFTBuildsNoFullPlan(t *testing.T) {
+	const n, d = 1 << 22, 1024
+	x := make([]float64, 3000)
+	src := NewNoiseSource(5)
+	for i := range x {
+		x[i] = src.Gaussian(1)
+	}
+	dst, tab := make([]complex128, n/d), make([]complex128, d)
+	BandDFT(dst, tab, x, n, n/5, d)
+	rfftMu.Lock()
+	_, full := rfftPlans[n]
+	_, band := rfftPlans[2*n/d]
+	rfftMu.Unlock()
+	if full || !band {
+		t.Errorf("after BandDFT: %d-point plan cached %v (want false), %d-point %v (want true)", n, full, 2*n/d, band)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { BandDFT(dst, tab, x, n, n/5, d) }); allocs != 0 {
+		t.Errorf("warm BandDFT allocated %.1f objects/op, want 0", allocs)
+	}
+}
+
+func TestBandDFTPanicsOnBadArguments(t *testing.T) {
+	x := make([]float64, 8)
+	dst, tab := make([]complex128, 8), make([]complex128, 8)
+	for name, call := range map[string]func(){
+		"length not a power of two": func() { BandDFT(dst, tab, x, 12, 0, 1) },
+		"factor not a power of two": func() { BandDFT(dst, tab, x, 8, 0, 3) },
+		"factor past the length":    func() { BandDFT(dst, tab, x, 8, 0, 16) },
+		"capture past the length":   func() { BandDFT(dst, tab, x, 4, 0, 1) },
+		"short output":              func() { BandDFT(dst[:1], tab, x, 8, 0, 2) },
+		"short root table":          func() { BandDFT(dst, tab[:1], x, 8, 0, 2) },
+		"centre bin off the grid":   func() { BandDFT(dst, tab, x, 8, 8, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
+// TestBinMags3MatchesDFT holds the three interleaved Goertzel recurrences
+// to the magnitudes of the zero-padded DFT's defining sum, at the grid's
+// edges (bins −1..1 and n/2−1..n/2+1) and inside it, on captures shorter
+// than n.
+func TestBinMags3MatchesDFT(t *testing.T) {
+	src := NewNoiseSource(23)
+	for _, n := range []int{4, 64, 1024} {
+		x := make([]float64, n-n/4+1)
+		scale := 0.0
+		for i := range x {
+			x[i] = src.Gaussian(1)
+			scale += math.Abs(x[i])
+		}
+		for _, k := range []int{0, 1, n / 5, n/2 - 1, n / 2} {
+			got := [3]float64{}
+			got[0], got[1], got[2] = BinMags3(x, n, k)
+			for j, g := range got {
+				want := cmplx.Abs(bandDFTOracle(x, n, (k-1+j+n)%n, n)[0])
+				if math.Abs(g-want) > 1e-9*scale {
+					t.Errorf("n=%d bin %d: %g, want %g", n, k-1+j, g, want)
+				}
+			}
+		}
+	}
+}

@@ -80,40 +80,6 @@ func ConvolveComplex(x []complex128, h []float64) []complex128 {
 	return y
 }
 
-// DecimateComplex filters the complex signal x with real kernel h and keeps
-// one output per block of d samples, at the block's centre: dst[k] is
-// ConvolveComplex(x, h)[k·d + (d−1)/2] (same centring; x is zero-padded at
-// both ends, so the centre of a last, partial block may lie past len(x))
-// for k < ⌈len(x)/d⌉, and the kept outputs are all it computes. It returns
-// dst resliced to the kept length; len(dst) must be at least that, and dst
-// must not alias x. Allocation-free.
-//
-//ecolint:hotpath direct multiply-add over the kept outputs only
-func DecimateComplex(dst, x []complex128, h []float64, d int) []complex128 {
-	if d < 1 {
-		panic("dsp: DecimateComplex factor must be positive")
-	}
-	n := len(x)
-	m := (n + d - 1) / d
-	if len(dst) < m {
-		panic("dsp: DecimateComplex output buffer too short")
-	}
-	mid := len(h) / 2
-	for k := range dst[:m] {
-		// Output i sees h[t]·x[i+mid−t]; clip t to the in-range inputs.
-		i := k*d + (d-1)/2
-		tLo, tHi := max(0, i+mid-n+1), min(len(h), i+mid+1)
-		var re, im float64
-		for t := tLo; t < tHi; t++ {
-			v := x[i+mid-t]
-			re += h[t] * real(v)
-			im += h[t] * imag(v)
-		}
-		dst[k] = complex(re, im)
-	}
-	return dst[:m]
-}
-
 // Envelope implements the node's passive envelope detector (§4.2: the
 // voltage multiplier doubles as the detector): full-wave rectification
 // followed by an RC-style low-pass with time constant tau seconds.
@@ -170,6 +136,10 @@ func DownConvert(x []float64, fs, fc, bw float64) []complex128 {
 	return ConvolveComplex(mixed, h)
 }
 
+// mixChunk is the oscillator re-anchoring period of MixDown and
+// MixDecimate, in samples.
+const mixChunk = 256
+
 // MixDown fills dst[i] = x[i]·e^{-i·2π·fc/fs·i} — the mixing stage of
 // DownConvert without the low-pass — using a phase recurrence re-anchored
 // with an exact Sincos every few hundred samples, so it matches the
@@ -186,24 +156,108 @@ func MixDown(dst []complex128, x []float64, fs, fc float64) {
 		panic("dsp: MixDown output buffer too short")
 	}
 	w := 2 * math.Pi * fc / fs
+	mixChunks(dst, x, w, mixStep(w), 0, len(x))
+}
+
+// mixStep is the per-sample oscillator rotation e^{-iw}.
+func mixStep(w float64) complex128 {
 	sw, cw := math.Sincos(-w)
-	step := complex(cw, sw)
-	// Re-anchor the oscillator on an exact Sincos each chunk: the chunked
-	// recurrence drift stays below ~len(chunk)·ulp, far inside the 1e-9
-	// equivalence budget.
-	const chunk = 256
-	for base := 0; base < len(x); base += chunk {
-		end := base + chunk
-		if end > len(x) {
-			end = len(x)
-		}
+	return complex(cw, sw)
+}
+
+// mixChunks fills dst[i-from] = x[i]·e^{-iwi} for i in [from, to). from
+// must be a multiple of mixChunk and to one or len(x), so every chunk
+// re-anchors on the same exact Sincos and runs the same recurrence
+// whichever caller mixes it: the chunked recurrence drift stays below
+// ~mixChunk·ulp, far inside the 1e-9 equivalence budget.
+//
+//ecolint:hotpath in-place oscillator recurrence
+func mixChunks(dst []complex128, x []float64, w float64, step complex128, from, to int) {
+	for base := from; base < to; base += mixChunk {
+		end := min(base+mixChunk, to)
 		s, c := math.Sincos(w * float64(base))
 		osc := complex(c, -s)
-		for i := base; i < end; i++ {
-			dst[i] = complex(x[i], 0) * osc
+		out := dst[base-from : end-from]
+		for i, v := range x[base:end] {
+			out[i] = complex(v, 0) * osc
 			osc *= step
 		}
 	}
+}
+
+// MixDecimate is MixDown followed by a decimating low-pass, without a
+// full-rate buffer between them: it filters the mixed signal with the
+// real kernel h and keeps one output per block of d samples, at the
+// block's centre. dst[k] is ConvolveComplex(MixDown(x), h)[k·d + (d−1)/2]
+// for k < ⌈len(x)/d⌉ (same centring; the mixed signal is zero-padded at
+// both ends, so the centre of a last, partial block may lie past len(x)),
+// and the kept outputs are all it computes. The mixed samples live only in
+// seg, a window over the capture that slides forward by whole oscillator
+// chunks, so each is bit-identical to MixDown's and the outputs are
+// bit-identical to filtering MixDown's full buffer output by output.
+// len(seg) must be at least len(h) + 2·256; a longer seg refills less
+// often. It returns dst resliced to the kept length; len(dst) must be at
+// least that. Allocation-free.
+//
+//ecolint:unit fs hz
+//ecolint:unit fc hz
+//ecolint:hotpath mixes into the caller's window and multiply-adds the kept outputs only
+func MixDecimate(dst, seg []complex128, x []float64, fs, fc float64, h []float64, d int) []complex128 {
+	if d < 1 {
+		panic("dsp: MixDecimate factor must be positive")
+	}
+	n := len(x)
+	m := (n + d - 1) / d
+	if len(dst) < m {
+		panic("dsp: MixDecimate output buffer too short")
+	}
+	if n > 0 && len(seg) < len(h)+2*mixChunk {
+		panic("dsp: MixDecimate window buffer too short")
+	}
+	w := 2 * math.Pi * fc / fs
+	step := mixStep(w)
+	mid := len(h) / 2
+	// seg[:hi-lo] holds the mixed x[lo:hi]; hi is a chunk boundary or n.
+	lo, hi := 0, 0
+	for k := range dst[:m] {
+		// Output i sees h[t]·x[i+mid−t]: the inputs [jLo, jHi).
+		i := k*d + (d-1)/2
+		jLo, jHi := max(0, i+mid-len(h)+1), min(n, i+mid+1)
+		if jLo >= jHi {
+			dst[k] = 0 // the kernel lies wholly past the capture's end
+			continue
+		}
+		if jHi > hi {
+			// Slide the window: keep what this output still reads,
+			// restarting at jLo's chunk when it reads none of it, and
+			// mix whole chunks until the window is full.
+			if jLo >= hi {
+				lo = jLo - jLo%mixChunk
+				hi = lo
+			} else {
+				copy(seg, seg[jLo-lo:hi-lo])
+				lo = jLo
+			}
+			end := min(n, lo+len(seg))
+			if end < n {
+				end -= end % mixChunk
+			}
+			mixChunks(seg[hi-lo:], x, w, step, hi, end)
+			hi = end
+		}
+		// t runs up from max(0, i+mid−n+1) as the input runs down from
+		// jHi−1, the order ConvolveComplex sums in.
+		win := seg[jLo-lo : jHi-lo]
+		last := len(win) - 1
+		var re, im float64
+		for t, hv := range h[i+mid+1-jHi:][:len(win)] {
+			v := win[last-t]
+			re += hv * real(v)
+			im += hv * imag(v)
+		}
+		dst[k] = complex(re, im)
+	}
+	return dst[:m]
 }
 
 // Magnitude returns |x| element-wise.

@@ -8,11 +8,37 @@ import (
 	"ecocapsule/internal/units"
 )
 
-// TestDecimateComplexMatchesConvolveComplex is the equivalence guard of the
-// decimating low-pass: over random complex signals, the down-conversion
-// kernel and decimation factors from 1 (every output) past the kernel
-// length, each kept output must match the reference ConvolveComplex of the
-// zero-padded signal at its block centre within 1e-9.
+// DecimateComplex filters the complex signal x with real kernel h and keeps
+// one output per block of d samples, at the block's centre: dst[k] is
+// ConvolveComplex(x, h)[k·d + (d−1)/2] (same centring; x is zero-padded at
+// both ends, so the centre of a last, partial block may lie past len(x))
+// for k < ⌈len(x)/d⌉, and the kept outputs are all it computes. It returns
+// dst resliced to the kept length. It is the oracle of MixDecimate, which
+// must equal it on MixDown's full-rate output bit for bit.
+func DecimateComplex(dst, x []complex128, h []float64, d int) []complex128 {
+	n := len(x)
+	m := (n + d - 1) / d
+	mid := len(h) / 2
+	for k := range dst[:m] {
+		// Output i sees h[t]·x[i+mid−t]; clip t to the in-range inputs.
+		i := k*d + (d-1)/2
+		tLo, tHi := max(0, i+mid-n+1), min(len(h), i+mid+1)
+		var re, im float64
+		for t := tLo; t < tHi; t++ {
+			v := x[i+mid-t]
+			re += h[t] * real(v)
+			im += h[t] * imag(v)
+		}
+		dst[k] = complex(re, im)
+	}
+	return dst[:m]
+}
+
+// TestDecimateComplexMatchesConvolveComplex pins the decimating oracle:
+// over random complex signals, the down-conversion kernel and decimation
+// factors from 1 (every output) past the kernel length, each kept output
+// must match the reference ConvolveComplex of the zero-padded signal at its
+// block centre within 1e-9.
 func TestDecimateComplexMatchesConvolveComplex(t *testing.T) {
 	h := FIRLowPass(units.MHz, 4500, 101)
 	for _, n := range []int{1, 64, 777, 5000} {
@@ -39,18 +65,102 @@ func TestDecimateComplexMatchesConvolveComplex(t *testing.T) {
 	}
 }
 
-func TestDecimateComplexEmptyInput(t *testing.T) {
-	// Empty input is a no-op even with no output buffer to write.
-	if got := DecimateComplex(nil, nil, []float64{1, 2, 1}, 4); len(got) != 0 {
+// mixDecimateOracle is MixDecimate the long way: MixDown into a full-rate
+// buffer, then the decimating oracle over it.
+func mixDecimateOracle(x []float64, fs, fc float64, h []float64, d int) []complex128 {
+	mixed := make([]complex128, len(x))
+	MixDown(mixed, x, fs, fc)
+	return DecimateComplex(make([]complex128, len(x)), mixed, h, d)
+}
+
+// firstDiff is the first kept output where got and want differ in any bit
+// (sameBits), or -1.
+func firstDiff(got, want []complex128) int {
+	if len(got) != len(want) {
+		return min(len(got), len(want))
+	}
+	for k := range got {
+		if !sameBits(got[k], want[k]) {
+			return k
+		}
+	}
+	return -1
+}
+
+// TestMixDecimateBitIdentical holds the fused front-end kernel to MixDown
+// followed by the decimating oracle bit for bit: capture lengths off every
+// chunk and block boundary, D = 1 through past the kernel length,
+// captures shorter than the kernel, and window buffers from the minimum
+// (refilled every few outputs) to longer than the capture.
+func TestMixDecimateBitIdentical(t *testing.T) {
+	const fs = units.MHz
+	src := NewNoiseSource(31)
+	for _, taps := range []int{101, 9} {
+		h := FIRLowPass(fs, 4500, taps)
+		for _, n := range []int{1, 50, 100, 255, 257, 1000, 4099, 31*256 + 17, 20011} {
+			x := make([]float64, n)
+			for i := range x {
+				x[i] = src.Gaussian(1)
+			}
+			for _, d := range []int{1, 2, 8, 31, 46, 150} {
+				fc := 229980.46875 + 1e3*src.Gaussian(1)
+				want := mixDecimateOracle(x, fs, fc, h, d)
+				for _, segLen := range []int{len(h) + 2*mixChunk, 4096, n + 3*mixChunk} {
+					seg := make([]complex128, max(segLen, len(h)+2*mixChunk))
+					got := MixDecimate(make([]complex128, (n+d-1)/d), seg, x, fs, fc, h, d)
+					if k := firstDiff(got, want); k >= 0 {
+						t.Fatalf("taps=%d n=%d d=%d seg=%d: kept output %d differs (%d vs %d outputs)",
+							taps, n, d, len(seg), k, len(got), len(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzMixDecimate draws the capture length, D, the carrier, the kernel and
+// the window length, and holds MixDecimate to the oracle bit for bit.
+func FuzzMixDecimate(f *testing.F) {
+	f.Add(uint16(1000), uint8(31), 229980.5, uint8(101), uint16(0), int64(1))
+	f.Add(uint16(40), uint8(150), 1e3, uint8(3), uint16(700), int64(2))
+	f.Add(uint16(4097), uint8(1), -5e4, uint8(64), uint16(5000), int64(3))
+	f.Fuzz(func(t *testing.T, n uint16, d uint8, fc float64, taps uint8, extra uint16, seed int64) {
+		if d == 0 || math.IsNaN(fc) || math.IsInf(fc, 0) || math.Abs(fc) > units.MHz {
+			t.Skip()
+		}
+		src := NewNoiseSource(seed)
+		x := make([]float64, int(n)%8192)
+		for i := range x {
+			x[i] = src.Gaussian(1)
+		}
+		h := make([]float64, int(taps)%160)
+		for i := range h {
+			h[i] = src.Gaussian(1)
+		}
+		want := mixDecimateOracle(x, units.MHz, fc, h, int(d))
+		seg := make([]complex128, len(h)+2*mixChunk+int(extra)%8192)
+		got := MixDecimate(make([]complex128, (len(x)+int(d)-1)/int(d)), seg, x, units.MHz, fc, h, int(d))
+		if k := firstDiff(got, want); k >= 0 {
+			t.Fatalf("n=%d d=%d taps=%d seg=%d: kept output %d differs", len(x), d, len(h), len(seg), k)
+		}
+	})
+}
+
+func TestMixDecimateEmptyInput(t *testing.T) {
+	// Empty input is a no-op even with no output or window buffer.
+	if got := MixDecimate(nil, nil, nil, units.MHz, units.KHz, []float64{1, 2, 1}, 4); len(got) != 0 {
 		t.Errorf("empty input gave %d outputs", len(got))
 	}
 }
 
-func TestDecimateComplexPanicsOnBadArguments(t *testing.T) {
-	x := make([]complex128, 4)
+func TestMixDecimatePanicsOnBadArguments(t *testing.T) {
+	x := make([]float64, 4)
+	h := []float64{1}
+	seg := make([]complex128, len(h)+2*mixChunk)
 	for name, call := range map[string]func(){
-		"zero factor":  func() { DecimateComplex(make([]complex128, 4), x, []float64{1}, 0) },
-		"short output": func() { DecimateComplex(make([]complex128, 1), x, []float64{1}, 2) },
+		"zero factor":  func() { MixDecimate(make([]complex128, 4), seg, x, units.MHz, units.KHz, h, 0) },
+		"short output": func() { MixDecimate(make([]complex128, 1), seg, x, units.MHz, units.KHz, h, 2) },
+		"short window": func() { MixDecimate(make([]complex128, 4), seg[:len(seg)-1], x, units.MHz, units.KHz, h, 1) },
 	} {
 		func() {
 			defer func() {
@@ -63,21 +173,22 @@ func TestDecimateComplexPanicsOnBadArguments(t *testing.T) {
 	}
 }
 
-// TestDecimateComplexZeroAlloc pins the decimating low-pass — the receive
-// front end's filter — at zero allocations.
-func TestDecimateComplexZeroAlloc(t *testing.T) {
+// TestMixDecimateZeroAlloc pins the fused mix and decimating low-pass — the
+// receive front end's down-conversion — at zero allocations.
+func TestMixDecimateZeroAlloc(t *testing.T) {
 	const n = 8000
 	h := FIRLowPass(units.MHz, 3000, 101)
 	src := NewNoiseSource(4)
-	x := make([]complex128, n)
+	x := make([]float64, n)
 	for i := range x {
-		x[i] = complex(src.Gaussian(1), src.Gaussian(1))
+		x[i] = src.Gaussian(1)
 	}
 	dst := make([]complex128, n)
+	seg := make([]complex128, 4096)
 	if allocs := testing.AllocsPerRun(20, func() {
-		DecimateComplex(dst, x, h, 31)
+		MixDecimate(dst, seg, x, units.MHz, 229e3, h, 31)
 	}); allocs != 0 {
-		t.Errorf("DecimateComplex allocated %.1f objects/op, want 0", allocs)
+		t.Errorf("MixDecimate allocated %.1f objects/op, want 0", allocs)
 	}
 }
 

@@ -149,7 +149,8 @@ func TestPilotSearchLeavesRoomForFrame(t *testing.T) {
 
 // TestCarrierEstimateBetweenBins places the carrier at fractions of a bin
 // of the zero-padded capture spectrum: the refined estimate must land well
-// inside the bin, where the bin grid alone is off by up to half a bin.
+// inside the bin, where the bin grid alone is off by up to half a bin, and
+// within a thousandth of a bin of the reference full-spectrum estimate.
 func TestCarrierEstimateBetweenBins(t *testing.T) {
 	rx := NewReaderRX(fs)
 	syn := waveform.NewSynth(fs)
@@ -168,10 +169,71 @@ func TestCarrierEstimateBetweenBins(t *testing.T) {
 				f0, frac, got, d, 0.1*bin)
 		}
 		ref, err := rx.estimateCarrier(capture)
-		if err != nil || ref != got {
+		if err != nil || math.Abs(ref-got) > 1e-3*bin {
 			t.Errorf("carrier %.2f Hz: reference estimate %v (%v), fast %v", f0, ref, err, got)
 		}
 	}
+}
+
+// TestCarrierEstimateMatchesOracle holds the band-limited estimate to the
+// reference — the strongest bin of the full zero-padded spectrum, refined
+// by peakOffset — within a thousandth of a bin: captures of 20k, 70,001
+// and 315k samples (the round's length), carriers on a bin and between
+// bins at 0, ±1.2, ±9.9 and ±19.5 kHz from the hint, noise σ = 0.01 and
+// 0.05, and an equal-amplitude tone outside the search band where the
+// block sums pass it most strongly: M − w/2 bins from the centre bin,
+// aliased onto the band edge on the carrier's side.
+func TestCarrierEstimateMatchesOracle(t *testing.T) {
+	rx := NewReaderRX(fs)
+	worst := 0.0
+	for _, l := range []int{20000, 70001, 315000} {
+		n := dsp.NextPow2(l)
+		bin := fs / float64(n)
+		lo, hi := rx.searchBins(n)
+		w := hi - lo + 1
+		m := n / bandDecimation(n, w)
+		kc := (lo + hi) / 2
+		for i, off := range []float64{0, 1.2e3, -1.2e3, 9.9e3, -9.9e3, 19.5e3, -19.5e3} {
+			alias := float64(kc-(m-w/2)) + 0.5 // aliases onto the upper band edge
+			if off < 0 {
+				alias = float64(kc+(m-w/2)) + 0.5 // onto the lower one
+			}
+			if fa := alias * bin; fa >= rx.CarrierHint-rx.CarrierSearch && fa <= rx.CarrierHint+rx.CarrierSearch {
+				t.Fatalf("n=%d: the aliasing tone %.0f Hz lies inside the search band", n, fa)
+			}
+			for _, frac := range []float64{0, 0.37} {
+				f0 := (math.Round((rx.CarrierHint+off)/bin) + frac) * bin
+				for _, sigma := range []float64{0.01, 0.05} {
+					seed := int64(l + 10*i + int(100*frac) + int(1000*sigma))
+					capture := make([]float64, l)
+					ph0, ph1 := float64(seed%7), float64(seed%11)
+					for t := range capture {
+						ts := float64(t) / fs
+						capture[t] = 0.4*math.Cos(2*math.Pi*f0*ts+ph0) + 0.4*math.Cos(2*math.Pi*alias*bin*ts+ph1)
+					}
+					dsp.NewNoiseSource(seed).AddAWGN(capture, sigma)
+					ref, err := rx.estimateCarrier(capture)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := rx.estimateCarrierFast(&feScratch{}, capture)
+					if err != nil {
+						t.Fatal(err)
+					}
+					d := math.Abs(got-ref) / bin
+					worst = max(worst, d)
+					if d > 1e-3 {
+						t.Errorf("len %d, carrier %.2f Hz, σ=%.2f: estimate %.4f Hz, reference %.4f Hz: %.2g bin apart, want ≤ 1e-3",
+							l, f0, sigma, got, ref, d)
+					}
+					if math.Abs(ref-f0) > 0.1*bin {
+						t.Errorf("len %d, carrier %.2f Hz, σ=%.2f: reference estimate %.4f Hz is off the carrier", l, f0, sigma, ref)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("largest gap to the reference: %.2g bin", worst)
 }
 
 func TestPeakOffset(t *testing.T) {

@@ -1,16 +1,21 @@
 package phy
 
 // Fast uplink decode path: the §5.1 receive chain as production runs it.
-// The capture is mixed down around the estimated carrier at the full
-// sample rate, then the 101-tap FIRLowPass kernel runs as a decimating
-// filter that computes one output per block of D capture samples, at the
-// block's centre (dsp.DecimateComplex). The low-passed baseband keeps
-// ~2·bitrate of a ~1 MS/s capture, so everything after the filter —
-// moving-baseline removal, principal-axis projection, the prefix sums, and
-// the pilot correlation and matched filter feeding the FM0 trellis — runs
-// on the n/D kept samples. The front end runs once per capture into
-// recycled scratch (a conc.FreeList, holding one scratch per decode that
-// ever ran concurrently).
+// The front end reads the full-rate capture only in streaming passes and
+// keeps no buffer of its length. The carrier estimate finds the peak of
+// the search band through a zoom transform of the band alone
+// (dsp.BandDFT) and refines it on three exactly evaluated bins
+// (estimateCarrierFast). The capture is then mixed down around the
+// estimate and low-passed by the 101-tap FIRLowPass kernel as a
+// decimating filter that computes one output per block of D capture
+// samples, at the block's centre, in one fused pass (dsp.MixDecimate): the
+// mixed samples exist only in a 4096-sample window that slides along the
+// capture. The low-passed baseband keeps ~2·bitrate of a ~1 MS/s capture,
+// so everything after the filter — moving-baseline removal, principal-axis
+// projection, the prefix sums, and the pilot correlation and matched
+// filter feeding the FM0 trellis — runs on the n/D kept samples. The front
+// end runs once per capture into recycled scratch (a conc.FreeList,
+// holding one scratch per decode that ever ran concurrently).
 //
 // D (decimation) is derived from the filter and the uplink: the kernel's
 // stopband edge must stay below fs/D − bw, so nothing it passes aliases into
@@ -23,14 +28,18 @@ package phy
 // and a half-symbol boundary between two kept samples costs nothing.
 //
 // Equivalence contract (frontend_equiv_test.go and the reader's
-// decode-outcome golden): the full-rate chain — the same stages at D = 1 on
-// dsp.ConvolveComplex — lives in the tests as the oracle, pinned to the
-// reference chain in reference_test.go (baseband within 1e-9 per sample,
-// identical sync offsets and decoded bits). Production differs from the
-// oracle only in D: its filter output equals ConvolveComplex at every kept
-// index within 1e-9, its bit-error rate matches the oracle's at the Fig. 15
-// SNR points within a binomial tolerance, and the reader's decode outcomes
-// are byte-identical to the full-rate chain's. DemodulateFrame,
+// decode-outcome golden): the full-rate chain — the same carrier estimate,
+// then MixDown and the stages at D = 1 on dsp.ConvolveComplex — lives in
+// the tests as the oracle, pinned to the reference chain in
+// reference_test.go (carrier within a thousandth of a bin of the
+// full-spectrum estimate, baseband within 1e-9 per sample at the same
+// carrier, identical sync offsets and decoded bits). MixDecimate's output
+// is bit-identical to MixDown followed by the decimating filter over the
+// full-rate buffer. Production differs from the oracle only in D: its
+// filter output equals ConvolveComplex at every kept index within 1e-9,
+// its bit-error rate matches the oracle's at the Fig. 15 SNR points within
+// a binomial tolerance, and the reader's decode outcomes are byte-identical
+// to the full-rate chain's. DemodulateFrame,
 // DemodulateFrameInto and DemodulateSlots are the production entry points.
 
 import (
@@ -77,16 +86,18 @@ var pilotHalves = pilotTemplate()
 
 // feScratch holds every buffer of one capture's decode front-end; instances
 // recycle through feScratches so the warm decode path allocates nothing.
+// None is as long as the capture: the longest is the carrier band's
+// spectrum (dsp.BandDFT's M bins, 65536 for a 315k-sample round).
 type feScratch struct {
-	// mixed holds the packed carrier spectrum (n/2+1 bins of the capture's
-	// NextPow2 length n, never more than the capture), then the full-rate
-	// MixDown output, then the baseline-removed baseband.
-	mixed  []complex128
-	taps   []float64 // low-pass kernel, designed for (tapsFS, tapsBW)
+	spec   []complex128 // carrier band spectrum (dsp.BandDFT, M bins)
+	roots  []complex128 // BandDFT's in-block mixing roots (D entries)
+	seg    []complex128 // MixDecimate's sliding window of mixed samples
+	taps   []float64    // low-pass kernel, designed for (tapsFS, tapsBW)
 	tapsFS float64
 	tapsBW float64
 	bb     []complex128 // low-passed complex baseband at the kept samples
 	preC   []complex128 // complex prefix sums for the moving baseline
+	res    []complex128 // baseline-removed baseband
 	mag    []float64    // |bb| for the envelope anchor
 	ac     []float64    // projected real baseband
 	pre    []float64    // prefix sums of ac: pre[i] = Σ ac[:i]
@@ -117,33 +128,61 @@ func growC(b []complex128, n int) []complex128 {
 	return b[:n]
 }
 
-// estimateCarrierFast reproduces the reference carrier estimate (the
-// strongest bin of the zero-padded spectrum, refined by peakOffset) bit for
-// bit, but through the cached real-input FFT plan's zero-extending
-// transform into the scratch's mixing buffer, which MixDown overwrites once
-// the carrier is known.
+// mixSegment is the length of MixDecimate's window of mixed samples: 16
+// oscillator chunks, refilled ~80 times over a 315k-sample round.
+const mixSegment = 4096
+
+// estimateCarrierFast is the reference carrier estimate — the strongest
+// bin of the capture's zero-padded n-point spectrum in the search band,
+// refined between bins by peakOffset — computed without the n-point
+// transform. The zoom transform dsp.BandDFT mixes the band's centre bin kc
+// down to DC, sums blocks of D samples and runs an n/D-point FFT, whose
+// bin j is bin kc+j of the reference spectrum up to a gain common to the
+// bins around a peak; the strongest of the band's bins there is the
+// coarse peak. D is the largest power of two whose FFT still spans twice
+// the band, which keeps out-of-band content aliased onto it under a third
+// of the in-band gain (D = 8, a 65536-point FFT, for the ±20 kHz band of a
+// 315k-sample round at 1 MS/s). Away from kc, though, a zoom bin also
+// carries the sidelobes of what aliases near it, enough to move
+// peakOffset's vertex by several thousandths of a bin, so the peak and
+// its two neighbours are then evaluated exactly (dsp.BinMags3, one pass
+// over the capture) and the peak climbs to the exact local maximum in the
+// band. binMag folds them as the reference does, so the estimate matches
+// the reference to rounding (TestCarrierEstimateMatchesOracle holds it
+// within a thousandth of a bin).
 //
-//ecolint:hotpath runs once per capture on recycled scratch and the shared RFFT plan
+//ecolint:hotpath runs once per capture on recycled scratch and a cached FFT plan
 func (rx *ReaderRX) estimateCarrierFast(sc *feScratch, signal []float64) (float64, error) {
-	if len(signal) == 0 {
+	l := len(signal)
+	n := dsp.NextPow2(l)
+	lo, hi := rx.searchBins(n)
+	if l == 0 || lo > hi {
 		return 0, ErrNoCarrier
 	}
-	n := dsp.NextPow2(len(signal))
-	p := dsp.PlanRFFT(n)
-	sc.mixed = growC(sc.mixed, len(signal))
-	spec := sc.mixed[:p.HalfLen()] // n/2+1 <= len(signal), since n < 2·len(signal)
-	p.TransformPadded(spec, signal)
-	fLo := rx.CarrierHint - rx.CarrierSearch
-	fHi := rx.CarrierHint + rx.CarrierSearch
+	d := bandDecimation(n, hi-lo+1)
+	kc := (lo + hi) / 2
+	sc.spec = growC(sc.spec, n/d)
+	sc.roots = growC(sc.roots, d)
+	dsp.BandDFT(sc.spec, sc.roots, signal, n, kc, d)
 	best, bestMag := -1, -1.0
-	for i := 0; i <= n/2; i++ {
-		f := float64(i) * rx.SampleRate / float64(n)
-		if f < fLo || f > fHi {
-			continue
+	m := len(sc.spec)
+	for i := lo; i <= hi; i++ {
+		if v := cmplx.Abs(sc.spec[(i-kc+m)%m]); v > bestMag {
+			best, bestMag = i, v
 		}
-		if m := binMag(spec, i, len(signal)); m > bestMag {
-			best, bestMag = i, m
+	}
+	// Climb to the exact in-band local maximum, carrying the neighbours
+	// peakOffset reads.
+	a, b, c := rx.exactMags(signal, best, n)
+	for {
+		if c > b && best < hi {
+			best++
+		} else if a > b && best > lo {
+			best--
+		} else {
+			break
 		}
+		a, b, c = rx.exactMags(signal, best, n)
 	}
 	if best <= 0 {
 		return 0, ErrNoCarrier
@@ -152,15 +191,62 @@ func (rx *ReaderRX) estimateCarrierFast(sc *feScratch, signal []float64) (float6
 	if best == n/2 {
 		return float64(best) * bin, nil
 	}
-	a, c := binMag(spec, best-1, len(signal)), binMag(spec, best+1, len(signal))
-	return (float64(best) + peakOffset(a, bestMag, c)) * bin, nil
+	return (float64(best) + peakOffset(a, b, c)) * bin, nil
 }
 
-// binMag is the folded single-sided magnitude of bin i of the packed
-// spectrum spec of an l-sample capture, as dsp.Spectrum computes it.
-func binMag(spec []complex128, i, l int) float64 {
-	m := cmplx.Abs(spec[i]) / float64(l)
-	if i != 0 && i != len(spec)-1 {
+// exactMags is binMag of bins i−1, i and i+1 of the capture's n-point
+// spectrum, evaluated exactly (dsp.BinMags3).
+func (rx *ReaderRX) exactMags(signal []float64, i, n int) (a, b, c float64) {
+	a, b, c = dsp.BinMags3(signal, n, i)
+	l := len(signal)
+	return binMag(a, i-1, n, l), binMag(b, i, n, l), binMag(c, i+1, n, l)
+}
+
+// bandDecimation is the largest power of two D whose n/D-point band
+// spectrum spans at least twice the w bins it is scanned over, or 1.
+func bandDecimation(n, w int) int {
+	d := 1
+	for n/(2*d) >= 2*w {
+		d *= 2
+	}
+	return d
+}
+
+// searchBins returns the first and last bin of the n-point grid, up to
+// n/2, whose frequency lies in the carrier search band (lo > hi when none
+// does). The band test is the reference's, bin by bin.
+func (rx *ReaderRX) searchBins(n int) (lo, hi int) {
+	bin := rx.SampleRate / float64(n)
+	lo = int(max(0, min(float64(n/2+1), math.Ceil((rx.CarrierHint-rx.CarrierSearch)/bin))))
+	hi = int(max(-1, min(float64(n/2), math.Floor((rx.CarrierHint+rx.CarrierSearch)/bin))))
+	for lo > 0 && rx.inSearchBand(lo-1, n) {
+		lo--
+	}
+	for lo <= hi && !rx.inSearchBand(lo, n) {
+		lo++
+	}
+	for hi < n/2 && rx.inSearchBand(hi+1, n) {
+		hi++
+	}
+	for hi >= lo && !rx.inSearchBand(hi, n) {
+		hi--
+	}
+	return lo, hi
+}
+
+// inSearchBand reports whether bin i of the n-point grid lies in the
+// carrier search band.
+func (rx *ReaderRX) inSearchBand(i, n int) bool {
+	f := float64(i) * rx.SampleRate / float64(n)
+	return f >= rx.CarrierHint-rx.CarrierSearch && f <= rx.CarrierHint+rx.CarrierSearch
+}
+
+// binMag is the folded single-sided magnitude of bin i of the n-point
+// spectrum of an l-sample capture, as dsp.Spectrum computes it, from the
+// bin's magnitude abs.
+func binMag(abs float64, i, n, l int) float64 {
+	m := abs / float64(l)
+	if i != 0 && i != n/2 {
 		m *= 2
 	}
 	return m
@@ -203,11 +289,10 @@ func (rx *ReaderRX) frontEnd(sc *feScratch, signal []float64) (float64, error) {
 		sc.taps = dsp.FIRLowPass(rx.SampleRate, bw, lowpassTaps)
 		sc.tapsFS, sc.tapsBW = rx.SampleRate, bw
 	}
-	sc.mixed = growC(sc.mixed, n)
-	dsp.MixDown(sc.mixed, signal, rx.SampleRate, fc)
 	d := rx.decimation()
 	sc.bb = growC(sc.bb, (n+d-1)/d)
-	sc.bb = dsp.DecimateComplex(sc.bb, sc.mixed, sc.taps, d)
+	sc.seg = growC(sc.seg, mixSegment)
+	sc.bb = dsp.MixDecimate(sc.bb, sc.seg, signal, rx.SampleRate, fc, sc.taps, d)
 	rx.project(sc, n, d)
 	return fc, nil
 }
@@ -238,7 +323,8 @@ func (rx *ReaderRX) project(sc *feScratch, n, d int) {
 	for i, v := range bb {
 		sc.preC[i+1] = sc.preC[i] + v
 	}
-	res := sc.mixed[:m] // the mixing buffer is free again
+	sc.res = growC(sc.res, m)
+	res := sc.res
 	for i := range bb {
 		lo := i - w/2
 		if lo < 0 {

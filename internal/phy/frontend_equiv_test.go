@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/cmplx"
+	"runtime"
 	"testing"
 
 	"ecocapsule/internal/dsp"
@@ -145,25 +146,19 @@ func TestFastDecodeMatchesReferenceBattery(t *testing.T) {
 }
 
 // TestFastBasebandWithin1e9 pins the per-sample 1e-9 bound between the
-// oracle front-end's projected baseband and the reference basebandAC.
+// oracle front-end's projected baseband and the reference basebandAC
+// down-converted at the same carrier, the production estimate (which
+// TestCarrierEstimateMatchesOracle holds to the reference estimate).
 func TestFastBasebandWithin1e9(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		capture := buildCaptureAt(t, 250e3, 60e3, []byte{1, 0, 1, 1, 0, 0, 1, 0}, 2e-3, 0.02, seed)
 		rx := equivRX()
-		fcRef, err := rx.estimateCarrier(capture)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := rx.basebandAC(capture, fcRef)
-
 		sc := &feScratch{}
-		fcFast, err := rx.frontEndFullRate(sc, capture)
+		fc, err := rx.frontEndFullRate(sc, capture)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fcFast != fcRef {
-			t.Fatalf("seed %d: carrier fast %g != reference %g", seed, fcFast, fcRef)
-		}
+		want := rx.basebandAC(capture, fc)
 		got := sc.ac[:sc.m]
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: ac length %d vs %d", seed, len(got), len(want))
@@ -311,6 +306,82 @@ func TestDemodulateFrameIntoZeroAlloc(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("warm DemodulateFrameInto allocated %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestFrontEndScratchBounded decodes a 315k-sample, three-slot 2 kbps
+// round at 1 MS/s on a fresh scratch: no complex buffer the front end
+// keeps is longer than the carrier band's M-bin spectrum or the kept
+// baseband plus one mixing segment, M is 65536 (D = 8 on the 2^19 grid),
+// and the cold decode allocates less than the root table of a 2^19-point
+// RFFT plan alone (4 MB), so it builds none.
+func TestFrontEndScratchBounded(t *testing.T) {
+	const (
+		nSlots  = 3
+		slotLen = 105000
+		nBits   = 16
+	)
+	rx := NewReaderRX(fs)
+	rx.Bitrate = 2000
+	syn := waveform.NewSynth(fs)
+	btx := NewBackscatterTX(fs)
+	btx.Bitrate = rx.Bitrate
+	frameDur := float64(len(PilotBits)+nBits) / btx.Bitrate
+	capture := syn.CBW(rx.CarrierHint, 1.0, float64(nSlots*slotLen)/fs)[:nSlots*slotLen]
+	for i := range capture {
+		capture[i] *= 0.4
+	}
+	rng := dsp.NewNoiseSource(3)
+	payloads := make([][]byte, nSlots)
+	slots := make([]Slot, nSlots)
+	for s := range slots {
+		payloads[s] = make([]byte, nBits)
+		for i := range payloads[s] {
+			payloads[s][i] = byte(rng.Intn(2))
+		}
+		bs, err := btx.Modulate(PrependPilot(payloads[s]), syn.CBW(rx.CarrierHint, 1.0, frameDur+units.MS))
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := s*slotLen + syn.Samples(2e-3)
+		for i, v := range bs {
+			capture[base+i] += v
+		}
+		slots[s] = Slot{Start: s * slotLen, Len: slotLen, NBits: nBits}
+	}
+	dsp.NewNoiseSource(4).AddAWGN(capture, 0.01)
+
+	for feScratches.Len() > 0 {
+		feScratches.Get() // the round below builds a fresh scratch
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := rx.DemodulateSlots(capture, slots)
+	runtime.ReadMemStats(&after)
+	for s, r := range got {
+		if r.Err != nil || !bytes.Equal(r.Bits, payloads[s]) {
+			t.Fatalf("slot %d: decoded %v (%v), want %v", s, r.Bits, r.Err, payloads[s])
+		}
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 4<<20 {
+		t.Errorf("a cold round decode allocated %.2f MB, want < 4 MB", float64(alloc)/(1<<20))
+	}
+
+	sc := feScratches.Get()
+	defer feScratches.Put(sc)
+	n := dsp.NextPow2(len(capture))
+	lo, hi := rx.searchBins(n)
+	m := n / bandDecimation(n, hi-lo+1)
+	if m != 65536 {
+		t.Errorf("carrier band spectrum of %d bins on the %d grid, want 65536", m, n)
+	}
+	limit := max(m, (len(capture)+sc.d-1)/sc.d+mixSegment)
+	for name, b := range map[string][]complex128{
+		"spec": sc.spec, "roots": sc.roots, "seg": sc.seg, "bb": sc.bb, "preC": sc.preC, "res": sc.res,
+	} {
+		if cap(b) > limit {
+			t.Errorf("scratch %s holds %d complex samples, want <= %d", name, cap(b), limit)
+		}
 	}
 }
 

@@ -312,9 +312,9 @@ func (rx *ReaderRX) frontEndFullRate(sc *feScratch, signal []float64) (float64, 
 		return 0, err
 	}
 	n := len(signal)
-	sc.mixed = growC(sc.mixed, n)
-	dsp.MixDown(sc.mixed, signal, rx.SampleRate, fc)
-	sc.bb = dsp.ConvolveComplex(sc.mixed, dsp.FIRLowPass(rx.SampleRate, rx.Bitrate*2+rx.GuardBand, lowpassTaps))
+	mixed := make([]complex128, n)
+	dsp.MixDown(mixed, signal, rx.SampleRate, fc)
+	sc.bb = dsp.ConvolveComplex(mixed, dsp.FIRLowPass(rx.SampleRate, rx.Bitrate*2+rx.GuardBand, lowpassTaps))
 	rx.project(sc, n, 1)
 	return fc, nil
 }

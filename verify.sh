@@ -269,8 +269,9 @@ stage_done
 
 # Fuzz smoke: each decoder target — the line codes, the shmwire frame
 # reader over back-to-back frames, the capsule-side uplink and downlink
-# parsers — and the table-driven CRC-16 against its bitwise oracle, fuzzes
-# for a few seconds. Any panic or property violation fails the gate; new
+# parsers — the table-driven CRC-16 against its bitwise oracle, and the
+# receive front end's fused mix-decimate against MixDown plus the
+# decimating oracle (bit for bit), fuzzes for a few seconds. Any panic or property violation fails the gate; new
 # corpus findings are kept by go test under the package's testdata/fuzz
 # directory.
 FUZZTIME="${FUZZTIME:-5s}"
@@ -282,6 +283,7 @@ go test -run='^$' -fuzz='^FuzzCRC16$' -fuzztime="$FUZZTIME" ./internal/coding
 go test -run='^$' -fuzz='^FuzzReadFrame$' -fuzztime="$FUZZTIME" ./internal/shmwire
 go test -run='^$' -fuzz='^FuzzUnmarshalUplink$' -fuzztime="$FUZZTIME" ./internal/protocol
 go test -run='^$' -fuzz='^FuzzUnmarshal$' -fuzztime="$FUZZTIME" ./internal/protocol
+go test -run='^$' -fuzz='^FuzzMixDecimate$' -fuzztime="$FUZZTIME" ./internal/dsp
 stage_done
 
 # Bench smoke: regenerate the hot-path micro-benchmark matrix and the 1k
