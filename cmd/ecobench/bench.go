@@ -119,7 +119,8 @@ func runBenchSuite(full bool) (benchRun, error) {
 	rep := benchRun{GoMaxProcs: runtime.GOMAXPROCS(0)}
 
 	// Hot path 1: 10 ms of carrier through the multipath wall channel —
-	// the kernel under every acoustic exchange (FFT overlap-add engine).
+	// the kernel under every acoustic exchange (the link's 343 arrivals
+	// merge to ~85 taps, so the blocked direct kernel runs it).
 	ch, err := channel.New(channel.Config{
 		Structure:   geometry.CommonWall(),
 		Source:      geometry.Vec3{X: 0.1, Y: 10, Z: 0},
@@ -176,12 +177,13 @@ func runBenchSuite(full bool) (benchRun, error) {
 
 	// Hot paths 2a/2b: one round's reader-side work behind the per-link
 	// channel cache. Cold pays the whole link bring-up a cacheless reader
-	// repeats every round — the image-source expansion plus the
-	// frequency-domain kernel spectra (Prime) of a survey-grade order-8
-	// response — before decoding its slot; warm replays the same link from
-	// one shared cache, whose entry already holds the arrivals and the
-	// primed convolver, and goes straight to the slot decode. The gap is
-	// exactly what the cache amortises for a reader polling a fixed fleet.
+	// repeats every round — the image-source expansion of a survey-grade
+	// order-8 response plus its frequency-domain kernel spectrum (Prime:
+	// its ~950 merged taps keep the frame on the overlap-add) — before
+	// decoding its slot; warm replays the same link from one shared cache,
+	// whose entry already holds the arrivals and the primed convolver, and
+	// goes straight to the slot decode. The gap is exactly what the cache
+	// amortises for a reader polling a fixed fleet.
 	linkCfg := channel.Config{
 		Structure:   geometry.CommonWall(),
 		Source:      geometry.Vec3{X: 0.1, Y: 10, Z: 0},

@@ -1,8 +1,9 @@
 package channel
 
 // Per-link channel cache. Building a Channel is dominated by the
-// image-source expansion of the multipath impulse response and, on first
-// Transmit, the FFT plan + kernel spectrum of the overlap-add convolver.
+// image-source expansion of the multipath impulse response and, on the
+// first Transmit the cost model sends to the overlap-add, the FFT plan +
+// kernel spectrum of the convolver.
 // None of that state depends on the noise seed, the noise floor, or the
 // leakage gain — only on the link geometry (structure dimensions and
 // material, endpoints, prism) and the carrier/sample rate. A Cache keys on

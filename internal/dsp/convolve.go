@@ -3,20 +3,29 @@ package dsp
 // The channel simulator's hot path is linear convolution of a waveform with
 // a tapped-delay-line impulse response: a few hundred sparse taps spread
 // over tens of thousands of samples (the image-source reverberation of a
-// 20 m wall at 1 MS/s). Two algorithms cover the regime map:
+// 20 m wall at 1 MS/s). The symmetric image sources arrive at equal delays,
+// so the constructor merges taps that land on one sample: a common-wall
+// link's 343 arrivals become about 85 taps, in clusters a few samples wide
+// with long empty gaps between them. Two algorithms cover the regime map:
 //
-//   - direct sparse convolution, O(len(x)·taps): unbeatable for short
-//     inputs or thin responses;
+//   - direct sparse convolution, O(len(x)·taps), blocked over the output:
+//     each 2048-sample block of out is swept by every tap, four taps that
+//     cover the block at a time, so a cluster's taps share one pass over
+//     the block. It wins for short inputs and thin responses, and the merged
+//     taps of a real link make a whole round slot thin;
 //   - FFT overlap-add, O(len(x)·log N) with the kernel spectrum cached:
-//     wins once the tap count outgrows the FFT's log factor.
+//     wins once the tap count outgrows the FFT's log factor (dense kernels,
+//     long inputs on unclustered responses).
 //
-// The Convolver owns both, picks per call with a calibrated cost model, and
-// takes its block scratch from a free list per padded length that every
-// convolver shares, so steady-state Transmit calls stay allocation-light
-// and the scratch held is bounded by how many transforms run at once. Real
-// signals ride a half-size complex FFT (the standard even/odd packing),
-// halving the transform cost relative to a naive complex FFT of the padded
-// length.
+// The Convolver owns both and picks per call with a calibrated cost model.
+// The overlap-add takes its block scratch from a free list per padded
+// length that every convolver shares, so steady-state Transmit calls stay
+// allocation-light and the scratch held is bounded by how many transforms
+// run at once. Real signals ride a half-size complex FFT (the standard
+// even/odd packing), halving the transform cost relative to a naive complex
+// FFT of the padded length. Both paths see the same merged kernel: the
+// dense kernel the FFT path transforms is bit-identical to that of the
+// unmerged taps.
 
 import (
 	"math"
@@ -27,10 +36,13 @@ import (
 
 // fftCostWeight calibrates the cost model that picks between the direct and
 // FFT paths: one radix-2 butterfly (complex multiply-add plus shuffling)
-// costs about this many sparse-tap multiply-adds on amd64 (measured with
-// BenchmarkConvolverPaths; the exact value only moves the crossover, not
-// correctness, and TestCrossoverNeverFarFromBest guards the choice).
-const fftCostWeight = 4.0
+// costs about this many tap multiply-adds of the blocked direct kernel.
+// On a 2-vCPU Xeon VM (go1.24, amd64) the kernel runs at 0.3–0.5 ns per tap
+// and output sample and a butterfly costs 1.6–2.1 ns; the fitted weights
+// over TestCrossoverNeverFarFromBest's shapes spread 3.1–6.5 around 4.5.
+// The exact value only moves the crossover, not correctness, and that test
+// guards the choice.
+const fftCostWeight = 4.5
 
 // Convolver convolves real signals with a fixed sparse kernel. It is safe
 // for concurrent use; FFT plans and scratch buffers are cached internally.
@@ -47,28 +59,62 @@ type Convolver struct {
 // NewSparseConvolver builds a convolver for the tapped-delay-line kernel
 // h[offsets[i]] += gains[i]. Offsets must be non-negative; the slices must
 // have equal length. The caller keeps ownership of neither slice.
+//
+// Taps that land on one offset merge into one tap, at that offset's first
+// position in the list, whose gain is their sum taken in list order from
+// zero: exactly the dense kernel entry the FFT path transforms.
 func NewSparseConvolver(offsets []int, gains []float64) *Convolver {
 	if len(offsets) != len(gains) {
 		panic("dsp: NewSparseConvolver offset/gain length mismatch")
 	}
 	c := &Convolver{
-		offsets: append([]int(nil), offsets...),
-		gains:   append([]float64(nil), gains...),
+		offsets: make([]int, 0, len(offsets)),
+		gains:   make([]float64, 0, len(gains)),
 		plans:   make(map[int]*fftPlan),
 	}
-	for _, off := range offsets {
+	// While the offsets never decrease (a channel's arrivals come sorted by
+	// delay), a repeat can only be the last merged tap. The first step back
+	// indexes every merged offset.
+	var index map[int]int // offset → merged tap index
+	for t, off := range offsets {
 		if off < 0 {
 			panic("dsp: NewSparseConvolver negative offset")
 		}
-		if off+1 > c.kernLen {
-			c.kernLen = off + 1
+		i := len(c.offsets) - 1
+		if i < 0 || off != c.offsets[i] {
+			if index == nil && i >= 0 && off < c.offsets[i] {
+				index = make(map[int]int, len(offsets))
+				for j, o := range c.offsets {
+					index[o] = j
+				}
+			}
+			var ok bool
+			if i, ok = index[off]; !ok { // a nil index holds nothing
+				i = len(c.offsets)
+				c.offsets = append(c.offsets, off)
+				c.gains = append(c.gains, 0)
+				if index != nil {
+					index[off] = i
+				}
+			}
 		}
+		c.gains[i] += gains[t]
+		c.kernLen = max(c.kernLen, off+1)
 	}
 	return c
 }
 
-// Taps returns the number of kernel taps.
+// Taps returns the number of kernel taps after coincident offsets merge.
 func (c *Convolver) Taps() int { return len(c.offsets) }
+
+// Plans returns how many padded lengths hold a cached FFT plan and kernel
+// spectrum: the convolver's memory beyond its taps. A convolver whose inputs
+// all take the direct path holds none.
+func (c *Convolver) Plans() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.plans)
+}
 
 // KernelLen returns the dense kernel length (last offset + 1).
 func (c *Convolver) KernelLen() int { return c.kernLen }
@@ -115,7 +161,9 @@ func (c *Convolver) Prime(n int) {
 	c.plan(N)
 }
 
-// fftFaster estimates both paths' cost in units of one tap multiply-add.
+// fftFaster estimates both paths' cost in units of one tap multiply-add of
+// the blocked direct kernel. The direct term counts merged taps: coincident
+// arrivals cost the direct path nothing extra.
 func (c *Convolver) fftFaster(n int) bool {
 	direct := float64(n) * float64(len(c.offsets))
 	N, B := c.blockPlan(n)
@@ -144,15 +192,57 @@ func (c *Convolver) blockPlan(n int) (N, B int) {
 	return N, N - L + 1
 }
 
-// applyDirect is the sparse tapped-delay-line loop.
+// directBlock is the output block the direct kernel sweeps every tap over:
+// 2048 samples (16 KB) of out, plus the x windows of a cluster of nearby
+// taps, stay in the first-level caches while the taps pass over them.
+const directBlock = 2048
+
+// applyDirect is the tapped-delay-line loop, blocked over the output. Each
+// block of out is swept by every tap in tap order; four consecutive taps
+// that all cover the block run as one pass that loads and stores each
+// output sample once. Every output sample still sums its taps one at a time
+// in tap order, so the result is bit-identical to the tap-by-tap loop.
 //
 //ecolint:hotpath pure in-place multiply-add loop
 func (c *Convolver) applyDirect(out, x []float64) {
-	for t, off := range c.offsets {
-		g := c.gains[t]
-		dst := out[off : off+len(x)]
-		for i, v := range x {
-			dst[i] += g * v
+	n := len(x)
+	offs, gains := c.offsets, c.gains
+	outLen := c.OutLen(n)
+	for lo := 0; lo < outLen; lo += directBlock {
+		hi := min(lo+directBlock, outLen)
+		for t := 0; t < len(offs); {
+			if t+4 <= len(offs) {
+				o0, o1, o2, o3 := offs[t], offs[t+1], offs[t+2], offs[t+3]
+				if max(o0, o1, o2, o3) <= lo && min(o0, o1, o2, o3)+n >= hi {
+					d := out[lo:hi]
+					a0 := x[lo-o0:][:len(d)]
+					a1 := x[lo-o1:][:len(d)]
+					a2 := x[lo-o2:][:len(d)]
+					a3 := x[lo-o3:][:len(d)]
+					g0, g1, g2, g3 := gains[t], gains[t+1], gains[t+2], gains[t+3]
+					for i := range d {
+						s := d[i]
+						s += g0 * a0[i]
+						s += g1 * a1[i]
+						s += g2 * a2[i]
+						s += g3 * a3[i]
+						d[i] = s
+					}
+					t += 4
+					continue
+				}
+			}
+			// Tap t covers out[off, off+n): add its part of the block.
+			off := offs[t]
+			if from, to := max(lo, off), min(hi, off+n); from < to {
+				g := gains[t]
+				d := out[from:to]
+				a := x[from-off:][:len(d)]
+				for i := range d {
+					d[i] += g * a[i]
+				}
+			}
+			t++
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -16,6 +17,37 @@ func channelLikeKernel(taps, span int) *Convolver {
 		gains[i] = src.Gaussian(0.1)
 	}
 	offs[0] = span - 1
+	return NewSparseConvolver(offs, gains)
+}
+
+// clusteredKernel mimics a real link's response more closely than
+// channelLikeKernel: symmetric image sources arrive at equal delays, so the
+// arrivals fall on ~85 distinct samples in clusters a few samples wide,
+// with long empty gaps between the clusters (the common wall's 343 arrivals
+// land on 82–88 distinct samples). The offsets are sorted, as a channel's
+// arrivals are, and the last lands on span−1.
+func clusteredKernel(arrivals, span int) *Convolver {
+	src := NewNoiseSource(13)
+	distinct := make([]int, 0, 85)
+	for len(distinct) < cap(distinct) {
+		at := src.Intn(span - 16)
+		for w := 1 + src.Intn(6); w > 0 && len(distinct) < cap(distinct); w-- {
+			distinct = append(distinct, at)
+			at += 1 + src.Intn(2)
+		}
+	}
+	distinct[0] = span - 1
+	offs := make([]int, arrivals)
+	gains := make([]float64, arrivals)
+	for i := range offs {
+		if i < len(distinct) {
+			offs[i] = distinct[i]
+		} else {
+			offs[i] = distinct[src.Intn(len(distinct))]
+		}
+		gains[i] = src.Gaussian(0.1)
+	}
+	slices.Sort(offs)
 	return NewSparseConvolver(offs, gains)
 }
 
@@ -68,6 +100,21 @@ func BenchmarkConvolverAuto100k(b *testing.B) {
 	benchPath(b, c, 100000, c.ApplyTo)
 }
 
+func BenchmarkConvolverClusteredDirect46k(b *testing.B) {
+	c := clusteredKernel(343, 51234)
+	benchPath(b, c, 46000, c.applyDirect)
+}
+
+func BenchmarkConvolverClusteredFFT46k(b *testing.B) {
+	c := clusteredKernel(343, 51234)
+	benchPath(b, c, 46000, c.applyFFT)
+}
+
+func BenchmarkConvolverClusteredAuto46k(b *testing.B) {
+	c := clusteredKernel(343, 51234)
+	benchPath(b, c, 46000, c.ApplyTo)
+}
+
 // timePaths measures both forced paths three times each, alternating
 // direct and FFT, and returns each path's fastest run. Alternating puts a
 // burst of scheduler or neighbour noise on both paths, not on one.
@@ -108,14 +155,20 @@ func TestCrossoverNeverFarFromBest(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		taps, span, n int
+		clustered     bool
 	}{
-		{343, 51234, 4000},   // channel kernel, short burst → direct regime
-		{343, 51234, 10000},  // channel kernel, 10 ms CBW → near the crossover
-		{343, 51234, 100000}, // channel kernel, full frame → FFT regime
-		{16, 2048, 4096},     // thin kernel → direct regime
-		{2000, 8192, 8192},   // dense kernel → FFT regime
+		{343, 51234, 4000, false},   // channel kernel, short burst → direct regime
+		{343, 51234, 10000, false},  // channel kernel, 10 ms CBW → near the crossover
+		{343, 51234, 100000, false}, // channel kernel, full frame → FFT regime
+		{16, 2048, 4096, false},     // thin kernel → direct regime
+		{2000, 8192, 8192, false},   // dense kernel → FFT regime
+		{343, 51234, 10000, true},   // real link's clustered taps, 10 ms CBW → direct regime
+		{343, 51234, 46000, true},   // real link's clustered taps, a 2 kbps round slot → direct regime
 	} {
 		c := channelLikeKernel(tc.taps, tc.span)
+		if tc.clustered {
+			c = clusteredKernel(tc.taps, tc.span)
+		}
 		x := convBenchSignal(tc.n)
 		convolvePath(c, x, "fft") // warm the plan cache
 		direct, fft := timePaths(c, x)
@@ -124,8 +177,8 @@ func TestCrossoverNeverFarFromBest(t *testing.T) {
 			chose, other = fft, direct
 		}
 		if float64(chose) > 2*float64(other) {
-			t.Errorf("taps=%d span=%d n=%d: crossover picked the slower path by >2× (chosen %v vs %v, fftFaster=%v)",
-				tc.taps, tc.span, tc.n, chose, other, c.fftFaster(tc.n))
+			t.Errorf("taps=%d (%d distinct) span=%d n=%d: crossover picked the slower path by >2× (chosen %v vs %v, fftFaster=%v)",
+				tc.taps, c.Taps(), tc.span, tc.n, chose, other, c.fftFaster(tc.n))
 		}
 	}
 }

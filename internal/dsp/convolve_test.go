@@ -3,6 +3,7 @@ package dsp
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"ecocapsule/internal/conc"
@@ -36,6 +37,19 @@ func naiveConvolve(x []float64, offsets []int, gains []float64, outLen int) []fl
 		}
 	}
 	return out
+}
+
+// directOracle is the tap-by-tap direct loop the blocked kernel replaced:
+// each tap in turn adds its gain times x onto its window of out. The
+// blocked applyDirect must equal it bit for bit.
+func directOracle(c *Convolver, out, x []float64) {
+	for t, off := range c.offsets {
+		g := c.gains[t]
+		dst := out[off : off+len(x)]
+		for i, v := range x {
+			dst[i] += g * v
+		}
+	}
 }
 
 // randomKernel draws a sparse kernel with the given tap count and span.
@@ -187,11 +201,12 @@ func TestConvolverPrime(t *testing.T) {
 	primed.Prime(n)
 	N, _ := primed.blockPlan(n)
 	primed.mu.Lock()
-	if _, ok := primed.plans[N]; !ok {
+	_, ok := primed.plans[N]
+	primed.mu.Unlock()
+	if !ok {
 		t.Fatalf("Prime(%d) did not build the plan for N=%d", n, N)
 	}
-	plans := len(primed.plans)
-	primed.mu.Unlock()
+	plans := primed.Plans()
 
 	got := convolvePath(primed, x, "auto")
 	if len(got) != len(want) {
@@ -202,10 +217,7 @@ func TestConvolverPrime(t *testing.T) {
 			t.Fatalf("primed output diverges at %d by %g", i, d)
 		}
 	}
-	primed.mu.Lock()
-	after := len(primed.plans)
-	primed.mu.Unlock()
-	if after != plans {
+	if after := primed.Plans(); after != plans {
 		t.Errorf("ApplyTo after Prime built %d extra plans; Prime must cover the call", after-plans)
 	}
 
@@ -215,11 +227,9 @@ func TestConvolverPrime(t *testing.T) {
 	}
 	tiny := NewSparseConvolver([]int{0, 1}, []float64{1, 1})
 	tiny.Prime(8) // 2 taps on 8 samples: direct path wins, Prime is a no-op
-	tiny.mu.Lock()
-	if len(tiny.plans) != 0 {
-		t.Errorf("direct-path Prime built %d plans", len(tiny.plans))
+	if got := tiny.Plans(); got != 0 {
+		t.Errorf("direct-path Prime built %d plans", got)
 	}
-	tiny.mu.Unlock()
 	empty := NewSparseConvolver(nil, nil)
 	empty.Prime(100)
 }
@@ -294,4 +304,142 @@ func TestConvolverScratchSharedConcurrent(t *testing.T) {
 	if after := scratchList(N).Len(); after > max(before, 2) {
 		t.Errorf("%d scratches of length %d after three links on two workers (%d before), want at most 2", after, N, before)
 	}
+}
+
+// gaussians returns n draws of N(0, 1).
+func gaussians(src *NoiseSource, n int) []float64 {
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = src.Gaussian(1)
+	}
+	return x
+}
+
+// requireBitIdentical fails unless got and want hold the same float64 bits.
+func requireBitIdentical(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d samples, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: sample %d is %x, want %x", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestDirectKernelBitIdentical holds the output-blocked direct kernel to
+// the tap-by-tap oracle over the merged taps, bit for bit: duplicate
+// offsets, taps on the kernel's first and last sample, inputs shorter than
+// the kernel, lengths off the block and group-of-four grid, a single tap,
+// the clustered shape of a real link and accumulation onto a non-zero out.
+func TestDirectKernelBitIdentical(t *testing.T) {
+	src := NewNoiseSource(0xB10C)
+	for _, tc := range []struct {
+		name            string
+		taps, span, n   int
+		edges, prefills bool
+	}{
+		{"duplicates, dense span", 300, 100, 5000, false, false},
+		{"duplicates, wide span", 120, 9000, 7000, false, false},
+		{"taps at 0 and kernLen-1", 37, 4096, 3 * directBlock, true, false},
+		{"input shorter than kernel", 64, 20000, 50, true, false},
+		{"off the block grid", 4*9 + 3, 3000, 2*directBlock + 1, true, false},
+		{"one sample", 10, 700, 1, true, false},
+		{"single tap", 1, 1, 4097, false, false},
+		{"single tap, late", 1, 6000, directBlock - 1, true, false},
+		{"accumulates onto out", 91, 2500, 6001, true, true},
+	} {
+		offs, gains := randomKernel(src, tc.taps, tc.span)
+		if tc.edges {
+			offs[0], offs[len(offs)-1] = 0, tc.span-1
+		}
+		c := NewSparseConvolver(offs, gains)
+		x := gaussians(src, tc.n)
+		want := make([]float64, c.OutLen(tc.n))
+		if tc.prefills {
+			copy(want, gaussians(src, len(want)))
+		}
+		got := append([]float64(nil), want...)
+		directOracle(c, want, x)
+		c.applyDirect(got, x)
+		requireBitIdentical(t, tc.name, got, want)
+	}
+	c := clusteredKernel(343, 51234)
+	x := convBenchSignal(46000)
+	want := make([]float64, c.OutLen(len(x)))
+	got := make([]float64, len(want))
+	directOracle(c, want, x)
+	c.applyDirect(got, x)
+	requireBitIdentical(t, "clustered link, 46,000-sample slot", got, want)
+}
+
+// TestSparseConvolverMergesCoincidentTaps: taps on one offset merge into
+// one tap whose gain is their sum in list order, so the FFT path's output
+// is bit-identical to that of the same kernel left unmerged — for taps in
+// random order and for taps sorted by offset, as a channel's arrivals are.
+func TestSparseConvolverMergesCoincidentTaps(t *testing.T) {
+	src := NewNoiseSource(0x3E6)
+	offs, gains := randomKernel(src, 200, 60)
+	offs[0] = 59
+	byOffset := make([]int, len(offs))
+	for i := range byOffset {
+		byOffset[i] = i
+	}
+	slices.SortStableFunc(byOffset, func(a, b int) int { return offs[a] - offs[b] })
+	sortedOffs, sortedGains := make([]int, len(offs)), make([]float64, len(offs))
+	for i, j := range byOffset {
+		sortedOffs[i], sortedGains[i] = offs[j], gains[j]
+	}
+	distinct := map[int]bool{}
+	for _, off := range offs {
+		distinct[off] = true
+	}
+	x := gaussians(src, 3000)
+	for name, k := range map[string]struct {
+		offs  []int
+		gains []float64
+	}{"random order": {offs, gains}, "sorted": {sortedOffs, sortedGains}} {
+		c := NewSparseConvolver(k.offs, k.gains)
+		if c.Taps() != len(distinct) || c.KernelLen() != 60 {
+			t.Fatalf("%s: %d taps on %d distinct offsets merged to %d taps, kernLen %d",
+				name, len(k.offs), len(distinct), c.Taps(), c.KernelLen())
+		}
+		unmerged := &Convolver{offsets: k.offs, gains: k.gains, kernLen: 60, plans: make(map[int]*fftPlan)}
+		requireBitIdentical(t, name+": merged FFT path", convolvePath(c, x, "fft"), convolvePath(unmerged, x, "fft"))
+	}
+}
+
+// FuzzSparseConvolver draws offsets (duplicates included), gains and the
+// input length, holds the direct path to the tap-by-tap oracle bit for bit
+// (accumulating onto a non-zero out) and the FFT path to the direct path
+// within 1e-9 of the output's magnitude bound.
+func FuzzSparseConvolver(f *testing.F) {
+	f.Add(uint16(1000), uint8(200), uint16(50), int64(1))
+	f.Add(uint16(46), uint8(3), uint16(9000), int64(2))
+	f.Add(uint16(4097), uint8(9), uint16(2048), int64(3))
+	f.Fuzz(func(t *testing.T, n uint16, taps uint8, span uint16, seed int64) {
+		src := NewNoiseSource(seed)
+		offs, gains := randomKernel(src, 1+int(taps), 1+int(span)%10000)
+		c := NewSparseConvolver(offs, gains)
+		x := gaussians(src, 1+int(n)%6000)
+		want := gaussians(src, c.OutLen(len(x)))
+		got := append([]float64(nil), want...)
+		directOracle(c, want, x)
+		c.applyDirect(got, x)
+		requireBitIdentical(t, "direct path", got, want)
+
+		direct := convolvePath(c, x, "direct")
+		fft := convolvePath(c, x, "fft")
+		bound := 0.0
+		for _, g := range c.gains {
+			bound += math.Abs(g)
+		}
+		bound *= MaxAbs(x)
+		for i := range direct {
+			if d := math.Abs(fft[i] - direct[i]); d > 1e-9*bound {
+				t.Fatalf("n=%d taps=%d: FFT diverges from direct at %d by %g (bound %g)", len(x), c.Taps(), i, d, bound)
+			}
+		}
+	})
 }

@@ -347,8 +347,8 @@ func TestRoundCarrierPrefixBitIdentical(t *testing.T) {
 }
 
 // TestAcousticReadRoundConcurrentMatchesSerial: rounds that run at once
-// take distinct round buffers, decoder scratches and convolver scratches
-// from the shared free lists and decode the serial results bit for bit —
+// take distinct round buffers and decoder scratches from the shared free
+// lists and decode the serial results bit for bit —
 // two rounds over disjoint capsules on one reader, and one round each on
 // two readers. The round buffer list then holds at most one set per round
 // that ran at once.
@@ -414,9 +414,9 @@ func TestAcousticReadRoundConcurrentMatchesSerial(t *testing.T) {
 // roundAllocBudget bounds what a warm 3-slot round allocates, in bytes:
 // its results, slot plans, the fan-out's bookkeeping and each slot's
 // decoded bits and values (~8 KB). The capture, each slot's modulated and
-// received waveforms, the decoder's front end, the convolver's block
-// scratch and the carrier come from recycled storage; any one of them
-// allocated per round (0.37–5 MB) breaks the bound.
+// received waveforms, the decoder's front end and the carrier come from
+// recycled storage; any one of them allocated per round (0.37–5 MB) breaks
+// the bound.
 const roundAllocBudget = 64 << 10
 
 // TestAcousticRoundAllocs: a warm round of the acoustic_round workload's
@@ -441,6 +441,33 @@ func TestAcousticRoundAllocs(t *testing.T) {
 		t.Errorf("a warm 3-slot round allocated %d B, want <= %d", per, roundAllocBudget)
 	} else {
 		t.Logf("a warm 3-slot round allocated %d B in %d objects", per, (after.Mallocs-before.Mallocs)/rounds)
+	}
+}
+
+// TestAcousticRoundHoldsNoSpectra: a common-wall link's merged taps put
+// every slot of the acoustic_round workload's shape on the direct path, so
+// after a warm round no link's convolver holds an FFT plan (a kernel
+// spectrum of ~0.5 MB per link, plus 2 MB of shared block scratch per slot
+// in flight).
+func TestAcousticRoundHoldsNoSpectra(t *testing.T) {
+	handles, xs := []uint16{0x41, 0x42, 0x43}, []float64{0.6, 0.8, 1.5}
+	r := roundReader(t, handles, xs)
+	cfg := roundConfig()
+	for range 2 {
+		for i, res := range r.AcousticReadRound(handles, sensors.TypeTempHumidity, cfg) {
+			if res.Err != nil {
+				t.Fatalf("slot %d: %v", i, res.Err)
+			}
+		}
+	}
+	for _, h := range handles {
+		l := linkOf(t, r, h)
+		if l.ch == nil {
+			t.Fatalf("link %#04x built no channel", h)
+		}
+		if p := l.ch.ConvolverPlans(); p != 0 {
+			t.Errorf("link %#04x holds %d FFT plans after a warm round, want 0", h, p)
+		}
 	}
 }
 

@@ -181,7 +181,7 @@ stage_done
 # race build leaves them out. The reader's waveform round
 # (TestAcousticRoundAllocs: a warm 3-slot round on the common wall at
 # 2 kbps allocates at most 64 KB, its capture, slot waveforms and decoder
-# and convolver scratch all recycled) runs here too.
+# scratch all recycled) runs here too.
 #
 # Coverage floor over the uplink fast-path packages: the RFFT/convolver
 # cache (internal/dsp), the per-link channel cache (internal/channel) and
@@ -271,9 +271,11 @@ stage_done
 # reader over back-to-back frames, the capsule-side uplink and downlink
 # parsers — the table-driven CRC-16 against its bitwise oracle, and the
 # receive front end's fused mix-decimate against MixDown plus the
-# decimating oracle (bit for bit), fuzzes for a few seconds. Any panic or property violation fails the gate; new
-# corpus findings are kept by go test under the package's testdata/fuzz
-# directory.
+# decimating oracle (bit for bit), and the sparse convolver's blocked
+# direct kernel against its tap-by-tap oracle (bit for bit) and its
+# overlap-add against the direct path, fuzzes for a few seconds. Any
+# panic or property violation fails the gate; new corpus findings are kept
+# by go test under the package's testdata/fuzz directory.
 FUZZTIME="${FUZZTIME:-5s}"
 stage "fuzz smoke (${FUZZTIME} per target)"
 go test -run='^$' -fuzz='^FuzzDecodeFM0$' -fuzztime="$FUZZTIME" ./internal/coding
@@ -284,6 +286,7 @@ go test -run='^$' -fuzz='^FuzzReadFrame$' -fuzztime="$FUZZTIME" ./internal/shmwi
 go test -run='^$' -fuzz='^FuzzUnmarshalUplink$' -fuzztime="$FUZZTIME" ./internal/protocol
 go test -run='^$' -fuzz='^FuzzUnmarshal$' -fuzztime="$FUZZTIME" ./internal/protocol
 go test -run='^$' -fuzz='^FuzzMixDecimate$' -fuzztime="$FUZZTIME" ./internal/dsp
+go test -run='^$' -fuzz='^FuzzSparseConvolver$' -fuzztime="$FUZZTIME" ./internal/dsp
 stage_done
 
 # Bench smoke: regenerate the hot-path micro-benchmark matrix and the 1k
