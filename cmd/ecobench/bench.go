@@ -7,9 +7,9 @@ package main
 // root is the reference; verify.sh re-runs the suite and fails the gate
 // when any entry regresses more than the tolerance against the baseline
 // run at the same GOMAXPROCS. Two intra-run floors gate design decisions
-// rather than speed: a warm link-cache decode must be at least 2× faster
-// than the cold build of the same link, and (with -full) the sharded 10k
-// fleet must build at least 3× faster than the flat registry.
+// rather than speed: a warm round on a built link must be at least 2×
+// faster than the cold build of the same link, and (with -full) the
+// sharded 10k fleet must build at least 3× faster than the flat registry.
 
 import (
 	"encoding/json"
@@ -95,8 +95,8 @@ const shardingFloor = 3.0
 // demo-fleet survey entry.
 const fleetChargeDuration = 0.4
 
-// warmSpeedup is the minimum cold/warm ratio the link-cache pair must
-// show: a warm lookup re-uses the image-source expansion and the
+// warmSpeedup is the minimum cold/warm ratio the round pair must show: a
+// warm round re-uses the link's image-source expansion and
 // frequency-domain convolver, so it has to be at least this much faster
 // than a cold build of the same link.
 const warmSpeedup = 2.0
@@ -160,14 +160,18 @@ func runBenchSuite(full bool) (benchRun, error) {
 	if err != nil {
 		return rep, fmt.Errorf("bench modulate: %w", err)
 	}
+	// The decode runs as production's one-slot round over the whole
+	// capture. NBits is len(bits), pilot included, so the decode reads 12
+	// bits past the 28-bit frame; the entry keeps that work as recorded.
 	capture := ch.Transmit(bs)
 	rx := phy.NewReaderRX(fs)
-	if _, err := rx.DemodulateFrame(capture, len(bits)); err != nil {
+	frame := []phy.Slot{{Start: 0, Len: len(capture), NBits: len(bits)}}
+	if err := rx.DemodulateSlots(capture, frame)[0].Err; err != nil {
 		return rep, fmt.Errorf("bench decode sanity: %w", err)
 	}
 	e = runBench(&r, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := rx.DemodulateFrame(capture, len(bits)); err != nil {
+			if err := rx.DemodulateSlots(capture, frame)[0].Err; err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -175,15 +179,14 @@ func runBenchSuite(full bool) (benchRun, error) {
 	e.Name = benchDecode
 	rep.Benchmarks = append(rep.Benchmarks, e)
 
-	// Hot paths 2a/2b: one round's reader-side work behind the per-link
-	// channel cache. Cold pays the whole link bring-up a cacheless reader
-	// repeats every round — the image-source expansion of a survey-grade
-	// order-8 response plus its frequency-domain kernel spectrum (Prime:
-	// its ~950 merged taps keep the frame on the overlap-add) — before
-	// decoding its slot; warm replays the same link from one shared cache,
-	// whose entry already holds the arrivals and the primed convolver, and
-	// goes straight to the slot decode. The gap is exactly what the cache
-	// amortises for a reader polling a fixed fleet.
+	// Hot paths 2a/2b: one round's reader-side work on a link, as a reader
+	// does it. Cold is a link's first waveform use: channel.New's
+	// image-source expansion of a survey-grade order-8 response, then its
+	// frequency-domain kernel spectrum (Prime: its ~950 merged taps keep
+	// the frame on the overlap-add), then the slot decode. Warm is every
+	// later round on the link record's channel, already built and primed,
+	// so it goes straight to the slot decode. The gap is what the link
+	// record saves a reader polling a fixed fleet.
 	linkCfg := channel.Config{
 		Structure:   geometry.CommonWall(),
 		Source:      geometry.Vec3{X: 0.1, Y: 10, Z: 0},
@@ -209,17 +212,18 @@ func runBenchSuite(full bool) (benchRun, error) {
 	for i := 0; i < len(carrier) && i < slotLen; i++ {
 		slot[i] += 0.4 * carrier[i]
 	}
-	if _, err := rx.DemodulateFrame(slot, len(bits)); err != nil {
+	slotFrame := []phy.Slot{{Start: 0, Len: len(slot), NBits: len(bits)}}
+	if err := rx.DemodulateSlots(slot, slotFrame)[0].Err; err != nil {
 		return rep, fmt.Errorf("bench round decode sanity: %w", err)
 	}
 	e = runBench(&r, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			cold, err := channel.NewCache().Channel(linkCfg)
+			cold, err := channel.New(linkCfg)
 			if err != nil {
 				b.Fatal(err)
 			}
 			cold.Prime(len(bs))
-			if _, err := rx.DemodulateFrame(slot, len(bits)); err != nil {
+			if err := rx.DemodulateSlots(slot, slotFrame)[0].Err; err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -227,20 +231,11 @@ func runBenchSuite(full bool) (benchRun, error) {
 	e.Name = benchRoundCold
 	rep.Benchmarks = append(rep.Benchmarks, e)
 
-	cc := channel.NewCache()
-	if warm, err := cc.Channel(linkCfg); err != nil {
-		return rep, fmt.Errorf("bench cache warmup: %w", err)
-	} else {
-		warm.Prime(len(bs))
-	}
+	round.Prime(len(bs))
 	e = runBench(&r, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			warm, err := cc.Channel(linkCfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			warm.Prime(len(bs))
-			if _, err := rx.DemodulateFrame(slot, len(bits)); err != nil {
+			round.Prime(len(bs))
+			if err := rx.DemodulateSlots(slot, slotFrame)[0].Err; err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -443,8 +438,8 @@ func gateAgainst(rep, base benchReport) int {
 	return failures
 }
 
-// gateColdWarm enforces the intra-run cache contract: in every run, the
-// warm cached decode must be at least warmSpeedup× faster than the cold
+// gateColdWarm enforces the intra-run link-reuse contract: in every run,
+// the warm round must be at least warmSpeedup× faster than the cold
 // build-and-decode of the same link. Returns the number of violations.
 func gateColdWarm(rep benchReport) int {
 	failures := 0
@@ -457,7 +452,7 @@ func gateColdWarm(rep benchReport) int {
 		}
 		if warm*warmSpeedup > cold {
 			fmt.Fprintf(os.Stderr,
-				"ecobench: link cache not earning its keep at gomaxprocs=%d: warm %.0f ns/op vs cold %.0f ns/op (< %.1f× speedup)\n",
+				"ecobench: built link not earning its keep at gomaxprocs=%d: warm %.0f ns/op vs cold %.0f ns/op (< %.1f× speedup)\n",
 				run.GoMaxProcs, warm, cold, warmSpeedup)
 			failures++
 			continue

@@ -104,9 +104,6 @@ func TestExitCodes(t *testing.T) {
 	if code, out := runIn(t, bin, clean, "-only", "nosuchanalyzer", "./..."); code != exitUsage {
 		t.Errorf("unknown analyzer: exit %d, want %d\n%s", code, exitUsage, out)
 	}
-	if code, out := runIn(t, bin, clean, "-json", "-sarif", "./..."); code != exitUsage {
-		t.Errorf("-json -sarif together: exit %d, want %d\n%s", code, exitUsage, out)
-	}
 
 	broken := writeTree(t, map[string]string{
 		"go.mod":  "module exitbroken\n\ngo 1.21\n",
@@ -122,30 +119,5 @@ func TestExitCodes(t *testing.T) {
 	})
 	if code, out := runIn(t, bin, nopkg, "./..."); code != exitDriver {
 		t.Errorf("no packages matched: exit %d, want %d\n%s", code, exitDriver, out)
-	}
-}
-
-// TestSARIFEndToEnd drives -sarif against a tree with a known finding
-// and checks the log parses and carries it.
-func TestSARIFEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the binary and spawns go list")
-	}
-	bin := buildEcolint(t)
-	dirty := writeTree(t, map[string]string{
-		"go.mod":               "module sarifdirty\n\ngo 1.21\n",
-		"geometry/geometry.go": "package geometry\n\nfunc Eq(a, b float64) bool { return a == b }\n",
-	})
-	code, out := runIn(t, bin, dirty, "-sarif", "./...")
-	if code != exitFindings {
-		t.Fatalf("exit %d, want %d\n%s", code, exitFindings, out)
-	}
-	// Stderr carries the summary line; the SARIF document is everything
-	// before it on stdout. CombinedOutput interleaves, so just check for
-	// the structural markers.
-	for _, want := range []string{`"version": "2.1.0"`, `"ruleId": "floatcmp"`, `"startLine": 3`, "geometry.go"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("SARIF output missing %q:\n%s", want, out)
-		}
 	}
 }

@@ -7,15 +7,13 @@
 //	go run ./cmd/ecolint -list
 //	go run ./cmd/ecolint -only dimcheck,floatcmp ./internal/physics
 //	go run ./cmd/ecolint -include-tests -json ./...
-//	go run ./cmd/ecolint -sarif ./... > findings.sarif
 //
 // Every run is one in-memory pass: packages are type-checked and
 // analyzed in dependency order, each dependency level fanned out over
 // the cores by the conc pool. Nothing is written to disk.
 //
-// Findings print as `file:line: analyzer: message`, as a JSON array with
-// -json, or as a SARIF 2.1.0 log with -sarif (for CI code-scanning
-// upload). A finding is suppressed by an inline directive on the same
+// Findings print as `file:line: analyzer: message`, or as a JSON array
+// with -json. A finding is suppressed by an inline directive on the same
 // line or the line above:
 //
 //	//ecolint:ignore <analyzer> <reason>
@@ -68,18 +66,12 @@ func main() {
 	listFlag := flag.Bool("list", false, "list the analyzers and exit")
 	onlyFlag := flag.String("only", "", "comma-separated subset of analyzers to run")
 	jsonFlag := flag.Bool("json", false, "emit findings as a JSON array on stdout")
-	sarifFlag := flag.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log on stdout")
 	testsFlag := flag.Bool("include-tests", false, "also analyze _test.go files (in-package and external)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ecolint [-list] [-only a,b] [-json|-sarif] [-include-tests] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: ecolint [-list] [-only a,b] [-json] [-include-tests] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	if *jsonFlag && *sarifFlag {
-		fmt.Fprintf(os.Stderr, "ecolint: -json and -sarif are mutually exclusive\n")
-		os.Exit(exitUsage)
-	}
 
 	analyzers := analysis.All()
 	if *listFlag {
@@ -112,13 +104,7 @@ func main() {
 		os.Exit(exitDriver)
 	}
 
-	switch {
-	case *sarifFlag:
-		if err := writeSARIF(os.Stdout, analyzers, diags); err != nil {
-			fmt.Fprintf(os.Stderr, "ecolint: encoding SARIF: %v\n", err)
-			os.Exit(exitDriver)
-		}
-	case *jsonFlag:
+	if *jsonFlag {
 		out := make([]jsonDiag, len(diags))
 		for i, d := range diags {
 			out[i] = jsonDiag{File: d.Pos.Filename, Line: d.Pos.Line, Col: d.Pos.Column,
@@ -130,7 +116,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ecolint: encoding findings: %v\n", err)
 			os.Exit(exitDriver)
 		}
-	default:
+	} else {
 		analysis.FormatText(os.Stdout, diags)
 	}
 	if len(diags) > 0 {

@@ -58,7 +58,7 @@ func TestDemodulateFrameEndToEnd(t *testing.T) {
 	payload := []byte{1, 0, 0, 1, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0, 0}
 	for _, lead := range []float64{1, 4, 7} {
 		rx := buildCapture(t, payload, lead, 0.01, int64(lead))
-		got, err := NewReaderRX(fs).DemodulateFrame(rx, len(payload))
+		got, err := NewReaderRX(fs).demodulateFrame(rx, len(payload))
 		if err != nil {
 			t.Fatalf("lead %v ms: %v", lead, err)
 		}
@@ -71,7 +71,7 @@ func TestDemodulateFrameEndToEnd(t *testing.T) {
 func TestDemodulateFrameNoisy(t *testing.T) {
 	payload := []byte{0, 1, 1, 0, 1, 0, 1, 1}
 	rx := buildCapture(t, payload, 2.5, 0.04, 9)
-	got, err := NewReaderRX(fs).DemodulateFrame(rx, len(payload))
+	got, err := NewReaderRX(fs).demodulateFrame(rx, len(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestPilotSearchLeavesRoomForFrame(t *testing.T) {
 	rx := equivRX()
 	for seed := int64(0); seed < 32; seed++ {
 		capture := buildCaptureAt(t, rx.SampleRate, rx.CarrierHint, payload, 1e-3, 0.1, seed)
-		got, err := rx.DemodulateFrame(capture, len(payload))
+		got, err := rx.demodulateFrame(capture, len(payload))
 		if err != nil || !bytes.Equal(got, payload) {
 			t.Errorf("seed %d: got %v, %v; want the payload", seed, got, err)
 			continue

@@ -39,8 +39,8 @@ package phy
 // filter output equals ConvolveComplex at every kept index within 1e-9,
 // its bit-error rate matches the oracle's at the Fig. 15 SNR points within
 // a binomial tolerance, and the reader's decode outcomes are byte-identical
-// to the full-rate chain's. DemodulateFrame,
-// DemodulateFrameInto and DemodulateSlots are the production entry points.
+// to the full-rate chain's. DemodulateSlots is the one decode entry point:
+// a capture holding a single frame is a one-slot round.
 
 import (
 	"errors"
@@ -490,8 +490,8 @@ func (rx *ReaderRX) syncWindow(sc *feScratch, lo, hi, searchLimit int) (int, err
 
 // demodWindow integrates the half-symbols of nBits bits starting at sample
 // start (bounded by hi), normalises, and decodes — demodulateReference's
-// back half on the shared front-end. FM0 bits are appended to dst through
-// the recycled-trellis decoder, so warm calls allocate nothing.
+// back half on the shared front-end. The bits are appended to dst through
+// the recycled-trellis FM0 decoder, so warm calls allocate nothing.
 //
 //ecolint:hotpath matched filter + trellis decode on recycled buffers
 func (rx *ReaderRX) demodWindow(sc *feScratch, dst []byte, start, nBits, hi int) ([]byte, error) {
@@ -502,7 +502,7 @@ func (rx *ReaderRX) demodWindow(sc *feScratch, dst []byte, start, nBits, hi int)
 	if halfSamples < 1 {
 		return nil, errBitrateTooHigh
 	}
-	nHalves := nBits * rx.halvesPerBit()
+	nHalves := 2 * nBits
 	sc.halves = growF(sc.halves, nHalves)
 	for h := 0; h < nHalves; h++ {
 		a := start + int(float64(h)*halfSamples)
@@ -519,50 +519,15 @@ func (rx *ReaderRX) demodWindow(sc *feScratch, dst []byte, start, nBits, hi int)
 			halves[i] /= scale
 		}
 	}
-	if rx.Coding == CodingMiller4 {
-		//ecolint:ignore hotalloc the Miller decoder allocates its symbol buffer; the zero-alloc contract covers FM0 only
-		bits, err := coding.MillerDecode(halves, coding.Miller4)
-		if err != nil {
-			return nil, err
-		}
-		return append(dst, bits...), nil
-	}
 	return coding.FM0DecodeMLAppend(dst, halves), nil
-}
-
-// DemodulateFrame synchronises on the pilot and decodes nBits payload bits
-// that follow it, returning the payload (pilot stripped). The front-end —
-// which the reference chain runs twice, once to synchronise and once to
-// demodulate — runs exactly once here.
-func (rx *ReaderRX) DemodulateFrame(signal []float64, nBits int) ([]byte, error) {
-	return rx.DemodulateFrameInto(nil, signal, nBits)
-}
-
-// DemodulateFrameInto is DemodulateFrame appending the payload bits to dst.
-// When dst has capacity for nBits and a front-end scratch is free, the
-// whole decode performs zero steady-state allocations (FM0 coding; the
-// Miller decoder still allocates its symbol buffer).
-//
-//ecolint:hotpath zero-alloc invariant guarded by TestDemodulateFrameIntoZeroAlloc
-func (rx *ReaderRX) DemodulateFrameInto(dst []byte, signal []float64, nBits int) ([]byte, error) {
-	sc := feScratches.Get()
-	defer feScratches.Put(sc)
-	if _, err := rx.frontEnd(sc, signal); err != nil {
-		cDemodNoSync.Inc()
-		return nil, err
-	}
-	if _, err := rx.decodeWindow(sc, 0, sc.n, nBits); err != nil {
-		return nil, err
-	}
-	return append(dst, sc.bits[len(PilotBits):]...), nil
 }
 
 // decodeWindow decodes one pilot-prefixed frame inside the window
 // [lo, hi) of the shared front-end: pilot sync, matched-filter
 // demodulation of the pilot and nBits payload bits, and the pilot check.
 // It counts the outcome and returns the frame-start sample; the decoded
-// payload is sc.bits[len(PilotBits):]. DemodulateFrameInto is the window
-// [0, n); DemodulateSlots runs it once per slot.
+// payload is sc.bits[len(PilotBits):]. DemodulateSlots runs it once per
+// slot.
 //
 //ecolint:hotpath per-window sync and demodulation on recycled scratch
 func (rx *ReaderRX) decodeWindow(sc *feScratch, lo, hi, nBits int) (int, error) {
@@ -597,21 +562,12 @@ func (rx *ReaderRX) decodeWindow(sc *feScratch, lo, hi, nBits int) (int, error) 
 // errCaptureShort, although the true frame start lies within the bound.
 func (rx *ReaderRX) frameSearchLimit(window, nBits int) int {
 	half := rx.SampleRate / (2 * rx.Bitrate)
-	frame := int(float64((len(PilotBits)+nBits)*rx.halvesPerBit()) * half)
+	frame := int(float64(2*(len(PilotBits)+nBits)) * half)
 	return min(window/2, window-frame)
 }
 
-// halvesPerBit is the number of matched-filter halves one bit spans under
-// the configured uplink code.
-func (rx *ReaderRX) halvesPerBit() int {
-	if rx.Coding == CodingMiller4 {
-		return 8
-	}
-	return 2
-}
-
-// pilotValid applies DemodulateFrame's pilot acceptance rule (tolerate up
-// to len/3 bit slips) to a decoded pilot-prefixed frame.
+// pilotValid applies the pilot acceptance rule (tolerate up to len/3 bit
+// slips) to a decoded pilot-prefixed frame.
 func pilotValid(bits []byte) bool {
 	errs := 0
 	for i, b := range PilotBits {
@@ -643,7 +599,14 @@ type SlotBits struct {
 // strided reads of the shared prefix sums. Decoded payloads match the
 // per-slot reference decode (demodulateFrameReference over each slot's
 // sub-capture) bit for bit on every slot both paths decode — guarded by the
-// equivalence battery.
+// equivalence battery. A capture holding one frame is the one-slot round
+// {Start: 0, Len: len(signal), NBits: nBits}.
+//
+// Every slot's outcome is counted in ecocapsule_phy_frame_demodulates_total:
+// a front end that finds no carrier fails every slot as no_sync, and a slot
+// window outside the capture counts as error. Warm, the call allocates the
+// result slice and one payload copy per decoded slot, nothing else
+// (TestDemodulateSlotsAllocs).
 //
 //ecolint:hotpath the front-end runs once per round; per-slot work is O(slot) reads of shared state
 func (rx *ReaderRX) DemodulateSlots(signal []float64, slots []Slot) []SlotBits {
@@ -656,6 +619,7 @@ func (rx *ReaderRX) DemodulateSlots(signal []float64, slots []Slot) []SlotBits {
 	defer feScratches.Put(sc)
 	if _, err := rx.frontEnd(sc, signal); err != nil {
 		for i := range out {
+			cDemodNoSync.Inc()
 			out[i].Err = err
 		}
 		return out
@@ -663,6 +627,7 @@ func (rx *ReaderRX) DemodulateSlots(signal []float64, slots []Slot) []SlotBits {
 	for i, sl := range slots {
 		lo, hi := sl.Start, sl.Start+sl.Len
 		if lo < 0 || hi > sc.n || lo >= hi {
+			cDemodError.Inc()
 			out[i].Err = errSlotOutside
 			continue
 		}

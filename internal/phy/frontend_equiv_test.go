@@ -2,6 +2,7 @@ package phy
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/cmplx"
 	"runtime"
@@ -124,7 +125,7 @@ func TestFastDecodeMatchesReferenceBattery(t *testing.T) {
 			t.Fatalf("trial %d: sync decimated (%d, %v) vs oracle (%d, %v)",
 				trial, prodStart, prodSyncErr, gotStart, gotSyncErr)
 		}
-		prodBits, prodErr := rx.DemodulateFrame(capture, nBits)
+		prodBits, prodErr := rx.demodulateFrame(capture, nBits)
 		if (prodErr == nil) != (gotErr == nil) || !bytes.Equal(prodBits, gotBits) {
 			t.Fatalf("trial %d: payload decimated (%v, %v) vs oracle (%v, %v)", trial, prodBits, prodErr, gotBits, gotErr)
 		}
@@ -195,6 +196,40 @@ func TestFastDecodeMatchesReferenceFullRate(t *testing.T) {
 	}
 }
 
+// buildRoundAt renders a TDMA round capture at the given sample rate and
+// carrier: one slot per payload (all of one length), each a pilot-prefixed
+// 1 kbps FM0 frame led in by 1–2.4 ms and followed by a 6 ms guard, over
+// the 0.4 leakage pedestal, with noise σ drawn from seed. It returns the
+// capture and its slot windows.
+func buildRoundAt(t *testing.T, fsHz, fcHz float64, payloads [][]byte, sigma float64, seed int64) ([]float64, []Slot) {
+	t.Helper()
+	syn := waveform.NewSynth(fsHz)
+	btx := NewBackscatterTX(fsHz)
+	nBits := len(payloads[0])
+	frameDur := float64(len(PilotBits)+nBits) / btx.Bitrate
+	slotDur := frameDur + 6e-3
+	slotLen := syn.Samples(slotDur)
+	capture := make([]float64, len(payloads)*slotLen)
+	carrier := syn.CBW(fcHz, 1.0, float64(len(payloads))*slotDur)
+	for i := range capture {
+		capture[i] = 0.4 * carrier[i]
+	}
+	slots := make([]Slot, len(payloads))
+	for s, payload := range payloads {
+		bs, err := btx.Modulate(PrependPilot(payload), syn.CBW(fcHz, 1.0, frameDur+units.MS))
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := s*slotLen + syn.Samples(1e-3+float64(s%3)*0.7e-3)
+		for i, v := range bs {
+			capture[base+i] += v
+		}
+		slots[s] = Slot{Start: s * slotLen, Len: slotLen, NBits: nBits}
+	}
+	dsp.NewNoiseSource(seed).AddAWGN(capture, sigma)
+	return capture, slots
+}
+
 // TestDemodulateSlotsMatchesPerSlotReference builds a multi-slot TDMA round
 // capture and checks the batched decode against the per-slot reference —
 // demodulateFrameReference over each slot's sub-capture — bit for bit.
@@ -207,38 +242,16 @@ func TestDemodulateSlotsMatchesPerSlotReference(t *testing.T) {
 	)
 	rng := dsp.NewNoiseSource(99)
 	for round := 0; round < 6; round++ {
-		syn := waveform.NewSynth(fsHz)
-		btx := NewBackscatterTX(fsHz)
-		frameBits := len(PilotBits) + nBits
-		frameDur := float64(frameBits) / btx.Bitrate
-		slotDur := frameDur + 6e-3
-		slotLen := syn.Samples(slotDur)
-		capture := make([]float64, nSlots*slotLen)
-		carrier := syn.CBW(fcHz, 1.0, float64(nSlots)*slotDur)
-		for i := range capture {
-			capture[i] = 0.4 * carrier[i]
-		}
 		payloads := make([][]byte, nSlots)
-		slots := make([]Slot, nSlots)
-		for s := 0; s < nSlots; s++ {
+		for s := range payloads {
 			payloads[s] = make([]byte, nBits)
 			for i := range payloads[s] {
 				if rng.Gaussian(1) > 0 {
 					payloads[s][i] = 1
 				}
 			}
-			bs, err := btx.Modulate(PrependPilot(payloads[s]), syn.CBW(fcHz, 1.0, frameDur+units.MS))
-			if err != nil {
-				t.Fatal(err)
-			}
-			lead := syn.Samples(1e-3 + float64(s%3)*0.7e-3)
-			base := s*slotLen + lead
-			for i, v := range bs {
-				capture[base+i] += v
-			}
-			slots[s] = Slot{Start: s * slotLen, Len: slotLen, NBits: nBits}
 		}
-		dsp.NewNoiseSource(int64(round)).AddAWGN(capture, 0.01)
+		capture, slots := buildRoundAt(t, fsHz, fcHz, payloads, 0.01, int64(round))
 
 		rx := equivRX()
 		got := rx.DemodulateSlots(capture, slots)
@@ -265,10 +278,12 @@ func TestDemodulateSlotsMatchesPerSlotReference(t *testing.T) {
 	}
 }
 
-// TestDemodulateSlotsRejectsBadWindows pins the slot-window validation.
+// TestDemodulateSlotsRejectsBadWindows pins the slot-window validation:
+// each window outside the capture fails and counts one error outcome.
 func TestDemodulateSlotsRejectsBadWindows(t *testing.T) {
 	capture := buildCaptureAt(t, 250e3, 60e3, []byte{1, 0, 1, 0}, 1e-3, 0, 1)
 	rx := equivRX()
+	before := cDemodError.Value()
 	out := rx.DemodulateSlots(capture, []Slot{
 		{Start: -1, Len: 100, NBits: 4},
 		{Start: 0, Len: len(capture) + 1, NBits: 4},
@@ -279,33 +294,56 @@ func TestDemodulateSlotsRejectsBadWindows(t *testing.T) {
 			t.Errorf("slot %d: expected window error", i)
 		}
 	}
+	if got := cDemodError.Value() - before; got != float64(len(out)) {
+		t.Errorf("%d bad windows counted %v error outcomes, want %d", len(out), got, len(out))
+	}
 	if out := rx.DemodulateSlots(capture, nil); len(out) != 0 {
 		t.Errorf("nil slots returned %d results", len(out))
 	}
 }
 
-// TestDemodulateFrameIntoZeroAlloc pins the warm full-frame decode — the
-// bench-gated uplink_round_decode hot path — at zero steady-state
-// allocations when the caller supplies payload capacity.
-func TestDemodulateFrameIntoZeroAlloc(t *testing.T) {
-	payload := []byte{1, 0, 0, 1, 1, 0, 1, 0}
-	capture := buildCaptureAt(t, 250e3, 60e3, payload, 2e-3, 0.01, 3)
+// TestDemodulateSlotsCountsFrontEndFailure decodes a k-slot round whose
+// front end finds no carrier — the reader searches a band above the
+// capture's Nyquist frequency — and requires every slot to fail with
+// ErrNoCarrier and count one no_sync outcome.
+func TestDemodulateSlotsCountsFrontEndFailure(t *testing.T) {
+	payloads := [][]byte{{1, 0, 1, 1}, {0, 1, 1, 0}, {1, 1, 0, 0}}
+	capture, slots := buildRoundAt(t, 250e3, 60e3, payloads, 0.01, 1)
 	rx := equivRX()
-	dst := make([]byte, 0, len(payload))
-	var err error
-	dst, err = rx.DemodulateFrameInto(dst[:0], capture, len(payload)) // warm the scratch free list
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dst, payload) {
-		t.Fatalf("decoded %v, want %v", dst, payload)
-	}
-	if allocs := testing.AllocsPerRun(10, func() {
-		if dst, err = rx.DemodulateFrameInto(dst[:0], capture, len(payload)); err != nil {
-			t.Fatal(err)
+	rx.CarrierHint = 0.6 * rx.SampleRate
+	before := cDemodNoSync.Value()
+	for s, r := range rx.DemodulateSlots(capture, slots) {
+		if !errors.Is(r.Err, ErrNoCarrier) {
+			t.Errorf("slot %d: err %v, want ErrNoCarrier", s, r.Err)
 		}
-	}); allocs != 0 {
-		t.Errorf("warm DemodulateFrameInto allocated %.1f objects/op, want 0", allocs)
+	}
+	if got := cDemodNoSync.Value() - before; got != float64(len(slots)) {
+		t.Errorf("a failed front end over %d slots counted %v no_sync outcomes, want %d", len(slots), got, len(slots))
+	}
+}
+
+// TestDemodulateSlotsAllocs pins the warm batched decode — production's
+// only uplink decode entry — at exactly its product: the result slice and
+// one payload copy per decoded slot. A failed slot (here one outside the
+// capture) costs nothing, and the front end runs on recycled scratch.
+func TestDemodulateSlotsAllocs(t *testing.T) {
+	payloads := [][]byte{{1, 0, 0, 1, 1, 0, 1, 0}, {0, 1, 1, 0, 1, 1, 0, 0}, {1, 1, 0, 1, 0, 0, 0, 1}}
+	capture, slots := buildRoundAt(t, 250e3, 60e3, payloads, 0.01, 3)
+	slots = append(slots, Slot{Start: len(capture), Len: 1, NBits: 8})
+	rx := equivRX()
+	for s, r := range rx.DemodulateSlots(capture, slots) { // warms the scratch free list
+		if s < len(payloads) && (r.Err != nil || !bytes.Equal(r.Bits, payloads[s])) {
+			t.Fatalf("slot %d: decoded %v (%v), want %v", s, r.Bits, r.Err, payloads[s])
+		}
+		if s == len(payloads) && r.Err == nil {
+			t.Fatalf("slot %d outside the capture decoded", s)
+		}
+	}
+	want := float64(1 + len(payloads))
+	if allocs := testing.AllocsPerRun(10, func() {
+		rx.DemodulateSlots(capture, slots)
+	}); allocs != want {
+		t.Errorf("warm DemodulateSlots allocated %.1f objects/op, want %v (the result slice and %d payloads)", allocs, want, len(payloads))
 	}
 }
 
@@ -392,7 +430,7 @@ func TestConcurrentDecodeSharedReader(t *testing.T) {
 	payload := []byte{1, 1, 0, 1, 0, 0, 1, 0}
 	capture := buildCaptureAt(t, 250e3, 60e3, payload, 2e-3, 0.02, 5)
 	rx := equivRX()
-	want, err := rx.DemodulateFrame(capture, len(payload))
+	want, err := rx.demodulateFrame(capture, len(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +439,7 @@ func TestConcurrentDecodeSharedReader(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			for i := 0; i < 5; i++ {
-				got, err := rx.DemodulateFrame(capture, len(payload))
+				got, err := rx.demodulateFrame(capture, len(payload))
 				if err != nil {
 					errc <- err
 					return

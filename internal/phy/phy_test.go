@@ -322,88 +322,3 @@ func TestDownlinkThroughChannelOOKDegrades(t *testing.T) {
 		t.Errorf("median FSK relative low-edge residual (%.3f) must stay below OOK's (%.3f)", fskLow, ookLow)
 	}
 }
-
-func TestBackscatterMillerRoundTrip(t *testing.T) {
-	// The Miller-4 uplink option end-to-end: node modulates with Miller-4
-	// impedance switching, reader demodulates with the matching decoder.
-	syn := waveform.NewSynth(fs)
-	btx := NewBackscatterTX(fs)
-	btx.Coding = CodingMiller4
-	bits := []byte{1, 0, 1, 1, 0, 0, 1, 0}
-	// Miller-4 spends 8 halves per bit at the same switching rate.
-	dur := float64(len(bits)*8) * btx.HalfSymbolDuration()
-	carrier := syn.CBW(230e3, 1.0, dur+2e-3)
-	bs, err := btx.Modulate(bits, carrier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rxSig := make([]float64, len(carrier))
-	for i := range rxSig {
-		rxSig[i] = 0.4 * carrier[i]
-		if i < len(bs) {
-			rxSig[i] += bs[i]
-		}
-	}
-	dsp.NewNoiseSource(12).AddAWGN(rxSig, 0.02)
-	rrx := NewReaderRX(fs)
-	rrx.Coding = CodingMiller4
-	got, err := rrx.demodulate(rxSig, 0, len(bits))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, bits) {
-		t.Errorf("Miller uplink round trip: got %v want %v", got, bits)
-	}
-}
-
-func TestBackscatterMillerSurvivesMoreNoiseThanFM0(t *testing.T) {
-	// At a noise level where the FM0 uplink misdecodes, Miller-4 (same
-	// switching rate, 4× slower bits) still round-trips.
-	syn := waveform.NewSynth(fs)
-	bits := []byte{1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1}
-	const sigma = 0.12
-	run := func(c UplinkCoding, seed int64) int {
-		btx := NewBackscatterTX(fs)
-		btx.Coding = c
-		halvesPerBit := 2
-		if c == CodingMiller4 {
-			halvesPerBit = 8
-		}
-		dur := float64(len(bits)*halvesPerBit) * btx.HalfSymbolDuration()
-		carrier := syn.CBW(230e3, 1.0, dur+2e-3)
-		bs, err := btx.Modulate(bits, carrier)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rxSig := make([]float64, len(carrier))
-		for i := range rxSig {
-			rxSig[i] = 0.4 * carrier[i]
-			if i < len(bs) {
-				rxSig[i] += bs[i]
-			}
-		}
-		dsp.NewNoiseSource(seed).AddAWGN(rxSig, sigma)
-		rrx := NewReaderRX(fs)
-		rrx.Coding = c
-		got, err := rrx.demodulate(rxSig, 0, len(bits))
-		if err != nil {
-			return len(bits)
-		}
-		errs := 0
-		for i := range bits {
-			if got[i] != bits[i] {
-				errs++
-			}
-		}
-		return errs
-	}
-	var fm0Errs, millerErrs int
-	for seed := int64(0); seed < 6; seed++ {
-		fm0Errs += run(CodingFM0, 100+seed)
-		millerErrs += run(CodingMiller4, 100+seed)
-	}
-	if millerErrs > fm0Errs {
-		t.Errorf("Miller-4 (%d errs) must not lose to FM0 (%d errs) under heavy noise",
-			millerErrs, fm0Errs)
-	}
-}

@@ -11,7 +11,7 @@ import (
 // The reference receive chain, the full-rate oracle the decimating
 // production front end (frontend.go) is tested against, and single-stage
 // entry points on either front end. Production decodes only through
-// DemodulateFrame, DemodulateFrameInto and DemodulateSlots.
+// DemodulateSlots; demodulateFrame is its one-slot round.
 //
 // The reference stages recompute everything per call: the carrier
 // estimate through dsp.Spectrum, down-conversion through
@@ -140,11 +140,7 @@ func (rx *ReaderRX) demodulateReference(signal []float64, start, nBits int) ([]b
 	if halfSamples < 1 {
 		return nil, errors.New("phy: bitrate too high for the sample rate")
 	}
-	halvesPerBit := 2
-	if rx.Coding == CodingMiller4 {
-		halvesPerBit = 8
-	}
-	nHalves := nBits * halvesPerBit
+	nHalves := 2 * nBits
 	halves := make([]float64, nHalves)
 	for h := 0; h < nHalves; h++ {
 		a := start + int(float64(h)*halfSamples)
@@ -154,15 +150,12 @@ func (rx *ReaderRX) demodulateReference(signal []float64, start, nBits int) ([]b
 		}
 		halves[h] = dsp.Mean(ac[a:b])
 	}
-	// Normalise and run the configured decoder.
+	// Normalise and run the ML FM0 decoder.
 	scale := dsp.MaxAbs(halves)
 	if scale > 0 {
 		for i := range halves {
 			halves[i] /= scale
 		}
-	}
-	if rx.Coding == CodingMiller4 {
-		return coding.MillerDecode(halves, coding.Miller4)
 	}
 	return coding.FM0DecodeML(halves), nil
 }
@@ -274,7 +267,7 @@ func pilotCosine(ac []float64, tmpl []float64, start int, half float64) float64 
 // payload bits that follow it, returning the payload (pilot stripped). It
 // composes the two reference stages — so the receive front-end runs twice,
 // once per stage — and is retained (without telemetry) as the slow
-// reference for the fast DemodulateFrame's equivalence battery.
+// reference for the production decode's equivalence battery.
 func (rx *ReaderRX) demodulateFrameReference(signal []float64, nBits int) ([]byte, error) {
 	// The same bound as decodeWindow: half the capture, and room for the
 	// whole frame after the start.
@@ -347,7 +340,7 @@ func (rx *ReaderRX) demodulateOn(fe frontEndFunc, signal []float64, start, nBits
 	return rx.demodWindow(sc, nil, start, nBits, sc.n)
 }
 
-// demodulateFrameOn is DemodulateFrame on the given front end.
+// demodulateFrameOn is demodulateFrame's decode on the given front end.
 func (rx *ReaderRX) demodulateFrameOn(fe frontEndFunc, signal []float64, nBits int) ([]byte, error) {
 	sc := &feScratch{}
 	if _, err := fe(rx, sc, signal); err != nil {
@@ -357,6 +350,13 @@ func (rx *ReaderRX) demodulateFrameOn(fe frontEndFunc, signal []float64, nBits i
 		return nil, err
 	}
 	return sc.bits[len(PilotBits):], nil
+}
+
+// demodulateFrame decodes a capture holding one pilot-prefixed frame of
+// nBits payload bits through the production entry, as a one-slot round.
+func (rx *ReaderRX) demodulateFrame(signal []float64, nBits int) ([]byte, error) {
+	r := rx.DemodulateSlots(signal, []Slot{{Start: 0, Len: len(signal), NBits: nBits}})[0]
+	return r.Bits, r.Err
 }
 
 // synchronize and demodulate run the production (decimating) front end.

@@ -11,29 +11,22 @@ import (
 	"ecocapsule/internal/waveform"
 )
 
-// UplinkCoding selects the line code of the backscatter uplink.
-type UplinkCoding int
-
+// The node's two radar cross-sections: the reflect and absorb states of
+// its impedance switch.
 const (
-	// CodingFM0 is the paper's default (§3.4).
-	CodingFM0 UplinkCoding = iota
-	// CodingMiller4 trades 4× rate for noise robustness (Gen2 Miller).
-	CodingMiller4
+	reflectGain = 0.45
+	absorbGain  = 0.03
 )
 
-// BackscatterTX is the node's uplink modulator: FM0- (or Miller-) coded
-// impedance switching against the incident CBW, at a backscatter link
-// frequency (BLF) offset from the carrier so the reader can filter the
+// BackscatterTX is the node's uplink modulator: FM0-coded impedance
+// switching against the incident CBW, at a backscatter link frequency
+// (BLF) offset from the carrier so the reader can filter the
 // self-interference in the spectrum (§3.4, Appendix C).
 type BackscatterTX struct {
 	Synth *waveform.Synth
 	// Bitrate of the uplink in bits/s (default 1 kbps per §5.1).
 	//ecolint:unit hz
 	Bitrate float64
-	// ReflectGain and AbsorbGain are the node's two radar cross-sections.
-	ReflectGain, AbsorbGain float64
-	// Coding selects FM0 (default) or Miller-4.
-	Coding UplinkCoding
 }
 
 // NewBackscatterTX returns the default uplink modulator.
@@ -41,27 +34,16 @@ type BackscatterTX struct {
 //ecolint:unit fs hz
 func NewBackscatterTX(fs float64) *BackscatterTX {
 	return &BackscatterTX{
-		Synth:       waveform.NewSynth(fs),
-		Bitrate:     1 * units.KHz,
-		ReflectGain: 0.45,
-		AbsorbGain:  0.03,
+		Synth:   waveform.NewSynth(fs),
+		Bitrate: 1 * units.KHz,
 	}
 }
 
-// HalfSymbolDuration returns the duration of one half-symbol of the
-// configured code: FM0 spends two halves per bit; Miller-4 spends eight at
-// the same switching rate (so its effective bitrate is 4× lower).
+// HalfSymbolDuration returns the duration of one FM0 half-symbol (two per
+// bit).
 //
 //ecolint:unit return s
 func (tx *BackscatterTX) HalfSymbolDuration() float64 { return 1 / (2 * tx.Bitrate) }
-
-// encode renders the configured line code to half-symbol levels.
-func (tx *BackscatterTX) encode(bits []byte) ([]float64, error) {
-	if tx.Coding == CodingMiller4 {
-		return coding.MillerEncode(bits, coding.Miller4)
-	}
-	return coding.FM0Encode(bits)
-}
 
 // Modulate produces the backscattered waveform for the given bits against
 // the incident carrier samples. The incident slice must cover the full
@@ -73,7 +55,7 @@ func (tx *BackscatterTX) Modulate(bits []byte, incident []float64) ([]float64, e
 // ModulateInto is Modulate writing the waveform into dst's storage when its
 // capacity holds the frame (a new slice otherwise).
 func (tx *BackscatterTX) ModulateInto(dst []float64, bits []byte, incident []float64) ([]float64, error) {
-	halves, err := tx.encode(bits)
+	halves, err := coding.FM0Encode(bits)
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +67,7 @@ func (tx *BackscatterTX) ModulateInto(dst []float64, bits []byte, incident []flo
 	if len(incident) < need {
 		return nil, errors.New("phy: incident carrier shorter than the frame")
 	}
-	return tx.Synth.BackscatterModulateInto(dst, incident[:need], states, half, tx.ReflectGain, tx.AbsorbGain), nil
+	return tx.Synth.BackscatterModulateInto(dst, incident[:need], states, half, reflectGain, absorbGain), nil
 }
 
 // ReaderRX is the reader's uplink receive chain (§5.1): estimate the
@@ -108,8 +90,6 @@ type ReaderRX struct {
 	// backscatter band edge (Hz).
 	//ecolint:unit hz
 	GuardBand float64
-	// Coding must match the node's uplink code (FM0 default).
-	Coding UplinkCoding
 }
 
 // NewReaderRX returns the default reader chain for the operating-point

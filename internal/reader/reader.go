@@ -31,8 +31,12 @@ import (
 type Config struct {
 	// Structure the reader is attached to.
 	Structure *geometry.Structure
-	// TXPosition and RXPosition on the surface (≈20 cm apart in §5.1).
-	TXPosition, RXPosition geometry.Vec3
+	// TXPosition is the transmitting PZT on the surface.
+	TXPosition geometry.Vec3
+	// RXPosition is the receiving PZT (≈20 cm from TX in §5.1). Nothing
+	// reads it: the uplink return is modelled over the TX→capsule channel,
+	// so setting it changes no outcome.
+	RXPosition geometry.Vec3
 	// DriveVoltage at the transmitting PZT (V); the amplifier caps at 250 V.
 	//ecolint:unit v
 	DriveVoltage float64

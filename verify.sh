@@ -128,12 +128,23 @@ if [ "$SHORT" = 1 ]; then
 	exit 0
 fi
 
-stage "go test -race ./..."
-go test -race ./...
+# The keyed selection: every test whose name matches runs under the race
+# detector at GOMAXPROCS 1, 2 and 4 (and at this host's processor count),
+# twice each, in the keyed determinism stage below. The race stage skips
+# it, so each race configuration runs once.
+KEYED_RE='Invariance|Keyed|Determinis|Churn|UnderKill|Concurrent|BitIdentical|DecodeOutcomes|BERParity|Decimat'
+KEYED_CPUS=1,2,4
+case ",$KEYED_CPUS," in
+*",$(nproc),"*) ;;
+*) KEYED_CPUS="$KEYED_CPUS,$(nproc)" ;;
+esac
+
+stage "go test -race ./... (keyed selection skipped)"
+go test -race -skip "$KEYED_RE" ./...
 stage_done
 
 # Determinism contract at several GOMAXPROCS values, in one pass over the
-# module: every test whose name matches the regex runs, wherever it lives.
+# module: every test in the keyed selection runs, wherever it lives.
 # Fault draws and span IDs are keyed per capsule, and every seeded noise
 # stream is a keyrand counter stream that depends on its seed alone, so the
 # fleet's one (parallel) schedule must render byte-identical reports and
@@ -153,19 +164,19 @@ stage_done
 # bounces, one snapshot resync per bounce) must count its closed-form
 # reconnects and resyncs and leave no goroutine behind at every
 # processor count.
-stage "keyed determinism (-race -count=2 -cpu 1,2,4)"
-go test -race -count=2 -cpu 1,2,4 \
-	-run 'Invariance|Keyed|Determinis|Churn|UnderKill|Concurrent|BitIdentical|DecodeOutcomes|BERParity|Decimat' \
-	./...
+stage "keyed determinism (-race -count=2 -cpu $KEYED_CPUS)"
+go test -race -count=2 -cpu "$KEYED_CPUS" -run "$KEYED_RE" ./...
 stage_done
 
 # One non-race stage for what the race build above cannot measure: the
 # allocation bounds and the coverage floor.
 #
 # Cross-check: the hotalloc lint and the runtime AllocsPerRun tests must
-# agree that the warm decode path and the fault-free read path (capsule
+# agree on the warm decode path (TestDemodulateSlotsAllocs: a warm k-slot
+# DemodulateSlots allocates its result slice and one payload copy per
+# decoded slot, nothing else) and that the fault-free read path (capsule
 # reply → reader parse/decode → survey row, and broadcast → subscriber
-# writer → Client.Next) are allocation-free. The lint half is the ecolint
+# writer → Client.Next) is allocation-free. The lint half is the ecolint
 # stage above: it proves every control-flow path of every
 # //ecolint:hotpath function in the tree, and TestListRoster proves
 # hotalloc ran there. This stage is the measuring half: the
@@ -192,7 +203,7 @@ stage_done
 # own; the other packages run only their alloc tests. -count=1 keeps the
 # alloc tests from being answered by the test cache.
 stage "allocation bounds and coverage floor (dsp, channel, reader >= 75%)"
-go test -count=1 -run 'ZeroAlloc|SurveyAllocs|CityFleetLiveHeap' ./internal/phy ./internal/coding \
+go test -count=1 -run 'ZeroAlloc|SlotsAllocs|SurveyAllocs|CityFleetLiveHeap' ./internal/phy ./internal/coding \
 	./internal/fleet ./internal/shmwire
 # Capture the status too: under set -e a bare COV_OUT="$(...)" would exit
 # on a failing test before the captured output is ever printed.
@@ -292,9 +303,9 @@ stage_done
 # Bench smoke: regenerate the hot-path micro-benchmark matrix and the 1k
 # city-fleet survey tier and gate every entry against the committed
 # BENCH.json baseline at matching GOMAXPROCS (>20% slower fails: the
-# convolution crossover, the decode path, the link cache, the survey
-# fan-out or the spatial partitioning regressed). The 10k/100k tiers and
-# the flat-registry comparator run with -full only (minutes).
+# convolution crossover, the decode path, a warm round on a built link,
+# the survey fan-out or the spatial partitioning regressed). The 10k/100k
+# tiers and the flat-registry comparator run with -full only (minutes).
 stage "bench smoke (ecobench -json vs BENCH.json)"
 go run ./cmd/ecobench -json -baseline BENCH.json > /tmp/ecobench_bench_last.json
 stage_done
