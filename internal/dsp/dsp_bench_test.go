@@ -80,3 +80,18 @@ func BenchmarkWelchPSD(b *testing.B) {
 		WelchPSD(x, units.MHz, 1024)
 	}
 }
+
+// BenchmarkMixDecimateRound times the receive front end's fused
+// down-conversion at the acoustic_round workload's shape: a 315k-sample
+// capture, the 101-tap low-pass of a 2 kbps uplink and D = 31.
+func BenchmarkMixDecimateRound(b *testing.B) {
+	const n, d = 315000, 31
+	x := benchSignal(n)
+	h := FIRLowPass(units.MHz, 6000, 101)
+	dst := make([]complex128, (n+d-1)/d)
+	seg := make([]complex128, 4096)
+	b.ReportAllocs()
+	for b.Loop() {
+		MixDecimate(dst, seg, x, units.MHz, 229980.5, h, d)
+	}
+}

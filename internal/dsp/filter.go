@@ -169,20 +169,50 @@ func mixStep(w float64) complex128 {
 // must be a multiple of mixChunk and to one or len(x), so every chunk
 // re-anchors on the same exact Sincos and runs the same recurrence
 // whichever caller mixes it: the chunked recurrence drift stays below
-// ~mixChunk·ulp, far inside the 1e-9 equivalence budget.
+// ~mixChunk·ulp, far inside the 1e-9 equivalence budget. Whole chunks run
+// two at a time, their recurrences side by side, so neither waits on the
+// other's multiply chain; each chunk's oscillator and products are the
+// same as when it runs alone.
 //
 //ecolint:hotpath in-place oscillator recurrence
 func mixChunks(dst []complex128, x []float64, w float64, step complex128, from, to int) {
-	for base := from; base < to; base += mixChunk {
+	base := from
+	for ; base+2*mixChunk <= to; base += 2 * mixChunk {
+		sa, ca := math.Sincos(w * float64(base))
+		sb, cb := math.Sincos(w * float64(base+mixChunk))
+		oa, ob := complex(ca, -sa), complex(cb, -sb)
+		xa, xb := x[base:base+mixChunk], x[base+mixChunk:base+2*mixChunk]
+		outa := dst[base-from:][:mixChunk]
+		outb := dst[base+mixChunk-from:][:mixChunk]
+		for i := range mixChunk {
+			outa[i] = mixSample(xa[i], oa)
+			outb[i] = mixSample(xb[i], ob)
+			oa *= step
+			ob *= step
+		}
+	}
+	for ; base < to; base += mixChunk {
 		end := min(base+mixChunk, to)
 		s, c := math.Sincos(w * float64(base))
 		osc := complex(c, -s)
 		out := dst[base-from : end-from]
 		for i, v := range x[base:end] {
-			out[i] = complex(v, 0) * osc
+			out[i] = mixSample(v, osc)
 			osc *= step
 		}
 	}
+}
+
+// mixSample is the mixed sample complex(v, 0)·osc, bit for bit, from the
+// two products v·real(osc) and v·imag(osc). The complex product adds the
+// zero part's products, −0·imag(osc) and 0·real(osc), which can only flip
+// the sign of a zero; so a zero product takes the full form.
+func mixSample(v float64, osc complex128) complex128 {
+	re, im := v*real(osc), v*imag(osc)
+	if re == 0 || im == 0 {
+		return complex(v, 0) * osc
+	}
+	return complex(re, im)
 }
 
 // MixDecimate is MixDown followed by a decimating low-pass, without a
@@ -196,8 +226,10 @@ func mixChunks(dst []complex128, x []float64, w float64, step complex128, from, 
 // chunks, so each is bit-identical to MixDown's and the outputs are
 // bit-identical to filtering MixDown's full buffer output by output.
 // len(seg) must be at least len(h) + 2·256; a longer seg refills less
-// often. It returns dst resliced to the kept length; len(dst) must be at
-// least that. Allocation-free.
+// often, and from len(h) + 3·d + 2·256 on, four consecutive outputs whose
+// kernels lie wholly inside the capture are filtered at once
+// (filterQuad), each in its own tap order. It returns dst resliced to the
+// kept length; len(dst) must be at least that. Allocation-free.
 //
 //ecolint:unit fs hz
 //ecolint:unit fc hz
@@ -217,33 +249,31 @@ func MixDecimate(dst, seg []complex128, x []float64, fs, fc float64, h []float64
 	w := 2 * math.Pi * fc / fs
 	step := mixStep(w)
 	mid := len(h) / 2
+	// Four outputs run at once when their kernels lie wholly inside the
+	// capture and the window buffer holds all four after a slide.
+	quads := len(seg) >= len(h)+3*d+2*mixChunk
 	// seg[:hi-lo] holds the mixed x[lo:hi]; hi is a chunk boundary or n.
 	lo, hi := 0, 0
-	for k := range dst[:m] {
+	for k := 0; k < m; {
 		// Output i sees h[t]·x[i+mid−t]: the inputs [jLo, jHi).
 		i := k*d + (d-1)/2
 		jLo, jHi := max(0, i+mid-len(h)+1), min(n, i+mid+1)
 		if jLo >= jHi {
 			dst[k] = 0 // the kernel lies wholly past the capture's end
+			k++
+			continue
+		}
+		// Output k+3 reads the inputs up to quadHi.
+		if quadHi := i + 3*d + mid + 1; quads && k+3 < m && i+mid+1 >= len(h) && quadHi <= n {
+			if quadHi > hi {
+				lo, hi = slideMixed(seg, x, w, step, lo, hi, jLo)
+			}
+			dst[k], dst[k+1], dst[k+2], dst[k+3] = filterQuad(seg[jLo-lo:], h, d)
+			k += 4
 			continue
 		}
 		if jHi > hi {
-			// Slide the window: keep what this output still reads,
-			// restarting at jLo's chunk when it reads none of it, and
-			// mix whole chunks until the window is full.
-			if jLo >= hi {
-				lo = jLo - jLo%mixChunk
-				hi = lo
-			} else {
-				copy(seg, seg[jLo-lo:hi-lo])
-				lo = jLo
-			}
-			end := min(n, lo+len(seg))
-			if end < n {
-				end -= end % mixChunk
-			}
-			mixChunks(seg[hi-lo:], x, w, step, hi, end)
-			hi = end
+			lo, hi = slideMixed(seg, x, w, step, lo, hi, jLo)
 		}
 		// t runs up from max(0, i+mid−n+1) as the input runs down from
 		// jHi−1, the order ConvolveComplex sums in.
@@ -256,8 +286,53 @@ func MixDecimate(dst, seg []complex128, x []float64, fs, fc float64, h []float64
 			im += hv * imag(v)
 		}
 		dst[k] = complex(re, im)
+		k++
 	}
 	return dst[:m]
+}
+
+// slideMixed slides MixDecimate's window of mixed samples, which holds
+// x[lo:hi] mixed, forward to start at jLo: it keeps what the window still
+// holds from jLo on, restarting at jLo's chunk when it holds none of it,
+// and mixes whole chunks until the window is full. It returns the new
+// [lo, hi).
+func slideMixed(seg []complex128, x []float64, w float64, step complex128, lo, hi, jLo int) (int, int) {
+	if jLo >= hi {
+		lo = jLo - jLo%mixChunk
+		hi = lo
+	} else {
+		copy(seg, seg[jLo-lo:hi-lo])
+		lo = jLo
+	}
+	end := min(len(x), lo+len(seg))
+	if end < len(x) {
+		end -= end % mixChunk
+	}
+	mixChunks(seg[hi-lo:], x, w, step, hi, end)
+	return lo, end
+}
+
+// filterQuad is four consecutive kept outputs whose kernels lie wholly
+// inside the mixed samples: output q reads win[q·d:][:len(h)], and each
+// sums its taps in the order MixDecimate's one-output loop does (t up as
+// the input runs down). Their eight sums run side by side.
+func filterQuad(win []complex128, h []float64, d int) (a, b, c, e complex128) {
+	n := len(h)
+	w0, w1, w2, w3 := win[:n], win[d:][:n], win[2*d:][:n], win[3*d:][:n]
+	var r0, i0, r1, i1, r2, i2, r3, i3 float64
+	for t, hv := range h {
+		u := n - 1 - t
+		v0, v1, v2, v3 := w0[u], w1[u], w2[u], w3[u]
+		r0 += hv * real(v0)
+		i0 += hv * imag(v0)
+		r1 += hv * real(v1)
+		i1 += hv * imag(v1)
+		r2 += hv * real(v2)
+		i2 += hv * imag(v2)
+		r3 += hv * real(v3)
+		i3 += hv * imag(v3)
+	}
+	return complex(r0, i0), complex(r1, i1), complex(r2, i2), complex(r3, i3)
 }
 
 // Magnitude returns |x| element-wise.

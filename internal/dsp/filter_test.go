@@ -14,7 +14,7 @@ import (
 // both ends, so the centre of a last, partial block may lie past len(x))
 // for k < ⌈len(x)/d⌉, and the kept outputs are all it computes. It returns
 // dst resliced to the kept length. It is the oracle of MixDecimate, which
-// must equal it on MixDown's full-rate output bit for bit.
+// must equal it on the full-rate mixed signal bit for bit.
 func DecimateComplex(dst, x []complex128, h []float64, d int) []complex128 {
 	n := len(x)
 	m := (n + d - 1) / d
@@ -65,12 +65,63 @@ func TestDecimateComplexMatchesConvolveComplex(t *testing.T) {
 	}
 }
 
-// mixDecimateOracle is MixDecimate the long way: MixDown into a full-rate
-// buffer, then the decimating oracle over it.
+// mixDownOracle is MixDown one chunk at a time: each chunk re-anchors the
+// oscillator on an exact Sincos, and each sample is the full complex
+// product complex(v, 0)·osc. MixDown must equal it bit for bit.
+func mixDownOracle(x []float64, fs, fc float64) []complex128 {
+	dst := make([]complex128, len(x))
+	w := 2 * math.Pi * fc / fs
+	step := mixStep(w)
+	for base := 0; base < len(x); base += mixChunk {
+		s, c := math.Sincos(w * float64(base))
+		osc := complex(c, -s)
+		for i := base; i < min(base+mixChunk, len(x)); i++ {
+			dst[i] = complex(x[i], 0) * osc
+			osc *= step
+		}
+	}
+	return dst
+}
+
+// mixDecimateOracle is MixDecimate the long way: the chunked mix into a
+// full-rate buffer, then the decimating oracle over it.
 func mixDecimateOracle(x []float64, fs, fc float64, h []float64, d int) []complex128 {
-	mixed := make([]complex128, len(x))
-	MixDown(mixed, x, fs, fc)
-	return DecimateComplex(make([]complex128, len(x)), mixed, h, d)
+	return DecimateComplex(make([]complex128, len(x)), mixDownOracle(x, fs, fc), h, d)
+}
+
+// TestMixDownBitIdentical holds MixDown, whose whole chunks run two at a
+// time from two products per sample, to the one-chunk-at-a-time complex
+// product bit for bit: lengths off every chunk boundary and odd and even
+// chunk counts, and inputs holding ±0, subnormals and huge values, where
+// a dropped zero product could flip the sign of a zero.
+func TestMixDownBitIdentical(t *testing.T) {
+	const fs = units.MHz
+	src := NewNoiseSource(17)
+	for _, n := range []int{1, 255, 256, 257, 512, 3*256 + 5, 4096, 20011} {
+		x := make([]float64, n)
+		for i := range x {
+			switch i % 7 {
+			case 0:
+				x[i] = 0
+			case 1:
+				x[i] = math.Copysign(0, -1)
+			case 2:
+				x[i] = 5e-324 * float64(1+i%3)
+			case 3:
+				x[i] = -1e300
+			default:
+				x[i] = src.Gaussian(1)
+			}
+		}
+		for _, fc := range []float64{229980.46875, 1e3, 0, -5e4} {
+			want := mixDownOracle(x, fs, fc)
+			got := make([]complex128, n)
+			MixDown(got, x, fs, fc)
+			if k := firstDiff(got, want); k >= 0 {
+				t.Fatalf("n=%d fc=%g: sample %d is %v, want %v", n, fc, k, got[k], want[k])
+			}
+		}
+	}
 }
 
 // firstDiff is the first kept output where got and want differ in any bit
@@ -87,11 +138,12 @@ func firstDiff(got, want []complex128) int {
 	return -1
 }
 
-// TestMixDecimateBitIdentical holds the fused front-end kernel to MixDown
-// followed by the decimating oracle bit for bit: capture lengths off every
-// chunk and block boundary, D = 1 through past the kernel length,
-// captures shorter than the kernel, and window buffers from the minimum
-// (refilled every few outputs) to longer than the capture.
+// TestMixDecimateBitIdentical holds the fused front-end kernel to the
+// chunked mix (mixDownOracle) followed by the decimating oracle bit for
+// bit: capture lengths off every chunk and block boundary, D = 1 through
+// past the kernel length, captures shorter than the kernel, and window
+// buffers from the minimum (refilled every few outputs) to longer than the
+// capture.
 func TestMixDecimateBitIdentical(t *testing.T) {
 	const fs = units.MHz
 	src := NewNoiseSource(31)

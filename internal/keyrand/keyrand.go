@@ -8,13 +8,13 @@ package keyrand
 
 //ecolint:deterministic
 
-// gamma is the SplitMix64 increment, 2^64 divided by the golden ratio.
-const gamma = 0x9e3779b97f4a7c15
+// Gamma is the SplitMix64 increment, 2^64 divided by the golden ratio.
+const Gamma = 0x9e3779b97f4a7c15
 
 // Mix is the SplitMix64 finaliser: a bijective avalanche of one word.
 // Mix(x) is the draw a SplitMix64 generator in state x returns next.
 func Mix(x uint64) uint64 {
-	x += gamma
+	x += Gamma
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
@@ -33,16 +33,21 @@ func Key(words ...uint64) uint64 {
 }
 
 // Source is a SplitMix64 stream: draw i of the stream seeded with s is
-// Mix(s + i·gamma). It implements math/rand/v2's Source, so rand.New over
+// Mix(s + i·Gamma). It implements math/rand/v2's Source, so rand.New over
 // it supplies the ziggurat NormFloat64 and the unbiased IntN.
-type Source struct{ state uint64 }
+type Source struct {
+	// State is the counter: the next draw is Mix(State), after which
+	// State advances by Gamma. A loop that draws inline reads and writes
+	// it directly.
+	State uint64
+}
 
 // New returns the stream seeded with seed.
-func New(seed uint64) *Source { return &Source{state: seed} }
+func New(seed uint64) *Source { return &Source{State: seed} }
 
 // Uint64 returns the next draw.
 func (s *Source) Uint64() uint64 {
-	x := s.state
-	s.state += gamma
+	x := s.State
+	s.State += Gamma
 	return Mix(x)
 }

@@ -18,12 +18,12 @@ func TestSourceKnownAnswers(t *testing.T) {
 }
 
 // TestSourceDrawIsCounterMix checks the counter-based form: draw i of the
-// stream seeded with s is Mix(s + i·gamma), wrapping included.
+// stream seeded with s is Mix(s + i·Gamma), wrapping included.
 func TestSourceDrawIsCounterMix(t *testing.T) {
 	for _, seed := range []uint64{0, 1, 42, 1 << 63, ^uint64(0)} {
 		s := New(seed)
 		for i := uint64(0); i < 100; i++ {
-			if got, want := s.Uint64(), Mix(seed+i*gamma); got != want {
+			if got, want := s.Uint64(), Mix(seed+i*Gamma); got != want {
 				t.Fatalf("seed %#x draw %d: got %#016x, want %#016x", seed, i, got, want)
 			}
 		}

@@ -101,6 +101,7 @@ type feScratch struct {
 	mag    []float64    // |bb| for the envelope anchor
 	ac     []float64    // projected real baseband
 	pre    []float64    // prefix sums of ac: pre[i] = Σ ac[:i]
+	slope  []float64    // ac's slope across block k, from its neighbours
 	halves []float64    // integrate-and-dump matched-filter outputs
 	bits   []byte       // decoded frame bits (pilot + payload)
 	n      int          // capture length in samples
@@ -366,37 +367,42 @@ func (rx *ReaderRX) project(sc *feScratch, n, d int) {
 		}
 	}
 
-	// Prefix sums of ac: every half-symbol integral and pilot correlation
-	// below becomes O(1) per window.
+	// Prefix sums of ac, and the slope sum interpolates with inside each
+	// block: every half-symbol integral and pilot correlation below
+	// becomes O(1) per window.
 	sc.pre = growF(sc.pre, m+1)
 	sc.pre[0] = 0
 	for i, v := range sc.ac {
 		sc.pre[i+1] = sc.pre[i] + v
 	}
+	sc.slope = growF(sc.slope, m)
+	for k := range sc.slope {
+		lo, hi := max(k-1, 0), min(k+1, m-1)
+		sc.slope[k] = 0
+		if hi > lo {
+			sc.slope[k] = (sc.ac[hi] - sc.ac[lo]) / float64((hi-lo)*d)
+		}
+	}
 }
 
 // meanWindow is the mean of the projected baseband over capture samples
-// [a, b) through the kept-sample prefix sums (sum).
-func (sc *feScratch) meanWindow(a, b int) float64 {
-	return (sc.sum(b) - sc.sum(a)) / float64(b-a)
+// [a, b), given sa = sum(a) and sb = sum(b). Consecutive half-symbol
+// windows share an edge, so the window loops read each edge's sum once.
+func meanWindow(a, b int, sa, sb float64) float64 {
+	return (sb - sa) / float64(b-a)
 }
 
 // sum is the integral of the projected baseband over capture samples
 // [0, x). Kept sample k was filtered at the centre of block [k·d, (k+1)·d),
 // so a whole block integrates to d·ac[k], and the part of the block x
-// falls in integrates the line through ac[k] with the slope of its
-// neighbours — the baseband varies smoothly across a block, since the
+// falls in integrates the line through ac[k] with slope[k], the slope of
+// its neighbours — the baseband varies smoothly across a block, since the
 // low-pass kernel spans several. At d = 1 it is pre[x].
 func (sc *feScratch) sum(x int) float64 {
 	k, r := x/sc.d, x%sc.d
 	s := float64(sc.d) * sc.pre[k]
 	if r > 0 {
-		lo, hi := max(k-1, 0), min(k+1, sc.m-1)
-		var slope float64
-		if hi > lo {
-			slope = (sc.ac[hi] - sc.ac[lo]) / float64((hi-lo)*sc.d)
-		}
-		s += float64(r) * (sc.ac[k] + slope*float64(r-sc.d)/2)
+		s += float64(r) * (sc.ac[k] + sc.slope[k]*float64(r-sc.d)/2)
 	}
 	return s
 }
@@ -406,13 +412,15 @@ func (sc *feScratch) sum(x int) float64 {
 // window end for slots, the capture end otherwise).
 func (sc *feScratch) pilotScoreFast(start int, half float64, hi int) float64 {
 	var score float64
+	a, sa := start, sc.sum(start)
 	for h, level := range pilotHalves {
-		a := start + int(float64(h)*half)
 		b := start + int(float64(h+1)*half)
 		if b > hi {
 			return -1
 		}
-		score += level * sc.meanWindow(a, b)
+		sb := sc.sum(b)
+		score += level * meanWindow(a, b, sa, sb)
+		a, sa = b, sb
 	}
 	return score
 }
@@ -420,15 +428,17 @@ func (sc *feScratch) pilotScoreFast(start int, half float64, hi int) float64 {
 // pilotCosineFast mirrors the reference pilotCosine on the prefix sums.
 func (sc *feScratch) pilotCosineFast(start int, half float64, hi int) float64 {
 	var dot, vv float64
+	a, sa := start, sc.sum(start)
 	for h, level := range pilotHalves {
-		a := start + int(float64(h)*half)
 		b := start + int(float64(h+1)*half)
 		if b > hi {
 			return 0
 		}
-		v := sc.meanWindow(a, b)
+		sb := sc.sum(b)
+		v := meanWindow(a, b, sa, sb)
 		dot += level * v
 		vv += v * v
+		a, sa = b, sb
 	}
 	if vv == 0 {
 		return 0
@@ -504,13 +514,15 @@ func (rx *ReaderRX) demodWindow(sc *feScratch, dst []byte, start, nBits, hi int)
 	}
 	nHalves := 2 * nBits
 	sc.halves = growF(sc.halves, nHalves)
+	a, sa := start, sc.sum(start)
 	for h := 0; h < nHalves; h++ {
-		a := start + int(float64(h)*halfSamples)
 		b := start + int(float64(h+1)*halfSamples)
 		if b > hi {
 			return nil, errCaptureShort
 		}
-		sc.halves[h] = sc.meanWindow(a, b)
+		sb := sc.sum(b)
+		sc.halves[h] = meanWindow(a, b, sa, sb)
+		a, sa = b, sb
 	}
 	halves := sc.halves[:nHalves]
 	scale := dsp.MaxAbs(halves)

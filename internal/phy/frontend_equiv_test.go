@@ -347,13 +347,12 @@ func TestDemodulateSlotsAllocs(t *testing.T) {
 	}
 }
 
-// TestFrontEndScratchBounded decodes a 315k-sample, three-slot 2 kbps
-// round at 1 MS/s on a fresh scratch: no complex buffer the front end
-// keeps is longer than the carrier band's M-bin spectrum or the kept
-// baseband plus one mixing segment, M is 65536 (D = 8 on the 2^19 grid),
-// and the cold decode allocates less than the root table of a 2^19-point
-// RFFT plan alone (4 MB), so it builds none.
-func TestFrontEndScratchBounded(t *testing.T) {
+// buildRound315k renders the acoustic_round workload's capture shape at
+// 1 MS/s: three 105000-sample slots of a 2 kbps uplink, each a 16-bit
+// payload led in by 2 ms over the 0.4 leakage pedestal, with noise σ 0.01.
+// It returns the receive chain, the capture, its slots and the payloads.
+func buildRound315k(tb testing.TB) (*ReaderRX, []float64, []Slot, [][]byte) {
+	tb.Helper()
 	const (
 		nSlots  = 3
 		slotLen = 105000
@@ -379,7 +378,7 @@ func TestFrontEndScratchBounded(t *testing.T) {
 		}
 		bs, err := btx.Modulate(PrependPilot(payloads[s]), syn.CBW(rx.CarrierHint, 1.0, frameDur+units.MS))
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		base := s*slotLen + syn.Samples(2e-3)
 		for i, v := range bs {
@@ -388,7 +387,37 @@ func TestFrontEndScratchBounded(t *testing.T) {
 		slots[s] = Slot{Start: s * slotLen, Len: slotLen, NBits: nBits}
 	}
 	dsp.NewNoiseSource(4).AddAWGN(capture, 0.01)
+	return rx, capture, slots, payloads
+}
 
+// BenchmarkPilotSearchRound times the pilot search of the three slots of
+// a 315k-sample 2 kbps round on its decoded front end: the strided
+// prefix-sum reads of syncWindow.
+func BenchmarkPilotSearchRound(b *testing.B) {
+	rx, capture, slots, _ := buildRound315k(b)
+	sc := new(feScratch)
+	if _, err := rx.frontEnd(sc, capture); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, sl := range slots {
+			limit := rx.frameSearchLimit(sl.Len, sl.NBits)
+			if _, err := rx.syncWindow(sc, sl.Start, sl.Start+sl.Len, limit); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestFrontEndScratchBounded decodes a 315k-sample, three-slot 2 kbps
+// round at 1 MS/s on a fresh scratch: no complex buffer the front end
+// keeps is longer than the carrier band's M-bin spectrum or the kept
+// baseband plus one mixing segment, M is 65536 (D = 8 on the 2^19 grid),
+// and the cold decode allocates less than the root table of a 2^19-point
+// RFFT plan alone (4 MB), so it builds none.
+func TestFrontEndScratchBounded(t *testing.T) {
+	rx, capture, slots, payloads := buildRound315k(t)
 	for feScratches.Len() > 0 {
 		feScratches.Get() // the round below builds a fresh scratch
 	}

@@ -3,6 +3,8 @@ package reader
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"ecocapsule/internal/channel"
 	"ecocapsule/internal/coding"
@@ -108,11 +110,11 @@ type AcousticReadResult struct {
 //
 // The per-link modulate → transmit legs are independent (each link owns
 // its channel and noise source), so they fan out over conc.For, one item
-// per slot; their outputs are summed into the capture
-// serially in slot order, so the capture is bit-identical at any
-// GOMAXPROCS. The capture and each slot's waveforms live in round buffers
-// taken from a free list shared by every reader and returned once the
-// round is decoded, so a warm round allocates none of them.
+// per slot, and transmit straight into the capture (roundCapture), which
+// is bit-identical at any GOMAXPROCS. The capture and each slot's
+// modulated waveform live in round buffers taken from a free list shared
+// by every reader and returned once the round is decoded, so a warm round
+// allocates none of them.
 func (r *Reader) AcousticReadRound(handles []uint16, st sensors.SensorType, cfg AcousticConfig) []AcousticReadResult {
 	out := make([]AcousticReadResult, len(handles))
 	if len(handles) == 0 {
@@ -122,17 +124,52 @@ func (r *Reader) AcousticReadRound(handles []uint16, st sensors.SensorType, cfg 
 		cfg = DefaultAcousticConfig()
 	}
 
-	type slotPlan struct {
-		result  int              // index into out
-		ch      *channel.Channel // the node's uplink channel
-		payload []byte           // framed uplink bits (no pilot)
-		bits    []byte           // pilot ‖ payload
+	plans, seed := r.planRound(handles, st, out)
+	if len(plans) == 0 {
+		return out
 	}
-	var plans []slotPlan
-	// The capture noise seed chains every laid-out handle in slot order.
-	seed := int64(7)
+	syn := waveform.NewSynth(cfg.SampleRate)
+	btx := phy.NewBackscatterTX(cfg.SampleRate)
+	btx.Bitrate = cfg.UplinkBitrate
+	slots := layoutRound(syn, btx.Bitrate, plans)
+	bufs := roundBuffers.Get()
+	defer roundBuffers.Put(bufs)
+	errs := r.roundCapture(bufs, syn, btx, plans, slots, cfg, seed)
 
+	rrx := phy.NewReaderRX(cfg.SampleRate)
+	rrx.Bitrate = cfg.UplinkBitrate
+	decoded := rrx.DemodulateSlots(bufs.capture, slots)
+	for s, p := range plans {
+		switch {
+		case errs[s] != nil:
+			out[p.result].Err = fmt.Errorf("%w: %v", ErrAcousticDecode, errs[s])
+		case decoded[s].Err != nil:
+			out[p.result].Err = fmt.Errorf("%w: %v", ErrAcousticDecode, decoded[s].Err)
+		default:
+			out[p.result].Values, out[p.result].Err = parseUplinkBits(decoded[s].Bits, handles[p.result])
+		}
+	}
+	return out
+}
+
+// slotPlan is one slot of a round: the node's uplink channel and frame.
+type slotPlan struct {
+	result  int              // index into the round's results
+	ch      *channel.Channel // the node's uplink channel
+	payload []byte           // framed uplink bits (no pilot)
+	bits    []byte           // pilot ‖ payload
+}
+
+// planRound asks every handle's node for its reading under the reader's
+// lock and plans one slot per node that answers, in handle order; out
+// receives each handle and the error of every handle that gets no slot.
+// The returned capture noise seed chains every planned handle in slot
+// order.
+func (r *Reader) planRound(handles []uint16, st sensors.SensorType, out []AcousticReadResult) ([]slotPlan, int64) {
+	var plans []slotPlan
+	seed := int64(7)
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	seen := make(map[uint16]bool, len(handles))
 	for i, h := range handles {
 		out[i].Handle = h
@@ -166,23 +203,20 @@ func (r *Reader) AcousticReadRound(handles []uint16, st sensors.SensorType, cfg 
 		plans = append(plans, slotPlan{result: i, ch: ch, payload: payload, bits: phy.PrependPilot(payload)})
 		seed = seed*31 + int64(h)
 	}
-	r.mu.Unlock()
-	if len(plans) == 0 {
-		return out
-	}
+	return plans, seed
+}
 
-	// Lay the slots out back to back: each slot holds its frame plus that
-	// link's full reverberation tail (last image-source arrival) plus the
-	// fixed guard margin, so no slot clips its own multipath or smears into
-	// the next node's window.
-	syn := waveform.NewSynth(cfg.SampleRate)
-	btx := phy.NewBackscatterTX(cfg.SampleRate)
-	btx.Bitrate = cfg.UplinkBitrate
-	lead := syn.Samples(1e-3)
+// layoutRound lays the slots out back to back: each slot holds its frame
+// plus that link's full reverberation tail (last image-source arrival)
+// plus the fixed guard margin, so no slot clips its own multipath or
+// smears into the next node's window.
+//
+//ecolint:unit bitrate hz
+func layoutRound(syn *waveform.Synth, bitrate float64, plans []slotPlan) []phy.Slot {
 	slots := make([]phy.Slot, len(plans))
 	total := 0
 	for s, p := range plans {
-		frameDur := float64(len(p.bits)) / btx.Bitrate
+		frameDur := float64(len(p.bits)) / bitrate
 		tail := 0.0
 		if arr := p.ch.Arrivals(); len(arr) > 0 {
 			tail = arr[len(arr)-1].Delay
@@ -194,77 +228,72 @@ func (r *Reader) AcousticReadRound(handles []uint16, st sensors.SensorType, cfg 
 		}
 		total += slots[s].Len
 	}
+	return slots
+}
 
-	// One incident carrier spans the round; the CBW leakage couples into
-	// the RX across the whole capture at the configured coupling gain.
+// acousticLead is the delay of each slot's frame after its slot opens.
+const acousticLead = 1e-3
+
+// roundCapture assembles a laid-out round's capture into bufs.capture and
+// returns each slot's transmit error. One incident carrier spans the
+// round; the CBW leakage couples into the RX across the whole capture at
+// the configured coupling gain. The per-link modulate → transmit legs fan
+// out over conc.For, one item per slot. Each leg transmits its reception
+// straight into its own slot's region of the capture, adds the leakage
+// there and takes the region's peak; the regions are disjoint and every
+// sample's sum is the same whichever leg runs first, so the capture is
+// bit-identical at any GOMAXPROCS. The round-wide AGC scale and the
+// capture noise then share one serial pass.
+func (r *Reader) roundCapture(bufs *roundBufs, syn *waveform.Synth, btx *phy.BackscatterTX, plans []slotPlan, slots []phy.Slot, cfg AcousticConfig, seed int64) []error {
+	last := slots[len(slots)-1]
+	total := last.Start + last.Len
 	incident := r.roundCarrier(syn, total)
-	bufs := roundBuffers.Get()
-	defer roundBuffers.Put(bufs)
+	lead := syn.Samples(acousticLead)
 	bufs.fit(len(plans), total)
-	errs := make([]error, len(plans))
-	conc.For(len(plans), func(s int) {
-		bs, err := btx.ModulateInto(bufs.mod[s], plans[s].bits, incident[slots[s].Start+lead:])
-		if err != nil {
-			errs[s] = err
-			return
-		}
-		bufs.mod[s] = bs
-		bufs.rx[s] = plans[s].ch.TransmitInto(bufs.rx[s], bs)
-	})
 	capture := bufs.capture
-	if cfg.LeakageGain > 0 {
-		for i := range capture {
-			capture[i] = cfg.LeakageGain * incident[i]
-		}
-	} else {
-		clear(capture)
-	}
-	for s, p := range plans {
-		if errs[s] != nil {
-			out[p.result].Err = fmt.Errorf("%w: %v", ErrAcousticDecode, errs[s])
-			continue
-		}
-		base := slots[s].Start + lead
-		for i, v := range bufs.rx[s] {
-			if base+i >= len(capture) {
-				break
+	errs := make([]error, len(plans))
+	peaks := make([]float64, len(plans))
+	conc.For(len(plans), func(s int) {
+		lo, hi := slots[s].Start, slots[s].Start+slots[s].Len
+		base := lo + lead
+		var rx []float64
+		bs, err := btx.ModulateInto(bufs.mod[s], plans[s].bits, incident[base:])
+		if err == nil {
+			bufs.mod[s] = bs
+			// The layout ends every reception inside its own window
+			// (TestSlotReceptionsEndInsideWindows), so the capacity cap
+			// never makes TransmitInto allocate.
+			rx = plans[s].ch.TransmitInto(capture[base:base:hi], bs)
+			if len(rx) > hi-base {
+				rx, err = nil, errReceptionOverrun
 			}
-			capture[base+i] += v
 		}
-	}
+		errs[s] = err
+		peaks[s] = leakRegion(capture[lo:hi], incident[lo:hi], lead, lead+len(rx), cfg.LeakageGain)
+	})
 	// Round-wide AGC, so the decode chain sees a healthy amplitude
 	// regardless of absolute path gain, then the capture noise.
-	if peak := dsp.MaxAbs(capture); peak > 0 {
-		scale := 1.0 / peak
+	peak := slices.Max(peaks)
+	scale := 1.0
+	if peak > 0 {
+		scale = 1.0 / peak
+	}
+	if cfg.NoiseSigma > 0 {
+		dsp.NewNoiseSource(seed).ScaleAddAWGN(capture, scale, cfg.NoiseSigma)
+	} else if peak > 0 {
 		for i := range capture {
 			capture[i] *= scale
 		}
 	}
-	if cfg.NoiseSigma > 0 {
-		dsp.NewNoiseSource(seed).AddAWGN(capture, cfg.NoiseSigma)
-	}
-
-	rrx := phy.NewReaderRX(cfg.SampleRate)
-	rrx.Bitrate = cfg.UplinkBitrate
-	decoded := rrx.DemodulateSlots(capture, slots)
-	for s, p := range plans {
-		if out[p.result].Err != nil {
-			continue
-		}
-		if decoded[s].Err != nil {
-			out[p.result].Err = fmt.Errorf("%w: %v", ErrAcousticDecode, decoded[s].Err)
-			continue
-		}
-		out[p.result].Values, out[p.result].Err = parseUplinkBits(decoded[s].Bits, handles[p.result])
-	}
-	return out
+	return errs
 }
 
 // roundBufs is the large working storage of one acoustic round: the
-// capture and each slot's modulated and received waveforms.
+// capture, which each slot's reception is transmitted straight into, and
+// each slot's modulated waveform.
 type roundBufs struct {
 	capture []float64
-	mod, rx [][]float64 // per slot
+	mod     [][]float64 // per slot
 }
 
 // roundBuffers recycles round buffers across rounds and readers: it holds
@@ -273,8 +302,8 @@ type roundBufs struct {
 var roundBuffers = conc.FreeList[*roundBufs]{New: func() *roundBufs { return new(roundBufs) }}
 
 // fit sizes b for a round of the given slots and capture length. The
-// per-slot waveforms keep whatever storage they had; ModulateInto and
-// TransmitInto size them.
+// per-slot waveforms keep whatever storage they had; ModulateInto sizes
+// them.
 func (b *roundBufs) fit(slots, total int) {
 	if cap(b.capture) < total {
 		b.capture = make([]float64, total)
@@ -282,8 +311,37 @@ func (b *roundBufs) fit(slots, total int) {
 	b.capture = b.capture[:total]
 	for len(b.mod) < slots {
 		b.mod = append(b.mod, nil)
-		b.rx = append(b.rx, nil)
 	}
+}
+
+// errReceptionOverrun fails a slot whose reception would not end inside
+// its own window; the slot layout (frame + last arrival + guard past a
+// shorter lead) rules it out.
+var errReceptionOverrun = errors.New("reception overruns its slot")
+
+// leakRegion finishes one slot's region of the capture and returns its
+// peak magnitude: region[from:to] holds the slot's reception, to which
+// the CBW leakage leak·inc is added, and the rest of the region is the
+// leakage alone (zero when leak ≤ 0). IEEE addition commutes, so every
+// sample is the one a capture filled with leakage first and then summed
+// with the reception holds; the conversion keeps the product from fusing
+// into the sum.
+func leakRegion(region, inc []float64, from, to int, leak float64) float64 {
+	var peak float64
+	for i := range region {
+		var v float64
+		if leak > 0 {
+			v = float64(leak * inc[i])
+		}
+		if i >= from && i < to {
+			v += region[i]
+		}
+		region[i] = v
+		if a := math.Abs(v); a > peak {
+			peak = a
+		}
+	}
+	return peak
 }
 
 // roundCarrier returns the incident CBW of a round that captures total

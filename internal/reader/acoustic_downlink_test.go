@@ -148,3 +148,28 @@ func TestAcousticBroadcastSlowSymbolsExtendRange(t *testing.T) {
 		t.Errorf("3x symbols must deliver: %+v", out)
 	}
 }
+
+// BenchmarkAcousticBroadcast times a warm 3-capsule acoustic downlink: one
+// FSK Query (Q = 0) through each capsule's channel and envelope decoder,
+// per op a charge then one broadcast. The capsules sit where
+// TestAcousticBroadcastDeliversCommands delivers to all three.
+func BenchmarkAcousticBroadcast(b *testing.B) {
+	r, err := New(wallConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i, x := range []float64{1.05, 1.2, 1.35} {
+		deployNode(b, r, uint16(0x41+i), x)
+	}
+	p := protocol.Packet{Cmd: protocol.CmdQuery, Target: protocol.Broadcast, Payload: []byte{0}}
+	cfg := DefaultAcousticConfig()
+	r.Charge(0.3)
+	r.AcousticBroadcast(p, cfg) // warm channels
+	b.ReportAllocs()
+	for b.Loop() {
+		r.Charge(0.3)
+		if out, err := r.AcousticBroadcast(p, cfg); err != nil || out.Delivered != 3 {
+			b.Fatalf("broadcast delivered %d/3 (%v)", out.Delivered, err)
+		}
+	}
+}

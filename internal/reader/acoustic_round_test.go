@@ -413,10 +413,10 @@ func TestAcousticReadRoundConcurrentMatchesSerial(t *testing.T) {
 
 // roundAllocBudget bounds what a warm 3-slot round allocates, in bytes:
 // its results, slot plans, the fan-out's bookkeeping and each slot's
-// decoded bits and values (~8 KB). The capture, each slot's modulated and
-// received waveforms, the decoder's front end and the carrier come from
-// recycled storage; any one of them allocated per round (0.37–5 MB) breaks
-// the bound.
+// decoded bits and values (~8 KB). The capture, which the receptions are
+// transmitted into, each slot's modulated waveform, the decoder's front
+// end and the carrier come from recycled storage; any one of them
+// allocated per round (0.37–5 MB) breaks the bound.
 const roundAllocBudget = 64 << 10
 
 // TestAcousticRoundAllocs: a warm round of the acoustic_round workload's

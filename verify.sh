@@ -280,11 +280,13 @@ stage_done
 
 # Fuzz smoke: each decoder target — the line codes, the shmwire frame
 # reader over back-to-back frames, the capsule-side uplink and downlink
-# parsers — the table-driven CRC-16 against its bitwise oracle, and the
-# receive front end's fused mix-decimate against MixDown plus the
-# decimating oracle (bit for bit), and the sparse convolver's blocked
-# direct kernel against its tap-by-tap oracle (bit for bit) and its
-# overlap-add against the direct path, fuzzes for a few seconds. Any
+# parsers — the table-driven CRC-16 against its bitwise oracle, the
+# receive front end's fused mix-decimate against the chunked mix plus the
+# decimating oracle (bit for bit), AddAWGN's inline ziggurat against
+# math/rand/v2's NormFloat64 stream (bit for bit), and the sparse
+# convolver's blocked direct kernel against its tap-by-tap oracle (bit for
+# bit) and its overlap-add against the direct path, fuzzes for a few
+# seconds. Any
 # panic or property violation fails the gate; new corpus findings are kept
 # by go test under the package's testdata/fuzz directory.
 FUZZTIME="${FUZZTIME:-5s}"
@@ -297,6 +299,7 @@ go test -run='^$' -fuzz='^FuzzReadFrame$' -fuzztime="$FUZZTIME" ./internal/shmwi
 go test -run='^$' -fuzz='^FuzzUnmarshalUplink$' -fuzztime="$FUZZTIME" ./internal/protocol
 go test -run='^$' -fuzz='^FuzzUnmarshal$' -fuzztime="$FUZZTIME" ./internal/protocol
 go test -run='^$' -fuzz='^FuzzMixDecimate$' -fuzztime="$FUZZTIME" ./internal/dsp
+go test -run='^$' -fuzz='^FuzzAddAWGN$' -fuzztime="$FUZZTIME" ./internal/dsp
 go test -run='^$' -fuzz='^FuzzSparseConvolver$' -fuzztime="$FUZZTIME" ./internal/dsp
 stage_done
 
