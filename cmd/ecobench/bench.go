@@ -12,6 +12,7 @@ package main
 // sharded 10k fleet must build at least 3× faster than the flat registry.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -96,16 +97,16 @@ const shardingFloor = 3.0
 const fleetChargeDuration = 0.4
 
 // warmSpeedup is the minimum cold/warm ratio the round pair must show: a
-// warm round re-uses the link's image-source expansion and
-// frequency-domain convolver, so it has to be at least this much faster
-// than a cold build of the same link.
+// warm round re-uses the link's image-source expansion and merged
+// convolver taps, so it has to be at least this much faster than a cold
+// build of the same link.
 const warmSpeedup = 2.0
 
 // regressionTolerance is how much slower than the committed baseline a
 // gated benchmark may measure before the gate fails; the slack absorbs
-// host-to-host jitter without letting a real regression (the crossover
-// picking the wrong convolution path, a survey fan-out serialising) slide
-// through.
+// host-to-host jitter without letting a real regression (a slower
+// convolution kernel or decode front end, a survey fan-out serialising)
+// slide through.
 const regressionTolerance = 1.20
 
 func runBench(result *testing.BenchmarkResult, fn func(b *testing.B)) benchEntry {
@@ -148,9 +149,11 @@ func runBenchSuite(full bool) (benchRun, error) {
 	rep.Benchmarks = append(rep.Benchmarks, e)
 
 	// Hot path 2: one uplink frame round decode — modulate a pilot-framed
-	// byte over the backscatter carrier, then sync + ML-demodulate it.
+	// 16-bit payload over the backscatter carrier, then sync +
+	// ML-demodulate it.
 	btx := phy.NewBackscatterTX(fs)
-	bits := phy.PrependPilot([]byte{1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0})
+	payload := []byte{1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0}
+	bits := phy.PrependPilot(payload)
 	dur := float64(len(bits)*2)*btx.HalfSymbolDuration() + 2*units.MS
 	carrier := make([]float64, int(dur*fs))
 	for i := range carrier {
@@ -161,12 +164,11 @@ func runBenchSuite(full bool) (benchRun, error) {
 		return rep, fmt.Errorf("bench modulate: %w", err)
 	}
 	// The decode runs as production's one-slot round over the whole
-	// capture. NBits is len(bits), pilot included, so the decode reads 12
-	// bits past the 28-bit frame; the entry keeps that work as recorded.
+	// capture and reads the payload bits that follow the pilot.
 	capture := ch.Transmit(bs)
 	rx := phy.NewReaderRX(fs)
-	frame := []phy.Slot{{Start: 0, Len: len(capture), NBits: len(bits)}}
-	if err := rx.DemodulateSlots(capture, frame)[0].Err; err != nil {
+	frame := []phy.Slot{{Start: 0, Len: len(capture), NBits: len(payload)}}
+	if err := decodeSanity(rx, capture, frame, payload); err != nil {
 		return rep, fmt.Errorf("bench decode sanity: %w", err)
 	}
 	e = runBench(&r, func(b *testing.B) {
@@ -181,12 +183,11 @@ func runBenchSuite(full bool) (benchRun, error) {
 
 	// Hot paths 2a/2b: one round's reader-side work on a link, as a reader
 	// does it. Cold is a link's first waveform use: channel.New's
-	// image-source expansion of a survey-grade order-8 response, then its
-	// frequency-domain kernel spectrum (Prime: its ~950 merged taps keep
-	// the frame on the overlap-add), then the slot decode. Warm is every
-	// later round on the link record's channel, already built and primed,
-	// so it goes straight to the slot decode. The gap is what the link
-	// record saves a reader polling a fixed fleet.
+	// image-source expansion of a survey-grade order-8 response and the
+	// merge of its ~4,900 arrivals into ~950 convolver taps, then the slot
+	// decode. Warm is every later round on the link record's channel,
+	// already built, so it goes straight to the slot decode. The gap is
+	// what the link record saves a reader polling a fixed fleet.
 	linkCfg := channel.Config{
 		Structure:   geometry.CommonWall(),
 		Source:      geometry.Vec3{X: 0.1, Y: 10, Z: 0},
@@ -212,17 +213,15 @@ func runBenchSuite(full bool) (benchRun, error) {
 	for i := 0; i < len(carrier) && i < slotLen; i++ {
 		slot[i] += 0.4 * carrier[i]
 	}
-	slotFrame := []phy.Slot{{Start: 0, Len: len(slot), NBits: len(bits)}}
-	if err := rx.DemodulateSlots(slot, slotFrame)[0].Err; err != nil {
+	slotFrame := []phy.Slot{{Start: 0, Len: len(slot), NBits: len(payload)}}
+	if err := decodeSanity(rx, slot, slotFrame, payload); err != nil {
 		return rep, fmt.Errorf("bench round decode sanity: %w", err)
 	}
 	e = runBench(&r, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			cold, err := channel.New(linkCfg)
-			if err != nil {
+			if _, err := channel.New(linkCfg); err != nil {
 				b.Fatal(err)
 			}
-			cold.Prime(len(bs))
 			if err := rx.DemodulateSlots(slot, slotFrame)[0].Err; err != nil {
 				b.Fatal(err)
 			}
@@ -231,10 +230,8 @@ func runBenchSuite(full bool) (benchRun, error) {
 	e.Name = benchRoundCold
 	rep.Benchmarks = append(rep.Benchmarks, e)
 
-	round.Prime(len(bs))
 	e = runBench(&r, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			round.Prime(len(bs))
 			if err := rx.DemodulateSlots(slot, slotFrame)[0].Err; err != nil {
 				b.Fatal(err)
 			}
@@ -294,6 +291,19 @@ func runBenchSuite(full bool) (benchRun, error) {
 		rep.Benchmarks = append(rep.Benchmarks, e)
 	}
 	return rep, nil
+}
+
+// decodeSanity demodulates the one-slot frame of capture and checks that it
+// yields want.
+func decodeSanity(rx *phy.ReaderRX, capture []float64, frame []phy.Slot, want []byte) error {
+	got := rx.DemodulateSlots(capture, frame)[0]
+	if got.Err != nil {
+		return got.Err
+	}
+	if !bytes.Equal(got.Bits, want) {
+		return fmt.Errorf("decoded %v, sent %v", got.Bits, want)
+	}
+	return nil
 }
 
 // warmUp installs the city environment and runs one survey, which pays the

@@ -1,15 +1,13 @@
 package channel
 
 // Per-link channel cache. Building a Channel is dominated by the
-// image-source expansion of the multipath impulse response and, on the
-// first Transmit the cost model sends to the overlap-add, the FFT plan +
-// kernel spectrum of the convolver.
-// None of that state depends on the noise seed, the noise floor, or the
-// leakage gain — only on the link geometry (structure dimensions and
-// material, endpoints, prism) and the carrier/sample rate. A Cache keys on
-// exactly that tuple, so a reader re-deploying a fleet, re-surveying the
-// same structure, or running repeated decode rounds pays the expansion
-// once per distinct link.
+// image-source expansion of the multipath impulse response, which the
+// convolver's merged taps then snapshot. None of that state depends on the
+// noise seed, the noise floor, or the leakage gain — only on the link
+// geometry (structure dimensions and material, endpoints, prism) and the
+// carrier/sample rate. A Cache keys on exactly that tuple, so a reader
+// re-deploying a fleet, re-surveying the same structure, or running
+// repeated decode rounds pays the expansion once per distinct link.
 //
 // Keying contract:
 //

@@ -220,20 +220,8 @@ func pathGain(arrivals []geometry.Arrival, resGain float64) float64 {
 //ecolint:unit return s
 func (c *Channel) DelaySpread() float64 { return geometry.DelaySpread(c.arrivals) }
 
-// Prime precomputes the frequency-domain convolution state an n-sample
-// Transmit will use. Cache-backed channels share this state through their
-// entry, so priming one link once makes every warm lookup's first Transmit
-// run on cached spectra. An input length the direct path takes needs no
-// state, and priming it is a no-op.
-func (c *Channel) Prime(n int) { c.conv.Prime(n) }
-
-// ConvolverPlans returns how many kernel spectra the link's convolver
-// caches, one per padded FFT length a Transmit or Prime has used. A link
-// whose inputs all take the direct path holds none.
-func (c *Channel) ConvolverPlans() int { return c.conv.Plans() }
-
-// rebuildConvolver snapshots the arrival list into the sparse FFT/direct
-// convolution engine. Tap offsets are rounded to the nearest sample, so an
+// rebuildConvolver snapshots the arrival list into the sparse convolver's
+// taps. Tap offsets are rounded to the nearest sample, so an
 // arrival landing exactly on a sample boundary is placed there rather than
 // truncated a sample early, and the output length derived from the last tap
 // always covers the final arrival in full.
@@ -252,10 +240,8 @@ func (c *Channel) rebuildConvolver() {
 // the resonance gain, and adds the configured noise floor. The output is
 // extended by the channel's maximum delay (rounded to the nearest sample),
 // so the final arrival is never truncated. Arrivals that land on one sample
-// share a tap, so a wall link's few hundred arrivals make about 85 taps and
-// the direct sparse path takes inputs up to a round slot and beyond; only
-// inputs the cost model prices cheaper in the frequency domain (responses
-// with many distinct delays) go through the overlap-add FFT engine.
+// share a tap, so a wall link's few hundred arrivals make about 85 taps,
+// which the convolver's blocked direct kernel sweeps over the input.
 func (c *Channel) Transmit(x []float64) []float64 { return c.TransmitInto(nil, x) }
 
 // TransmitInto is Transmit writing the received waveform into dst's storage

@@ -1,34 +1,48 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
-
-	"ecocapsule/internal/conc"
 )
 
-// convolvePath convolves x into a fresh OutLen(len(x)) slice: path "direct"
-// or "fft" forces that engine, anything else takes ApplyTo's cost-model pick.
-func convolvePath(c *Convolver, x []float64, path string) []float64 {
+// convolveNew convolves x into a fresh OutLen(len(x)) slice through ApplyTo.
+func convolveNew(c *Convolver, x []float64) []float64 {
 	out := make([]float64, c.OutLen(len(x)))
-	if len(out) == 0 {
-		return out
-	}
-	switch path {
-	case "direct":
-		c.applyDirect(out, x)
-	case "fft":
-		c.applyFFT(out, x)
-	default:
-		c.ApplyTo(out, x)
-	}
+	c.ApplyTo(out, x)
 	return out
 }
 
-// naiveConvolve is the O(n·taps) reference both production paths are
-// checked against.
+// denseConvolve is the full linear convolution of x with the dense kernel
+// h[offsets[t]] += gains[t], computed by the dense Convolve oracle. Convolve
+// is commutative, so the shorter of the two runs as its kernel over the
+// other, zero-extended by the kernel's length less one and shifted by its
+// centre tap.
+func denseConvolve(x []float64, offsets []int, gains []float64) []float64 {
+	var h []float64
+	for t, off := range offsets {
+		if off >= len(h) {
+			h = append(h, make([]float64, off+1-len(h))...)
+		}
+		h[off] += gains[t]
+	}
+	if len(x) == 0 || len(h) == 0 {
+		return nil
+	}
+	sig, ker := h, x
+	if len(h) < len(x) {
+		sig, ker = x, h
+	}
+	mid := len(ker) / 2
+	padded := make([]float64, len(sig)+len(ker)-1)
+	copy(padded[mid:], sig)
+	return Convolve(padded, ker)
+}
+
+// naiveConvolve is the O(n·taps) reference over the unmerged taps.
 func naiveConvolve(x []float64, offsets []int, gains []float64, outLen int) []float64 {
 	out := make([]float64, outLen)
 	for t, off := range offsets {
@@ -41,7 +55,7 @@ func naiveConvolve(x []float64, offsets []int, gains []float64, outLen int) []fl
 
 // directOracle is the tap-by-tap direct loop the blocked kernel replaced:
 // each tap in turn adds its gain times x onto its window of out. The
-// blocked applyDirect must equal it bit for bit.
+// blocked ApplyTo must equal it bit for bit.
 func directOracle(c *Convolver, out, x []float64) {
 	for t, off := range c.offsets {
 		g := c.gains[t]
@@ -63,9 +77,10 @@ func randomKernel(src *NoiseSource, taps, span int) ([]int, []float64) {
 	return offs, gains
 }
 
-// TestConvolverEquivalenceProperty drives 1000 seeded cases through both
-// paths across three signal families — impulse, tone, Gaussian noise — and
-// requires FFT == direct within 1e-9 everywhere (the ISSUE 5 contract).
+// TestConvolverEquivalenceProperty drives 1000 seeded cases through the
+// convolver across three signal families — impulse, tone, Gaussian noise —
+// and requires it to equal the dense Convolve oracle within 1e-9
+// everywhere.
 func TestConvolverEquivalenceProperty(t *testing.T) {
 	const cases = 1000
 	src := NewNoiseSource(0xC04)
@@ -89,24 +104,24 @@ func TestConvolverEquivalenceProperty(t *testing.T) {
 			}
 		}
 		c := NewSparseConvolver(offs, gains)
-		direct := convolvePath(c, x, "direct")
-		fft := convolvePath(c, x, "fft")
-		if len(direct) != len(fft) || len(direct) != c.OutLen(n) {
-			t.Fatalf("case %d: length mismatch direct=%d fft=%d want=%d",
-				cse, len(direct), len(fft), c.OutLen(n))
+		got := convolveNew(c, x)
+		want := denseConvolve(x, offs, gains)
+		if len(got) != len(want) || len(got) != c.OutLen(n) {
+			t.Fatalf("case %d: length mismatch convolver=%d dense=%d want=%d",
+				cse, len(got), len(want), c.OutLen(n))
 		}
-		for i := range direct {
-			if d := math.Abs(direct[i] - fft[i]); d > 1e-9 {
-				t.Fatalf("case %d (n=%d taps=%d span=%d): FFT diverges from direct at %d by %g",
+		for i := range got {
+			if d := math.Abs(got[i] - want[i]); d > 1e-9 {
+				t.Fatalf("case %d (n=%d taps=%d span=%d): convolver diverges from the dense oracle at %d by %g",
 					cse, n, taps, span, i, d)
 			}
 		}
 	}
 }
 
-// TestConvolverMatchesNaive pins both paths to the reference loop on a few
-// deliberately awkward shapes (tap on the last offset, kernel longer than
-// the input, single-sample input).
+// TestConvolverMatchesNaive pins the convolver to the reference loop over
+// the unmerged taps on a few deliberately awkward shapes (tap on the last
+// offset, kernel longer than the input, single-sample input).
 func TestConvolverMatchesNaive(t *testing.T) {
 	src := NewNoiseSource(7)
 	for _, tc := range []struct{ n, taps, span int }{
@@ -125,16 +140,11 @@ func TestConvolverMatchesNaive(t *testing.T) {
 		}
 		c := NewSparseConvolver(offs, gains)
 		want := naiveConvolve(x, offs, gains, c.OutLen(tc.n))
-		for name, got := range map[string][]float64{
-			"direct": convolvePath(c, x, "direct"),
-			"fft":    convolvePath(c, x, "fft"),
-			"auto":   convolvePath(c, x, "auto"),
-		} {
-			for i := range want {
-				if math.Abs(got[i]-want[i]) > 1e-9 {
-					t.Fatalf("%s path n=%d taps=%d span=%d: sample %d off by %g",
-						name, tc.n, tc.taps, tc.span, i, got[i]-want[i])
-				}
+		got := convolveNew(c, x)
+		for i := range want {
+			if math.Abs(got[i]-want[i]) > 1e-9 {
+				t.Fatalf("n=%d taps=%d span=%d: sample %d off by %g",
+					tc.n, tc.taps, tc.span, i, got[i]-want[i])
 			}
 		}
 	}
@@ -161,7 +171,7 @@ func TestConvolverAccumulates(t *testing.T) {
 // TestConvolverEdgeCases covers empty inputs and degenerate kernels.
 func TestConvolverEdgeCases(t *testing.T) {
 	c := NewSparseConvolver([]int{5}, []float64{2})
-	if got := convolvePath(c, nil, "auto"); len(got) != 0 {
+	if got := convolveNew(c, nil); len(got) != 0 {
 		t.Errorf("empty input produced %v", got)
 	}
 	if c.OutLen(0) != 0 {
@@ -174,64 +184,9 @@ func TestConvolverEdgeCases(t *testing.T) {
 		t.Errorf("taps=%d kernLen=%d", c.Taps(), c.KernelLen())
 	}
 	empty := NewSparseConvolver(nil, nil)
-	if got := convolvePath(empty, []float64{1, 2, 3}, "auto"); len(got) != 0 {
+	if got := convolveNew(empty, []float64{1, 2, 3}); len(got) != 0 {
 		t.Errorf("empty kernel produced %v", got)
 	}
-}
-
-// TestConvolverPrime: Prime builds exactly the plan the matching ApplyTo
-// uses — the primed call allocates no new plan and its output is unchanged —
-// and degenerate or direct-path inputs are a no-op.
-func TestConvolverPrime(t *testing.T) {
-	src := NewNoiseSource(0x97)
-	offs, gains := randomKernel(src, 200, 3000)
-	n := 5000
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = src.Gaussian(1)
-	}
-
-	plain := NewSparseConvolver(offs, gains)
-	want := convolvePath(plain, x, "auto")
-
-	primed := NewSparseConvolver(offs, gains)
-	if !primed.fftFaster(n) {
-		t.Fatalf("test shape (n=%d taps=%d) must route to the FFT path", n, len(offs))
-	}
-	primed.Prime(n)
-	N, _ := primed.blockPlan(n)
-	primed.mu.Lock()
-	_, ok := primed.plans[N]
-	primed.mu.Unlock()
-	if !ok {
-		t.Fatalf("Prime(%d) did not build the plan for N=%d", n, N)
-	}
-	plans := primed.Plans()
-
-	got := convolvePath(primed, x, "auto")
-	if len(got) != len(want) {
-		t.Fatalf("primed output length %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if d := math.Abs(got[i] - want[i]); d > 1e-9 {
-			t.Fatalf("primed output diverges at %d by %g", i, d)
-		}
-	}
-	if after := primed.Plans(); after != plans {
-		t.Errorf("ApplyTo after Prime built %d extra plans; Prime must cover the call", after-plans)
-	}
-
-	// Degenerate inputs: no plan may appear, no panic.
-	for _, bad := range []int{0, -3} {
-		primed.Prime(bad)
-	}
-	tiny := NewSparseConvolver([]int{0, 1}, []float64{1, 1})
-	tiny.Prime(8) // 2 taps on 8 samples: direct path wins, Prime is a no-op
-	if got := tiny.Plans(); got != 0 {
-		t.Errorf("direct-path Prime built %d plans", got)
-	}
-	empty := NewSparseConvolver(nil, nil)
-	empty.Prime(100)
 }
 
 // TestConvolverPanicsOnBadKernel pins the constructor contract.
@@ -252,11 +207,11 @@ func TestConvolverPanicsOnBadKernel(t *testing.T) {
 	})
 }
 
-// TestConvolverScratchSharedConcurrent: convolvers of one padded length
-// share its block scratch. Three links convolved one after another make
-// one scratch for that length; convolved concurrently on a fan-out of two
-// workers they give the serial outputs bit for bit and leave at most two,
-// not one per convolver.
+// TestConvolverScratchSharedConcurrent: a Convolver holds no scratch and
+// no lock, so goroutines share one freely. Four workers on two Ps each
+// convolve all three links, starting at different ones, and give the
+// serial outputs bit for bit; the race build checks that ApplyTo writes
+// nothing it shares.
 func TestConvolverScratchSharedConcurrent(t *testing.T) {
 	src := NewNoiseSource(0x5c)
 	const n = 6000
@@ -265,44 +220,31 @@ func TestConvolverScratchSharedConcurrent(t *testing.T) {
 	want := make([][]float64, len(convs))
 	for i := range convs {
 		offs, gains := randomKernel(src, 400, 2500)
-		offs[0] = 2499 // every kernel spans 2500 samples: one padded length
 		convs[i] = NewSparseConvolver(offs, gains)
-		xs[i] = make([]float64, n)
-		for j := range xs[i] {
-			xs[i][j] = src.Gaussian(1)
-		}
-		if !convs[i].fftFaster(n) {
-			t.Fatalf("link %d must route to the FFT path", i)
-		}
-	}
-	N, _ := convs[0].blockPlan(n)
-	before := scratchList(N).Len()
-	for i, c := range convs {
-		if got, _ := c.blockPlan(n); got != N {
-			t.Fatalf("link %d pads to %d, link 0 to %d", i, got, N)
-		}
-		want[i] = make([]float64, c.OutLen(n))
-		c.ApplyTo(want[i], xs[i])
-	}
-	if serial := scratchList(N).Len(); serial != max(before, 1) {
-		t.Fatalf("%d scratches of length %d after three links in turn (%d before), want %d", serial, N, before, max(before, 1))
+		xs[i] = gaussians(src, n)
+		want[i] = convolveNew(convs[i], xs[i])
 	}
 	prev := runtime.GOMAXPROCS(2)
 	defer runtime.GOMAXPROCS(prev)
-	got := make([][]float64, len(convs))
-	conc.For(len(convs), func(i int) {
-		got[i] = make([]float64, convs[i].OutLen(n))
-		convs[i].ApplyTo(got[i], xs[i])
-	})
-	for i := range want {
-		for j := range want[i] {
-			if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
-				t.Fatalf("link %d sample %d: concurrent %x, serial %x", i, j, got[i][j], want[i][j])
+	const workers = 4
+	got := make([][][]float64, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		got[w] = make([][]float64, len(convs))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range convs {
+				i := (w + k) % len(convs)
+				got[w][i] = convolveNew(convs[i], xs[i])
 			}
-		}
+		}()
 	}
-	if after := scratchList(N).Len(); after > max(before, 2) {
-		t.Errorf("%d scratches of length %d after three links on two workers (%d before), want at most 2", after, N, before)
+	wg.Wait()
+	for w := range got {
+		for i := range want {
+			requireBitIdentical(t, fmt.Sprintf("worker %d, link %d", w, i), got[w][i], want[i])
+		}
 	}
 }
 
@@ -362,22 +304,36 @@ func TestDirectKernelBitIdentical(t *testing.T) {
 		}
 		got := append([]float64(nil), want...)
 		directOracle(c, want, x)
-		c.applyDirect(got, x)
+		c.ApplyTo(got, x)
 		requireBitIdentical(t, tc.name, got, want)
 	}
-	c := clusteredKernel(343, 51234)
-	x := convBenchSignal(46000)
-	want := make([]float64, c.OutLen(len(x)))
-	got := make([]float64, len(want))
-	directOracle(c, want, x)
-	c.applyDirect(got, x)
-	requireBitIdentical(t, "clustered link, 46,000-sample slot", got, want)
+	// Real links' shapes: arrivals, distinct delays and kernel length of the
+	// common wall at reflection order 3 over a 2 kbps round slot, of the
+	// 15 cm block over a long block-sweep capture, and of the order-8
+	// common-wall link under ecobench's round entries.
+	for _, tc := range []struct {
+		name                        string
+		arrivals, distinct, span, n int
+	}{
+		{"common-wall link, 46,000-sample slot", 343, 85, 51234, 46000},
+		{"15 cm block link, 92,000 samples", 343, 96, 366, 92000},
+		{"order-8 common-wall link, 28,000 samples", 4901, 952, 117273, 28000},
+	} {
+		c := clusteredKernel(tc.arrivals, tc.distinct, tc.span)
+		x := convBenchSignal(tc.n)
+		want := make([]float64, c.OutLen(len(x)))
+		got := make([]float64, len(want))
+		directOracle(c, want, x)
+		c.ApplyTo(got, x)
+		requireBitIdentical(t, tc.name, got, want)
+	}
 }
 
 // TestSparseConvolverMergesCoincidentTaps: taps on one offset merge into
-// one tap whose gain is their sum in list order, so the FFT path's output
-// is bit-identical to that of the same kernel left unmerged — for taps in
-// random order and for taps sorted by offset, as a channel's arrivals are.
+// one tap, in order of each offset's first appearance, whose gain is their
+// sum in list order from zero — bit for bit the dense kernel entry — for
+// taps in random order and for taps sorted by offset, as a channel's
+// arrivals are. The merged convolver matches the dense oracle within 1e-9.
 func TestSparseConvolverMergesCoincidentTaps(t *testing.T) {
 	src := NewNoiseSource(0x3E6)
 	offs, gains := randomKernel(src, 200, 60)
@@ -405,15 +361,32 @@ func TestSparseConvolverMergesCoincidentTaps(t *testing.T) {
 			t.Fatalf("%s: %d taps on %d distinct offsets merged to %d taps, kernLen %d",
 				name, len(k.offs), len(distinct), c.Taps(), c.KernelLen())
 		}
-		unmerged := &Convolver{offsets: k.offs, gains: k.gains, kernLen: 60, plans: make(map[int]*fftPlan)}
-		requireBitIdentical(t, name+": merged FFT path", convolvePath(c, x, "fft"), convolvePath(unmerged, x, "fft"))
+		var first []int
+		dense := make([]float64, 60)
+		for t, off := range k.offs {
+			if !slices.Contains(first, off) {
+				first = append(first, off)
+			}
+			dense[off] += k.gains[t]
+		}
+		for i, off := range first {
+			if c.offsets[i] != off || math.Float64bits(c.gains[i]) != math.Float64bits(dense[off]) {
+				t.Fatalf("%s: merged tap %d is %g at %d, want %g at %d", name, i, c.gains[i], c.offsets[i], dense[off], off)
+			}
+		}
+		got, want := convolveNew(c, x), denseConvolve(x, k.offs, k.gains)
+		for i := range want {
+			if d := math.Abs(got[i] - want[i]); d > 1e-9 {
+				t.Fatalf("%s: sample %d off the dense oracle by %g", name, i, d)
+			}
+		}
 	}
 }
 
 // FuzzSparseConvolver draws offsets (duplicates included), gains and the
-// input length, holds the direct path to the tap-by-tap oracle bit for bit
-// (accumulating onto a non-zero out) and the FFT path to the direct path
-// within 1e-9 of the output's magnitude bound.
+// input length, holds the direct kernel to the tap-by-tap oracle bit for
+// bit (accumulating onto a non-zero out) and ApplyTo to the dense Convolve
+// oracle within 1e-9 of the output's magnitude bound.
 func FuzzSparseConvolver(f *testing.F) {
 	f.Add(uint16(1000), uint8(200), uint16(50), int64(1))
 	f.Add(uint16(46), uint8(3), uint16(9000), int64(2))
@@ -426,19 +399,19 @@ func FuzzSparseConvolver(f *testing.F) {
 		want := gaussians(src, c.OutLen(len(x)))
 		got := append([]float64(nil), want...)
 		directOracle(c, want, x)
-		c.applyDirect(got, x)
-		requireBitIdentical(t, "direct path", got, want)
+		c.ApplyTo(got, x)
+		requireBitIdentical(t, "direct kernel", got, want)
 
-		direct := convolvePath(c, x, "direct")
-		fft := convolvePath(c, x, "fft")
+		got = convolveNew(c, x)
+		want = denseConvolve(x, offs, gains)
 		bound := 0.0
 		for _, g := range c.gains {
 			bound += math.Abs(g)
 		}
 		bound *= MaxAbs(x)
-		for i := range direct {
-			if d := math.Abs(fft[i] - direct[i]); d > 1e-9*bound {
-				t.Fatalf("n=%d taps=%d: FFT diverges from direct at %d by %g (bound %g)", len(x), c.Taps(), i, d, bound)
+		for i := range want {
+			if d := math.Abs(got[i] - want[i]); d > 1e-9*bound {
+				t.Fatalf("n=%d taps=%d: convolver diverges from the dense oracle at %d by %g (bound %g)", len(x), c.Taps(), i, d, bound)
 			}
 		}
 	})

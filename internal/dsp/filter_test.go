@@ -244,9 +244,8 @@ func TestMixDecimateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestConvolverWarmZeroAlloc pins the warm overlap-add Transmit kernel at
-// zero steady-state allocations (the block buffer used to be allocated per
-// call).
+// TestConvolverWarmZeroAlloc pins the Transmit kernel at zero steady-state
+// allocations.
 func TestConvolverWarmZeroAlloc(t *testing.T) {
 	src := NewNoiseSource(11)
 	offs := make([]int, 200)
@@ -310,15 +309,15 @@ func TestNextPow2Degenerate(t *testing.T) {
 	}
 }
 
-// TestConvolverDegenerateInputs pins the plan-cache behaviour for the
-// degenerate shapes: empty kernels, empty inputs and single samples must
-// round-trip without panics and with correct output lengths.
+// TestConvolverDegenerateInputs pins the degenerate shapes: empty kernels,
+// empty inputs and single samples must round-trip without panics and with
+// correct output lengths.
 func TestConvolverDegenerateInputs(t *testing.T) {
 	empty := NewSparseConvolver(nil, nil)
 	if got := empty.OutLen(100); got != 0 {
 		t.Errorf("empty kernel OutLen(100) = %d, want 0", got)
 	}
-	if out := convolvePath(empty, []float64{1, 2, 3}, "auto"); len(out) != 0 {
+	if out := convolveNew(empty, []float64{1, 2, 3}); len(out) != 0 {
 		t.Errorf("empty kernel ApplyTo = %v", out)
 	}
 
@@ -326,17 +325,14 @@ func TestConvolverDegenerateInputs(t *testing.T) {
 	if got := single.OutLen(0); got != 0 {
 		t.Errorf("OutLen(0) = %d, want 0", got)
 	}
-	if out := convolvePath(single, nil, "auto"); len(out) != 0 {
+	if out := convolveNew(single, nil); len(out) != 0 {
 		t.Errorf("ApplyTo(nil) = %v", out)
 	}
-	out := convolvePath(single, []float64{3}, "auto")
+	out := convolveNew(single, []float64{3})
 	if len(out) != 1 || math.Abs(out[0]-6) > 1e-12 {
 		t.Errorf("single-tap ApplyTo([3]) = %v, want [6]", out)
 	}
-	// Force both paths on the n=1 input; they must agree.
-	d := convolvePath(single, []float64{3}, "direct")
-	f := convolvePath(single, []float64{3}, "fft")
-	if math.Abs(d[0]-f[0]) > 1e-9 {
-		t.Errorf("n=1 direct %g vs fft %g", d[0], f[0])
+	if want := denseConvolve([]float64{3}, []int{0}, []float64{2}); math.Abs(out[0]-want[0]) > 1e-9 {
+		t.Errorf("n=1 convolver %g vs dense oracle %g", out[0], want[0])
 	}
 }

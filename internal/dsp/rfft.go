@@ -4,16 +4,14 @@ package dsp
 // Hermitian spectrum, so only bins 0..n/2 carry information; a plan's
 // Transform computes exactly those (n/2+1 complex values) through one
 // n/2-point complex FFT — the standard even/odd packing — halving the
-// butterfly work of a complex transform of the padded length. Inverse
-// inverts the packed form.
+// butterfly work of a complex transform of the padded length.
 //
 // Plans (one table of n-th roots of unity) are cached per transform length
 // in a package-level table. A plan keeps no scratch: Transform packs and
-// transforms inside the spectrum buffer it fills, and Inverse works inside
-// the spectrum it reads, so steady-state transforms via PlanRFFT +
-// Transform/Inverse run allocation-free and hold no memory between calls.
-// The Convolver's overlap-add engine and the reader's carrier estimator
-// both ride this cache.
+// transforms inside the spectrum buffer it fills, so steady-state
+// transforms via PlanRFFT + Transform run allocation-free and hold no
+// memory between calls. Spectrum and WelchPSD ride this cache, and BandDFT
+// reads its twiddles from a plan's roots.
 
 import (
 	"math"
@@ -146,50 +144,7 @@ func untangle(zk, zr, w complex128) complex128 {
 	return even + w*odd
 }
 
-// Inverse reconstructs the real signal y (len(y) == N()) from the packed
-// half-spectrum spec (len >= HalfLen()), inverting Transform. It uses spec
-// as its working storage and leaves it overwritten: a caller that still
-// needs the spectrum passes a copy. It allocates nothing.
-//
-//ecolint:hotpath zero-alloc invariant shared with Transform
-func (p *RFFTPlan) Inverse(y []float64, spec []complex128) {
-	if len(y) != p.n {
-		panic("dsp: IRFFT output length does not match the plan")
-	}
-	if len(spec) < p.m+1 {
-		panic("dsp: IRFFT spectrum buffer too short")
-	}
-	if p.m == 0 {
-		y[0] = real(spec[0])
-		return
-	}
-	m := p.m
-	// The size-m inverse runs as conj(FFT(conj(·)))/m, its two conjugations
-	// and the scaling folded into the untangling and unpacking loops.
-	// Packed value k reads bins k and m-k, and packed value m-k the same
-	// two, so each pair is read before either is overwritten; bin m is
-	// read only by packed value 0.
-	z := spec[:m]
-	z[0] = p.repack(spec[0], spec[m], 0)
-	for k := 1; k <= m/2; k++ {
-		sk, sr := spec[k], spec[m-k]
-		z[k] = p.repack(sk, sr, k)
-		z[m-k] = p.repack(sr, sk, m-k)
-	}
-	fftTab(z, p.wN)
-	inv := 1 / float64(m)
-	for j, v := range z {
-		y[2*j] = real(v) * inv
-		y[2*j+1] = -imag(v) * inv
-	}
-}
+func cconj(z complex128) complex128 { return complex(real(z), -imag(z)) }
 
-// repack is packed value k of the inverse: yk = spec[k], ym = spec[m-k]
-// (so conj(ym) is bin k+m of the full n-point spectrum), conjugated for
-// the forward kernel.
-func (p *RFFTPlan) repack(yk, ym complex128, k int) complex128 {
-	ykm := cconj(ym)
-	even := (yk + ykm) * 0.5
-	odd := (yk - ykm) * 0.5 * cconj(p.wN[k])
-	return cconj(even + mulI(odd))
-}
+// mulNegI multiplies by −i, cheaper than a complex multiply.
+func mulNegI(z complex128) complex128 { return complex(imag(z), -real(z)) }

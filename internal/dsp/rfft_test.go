@@ -13,9 +13,7 @@ var rfftLengths = []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 8192}
 // TestRFFTMatchesFFTPropertyBattery is the seeded randomized equivalence
 // battery of the fast real-input path: over 200 cases across all supported
 // power-of-two lengths, the packed half-spectrum must match the
-// complex-embedded FFT bin for bin within 1e-9, and the plan's Inverse must
-// take Transform back to the input within 1e-9 (the IFFT normalisation
-// contract).
+// complex-embedded FFT bin for bin within 1e-9.
 func TestRFFTMatchesFFTPropertyBattery(t *testing.T) {
 	const casesPerLength = 20 // 13 lengths × 20 = 260 cases
 	cases := 0
@@ -47,50 +45,11 @@ func TestRFFTMatchesFFTPropertyBattery(t *testing.T) {
 						n, seed, k, spec[k], ref[k], d)
 				}
 			}
-
-			// Round trip through the packed inverse.
-			back := make([]float64, n)
-			p.Inverse(back, spec)
-			for i := range back {
-				if d := back[i] - x[i]; d > 1e-9 || d < -1e-9 {
-					t.Fatalf("n=%d seed=%d sample %d: Inverse %g vs input %g",
-						n, seed, i, back[i], x[i])
-				}
-			}
 			cases++
 		}
 	}
 	if cases < 200 {
 		t.Fatalf("battery ran only %d cases, want >= 200", cases)
-	}
-}
-
-// TestRFFTMatchesIFFTInverse checks the plan's Inverse against the complex IFFT on a
-// Hermitian spectrum: synthesise a random real signal's spectrum, invert
-// both ways, compare within 1e-9.
-func TestRFFTMatchesIFFTInverse(t *testing.T) {
-	for _, n := range rfftLengths {
-		src := NewNoiseSource(int64(n))
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = src.Gaussian(1)
-		}
-		full := make([]complex128, n)
-		for i, v := range x {
-			full[i] = complex(v, 0)
-		}
-		FFT(full)
-		spec := make([]complex128, n/2+1)
-		copy(spec, full[:n/2+1])
-
-		IFFT(full)
-		got := make([]float64, n)
-		PlanRFFT(n).Inverse(got, spec)
-		for i := range got {
-			if d := cmplx.Abs(complex(got[i], 0) - full[i]); d > 1e-9 {
-				t.Fatalf("n=%d sample %d: Inverse %g vs IFFT %v", n, i, got[i], full[i])
-			}
-		}
 	}
 }
 
@@ -101,10 +60,6 @@ func TestRFFTDegenerateLengths(t *testing.T) {
 	p.Transform(spec, []float64{3.5})
 	if len(spec) != 1 || spec[0] != complex(3.5, 0) {
 		t.Errorf("Transform([3.5]) = %v", spec)
-	}
-	back := make([]float64, 1)
-	if p.Inverse(back, spec); back[0] != 3.5 {
-		t.Errorf("n=1 round trip = %v", back)
 	}
 	// n = 2: DC and Nyquist bins.
 	p = PlanRFFT(2)
@@ -127,7 +82,6 @@ func TestRFFTPanicsOnNonPow2(t *testing.T) {
 	for name, f := range map[string]func(){
 		"PlanRFFT(12)":       func() { PlanRFFT(12) },
 		"16-point Transform": func() { PlanRFFT(16).Transform(spec, x) },
-		"16-point Inverse":   func() { PlanRFFT(16).Inverse(x, spec) },
 	} {
 		func() {
 			defer func() {
@@ -195,8 +149,8 @@ func TestPlanRFFTPanicsOnBadLength(t *testing.T) {
 	}
 }
 
-// TestRFFTPlanTransformZeroAlloc pins the transform and inverse of a built
-// plan at zero allocations — the property the decode hot path's per-op
+// TestRFFTPlanTransformZeroAlloc pins the transform of a built plan at
+// zero allocations — the property the decode hot path's per-op
 // cost budget depends on. A plan keeps no scratch, so there is nothing to
 // warm, and the race build runs it too.
 func TestRFFTPlanTransformZeroAlloc(t *testing.T) {
@@ -208,12 +162,10 @@ func TestRFFTPlanTransformZeroAlloc(t *testing.T) {
 		x[i] = src.Gaussian(1)
 	}
 	spec := make([]complex128, p.HalfLen())
-	y := make([]float64, n)
 	if allocs := testing.AllocsPerRun(50, func() {
 		p.Transform(spec, x)
-		p.Inverse(y, spec)
 	}); allocs != 0 {
-		t.Errorf("warm RFFT transform+inverse allocated %.1f objects/op, want 0", allocs)
+		t.Errorf("warm RFFT transform allocated %.1f objects/op, want 0", allocs)
 	}
 }
 

@@ -444,33 +444,6 @@ func TestAcousticRoundAllocs(t *testing.T) {
 	}
 }
 
-// TestAcousticRoundHoldsNoSpectra: a common-wall link's merged taps put
-// every slot of the acoustic_round workload's shape on the direct path, so
-// after a warm round no link's convolver holds an FFT plan (a kernel
-// spectrum of ~0.5 MB per link, plus 2 MB of shared block scratch per slot
-// in flight).
-func TestAcousticRoundHoldsNoSpectra(t *testing.T) {
-	handles, xs := []uint16{0x41, 0x42, 0x43}, []float64{0.6, 0.8, 1.5}
-	r := roundReader(t, handles, xs)
-	cfg := roundConfig()
-	for range 2 {
-		for i, res := range r.AcousticReadRound(handles, sensors.TypeTempHumidity, cfg) {
-			if res.Err != nil {
-				t.Fatalf("slot %d: %v", i, res.Err)
-			}
-		}
-	}
-	for _, h := range handles {
-		l := linkOf(t, r, h)
-		if l.ch == nil {
-			t.Fatalf("link %#04x built no channel", h)
-		}
-		if p := l.ch.ConvolverPlans(); p != 0 {
-			t.Errorf("link %#04x holds %d FFT plans after a warm round, want 0", h, p)
-		}
-	}
-}
-
 // BenchmarkAcousticReadRound is the acoustic_round workload without the
 // benchmark harness: one reader on the common wall, capsules at x = 0.6,
 // 0.8 and 1.5 m, a 2 kbps uplink, and per op a charge then one round.

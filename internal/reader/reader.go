@@ -102,8 +102,8 @@ type Reader struct {
 	tracer *telemetry.Tracer
 
 	// links keeps the expensive per-link channel state (impulse
-	// responses + convolution plans) of the waveform channels the
-	// acoustic paths build. Each reader owns a private cache.
+	// responses and their merged convolver taps) of the waveform channels
+	// the acoustic paths build. Each reader owns a private cache.
 	links *channel.Cache
 
 	// carrier is the longest incident CBW an acoustic round has rendered;

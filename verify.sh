@@ -194,8 +194,9 @@ stage_done
 # 2 kbps allocates at most 64 KB, its capture, slot waveforms and decoder
 # scratch all recycled) runs here too.
 #
-# Coverage floor over the uplink fast-path packages: the RFFT/convolver
-# cache (internal/dsp), the per-link channel cache (internal/channel) and
+# Coverage floor over the uplink fast-path packages: the RFFT plan cache,
+# the sparse convolver's blocked direct kernel and the decimating front-end
+# kernels (internal/dsp), the per-link channel cache (internal/channel) and
 # the batched round reader (internal/reader) carry equivalence batteries
 # that must actually exercise the code they guard. Any of the three
 # dipping under 75% statement coverage fails the gate. Their whole suites
@@ -285,8 +286,7 @@ stage_done
 # decimating oracle (bit for bit), AddAWGN's inline ziggurat against
 # math/rand/v2's NormFloat64 stream (bit for bit), and the sparse
 # convolver's blocked direct kernel against its tap-by-tap oracle (bit for
-# bit) and its overlap-add against the direct path, fuzzes for a few
-# seconds. Any
+# bit) and against the dense Convolve oracle, fuzzes for a few seconds. Any
 # panic or property violation fails the gate; new corpus findings are kept
 # by go test under the package's testdata/fuzz directory.
 FUZZTIME="${FUZZTIME:-5s}"
@@ -306,7 +306,7 @@ stage_done
 # Bench smoke: regenerate the hot-path micro-benchmark matrix and the 1k
 # city-fleet survey tier and gate every entry against the committed
 # BENCH.json baseline at matching GOMAXPROCS (>20% slower fails: the
-# convolution crossover, the decode path, a warm round on a built link,
+# channel's convolution, the decode path, a warm round on a built link,
 # the survey fan-out or the spatial partitioning regressed). The 10k/100k
 # tiers and the flat-registry comparator run with -full only (minutes).
 stage "bench smoke (ecobench -json vs BENCH.json)"
