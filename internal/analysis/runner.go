@@ -3,14 +3,11 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"io"
-	"path/filepath"
-	"runtime"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 
 	"ecocapsule/internal/conc"
@@ -52,7 +49,6 @@ func Run(opts Options, patterns ...string) ([]Diagnostic, *Stats, error) {
 		opts:   opts,
 		fset:   token.NewFileSet(),
 		meta:   make(map[string]*listedPackage),
-		vendor: make(map[string]string),
 		types:  make(map[string]*types.Package),
 		parsed: make(map[string][]*ast.File),
 		diags:  make(map[string][]Diagnostic),
@@ -71,8 +67,8 @@ type runner struct {
 	facts *Facts
 
 	meta    map[string]*listedPackage
-	targets []string          // import paths of requested packages, listing order
-	vendor  map[string]string // source import string -> vendored import path
+	targets []string       // import paths of requested packages, listing order
+	exports types.Importer // export data of every package outside the module
 
 	mu     sync.RWMutex
 	types  map[string]*types.Package // completed base units
@@ -100,7 +96,7 @@ func (r *runner) run(patterns []string) ([]Diagnostic, error) {
 	}
 	needFacts := make(map[string]bool)
 	for _, p := range r.meta {
-		if useFacts && !p.Standard && !isTarget(r.targets, p.ImportPath) && r.moduleDepOfTargets(p.ImportPath) {
+		if useFacts && p.local() && !isTarget(r.targets, p.ImportPath) && r.moduleDepOfTargets(p.ImportPath) {
 			needFacts[p.ImportPath] = true
 		}
 	}
@@ -118,66 +114,37 @@ func (r *runner) run(patterns []string) ([]Diagnostic, error) {
 
 // list runs go list over the patterns, then closes the metadata over
 // test imports (go list -deps does not follow them) so that every
-// package the run can possibly type-check is known up front.
+// package the run can import is known up front.
 func (r *runner) list(patterns []string) error {
-	listed, err := goListRaw(r.opts.Dir, patterns...)
+	listed, err := goList(r.meta, r.opts.Dir, patterns...)
 	if err != nil {
 		return err
 	}
 	for _, p := range listed {
-		if _, ok := r.meta[p.ImportPath]; !ok {
-			r.meta[p.ImportPath] = p
-		}
-		if !p.DepOnly && !p.Standard {
-			if !isTarget(r.targets, p.ImportPath) {
-				r.targets = append(r.targets, p.ImportPath)
-			}
+		if !p.DepOnly && p.local() && !isTarget(r.targets, p.ImportPath) {
+			r.targets = append(r.targets, p.ImportPath)
 		}
 	}
 	if len(r.targets) == 0 {
 		return fmt.Errorf("analysis: patterns %v matched no packages", patterns)
 	}
-	if r.opts.IncludeTests {
-		for {
-			var missing []string
-			seen := make(map[string]bool)
-			for _, path := range r.targets {
-				p := r.meta[path]
-				for _, imp := range append(append([]string(nil), p.TestImports...), p.XTestImports...) {
-					imp = r.resolveImport(imp)
-					if imp == "C" || imp == "unsafe" {
-						continue
-					}
-					if _, ok := r.meta[imp]; !ok && !seen[imp] {
-						seen[imp] = true
-						missing = append(missing, imp)
-					}
-				}
+	var missing []string
+	for _, path := range r.targets {
+		p := r.meta[path]
+		for _, imp := range slices.Concat(p.TestImports, p.XTestImports) {
+			if _, ok := r.meta[imp]; !ok && !slices.Contains(missing, imp) {
+				missing = append(missing, imp)
 			}
-			if len(missing) == 0 {
-				break
-			}
-			sort.Strings(missing)
-			extra, err := goListRaw(r.opts.Dir, missing...)
-			if err != nil {
-				return err
-			}
-			for _, p := range extra {
-				if _, ok := r.meta[p.ImportPath]; !ok {
-					r.meta[p.ImportPath] = p
-				}
-			}
-			// Anything still missing next iteration is a real error; the
-			// loop terminates because meta only grows.
 		}
 	}
-	// Map vendored stdlib dependencies (ImportPath "vendor/golang.org/x/...")
-	// back to the import strings that appear in source.
-	for path := range r.meta {
-		if trimmed, ok := strings.CutPrefix(path, "vendor/"); ok {
-			r.vendor[trimmed] = path
+	// One listing closes the set: go list -e lists every path it is
+	// given, even one that fails to resolve.
+	if r.opts.IncludeTests && len(missing) > 0 {
+		if _, err := goList(r.meta, r.opts.Dir, missing...); err != nil {
+			return err
 		}
 	}
+	r.exports = exportImporter(r.fset, r.meta)
 	return nil
 }
 
@@ -188,18 +155,6 @@ func isTarget(targets []string, path string) bool {
 		}
 	}
 	return false
-}
-
-// resolveImport maps a source import string to the listed import path
-// (identity except for vendored stdlib).
-func (r *runner) resolveImport(imp string) string {
-	if _, ok := r.meta[imp]; ok {
-		return imp
-	}
-	if v, ok := r.vendor[imp]; ok {
-		return v
-	}
-	return imp
 }
 
 // moduleDepOfTargets reports whether path is reachable from any target
@@ -215,11 +170,7 @@ func (r *runner) moduleDepOfTargets(path string) bool {
 			return false
 		}
 		seen[at] = true
-		p := r.meta[at]
-		if p == nil || p.Standard {
-			return false
-		}
-		for _, imp := range r.importsOf(p, r.opts.IncludeTests && isTarget(r.targets, at)) {
+		for _, imp := range r.importsOf(r.meta[at], r.opts.IncludeTests && isTarget(r.targets, at)) {
 			if visit(imp) {
 				return true
 			}
@@ -234,24 +185,18 @@ func (r *runner) moduleDepOfTargets(path string) bool {
 	return false
 }
 
-// importsOf returns the resolved dependency paths of p, optionally
-// including its test imports, with "C" and "unsafe" dropped.
+// importsOf returns the module packages p imports, optionally through
+// its test files too, sorted.
 func (r *runner) importsOf(p *listedPackage, withTests bool) []string {
-	var raw []string
-	raw = append(raw, p.Imports...)
+	imports := p.Imports
 	if withTests {
-		raw = append(raw, p.TestImports...)
-		raw = append(raw, p.XTestImports...)
+		imports = slices.Concat(imports, p.TestImports, p.XTestImports)
 	}
-	seen := make(map[string]bool)
 	var out []string
-	for _, imp := range raw {
-		imp = r.resolveImport(imp)
-		if imp == "C" || imp == "unsafe" || imp == p.ImportPath || seen[imp] {
-			continue
+	for _, imp := range imports {
+		if q := r.meta[imp]; q != nil && q.local() && imp != p.ImportPath && !slices.Contains(out, imp) {
+			out = append(out, imp)
 		}
-		seen[imp] = true
-		out = append(out, imp)
 	}
 	sort.Strings(out)
 	return out
@@ -263,8 +208,8 @@ func (r *runner) withTests(p *listedPackage) bool {
 		len(p.TestGoFiles)+len(p.XTestGoFiles) > 0
 }
 
-// unit is one node of the schedule: a package to type-check (base) or
-// a package's test variants to check and analyze (test).
+// unit is one node of the schedule: a module package to type-check
+// (base) or a package's test variants to check and analyze (test).
 type unit struct {
 	p    *listedPackage
 	test bool
@@ -283,19 +228,15 @@ type unit struct {
 // level: a unit's dependencies all sit on earlier levels, so the units
 // of one level are independent and fan out on the conc pool.
 func (r *runner) checkAndAnalyze(needFacts map[string]bool) error {
-	// Close the base-unit set over imports.
+	// Close the base-unit set over imports within the module.
 	needCheck := make(map[string]bool)
 	var addCheck func(path string)
 	addCheck = func(path string) {
 		if needCheck[path] {
 			return
 		}
-		p := r.meta[path]
-		if p == nil {
-			return
-		}
 		needCheck[path] = true
-		for _, imp := range r.importsOf(p, false) {
+		for _, imp := range r.importsOf(r.meta[path], false) {
 			addCheck(imp)
 		}
 	}
@@ -403,31 +344,15 @@ func (r *runner) process(u *unit) error {
 	return r.processBaseUnit(u)
 }
 
-// newInfo returns a fresh types.Info with every map the analyzers use.
-func newInfo() *types.Info {
-	return &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-}
-
-// importerFunc adapts a function to types.Importer.
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-// importer resolves import strings against completed base units. The
-// level schedule guarantees every dependency finished first, so a miss is a
-// driver bug, not a race.
+// importer resolves module imports against completed base units and
+// every other import from export data. The level schedule guarantees
+// every module dependency finished first, so a miss is a driver bug, not
+// a race.
 func (r *runner) importer() types.Importer {
 	return importerFunc(func(path string) (*types.Package, error) {
-		if path == "unsafe" {
-			return types.Unsafe, nil
+		if p := r.meta[path]; p == nil || !p.local() {
+			return r.exports.Import(path)
 		}
-		path = r.resolveImport(path)
 		r.mu.RLock()
 		tpkg, ok := r.types[path]
 		r.mu.RUnlock()
@@ -438,47 +363,13 @@ func (r *runner) importer() types.Importer {
 	})
 }
 
-// parseFiles parses the named files of p into the shared (thread-safe)
-// FileSet.
-func (r *runner) parseFiles(p *listedPackage, names []string) ([]*ast.File, error) {
-	files := make([]*ast.File, 0, len(names))
-	for _, name := range names {
-		f, err := parser.ParseFile(r.fset, filepath.Join(p.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: parsing %s: %w", name, err)
-		}
-		files = append(files, f)
-	}
-	return files, nil
-}
-
-// check type-checks files as package path, tolerating errors only for
-// stdlib packages (compiler intrinsics don't all type-check from
-// source; their declarations — all importers need — still do). Stdlib
-// packages are never analyzed, only imported, so their function bodies
-// are skipped: an importer sees declarations alone.
-func (r *runner) check(path string, p *listedPackage, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, error) {
-	info := newInfo()
-	conf := types.Config{
-		Importer:         imp,
-		Sizes:            types.SizesFor("gc", runtime.GOARCH),
-		Error:            func(error) {},
-		IgnoreFuncBodies: p.Standard,
-	}
-	tpkg, err := conf.Check(path, r.fset, files, info)
-	if err != nil && !p.Standard {
-		return nil, nil, fmt.Errorf("analysis: type-checking %s: %w", path, err)
-	}
-	return tpkg, info, nil
-}
-
 func (r *runner) processBaseUnit(u *unit) error {
 	p := u.p
-	files, err := r.parseFiles(p, p.GoFiles)
+	files, err := parseFiles(r.fset, p, p.GoFiles)
 	if err != nil {
 		return err
 	}
-	tpkg, info, err := r.check(p.ImportPath, p, files, r.importer())
+	tpkg, info, err := check(r.fset, p.ImportPath, files, r.importer())
 	if err != nil {
 		return err
 	}
@@ -490,7 +381,7 @@ func (r *runner) processBaseUnit(u *unit) error {
 	if !u.analyzeFull && !u.analyzeFacts {
 		return nil
 	}
-	pkg := &Package{Path: p.ImportPath, Dir: p.Dir, Fset: r.fset, Files: files, Types: tpkg, Info: info, Standard: p.Standard}
+	pkg := &Package{Path: p.ImportPath, Dir: p.Dir, Fset: r.fset, Files: files, Types: tpkg, Info: info}
 	diags := analyzeUnit(pkg, r.opts.Analyzers, r.facts, !u.analyzeFull)
 	if u.analyzeFull {
 		r.recordDiags(p.ImportPath, diags)
@@ -509,12 +400,12 @@ func (r *runner) processTestUnit(u *unit) error {
 	// sees what an export_test.go file exports.
 	xImp := r.importer()
 	if len(p.TestGoFiles) > 0 {
-		testFiles, err := r.parseFiles(p, p.TestGoFiles)
+		testFiles, err := parseFiles(r.fset, p, p.TestGoFiles)
 		if err != nil {
 			return err
 		}
 		files := append(append([]*ast.File(nil), baseFiles...), testFiles...)
-		tpkg, info, err := r.check(p.ImportPath, p, files, r.importer())
+		tpkg, info, err := check(r.fset, p.ImportPath, files, r.importer())
 		if err != nil {
 			return err
 		}
@@ -534,10 +425,9 @@ func (r *runner) processTestUnit(u *unit) error {
 		r.mu.RLock()
 		tpkg := r.types[p.ImportPath]
 		r.mu.RUnlock()
-		info := newInfo()
-		conf := types.Config{Importer: r.importer(), Sizes: types.SizesFor("gc", runtime.GOARCH), Error: func(error) {}}
-		if _, err := conf.Check(p.ImportPath, r.fset, baseFiles, info); err != nil {
-			return fmt.Errorf("analysis: type-checking %s: %w", p.ImportPath, err)
+		_, info, err := check(r.fset, p.ImportPath, baseFiles, r.importer())
+		if err != nil {
+			return err
 		}
 		pkg := &Package{Path: p.ImportPath, Dir: p.Dir, Fset: r.fset, Files: baseFiles, Types: tpkg, Info: info}
 		r.recordDiags(p.ImportPath, analyzeUnit(pkg, r.opts.Analyzers, r.facts, false))
@@ -545,12 +435,12 @@ func (r *runner) processTestUnit(u *unit) error {
 
 	// External _test package (package foo_test).
 	if len(p.XTestGoFiles) > 0 {
-		xFiles, err := r.parseFiles(p, p.XTestGoFiles)
+		xFiles, err := parseFiles(r.fset, p, p.XTestGoFiles)
 		if err != nil {
 			return err
 		}
 		xPath := p.ImportPath + "_test"
-		tpkg, info, err := r.check(xPath, p, xFiles, xImp)
+		tpkg, info, err := check(r.fset, xPath, xFiles, xImp)
 		if err != nil {
 			return err
 		}

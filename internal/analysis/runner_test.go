@@ -255,3 +255,78 @@ func TestParallelMatchesSequential(t *testing.T) {
 		}
 	}
 }
+
+// TestOnlyModuleParsed pins what the drivers read from source: only the
+// module's own packages. Everything outside the module (here fmt, sync,
+// net/http and a test-only net/http/httptest, with their closures)
+// comes from export data, in Run and in the fixture Loader alike.
+func TestOnlyModuleParsed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns go list")
+	}
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod": "module parsemod\n\ngo 1.21\n",
+		"srv/srv.go": `package srv
+
+import (
+	"fmt"
+	"net/http"
+	"sync"
+)
+
+var mu sync.Mutex
+
+// Hello answers every request.
+func Hello(w http.ResponseWriter, _ *http.Request) {
+	mu.Lock()
+	defer mu.Unlock()
+	fmt.Fprintln(w, "hello")
+}
+`,
+		"srv/srv_test.go": `package srv
+
+import (
+	"net/http/httptest"
+	"testing"
+)
+
+func TestHello(t *testing.T) {
+	rec := httptest.NewRecorder()
+	Hello(rec, httptest.NewRequest("GET", "/", nil))
+}
+`,
+		"app/app.go": `package app
+
+import "parsemod/srv"
+
+// Handler is srv's handler.
+var Handler = srv.Hello
+`,
+	}
+	for name, src := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	parsed, stop := analysis.RecordParsed()
+	defer stop()
+	if _, _, err := analysis.Run(analysis.Options{Dir: dir, IncludeTests: true}, "./..."); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if got, want := strings.Join(parsed(), " "), "parsemod/app parsemod/srv"; got != want {
+		t.Errorf("Run parsed %q, want only the module's packages %q", got, want)
+	}
+
+	if _, err := analysis.NewLoader().CheckFixture("fixture/srv", filepath.Join(dir, "srv")); err != nil {
+		t.Fatalf("loading fixture: %v", err)
+	}
+	if got, want := strings.Join(parsed(), " "), "fixture/srv parsemod/app parsemod/srv"; got != want {
+		t.Errorf("Run and Loader parsed %q, want only %q", got, want)
+	}
+}

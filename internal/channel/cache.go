@@ -27,8 +27,8 @@ package channel
 //     and its sibling channels keep the clean response, and the next
 //     lookup still hits it.
 //
-// Per-channel mutable state (the deterministic noise source, the
-// impairment hook) is never shared: every Channel gets its own.
+// Per-channel mutable state (the deterministic noise source) is never
+// shared: every Channel gets its own.
 
 import (
 	"sync"

@@ -1,10 +1,10 @@
 // Package channel simulates the in-concrete acoustic link: it convolves
 // transmitted waveforms with the multipath impulse response from the
 // image-source model, applies the concrete's frequency-selective resonance
-// (Fig. 5b), injects the reader's self-interference (the CBW leakage and
-// surface waves that are ~10× stronger than the backscatter, §3.4), and
-// adds calibrated Gaussian noise. An underwater variant reproduces the PAB
-// baseline channel.
+// (Fig. 5b) and adds calibrated Gaussian noise. The reader's
+// self-interference (the CBW leakage that is ~10× stronger than the
+// backscatter, §3.4) is not modelled here: the reader adds it to its
+// capture itself.
 package channel
 
 import (

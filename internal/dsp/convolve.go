@@ -70,12 +70,6 @@ func NewSparseConvolver(offsets []int, gains []float64) *Convolver {
 	return c
 }
 
-// Taps returns the number of kernel taps after coincident offsets merge.
-func (c *Convolver) Taps() int { return len(c.offsets) }
-
-// KernelLen returns the dense kernel length (last offset + 1).
-func (c *Convolver) KernelLen() int { return c.kernLen }
-
 // OutLen returns the linear-convolution output length for an n-sample input.
 func (c *Convolver) OutLen(n int) int {
 	if n == 0 || c.kernLen == 0 {

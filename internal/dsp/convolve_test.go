@@ -180,8 +180,8 @@ func TestConvolverEdgeCases(t *testing.T) {
 	if c.OutLen(10) != 15 {
 		t.Errorf("OutLen(10) = %d, want 15", c.OutLen(10))
 	}
-	if c.Taps() != 1 || c.KernelLen() != 6 {
-		t.Errorf("taps=%d kernLen=%d", c.Taps(), c.KernelLen())
+	if len(c.offsets) != 1 || c.kernLen != 6 {
+		t.Errorf("taps=%d kernLen=%d", len(c.offsets), c.kernLen)
 	}
 	empty := NewSparseConvolver(nil, nil)
 	if got := convolveNew(empty, []float64{1, 2, 3}); len(got) != 0 {
@@ -357,9 +357,9 @@ func TestSparseConvolverMergesCoincidentTaps(t *testing.T) {
 		gains []float64
 	}{"random order": {offs, gains}, "sorted": {sortedOffs, sortedGains}} {
 		c := NewSparseConvolver(k.offs, k.gains)
-		if c.Taps() != len(distinct) || c.KernelLen() != 60 {
+		if len(c.offsets) != len(distinct) || c.kernLen != 60 {
 			t.Fatalf("%s: %d taps on %d distinct offsets merged to %d taps, kernLen %d",
-				name, len(k.offs), len(distinct), c.Taps(), c.KernelLen())
+				name, len(k.offs), len(distinct), len(c.offsets), c.kernLen)
 		}
 		var first []int
 		dense := make([]float64, 60)
@@ -411,7 +411,7 @@ func FuzzSparseConvolver(f *testing.F) {
 		bound *= MaxAbs(x)
 		for i := range want {
 			if d := math.Abs(got[i] - want[i]); d > 1e-9*bound {
-				t.Fatalf("n=%d taps=%d: convolver diverges from the dense oracle at %d by %g (bound %g)", len(x), c.Taps(), i, d, bound)
+				t.Fatalf("n=%d taps=%d: convolver diverges from the dense oracle at %d by %g (bound %g)", len(x), len(c.offsets), i, d, bound)
 			}
 		}
 	})

@@ -106,7 +106,8 @@ stage_done
 # allocation discipline) among them — gates the tree; any finding fails
 # the build, and so does an ignore directive that suppresses nothing.
 # cmd/ecolint's TestListRoster, run by the race stage below, pins which
-# analyzers the suite holds.
+# analyzers the suite holds. Packages outside the module come from the
+# compiler's export data, so only the module itself is type-checked.
 stage "ecolint -include-tests ./..."
 go build -o /tmp/ecolint.verify ./cmd/ecolint
 /tmp/ecolint.verify -include-tests ./...
